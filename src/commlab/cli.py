@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import lamplighter as lamp
 from . import solvable, storus, unipotent
-from .errors import CommLabError, UnknownDemo
+from .errors import CommLabError, UnknownDemo, ZeroInput
 from .matrices import MatQ
 from .polymat import BitMat
 from .solvable import AffineMap, BSElement, CommDesc, CommSpace
@@ -442,6 +442,9 @@ def run(argv) -> int:
         return _HANDLERS[args.command](args, args.pretty)
     except CommLabError as exc:
         print(json.dumps({"error": exc.code, "detail": exc.detail}))
+        return 1
+    except ZeroDivisionError as exc:
+        print(json.dumps({"error": ZeroInput.code, "detail": str(exc)}))
         return 1
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "ParseError", "detail": str(exc)}))

@@ -89,7 +89,3 @@ class UnknownDemo(CommLabError):
 
 class NotAnAutomorphism(CommLabError):
     code = "NotAnAutomorphism"
-
-
-class WindowUnstable(CommLabError):
-    code = "WindowUnstable"

@@ -33,7 +33,6 @@ Conventions fixed here once and for all:
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 
 from . import hnf
@@ -43,7 +42,6 @@ from .errors import (
     NotDivisible,
     OutOfDomain,
     SingularMatrix,
-    WindowUnstable,
 )
 from .f2poly import (
     F2LaurentPoly,
@@ -56,23 +54,11 @@ from .f2poly import (
     mask_spread,
 )
 from .matrices import MatF2Rat
-from .polymat import BitMat, PolyMat, f2_rank
+from .polymat import BitMat, PolyMat
 from .ratfun import F2RatFun
 
 _ZERO = F2LaurentPoly.zero()
 _ONE = F2LaurentPoly.one()
-
-
-def window_width(level: int, max_degree: int) -> int:
-    """Exponent half-width for windowed linear algebra.
-
-    Defaults to 4 * (level + max_degree); the COMMLAB_WINDOW environment
-    variable overrides it.
-    """
-    env = os.environ.get("COMMLAB_WINDOW")
-    if env:
-        return int(env)
-    return 4 * (level + max_degree)
 
 
 @lru_cache(maxsize=None)
@@ -412,7 +398,11 @@ class CommInftyElt:
         else:
             dw = _min_u_power_poly(self.den, k)
             e, rem = mask_divmod(mask_spread(dw, k), self.den)
-            assert rem == 0
+            if rem:
+                raise RuntimeError(
+                    f"raise_to from level {m} to {n}: denominator of degree "
+                    f"{self.den.bit_length() - 1} does not divide its multiple"
+                )
             nn = self.num.scalar_mul(e)
         if nn.is_zero():
             return CommInftyElt(n, PolyMat.zero(n), dw)
@@ -709,7 +699,11 @@ def _apply_lin_to_vder(lin: CommInftyElt, value: F2LaurentPoly):
     out = []
     for y in ys:
         q = (mult * y).exact_div(dp)
-        assert q is not None
+        if q is None:
+            raise RuntimeError(
+                f"derivation image at level {m}: multiplier of length {j} "
+                f"leaves a remainder mod a denominator of degree {den.bit_length() - 1}"
+            )
         out.append(q)
     return j, coords_to_k(out, m)
 
@@ -808,14 +802,16 @@ def comm_from_partial(
     domain: SubmoduleBasis,
     gen_images,
     t_image: LampElement,
-    window: int | None = None,
 ) -> LampComm:
     """Reconstruct the canonical class from images of the domain
     generators and of t**level.
 
     The generator images must be torsion, their span must be full, and
-    the image of t**level must project to +-level in the Z-direction;
-    the defining relations are spot-checked on a window of conjugates.
+    the image of t**level must project to +-level in the Z-direction.
+    The linear part A = H * X**-1 is F2(s)-linear by construction, so the
+    conjugation relations hold on every shift of a generator once they
+    hold on the generators themselves; those and the image of the shift
+    are checked exactly.
     """
     if domain.level != level:
         raise ValueError("domain level mismatch")
@@ -845,60 +841,26 @@ def comm_from_partial(
         raise NotAHomomorphism("generator images do not span a finite-index submodule")
     value = t_image.k if eps > 0 else t_image.k.shifted(level)
     c = LampComm.make(VDerElt(level, value), lin, eps < 0)
-    if window is None:
-        maxdeg = max(
-            (g.max_exp - g.min_exp for g in gens if not g.is_zero()), default=0
-        )
-        window = max(2, window_width(level, maxdeg) // (4 * level))
-    w = window
-    t_given = t_image
     for g, img in zip(gens, gen_images):
-        for j in range(-w, w + 1):
-            got = comm_apply(c, LampElement(g.shifted(j * level), 0))
-            want = (t_given ** j) * img * (t_given ** (-j))
-            if got != want:
-                raise NotAHomomorphism(
-                    "generator images violate the conjugation relations"
-                )
+        if comm_apply(c, LampElement(g, 0)) != img:
+            raise NotAHomomorphism(
+                "generator images violate the conjugation relations"
+            )
     if comm_apply(c, LampElement(_ZERO, level)) != t_image:
         raise NotAHomomorphism("image of the shift is inconsistent")
     return c
 
 
 # ---------------------------------------------------------------------------
-# the quotient-dimension computation
+# the quotient dimension
 
 
-def _f2_rank_of_polys(polys) -> int:
-    live = [p for p in polys if not p.is_zero()]
-    if not live:
-        return 0
-    base = min(p.shift for p in live)
-    return f2_rank([p.mask << (p.shift - base) for p in live])
-
-
-def _window_quotient_dim(k1: SubmoduleBasis, m: int, width: int) -> int:
-    m1 = k1.level
-    q = m // m1
-    j_max = max(1, width // m1 + 1)
-    gens = k1.generators_as_k()
-    mult = _ONE + F2LaurentPoly.t_power(m)
-    rows_top = [
-        g.shifted(j * m1) for g in gens for j in range(-j_max, j_max + 1)
-    ]
-    rows_sub = [
-        (mult * g).shifted(j * m1)
-        for g in gens
-        for j in range(-j_max, j_max - q + 1)
-    ]
-    return _f2_rank_of_polys(rows_top) - _f2_rank_of_polys(rows_sub)
-
-
-def quotient_dim(k1: SubmoduleBasis, m: int, window: int | None = None) -> int:
+def quotient_dim(k1: SubmoduleBasis, m: int) -> int:
     """F2-dimension of K1 / (1 + t**m) K1 for an invariant submodule K1.
 
-    Computed by exact linear algebra on an exponent window, re-run at
-    doubled width as a stability check.
+    K1 of level m1 is free of rank m1 over F2[s, 1/s] with s = t**m1, and
+    1 + t**m acts on it as the scalar 1 + s**q with q = m / m1, so the
+    quotient has dimension m1 * deg(1 + s**q) = m.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -906,19 +868,7 @@ def quotient_dim(k1: SubmoduleBasis, m: int, window: int | None = None) -> int:
         raise NotDivisible(
             f"submodule level {k1.level} must divide the commutator exponent {m}"
         )
-    maxdeg = 0
-    for row in k1.rows:
-        for x in row:
-            if not x.is_zero():
-                maxdeg = max(maxdeg, x.max_exp * k1.level + k1.level - 1)
-    width = window if window is not None else window_width(m, maxdeg)
-    d1 = _window_quotient_dim(k1, m, width)
-    d2 = _window_quotient_dim(k1, m, 2 * width)
-    if d1 != d2:
-        raise WindowUnstable(
-            f"window width {width} is not stable; widen COMMLAB_WINDOW"
-        )
-    return d1
+    return m
 
 
 # ---------------------------------------------------------------------------

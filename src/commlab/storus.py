@@ -13,6 +13,7 @@ square in the local field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -77,7 +78,7 @@ def squarefree_part(n: int) -> int:
         if n <= _TRIAL_BOUND * _TRIAL_BOUND and is_prime(n):
             out *= n
         else:
-            r = _isqrt(n)
+            r = math.isqrt(n)
             if r * r == n:
                 pass  # even multiplicities throughout
             else:
@@ -85,12 +86,6 @@ def squarefree_part(n: int) -> int:
                     f"cannot certify the squarefree part of {n}"
                 )
     return sign * out
-
-
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
 
 
 def is_square_qp(x, p: int) -> bool:
@@ -245,7 +240,7 @@ def torus_from_matrix2(mat) -> TorusSpec:
     if det not in (1, -1):
         raise InvalidTorusSpec(f"determinant must be +-1, got {det}")
     disc = tr * tr - 4 * det
-    root = _isqrt(abs(disc))
+    root = math.isqrt(abs(disc))
     if disc >= 0 and root * root == disc:
         raise ReducibleCharPoly(
             f"characteristic polynomial splits over Q (disc = {disc})"

@@ -15,13 +15,8 @@ from fractions import Fraction
 from .errors import NotAnAutomorphism, SingularMap
 from .matrices import MatQ
 
+# Size bound for unitriangular matrices (factorial denominators grow with it).
 DIMENSION_CAP = 12
-
-
-def set_dimension_cap(n: int) -> None:
-    """Raise or lower the size bound (factorial denominators grow with it)."""
-    global DIMENSION_CAP
-    DIMENSION_CAP = n
 
 
 class UniTriMat:

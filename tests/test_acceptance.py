@@ -15,7 +15,7 @@ from commlab.errors import IncompatibleCocycle
 from commlab.f2poly import F2LaurentPoly as P
 from commlab.f2poly import mask_mul
 from commlab.matrices import MatQ
-from commlab.polymat import BitMat
+from commlab.polymat import BitMat, f2_rank
 from commlab.solvable import AffineMap, BSElement
 from commlab.unipotent import UniTriMat
 
@@ -150,6 +150,43 @@ def test_criterion_4_diagonal_embedding(capsys):
         _report(4, "GL embeddings exhaustive (n <= 3) + 1000 pairs (n = 4)", elapsed, 60)
 
 
+def _f2_rank_of_polys(polys) -> int:
+    live = [p for p in polys if not p.is_zero()]
+    if not live:
+        return 0
+    base = min(p.shift for p in live)
+    return f2_rank([p.mask << (p.shift - base) for p in live])
+
+
+def _window_quotient_dim(k1, m, width) -> int:
+    """dim K1 / (1 + t**m) K1 by F2 ranks of shifted generators on an
+    exponent window of half-width ``width``."""
+    m1 = k1.level
+    q = m // m1
+    j_max = max(1, width // m1 + 1)
+    gens = k1.generators_as_k()
+    mult = P.one() + P.t_power(m)
+    rows_top = [g.shifted(j * m1) for g in gens for j in range(-j_max, j_max + 1)]
+    rows_sub = [
+        (mult * g).shifted(j * m1) for g in gens for j in range(-j_max, j_max - q + 1)
+    ]
+    return _f2_rank_of_polys(rows_top) - _f2_rank_of_polys(rows_sub)
+
+
+def quotient_dim_oracle(k1, m) -> int:
+    """Independent reference for lamp.quotient_dim: windowed linear
+    algebra at width 4 * (m + max degree), which must agree at double
+    width."""
+    maxdeg = max(
+        (x.max_exp * k1.level + k1.level - 1 for row in k1.rows for x in row if not x.is_zero()),
+        default=0,
+    )
+    width = 4 * (m + maxdeg)
+    dim = _window_quotient_dim(k1, m, width)
+    assert _window_quotient_dim(k1, m, 2 * width) == dim
+    return dim
+
+
 def test_criterion_5_quotient_dimension(capsys):
     start = time.time()
     rng = random.Random(5)
@@ -160,11 +197,7 @@ def test_criterion_5_quotient_dimension(capsys):
         for m in range(1, 9):
             if m % k1.level:
                 continue
-            base = lamp.quotient_dim(k1, m)  # doubles the window internally
-            assert base == m
-            # explicit cross-check at doubled width
-            wide = lamp.quotient_dim(k1, m, window=2 * lamp.window_width(m, 8))
-            assert wide == m
+            assert lamp.quotient_dim(k1, m) == m == quotient_dim_oracle(k1, m)
         samples += 1
     elapsed = time.time() - start
     with capsys.disabled():

@@ -153,6 +153,13 @@ def test_error_exit_codes(capsys):
     code = run(["no-such-command"])
     capsys.readouterr()
     assert code == 2
+    # a zero denominator is a domain error, not a traceback
+    code = run(["bs", "conj", "--r", "1/0", "--q", "1", "--elem", '{"n":2,"a":0,"b":"1"}'])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    assert captured.out.splitlines() == [
+        '{"error": "ZeroInput", "detail": "Fraction(1, 0)"}'
+    ]
 
 
 def test_demo_commands(capsys):

@@ -29,6 +29,7 @@ from commlab.lamplighter import (
     lamp_mul,
     quotient_dim,
     random_comm,
+    random_element,
     random_submodule,
     theta_sign,
     vder_raise,
@@ -182,18 +183,6 @@ def test_vder_raise_additive():
         assert vder_raise(summed, 6).value == (
             vder_raise(a, 6).value + vder_raise(b, 6).value
         )
-
-
-def test_window_width_env_override(monkeypatch):
-    from commlab.lamplighter import window_width
-
-    assert window_width(2, 8) == 40
-    monkeypatch.setenv("COMMLAB_WINDOW", "17")
-    assert window_width(2, 8) == 17
-    monkeypatch.delenv("COMMLAB_WINDOW")
-    k1 = SubmoduleBasis(1, [[P([0, 1])]])
-    monkeypatch.setenv("COMMLAB_WINDOW", "30")
-    assert quotient_dim(k1, 2) == 2
 
 
 def test_comm_infty_canonical_inverts_raise():
@@ -558,6 +547,39 @@ def test_comm_from_partial_errors():
         comm_from_partial(
             2, full2, [E0, E0], LampElement(P.zero(), 2)
         )  # dependent images
+
+
+def test_comm_from_partial_conjugation_relations():
+    # the rebuilt class c must satisfy c(t**(jL) g t**(-jL)) =
+    # c(t**L)**j c(g) c(t**L)**-j on shifted generators, not only on the
+    # generators that comm_from_partial checks
+    rng = random.Random(40)
+    rebuilt = 0
+    for trial in range(60):
+        if trial % 2:
+            c = random_comm(rng, max_level=3)
+            basis, level = comm_domain(c)
+            gen_images = [
+                comm_apply(c, LampElement(g, 0)) for g in basis.generators_as_k()
+            ]
+            t_image = comm_apply(c, LampElement(P.zero(), level))
+        else:
+            basis = random_submodule(rng, max_level=3)
+            level = basis.level
+            gen_images = [
+                LampElement(random_element(rng, 4).k, 0) for _ in range(level)
+            ]
+            t_image = LampElement(random_element(rng, 4).k, rng.choice((level, -level)))
+        try:
+            rebuilt_c = comm_from_partial(level, basis, gen_images, t_image)
+        except NotAHomomorphism:
+            continue
+        rebuilt += 1
+        for g, img in zip(basis.generators_as_k(), gen_images):
+            for j in range(-3, 4):
+                got = comm_apply(rebuilt_c, LampElement(g.shifted(j * level), 0))
+                assert got == (t_image ** j) * img * (t_image ** -j)
+    assert rebuilt >= 45
 
 
 def test_round_trip_through_generator_images():
