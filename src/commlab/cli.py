@@ -1,10 +1,14 @@
 """Command-line entry point.
 
-Every subcommand reads and writes JSON; ``--pretty`` adds an indented
-rendering of the same data.  Exit codes: 0 on success, 1 on domain
-errors (reported as ``{"error": code, "detail": text}``), 2 on parse
-errors.  The ``demo`` subcommand reproduces the worked computations
-shipped with the package and prints one PASS/FAIL line per check.
+Each leaf subcommand is defined once, in ``_build_parser``, together
+with the handler that runs it.  Handlers read JSON (inline or a file
+path; JSON numbers are read as decimals, so ``0.1`` is 1/10) and return
+their result; ``run`` is the one place that prints a result or an error
+and picks the exit code: 0 on success, 1 on domain errors (reported as
+``{"error": code, "detail": text}``), 2 on malformed input.  ``--pretty``
+indents the same JSON.  The ``demo`` subcommand reproduces the worked
+computations shipped with the package, prints one PASS/FAIL line per
+check and returns its own exit code.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from fractions import Fraction
 
 from . import lamplighter as lamp
 from . import solvable, storus, unipotent
-from .errors import CommLabError, UnknownDemo, ZeroInput
+from .errors import CommLabError, ZeroInput
 from .matrices import MatQ
 from .polymat import BitMat
 from .solvable import AffineMap, BSElement, CommDesc, CommSpace
@@ -38,35 +42,53 @@ def _load_json(text: str):
         raise
 
 
-def _emit(obj, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(obj, sort_keys=True))
-
-
 def _parse_int_matrix(text: str):
     """Rows separated by ';', entries by ','."""
     return [[int(x) for x in row.split(",")] for row in text.split(";")]
 
 
-def _matq_from_json(obj) -> MatQ:
-    return MatQ([[Fraction(str(x)) for x in row] for row in obj])
+def _rational(x) -> Fraction:
+    """A JSON string or number, numbers read as decimals: 0.1 is 1/10."""
+    return Fraction(str(x))
+
+
+def _matq_from_json(obj, ncols=None) -> MatQ:
+    return MatQ([[_rational(x) for x in row] for row in obj], ncols=ncols)
 
 
 def _matq_to_json(mat: MatQ):
     return [[str(x) for x in row] for row in mat.rows]
 
 
+def _matq_from_arg(text: str) -> MatQ:
+    return _matq_from_json(_load_json(text))
+
+
 def _unitri_from_arg(text: str) -> UniTriMat:
-    return UniTriMat(_matq_from_json(_load_json(text)))
+    return UniTriMat(_matq_from_arg(text))
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns the JSON result that ``run`` prints
 
 
-def _cmd_torus_rank(args, pretty: bool) -> int:
+def _lamp_elem(text: str) -> lamp.LampElement:
+    return lamp.LampElement.from_json(_load_json(text))
+
+
+def _lamp_comm(text: str) -> lamp.LampComm:
+    return lamp.LampComm.from_json(_load_json(text))
+
+
+def _affine(args) -> AffineMap:
+    return AffineMap(Fraction(args.r), Fraction(args.q))
+
+
+def _bs_elem(text: str) -> BSElement:
+    return BSElement.from_json(_load_json(text))
+
+
+def _torus_rank(args):
     if args.matrix:
         spec = storus.torus_from_matrix2(_parse_int_matrix(args.matrix))
     elif args.disc is not None:
@@ -79,90 +101,35 @@ def _cmd_torus_rank(args, pretty: bool) -> int:
     else:
         raise ValueError("provide --matrix or --disc")
     primes = [int(p) for p in args.primes.split(",")] if args.primes else []
-    report = storus.s_rank(spec, primes)
-    out = report.to_json()
+    out = storus.s_rank(spec, primes).to_json()
     out["torus"] = spec.to_json()
-    _emit(out, pretty)
-    return 0
+    return out
 
 
-def _cmd_lamp(args, pretty: bool) -> int:
-    sub = args.lamp_cmd
-    if sub == "mul":
-        g = lamp.LampElement.from_json(_load_json(args.g))
-        h = lamp.LampElement.from_json(_load_json(args.h))
-        _emit(lamp.lamp_mul(g, h).to_json(), pretty)
-    elif sub == "apply":
-        c = lamp.LampComm.from_json(_load_json(args.comm))
-        g = lamp.LampElement.from_json(_load_json(args.elem))
-        _emit(lamp.comm_apply(c, g).to_json(), pretty)
-    elif sub == "compose":
-        c1 = lamp.LampComm.from_json(_load_json(args.c1))
-        c2 = lamp.LampComm.from_json(_load_json(args.c2))
-        _emit(lamp.comm_compose(c1, c2).to_json(), pretty)
-    elif sub == "invert":
-        c = lamp.LampComm.from_json(_load_json(args.comm))
-        _emit(lamp.comm_invert(c).to_json(), pretty)
-    elif sub == "from-partial":
-        data = _load_json(args.data)
-        level = int(data["level"])
-        basis = lamp.SubmoduleBasis.from_json({"level": level, "H": data["H"]})
-        gen_images = [lamp.LampElement.from_json(x) for x in data["gen_images"]]
-        t_image = lamp.LampElement.from_json(data["t_image"])
-        c = lamp.comm_from_partial(level, basis, gen_images, t_image)
-        _emit(c.to_json(), pretty)
-    elif sub == "embed-gl":
-        rows = _parse_int_matrix(args.matrix)
-        c = lamp.diagonal_embed(args.n, rows)
-        _emit(c.to_json(), pretty)
-    elif sub == "quotient-dim":
-        basis = lamp.SubmoduleBasis.from_json(_load_json(args.submodule))
-        dim = lamp.quotient_dim(basis, args.m)
-        _emit({"dim": dim, "m": args.m, "index_log2": basis.index_log2}, pretty)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown lamp subcommand {sub!r}")
-    return 0
+def _lamp_from_partial(args):
+    data = _load_json(args.data)
+    level = int(data["level"])
+    basis = lamp.SubmoduleBasis.from_json({"level": level, "H": data["H"]})
+    gen_images = [lamp.LampElement.from_json(x) for x in data["gen_images"]]
+    t_image = lamp.LampElement.from_json(data["t_image"])
+    return lamp.comm_from_partial(level, basis, gen_images, t_image).to_json()
 
 
-def _cmd_unipotent(args, pretty: bool) -> int:
-    sub = args.uni_cmd
-    if sub == "log":
-        g = _unitri_from_arg(args.matrix)
-        _emit(_matq_to_json(unipotent.unitri_log(g).mat), pretty)
-    elif sub == "exp":
-        x = NilMat(_matq_from_json(_load_json(args.matrix)))
-        _emit(_matq_to_json(unipotent.unitri_exp(x).mat), pretty)
-    elif sub == "root":
-        g = _unitri_from_arg(args.matrix)
-        root = unipotent.pth_root(g, args.p)
-        _emit(_matq_to_json(root.mat), pretty)
-    elif sub == "apply-aut":
-        aut_obj = _load_json(args.aut)
-        aut = LieAut(int(aut_obj["n"]), _matq_from_json(aut_obj["L"]))
-        g = _unitri_from_arg(args.matrix)
-        _emit(_matq_to_json(unipotent.comm_from_lie_aut(aut, g).mat), pretty)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown unipotent subcommand {sub!r}")
-    return 0
+def _lamp_quotient_dim(args):
+    basis = lamp.SubmoduleBasis.from_json(_load_json(args.submodule))
+    dim = lamp.quotient_dim(basis, args.m)
+    return {"dim": dim, "m": args.m, "index_log2": basis.index_log2}
 
 
-def _cmd_bs(args, pretty: bool) -> int:
-    sub = args.bs_cmd
-    if sub == "mul":
-        g = BSElement.from_json(_load_json(args.g))
-        h = BSElement.from_json(_load_json(args.h))
-        _emit(solvable.bs_mul(g, h).to_json(), pretty)
-    elif sub == "conj":
-        c = AffineMap(Fraction(args.r), Fraction(args.q))
-        g = BSElement.from_json(_load_json(args.elem))
-        _emit(solvable.bs_comm_apply(c, g).to_json(), pretty)
-    elif sub == "domain":
-        c = AffineMap(Fraction(args.r), Fraction(args.q))
-        k, d = solvable.bs_comm_domain(c, args.n)
-        _emit({"K": k, "D": d}, pretty)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown bs subcommand {sub!r}")
-    return 0
+def _uni_apply_aut(args):
+    aut_obj = _load_json(args.aut)
+    aut = LieAut(int(aut_obj["n"]), _matq_from_json(aut_obj["L"]))
+    return _matq_to_json(unipotent.comm_from_lie_aut(aut, _unitri_from_arg(args.matrix)).mat)
+
+
+def _bs_domain(args):
+    k, d = solvable.bs_comm_domain(_affine(args), args.n)
+    return {"K": k, "D": d}
 
 
 def _space_from_json(obj) -> CommSpace:
@@ -176,50 +143,34 @@ def _space_from_json(obj) -> CommSpace:
 def _desc_from_json(space: CommSpace, obj) -> CommDesc:
     red = space.red.identity()
     if obj.get("red") is not None:
-        red = AffineMap(Fraction(obj["red"]["r"]), Fraction(obj["red"]["q"]))
+        red = AffineMap(_rational(obj["red"]["r"]), _rational(obj["red"]["q"]))
     return CommDesc(
         space,
-        MatQ([[Fraction(x) for x in row] for row in obj["h_central"]], ncols=space.n0),
-        MatQ([[Fraction(x) for x in row] for row in obj["P"]], ncols=space.n0),
-        MatQ([[Fraction(x) for x in row] for row in obj["h_10"]], ncols=space.n1),
-        MatQ([[Fraction(x) for x in row] for row in obj["h_1z"]], ncols=space.n1),
+        _matq_from_json(obj["h_central"], ncols=space.n0),
+        _matq_from_json(obj["P"], ncols=space.n0),
+        _matq_from_json(obj["h_10"], ncols=space.n1),
+        _matq_from_json(obj["h_1z"], ncols=space.n1),
         red,
     )
 
 
 def _desc_to_json(d: CommDesc):
-    out = {
-        "h_central": _matq_to_json(d.h_central),
-        "P": _matq_to_json(d.p),
-        "h_10": _matq_to_json(d.h_10),
-        "h_1z": _matq_to_json(d.h_1z),
-    }
-    out["red"] = (
-        {"r": str(d.red.r), "q": str(d.red.q)}
-        if isinstance(d.red, AffineMap)
-        else None
-    )
-    return out
+    red = {"r": str(d.red.r), "q": str(d.red.q)} if isinstance(d.red, AffineMap) else None
+    return {"h_central": _matq_to_json(d.h_central), "P": _matq_to_json(d.p),
+            "h_10": _matq_to_json(d.h_10), "h_1z": _matq_to_json(d.h_1z), "red": red}
 
 
-def _cmd_comm_desc(args, pretty: bool) -> int:
+def _descs(args, *keys):
     spec = _load_json(args.spec)
     space = _space_from_json(spec["space"])
-    a = _desc_from_json(space, spec["a"])
-    if args.desc_cmd == "mul":
-        b = _desc_from_json(space, spec["b"])
-        _emit(_desc_to_json(solvable.comm_desc_mul(a, b)), pretty)
-    else:
-        _emit(_desc_to_json(solvable.comm_desc_inv(a)), pretty)
-    return 0
+    return [_desc_from_json(space, spec[k]) for k in keys]
 
 
-def _cmd_solve_inner(args, pretty: bool) -> int:
+def _solve_inner(args):
     ts = [_matq_from_json(m) for m in _load_json(args.ts)]
-    vs = [MatQ.column([Fraction(str(x)) for x in v]) for v in _load_json(args.vs)]
+    vs = [MatQ.column([_rational(x) for x in v]) for v in _load_json(args.vs)]
     x = solvable.solve_inner_derivation(ts, vs)
-    _emit([str(x.entry(i, 0)) for i in range(x.nrows)], pretty)
-    return 0
+    return [str(x.entry(i, 0)) for i in range(x.nrows)]
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +280,25 @@ _DEMOS = {
 }
 
 
-def _cmd_demo(args, _pretty: bool) -> int:
-    fn = _DEMOS.get(args.name)
-    if fn is None:
-        raise UnknownDemo(f"unknown demo {args.name!r}")
-    return 0 if fn(args.seed) else 1
+def _demo(args) -> int:
+    return 0 if _DEMOS[args.name](args.seed) else 1
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing and the one place that prints results
+
+
+_INT_FLAGS = ("--n", "--m", "--p")
+
+
+def _leaf(subs, name: str, handler, *flags: str, **kwargs) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` run by ``handler``; each flag is a required
+    option, an integer for the flags in ``_INT_FLAGS``."""
+    p = subs.add_parser(name, **kwargs)
+    for flag in flags:
+        p.add_argument(flag, type=int if flag in _INT_FLAGS else None, required=True)
+    p.set_defaults(handler=handler)
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -349,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pretty", action="store_true", help="indent JSON output")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("torus-rank", help="S-arithmetic rank of a quadratic torus")
+    p = _leaf(subs, "torus-rank", _torus_rank, help="S-arithmetic rank of a quadratic torus")
     p.add_argument("--disc", type=int, help="squarefree discriminant")
     p.add_argument("--kind", choices=["normone", "restscalars", "gm"],
                    default="normone")
@@ -358,88 +319,72 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("lamp", help="lamplighter commensurations")
     lsubs = p.add_subparsers(dest="lamp_cmd", required=True)
-    q = lsubs.add_parser("mul")
-    q.add_argument("--g", required=True)
-    q.add_argument("--h", required=True)
-    q = lsubs.add_parser("apply")
-    q.add_argument("--comm", required=True)
-    q.add_argument("--elem", required=True)
-    q = lsubs.add_parser("compose")
-    q.add_argument("--c1", required=True)
-    q.add_argument("--c2", required=True)
-    q = lsubs.add_parser("invert")
-    q.add_argument("--comm", required=True)
-    q = lsubs.add_parser("from-partial")
-    q.add_argument("--data", required=True)
-    q = lsubs.add_parser("embed-gl")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--matrix", required=True, help='F2 matrix "1,0;0,1"')
-    q = lsubs.add_parser("quotient-dim")
-    q.add_argument("--submodule", required=True)
-    q.add_argument("--m", type=int, required=True)
+    _leaf(lsubs, "mul", lambda a: lamp.lamp_mul(_lamp_elem(a.g), _lamp_elem(a.h)).to_json(),
+          "--g", "--h")
+    _leaf(lsubs, "apply",
+          lambda a: lamp.comm_apply(_lamp_comm(a.comm), _lamp_elem(a.elem)).to_json(),
+          "--comm", "--elem")
+    _leaf(lsubs, "compose",
+          lambda a: lamp.comm_compose(_lamp_comm(a.c1), _lamp_comm(a.c2)).to_json(),
+          "--c1", "--c2")
+    _leaf(lsubs, "invert", lambda a: lamp.comm_invert(_lamp_comm(a.comm)).to_json(), "--comm")
+    _leaf(lsubs, "from-partial", _lamp_from_partial, "--data")
+    _leaf(lsubs, "embed-gl",
+          lambda a: lamp.diagonal_embed(a.n, _parse_int_matrix(a.matrix)).to_json(),
+          "--n").add_argument("--matrix", required=True, help='F2 matrix "1,0;0,1"')
+    _leaf(lsubs, "quotient-dim", _lamp_quotient_dim, "--submodule", "--m")
 
     p = subs.add_parser("unipotent", help="unitriangular groups over Q")
     usubs = p.add_subparsers(dest="uni_cmd", required=True)
-    for name in ("log", "exp"):
-        q = usubs.add_parser(name)
-        q.add_argument("--matrix", required=True)
-    q = usubs.add_parser("root")
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--matrix", required=True)
-    q = usubs.add_parser("apply-aut")
-    q.add_argument("--aut", required=True)
-    q.add_argument("--matrix", required=True)
+    _leaf(usubs, "log",
+          lambda a: _matq_to_json(unipotent.unitri_log(_unitri_from_arg(a.matrix)).mat),
+          "--matrix")
+    _leaf(usubs, "exp",
+          lambda a: _matq_to_json(unipotent.unitri_exp(NilMat(_matq_from_arg(a.matrix))).mat),
+          "--matrix")
+    _leaf(usubs, "root",
+          lambda a: _matq_to_json(unipotent.pth_root(_unitri_from_arg(a.matrix), a.p).mat),
+          "--p", "--matrix")
+    _leaf(usubs, "apply-aut", _uni_apply_aut, "--aut", "--matrix")
 
     p = subs.add_parser("bs", help="solvable Baumslag-Solitar groups")
     bsubs = p.add_subparsers(dest="bs_cmd", required=True)
-    q = bsubs.add_parser("mul")
-    q.add_argument("--g", required=True)
-    q.add_argument("--h", required=True)
-    q = bsubs.add_parser("conj")
-    q.add_argument("--r", required=True)
-    q.add_argument("--q", required=True)
-    q.add_argument("--elem", required=True)
-    q = bsubs.add_parser("domain")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--r", required=True)
-    q.add_argument("--q", required=True)
+    _leaf(bsubs, "mul", lambda a: solvable.bs_mul(_bs_elem(a.g), _bs_elem(a.h)).to_json(),
+          "--g", "--h")
+    _leaf(bsubs, "conj",
+          lambda a: solvable.bs_comm_apply(_affine(a), _bs_elem(a.elem)).to_json(),
+          "--r", "--q", "--elem")
+    _leaf(bsubs, "domain", _bs_domain, "--n", "--r", "--q")
 
     p = subs.add_parser("comm-desc", help="iterated semidirect-product law")
     dsubs = p.add_subparsers(dest="desc_cmd", required=True)
-    for name in ("mul", "inv"):
-        q = dsubs.add_parser(name)
-        q.add_argument("--spec", required=True)
+    _leaf(dsubs, "mul", lambda a: _desc_to_json(solvable.comm_desc_mul(*_descs(a, "a", "b"))),
+          "--spec")
+    _leaf(dsubs, "inv", lambda a: _desc_to_json(solvable.comm_desc_inv(*_descs(a, "a"))),
+          "--spec")
 
-    p = subs.add_parser("solve-inner", help="inner-derivation linear solver")
+    p = _leaf(subs, "solve-inner", _solve_inner, help="inner-derivation linear solver")
     p.add_argument("--ts", required=True, help="JSON list of square matrices")
     p.add_argument("--vs", required=True, help="JSON list of vectors")
 
-    p = subs.add_parser("demo", help="reproduce the worked computations")
+    p = _leaf(subs, "demo", _demo, help="reproduce the worked computations")
     p.add_argument("name", choices=sorted(_DEMOS))
     p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
-_HANDLERS = {
-    "torus-rank": _cmd_torus_rank,
-    "lamp": _cmd_lamp,
-    "unipotent": _cmd_unipotent,
-    "bs": _cmd_bs,
-    "comm-desc": _cmd_comm_desc,
-    "solve-inner": _cmd_solve_inner,
-    "demo": _cmd_demo,
-}
-
-
 def run(argv) -> int:
+    """Parse ``argv``, run its handler, print its result or error as one
+    JSON line and return the exit code.  ``demo`` prints its own PASS/FAIL
+    lines and returns its exit code, an int where others return JSON."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.command](args, args.pretty)
+        result = args.handler(args)
     except CommLabError as exc:
         print(json.dumps({"error": exc.code, "detail": exc.detail}))
         return 1
@@ -449,6 +394,10 @@ def run(argv) -> int:
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "ParseError", "detail": str(exc)}))
         return 2
+    if isinstance(result, int):
+        return result
+    print(json.dumps(result, indent=2 if args.pretty else None, sort_keys=True))
+    return 0
 
 
 def main() -> None:

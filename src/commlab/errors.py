@@ -83,9 +83,5 @@ class UnknownInstantiation(CommLabError):
     code = "UnknownInstantiation"
 
 
-class UnknownDemo(CommLabError):
-    code = "UnknownDemo"
-
-
 class NotAnAutomorphism(CommLabError):
     code = "NotAnAutomorphism"

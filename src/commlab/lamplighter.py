@@ -863,7 +863,7 @@ def quotient_dim(k1: SubmoduleBasis, m: int) -> int:
     quotient has dimension m1 * deg(1 + s**q) = m.
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ExponentMismatch(f"the commutator exponent must be >= 1, got {m}")
     if m % k1.level:
         raise NotDivisible(
             f"submodule level {k1.level} must divide the commutator exponent {m}"

@@ -34,6 +34,7 @@ from .errors import (
     IncompatibleCocycle,
     OutOfDomain,
     UnknownInstantiation,
+    ZeroInput,
 )
 from .matrices import MatQ
 
@@ -53,7 +54,7 @@ class AffineMap:
         object.__setattr__(self, "r", Fraction(self.r))
         object.__setattr__(self, "q", Fraction(self.q))
         if self.r == 0:
-            raise ValueError("scale must be nonzero")
+            raise ZeroInput("scale must be nonzero")
 
     @classmethod
     def identity(cls) -> "AffineMap":
@@ -84,6 +85,11 @@ def _is_n_integral(x: Fraction, n: int) -> bool:
     return _n_coprime_denominator(x, n) == 1
 
 
+def _check_base(n: int) -> None:
+    if n < 2:
+        raise DegenerateAction(f"BS(1, n) needs base n >= 2, got {n}")
+
+
 @dataclass(frozen=True)
 class BSElement:
     """Element of BS(1, n) as the affine map x -> n**a * x + b."""
@@ -94,10 +100,9 @@ class BSElement:
 
     def __post_init__(self):
         object.__setattr__(self, "b", Fraction(self.b))
-        if self.n < 2:
-            raise ValueError("base must be >= 2")
+        _check_base(self.n)
         if not _is_n_integral(self.b, self.n):
-            raise ValueError(f"translation {self.b} is not a {self.n}-integer")
+            raise OutOfDomain(f"translation {self.b} is not a {self.n}-integer")
 
     @classmethod
     def identity(cls, n: int) -> "BSElement":
@@ -112,7 +117,7 @@ class BSElement:
 
     @classmethod
     def from_json(cls, obj) -> "BSElement":
-        return cls(int(obj["n"]), int(obj["a"]), Fraction(obj["b"]))
+        return cls(int(obj["n"]), int(obj["a"]), Fraction(str(obj["b"])))
 
 
 def bs_mul(g: BSElement, h: BSElement) -> BSElement:
@@ -133,6 +138,7 @@ def bs_comm_domain(c: AffineMap, n: int) -> tuple[int, int]:
     n-coprime denominator of the translation.  Conjugation by c maps
     every element with a in K*Z and b in D*Z[1/n] back into BS(1, n).
     """
+    _check_base(n)
     d_r = _n_coprime_denominator(c.r, n)
     d_q = _n_coprime_denominator(c.q, n)
     d = d_r * d_q // math.gcd(d_r, d_q)
@@ -222,6 +228,10 @@ class ReducedAut:
     def identity(self):
         raise NotImplementedError
 
+    def holds(self, a) -> bool:
+        """Whether ``a`` is an element of this reduced part."""
+        raise NotImplementedError
+
     def compose(self, a, b):
         raise NotImplementedError
 
@@ -246,6 +256,9 @@ class TrivialReduced(ReducedAut):
     def identity(self):
         return None
 
+    def holds(self, a) -> bool:
+        return a is None
+
     def compose(self, a, b):
         return None
 
@@ -262,6 +275,9 @@ class BSReduced(ReducedAut):
 
     def identity(self):
         return AffineMap.identity()
+
+    def holds(self, a) -> bool:
+        return isinstance(a, AffineMap)
 
     def compose(self, a, b):
         return a.compose(b)
@@ -331,6 +347,11 @@ class CommDesc:
                 raise DimensionMismatch(
                     f"block of shape {mat.nrows}x{mat.ncols}, expected {r}x{c}"
                 )
+        if not s.red.holds(self.red):
+            raise DimensionMismatch(
+                f"the {s.red.name!r} reduced part has no element of type "
+                f"{type(self.red).__name__}"
+            )
 
 
 def comm_desc_mul(x: CommDesc, y: CommDesc) -> CommDesc:

@@ -1,6 +1,7 @@
+import argparse
 import json
 
-from commlab.cli import run
+from commlab.cli import _build_parser, run
 
 
 def run_json(capsys, argv):
@@ -130,6 +131,24 @@ def test_comm_desc_commands(capsys):
     assert code == 0 and inv["P"] == [["1/3"]]
 
 
+def _desc_spec(p_entry, **extra):
+    a = {"h_central": [], "P": [[p_entry]], "h_10": [[]], "h_1z": [], **extra}
+    return json.dumps({"space": {"N0": 1, "N1": 0, "dZ": 0, "dZ1": 0}, "a": a})
+
+
+def test_comm_desc_reads_json_numbers_as_decimals(capsys):
+    code, from_number = run_json(capsys, ["comm-desc", "inv", "--spec", _desc_spec(0.1)])
+    assert code == 0 and from_number["P"] == [["10"]]
+    code, from_string = run_json(capsys, ["comm-desc", "inv", "--spec", _desc_spec("1/10")])
+    assert code == 0 and from_string == from_number
+
+
+def test_comm_desc_rejects_a_reduced_part_the_space_cannot_hold(capsys):
+    spec = _desc_spec("2", red={"r": "3", "q": "1"})  # the space's reduced part is trivial
+    code, out = run_json(capsys, ["comm-desc", "inv", "--spec", spec])
+    assert code == 1 and out["error"] == "DimensionMismatch"
+
+
 def test_solve_inner_command(capsys):
     code, out = run_json(
         capsys,
@@ -160,6 +179,20 @@ def test_error_exit_codes(capsys):
     assert captured.out.splitlines() == [
         '{"error": "ZeroInput", "detail": "Fraction(1, 0)"}'
     ]
+    # well-formed but out-of-range input is a domain error, not a parse error
+    submodule = '{"level":1,"H":[["1"]]}'
+    for argv, error in [
+        (["bs", "mul", "--g", '{"n":2,"a":0,"b":"1/3"}', "--h", '{"n":2,"a":0,"b":"1"}'],
+         "OutOfDomain"),
+        (["bs", "domain", "--n", "1", "--r", "1", "--q", "1/3"], "DegenerateAction"),
+        (["bs", "domain", "--n", "0", "--r", "1", "--q", "1/3"], "DegenerateAction"),
+        (["bs", "domain", "--n", "2", "--r", "0", "--q", "1/3"], "ZeroInput"),
+        (["lamp", "quotient-dim", "--submodule", submodule, "--m", "0"], "ExponentMismatch"),
+    ]:
+        code = run(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1, argv
+        assert json.loads(lines[0])["error"] == error, argv
 
 
 def test_demo_commands(capsys):
@@ -167,6 +200,39 @@ def test_demo_commands(capsys):
         assert run(["demo", name]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and "PASS" in out
+
+
+def test_pretty_prints_the_same_object_indented(capsys):
+    for argv in (
+        ["torus-rank", "--disc", "5", "--primes", "3,11"],
+        ["bs", "domain", "--n", "2", "--r", "1", "--q", "1/3"],
+        ["solve-inner", "--ts", '[[["2","0"],["0","3"]]]', "--vs", '[["1","2"]]'],
+    ):
+        assert run(argv) == 0
+        plain = capsys.readouterr().out
+        assert run(["--pretty", *argv]) == 0
+        pretty = capsys.readouterr().out
+        obj = json.loads(plain)
+        assert json.loads(pretty) == obj
+        assert pretty == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert plain == json.dumps(obj, sort_keys=True) + "\n"
+
+
+def _leaves(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaves(sub, path + (name,))
+
+
+def test_every_leaf_subcommand_has_a_handler():
+    leaves = dict(_leaves(_build_parser()))
+    assert len(leaves) == 19
+    assert ("lamp", "quotient-dim") in leaves and ("demo",) in leaves
+    for path, leaf in leaves.items():
+        assert callable(leaf.get_default("handler")), path
 
 
 def test_round_trip_of_emitted_json(capsys):

@@ -515,6 +515,9 @@ def test_quotient_dim_level_mismatch():
     k1 = SubmoduleBasis(2, [[P([0, 1]), ZERO], [ZERO, ONE]])
     with pytest.raises(NotDivisible):
         quotient_dim(k1, 3)
+    for m in (0, -2):
+        with pytest.raises(ExponentMismatch):
+            quotient_dim(k1, m)
     assert quotient_dim(k1, 4) == 4
 
 

@@ -11,6 +11,7 @@ from commlab.errors import (
     IncompatibleCocycle,
     OutOfDomain,
     UnknownInstantiation,
+    ZeroInput,
 )
 from commlab.matrices import MatQ
 from commlab.solvable import (
@@ -88,8 +89,15 @@ def test_bs_mul_examples():
 def test_bs_base_mismatch_and_invariants():
     with pytest.raises(BaseMismatch):
         bs_mul(BSElement(2, 0, 1), BSElement(3, 0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         BSElement(2, 0, F(1, 3))  # 1/3 is not a 2-integer
+    for n in (1, 0):
+        with pytest.raises(DegenerateAction):
+            BSElement(n, 0, 1)
+        with pytest.raises(DegenerateAction):
+            bs_comm_domain(AffineMap(1, F(1, 3)), n)
+    with pytest.raises(ZeroInput):
+        AffineMap(0, 1)
     BSElement(6, 0, F(5, 12))  # 12 = 2^2 * 3 divides a power of 6
 
 
@@ -304,6 +312,10 @@ def test_comm_desc_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         CommDesc(SPACES[0], MatQ.zeros(2, 2), MatQ.identity(2),
                  MatQ.zeros(2, 1), MatQ.zeros(1, 1), None)
+    for space, red in ((SPACES[0], AffineMap.identity()), (SPACES[2], None)):
+        ident = space.identity_desc()
+        with pytest.raises(DimensionMismatch):  # the reduced part cannot hold red
+            CommDesc(space, ident.h_central, ident.p, ident.h_10, ident.h_1z, red)
 
 
 # ------------------------------------------------------ structure reports
