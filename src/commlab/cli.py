@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import operator
 import os
 import random
 import sys
@@ -108,7 +109,7 @@ def _torus_rank(args):
 
 def _lamp_from_partial(args):
     data = _load_json(args.data)
-    level = int(data["level"])
+    level = operator.index(data["level"])
     basis = lamp.SubmoduleBasis.from_json({"level": level, "H": data["H"]})
     gen_images = [lamp.LampElement.from_json(x) for x in data["gen_images"]]
     t_image = lamp.LampElement.from_json(data["t_image"])
@@ -123,7 +124,7 @@ def _lamp_quotient_dim(args):
 
 def _uni_apply_aut(args):
     aut_obj = _load_json(args.aut)
-    aut = LieAut(int(aut_obj["n"]), _matq_from_json(aut_obj["L"]))
+    aut = LieAut(operator.index(aut_obj["n"]), _matq_from_json(aut_obj["L"]))
     return _matq_to_json(unipotent.comm_from_lie_aut(aut, _unitri_from_arg(args.matrix)).mat)
 
 
@@ -135,7 +136,8 @@ def _bs_domain(args):
 def _space_from_json(obj) -> CommSpace:
     report = solvable.reduced_comm_structure(0, 0, obj.get("red", "trivial"))
     return CommSpace(
-        int(obj["N0"]), int(obj["N1"]), int(obj["dZ"]), int(obj["dZ1"]),
+        operator.index(obj["N0"]), operator.index(obj["N1"]),
+        operator.index(obj["dZ"]), operator.index(obj["dZ1"]),
         report.space.red,
     )
 

@@ -33,10 +33,12 @@ Conventions fixed here once and for all:
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import operator
+from collections.abc import Iterator
 
 from . import hnf
 from .errors import (
+    DimensionMismatch,
     ExponentMismatch,
     NotAHomomorphism,
     NotDivisible,
@@ -61,9 +63,8 @@ _ZERO = F2LaurentPoly.zero()
 _ONE = F2LaurentPoly.one()
 
 
-@lru_cache(maxsize=None)
-def _divisors(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
+def _divisors(n: int) -> Iterator[int]:
+    return (d for d in range(1, n + 1) if n % d == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +122,7 @@ class LampElement:
 
     @classmethod
     def from_json(cls, obj) -> "LampElement":
-        return cls(F2LaurentPoly.from_string(obj["k"]), int(obj["n"]))
+        return cls(F2LaurentPoly.from_string(obj["k"]), operator.index(obj["n"]))
 
 
 def lamp_mul(g: LampElement, h: LampElement) -> LampElement:
@@ -190,7 +191,7 @@ class VDerElt:
 
     def __init__(self, level: int, value: F2LaurentPoly):
         if level < 1:
-            raise ValueError("level must be >= 1")
+            raise ExponentMismatch(f"derivation level must be >= 1, got {level}")
         self.level = level
         self.value = value
 
@@ -350,6 +351,12 @@ class CommInftyElt:
             raise ValueError("matrix size must equal the level")
         if level and not mat.det():
             raise SingularMatrix("commensuration matrix must be invertible")
+        return cls.from_matrix(mat)
+
+    @classmethod
+    def from_matrix(cls, mat: MatF2Rat) -> "CommInftyElt":
+        """Build from a square matrix the caller knows to be invertible."""
+        level = mat.nrows
         den = 1
         for row in mat.rows:
             for x in row:
@@ -363,10 +370,6 @@ class CommInftyElt:
             for row in mat.rows
         ]
         return cls(level, PolyMat.from_entries(level, ents), den)
-
-    @classmethod
-    def from_matrix(cls, mat: MatF2Rat) -> "CommInftyElt":
-        return cls.from_entries(mat.nrows, mat.rows)
 
     @property
     def matrix(self) -> MatF2Rat:
@@ -519,6 +522,8 @@ class SubmoduleBasis:
     __slots__ = ("level", "rows")
 
     def __init__(self, level: int, rows):
+        if level < 1:
+            raise ExponentMismatch(f"submodule level must be >= 1, got {level}")
         rows = tuple(tuple(row) for row in rows)
         if len(rows) != level or any(len(r) != level for r in rows):
             raise ValueError("basis must be square of size = level")
@@ -582,7 +587,7 @@ class SubmoduleBasis:
         rows = [
             [F2LaurentPoly.from_string(x) for x in r] for r in obj["H"]
         ]
-        return cls(int(obj["level"]), rows)
+        return cls(operator.index(obj["level"]), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +657,7 @@ class LampComm:
 
     @classmethod
     def from_json(cls, obj) -> "LampComm":
-        level = int(obj["level"])
+        level = operator.index(obj["level"])
         der = VDerElt(level, F2LaurentPoly.from_string(obj["der"]))
         lin = CommInftyElt.from_entries(
             level,
@@ -789,7 +794,7 @@ def diagonal_embed(n: int, rows) -> LampComm:
     n-blocks of lamps, as a level-n commensuration."""
     bm = BitMat.from_lists(rows) if not isinstance(rows, BitMat) else rows
     if bm.n != n:
-        raise ValueError("matrix size mismatch")
+        raise DimensionMismatch(f"a {bm.n}x{bm.n} matrix cannot act on blocks of size {n}")
     if not bm.is_invertible():
         raise SingularMatrix("matrix is not invertible over F2")
     return LampComm.make(
@@ -835,8 +840,7 @@ def comm_from_partial(
     x_mat = MatF2Rat(list(map(to_rat, cols_in))).transpose()
     h_mat = MatF2Rat(list(map(to_rat, cols_out))).transpose()
     try:
-        a_mat = h_mat * x_mat.inv()
-        lin = CommInftyElt.from_matrix(a_mat)
+        lin = CommInftyElt.from_entries(level, (h_mat * x_mat.inv()).rows)
     except SingularMatrix:
         raise NotAHomomorphism("generator images do not span a finite-index submodule")
     value = t_image.k if eps > 0 else t_image.k.shifted(level)

@@ -1,7 +1,10 @@
 """Dense exact matrices over Q and over F2(t).
 
-One generic elimination core serves both scalar types; the subclasses
-pin the scalar ring and its string form.  Degenerate shapes (0xn, nx0,
+A subclass fixes the scalar field through the class attributes ``zero``
+and ``one`` and the hooks ``_coerce`` and ``_inv_scalar``.  One forward
+elimination, ``_echelon``, serves every elimination: ``det`` and
+``rank`` read it directly, and ``_rref`` adds back-substitution for
+``inv``, ``solve`` and ``nullspace``.  Degenerate shapes (0xn, nx0,
 0x0) are legal for every operation, so zero-dimensional blocks can flow
 through group-law formulas unchanged.
 """
@@ -18,18 +21,6 @@ class Mat:
     """Immutable rectangular matrix over an exact field."""
 
     __slots__ = ("rows", "_nc")
-
-    @classmethod
-    def _zero(cls):
-        raise NotImplementedError
-
-    @classmethod
-    def _one(cls):
-        raise NotImplementedError
-
-    @classmethod
-    def _coerce(cls, x):
-        raise NotImplementedError
 
     def __init__(self, rows, ncols=None):
         rows = tuple(tuple(self._coerce(x) for x in row) for row in rows)
@@ -49,7 +40,7 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int):
-        one, zero = cls._one(), cls._zero()
+        one, zero = cls.one, cls.zero
         return cls._raw(
             (tuple(one if i == j else zero for j in range(n)) for i in range(n)),
             ncols=n,
@@ -57,8 +48,7 @@ class Mat:
 
     @classmethod
     def zeros(cls, r: int, c: int):
-        zero = cls._zero()
-        return cls._raw(((zero,) * c for _ in range(r)), ncols=c)
+        return cls._raw(((cls.zero,) * c for _ in range(r)), ncols=c)
 
     @classmethod
     def column(cls, entries):
@@ -115,7 +105,7 @@ class Mat:
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
             cols = other.transpose().rows
-            zero = self._zero()
+            zero = self.zero
             return type(self)._raw(
                 (tuple(sum((a * b for a, b in zip(row, col)), zero) for col in cols)
                  for row in self.rows),
@@ -148,74 +138,72 @@ class Mat:
     def __hash__(self):
         return hash((self.rows, self._nc))
 
-    def _rref(self, aug: int = 0):
-        """Row-reduce over the field.
+    def _echelon(self, aug: int = 0):
+        """Forward elimination to row echelon form.
 
-        Returns (rows as lists, pivot column list).  The last ``aug``
-        columns are carried along but never used as pivots.
+        Returns (rows as lists, pivot column list, signed product of the
+        pivots).  The last ``aug`` columns are carried along but never
+        used as pivots.  Pivot rows are not scaled, so for a square
+        matrix of full rank the product is its determinant.
         """
         rows = [list(r) for r in self.rows]
         nr, nc = len(rows), self._nc
         pivots = []
+        det = self.one
         r = 0
         for c in range(nc - aug):
+            if r == nr:
+                break
             p = next((i for i in range(r, nr) if rows[i][c]), None)
             if p is None:
                 continue
-            rows[r], rows[p] = rows[p], rows[r]
+            if p != r:
+                rows[r], rows[p] = rows[p], rows[r]
+                det = -det
+            det = det * rows[r][c]
             inv = self._inv_scalar(rows[r][c])
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(nr):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
+            for i in range(r + 1, nr):
+                if rows[i][c]:
+                    f = rows[i][c] * inv
                     rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
             pivots.append(c)
             r += 1
-            if r == nr:
-                break
-        return rows, pivots
+        return rows, pivots, det
 
-    @staticmethod
-    def _inv_scalar(x):
-        raise NotImplementedError
+    def _rref(self, aug: int = 0):
+        """``_echelon`` plus back-substitution: the reduced row echelon
+        form, as (rows as lists, pivot column list)."""
+        rows, pivots, _ = self._echelon(aug)
+        for r in reversed(range(len(pivots))):
+            c = pivots[r]
+            inv = self._inv_scalar(rows[r][c])
+            rows[r] = [x * inv for x in rows[r]]
+            for i in range(r):
+                if rows[i][c]:
+                    f = rows[i][c]
+                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        return rows, pivots
 
     def det(self):
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return self._one()
-        rows = [list(r) for r in self.rows]
-        det = self._one()
-        for c in range(n):
-            p = next((i for i in range(c, n) if rows[i][c]), None)
-            if p is None:
-                return self._zero()
-            if p != c:
-                rows[c], rows[p] = rows[p], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = self._inv_scalar(rows[c][c])
-            for i in range(c + 1, n):
-                if rows[i][c]:
-                    f = rows[i][c] * inv
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-        return det
+        _, pivots, det = self._echelon()
+        return det if len(pivots) == self.nrows else self.zero
+
+    def rank(self) -> int:
+        return len(self._echelon()[1])
 
     def inv(self):
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        if n == 0:
-            return self
-        ident = type(self).identity(n)
         aug = type(self)._raw(
-            (tuple(r) + tuple(i) for r, i in zip(self.rows, ident.rows)), ncols=2 * n
+            (r + i for r, i in zip(self.rows, type(self).identity(n).rows)), ncols=2 * n
         )
         rows, pivots = aug._rref(aug=n)
         if len(pivots) < n:
             raise SingularMatrix("matrix is not invertible")
-        return type(self)._raw((tuple(row[n:]) for row in rows), ncols=n)
+        return type(self)._raw((row[n:] for row in rows), ncols=n)
 
     def solve(self, b: "Mat"):
         """One exact solution of self * x = b, or None if inconsistent."""
@@ -223,56 +211,32 @@ class Mat:
             raise ValueError("shape mismatch")
         k = b.ncols
         nc = self.ncols
-        if self.nrows == 0:
-            return type(self).zeros(nc, k)
         aug = type(self)._raw(
-            (tuple(r) + tuple(br) for r, br in zip(self.rows, b.rows)), ncols=nc + k
+            (r + br for r, br in zip(self.rows, b.rows)), ncols=nc + k
         )
         rows, pivots = aug._rref(aug=k)
-        for row in rows[len(pivots):]:
-            if any(row[nc:]):
-                return None
-        zero = self._zero()
-        out = [[zero] * k for _ in range(nc)]
+        if any(any(row[nc:]) for row in rows[len(pivots):]):
+            return None
+        out = [[self.zero] * k for _ in range(nc)]
         for r, c in enumerate(pivots):
-            out[c] = list(rows[r][nc:])
+            out[c] = rows[r][nc:]
         return type(self)._raw(out, ncols=k)
 
     def nullspace(self):
         """Basis of the right kernel, as a list of column matrices."""
         nc = self.ncols
-        if self.nrows == 0:
-            return [
-                type(self).column(
-                    [self._one() if i == j else self._zero() for i in range(nc)]
-                )
-                for j in range(nc)
-            ]
         rows, pivots = self._rref()
-        free = [c for c in range(nc) if c not in pivots]
         basis = []
-        zero, one = self._zero(), self._one()
-        for f in free:
-            vec = [zero] * nc
-            vec[f] = one
+        for f in (c for c in range(nc) if c not in pivots):
+            vec = [self.zero] * nc
+            vec[f] = self.one
             for r, c in enumerate(pivots):
                 vec[c] = -rows[r][f]
             basis.append(type(self).column(vec))
         return basis
 
-    def rank(self) -> int:
-        return len(self._rref()[1])
-
     def to_strings(self):
-        return [[self._to_str(x) for x in row] for row in self.rows]
-
-    @classmethod
-    def from_strings(cls, rows, ncols=None):
-        return cls(rows, ncols=ncols)
-
-    @staticmethod
-    def _to_str(x):
-        return str(x)
+        return [[str(x) for x in row] for row in self.rows]
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_strings()!r})"
@@ -282,14 +246,8 @@ class MatQ(Mat):
     """Matrix over Q with arbitrary-precision rational entries."""
 
     __slots__ = ()
-
-    @classmethod
-    def _zero(cls):
-        return Fraction(0)
-
-    @classmethod
-    def _one(cls):
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     @classmethod
     def _coerce(cls, x):
@@ -308,14 +266,8 @@ class MatF2Rat(Mat):
     """Matrix over the rational function field F2(t)."""
 
     __slots__ = ()
-
-    @classmethod
-    def _zero(cls):
-        return F2RatFun.zero()
-
-    @classmethod
-    def _one(cls):
-        return F2RatFun.one()
+    zero = F2RatFun.zero()
+    one = F2RatFun.one()
 
     @classmethod
     def _coerce(cls, x):
@@ -330,12 +282,3 @@ class MatF2Rat(Mat):
     @staticmethod
     def _inv_scalar(x):
         return x.inverse()
-
-    @staticmethod
-    def _to_str(x):
-        return x.to_string()
-
-
-def matf2rat_inverse(a: MatF2Rat) -> MatF2Rat:
-    """Exact inverse over F2(t); raises SingularMatrix when det = 0."""
-    return a.inv()

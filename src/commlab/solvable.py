@@ -24,6 +24,7 @@ precomposition with the inverse of its action on the source.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,7 +118,7 @@ class BSElement:
 
     @classmethod
     def from_json(cls, obj) -> "BSElement":
-        return cls(int(obj["n"]), int(obj["a"]), Fraction(str(obj["b"])))
+        return cls(operator.index(obj["n"]), operator.index(obj["a"]), Fraction(str(obj["b"])))
 
 
 def bs_mul(g: BSElement, h: BSElement) -> BSElement:
@@ -178,14 +179,20 @@ def solve_inner_derivation(ts, vs) -> MatQ:
     ts = [t if isinstance(t, MatQ) else MatQ(t) for t in ts]
     vs = [v if isinstance(v, MatQ) else MatQ(v) for v in vs]
     if not ts or len(ts) != len(vs):
-        raise ValueError("need matching nonempty lists of matrices and vectors")
+        raise DimensionMismatch(
+            f"need matching nonempty lists, got {len(ts)} matrices and {len(vs)} vectors"
+        )
     dim = ts[0].nrows
     for t in ts:
         if not t.is_square() or t.nrows != dim:
-            raise ValueError("all matrices must be square of one size")
+            raise DimensionMismatch(
+                f"all matrices must be {dim}x{dim}, got {t.nrows}x{t.ncols}"
+            )
     for v in vs:
         if v.nrows != dim or v.ncols != 1:
-            raise ValueError("the right-hand sides must be column vectors")
+            raise DimensionMismatch(
+                f"the right-hand sides must be {dim}x1 columns, got {v.nrows}x{v.ncols}"
+            )
     for i, ti in enumerate(ts):
         for tj in ts[i + 1:]:
             if ti * tj != tj * ti:
@@ -201,7 +208,7 @@ def solve_inner_derivation(ts, vs) -> MatQ:
     stacked = MatQ._raw(
         (row for d in diffs for row in d.rows), ncols=dim
     )
-    if stacked.nullspace():
+    if stacked.rank() < dim:
         raise DegenerateAction("the actions share a nonzero fixed vector")
     rhs = MatQ._raw((row for v in vs for row in v.rows), ncols=1)
     x = stacked.solve(rhs)
@@ -220,7 +227,10 @@ class ReducedAut:
     An instantiation supplies a group of elements together with the
     three matrix actions entering the block group law: on the torus
     coordinates Q**N1, on the center Q**dZ1 of the reduced group, and
-    on the central unipotent part Q**dZ of the ambient group.
+    on the central unipotent part Q**dZ of the ambient group.  Each is
+    an action, so the matrix of invert(a) is the inverse of the matrix
+    of a; the group law reads inverse matrices that way and never
+    inverts one.
     """
 
     name = "abstract"
@@ -360,7 +370,7 @@ def comm_desc_mul(x: CommDesc, y: CommDesc) -> CommDesc:
     if s != y.space:
         raise DimensionMismatch("descriptions live in different products")
     red = s.red
-    t_inv = red.torus_matrix(x.red, s.n1).inv()
+    t_inv = red.torus_matrix(red.invert(x.red), s.n1)
     z1 = red.center_matrix(x.red, s.dz1)
     zc = red.central_u_matrix(x.red, s.dz)
     p_inv = x.p.inv()
@@ -379,15 +389,15 @@ def comm_desc_inv(x: CommDesc) -> CommDesc:
     red = s.red
     r_inv = red.invert(x.red)
     t_mat = red.torus_matrix(x.red, s.n1)
-    z1 = red.center_matrix(x.red, s.dz1)
-    zc = red.central_u_matrix(x.red, s.dz)
+    z1_inv = red.center_matrix(r_inv, s.dz1)
+    zc_inv = red.central_u_matrix(r_inv, s.dz)
     p_inv = x.p.inv()
     return CommDesc(
         s,
-        -(zc.inv() * x.h_central * x.p),
+        -(zc_inv * x.h_central * x.p),
         p_inv,
         -(p_inv * x.h_10 * t_mat),
-        -(z1.inv() * x.h_1z * t_mat),
+        -(z1_inv * x.h_1z * t_mat),
         r_inv,
     )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NotAnAutomorphism, SingularMap
+from .errors import ExponentMismatch, NotAnAutomorphism, SingularMap
 from .matrices import MatQ
 
 # Size bound for unitriangular matrices (factorial denominators grow with it).
@@ -140,7 +140,7 @@ def unitri_exp(x: NilMat) -> UniTriMat:
 def pth_root(g: UniTriMat, p: int) -> UniTriMat:
     """The unique unitriangular solution of X**p = g (any p >= 1)."""
     if p < 1:
-        raise ValueError("p must be a positive integer")
+        raise ExponentMismatch(f"the root exponent must be >= 1, got {p}")
     x = unitri_log(g)
     return unitri_exp(NilMat(x.mat * Fraction(1, p)))
 

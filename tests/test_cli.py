@@ -188,11 +188,43 @@ def test_error_exit_codes(capsys):
         (["bs", "domain", "--n", "0", "--r", "1", "--q", "1/3"], "DegenerateAction"),
         (["bs", "domain", "--n", "2", "--r", "0", "--q", "1/3"], "ZeroInput"),
         (["lamp", "quotient-dim", "--submodule", submodule, "--m", "0"], "ExponentMismatch"),
+        (["lamp", "quotient-dim", "--submodule", '{"level":0,"H":[]}', "--m", "1"],
+         "ExponentMismatch"),
+        (["lamp", "invert", "--comm", '{"level":0,"der":"0","A":[],"flip":false}'],
+         "ExponentMismatch"),
+        (["unipotent", "root", "--p", "0", "--matrix", "[[1,1],[0,1]]"], "ExponentMismatch"),
+        (["lamp", "embed-gl", "--n", "0", "--matrix", "1"], "DimensionMismatch"),
+        (["solve-inner", "--ts", "[]", "--vs", "[]"], "DimensionMismatch"),
+        (["solve-inner", "--ts", '[[["2"]]]', "--vs", '[["1"],["2"]]'], "DimensionMismatch"),
+        (["solve-inner", "--ts", '[[["2","0"]]]', "--vs", '[["1"]]'], "DimensionMismatch"),
+        (["solve-inner", "--ts", '[[["2"]]]', "--vs", '[["1","2"]]'], "DimensionMismatch"),
     ]:
         code = run(argv)
         lines = capsys.readouterr().out.splitlines()
         assert code == 1 and len(lines) == 1, argv
         assert json.loads(lines[0])["error"] == error, argv
+    # a JSON integer field holding a non-integer is malformed, never truncated
+    elem = '{"k":"1","n":0}'
+    bs_elem = '{"n":2,"a":0,"b":"1"}'
+    blocks = '{"h_central":[],"P":[],"h_10":[],"h_1z":[]}'
+    for argv in [
+        ["lamp", "mul", "--g", '{"k":"1","n":1.5}', "--h", elem],
+        ["bs", "mul", "--g", '{"n":2,"a":0.5,"b":"1"}', "--h", bs_elem],
+        ["bs", "mul", "--g", '{"n":2.5,"a":0,"b":"1"}', "--h", bs_elem],
+        ["unipotent", "apply-aut", "--aut", '{"n":2.7,"L":[["1"]]}', "--matrix", "[[1,1],[0,1]]"],
+        ["lamp", "quotient-dim", "--submodule", '{"level":1.5,"H":[["1"]]}', "--m", "1"],
+        ["lamp", "invert", "--comm", '{"level":1.5,"der":"0","A":[["1"]],"flip":false}'],
+        ["lamp", "from-partial", "--data", '{"level":1.5,"H":[["1"]],'
+         '"gen_images":[{"k":"1","n":0}],"t_image":{"k":"0","n":1}}'],
+        ["comm-desc", "inv", "--spec",
+         '{"space":{"N0":0.5,"N1":0,"dZ":0,"dZ1":0},"a":' + blocks + '}'],
+        ["comm-desc", "inv", "--spec",
+         '{"space":{"N0":0,"N1":0,"dZ":0,"dZ1":0.5},"a":' + blocks + '}'],
+    ]:
+        code = run(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2 and len(lines) == 1, argv
+        assert json.loads(lines[0])["error"] == "ParseError", argv
 
 
 def test_demo_commands(capsys):

@@ -1,0 +1,107 @@
+"""Properties of the elimination core of ``commlab.matrices`` over Q and F2(t)."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from commlab.errors import SingularMatrix
+from commlab.matrices import MatF2Rat, MatQ
+from commlab.ratfun import F2RatFun
+
+SCALARS = {
+    MatQ: st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    MatF2Rat: st.builds(
+        F2RatFun, st.integers(0, 7), st.sampled_from([1, 3, 5, 7]), st.integers(-1, 1)
+    ),
+}
+FIELDS = pytest.mark.parametrize("cls", [MatQ, MatF2Rat], ids=["Q", "F2(t)"])
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@st.composite
+def matrices(draw, cls, nrows, ncols):
+    """An nrows x ncols matrix; half of the draws are a product through a
+    narrower inner dimension, so singular and rank-deficient ones are common."""
+    entries = SCALARS[cls]
+
+    def block(r, c):
+        return cls([[draw(entries) for _ in range(c)] for _ in range(r)], ncols=c)
+
+    if draw(st.booleans()):
+        return block(nrows, ncols)
+    inner = draw(st.integers(0, max(0, min(nrows, ncols) - 1)))
+    return block(nrows, inner) * block(inner, ncols)
+
+
+@st.composite
+def square(draw, cls):
+    n = draw(st.integers(0, 5))
+    return draw(matrices(cls, n, n))
+
+
+@st.composite
+def rectangular(draw, cls):
+    return draw(matrices(cls, draw(st.integers(0, 5)), draw(st.integers(0, 5))))
+
+
+@FIELDS
+@PROPERTY
+@given(data=st.data())
+def test_det_rank_and_inv_agree(cls, data):
+    a = data.draw(square(cls))
+    n = a.nrows
+    singular = a.det() == cls.zero
+    assert singular == (a.rank() < n)
+    if singular:
+        with pytest.raises(SingularMatrix):
+            a.inv()
+    else:
+        assert a * a.inv() == cls.identity(n)
+        assert a.inv() * a == cls.identity(n)
+
+
+@FIELDS
+@PROPERTY
+@given(data=st.data())
+def test_det_multiplicative_property(cls, data):
+    a = data.draw(square(cls))
+    b = data.draw(matrices(cls, a.nrows, a.nrows))
+    assert (a * b).det() == a.det() * b.det()
+
+
+@FIELDS
+@PROPERTY
+@given(data=st.data())
+def test_rank_of_transpose_and_nullspace(cls, data):
+    a = data.draw(rectangular(cls))
+    rank = a.rank()
+    assert rank == a.transpose().rank() <= min(a.nrows, a.ncols)
+    kernel = a.nullspace()
+    assert len(kernel) == a.ncols - rank
+    for v in kernel:
+        assert a * v == cls.zeros(a.nrows, 1)
+    if kernel:
+        stacked = cls([[v.entry(i, 0) for v in kernel] for i in range(a.ncols)])
+        assert stacked.rank() == len(kernel)
+
+
+@FIELDS
+@PROPERTY
+@given(data=st.data())
+def test_solve_finds_a_solution_exactly_when_one_exists(cls, data):
+    a = data.draw(rectangular(cls))
+    k = data.draw(st.integers(0, 2))
+    if data.draw(st.booleans()):
+        b = a * data.draw(matrices(cls, a.ncols, k))  # consistent by construction
+        assert a.solve(b) is not None
+    else:
+        b = data.draw(matrices(cls, a.nrows, k))
+    x = a.solve(b)
+    if x is not None:
+        assert (x.nrows, x.ncols) == (a.ncols, k) and a * x == b
+    else:
+        # a certificate of inconsistency: y with y^T a = 0 and y^T b != 0
+        left = a.transpose().nullspace()
+        assert any(any((y.transpose() * b).rows[0]) for y in left)

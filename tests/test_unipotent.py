@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from commlab.errors import NotAnAutomorphism, SingularMap
+from commlab.errors import ExponentMismatch, NotAnAutomorphism, SingularMap
 from commlab.matrices import MatQ
 from commlab.unipotent import (
     LieAut,
@@ -85,7 +85,7 @@ def test_pth_root_uniqueness_roundtrip():
         for p in (2, 3, 5):
             assert pth_root(g, p) ** p == g
             assert pth_root(g ** p, p) == g
-    with pytest.raises(ValueError):
+    with pytest.raises(ExponentMismatch):
         pth_root(UniTriMat.identity(2), 0)
 
 
