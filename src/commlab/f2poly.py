@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import re
 
+# mask_divmod divides a long dividend this many quotient bits at a time.
+_WINDOW = 1024
+
 
 def mask_deg(a: int) -> int:
     """Degree of a nonzero poly mask."""
@@ -37,15 +40,31 @@ def mask_mul(a: int, b: int) -> int:
 
 
 def mask_divmod(a: int, b: int) -> tuple[int, int]:
-    """Euclidean division a = q*b + r with deg r < deg b.  Requires b != 0."""
-    if b == 0:
-        raise ZeroDivisionError("polynomial division by zero")
+    """Euclidean division a = q*b + r with deg r < deg b.  Requires b != 0.
+
+    Each quotient bit costs one xor of masks of at most deg b + _WINDOW + 1
+    bits: a long dividend is divided one top window at a time, and each
+    window's remainder is spliced back into it.  So L quotient bits cost
+    O(L) short xors plus L/_WINDOW full-length splices, not O(L)
+    full-length xors.
+    """
+    if b <= 1:
+        if b == 0:
+            raise ZeroDivisionError("polynomial division by zero")
+        return a, 0
     db = b.bit_length() - 1
     q = 0
-    while a and a.bit_length() - 1 >= db:
+    k = a.bit_length() - 1 - db  # degree of the next quotient term
+    while k >= 0:
+        if k > _WINDOW:  # divide the top window alone, splice the rest back
+            s = k - _WINDOW
+            qh, h = mask_divmod(a >> s, b)
+            q |= qh << s
+            a = h << s | a & ((1 << s) - 1)
+        else:
+            a ^= b << k
+            q |= 1 << k
         k = a.bit_length() - 1 - db
-        a ^= b << k
-        q |= 1 << k
     return q, a
 
 
@@ -63,6 +82,20 @@ def mask_lcm(a: int, b: int) -> int:
 
 def mask_mod(a: int, b: int) -> int:
     return mask_divmod(a, b)[1]
+
+
+def mask_pow_mod(a: int, e: int, d: int) -> int:
+    """a**e modulo d (e >= 0, d != 0) by square-and-multiply.
+
+    O(log e) products and reductions, each of masks of degree below
+    2*deg d + deg a: the cost grows with the number of bits of e, not with e.
+    """
+    r = mask_mod(1, d)
+    for bit in bin(e)[2:]:
+        r = mask_mod(mask_mul(r, r), d)
+        if bit == "1":
+            r = mask_mod(mask_mul(r, a), d)
+    return r
 
 
 def mask_spread(a: int, k: int) -> int:
@@ -130,10 +163,20 @@ class F2LaurentPoly:
 
     @classmethod
     def geometric(cls, step: int, count: int) -> "F2LaurentPoly":
-        """1 + t**step + t**(2*step) + ... + t**((count-1)*step)."""
-        mask = 0
-        for i in range(count):
-            mask |= 1 << (i * step)
+        """1 + t**step + t**(2*step) + ... + t**((count-1)*step), count >= 0.
+
+        Built by doubling along the bits of count: O(log count) big-int
+        shifts and ors, O(step*count) bit work in all.  (The closed form
+        (2**(step*count) - 1) // (2**step - 1) is exact too, but its long
+        division is quadratic in step.)
+        """
+        mask, n = 0, 0  # mask holds the first n terms
+        for bit in bin(count)[2:]:
+            mask |= mask << (step * n)
+            n *= 2
+            if bit == "1":
+                mask |= 1 << (step * n)
+                n += 1
         return cls._raw(mask, 0)
 
     def support(self) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ which also yields left kernels and module intersections.
 from __future__ import annotations
 
 from .errors import SingularMatrix
-from .f2poly import F2LaurentPoly, mask_deg, mask_divmod, mask_mod, mask_mul
+from .f2poly import F2LaurentPoly, mask_deg, mask_divmod, mask_mod, mask_mul, mask_pow_mod
 
 _ZERO = F2LaurentPoly.zero()
 _ONE = F2LaurentPoly.one()
@@ -31,17 +31,10 @@ def _laurent_rep(a: F2LaurentPoly, d: F2LaurentPoly) -> F2LaurentPoly:
     """Canonical representative of a modulo the ideal (d), d with nonzero
     constant term: the unique polynomial of degree < deg d."""
     dm = d.mask
-    if dm == 1:
-        return _ZERO
-    am, k = a.mask, a.shift
-    if k >= 0:
-        return F2LaurentPoly._raw(mask_mod(am << k, dm), 0)
-    # s is invertible mod d: s^-1 = (d+1)/s
-    sinv = (dm ^ 1) >> 1
-    r = mask_mod(am, dm)
-    for _ in range(-k):
-        r = mask_mod(mask_mul(r, sinv), dm)
-    return F2LaurentPoly._raw(r, 0)
+    k = a.shift
+    # a = s^k * a.mask, and s is invertible mod d: s^-1 = (d+1)/s
+    unit = mask_pow_mod(2 if k >= 0 else (dm ^ 1) >> 1, abs(k), dm)
+    return F2LaurentPoly._raw(mask_mod(mask_mul(unit, a.mask), dm), 0)
 
 
 def _row_add(rows, i, j, q):

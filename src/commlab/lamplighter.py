@@ -103,10 +103,14 @@ class LampElement:
     def __pow__(self, e: int) -> "LampElement":
         if e < 0:
             return self.inverse() ** (-e)
-        out = LampElement.identity()
-        for _ in range(e):
-            out = out * self
-        return out
+        n = self.n
+        if n == 0:
+            return LampElement(self.k if e % 2 else _ZERO, 0)
+        # g**e = (k * (1 + t**n + ... + t**(n*(e-1))), n*e)
+        k = self.k * F2LaurentPoly.geometric(abs(n), e)
+        if n < 0:
+            k = k.shifted(n * (e - 1))
+        return LampElement(k, n * e)
 
     def __eq__(self, other):
         return isinstance(other, LampElement) and self.k == other.k and self.n == other.n
@@ -663,7 +667,10 @@ class LampComm:
             level,
             [[F2RatFun.from_string(x) for x in row] for row in obj["A"]],
         )
-        return cls.make(der, lin, bool(obj["flip"]))
+        flip = obj["flip"]
+        if not isinstance(flip, bool):
+            raise ValueError(f"flip must be a JSON boolean, got {flip!r}")
+        return cls.make(der, lin, flip)
 
 
 def _apply_lin_to_vder(lin: CommInftyElt, value: F2LaurentPoly):

@@ -205,16 +205,18 @@ def solve_inner_derivation(ts, vs) -> MatQ:
                 raise IncompatibleCocycle(
                     "right-hand sides fail the commuting-cocycle identity"
                 )
-    stacked = MatQ._raw(
-        (row for d in diffs for row in d.rows), ncols=dim
+    # one elimination of [stacked T_i - 1 | stacked v_i] gives the rank of
+    # the stacked matrix, the consistency of the system and x
+    aug = MatQ._raw(
+        (dr + vr for d, v in zip(diffs, vs) for dr, vr in zip(d.rows, v.rows)),
+        ncols=dim + 1,
     )
-    if stacked.rank() < dim:
+    rows, pivots = aug._rref(aug=1)
+    if len(pivots) < dim:
         raise DegenerateAction("the actions share a nonzero fixed vector")
-    rhs = MatQ._raw((row for v in vs for row in v.rows), ncols=1)
-    x = stacked.solve(rhs)
-    if x is None:
+    if any(row[dim] for row in rows[dim:]):
         raise IncompatibleCocycle("the stacked linear system is inconsistent")
-    return x
+    return MatQ._raw((row[dim:] for row in rows[:dim]), ncols=1)
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,9 @@ def test_error_exit_codes(capsys):
          '{"space":{"N0":0.5,"N1":0,"dZ":0,"dZ1":0},"a":' + blocks + '}'],
         ["comm-desc", "inv", "--spec",
          '{"space":{"N0":0,"N1":0,"dZ":0,"dZ1":0.5},"a":' + blocks + '}'],
+        # so is a flip that is not a JSON boolean
+        ["lamp", "invert", "--comm", '{"level":1,"der":"0","A":[["1"]],"flip":"false"}'],
+        ["lamp", "invert", "--comm", '{"level":1,"der":"0","A":[["1"]],"flip":1}'],
     ]:
         code = run(argv)
         lines = capsys.readouterr().out.splitlines()

@@ -1,0 +1,94 @@
+"""Properties of the F2 routines whose cost must not grow with an exponent:
+``mask_divmod``, ``mask_pow_mod``, ``F2LaurentPoly.geometric``,
+``LampElement.__pow__`` and ``hnf._laurent_rep``."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from commlab.f2poly import _WINDOW, F2LaurentPoly, mask_divmod, mask_mod, mask_mul, mask_pow_mod
+from commlab.hnf import _laurent_rep
+from commlab.lamplighter import LampElement
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@st.composite
+def masks(draw, max_bits, min_bits=0):
+    """A poly mask of exactly ``bits`` bits, min_bits <= bits <= max_bits."""
+    bits = draw(st.integers(min_bits, max_bits))
+    if bits == 0:
+        return 0
+    return random.Random(draw(st.integers(0, 2**32))).getrandbits(bits) | 1 << (bits - 1)
+
+
+def _naive_mod(a, b):
+    """Remainder of a mod b one quotient bit at a time, over the whole mask."""
+    db = b.bit_length() - 1
+    while a.bit_length() - 1 >= db:
+        a ^= b << (a.bit_length() - 1 - db)
+    return a
+
+
+def _rep_by_shift_steps(a, d):
+    """The representative of a mod d (d(0) = 1), found by multiplying by s
+    or by s^-1 once per unit of a's shift."""
+    dm = d.mask
+    r = _naive_mod(a.mask, dm)
+    unit = 2 if a.shift >= 0 else (dm ^ 1) >> 1  # s, or s^-1 = (d+1)/s mod d
+    for _ in range(abs(a.shift)):
+        r = _naive_mod(mask_mul(r, unit), dm)
+    return r
+
+
+@PROPERTY
+@given(masks(4 * _WINDOW + 100), masks(71, min_bits=1))
+def test_mask_divmod_is_euclidean_division(a, b):
+    q, r = mask_divmod(a, b)
+    assert mask_mul(q, b) ^ r == a
+    assert r.bit_length() < b.bit_length()
+
+
+def test_mask_divmod_rejects_zero():
+    with pytest.raises(ZeroDivisionError):
+        mask_divmod(5, 0)
+
+
+@PROPERTY
+@given(masks(24), st.integers(0, 60), masks(20, min_bits=1))
+def test_mask_pow_mod_matches_repeated_products(a, e, d):
+    want = mask_mod(1, d)
+    for _ in range(e):
+        want = mask_mod(mask_mul(want, a), d)
+    assert mask_pow_mod(a, e, d) == want
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.integers(0, 80))
+def test_geometric_is_its_defining_sum(step, count):
+    want = F2LaurentPoly(range(0, step * count, step))
+    assert F2LaurentPoly.geometric(step, count) == want
+
+
+@PROPERTY
+@given(st.sets(st.integers(-5, 5)), st.integers(-3, 3), st.integers(-20, 20))
+def test_lamp_power_matches_repeated_products(k, n, e):
+    g = LampElement(F2LaurentPoly(k), n)
+    factor = g if e >= 0 else g.inverse()
+    want = LampElement.identity()
+    for _ in range(abs(e)):
+        want = want * factor
+    assert g**e == want
+
+
+@PROPERTY
+@given(masks(40, min_bits=1), st.integers(-2000, 2000), masks(13, min_bits=1))
+def test_laurent_rep_matches_the_shift_step_loop(am, shift, dm):
+    a = F2LaurentPoly._raw(am, shift)
+    d = F2LaurentPoly._raw(dm | 1, 0)
+    rep = _laurent_rep(a, d)
+    assert rep.is_zero() or (rep.shift >= 0 and rep.max_exp < d.mask.bit_length() - 1)
+    assert rep == F2LaurentPoly._raw(_rep_by_shift_steps(a, d), 0)
+    assert (a + rep).exact_div(d) is not None

@@ -1,0 +1,54 @@
+"""Exponents in the millions are ordinary inputs: exact answers within a
+wall-clock bound, for the operations whose cost once grew with the exponent."""
+
+import json
+import time
+
+import pytest
+
+from commlab import cli, hnf, lamplighter as lamp
+from commlab.f2poly import F2LaurentPoly as P
+
+BUDGET_S = 10.0
+N = 3_000_000
+
+
+@pytest.mark.parametrize(
+    "k, want",
+    [("1", {"k": f"t^{N}", "n": N}), ("0", {"k": f"1+t^{N}", "n": N})],
+)
+def test_lamp_apply_at_exponent_three_million(capsys, k, want):
+    # tau(t^n) = (1 + t + ... + t^(n-1)) * (1 + t) = 1 + t^n
+    comm = '{"level":1,"der":"1+t","A":[["1"]],"flip":false}'
+    start = time.time()
+    code = cli.run(["lamp", "apply", "--comm", comm, "--elem", json.dumps({"k": k, "n": N})])
+    elapsed = time.time() - start
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == want
+    assert elapsed < BUDGET_S
+
+
+@pytest.mark.parametrize("corner", [-(10**6), 10**6])
+def test_submodule_with_a_corner_exponent_of_a_million(corner):
+    d1, d2 = P.from_string("1+s+s^3"), P.from_string("1+s+s^2+s^3")
+    gens = [[d1, P.from_string(f"s^{corner}+s")], [P.zero(), d2]]
+    start = time.time()
+    basis = lamp.SubmoduleBasis.from_generators(2, gens)
+    elapsed = time.time() - start
+    assert basis.index_log2 == d1.max_exp + d2.max_exp
+    assert all(hnf.solve_membership(basis.rows, row) is not None for row in gens)
+    assert elapsed < BUDGET_S
+
+
+def test_lamp_power_at_exponent_a_million():
+    e = 10**6
+    start = time.time()
+    # (1 + t, 2)^e = ((1 + t)(1 + t^2 + ... + t^(2e-2)), 2e): every lamp below 2e lit
+    assert lamp.LampElement(P.from_string("1+t"), 2) ** e == lamp.LampElement(
+        P._raw((1 << 2 * e) - 1, 0), 2 * e
+    )
+    # (1, -1)^e = (1 + t^-1 + ... + t^-(e-1), -e)
+    assert lamp.LampElement(P.one(), -1) ** e == lamp.LampElement(
+        P._raw((1 << e) - 1, 1 - e), -e
+    )
+    assert time.time() - start < BUDGET_S
