@@ -38,8 +38,11 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError:
         if os.path.exists(text):
-            with open(text) as fh:
-                return json.load(fh)
+            try:
+                with open(text) as fh:
+                    return json.load(fh)
+            except OSError as exc:
+                raise ValueError(f"cannot read {text!r}: {exc.strerror}") from exc
         raise
 
 
@@ -321,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("lamp", help="lamplighter commensurations")
     lsubs = p.add_subparsers(dest="lamp_cmd", required=True)
-    _leaf(lsubs, "mul", lambda a: lamp.lamp_mul(_lamp_elem(a.g), _lamp_elem(a.h)).to_json(),
+    _leaf(lsubs, "mul", lambda a: (_lamp_elem(a.g) * _lamp_elem(a.h)).to_json(),
           "--g", "--h")
     _leaf(lsubs, "apply",
           lambda a: lamp.comm_apply(_lamp_comm(a.comm), _lamp_elem(a.elem)).to_json(),

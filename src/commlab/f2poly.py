@@ -311,12 +311,3 @@ class F2LaurentPoly:
 
     def __repr__(self):
         return f"F2LaurentPoly({self.to_string()!r})"
-
-
-def f2poly_arith(a: F2LaurentPoly, b: F2LaurentPoly, op: str) -> F2LaurentPoly:
-    """Ring operation dispatch: ``op`` is ``"add"`` or ``"mul"``."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")

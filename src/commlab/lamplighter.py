@@ -129,14 +129,6 @@ class LampElement:
         return cls(F2LaurentPoly.from_string(obj["k"]), operator.index(obj["n"]))
 
 
-def lamp_mul(g: LampElement, h: LampElement) -> LampElement:
-    return g * h
-
-
-def lamp_inv(g: LampElement) -> LampElement:
-    return g.inverse()
-
-
 # ---------------------------------------------------------------------------
 # coordinates of K at a level
 
@@ -251,10 +243,6 @@ class VDerElt:
 
     def __repr__(self):
         return f"VDerElt({self.level}, {self.value.to_string()!r})"
-
-
-def vder_raise(d: VDerElt, n: int) -> VDerElt:
-    return d.raise_to(n)
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +500,6 @@ class CommInftyElt:
         return f"CommInftyElt(level={self.level}, A={self.matrix.to_strings()})"
 
 
-def comm_infty_raise(c: CommInftyElt, n: int) -> CommInftyElt:
-    return c.raise_to(n)
-
-
 # ---------------------------------------------------------------------------
 # finite-index submodules of K
 
@@ -553,12 +537,8 @@ class SubmoduleBasis:
     def generators_as_k(self) -> list[F2LaurentPoly]:
         return [coords_to_k(row, self.level) for row in self.rows]
 
-    def coords_of(self, k: F2LaurentPoly):
-        """Basis coordinates of a K element, or None if outside."""
-        return hnf.solve_membership(self.rows, k_to_coords(k, self.level))
-
     def contains(self, k: F2LaurentPoly) -> bool:
-        return self.coords_of(k) is not None
+        return hnf.solve_membership(self.rows, k_to_coords(k, self.level)) is not None
 
     def flip(self) -> "SubmoduleBasis":
         gens = [flip_coords(row, self.level) for row in self.rows]
@@ -628,9 +608,6 @@ class LampComm:
     @property
     def level(self) -> int:
         return self.der.level
-
-    def is_identity(self) -> bool:
-        return self == LampComm.identity()
 
     def __eq__(self, other):
         return (
@@ -799,9 +776,14 @@ def theta_sign(c: LampComm) -> int:
 def diagonal_embed(n: int, rows) -> LampComm:
     """Block-diagonal action of an invertible F2 matrix on consecutive
     n-blocks of lamps, as a level-n commensuration."""
-    bm = BitMat.from_lists(rows) if not isinstance(rows, BitMat) else rows
-    if bm.n != n:
-        raise DimensionMismatch(f"a {bm.n}x{bm.n} matrix cannot act on blocks of size {n}")
+    if len(rows) != n:
+        raise DimensionMismatch(
+            f"a {len(rows)}x{len(rows)} matrix cannot act on blocks of size {n}"
+        )
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise DimensionMismatch(f"row {i} has length {len(row)}, expected {n}")
+    bm = BitMat.from_lists(rows)
     if not bm.is_invertible():
         raise SingularMatrix("matrix is not invertible over F2")
     return LampComm.make(
@@ -881,66 +863,3 @@ def quotient_dim(k1: SubmoduleBasis, m: int) -> int:
         )
     return m
 
-
-# ---------------------------------------------------------------------------
-# pseudo-random sampling (used by the test suite and the demos)
-
-
-def random_element(rng, max_exp: int = 8) -> LampElement:
-    support = [e for e in range(-max_exp, max_exp + 1) if rng.random() < 0.25]
-    return LampElement(F2LaurentPoly(support), rng.randrange(-3, 4))
-
-
-def random_submodule(rng, max_level: int = 3, max_index_log: int = 6) -> SubmoduleBasis:
-    level = rng.randrange(1, max_level + 1)
-    budget = rng.randrange(0, max_index_log + 1)
-    rows = []
-    for i in range(level):
-        d = rng.randrange(0, budget + 1)
-        budget -= d
-        diag_mask = 1
-        if d:
-            diag_mask |= 1 << d
-            for e in range(1, d):
-                if rng.random() < 0.5:
-                    diag_mask |= 1 << e
-        row = [_ZERO] * level
-        row[i] = F2LaurentPoly._raw(diag_mask, 0)
-        for j in range(i + 1, level):
-            if rng.random() < 0.3:
-                row[j] = F2LaurentPoly._raw(rng.randrange(1, 4), 0)
-        rows.append(row)
-    return SubmoduleBasis.from_generators(level, rows)
-
-
-def _random_ratfun(rng, max_deg: int = 2) -> F2RatFun:
-    num = rng.randrange(1, 1 << (max_deg + 1))
-    den = rng.randrange(0, 1 << max_deg) * 2 + 1
-    return F2RatFun(num, den, rng.randrange(-1, 2))
-
-
-def random_comm(rng, max_level: int = 6, max_deg: int = 8) -> LampComm:
-    """Pseudo-random canonical commensuration within a degree envelope."""
-    level = rng.randrange(1, max_level + 1)
-    ident = MatF2Rat.identity(level)
-    mat = ident
-    for _ in range(rng.randrange(1, 4)):
-        kind = rng.randrange(3)
-        rows = [list(r) for r in ident.rows]
-        if kind == 0 and level > 1:
-            i, j = rng.sample(range(level), 2)
-            rows[i][j] = _random_ratfun(rng)
-        elif kind == 1:
-            i = rng.randrange(level)
-            rows[i][i] = F2RatFun.t_power(rng.choice((-1, 1)))
-        else:
-            perm = list(range(level))
-            rng.shuffle(perm)
-            rows = [
-                [ident.rows[perm[i]][j] for j in range(level)]
-                for i in range(level)
-            ]
-        mat = mat * MatF2Rat(rows)
-    support = [e for e in range(-max_deg, max_deg + 1) if rng.random() < 0.2]
-    der = VDerElt(level, F2LaurentPoly(support))
-    return LampComm.make(der, CommInftyElt.from_matrix(mat), rng.random() < 0.5)

@@ -119,14 +119,8 @@ class Mat:
             (tuple(a * scalar for a in row) for row in self.rows), ncols=self._nc
         )
 
-    def __rmul__(self, other):
-        try:
-            scalar = self._coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return type(self)._raw(
-            (tuple(scalar * a for a in row) for row in self.rows), ncols=self._nc
-        )
+    # both fields are commutative, so c * M is M * c
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         return (

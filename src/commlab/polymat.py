@@ -36,9 +36,6 @@ class BitMat:
         n = len(rows)
         return cls(n, tuple(sum((1 << j) for j, v in enumerate(r) if v & 1) for r in rows))
 
-    def to_lists(self):
-        return [[(r >> j) & 1 for j in range(self.n)] for r in self.rows]
-
     def is_zero(self) -> bool:
         return not any(self.rows)
 
@@ -172,8 +169,8 @@ class PolyMat:
     def commutes_with(self, other: "PolyMat") -> bool:
         return self * other == other * self
 
-    def scalar_mul(self, mask: int, shift: int = 0) -> "PolyMat":
-        """Multiply by the scalar Laurent polynomial given as mask * u**shift."""
+    def scalar_mul(self, mask: int) -> "PolyMat":
+        """Multiply by the scalar polynomial in u given as a mask."""
         if mask == 0 or self.is_zero():
             return PolyMat.zero(self.n)
         out = [BitMat.zero(self.n) for _ in range(len(self.coeffs) + mask.bit_length() - 1)]
@@ -184,7 +181,7 @@ class PolyMat:
             for i, c in enumerate(self.coeffs):
                 out[i + k] = out[i + k] + c
             m &= m - 1
-        return PolyMat(self.n, out, self.shift + shift)
+        return PolyMat(self.n, out, self.shift)
 
     def entry(self, i: int, j: int) -> F2LaurentPoly:
         mask = 0

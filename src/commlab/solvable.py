@@ -12,7 +12,10 @@ Three computational pieces live here:
 
 * the iterated semidirect-product group law on block descriptions
   (central Hom block, GL block, Hom block, reduced-part automorphism)
-  with the GL and reduced parts acting by pre- and post-composition.
+  with the GL part acting by pre- and post-composition.  The two
+  reduced parts implemented, the trivial one and the Q x| Q* of
+  BS(1, n), act trivially on every block, so the law has no
+  reduced-part action factors.
 
 Conventions for the block group law, fixed here once: elements multiply
 right-to-left, a semidirect pair is written (normal part, acting part)
@@ -127,10 +130,6 @@ def bs_mul(g: BSElement, h: BSElement) -> BSElement:
     return BSElement(g.n, g.a + h.a, g.b + Fraction(g.n) ** g.a * h.b)
 
 
-def bs_inv(g: BSElement) -> BSElement:
-    return g.inverse()
-
-
 def bs_comm_domain(c: AffineMap, n: int) -> tuple[int, int]:
     """Congruence parameters (K, D) of the conjugation commensuration.
 
@@ -223,44 +222,7 @@ def solve_inner_derivation(ts, vs) -> MatQ:
 # the iterated semidirect product of block descriptions
 
 
-class ReducedAut:
-    """Opaque reduced-part automorphism interface.
-
-    An instantiation supplies a group of elements together with the
-    three matrix actions entering the block group law: on the torus
-    coordinates Q**N1, on the center Q**dZ1 of the reduced group, and
-    on the central unipotent part Q**dZ of the ambient group.  Each is
-    an action, so the matrix of invert(a) is the inverse of the matrix
-    of a; the group law reads inverse matrices that way and never
-    inverts one.
-    """
-
-    name = "abstract"
-
-    def identity(self):
-        raise NotImplementedError
-
-    def holds(self, a) -> bool:
-        """Whether ``a`` is an element of this reduced part."""
-        raise NotImplementedError
-
-    def compose(self, a, b):
-        raise NotImplementedError
-
-    def invert(self, a):
-        raise NotImplementedError
-
-    def torus_matrix(self, a, n1: int) -> MatQ:
-        return MatQ.identity(n1)
-
-    def center_matrix(self, a, dz1: int) -> MatQ:
-        return MatQ.identity(dz1)
-
-    def central_u_matrix(self, a, dz: int) -> MatQ:
-        return MatQ.identity(dz)
-
-
-class TrivialReduced(ReducedAut):
+class TrivialReduced:
     """Reduced part with only the identity automorphism."""
 
     name = "trivial"
@@ -269,6 +231,7 @@ class TrivialReduced(ReducedAut):
         return None
 
     def holds(self, a) -> bool:
+        """Whether ``a`` is an element of this reduced part."""
         return a is None
 
     def compose(self, a, b):
@@ -278,10 +241,10 @@ class TrivialReduced(ReducedAut):
         return None
 
 
-class BSReduced(ReducedAut):
+class BSReduced:
     """Reduced part Q x| Q*, the commensurations of a solvable
-    Baumslag-Solitar group; it fixes the exponent direction, so all
-    three matrix actions are trivial."""
+    Baumslag-Solitar group; it fixes the exponent direction, so it acts
+    trivially on every block."""
 
     name = "bs"
 
@@ -303,13 +266,18 @@ _REDUCED_TAGS = {"trivial": TrivialReduced, "bs": BSReduced}
 
 @dataclass(frozen=True)
 class CommSpace:
-    """Dimension data (N0, N1, dZ, dZ1) and the reduced-part instantiation."""
+    """Dimension data (N0, N1, dZ, dZ1) and the reduced-part instantiation.
+
+    The reduced part is ``TrivialReduced`` or ``BSReduced``; neither acts
+    on the blocks, which is why ``comm_desc_mul`` and ``comm_desc_inv``
+    carry no action factors for it.
+    """
 
     n0: int
     n1: int
     dz: int
     dz1: int
-    red: ReducedAut
+    red: TrivialReduced | BSReduced
 
     def identity_desc(self) -> "CommDesc":
         return CommDesc(
@@ -371,36 +339,25 @@ def comm_desc_mul(x: CommDesc, y: CommDesc) -> CommDesc:
     s = x.space
     if s != y.space:
         raise DimensionMismatch("descriptions live in different products")
-    red = s.red
-    t_inv = red.torus_matrix(red.invert(x.red), s.n1)
-    z1 = red.center_matrix(x.red, s.dz1)
-    zc = red.central_u_matrix(x.red, s.dz)
-    p_inv = x.p.inv()
     return CommDesc(
         s,
-        x.h_central + zc * y.h_central * p_inv,
+        x.h_central + y.h_central * x.p.inv(),
         x.p * y.p,
-        x.h_10 + x.p * y.h_10 * t_inv,
-        x.h_1z + z1 * y.h_1z * t_inv,
-        red.compose(x.red, y.red),
+        x.h_10 + x.p * y.h_10,
+        x.h_1z + y.h_1z,
+        s.red.compose(x.red, y.red),
     )
 
 
 def comm_desc_inv(x: CommDesc) -> CommDesc:
-    s = x.space
-    red = s.red
-    r_inv = red.invert(x.red)
-    t_mat = red.torus_matrix(x.red, s.n1)
-    z1_inv = red.center_matrix(r_inv, s.dz1)
-    zc_inv = red.central_u_matrix(r_inv, s.dz)
     p_inv = x.p.inv()
     return CommDesc(
-        s,
-        -(zc_inv * x.h_central * x.p),
+        x.space,
+        -(x.h_central * x.p),
         p_inv,
-        -(p_inv * x.h_10 * t_mat),
-        -(z1_inv * x.h_1z * t_mat),
-        r_inv,
+        -(p_inv * x.h_10),
+        -x.h_1z,
+        x.space.red.invert(x.red),
     )
 
 
@@ -412,9 +369,6 @@ class StructureReport:
     dim_z: int
     iso: str
     space: CommSpace
-
-    def to_json(self):
-        return {"N": self.n, "dim_Z": self.dim_z, "iso": self.iso}
 
 
 def reduced_comm_structure(n: int, dim_z: int, aut_desc: str) -> StructureReport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ExponentMismatch, NotAnAutomorphism, SingularMap
+from .errors import DimensionMismatch, ExponentMismatch, NotAnAutomorphism, SingularMap
 from .matrices import MatQ
 
 # Size bound for unitriangular matrices (factorial denominators grow with it).
@@ -257,7 +257,9 @@ def comm_from_lie_aut(aut: LieAut, g: UniTriMat) -> UniTriMat:
     if not lie_aut_check(aut):
         raise NotAnAutomorphism("the linear map does not preserve brackets")
     if g.n != aut.n:
-        raise ValueError("dimension mismatch")
+        raise DimensionMismatch(
+            f"an automorphism for n = {aut.n} cannot act on a {g.n}x{g.n} matrix"
+        )
     return unitri_exp(aut.apply(unitri_log(g)))
 
 

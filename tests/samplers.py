@@ -1,0 +1,72 @@
+"""Seeded pseudo-random samplers for the test suite.
+
+Each sampler draws from the ``random.Random`` it is given, so a fixed
+seed gives a fixed sample; ``tests/test_samplers.py`` pins that output.
+"""
+
+from commlab.f2poly import F2LaurentPoly
+from commlab.lamplighter import CommInftyElt, LampComm, LampElement, SubmoduleBasis, VDerElt
+from commlab.matrices import MatF2Rat
+from commlab.ratfun import F2RatFun
+
+_ZERO = F2LaurentPoly.zero()
+
+
+def random_element(rng, max_exp: int = 8) -> LampElement:
+    support = [e for e in range(-max_exp, max_exp + 1) if rng.random() < 0.25]
+    return LampElement(F2LaurentPoly(support), rng.randrange(-3, 4))
+
+
+def random_submodule(rng, max_level: int = 3, max_index_log: int = 6) -> SubmoduleBasis:
+    level = rng.randrange(1, max_level + 1)
+    budget = rng.randrange(0, max_index_log + 1)
+    rows = []
+    for i in range(level):
+        d = rng.randrange(0, budget + 1)
+        budget -= d
+        diag_mask = 1
+        if d:
+            diag_mask |= 1 << d
+            for e in range(1, d):
+                if rng.random() < 0.5:
+                    diag_mask |= 1 << e
+        row = [_ZERO] * level
+        row[i] = F2LaurentPoly._raw(diag_mask, 0)
+        for j in range(i + 1, level):
+            if rng.random() < 0.3:
+                row[j] = F2LaurentPoly._raw(rng.randrange(1, 4), 0)
+        rows.append(row)
+    return SubmoduleBasis.from_generators(level, rows)
+
+
+def _random_ratfun(rng, max_deg: int = 2) -> F2RatFun:
+    num = rng.randrange(1, 1 << (max_deg + 1))
+    den = rng.randrange(0, 1 << max_deg) * 2 + 1
+    return F2RatFun(num, den, rng.randrange(-1, 2))
+
+
+def random_comm(rng, max_level: int = 6, max_deg: int = 8) -> LampComm:
+    """Pseudo-random canonical commensuration within a degree envelope."""
+    level = rng.randrange(1, max_level + 1)
+    ident = MatF2Rat.identity(level)
+    mat = ident
+    for _ in range(rng.randrange(1, 4)):
+        kind = rng.randrange(3)
+        rows = [list(r) for r in ident.rows]
+        if kind == 0 and level > 1:
+            i, j = rng.sample(range(level), 2)
+            rows[i][j] = _random_ratfun(rng)
+        elif kind == 1:
+            i = rng.randrange(level)
+            rows[i][i] = F2RatFun.t_power(rng.choice((-1, 1)))
+        else:
+            perm = list(range(level))
+            rng.shuffle(perm)
+            rows = [
+                [ident.rows[perm[i]][j] for j in range(level)]
+                for i in range(level)
+            ]
+        mat = mat * MatF2Rat(rows)
+    support = [e for e in range(-max_deg, max_deg + 1) if rng.random() < 0.2]
+    der = VDerElt(level, F2LaurentPoly(support))
+    return LampComm.make(der, CommInftyElt.from_matrix(mat), rng.random() < 0.5)

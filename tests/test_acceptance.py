@@ -19,6 +19,8 @@ from commlab.polymat import BitMat, f2_rank
 from commlab.solvable import AffineMap, BSElement
 from commlab.unipotent import UniTriMat
 
+import samplers
+
 
 def _report(num, label, elapsed, budget):
     print(f"PASS  criterion {num}: {label}  [{elapsed:.2f}s < {budget}s]")
@@ -67,7 +69,7 @@ def test_criterion_2_padic_oracle_equivalence(capsys):
 def test_criterion_3_lamplighter_group_laws(capsys):
     start = time.time()
     rng = random.Random(2024)
-    comms = [lamp.random_comm(rng, max_level=6, max_deg=8) for _ in range(1000)]
+    comms = [samplers.random_comm(rng, max_level=6, max_deg=8) for _ in range(1000)]
     # associativity on 333 disjoint triples
     for i in range(0, 999, 3):
         a, b, c = comms[i], comms[i + 1], comms[i + 2]
@@ -192,7 +194,7 @@ def test_criterion_5_quotient_dimension(capsys):
     rng = random.Random(5)
     samples = 0
     while samples < 50:
-        k1 = lamp.random_submodule(rng, max_level=2, max_index_log=6)
+        k1 = samplers.random_submodule(rng, max_level=2, max_index_log=6)
         assert k1.index_log2 <= 6
         for m in range(1, 9):
             if m % k1.level:

@@ -161,7 +161,7 @@ def test_solve_inner_command(capsys):
     assert code == 0 and out == ["1", "1"]
 
 
-def test_error_exit_codes(capsys):
+def test_error_exit_codes(capsys, tmp_path):
     bad = '{"level":1,"der":"0","A":[["(1)/(1+s)"]],"flip":false}'
     code = run(["lamp", "apply", "--comm", bad, "--elem", '{"k":"1","n":0}'])
     out = json.loads(capsys.readouterr().out)
@@ -194,14 +194,19 @@ def test_error_exit_codes(capsys):
          "ExponentMismatch"),
         (["unipotent", "root", "--p", "0", "--matrix", "[[1,1],[0,1]]"], "ExponentMismatch"),
         (["lamp", "embed-gl", "--n", "0", "--matrix", "1"], "DimensionMismatch"),
+        (["lamp", "embed-gl", "--n", "2", "--matrix", "1,1;1"], "DimensionMismatch"),
+        (["lamp", "embed-gl", "--n", "2", "--matrix", "1,0,1;0,1,0"], "DimensionMismatch"),
+        (["unipotent", "apply-aut", "--aut", '{"n":3,"L":[[1,0,0],[0,1,0],[0,0,1]]}',
+          "--matrix", "[[1,1],[0,1]]"], "DimensionMismatch"),
         (["solve-inner", "--ts", "[]", "--vs", "[]"], "DimensionMismatch"),
         (["solve-inner", "--ts", '[[["2"]]]', "--vs", '[["1"],["2"]]'], "DimensionMismatch"),
         (["solve-inner", "--ts", '[[["2","0"]]]', "--vs", '[["1"]]'], "DimensionMismatch"),
         (["solve-inner", "--ts", '[[["2"]]]', "--vs", '[["1","2"]]'], "DimensionMismatch"),
     ]:
         code = run(argv)
-        lines = capsys.readouterr().out.splitlines()
-        assert code == 1 and len(lines) == 1, argv
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert code == 1 and len(lines) == 1 and "Traceback" not in captured.err, argv
         assert json.loads(lines[0])["error"] == error, argv
     # a JSON integer field holding a non-integer is malformed, never truncated
     elem = '{"k":"1","n":0}'
@@ -223,10 +228,13 @@ def test_error_exit_codes(capsys):
         # so is a flip that is not a JSON boolean
         ["lamp", "invert", "--comm", '{"level":1,"der":"0","A":[["1"]],"flip":"false"}'],
         ["lamp", "invert", "--comm", '{"level":1,"der":"0","A":[["1"]],"flip":1}'],
+        # a path that exists but is not a readable file
+        ["lamp", "invert", "--comm", str(tmp_path)],
     ]:
         code = run(argv)
-        lines = capsys.readouterr().out.splitlines()
-        assert code == 2 and len(lines) == 1, argv
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert code == 2 and len(lines) == 1 and "Traceback" not in captured.err, argv
         assert json.loads(lines[0])["error"] == "ParseError", argv
 
 
@@ -292,7 +300,8 @@ def test_deterministic_output(capsys):
 def test_emitted_json_reparses_equal_fuzz(capsys):
     import random
 
-    from commlab.lamplighter import LampComm, random_comm
+    from commlab.lamplighter import LampComm
+    from samplers import random_comm
 
     rng = random.Random(70)
     ident = '{"level": 1, "der": "0", "A": [["1"]], "flip": false}'

@@ -105,3 +105,13 @@ def test_solve_finds_a_solution_exactly_when_one_exists(cls, data):
         # a certificate of inconsistency: y with y^T a = 0 and y^T b != 0
         left = a.transpose().nullspace()
         assert any(any((y.transpose() * b).rows[0]) for y in left)
+
+
+@FIELDS
+@PROPERTY
+@given(data=st.data())
+def test_scalar_product_is_the_same_on_either_side(cls, data):
+    a = data.draw(rectangular(cls))
+    c = data.draw(SCALARS[cls])
+    entrywise = cls([[c * x for x in row] for row in a.rows], ncols=a.ncols)
+    assert c * a == a * c == entrywise
