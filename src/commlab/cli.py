@@ -137,11 +137,10 @@ def _bs_domain(args):
 
 
 def _space_from_json(obj) -> CommSpace:
-    report = solvable.reduced_comm_structure(0, 0, obj.get("red", "trivial"))
     return CommSpace(
         operator.index(obj["N0"]), operator.index(obj["N1"]),
         operator.index(obj["dZ"]), operator.index(obj["dZ1"]),
-        report.space.red,
+        solvable.reduced_part(obj.get("red", "trivial")),
     )
 
 

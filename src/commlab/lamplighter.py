@@ -783,6 +783,9 @@ def diagonal_embed(n: int, rows) -> LampComm:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise DimensionMismatch(f"row {i} has length {len(row)}, expected {n}")
+        for j, v in enumerate(row):
+            if v not in (0, 1):
+                raise ValueError(f"entry ({i}, {j}) is {v!r}, not 0 or 1")
     bm = BitMat.from_lists(rows)
     if not bm.is_invertible():
         raise SingularMatrix("matrix is not invertible over F2")
@@ -808,10 +811,14 @@ def comm_from_partial(
     are checked exactly.
     """
     if domain.level != level:
-        raise ValueError("domain level mismatch")
+        raise DimensionMismatch(
+            f"the domain has level {domain.level}, expected {level}"
+        )
     gen_images = list(gen_images)
     if len(gen_images) != level:
-        raise ValueError(f"expected {level} generator images")
+        raise DimensionMismatch(
+            f"expected {level} generator images, got {len(gen_images)}"
+        )
     if abs(t_image.n) != level:
         raise ExponentMismatch(
             f"image of t**{level} must have Z-part +-{level}, got {t_image.n}"

@@ -4,9 +4,12 @@ A subclass fixes the scalar field through the class attributes ``zero``
 and ``one`` and the hooks ``_coerce`` and ``_inv_scalar``.  One forward
 elimination, ``_echelon``, serves every elimination: ``det`` and
 ``rank`` read it directly, and ``_rref`` adds back-substitution for
-``inv``, ``solve`` and ``nullspace``.  Degenerate shapes (0xn, nx0,
-0x0) are legal for every operation, so zero-dimensional blocks can flow
-through group-law formulas unchanged.
+``inv``, ``solve`` and ``nullspace``.  Products skip zero entries: each
+left row's nonzero entries are collected once, and a term is formed
+only where the column entry is nonzero too, because the unitriangular,
+nilpotent and diagonal matrices of the Q side are mostly zeros.
+Degenerate shapes (0xn, nx0, 0x0) are legal for every operation, so
+zero-dimensional blocks can flow through group-law formulas unchanged.
 """
 
 from __future__ import annotations
@@ -106,11 +109,14 @@ class Mat:
                 raise ValueError("shape mismatch")
             cols = other.transpose().rows
             zero = self.zero
-            return type(self)._raw(
-                (tuple(sum((a * b for a, b in zip(row, col)), zero) for col in cols)
-                 for row in self.rows),
-                ncols=other.ncols,
-            )
+            out = []
+            for row in self.rows:
+                support = [(k, a) for k, a in enumerate(row) if a]
+                out.append(tuple(
+                    sum((a * col[k] for k, a in support if col[k]), zero)
+                    for col in cols
+                ))
+            return type(self)._raw(out, ncols=other.ncols)
         try:
             scalar = self._coerce(other)
         except (TypeError, ValueError):

@@ -264,6 +264,14 @@ class BSReduced:
 _REDUCED_TAGS = {"trivial": TrivialReduced, "bs": BSReduced}
 
 
+def reduced_part(tag: str):
+    """The reduced-part instantiation named by ``tag``."""
+    cls = _REDUCED_TAGS.get(tag)
+    if cls is None:
+        raise UnknownInstantiation(f"unknown reduced part {tag!r}")
+    return cls()
+
+
 @dataclass(frozen=True)
 class CommSpace:
     """Dimension data (N0, N1, dZ, dZ1) and the reduced-part instantiation.
@@ -376,11 +384,7 @@ def reduced_comm_structure(n: int, dim_z: int, aut_desc: str) -> StructureReport
     with a concrete block instantiation for the named reduced part."""
     if n < 0 or dim_z < 0:
         raise ValueError("dimensions must be nonnegative")
-    cls = _REDUCED_TAGS.get(aut_desc)
-    if cls is None:
-        raise UnknownInstantiation(f"unknown reduced part {aut_desc!r}")
-    red = cls()
-    space = CommSpace(0, n, 0, dim_z, red)
+    space = CommSpace(0, n, 0, dim_z, reduced_part(aut_desc))
     aut_name = "(Q |x Q*)" if aut_desc == "bs" else "Aut(triv)"
     iso = f"Hom(Q^{n}, Q^{dim_z}) x| {aut_name}"
     if dim_z == 0:

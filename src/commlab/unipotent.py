@@ -179,7 +179,10 @@ class LieAut:
         mat = mat if isinstance(mat, MatQ) else MatQ(mat)
         dim = n * (n - 1) // 2
         if mat.nrows != dim or mat.ncols != dim:
-            raise ValueError(f"expected a {dim} x {dim} matrix for n = {n}")
+            raise DimensionMismatch(
+                f"expected a {dim} x {dim} matrix for n = {n}, "
+                f"got {mat.nrows} x {mat.ncols}"
+            )
         if dim and not mat.det():
             raise SingularMap("the linear map must be invertible")
         self.n = n
@@ -220,7 +223,10 @@ class LieAut:
 
     def compose(self, other: "LieAut") -> "LieAut":
         if self.n != other.n:
-            raise ValueError("dimension mismatch")
+            raise DimensionMismatch(
+                f"cannot compose an automorphism for n = {self.n} "
+                f"with one for n = {other.n}"
+            )
         return LieAut(self.n, self.mat * other.mat)
 
     def __eq__(self, other):
@@ -231,25 +237,27 @@ class LieAut:
 
 
 def lie_aut_check(aut: LieAut) -> bool:
-    """Exact test that the map preserves all basis brackets."""
+    """Exact test that the map preserves all basis brackets.
+
+    In the basis E(i, j), [E(i, j), E(k, l)] = d(j, k) E(i, l) - d(l, i) E(k, j)
+    with d the Kronecker delta, so the image of a basis bracket is plus or
+    minus one column of ``aut.mat``, or zero.  By antisymmetry only pairs
+    E(i, j) < E(k, l) in the basis order are checked; there i <= k < l,
+    so the second term vanishes and the bracket of the two column images
+    must equal column (i, l) when j = k, and zero otherwise.
+    """
     if aut._checked is not None:
         return aut._checked
     pairs = _basis_pairs(aut.n)
-    basis = [aut.from_vec([1 if k == idx else 0 for k in range(len(pairs))])
-             for idx in range(len(pairs))]
-    images = [aut.apply(b) for b in basis]
-    ok = True
-    for a in range(len(pairs)):
-        for b in range(len(pairs)):
-            lhs = aut.apply(basis[a].bracket(basis[b]))
-            rhs = images[a].bracket(images[b])
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            break
-    aut._checked = ok
-    return ok
+    index = {pair: idx for idx, pair in enumerate(pairs)}
+    images = [aut.from_vec(col) for col in aut.mat.transpose().rows]
+    zero = NilMat.zero(aut.n)
+    aut._checked = all(
+        images[a].bracket(images[b]) == (images[index[i, l]] if j == k else zero)
+        for a, (i, j) in enumerate(pairs)
+        for b, (k, l) in enumerate(pairs[a + 1:], a + 1)
+    )
+    return aut._checked
 
 
 def comm_from_lie_aut(aut: LieAut, g: UniTriMat) -> UniTriMat:

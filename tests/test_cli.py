@@ -202,6 +202,14 @@ def test_error_exit_codes(capsys, tmp_path):
         (["solve-inner", "--ts", '[[["2"]]]', "--vs", '[["1"],["2"]]'], "DimensionMismatch"),
         (["solve-inner", "--ts", '[[["2","0"]]]', "--vs", '[["1"]]'], "DimensionMismatch"),
         (["solve-inner", "--ts", '[[["2"]]]', "--vs", '[["1","2"]]'], "DimensionMismatch"),
+        # sizes that disagree in well-formed JSON
+        (["lamp", "from-partial", "--data", '{"level":2,"H":[["1","0"],["0","1"]],'
+          '"gen_images":[{"k":"1","n":0}],"t_image":{"k":"0","n":2}}'], "DimensionMismatch"),
+        (["unipotent", "apply-aut", "--aut", '{"n":3,"L":[["1"]]}',
+          "--matrix", "[[1,1,0],[0,1,0],[0,0,1]]"], "DimensionMismatch"),
+        (["comm-desc", "inv", "--spec", '{"space":{"N0":0,"N1":0,"dZ":0,"dZ1":0,'
+          '"red":"nope"},"a":{"h_central":[],"P":[],"h_10":[],"h_1z":[]}}'],
+         "UnknownInstantiation"),
     ]:
         code = run(argv)
         captured = capsys.readouterr()
@@ -230,6 +238,9 @@ def test_error_exit_codes(capsys, tmp_path):
         ["lamp", "invert", "--comm", '{"level":1,"der":"0","A":[["1"]],"flip":1}'],
         # a path that exists but is not a readable file
         ["lamp", "invert", "--comm", str(tmp_path)],
+        # an F2 matrix entry other than 0 or 1
+        ["lamp", "embed-gl", "--n", "1", "--matrix", "3"],
+        ["lamp", "embed-gl", "--n", "1", "--matrix", "-1"],
     ]:
         code = run(argv)
         captured = capsys.readouterr()

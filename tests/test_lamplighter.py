@@ -4,6 +4,7 @@ import random
 import pytest
 
 from commlab.errors import (
+    DimensionMismatch,
     ExponentMismatch,
     NotAHomomorphism,
     NotDivisible,
@@ -453,6 +454,10 @@ def test_diagonal_embed_examples():
         assert comm_apply(sw, LampElement.lamp(k + 1)) == LampElement.lamp(k)
     with pytest.raises(SingularMatrix):
         diagonal_embed(2, [[1, 1], [1, 1]])
+    # an entry outside {0, 1} is malformed, not read mod 2
+    for rows in ([[3]], [[-1]], [[1, 0], [2, 1]]):
+        with pytest.raises(ValueError, match="not 0 or 1"):
+            diagonal_embed(len(rows), rows)
 
 
 def test_diagonal_embed_homomorphism_sampled():
@@ -537,6 +542,10 @@ def test_comm_from_partial_errors():
         comm_from_partial(1, full, [E0], LampElement(P.zero(), 2))
     with pytest.raises(NotAHomomorphism):
         comm_from_partial(1, full, [LampElement(P([0]), 1)], LampElement(P.zero(), 1))
+    with pytest.raises(DimensionMismatch, match="level 1, expected 2"):
+        comm_from_partial(2, full, [E0, E0], LampElement(P.zero(), 2))
+    with pytest.raises(DimensionMismatch, match="expected 1 generator images, got 2"):
+        comm_from_partial(1, full, [E0, E0], LampElement(P.zero(), 1))
     full2 = SubmoduleBasis.full(2)
     with pytest.raises(NotAHomomorphism):
         comm_from_partial(

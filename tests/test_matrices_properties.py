@@ -1,4 +1,5 @@
-"""Properties of the elimination core of ``commlab.matrices`` over Q and F2(t)."""
+"""Properties of ``commlab.matrices`` over Q and F2(t): the product and the
+elimination core."""
 
 from fractions import Fraction
 
@@ -115,3 +116,41 @@ def test_scalar_product_is_the_same_on_either_side(cls, data):
     c = data.draw(SCALARS[cls])
     entrywise = cls([[c * x for x in row] for row in a.rows], ncols=a.ncols)
     assert c * a == a * c == entrywise
+
+
+def textbook_product(a, b):
+    """(ab)[i][j] = sum over k of a[i][k] * b[k][j], every term formed."""
+    cls = type(a)
+    return cls(
+        [[sum((a.entry(i, k) * b.entry(k, j) for k in range(a.ncols)), cls.zero)
+          for j in range(b.ncols)] for i in range(a.nrows)],
+        ncols=b.ncols,
+    )
+
+
+@st.composite
+def sparse_or_dense(draw, cls, nrows, ncols):
+    """An nrows x ncols matrix; in half of the draws about three entries
+    in four are zero."""
+    sparse = draw(st.booleans())
+
+    def entry():
+        if sparse and draw(st.integers(0, 3)):
+            return cls.zero
+        return draw(SCALARS[cls])
+
+    return cls([[entry() for _ in range(ncols)] for _ in range(nrows)], ncols=ncols)
+
+
+@FIELDS
+@PROPERTY
+@given(data=st.data())
+def test_product_is_the_textbook_triple_sum(cls, data):
+    n, k, m = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a = data.draw(sparse_or_dense(cls, n, k))
+    b = data.draw(sparse_or_dense(cls, k, m))
+    assert a * b == textbook_product(a, b)
+    assert ((a * b).nrows, (a * b).ncols) == (n, m)
+    if k != m:
+        with pytest.raises(ValueError, match="shape mismatch"):
+            b * b

@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from commlab.errors import ExponentMismatch, NotAnAutomorphism, SingularMap
+from commlab.errors import DimensionMismatch, ExponentMismatch, NotAnAutomorphism, SingularMap
 from commlab.matrices import MatQ
 from commlab.unipotent import (
     LieAut,
@@ -117,6 +118,63 @@ def test_lie_aut_check_examples():
     assert lie_aut_check(LieAut.diagonal(3, [2, 4, 2])) is True
 
 
+def bracket_check_by_definition(aut):
+    """aut([x, y]) == [aut(x), aut(y)] for every ordered pair of basis
+    elements, each side through a full ``apply``."""
+    dim = aut.mat.nrows
+    basis = [aut.from_vec([int(k == idx) for k in range(dim)]) for idx in range(dim)]
+    images = [aut.apply(x) for x in basis]
+    return all(
+        aut.apply(basis[a].bracket(basis[b])) == images[a].bracket(images[b])
+        for a in range(dim) for b in range(dim)
+    )
+
+
+def graded_inner(rng, n):
+    """Matrix of a bracket-preserving map that is not diagonal: conjugation
+    by a random unitriangular g, then a graded scaling of E(i, j) by
+    lam[i] * ... * lam[j - 1]."""
+    lam = [F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2])) for _ in range(n)]
+    scales = [math.prod(lam[i:j]) for i in range(n) for j in range(i + 1, n)]
+    g = rand_unitri(rng, n).mat
+    g_inv = g.inv()
+    ident = LieAut.identity(n)
+    cols = []
+    for e in MatQ.identity(len(scales)).rows:
+        image = ident.to_vec(NilMat(g * ident.from_vec(e).mat * g_inv))
+        cols.append([s * x for s, x in zip(scales, image)])
+    return MatQ(cols).transpose()
+
+
+def test_lie_aut_check_agrees_with_the_definition():
+    rng = random.Random(46)
+    outcomes = set()
+    for n in range(2, 6):
+        dim = n * (n - 1) // 2
+        for _ in range(6):
+            good = graded_inner(rng, n)
+            perturbed = [list(row) for row in good.rows]
+            perturbed[rng.randrange(dim)][rng.randrange(dim)] += rng.choice([-1, F(1, 2), 2])
+            scales = [F(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2])) for _ in range(dim)]
+            maps = {
+                "diagonal": LieAut.diagonal(n, scales).mat,
+                "graded": good,
+                "perturbed": perturbed,
+                "random": [[rng.randrange(-3, 4) for _ in range(dim)] for _ in range(dim)],
+            }
+            for family, mat in maps.items():
+                try:
+                    aut = LieAut(n, mat)
+                except SingularMap:
+                    continue
+                expected = bracket_check_by_definition(aut)
+                assert lie_aut_check(aut) is expected, (family, mat)
+                assert lie_aut_check(aut) is expected  # the cached answer
+                outcomes.add((family, expected))
+    assert {result for _, result in outcomes} == {True, False}
+    assert ("graded", False) not in outcomes
+
+
 def test_lie_aut_singular_rejected():
     dim = 3
     with pytest.raises(SingularMap):
@@ -201,3 +259,8 @@ def test_shape_validation():
         UniTriMat([[2, 0], [0, 1]])
     with pytest.raises(ValueError):
         NilMat([[1, 0], [0, 0]])
+    # sizes that disagree are a domain error naming both sizes
+    with pytest.raises(DimensionMismatch, match="3 x 3 matrix for n = 3, got 1 x 1"):
+        LieAut(3, [[1]])
+    with pytest.raises(DimensionMismatch, match="n = 3 with one for n = 4"):
+        LieAut.identity(3).compose(LieAut.identity(4))
