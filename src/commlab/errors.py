@@ -85,3 +85,7 @@ class UnknownInstantiation(CommLabError):
 
 class NotAnAutomorphism(CommLabError):
     code = "NotAnAutomorphism"
+
+
+class ResourceLimit(CommLabError):
+    code = "ResourceLimit"

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterator
 
 from . import hnf
 from .errors import (
@@ -63,8 +62,9 @@ _ZERO = F2LaurentPoly.zero()
 _ONE = F2LaurentPoly.one()
 
 
-def _divisors(n: int) -> Iterator[int]:
-    return (d for d in range(1, n + 1) if n % d == 0)
+def _least_level(m: int, arises_from) -> int:
+    """Least divisor d of m with arises_from(d), else m."""
+    return next((d for d in range(1, m) if m % d == 0 and arises_from(d)), m)
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +206,10 @@ class VDerElt:
     def canonical(self) -> "VDerElt":
         if self.value.is_zero():
             return VDerElt(1, _ZERO)
-        for d in _divisors(self.level):
-            if d == self.level:
-                return self
-            mult = F2LaurentPoly.geometric(d, self.level // d)
-            q = self.value.exact_div(mult)
-            if q is not None:
-                return VDerElt(d, q)
-        return self
+        m = self.level
+        lowered = lambda d: self.value.exact_div(F2LaurentPoly.geometric(d, m // d))
+        d = _least_level(m, lambda d: lowered(d) is not None)
+        return self if d == m else VDerElt(d, lowered(d))
 
     def flip_conj(self) -> "VDerElt":
         """Conjugate by the orientation flip, at the same level."""
@@ -271,16 +267,24 @@ def _min_u_power_poly(d: int, k: int) -> int:
         cur = mask_mod(mask_mul(cur, uk), d)
 
 
-def _mult_by_power_matrix(n: int, m: int) -> PolyMat:
-    """Coordinate matrix of multiplication by t**m at level n (m < n, m | n)."""
-    row0 = [0] * n
-    row1 = [0] * n
-    for j in range(n):
-        if j + m < n:
-            row0[j + m] |= 1 << j
-        else:
-            row1[j + m - n] |= 1 << j
-    return PolyMat(n, (BitMat(n, row0), BitMat(n, row1)))
+def _commutes_with_shift(num: PolyMat, d: int) -> bool:
+    """Whether num commutes with T_d, multiplication by t**d at level m.
+
+    At each power of s, row i of num * T_d is row i moved down d columns,
+    its top d columns from the next lower power; row i of T_d * num is
+    row i - d, taken from the next lower power when i < d.
+    """
+    m = num.n
+    low = (1 << d) - 1
+    zero = (0,) * m
+    prev = zero
+    for cur in [c.rows for c in num.coeffs] + [zero]:
+        for i in range(m):
+            left = cur[i - d] if i >= d else prev[i - d]
+            if (cur[i] >> d) | ((prev[i] & low) << (m - d)) != left:
+                return False
+        prev = cur
+    return True
 
 
 def _reversal_matrices(m: int) -> tuple[PolyMat, PolyMat]:
@@ -318,7 +322,7 @@ class CommInftyElt:
             den >>= low
             num = PolyMat(num.n, num.coeffs, num.shift - low)
         if den != 1 and not num.is_zero():
-            g = mask_gcd(den, num.content_mask())
+            g = num.content_mask(den)
             if g > 1:
                 den = mask_divmod(den, g)[0]
                 gp = F2LaurentPoly._raw(g, 0)
@@ -340,7 +344,10 @@ class CommInftyElt:
         """Build from an array of F2RatFun; raises SingularMatrix if singular."""
         mat = MatF2Rat(entries)
         if mat.nrows != level or mat.ncols != level:
-            raise ValueError("matrix size must equal the level")
+            raise DimensionMismatch(
+                f"level {level} needs a {level} x {level} matrix, "
+                f"got {mat.nrows} x {mat.ncols}"
+            )
         if level and not mat.det():
             raise SingularMatrix("commensuration matrix must be invertible")
         return cls.from_matrix(mat)
@@ -428,26 +435,21 @@ class CommInftyElt:
 
     def canonical(self) -> "CommInftyElt":
         m = self.level
-        for d in _divisors(m):
-            if d == m:
-                return self
-            t_mat = _mult_by_power_matrix(m, d)
-            if not self.num.commutes_with(t_mat):
-                continue
-            k = m // d
-            ents = [[None] * d for _ in range(d)]
-            for i in range(d):
-                for j in range(d):
-                    acc = _ZERO
-                    for a in range(k):
-                        p = self.num.entry(i + d * a, j)
-                        if not p.is_zero():
-                            acc = acc + p.spread(k).shifted(a)
-                    ents[i][j] = acc
-            return CommInftyElt(
-                d, PolyMat.from_entries(d, ents), mask_spread(self.den, k)
-            )
-        return self
+        d = _least_level(m, lambda d: _commutes_with_shift(self.num, d))
+        if d == m:
+            return self
+        # with s = s_d**k, the s_d**(k*e + a) coefficient at level d is rows
+        # d*a, ..., d*a + d - 1 of the s**e coefficient, cut to d columns
+        k = m // d
+        low = (1 << d) - 1
+        seq = [
+            BitMat(d, [c.rows[i + d * a] & low for i in range(d)])
+            for c in self.num.coeffs
+            for a in range(k)
+        ]
+        return CommInftyElt(
+            d, PolyMat(d, seq, self.num.shift * k), mask_spread(self.den, k)
+        )
 
     def compose(self, other: "CommInftyElt") -> "CommInftyElt":
         if self.level != other.level:
@@ -513,8 +515,12 @@ class SubmoduleBasis:
         if level < 1:
             raise ExponentMismatch(f"submodule level must be >= 1, got {level}")
         rows = tuple(tuple(row) for row in rows)
-        if len(rows) != level or any(len(r) != level for r in rows):
-            raise ValueError("basis must be square of size = level")
+        widths = sorted({len(r) for r in rows})
+        if len(rows) != level or widths != [level]:
+            raise DimensionMismatch(
+                f"level {level} needs a {level} x {level} basis, "
+                f"got {len(rows)} rows of lengths {widths}"
+            )
         if not hnf.is_hnf(rows):
             raise ValueError("basis is not in Hermite normal form")
         self.level = level

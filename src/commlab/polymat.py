@@ -166,9 +166,6 @@ class PolyMat:
     def __hash__(self):
         return hash((self.n, self.shift, self.coeffs))
 
-    def commutes_with(self, other: "PolyMat") -> bool:
-        return self * other == other * self
-
     def scalar_mul(self, mask: int) -> "PolyMat":
         """Multiply by the scalar polynomial in u given as a mask."""
         if mask == 0 or self.is_zero():
@@ -227,9 +224,8 @@ class PolyMat:
                     out[i] = out[i] + acc.shifted(power)
         return out
 
-    def content_mask(self) -> int:
-        """gcd of all entry polynomials as a mask (0 for the zero matrix)."""
-        g = 0
+    def content_mask(self, g: int) -> int:
+        """gcd of the mask g and all entry polynomials, as a mask."""
         for i in range(self.n):
             for j in range(self.n):
                 mask = 0
@@ -237,7 +233,7 @@ class PolyMat:
                     if (c.rows[i] >> j) & 1:
                         mask |= 1 << e
                 if mask:
-                    g = mask_gcd(g, mask) if g else mask
+                    g = mask_gcd(g, mask)
                     if g == 1:
                         return 1
         return g

@@ -12,7 +12,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DimensionMismatch, ExponentMismatch, NotAnAutomorphism, SingularMap
+from .errors import (
+    DimensionMismatch,
+    ExponentMismatch,
+    NotAnAutomorphism,
+    ResourceLimit,
+    SingularMap,
+)
 from .matrices import MatQ
 
 # Size bound for unitriangular matrices (factorial denominators grow with it).
@@ -28,9 +34,9 @@ class UniTriMat:
         mat = mat if isinstance(mat, MatQ) else MatQ(mat)
         n = mat.nrows
         if mat.ncols != n:
-            raise ValueError("matrix must be square")
+            raise DimensionMismatch(f"matrix must be square, got {n} x {mat.ncols}")
         if n > DIMENSION_CAP:
-            raise ValueError(f"dimension capped at {DIMENSION_CAP}")
+            raise ResourceLimit(f"dimension capped at {DIMENSION_CAP}, got {n} x {n}")
         for i in range(n):
             if mat.entry(i, i) != 1:
                 raise ValueError("diagonal entries must be 1")
@@ -83,7 +89,7 @@ class NilMat:
         mat = mat if isinstance(mat, MatQ) else MatQ(mat)
         n = mat.nrows
         if mat.ncols != n:
-            raise ValueError("matrix must be square")
+            raise DimensionMismatch(f"matrix must be square, got {n} x {mat.ncols}")
         for i in range(n):
             for j in range(i + 1):
                 if mat.entry(i, j):

@@ -210,6 +210,14 @@ def test_error_exit_codes(capsys, tmp_path):
         (["comm-desc", "inv", "--spec", '{"space":{"N0":0,"N1":0,"dZ":0,"dZ1":0,'
           '"red":"nope"},"a":{"h_central":[],"P":[],"h_10":[],"h_1z":[]}}'],
          "UnknownInstantiation"),
+        (["unipotent", "log", "--matrix", "[[1,1]]"], "DimensionMismatch"),
+        (["lamp", "invert", "--comm", '{"level":2,"der":"0","A":[["1"]],"flip":false}'],
+         "DimensionMismatch"),
+        (["lamp", "quotient-dim", "--submodule", '{"level":2,"H":[["1"]]}', "--m", "2"],
+         "DimensionMismatch"),
+        # a size past the unitriangular cap is a resource limit
+        (["unipotent", "log", "--matrix",
+          json.dumps([[int(i == j) for j in range(13)] for i in range(13)])], "ResourceLimit"),
     ]:
         code = run(argv)
         captured = capsys.readouterr()

@@ -186,6 +186,59 @@ def test_comm_infty_canonical_inverts_raise():
             assert c.raise_to(k * c.level).canonical() == c
 
 
+def _sample_lin(rng, level):
+    """Invertible level-`level` class: a product of elementary matrices
+    with a rational off-diagonal entry or a t-power on the diagonal."""
+    ident = MatF2Rat.identity(level)
+    mat = ident
+    for _ in range(rng.randrange(1, 4)):
+        rows = [list(r) for r in ident.rows]
+        i, j = rng.randrange(level), rng.randrange(level)
+        if i == j:
+            rows[i][i] = R.t_power(rng.choice((-1, 1)))
+        else:
+            rows[i][j] = R(rng.randrange(1, 8), 2 * rng.randrange(4) + 1, rng.randrange(-1, 2))
+        mat = mat * MatF2Rat(rows)
+    return CommInftyElt.from_matrix(mat)
+
+
+def _shift_matrix(m, d):
+    """Multiplication by t**d at level m: t**j -> t**(j+d), or
+    s * t**(j+d-m) once j + d >= m."""
+    rows = [[R.zero()] * m for _ in range(m)]
+    for j in range(m):
+        if j + d < m:
+            rows[j + d][j] = R.one()
+        else:
+            rows[j + d - m][j] = R.t_power(1)
+    return MatF2Rat(rows)
+
+
+def test_comm_infty_canonical_level_is_least_commuting_divisor():
+    # oracle: the least d | m whose shift matrix commutes with the class,
+    # by products over F2(s); inputs mix classes raised from two random
+    # divisor levels, so every level from 1 to m can come out
+    rng = random.Random(65)
+    seen = set()
+    for _ in range(200):
+        m = rng.randrange(2, 13)
+        divs = [d for d in range(1, m + 1) if m % d == 0]
+        lin = _sample_lin(rng, rng.choice(divs)).raise_to(m)
+        lin = lin.compose(_sample_lin(rng, rng.choice(divs)).raise_to(m))
+        if rng.random() < 0.3:
+            lin = lin.flip_conj()
+        a = lin.matrix
+        least = min(
+            d for d in divs if a * _shift_matrix(m, d) == _shift_matrix(m, d) * a
+        )
+        c = lin.canonical()
+        assert c.level == least
+        assert c.canonical() == c
+        assert c.raise_to(m) == lin
+        seen.add((least == 1, least == m))
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
 def test_comm_infty_singular_rejected():
     with pytest.raises(SingularMatrix):
         CommInftyElt.from_entries(2, [["1", "1"], ["1", "1"]])

@@ -4,7 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from commlab.errors import DimensionMismatch, ExponentMismatch, NotAnAutomorphism, SingularMap
+from commlab.errors import (
+    DimensionMismatch,
+    ExponentMismatch,
+    NotAnAutomorphism,
+    ResourceLimit,
+    SingularMap,
+)
 from commlab.matrices import MatQ
 from commlab.unipotent import (
     LieAut,
@@ -259,6 +265,13 @@ def test_shape_validation():
         UniTriMat([[2, 0], [0, 1]])
     with pytest.raises(ValueError):
         NilMat([[1, 0], [0, 0]])
+    with pytest.raises(DimensionMismatch, match="square, got 1 x 2"):
+        UniTriMat([[1, 1]])
+    with pytest.raises(DimensionMismatch, match="square, got 2 x 1"):
+        NilMat([[0], [0]])
+    with pytest.raises(ResourceLimit, match="capped at 12, got 13 x 13"):
+        UniTriMat.identity(13)
+    UniTriMat.identity(12)
     # sizes that disagree are a domain error naming both sizes
     with pytest.raises(DimensionMismatch, match="3 x 3 matrix for n = 3, got 1 x 1"):
         LieAut(3, [[1]])
