@@ -42,6 +42,7 @@ from .errors import (
     NotAHomomorphism,
     NotDivisible,
     OutOfDomain,
+    ResourceLimit,
     SingularMatrix,
 )
 from .f2poly import (
@@ -57,6 +58,10 @@ from .f2poly import (
 from .matrices import MatF2Rat
 from .polymat import BitMat, PolyMat
 from .ratfun import F2RatFun
+
+# The derivation image of a composite or inverse may need a higher level, and
+# the work grows with it (a LEVEL_CAP x LEVEL_CAP matrix over F2(s)).
+LEVEL_CAP = 512
 
 _ZERO = F2LaurentPoly.zero()
 _ONE = F2LaurentPoly.one()
@@ -656,13 +661,14 @@ class LampComm:
         return cls.make(der, lin, flip)
 
 
-def _apply_lin_to_vder(lin: CommInftyElt, value: F2LaurentPoly):
+def _apply_lin_to_vder(lin: CommInftyElt, value: F2LaurentPoly, op: str):
     """Image of a derivation value under an equivariant commensuration.
 
     The image need not lie in K; the result is the least j >= 1 such
     that lin(R_j * value) does, together with that element, where R_j
     is the level-raising multiplier 1 + s + ... + s**(j-1) with
-    s = t**level.
+    s = t**level.  A j with j * level above LEVEL_CAP raises
+    ResourceLimit, naming the operation ``op``.
     """
     m = lin.level
     xs = k_to_coords(value, m)
@@ -676,19 +682,18 @@ def _apply_lin_to_vder(lin: CommInftyElt, value: F2LaurentPoly):
             g = mask_gcd(den, y.mask)
             need = mask_divmod(den, g)[0]
             dreq = mask_lcm(dreq, need)
-    if dreq == 1:
-        j = 1
-    else:
-        j = 1
-        r = mask_mod(1, dreq)
-        spow = mask_mod(2, dreq)
-        cap = 2 << (dreq.bit_length() + 1)
-        while r:
-            r ^= spow
-            spow = mask_mod(mask_mul(spow, 2), dreq)
-            j += 1
-            if j > cap:
-                raise RuntimeError("level search failed to terminate")
+    j = 1
+    r = mask_mod(1, dreq)
+    spow = mask_mod(2, dreq)
+    while r:
+        j += 1
+        if j * m > LEVEL_CAP:
+            raise ResourceLimit(
+                f"work limit: {op} needs a level above {LEVEL_CAP} from level {m} "
+                f"with a denominator of degree {den.bit_length() - 1}"
+            )
+        r ^= spow
+        spow = mask_mod(mask_mul(spow, 2), dreq)
     mult = F2LaurentPoly.geometric(1, j)
     dp = lin.den_poly()
     out = []
@@ -713,7 +718,7 @@ def comm_compose(c1: LampComm, c2: LampComm) -> LampComm:
     if c1.flip:
         d2 = d2.flip_conj()
         a2 = a2.flip_conj()
-    j, applied = _apply_lin_to_vder(a1, d2.value)
+    j, applied = _apply_lin_to_vder(a1, d2.value, "compose")
     lin = a1.compose(a2)
     if j > 1:
         level_j = j * level
@@ -731,7 +736,7 @@ def comm_invert(c: LampComm) -> LampComm:
     a = c.lin.flip_conj() if c.flip else c.lin
     beta = a.inverse()
     v = c.der.flip_conj().value if c.flip else c.der.value
-    j, applied = _apply_lin_to_vder(beta, v)
+    j, applied = _apply_lin_to_vder(beta, v, "invert")
     level = c.level
     if j > 1:
         level *= j

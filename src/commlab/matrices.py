@@ -1,15 +1,17 @@
 """Dense exact matrices over Q and over F2(t).
 
-A subclass fixes the scalar field through the class attributes ``zero``
-and ``one`` and the hooks ``_coerce`` and ``_inv_scalar``.  One forward
-elimination, ``_echelon``, serves every elimination: ``det`` and
-``rank`` read it directly, and ``_rref`` adds back-substitution for
-``inv``, ``solve`` and ``nullspace``.  Products skip zero entries: each
-left row's nonzero entries are collected once, and a term is formed
-only where the column entry is nonzero too, because the unitriangular,
-nilpotent and diagonal matrices of the Q side are mostly zeros.
-Degenerate shapes (0xn, nx0, 0x0) are legal for every operation, so
-zero-dimensional blocks can flow through group-law formulas unchanged.
+A subclass fixes the scalars through the class attributes ``zero`` and
+``one`` and the hook ``_coerce``.  Products and sums need only these, so
+the scalars may be any commutative ring; elimination needs the field
+hook ``_inv_scalar`` too.  One forward elimination, ``_echelon``, serves
+every elimination: ``det`` and ``rank`` read it directly, and ``_rref``
+adds back-substitution for ``inv``, ``solve`` and ``nullspace``.
+Products skip zero entries: each left row's nonzero entries are
+collected once, and a term is formed only where the column entry is
+nonzero too, because the unitriangular, nilpotent and diagonal matrices
+of the Q side are mostly zeros.  Degenerate shapes (0xn, nx0, 0x0) are
+legal for every operation, so zero-dimensional blocks can flow through
+group-law formulas unchanged.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .ratfun import F2RatFun
 
 
 class Mat:
-    """Immutable rectangular matrix over an exact field."""
+    """Immutable rectangular matrix over an exact commutative ring."""
 
     __slots__ = ("rows", "_nc")
 
@@ -125,7 +127,7 @@ class Mat:
             (tuple(a * scalar for a in row) for row in self.rows), ncols=self._nc
         )
 
-    # both fields are commutative, so c * M is M * c
+    # the scalars commute, so c * M is M * c
     __rmul__ = __mul__
 
     def __eq__(self, other):

@@ -37,10 +37,14 @@ from .errors import (
     DimensionMismatch,
     IncompatibleCocycle,
     OutOfDomain,
+    ResourceLimit,
     UnknownInstantiation,
     ZeroInput,
 )
 from .matrices import MatQ
+
+# Bound on the multiplicative order K that bs_comm_domain searches for.
+ORDER_CAP = 4 * 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +141,22 @@ def bs_comm_domain(c: AffineMap, n: int) -> tuple[int, int]:
     translation of c; K is the multiplicative order of n modulo the
     n-coprime denominator of the translation.  Conjugation by c maps
     every element with a in K*Z and b in D*Z[1/n] back into BS(1, n).
+    K is found one power of n at a time, so a K above ORDER_CAP raises
+    ResourceLimit.
     """
     _check_base(n)
     d_r = _n_coprime_denominator(c.r, n)
     d_q = _n_coprime_denominator(c.q, n)
     d = d_r * d_q // math.gcd(d_r, d_q)
-    if d_q == 1:
-        k = 1
-    else:
-        k = 1
-        acc = n % d_q
-        while acc != 1:
-            acc = acc * n % d_q
-            k += 1
+    k, acc = 1, n % d_q
+    while d_q > 1 and acc != 1:
+        if k == ORDER_CAP:
+            raise ResourceLimit(
+                f"work limit: the conjugation domain needs the order of {n} modulo {d_q}, "
+                f"which exceeds {ORDER_CAP}"
+            )
+        acc = acc * n % d_q
+        k += 1
     return k, d
 
 

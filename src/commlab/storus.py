@@ -26,7 +26,7 @@ from .errors import (
     ZeroInput,
 )
 
-_TRIAL_BOUND = 10**6
+TRIAL_BOUND = 10**6
 
 
 def is_prime(n: int) -> bool:
@@ -65,7 +65,7 @@ def squarefree_part(n: int) -> int:
     n = abs(n)
     out = 1
     p = 2
-    while p * p <= n and p <= _TRIAL_BOUND:
+    while p * p <= n and p <= TRIAL_BOUND:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -75,7 +75,7 @@ def squarefree_part(n: int) -> int:
                 out *= p
         p += 1 if p == 2 else 2
     if n > 1:
-        if n <= _TRIAL_BOUND * _TRIAL_BOUND and is_prime(n):
+        if n <= TRIAL_BOUND * TRIAL_BOUND and is_prime(n):
             out *= n
         else:
             r = math.isqrt(n)

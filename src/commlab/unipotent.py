@@ -10,16 +10,20 @@ S-integer points.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import chain
 
 from .errors import (
     DimensionMismatch,
+    ExceedsFactorBound,
     ExponentMismatch,
     NotAnAutomorphism,
     ResourceLimit,
     SingularMap,
 )
-from .matrices import MatQ
+from .matrices import Mat, MatQ
+from .storus import TRIAL_BOUND
 
 # Size bound for unitriangular matrices (factorial denominators grow with it).
 DIMENSION_CAP = 12
@@ -117,30 +121,37 @@ class NilMat:
         return NilMat(self.mat * other.mat - other.mat * self.mat)
 
 
+def _log_series(x):
+    """log(I + x) for a strictly upper triangular x of any ``Mat``
+    subclass: the alternating finite series sum of (-1)**(k+1) x**k / k."""
+    acc = power = x
+    for k in range(2, x.nrows):
+        power = power * x
+        acc = acc + power * Fraction((-1) ** (k + 1), k)
+    return acc
+
+
+def _exp_series(x):
+    """exp(x) for a strictly upper triangular x of any ``Mat`` subclass:
+    the finite series sum of x**k / k!."""
+    acc = type(x).identity(x.nrows) + x
+    power = x
+    fact = 1
+    for k in range(2, x.nrows):
+        power = power * x
+        fact *= k
+        acc = acc + power * Fraction(1, fact)
+    return acc
+
+
 def unitri_log(g: UniTriMat) -> NilMat:
     """Exact logarithm: the alternating finite series in (g - I)."""
-    n = g.n
-    x = g.mat - MatQ.identity(n)
-    acc = MatQ.zeros(n, n)
-    power = x
-    for k in range(1, n):
-        term = power * Fraction((-1) ** (k + 1), k)
-        acc = acc + term
-        power = power * x
-    return NilMat(acc)
+    return NilMat(_log_series(g.mat - MatQ.identity(g.n)))
 
 
 def unitri_exp(x: NilMat) -> UniTriMat:
     """Exact exponential: the finite series sum of x**k / k!."""
-    n = x.n
-    acc = MatQ.identity(n)
-    power = MatQ.identity(n)
-    fact = 1
-    for k in range(1, n):
-        power = power * x.mat
-        fact *= k
-        acc = acc + power * Fraction(1, fact)
-    return UniTriMat(acc)
+    return UniTriMat(_exp_series(x.mat))
 
 
 def pth_root(g: UniTriMat, p: int) -> UniTriMat:
@@ -171,6 +182,23 @@ def is_s_integral(g, primes) -> bool:
 
 def _basis_pairs(n: int):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _from_vec(cls, n: int, vec):
+    """The n x n matrix of a ``Mat`` subclass with coordinates vec in the
+    basis E(i, j), i < j."""
+    rows = [[cls.zero] * n for _ in range(n)]
+    for v, (i, j) in zip(vec, _basis_pairs(n)):
+        rows[i][j] = v
+    return cls(rows)
+
+
+def _apply_map(mat, x):
+    """The linear map with matrix mat applied to x in the basis E(i, j);
+    mat and x share a ``Mat`` subclass."""
+    n = x.nrows
+    image = mat * type(mat).column([x.entry(i, j) for i, j in _basis_pairs(n)])
+    return _from_vec(type(mat), n, [row[0] for row in image.rows])
 
 
 class LieAut:
@@ -216,16 +244,10 @@ class LieAut:
         return [x.mat.entry(i, j) for (i, j) in _basis_pairs(self.n)]
 
     def from_vec(self, vec) -> NilMat:
-        n = self.n
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for v, (i, j) in zip(vec, _basis_pairs(n)):
-            rows[i][j] = Fraction(v)
-        return NilMat(rows)
+        return NilMat(_from_vec(MatQ, self.n, vec))
 
     def apply(self, x: NilMat) -> NilMat:
-        vec = MatQ.column(self.to_vec(x))
-        out = self.mat * vec
-        return self.from_vec([out.entry(i, 0) for i in range(out.nrows)])
+        return NilMat(_apply_map(self.mat, x.mat))
 
     def compose(self, other: "LieAut") -> "LieAut":
         if self.n != other.n:
@@ -295,9 +317,8 @@ class _MPoly:
         c = Fraction(c)
         return cls({(): c} if c else {})
 
-    @classmethod
-    def var(cls, idx: int) -> "_MPoly":
-        return cls({(idx,): Fraction(1)})
+    def __bool__(self):
+        return bool(self.terms)
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -310,10 +331,6 @@ class _MPoly:
         return _MPoly(out)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return _MPoly()
-            return _MPoly({m: c * other for m, c in self.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -325,38 +342,43 @@ class _MPoly:
                     out.pop(m, None)
         return _MPoly(out)
 
-    __rmul__ = __mul__
+
+class _MPolyMat(Mat):
+    """Matrix over the ring of ``_MPoly``; rationals are read as constants.
+    It has no elimination hook: only sums and products are used."""
+
+    __slots__ = ()
+    zero = _MPoly()
+    one = _MPoly.const(1)
+
+    @classmethod
+    def _coerce(cls, x):
+        return x if isinstance(x, _MPoly) else _MPoly.const(x)
 
 
-def _poly_mat_mul(a, b, n):
-    return [
-        [
-            sum((a[i][k] * b[k][j] for k in range(n)), _MPoly())
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+def _prime_factors(n: int, known=()) -> dict:
+    """The factorization {p: multiplicity} of n >= 1.
 
-
-def _factor_multiplicity(den: int, q: int) -> int:
-    v = 0
-    while den % q == 0:
-        den //= q
-        v += 1
-    return v
-
-
-def _prime_factors(n: int) -> set:
-    out = set()
+    The primes in ``known`` are divided out first and the rest is
+    trial-divided up to TRIAL_BOUND.  A remaining factor is prime when it
+    is below the square of the first divisor not tried (about
+    TRIAL_BOUND**2); a larger one raises ExceedsFactorBound.
+    """
+    out = {}
+    for p in known:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
     p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.add(p)
-            while n % p == 0:
-                n //= p
+    while p * p <= n and p <= TRIAL_BOUND:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
         p += 1 if p == 2 else 2
+    if n >= p * p:
+        raise ExceedsFactorBound(f"cannot factor {n}: no prime factor up to {TRIAL_BOUND}")
     if n > 1:
-        out.add(n)
+        out[n] = 1
     return out
 
 
@@ -375,61 +397,19 @@ def congruence_domain(aut: LieAut, primes) -> int:
         raise NotAnAutomorphism("the linear map does not preserve brackets")
     primes = set(primes)
     n = aut.n
-    outside = set()
-    for row in aut.mat.rows:
-        for x in row:
-            outside |= _prime_factors(x.denominator)
-    for k in range(2, n):
-        outside |= _prime_factors(k)
-    outside -= primes
-    # symbolic composite exp(aut(log(I + X)))
-    pairs = _basis_pairs(n)
-    var_of = {pair: idx for idx, pair in enumerate(pairs)}
-    x = [[_MPoly() for _ in range(n)] for _ in range(n)]
-    for (i, j), idx in var_of.items():
-        x[i][j] = _MPoly.var(idx)
-    acc = [[_MPoly() for _ in range(n)] for _ in range(n)]
-    power = x
-    for k in range(1, n):
-        coef = Fraction((-1) ** (k + 1), k)
-        for i in range(n):
-            for j in range(n):
-                acc[i][j] = acc[i][j] + power[i][j] * coef
-        power = _poly_mat_mul(power, x, n)
-    # apply the linear map coefficient-wise
-    lmapped = [[_MPoly() for _ in range(n)] for _ in range(n)]
-    for (i, j), idx in var_of.items():
-        for (i2, j2), idx2 in var_of.items():
-            coef = aut.mat.entry(idx2, idx)
-            if coef:
-                lmapped[i2][j2] = lmapped[i2][j2] + acc[i][j] * coef
-    out = [[_MPoly.const(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    power = [[_MPoly.const(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    fact = 1
-    for k in range(1, n):
-        power = _poly_mat_mul(power, lmapped, n)
-        fact *= k
-        coef = Fraction(1, fact)
-        for i in range(n):
-            for j in range(n):
-                out[i][j] = out[i][j] + power[i][j] * coef
+    dens = {x.denominator for x in chain.from_iterable(aut.mat.rows)} | set(range(2, n))
+    outside = set().union(*(_prime_factors(d, primes) for d in dens)) - primes
+    # the symbolic composite exp(aut(log(I + X))), one variable per entry of X
+    variables = [_MPoly({(idx,): Fraction(1)}) for idx in range(n * (n - 1) // 2)]
+    log = _log_series(_from_vec(_MPolyMat, n, variables))
+    out = _exp_series(_apply_map(_MPolyMat(aut.mat.rows), log))
     # least exponent clearing every coefficient
+    known = primes | outside
     e = 0
-    for i in range(n):
-        for j in range(n):
-            for mono, coef in out[i][j].terms.items():
-                deg = len(mono)
-                den = coef.denominator
-                for q in _prime_factors(den):
-                    if q in primes:
-                        continue
-                    if q not in outside:
-                        raise NotAnAutomorphism(
-                            f"unexpected denominator prime {q}"
-                        )
-                    v = _factor_multiplicity(den, q)
-                    e = max(e, -(-v // deg))  # ceil(v / deg)
-    p_rad = 1
-    for q in sorted(outside):
-        p_rad *= q
-    return p_rad**e if e else 1
+    for row in out.rows:
+        for entry in row:
+            for mono, coef in entry.terms.items():
+                for q, v in _prime_factors(coef.denominator, known).items():
+                    if q in outside:
+                        e = max(e, -(-v // len(mono)))  # ceil(v / deg)
+    return math.prod(outside) ** e

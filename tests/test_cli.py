@@ -1,5 +1,6 @@
 import argparse
 import json
+import time
 
 from commlab.cli import _build_parser, run
 
@@ -218,12 +219,22 @@ def test_error_exit_codes(capsys, tmp_path):
         # a size past the unitriangular cap is a resource limit
         (["unipotent", "log", "--matrix",
           json.dumps([[int(i == j) for j in range(13)] for i in range(13)])], "ResourceLimit"),
+        # so is a search whose work would pass a fixed limit
+        (["lamp", "compose", "--c1", '{"level":1,"der":"0","A":[["1/(1+s^3+s^20)"]],'
+          '"flip":false}', "--c2", '{"level":1,"der":"1","A":[["1"]],"flip":false}'],
+         "ResourceLimit"),
+        (["bs", "domain", "--n", "2", "--r", "1", "--q", "1/10000000019"], "ResourceLimit"),
     ]:
+        start = time.perf_counter()
         code = run(argv)
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
         assert code == 1 and len(lines) == 1 and "Traceback" not in captured.err, argv
         assert json.loads(lines[0])["error"] == error, argv
+        assert time.perf_counter() - start < 10, argv
+    # an order search below the limit still answers
+    assert run(["bs", "domain", "--n", "2", "--r", "1", "--q", "1/1000003"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"D": 1000003, "K": 1000002}
     # a JSON integer field holding a non-integer is malformed, never truncated
     elem = '{"k":"1","n":0}'
     bs_elem = '{"n":2,"a":0,"b":"1"}'

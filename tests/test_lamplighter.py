@@ -9,6 +9,7 @@ from commlab.errors import (
     NotAHomomorphism,
     NotDivisible,
     OutOfDomain,
+    ResourceLimit,
     SingularMatrix,
 )
 from commlab.f2poly import F2LaurentPoly as P
@@ -422,6 +423,24 @@ def test_compose_deepening_with_flip():
     assert comm_compose(comm_invert(comp), comp) == IDENT
     g = LampElement(P([0, 1, 2]) * P([0, 3]), comp.level)
     assert comm_apply(comp, g) == comm_apply(c_den, comm_apply(c_der, g))
+
+
+def test_deepening_past_the_level_cap_is_a_resource_limit():
+    # 1 + s + s^6, 1 + s^2 + s^3 + s^4 + s^8 and 1 + s^3 + s^10 are primitive:
+    # 1 + s + ... + s^(j-1) first cancels one of degree d at j = 2^d - 1
+    c_der = LampComm.from_json({"level": 1, "der": "1", "A": [["1"]], "flip": False})
+
+    def lin(entry):
+        return LampComm.from_json({"level": 1, "der": "0", "A": [[entry]], "flip": False})
+
+    assert comm_compose(lin("1/(1+s+s^6)"), c_der).level == 63
+    assert comm_compose(lin("1/(1+s^2+s^3+s^4+s^8)"), c_der).level == 255
+    with pytest.raises(ResourceLimit, match="compose needs a level above 512 from level 1 "
+                       "with a denominator of degree 10"):
+        comm_compose(lin("1/(1+s^3+s^10)"), c_der)
+    inverse_needs_1023 = {"level": 1, "der": "1", "A": [["1+s^3+s^10"]], "flip": False}
+    with pytest.raises(ResourceLimit, match="invert needs a level above 512"):
+        comm_invert(LampComm.from_json(inverse_needs_1023))
 
 
 # ------------------------------------------------------------------ domains

@@ -1,11 +1,13 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from commlab.errors import (
     DimensionMismatch,
+    ExceedsFactorBound,
     ExponentMismatch,
     NotAnAutomorphism,
     ResourceLimit,
@@ -142,14 +144,19 @@ def graded_inner(rng, n):
     lam[i] * ... * lam[j - 1]."""
     lam = [F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2])) for _ in range(n)]
     scales = [math.prod(lam[i:j]) for i in range(n) for j in range(i + 1, n)]
-    g = rand_unitri(rng, n).mat
+    inner = inner_map(rand_unitri(rng, n).mat)
+    return MatQ([[s * x for x in row] for s, row in zip(scales, inner.rows)])
+
+
+def inner_map(g):
+    """Matrix of x -> g x g**-1, its columns read off to_vec/from_vec."""
+    n = g.nrows
     g_inv = g.inv()
     ident = LieAut.identity(n)
-    cols = []
-    for e in MatQ.identity(len(scales)).rows:
-        image = ident.to_vec(NilMat(g * ident.from_vec(e).mat * g_inv))
-        cols.append([s * x for s, x in zip(scales, image)])
-    return MatQ(cols).transpose()
+    return MatQ([
+        ident.to_vec(NilMat(g * ident.from_vec(e).mat * g_inv))
+        for e in MatQ.identity(n * (n - 1) // 2).rows
+    ]).transpose()
 
 
 def test_lie_aut_check_agrees_with_the_definition():
@@ -229,6 +236,17 @@ def test_congruence_domain_examples():
     assert d == 3
 
 
+def test_congruence_domain_factor_bound():
+    # a prime beyond the trial bound is certified below its square
+    p = 10**12 + 39
+    assert congruence_domain(LieAut.diagonal(3, [F(1, p), F(1, p), 1]), {2}) == p
+    p = 10**14 + 31
+    start = time.perf_counter()
+    with pytest.raises(ExceedsFactorBound, match=f"cannot factor {p}"):
+        congruence_domain(LieAut.diagonal(3, [F(1, p), F(1, p), 1]), {2})
+    assert time.perf_counter() - start < 1
+
+
 def test_congruence_domain_soundness():
     rng = random.Random(45)
     for aut, primes in (
@@ -248,6 +266,124 @@ def test_congruence_domain_soundness():
                     rows[i][j] = d * F(rng.randrange(-6, 7), denom)
             img = comm_from_lie_aut(aut, UniTriMat(rows))
             assert is_s_integral(img, primes)
+
+
+class OraclePoly:
+    """Sparse multivariate polynomial over Q, as a dict from sorted tuples
+    of variable indices to coefficients."""
+
+    def __init__(self, terms=None):
+        self.terms = dict(terms or {})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            c2 = out.get(m, 0) + c
+            if c2:
+                out[m] = c2
+            else:
+                out.pop(m, None)
+        return OraclePoly(out)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, F)):
+            return OraclePoly({m: c * other for m, c in self.terms.items() if other})
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(sorted(m1 + m2))
+                c = out.get(m, 0) + c1 * c2
+                if c:
+                    out[m] = c
+                else:
+                    out.pop(m, None)
+        return OraclePoly(out)
+
+
+def oracle_congruence_domain(aut, primes):
+    """congruence_domain written out with hand-built loops over matrix
+    indices: the log and exp series, the map applied coefficient-wise as
+    image (i2, j2) += aut.mat[(i2, j2), (i, j)] * log (i, j), and the
+    same exponent scan."""
+
+    def mat_mul(a, b):
+        return [[sum((a[i][k] * b[k][j] for k in range(n)), OraclePoly())
+                 for j in range(n)] for i in range(n)]
+
+    def prime_factors(m):
+        out, p = set(), 2
+        while p * p <= m:
+            if m % p == 0:
+                out.add(p)
+                while m % p == 0:
+                    m //= p
+            p += 1
+        return out | ({m} if m > 1 else set())
+
+    def const(c):
+        return OraclePoly({(): F(c)} if c else {})
+
+    n = aut.n
+    outside = set()
+    for row in aut.mat.rows:
+        for x in row:
+            outside |= prime_factors(x.denominator)
+    for k in range(2, n):
+        outside |= prime_factors(k)
+    outside -= primes
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    x = [[OraclePoly() for _ in range(n)] for _ in range(n)]
+    for idx, (i, j) in enumerate(pairs):
+        x[i][j] = OraclePoly({(idx,): F(1)})
+    log = [[OraclePoly() for _ in range(n)] for _ in range(n)]
+    power = x
+    for k in range(1, n):
+        for i in range(n):
+            for j in range(n):
+                log[i][j] = log[i][j] + power[i][j] * F((-1) ** (k + 1), k)
+        power = mat_mul(power, x)
+    image = [[OraclePoly() for _ in range(n)] for _ in range(n)]
+    for idx, (i, j) in enumerate(pairs):
+        for idx2, (i2, j2) in enumerate(pairs):
+            image[i2][j2] = image[i2][j2] + log[i][j] * aut.mat.entry(idx2, idx)
+    out = [[const(int(i == j)) for j in range(n)] for i in range(n)]
+    power = [[const(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n):
+        power = mat_mul(power, image)
+        for i in range(n):
+            for j in range(n):
+                out[i][j] = out[i][j] + power[i][j] * F(1, math.factorial(k))
+    e = 0
+    for i in range(n):
+        for j in range(n):
+            for mono, coef in out[i][j].terms.items():
+                den = coef.denominator
+                for q in prime_factors(den) - primes:
+                    assert q in outside
+                    v = 0
+                    while den % q == 0:
+                        den //= q
+                        v += 1
+                    e = max(e, -(-v // len(mono)))
+    return math.prod(outside) ** e
+
+
+def test_congruence_domain_agrees_with_the_oracle():
+    """Inner maps x -> g x g**-1 and diagonal conjugations, neither of
+    them symmetric in general, so a transposed map is caught."""
+    rng = random.Random(47)
+    answers = set()
+    for n in (3, 4, 5):
+        for _ in range(2):
+            inner = LieAut(n, inner_map(rand_unitri(rng, n, denoms=(1, 2, 3, 5)).mat))
+            d = [F(rng.choice([1, 2, 3, 5, 6, 7]), rng.choice([1, 2, 3, 5])) for _ in range(n)]
+            diagonal = LieAut.diagonal(n, [d[i] / d[j] for i in range(n) for j in range(i + 1, n)])
+            for aut in (inner, diagonal):
+                for primes in (set(), {2}, {3}, {2, 3}):
+                    expected = oracle_congruence_domain(aut, primes)
+                    assert congruence_domain(aut, primes) == expected, (aut.mat, primes)
+                    answers.add(expected)
+    assert min(answers) == 1 and max(answers) > 100, sorted(answers)
 
 
 def test_congruence_domain_rejects_non_automorphism():
