@@ -59,8 +59,9 @@ from .matrices import MatF2Rat
 from .polymat import BitMat, PolyMat
 from .ratfun import F2RatFun
 
-# The derivation image of a composite or inverse may need a higher level, and
-# the work grows with it (a LEVEL_CAP x LEVEL_CAP matrix over F2(s)).
+# Composing at the lcm of two levels, and the derivation image of a composite
+# or inverse, may need a higher level; the work grows with it (a LEVEL_CAP x
+# LEVEL_CAP matrix over F2(s)), so raise_to and the j search stop at the cap.
 LEVEL_CAP = 512
 
 _ZERO = F2LaurentPoly.zero()
@@ -299,9 +300,6 @@ def _reversal_matrices(m: int) -> tuple[PolyMat, PolyMat]:
     bneg = [0] * m
     for j in range(1, m):
         bneg[m - j] |= 1 << j
-    if m == 1:
-        ident = PolyMat.identity(1)
-        return ident, ident
     r = PolyMat(m, (BitMat(m, bneg), BitMat(m, b0)), shift=-1)
     rinv = PolyMat(m, (BitMat(m, b0), BitMat(m, bneg)), shift=0)
     return r, rinv
@@ -320,22 +318,12 @@ class CommInftyElt:
     __slots__ = ("level", "num", "den")
 
     def __init__(self, level: int, num: PolyMat, den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        low = (den & -den).bit_length() - 1
-        if low:
-            den >>= low
-            num = PolyMat(num.n, num.coeffs, num.shift - low)
-        if den != 1 and not num.is_zero():
-            g = num.content_mask(den)
-            if g > 1:
-                den = mask_divmod(den, g)[0]
-                gp = F2LaurentPoly._raw(g, 0)
-                ents = [
-                    [num.entry(i, j).exact_div(gp) for j in range(num.n)]
-                    for i in range(num.n)
-                ]
-                num = PolyMat.from_entries(num.n, ents)
+        """num is the nonzero numerator of an invertible matrix and den
+        has nonzero constant term; their common factor is divided out."""
+        g = num.content_mask(den)
+        if g > 1:
+            den = mask_divmod(den, g)[0]
+            num = num.scalar_div(g)
         self.level = level
         self.num = num
         self.den = den
@@ -347,13 +335,15 @@ class CommInftyElt:
     @classmethod
     def from_entries(cls, level: int, entries) -> "CommInftyElt":
         """Build from an array of F2RatFun; raises SingularMatrix if singular."""
+        if level < 1:
+            raise ExponentMismatch(f"commensuration level must be >= 1, got {level}")
         mat = MatF2Rat(entries)
         if mat.nrows != level or mat.ncols != level:
             raise DimensionMismatch(
                 f"level {level} needs a {level} x {level} matrix, "
                 f"got {mat.nrows} x {mat.ncols}"
             )
-        if level and not mat.det():
+        if not mat.det():
             raise SingularMatrix("commensuration matrix must be invertible")
         return cls.from_matrix(mat)
 
@@ -378,14 +368,9 @@ class CommInftyElt:
     @property
     def matrix(self) -> MatF2Rat:
         m = self.level
+        entries = ((self.num.entry(i, j) for j in range(m)) for i in range(m))
         return MatF2Rat._raw(
-            (
-                tuple(
-                    F2RatFun(self.num.entry(i, j).mask, self.den, self.num.entry(i, j).shift)
-                    for j in range(m)
-                )
-                for i in range(m)
-            ),
+            (tuple(F2RatFun(p.mask, self.den, p.shift) for p in row) for row in entries),
             ncols=m,
         )
 
@@ -398,6 +383,11 @@ class CommInftyElt:
             return self
         if n % m:
             raise NotDivisible(f"{m} does not divide {n}")
+        if n > LEVEL_CAP:
+            raise ResourceLimit(
+                f"work limit: raising a linear part from level {m} to level {n} "
+                f"passes {LEVEL_CAP}"
+            )
         k = n // m
         if self.den == 1:
             dw = 1
@@ -411,8 +401,6 @@ class CommInftyElt:
                     f"{self.den.bit_length() - 1} does not divide its multiple"
                 )
             nn = self.num.scalar_mul(e)
-        if nn.is_zero():
-            return CommInftyElt(n, PolyMat.zero(n), dw)
         coeffs = {}
         for ci, bm in enumerate(nn.coeffs):
             if bm.is_zero():
@@ -469,13 +457,13 @@ class CommInftyElt:
     def flip_conj(self) -> "CommInftyElt":
         m = self.level
         coeffs = tuple(reversed(self.num.coeffs))
-        shift = -(self.num.shift + len(self.num.coeffs) - 1) if coeffs else 0
-        sig = PolyMat(m, coeffs, shift)
-        dr = mask_reverse(self.den) if self.den != 1 else 1
-        extra = self.den.bit_length() - 1
+        sig = PolyMat(m, coeffs, -(self.num.shift + len(coeffs) - 1))
         r, rinv = _reversal_matrices(m)
         num = r * sig * rinv
-        return CommInftyElt(m, PolyMat(num.n, num.coeffs, num.shift + extra), dr)
+        extra = self.den.bit_length() - 1
+        return CommInftyElt(
+            m, PolyMat(m, num.coeffs, num.shift + extra), mask_reverse(self.den)
+        )
 
     def apply(self, k: F2LaurentPoly):
         """Image of a K element, or None when it is outside the domain."""
@@ -719,16 +707,10 @@ def comm_compose(c1: LampComm, c2: LampComm) -> LampComm:
         d2 = d2.flip_conj()
         a2 = a2.flip_conj()
     j, applied = _apply_lin_to_vder(a1, d2.value, "compose")
-    lin = a1.compose(a2)
-    if j > 1:
-        level_j = j * level
-        lin = lin.raise_to(level_j)
-        v1 = d1.raise_to(level_j).value
-        level = level_j
-    else:
-        v1 = d1.value
+    # the linear part stays at this level: make() lowers it to its least level
+    d1 = d1.raise_to(j * level)
     return LampComm.make(
-        VDerElt(level, v1 + applied), lin, c1.flip != c2.flip
+        VDerElt(d1.level, d1.value + applied), a1.compose(a2), c1.flip != c2.flip
     )
 
 
@@ -737,11 +719,7 @@ def comm_invert(c: LampComm) -> LampComm:
     beta = a.inverse()
     v = c.der.flip_conj().value if c.flip else c.der.value
     j, applied = _apply_lin_to_vder(beta, v, "invert")
-    level = c.level
-    if j > 1:
-        level *= j
-        beta = beta.raise_to(level)
-    return LampComm.make(VDerElt(level, applied), beta, c.flip)
+    return LampComm.make(VDerElt(j * c.level, applied), beta, c.flip)
 
 
 def comm_apply(c: LampComm, g: LampElement) -> LampElement:

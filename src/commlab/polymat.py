@@ -104,10 +104,6 @@ class PolyMat:
         self.shift = shift if coeffs else 0
 
     @classmethod
-    def zero(cls, n: int) -> "PolyMat":
-        return cls(n, ())
-
-    @classmethod
     def identity(cls, n: int) -> "PolyMat":
         return cls(n, (BitMat.identity(n),))
 
@@ -115,30 +111,9 @@ class PolyMat:
     def constant(cls, bm: BitMat) -> "PolyMat":
         return cls(bm.n, (bm,))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        if not isinstance(other, PolyMat):
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        lo = min(self.shift, other.shift)
-        hi = max(self.shift + len(self.coeffs), other.shift + len(other.coeffs))
-        out = [BitMat.zero(self.n) for _ in range(hi - lo)]
-        for i, c in enumerate(self.coeffs):
-            out[self.shift - lo + i] = out[self.shift - lo + i] + c
-        for i, c in enumerate(other.coeffs):
-            out[other.shift - lo + i] = out[other.shift - lo + i] + c
-        return PolyMat(self.n, out, lo)
-
     def __mul__(self, other):
         if not isinstance(other, PolyMat):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return PolyMat.zero(self.n)
         la, lb = len(self.coeffs), len(other.coeffs)
         out = [None] * (la + lb - 1)
         for i, a in enumerate(self.coeffs):
@@ -167,9 +142,7 @@ class PolyMat:
         return hash((self.n, self.shift, self.coeffs))
 
     def scalar_mul(self, mask: int) -> "PolyMat":
-        """Multiply by the scalar polynomial in u given as a mask."""
-        if mask == 0 or self.is_zero():
-            return PolyMat.zero(self.n)
+        """Multiply by the nonzero scalar polynomial in u given as a mask."""
         out = [BitMat.zero(self.n) for _ in range(len(self.coeffs) + mask.bit_length() - 1)]
         m = mask
         while m:
@@ -179,6 +152,22 @@ class PolyMat:
                 out[i + k] = out[i + k] + c
             m &= m - 1
         return PolyMat(self.n, out, self.shift)
+
+    def scalar_div(self, mask: int) -> "PolyMat":
+        """Exact quotient by the scalar polynomial in u given as an odd mask.
+
+        The inverse of scalar_mul: the quotient coefficients Q_e solve
+        N_e = sum of Q_(e-k) over the terms u**k of the mask, in order of e.
+        """
+        taps = [k for k in range(1, mask.bit_length()) if mask >> k & 1]
+        out = []
+        for e in range(len(self.coeffs) - mask.bit_length() + 1):
+            rows = self.coeffs[e].rows
+            for k in taps:
+                if k <= e:
+                    rows = [a ^ b for a, b in zip(rows, out[e - k])]
+            out.append(rows)
+        return PolyMat(self.n, (BitMat(self.n, r) for r in out), self.shift)
 
     def entry(self, i: int, j: int) -> F2LaurentPoly:
         mask = 0
@@ -192,8 +181,6 @@ class PolyMat:
         """Build from an n x n array of F2LaurentPoly."""
         polys = [[entries[i][j] for j in range(n)] for i in range(n)]
         nonzero = [p for row in polys for p in row if not p.is_zero()]
-        if not nonzero:
-            return cls.zero(n)
         lo = min(p.shift for p in nonzero)
         hi = max(p.shift + p.mask.bit_length() for p in nonzero)
         rows = [[0] * n for _ in range(hi - lo)]

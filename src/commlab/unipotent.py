@@ -23,7 +23,7 @@ from .errors import (
     SingularMap,
 )
 from .matrices import Mat, MatQ
-from .storus import TRIAL_BOUND
+from .storus import TRIAL_BOUND, prime_factors
 
 # Size bound for unitriangular matrices (factorial denominators grow with it).
 DIMENSION_CAP = 12
@@ -356,30 +356,13 @@ class _MPolyMat(Mat):
         return x if isinstance(x, _MPoly) else _MPoly.const(x)
 
 
-def _prime_factors(n: int, known=()) -> dict:
-    """The factorization {p: multiplicity} of n >= 1.
-
-    The primes in ``known`` are divided out first and the rest is
-    trial-divided up to TRIAL_BOUND.  A remaining factor is prime when it
-    is below the square of the first divisor not tried (about
-    TRIAL_BOUND**2); a larger one raises ExceedsFactorBound.
-    """
-    out = {}
-    for p in known:
-        while n % p == 0:
-            n //= p
-            out[p] = out.get(p, 0) + 1
-    p = 2
-    while p * p <= n and p <= TRIAL_BOUND:
-        while n % p == 0:
-            n //= p
-            out[p] = out.get(p, 0) + 1
-        p += 1 if p == 2 else 2
-    if n >= p * p:
-        raise ExceedsFactorBound(f"cannot factor {n}: no prime factor up to {TRIAL_BOUND}")
-    if n > 1:
-        out[n] = 1
-    return out
+def _factored(n: int, known=()) -> dict:
+    """The factorization of n by prime_factors; ExceedsFactorBound if it
+    leaves a cofactor."""
+    factors, rest = prime_factors(n, known)
+    if rest > 1:
+        raise ExceedsFactorBound(f"cannot factor {rest}: no prime factor up to {TRIAL_BOUND}")
+    return factors
 
 
 def congruence_domain(aut: LieAut, primes) -> int:
@@ -398,7 +381,7 @@ def congruence_domain(aut: LieAut, primes) -> int:
     primes = set(primes)
     n = aut.n
     dens = {x.denominator for x in chain.from_iterable(aut.mat.rows)} | set(range(2, n))
-    outside = set().union(*(_prime_factors(d, primes) for d in dens)) - primes
+    outside = set().union(*(_factored(d, primes) for d in dens)) - primes
     # the symbolic composite exp(aut(log(I + X))), one variable per entry of X
     variables = [_MPoly({(idx,): Fraction(1)}) for idx in range(n * (n - 1) // 2)]
     log = _log_series(_from_vec(_MPolyMat, n, variables))
@@ -409,7 +392,7 @@ def congruence_domain(aut: LieAut, primes) -> int:
     for row in out.rows:
         for entry in row:
             for mono, coef in entry.terms.items():
-                for q, v in _prime_factors(coef.denominator, known).items():
+                for q, v in _factored(coef.denominator, known).items():
                     if q in outside:
                         e = max(e, -(-v // len(mono)))  # ceil(v / deg)
     return math.prod(outside) ** e

@@ -162,6 +162,15 @@ def test_solve_inner_command(capsys):
     assert code == 0 and out == ["1", "1"]
 
 
+def _least_level_class(level):
+    """JSON of the level-`level` class with derivation t^(level - 1) and
+    identity linear part; it arises from no lower level."""
+    ident = [["1" if i == j else "0" for j in range(level)] for i in range(level)]
+    return json.dumps(
+        {"level": level, "der": f"t^{level - 1}", "A": ident, "flip": False}
+    )
+
+
 def test_error_exit_codes(capsys, tmp_path):
     bad = '{"level":1,"der":"0","A":[["(1)/(1+s)"]],"flip":false}'
     code = run(["lamp", "apply", "--comm", bad, "--elem", '{"k":"1","n":0}'])
@@ -224,6 +233,9 @@ def test_error_exit_codes(capsys, tmp_path):
           '"flip":false}', "--c2", '{"level":1,"der":"1","A":[["1"]],"flip":false}'],
          "ResourceLimit"),
         (["bs", "domain", "--n", "2", "--r", "1", "--q", "1/10000000019"], "ResourceLimit"),
+        # a composite of coprime levels 31 and 37 would work at level 1147
+        (["lamp", "compose", "--c1", _least_level_class(31), "--c2", _least_level_class(37)],
+         "ResourceLimit"),
     ]:
         start = time.perf_counter()
         code = run(argv)

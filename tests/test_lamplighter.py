@@ -1,7 +1,10 @@
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commlab.errors import (
     DimensionMismatch,
@@ -13,7 +16,7 @@ from commlab.errors import (
     SingularMatrix,
 )
 from commlab.f2poly import F2LaurentPoly as P
-from commlab.f2poly import mask_mul
+from commlab.f2poly import mask_divmod, mask_mul
 from commlab.lamplighter import (
     CommInftyElt,
     LampComm,
@@ -30,6 +33,7 @@ from commlab.lamplighter import (
     theta_sign,
 )
 from commlab.matrices import MatF2Rat
+from commlab.polymat import PolyMat
 from commlab.ratfun import F2RatFun as R
 from samplers import random_comm, random_element, random_submodule
 
@@ -240,6 +244,45 @@ def test_comm_infty_canonical_level_is_least_commuting_divisor():
     assert seen == {(True, False), (False, False), (False, True)}
 
 
+def _lowest_terms_by_entries(num, den):
+    """Oracle: divide the common factor of num and den out of every entry
+    polynomial and rebuild the numerator from the quotients."""
+    g = num.content_mask(den)
+    if g == 1:
+        return num, den
+    gp = P._raw(g, 0)
+    ents = [[num.entry(i, j).exact_div(gp) for j in range(num.n)] for i in range(num.n)]
+    return PolyMat.from_entries(num.n, ents), mask_divmod(den, g)[0]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(0, 2**32))
+def test_comm_infty_is_kept_in_lowest_terms(seed):
+    # every linear part built on the way is checked against the oracle
+    built = []
+    init = CommInftyElt.__init__
+
+    def recording_init(self, level, num, den=1):
+        init(self, level, num, den)
+        built.append((num, den, self.num, self.den))
+
+    rng = random.Random(seed)
+    with mock.patch.object(CommInftyElt, "__init__", recording_init):
+        c1, c2 = random_comm(rng), random_comm(rng)
+        # a denominator and its inverse's cancel down to the identity
+        lin = c1.lin
+        assert lin.compose(lin.inverse()) == CommInftyElt.identity(lin.level)
+        LampComm.from_json(c1.to_json())
+        comm_compose(c1, c2)
+        comm_invert(c2)
+        raised = c1.lin.flip_conj().raise_to(2 * c1.level)
+        raised.canonical()
+    assert built
+    for num, den, out_num, out_den in built:
+        assert out_den & 1 and out_num.content_mask(out_den) == 1
+        assert (out_num, out_den) == _lowest_terms_by_entries(num, den)
+
+
 def test_comm_infty_singular_rejected():
     with pytest.raises(SingularMatrix):
         CommInftyElt.from_entries(2, [["1", "1"], ["1", "1"]])
@@ -441,6 +484,9 @@ def test_deepening_past_the_level_cap_is_a_resource_limit():
     inverse_needs_1023 = {"level": 1, "der": "1", "A": [["1+s^3+s^10"]], "flip": False}
     with pytest.raises(ResourceLimit, match="invert needs a level above 512"):
         comm_invert(LampComm.from_json(inverse_needs_1023))
+    # raising a linear part has the same cap, whatever the answer's level
+    with pytest.raises(ResourceLimit, match="from level 31 to level 1147 passes 512"):
+        CommInftyElt.identity(31).raise_to(31 * 37)
 
 
 # ------------------------------------------------------------------ domains
