@@ -3,9 +3,11 @@ S-arithmetic groups.
 
 Subpackage map:
 
-* ``f2poly``, ``ratfun``, ``matrices``, ``hnf`` -- the exact-arithmetic
-  substrate: F2 Laurent polynomials, the field F2(t), rational and
-  function-field matrices, and Hermite normal forms over F2[s, 1/s];
+* ``f2poly``, ``ratfun``, ``polymat``, ``matrices``, ``hnf`` -- the
+  exact-arithmetic substrate: F2 Laurent polynomials, the field F2(t),
+  F2 matrices as tuples of int row masks and matrix polynomials over
+  F2[u, 1/u], rational and function-field matrices, and Hermite normal
+  forms over F2[s, 1/s];
 * ``lamplighter`` -- the lamplighter group and its commensurations in
   canonical (derivation, equivariant matrix, flip) coordinates;
 * ``storus`` -- S-arithmetic ranks of quadratic tori with a p-adic
@@ -14,6 +16,7 @@ Subpackage map:
   roots, S-integrality, Lie-algebra automorphisms;
 * ``solvable`` -- Baumslag-Solitar commensurations, the
   inner-derivation solver, and the iterated semidirect-product law;
+* ``errors`` -- the domain errors, each with the code the CLI reports;
 * ``cli`` -- the ``comm-lab`` command-line interface.
 """
 

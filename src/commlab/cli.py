@@ -26,7 +26,6 @@ from . import lamplighter as lamp
 from . import solvable, storus, unipotent
 from .errors import CommLabError, ZeroInput
 from .matrices import MatQ
-from .polymat import BitMat
 from .solvable import AffineMap, BSElement, CommDesc, CommSpace
 from .unipotent import LieAut, NilMat, UniTriMat
 
@@ -206,9 +205,9 @@ def _demo_torus_example(_seed: int) -> bool:
 def _demo_lamplighter_gl_embed(_seed: int) -> bool:
     mats = []
     for bits in itertools.product([0, 1], repeat=4):
-        rows = [list(bits[:2]), list(bits[2:])]
-        if BitMat.from_lists(rows).is_invertible():
-            mats.append(rows)
+        a, b, c, d = bits
+        if a * d ^ b * c:
+            mats.append([[a, b], [c, d]])
     ok = _check("GL_2(F2) has 6 elements", len(mats) == 6)
     embeds = [lamp.diagonal_embed(2, m) for m in mats]
     ok &= _check("the embedding is injective", len(set(embeds)) == 6)
@@ -405,7 +404,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone; point stdout at devnull so that the
+        # flush at interpreter exit cannot fail again and print a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -56,7 +56,7 @@ from .f2poly import (
     mask_spread,
 )
 from .matrices import MatF2Rat
-from .polymat import BitMat, PolyMat
+from .polymat import PolyMat, f2_rank
 from .ratfun import F2RatFun
 
 # Composing at the lcm of two levels, and the derivation image of a composite
@@ -273,38 +273,6 @@ def _min_u_power_poly(d: int, k: int) -> int:
         cur = mask_mod(mask_mul(cur, uk), d)
 
 
-def _commutes_with_shift(num: PolyMat, d: int) -> bool:
-    """Whether num commutes with T_d, multiplication by t**d at level m.
-
-    At each power of s, row i of num * T_d is row i moved down d columns,
-    its top d columns from the next lower power; row i of T_d * num is
-    row i - d, taken from the next lower power when i < d.
-    """
-    m = num.n
-    low = (1 << d) - 1
-    zero = (0,) * m
-    prev = zero
-    for cur in [c.rows for c in num.coeffs] + [zero]:
-        for i in range(m):
-            left = cur[i - d] if i >= d else prev[i - d]
-            if (cur[i] >> d) | ((prev[i] & low) << (m - d)) != left:
-                return False
-        prev = cur
-    return True
-
-
-def _reversal_matrices(m: int) -> tuple[PolyMat, PolyMat]:
-    """The basis reversal R and its inverse R**-1 = R(1/s) at level m."""
-    b0 = [0] * m
-    b0[0] = 1
-    bneg = [0] * m
-    for j in range(1, m):
-        bneg[m - j] |= 1 << j
-    r = PolyMat(m, (BitMat(m, bneg), BitMat(m, b0)), shift=-1)
-    rinv = PolyMat(m, (BitMat(m, b0), BitMat(m, bneg)), shift=0)
-    return r, rinv
-
-
 class CommInftyElt:
     """Equivariant commensuration of K with an F2[t**m, t**-m]-linear
     representative, stored as num/den with num a matrix polynomial and
@@ -401,48 +369,15 @@ class CommInftyElt:
                     f"{self.den.bit_length() - 1} does not divide its multiple"
                 )
             nn = self.num.scalar_mul(e)
-        coeffs = {}
-        for ci, bm in enumerate(nn.coeffs):
-            if bm.is_zero():
-                continue
-            c = nn.shift + ci
-            for a2 in range(k):
-                a = (c + a2) % k
-                e = (c + a2 - a) // k
-                rows = coeffs.get(e)
-                if rows is None:
-                    rows = [0] * n
-                    coeffs[e] = rows
-                off_r = m * a
-                off_c = m * a2
-                for j in range(m):
-                    if bm.rows[j]:
-                        rows[j + off_r] ^= bm.rows[j] << off_c
-        lo = min(coeffs)
-        hi = max(coeffs)
-        seq = [
-            BitMat(n, coeffs[e]) if e in coeffs else BitMat.zero(n)
-            for e in range(lo, hi + 1)
-        ]
-        return CommInftyElt(n, PolyMat(n, seq, lo), dw)
+        return CommInftyElt(n, nn.raised(k), dw)
 
     def canonical(self) -> "CommInftyElt":
         m = self.level
-        d = _least_level(m, lambda d: _commutes_with_shift(self.num, d))
+        d = _least_level(m, self.num.commutes_with)
         if d == m:
             return self
-        # with s = s_d**k, the s_d**(k*e + a) coefficient at level d is rows
-        # d*a, ..., d*a + d - 1 of the s**e coefficient, cut to d columns
         k = m // d
-        low = (1 << d) - 1
-        seq = [
-            BitMat(d, [c.rows[i + d * a] & low for i in range(d)])
-            for c in self.num.coeffs
-            for a in range(k)
-        ]
-        return CommInftyElt(
-            d, PolyMat(d, seq, self.num.shift * k), mask_spread(self.den, k)
-        )
+        return CommInftyElt(d, self.num.lowered(k), mask_spread(self.den, k))
 
     def compose(self, other: "CommInftyElt") -> "CommInftyElt":
         if self.level != other.level:
@@ -455,15 +390,10 @@ class CommInftyElt:
         return CommInftyElt.from_matrix(self.matrix.inv())
 
     def flip_conj(self) -> "CommInftyElt":
-        m = self.level
-        coeffs = tuple(reversed(self.num.coeffs))
-        sig = PolyMat(m, coeffs, -(self.num.shift + len(coeffs) - 1))
-        r, rinv = _reversal_matrices(m)
-        num = r * sig * rinv
-        extra = self.den.bit_length() - 1
-        return CommInftyElt(
-            m, PolyMat(m, num.coeffs, num.shift + extra), mask_reverse(self.den)
-        )
+        # A(1/s) = N(1/s) * s**deg / (s**deg * D(1/s)), and s**deg * D(1/s)
+        # is the reversed denominator
+        num = self.num.flip().scalar_mul(1 << (self.den.bit_length() - 1))
+        return CommInftyElt(self.level, num, mask_reverse(self.den))
 
     def apply(self, k: F2LaurentPoly):
         """Image of a K element, or None when it is outside the domain."""
@@ -775,12 +705,10 @@ def diagonal_embed(n: int, rows) -> LampComm:
         for j, v in enumerate(row):
             if v not in (0, 1):
                 raise ValueError(f"entry ({i}, {j}) is {v!r}, not 0 or 1")
-    bm = BitMat.from_lists(rows)
-    if not bm.is_invertible():
+    masks = tuple(sum(v << j for j, v in enumerate(row)) for row in rows)
+    if f2_rank(masks) < n:
         raise SingularMatrix("matrix is not invertible over F2")
-    return LampComm.make(
-        VDerElt.zero(), CommInftyElt(n, PolyMat.constant(bm)), False
-    )
+    return LampComm.make(VDerElt.zero(), CommInftyElt(n, PolyMat(n, (masks,))), False)
 
 
 def comm_from_partial(

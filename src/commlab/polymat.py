@@ -1,70 +1,17 @@
-"""Bit-packed matrices over F2 and matrix-valued polynomials.
+"""Matrix polynomials over F2[u, 1/u], stored coefficient by coefficient.
 
-A BitMat stores one Python int per row (bit j of row i is the (i, j)
+An F2 matrix is a tuple of n int row masks (bit j of row i is the (i, j)
 entry), so F2 matrix products are a handful of shifts and xors.  A
-PolyMat is a Laurent polynomial whose coefficients are BitMats; it
-represents a square matrix over F2[u, 1/u] coefficient-by-coefficient,
-which keeps products of large equivariant-commensuration matrices fast.
+PolyMat is a Laurent polynomial in u whose coefficients are such tuples;
+it represents an n x n matrix over F2[u, 1/u], which keeps products of
+large equivariant-commensuration matrices fast.  Only this module reads
+the rows of a coefficient, so the level changes, shift commute test and
+basis-reversal conjugation that the lamplighter module needs live here.
 """
 
 from __future__ import annotations
 
 from .f2poly import F2LaurentPoly, mask_gcd
-
-
-class BitMat:
-    """Square matrix over F2, one int mask per row."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, n: int, rows):
-        self.n = n
-        self.rows = tuple(rows)
-        if len(self.rows) != n:
-            raise ValueError("row count mismatch")
-
-    @classmethod
-    def zero(cls, n: int) -> "BitMat":
-        return cls(n, (0,) * n)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMat":
-        return cls(n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def from_lists(cls, rows) -> "BitMat":
-        n = len(rows)
-        return cls(n, tuple(sum((1 << j) for j, v in enumerate(r) if v & 1) for r in rows))
-
-    def is_zero(self) -> bool:
-        return not any(self.rows)
-
-    def __add__(self, other):
-        return BitMat(self.n, tuple(a ^ b for a, b in zip(self.rows, other.rows)))
-
-    def __mul__(self, other):
-        out = []
-        brows = other.rows
-        for a in self.rows:
-            acc = 0
-            while a:
-                low = a & -a
-                acc ^= brows[low.bit_length() - 1]
-                a &= a - 1
-            out.append(acc)
-        return BitMat(self.n, out)
-
-    def __eq__(self, other):
-        return isinstance(other, BitMat) and self.n == other.n and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
-
-    def rank(self) -> int:
-        return f2_rank(self.rows)
-
-    def is_invertible(self) -> bool:
-        return self.rank() == self.n
 
 
 def f2_rank(masks) -> int:
@@ -83,10 +30,28 @@ def f2_rank(masks) -> int:
     return rank
 
 
-class PolyMat:
-    """Square-matrix-valued Laurent polynomial: sum of coeffs[i] * u**(shift+i).
+def _mat_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two F2 matrices given as row-mask tuples."""
+    out = []
+    for r in a:
+        acc = 0
+        while r:
+            low = r & -r
+            acc ^= b[low.bit_length() - 1]
+            r &= r - 1
+        out.append(acc)
+    return tuple(out)
 
-    Normal form: the coefficient list is empty (the zero matrix) or has
+
+def _mat_add(a: tuple, b: tuple) -> tuple:
+    return tuple(x ^ y for x, y in zip(a, b))
+
+
+class PolyMat:
+    """Square-matrix-valued Laurent polynomial: sum of coeffs[i] * u**(shift+i),
+    each coefficient a tuple of n row masks.
+
+    Normal form: the coefficient tuple is empty (the zero matrix) or has
     nonzero first and last coefficient.
     """
 
@@ -94,10 +59,10 @@ class PolyMat:
 
     def __init__(self, n: int, coeffs, shift: int = 0):
         coeffs = list(coeffs)
-        while coeffs and coeffs[0].is_zero():
+        while coeffs and not any(coeffs[0]):
             coeffs.pop(0)
             shift += 1
-        while coeffs and coeffs[-1].is_zero():
+        while coeffs and not any(coeffs[-1]):
             coeffs.pop()
         self.n = n
         self.coeffs = tuple(coeffs)
@@ -105,29 +70,23 @@ class PolyMat:
 
     @classmethod
     def identity(cls, n: int) -> "PolyMat":
-        return cls(n, (BitMat.identity(n),))
-
-    @classmethod
-    def constant(cls, bm: BitMat) -> "PolyMat":
-        return cls(bm.n, (bm,))
+        return cls(n, (tuple(1 << i for i in range(n)),))
 
     def __mul__(self, other):
         if not isinstance(other, PolyMat):
             return NotImplemented
-        la, lb = len(self.coeffs), len(other.coeffs)
-        out = [None] * (la + lb - 1)
+        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+            if not any(a):
                 continue
             for j, b in enumerate(other.coeffs):
-                if b.is_zero():
+                if not any(b):
                     continue
-                p = a * b
-                out[i + j] = p if out[i + j] is None else out[i + j] + p
-        zero = BitMat.zero(self.n)
+                p = _mat_mul(a, b)
+                out[i + j] = p if out[i + j] is None else _mat_add(out[i + j], p)
+        zero = (0,) * self.n
         return PolyMat(
-            self.n, (c if c is not None else zero for c in out),
-            self.shift + other.shift,
+            self.n, (zero if c is None else c for c in out), self.shift + other.shift
         )
 
     def __eq__(self, other):
@@ -143,13 +102,13 @@ class PolyMat:
 
     def scalar_mul(self, mask: int) -> "PolyMat":
         """Multiply by the nonzero scalar polynomial in u given as a mask."""
-        out = [BitMat.zero(self.n) for _ in range(len(self.coeffs) + mask.bit_length() - 1)]
+        out = [(0,) * self.n] * (len(self.coeffs) + mask.bit_length() - 1)
         m = mask
         while m:
             low = m & -m
             k = low.bit_length() - 1
             for i, c in enumerate(self.coeffs):
-                out[i + k] = out[i + k] + c
+                out[i + k] = _mat_add(out[i + k], c)
             m &= m - 1
         return PolyMat(self.n, out, self.shift)
 
@@ -162,17 +121,17 @@ class PolyMat:
         taps = [k for k in range(1, mask.bit_length()) if mask >> k & 1]
         out = []
         for e in range(len(self.coeffs) - mask.bit_length() + 1):
-            rows = self.coeffs[e].rows
+            rows = self.coeffs[e]
             for k in taps:
                 if k <= e:
-                    rows = [a ^ b for a, b in zip(rows, out[e - k])]
+                    rows = _mat_add(rows, out[e - k])
             out.append(rows)
-        return PolyMat(self.n, (BitMat(self.n, r) for r in out), self.shift)
+        return PolyMat(self.n, out, self.shift)
 
     def entry(self, i: int, j: int) -> F2LaurentPoly:
         mask = 0
         for e, c in enumerate(self.coeffs):
-            if (c.rows[i] >> j) & 1:
+            if (c[i] >> j) & 1:
                 mask |= 1 << e
         return F2LaurentPoly._raw(mask, self.shift)
 
@@ -192,7 +151,7 @@ class PolyMat:
                     low = m & -m
                     rows[base + low.bit_length() - 1][i] |= 1 << j
                     m &= m - 1
-        return cls(n, (BitMat(n, r) for r in rows), lo)
+        return cls(n, map(tuple, rows), lo)
 
     def apply(self, vec) -> list[F2LaurentPoly]:
         """Matrix action on a length-n vector of F2LaurentPoly (in u)."""
@@ -200,7 +159,7 @@ class PolyMat:
         out = [zero] * self.n
         for e, c in enumerate(self.coeffs):
             power = self.shift + e
-            for i, rowmask in enumerate(c.rows):
+            for i, rowmask in enumerate(c):
                 acc = zero
                 m = rowmask
                 while m:
@@ -217,10 +176,86 @@ class PolyMat:
             for j in range(self.n):
                 mask = 0
                 for e, c in enumerate(self.coeffs):
-                    if (c.rows[i] >> j) & 1:
+                    if (c[i] >> j) & 1:
                         mask |= 1 << e
                 if mask:
                     g = mask_gcd(g, mask)
                     if g == 1:
                         return 1
         return g
+
+    # ------------------------------------------------------------------
+    # the F2-linear map on coordinates: u is the shift by n coordinates
+
+    def commutes_with(self, d: int) -> bool:
+        """Whether the matrix commutes with T_d, the shift by d coordinates:
+        e_i goes to e_(i+d) when i + d < n, else to u * e_(i+d-n).
+
+        At each power of u, row i of self * T_d is row i moved down d
+        columns, its top d columns from the next lower power; row i of
+        T_d * self is row i - d, taken from the next lower power when i < d.
+        """
+        n = self.n
+        low = (1 << d) - 1
+        zero = (0,) * n
+        prev = zero
+        for cur in self.coeffs + (zero,):
+            for i in range(n):
+                left = cur[i - d] if i >= d else prev[i - d]
+                if (cur[i] >> d) | ((prev[i] & low) << (n - d)) != left:
+                    return False
+            prev = cur
+        return True
+
+    def raised(self, k: int) -> "PolyMat":
+        """The same map as an (n*k) x (n*k) matrix over F2[w, 1/w], w = u**k.
+
+        Coordinate j + n*a with 0 <= a < k is coordinate j times u**a, so
+        the u**c coefficient is the block at rows n*a and columns n*a2 of
+        the w**e coefficient wherever c + a2 = a + k*e.
+        """
+        n = self.n
+        coeffs = {}
+        for ci, rows in enumerate(self.coeffs):
+            c = self.shift + ci
+            for a2 in range(k):
+                a = (c + a2) % k
+                e = (c + a2 - a) // k
+                out = coeffs.get(e)
+                if out is None:
+                    out = coeffs[e] = [0] * (n * k)
+                off_r, off_c = n * a, n * a2
+                for j, r in enumerate(rows):
+                    if r:
+                        out[j + off_r] ^= r << off_c
+        zero = (0,) * (n * k)
+        lo, hi = min(coeffs), max(coeffs)
+        return PolyMat(
+            n * k, (tuple(coeffs[e]) if e in coeffs else zero for e in range(lo, hi + 1)), lo
+        )
+
+    def lowered(self, k: int) -> "PolyMat":
+        """Inverse of raised(k) on a matrix that commutes with the shift by
+        n / k coordinates.
+
+        With u = v**k, the v**(k*e + a) coefficient at size d = n / k is
+        rows d*a, ..., d*a + d - 1 of the u**e coefficient, cut to d columns.
+        """
+        d = self.n // k
+        low = (1 << d) - 1
+        return PolyMat(
+            d,
+            (tuple(c[i + d * a] & low for i in range(d)) for c in self.coeffs for a in range(k)),
+            self.shift * k,
+        )
+
+    def flip(self) -> "PolyMat":
+        """R * A(1/u) * R**-1, where R is the basis reversal with R[0][0] = 1
+        and R[n-j][j] = 1/u for j = 1, ..., n-1, and R**-1 = R(1/u)."""
+        n = self.n
+        first = (1,) + (0,) * (n - 1)
+        rest = (0,) + tuple(1 << (n - i) for i in range(1, n))
+        r = PolyMat(n, (rest, first), -1)
+        rinv = PolyMat(n, (first, rest))
+        rev = PolyMat(n, reversed(self.coeffs), -(self.shift + len(self.coeffs) - 1))
+        return r * rev * rinv

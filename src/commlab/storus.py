@@ -254,19 +254,19 @@ def torus_from_matrix2(mat) -> TorusSpec:
     return TorusSpec.norm_one(squarefree_part(tr * tr + 4))
 
 
-def is_square_qp_bruteforce(x, p: int, max_exp: int = 6) -> bool:
+def is_square_qp_bruteforce(x, p: int) -> bool:
     """Search oracle: membership of x in the squares modulo p**k.
 
-    Uses k = max_exp for small p and the smallest still-conclusive k
-    for larger p (valuations of the inputs here are 0 or 1, for which
-    k = 2 decides odd p and k = 6 decides p = 2).
+    Uses k = 6 for p <= 13 and k = 2 for larger p: the valuations of the
+    inputs here are 0 or 1, for which k = 2 decides odd p and k = 6
+    decides p = 2.
     """
     x = Fraction(x)
     if x == 0:
         raise ZeroInput("0 is excluded")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    k = max_exp if p <= 13 else min(max_exp, 2)
+    k = 6 if p <= 13 else 2
     mod = p**k
     num, den = x.numerator, x.denominator
     target = num * pow(den, -1, mod) % mod if den % p else None

@@ -1,7 +1,12 @@
 import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
+import commlab
 from commlab.cli import _build_parser, run
 
 
@@ -363,3 +368,29 @@ def test_file_path_inputs(capsys, tmp_path):
         capsys, ["lamp", "apply", "--comm", str(comm), "--elem", '{"k":"t^2","n":0}']
     )
     assert code == 0 and out == {"k": "t^2", "n": 0}
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # the reader has gone before the call writes: a short result fails at
+    # the final flush, a long one inside print, and demo in its first line
+    comm = '{"level":1,"der":"0","A":[["(1+s^300)/(1+s+s^200)"]],"flip":false}'
+    long_k = json.dumps({"k": "+".join(f"t^{2 * i}" for i in range(3000)), "n": 0})
+    calls = [
+        ["lamp", "compose", "--c1", comm, "--c2", comm],
+        ["lamp", "mul", "--g", long_k, "--h", '{"k":"t","n":0}'],
+        ["demo", "lamplighter-gl-embed"],
+    ]
+    src = str(pathlib.Path(commlab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for argv in calls:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "commlab.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b""), argv

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from unittest import mock
@@ -581,12 +582,12 @@ def test_diagonal_embed_examples():
 def test_diagonal_embed_homomorphism_sampled():
     import itertools
 
-    from commlab.polymat import BitMat
+    from commlab.polymat import f2_rank
 
     mats = []
     for bits in itertools.product([0, 1], repeat=9):
         rows = [list(bits[0:3]), list(bits[3:6]), list(bits[6:9])]
-        if BitMat.from_lists(rows).is_invertible():
+        if f2_rank(sum(v << j for j, v in enumerate(r)) for r in rows) == 3:
             mats.append(rows)
     assert len(mats) == 168
     rng = random.Random(35)
@@ -724,3 +725,10 @@ def test_lampcomm_json_round_trip():
     for _ in range(25):
         c = random_comm(rng)
         assert LampComm.from_json(c.to_json()) == c
+
+
+def test_submodule_json_round_trip():
+    rng = random.Random(41)
+    for _ in range(50):
+        b = random_submodule(rng)
+        assert SubmoduleBasis.from_json(json.loads(json.dumps(b.to_json()))) == b

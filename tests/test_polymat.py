@@ -3,18 +3,39 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commlab.polymat import BitMat, PolyMat
+from commlab.f2poly import F2LaurentPoly
+from commlab.polymat import PolyMat
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
+laurent_polys = st.builds(F2LaurentPoly, st.lists(st.integers(-4, 4), max_size=4))
+
 
 @st.composite
-def polymats(draw):
-    """n x n, n = 1..6, with 0 to 6 coefficients at a shift in [-3, 3]."""
-    n = draw(st.integers(1, 6))
+def polymats(draw, n=None):
+    """n x n (n = 1..6 unless given), with 0 to 6 coefficients at a shift
+    in [-3, 3]."""
+    if n is None:
+        n = draw(st.integers(1, 6))
     entries = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
     coeffs = draw(st.lists(entries, max_size=6))
-    return PolyMat(n, (BitMat(n, rows) for rows in coeffs), draw(st.integers(-3, 3)))
+    return PolyMat(n, map(tuple, coeffs), draw(st.integers(-3, 3)))
+
+
+nonzero_polymats = polymats().filter(lambda a: a.coeffs)
+same_size_pairs = st.integers(1, 6).flatmap(lambda n: st.tuples(polymats(n), polymats(n)))
+
+
+def _entries(a):
+    return [[a.entry(i, j) for j in range(a.n)] for i in range(a.n)]
+
+
+def _shift_matrix(n, d):
+    """T_d on n coordinates: e_i goes to e_(i+d), or to u * e_(i+d-n)."""
+    return PolyMat(n, (
+        tuple(1 << (r - d) if r >= d else 0 for r in range(n)),
+        tuple(1 << (r - d + n) if r < d else 0 for r in range(n)),
+    ))
 
 
 @PROPERTY
@@ -22,3 +43,57 @@ def polymats(draw):
 def test_scalar_div_inverts_scalar_mul(mat, mask):
     # odd masks of degree 0 to 6
     assert mat.scalar_mul(mask).scalar_div(mask) == mat
+
+
+@PROPERTY
+@given(same_size_pairs)
+def test_product_is_the_entrywise_product(pair):
+    a, b = pair
+    zero = F2LaurentPoly.zero()
+    want = [
+        [sum((a.entry(i, k) * b.entry(k, j) for k in range(a.n)), zero) for j in range(a.n)]
+        for i in range(a.n)
+    ]
+    assert _entries(a * b) == want
+
+
+@PROPERTY
+@given(nonzero_polymats)
+def test_from_entries_rebuilds_the_matrix(a):
+    assert PolyMat.from_entries(a.n, _entries(a)) == a
+
+
+@PROPERTY
+@given(polymats(), st.lists(laurent_polys, min_size=6, max_size=6))
+def test_apply_is_the_entrywise_action(a, vec):
+    vec = vec[:a.n]
+    zero = F2LaurentPoly.zero()
+    want = [sum((a.entry(i, j) * vec[j] for j in range(a.n)), zero) for i in range(a.n)]
+    assert a.apply(vec) == want
+
+
+@PROPERTY
+@given(nonzero_polymats, st.integers(2, 4))
+def test_lowering_inverts_raising(a, k):
+    raised = a.raised(k)
+    assert raised.n == a.n * k
+    assert raised.commutes_with(a.n)
+    assert raised.lowered(k) == a
+
+
+@PROPERTY
+@given(nonzero_polymats, st.integers(1, 3))
+def test_commute_test_agrees_with_the_products(a, k):
+    # raised matrices commute with some shifts, so both answers occur
+    b = a.raised(k)
+    for d in range(1, b.n + 1):
+        t = _shift_matrix(b.n, d)
+        assert b.commutes_with(d) == (b * t == t * b), d
+
+
+@PROPERTY
+@given(same_size_pairs)
+def test_flip_is_a_multiplicative_involution(pair):
+    a, b = pair
+    assert a.flip().flip() == a
+    assert (a * b).flip() == a.flip() * b.flip()

@@ -1,8 +1,11 @@
+import json
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commlab.errors import (
     BaseMismatch,
@@ -98,6 +101,14 @@ def test_bs_base_mismatch_and_invariants():
     with pytest.raises(ZeroInput):
         AffineMap(0, 1)
     BSElement(6, 0, F(5, 12))  # 12 = 2^2 * 3 divides a power of 6
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(2, 6), st.integers(-5, 5), st.integers(-50, 50), st.integers(0, 4))
+def test_bs_element_json_round_trip(n, a, m, j):
+    # m / n**j, reduced, runs over the n-integral translations
+    g = BSElement(n, a, F(m, n**j))
+    assert BSElement.from_json(json.loads(json.dumps(g.to_json()))) == g
 
 
 def test_bs_group_axioms():
