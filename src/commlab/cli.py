@@ -5,7 +5,8 @@ with the handler that runs it.  Handlers read JSON (inline or a file
 path; JSON numbers are read as decimals, so ``0.1`` is 1/10) and return
 their result; ``run`` is the one place that prints a result or an error
 and picks the exit code: 0 on success, 1 on domain errors (reported as
-``{"error": code, "detail": text}``), 2 on malformed input.  ``--pretty``
+``{"error": code, "detail": text}``; running out of memory is the code
+``ResourceLimit``), 2 on malformed input.  ``--pretty``
 indents the same JSON.  The ``demo`` subcommand reproduces the worked
 computations shipped with the package, prints one PASS/FAIL line per
 check and returns its own exit code.
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from . import lamplighter as lamp
 from . import solvable, storus, unipotent
-from .errors import CommLabError, ZeroInput
+from .errors import CommLabError, ResourceLimit, ZeroInput
 from .matrices import MatQ
 from .solvable import AffineMap, BSElement, CommDesc, CommSpace
 from .unipotent import LieAut, NilMat, UniTriMat
@@ -394,7 +395,10 @@ def run(argv) -> int:
     except ZeroDivisionError as exc:
         print(json.dumps({"error": ZeroInput.code, "detail": str(exc)}))
         return 1
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except MemoryError:
+        print(json.dumps({"error": ResourceLimit.code, "detail": "out of memory"}))
+        return 1
+    except (ValueError, KeyError, TypeError) as exc:
         print(json.dumps({"error": "ParseError", "detail": str(exc)}))
         return 2
     if isinstance(result, int):

@@ -256,10 +256,6 @@ class F2LaurentPoly:
             return None
         return F2LaurentPoly._raw(q, self.shift - other.shift)
 
-    def gcd(self, other: "F2LaurentPoly") -> "F2LaurentPoly":
-        """Monic gcd with nonzero constant term (defined up to units t**k)."""
-        return F2LaurentPoly._raw(mask_gcd(self.mask, other.mask), 0)
-
     def __eq__(self, other):
         return (
             isinstance(other, F2LaurentPoly)
@@ -286,6 +282,8 @@ class F2LaurentPoly:
     @classmethod
     def from_string(cls, text: str) -> "F2LaurentPoly":
         """Parse ``0``, or ``+``-joined terms ``1 | t | t^<int>`` (``s`` accepted too)."""
+        if not isinstance(text, str):
+            raise TypeError(f"a polynomial must be a string, got {text!r}")
         text = text.replace(" ", "")
         if text == "0":
             return cls.zero()

@@ -135,6 +135,8 @@ class F2RatFun:
     @classmethod
     def from_string(cls, text: str) -> "F2RatFun":
         """Parse ``poly`` or ``poly/poly``, each side optionally parenthesized."""
+        if not isinstance(text, str):
+            raise TypeError(f"a rational function must be a string, got {text!r}")
         text = text.replace(" ", "")
         if "/" in text:
             top, bottom = text.split("/", 1)

@@ -255,40 +255,24 @@ def torus_from_matrix2(mat) -> TorusSpec:
 
 
 def is_square_qp_bruteforce(x, p: int) -> bool:
-    """Search oracle: membership of x in the squares modulo p**k.
-
-    Uses k = 6 for p <= 13 and k = 2 for larger p: the valuations of the
-    inputs here are 0 or 1, for which k = 2 decides odd p and k = 6
-    decides p = 2.
+    """Search oracle: x is a square in Q_p when its p-adic valuation is
+    even and its unit part is among the squares modulo p**2 (2**6 for
+    p = 2), which by Hensel's lemma decides a p-adic unit.
     """
     x = Fraction(x)
     if x == 0:
         raise ZeroInput("0 is excluded")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    k = 6 if p <= 13 else 2
-    mod = p**k
-    num, den = x.numerator, x.denominator
-    target = num * pow(den, -1, mod) % mod if den % p else None
-    if target is None:
-        # denominator divisible by p: scale by p**2 until integral
-        v = 0
-        while den % p == 0:
-            den //= p
-            v += 1
-        if v % 2:
-            return False
-        target = num * pow(den, -1, mod) % mod
-    squares = _square_set(mod)
-    return target in squares
-
-
-_SQUARE_CACHE: dict[int, frozenset] = {}
-
-
-def _square_set(mod: int) -> frozenset:
-    cached = _SQUARE_CACHE.get(mod)
-    if cached is None:
-        cached = frozenset((y * y) % mod for y in range(mod // 2 + 1))
-        _SQUARE_CACHE[mod] = cached
-    return cached
+    mod = 2**6 if p == 2 else p**2
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    if v % 2:
+        return False
+    target = num * pow(den, -1, mod) % mod
+    return any(y * y % mod == target for y in range(mod // 2 + 1))

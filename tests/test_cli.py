@@ -277,12 +277,41 @@ def test_error_exit_codes(capsys, tmp_path):
         # an F2 matrix entry other than 0 or 1
         ["lamp", "embed-gl", "--n", "1", "--matrix", "3"],
         ["lamp", "embed-gl", "--n", "1", "--matrix", "-1"],
+        # a polynomial field sent as a JSON number
+        ["lamp", "invert", "--comm", '{"level":1,"der":5,"A":[["1"]],"flip":false}'],
+        ["lamp", "invert", "--comm", '{"level":1,"der":"0","A":[[1]],"flip":false}'],
+        ["lamp", "quotient-dim", "--submodule", '{"level":1,"H":[[1]]}', "--m", "1"],
+        ["lamp", "apply", "--comm", '{"level":1,"der":"0","A":[["1"]],"flip":false}',
+         "--elem", '{"k":5,"n":0}'],
+        ["lamp", "from-partial", "--data", '{"level":1,"H":[["1"]],'
+         '"gen_images":[{"k":1,"n":0}],"t_image":{"k":"0","n":1}}'],
+        # a string, or a list of strings, in place of a matrix
+        ["lamp", "invert", "--comm", '{"level":1,"der":"0","A":"1","flip":false}'],
+        ["lamp", "invert", "--comm", '{"level":1,"der":"0","A":["1"],"flip":false}'],
+        ["lamp", "quotient-dim", "--submodule", '{"level":1,"H":"1"}', "--m", "1"],
+        ["lamp", "from-partial", "--data", '{"level":1,"H":"1",'
+         '"gen_images":[{"k":"1","n":0}],"t_image":{"k":"0","n":1}}'],
     ]:
         code = run(argv)
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
-        assert code == 2 and len(lines) == 1 and "Traceback" not in captured.err, argv
+        assert code == 2 and len(lines) == 1 and captured.err == "", argv
         assert json.loads(lines[0])["error"] == "ParseError", argv
+
+
+def test_running_out_of_memory_is_a_resource_limit(capsys, monkeypatch):
+    # the handler is made to raise: a real allocation of this size may or may
+    # not fail fast, depending on the host's overcommit policy
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr("commlab.cli._lamp_elem", exhausted)
+    code = run(["lamp", "mul", "--g", '{"k":"t^99999999999","n":0}', "--h", '{"k":"1","n":0}'])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert captured.out.splitlines() == [
+        '{"error": "ResourceLimit", "detail": "out of memory"}'
+    ]
 
 
 def test_demo_commands(capsys):

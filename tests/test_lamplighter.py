@@ -17,19 +17,22 @@ from commlab.errors import (
     SingularMatrix,
 )
 from commlab.f2poly import F2LaurentPoly as P
-from commlab.f2poly import mask_divmod, mask_mul
+from commlab.f2poly import mask_divmod, mask_gcd, mask_lcm, mask_mul
 from commlab.lamplighter import (
     CommInftyElt,
     LampComm,
     LampElement,
     SubmoduleBasis,
     VDerElt,
+    _apply_lin_to_vder,
     comm_apply,
     comm_compose,
     comm_domain,
     comm_from_partial,
     comm_invert,
+    coords_to_k,
     diagonal_embed,
+    k_to_coords,
     quotient_dim,
     theta_sign,
 )
@@ -673,9 +676,10 @@ def test_comm_from_partial_errors():
 
 
 def test_comm_from_partial_conjugation_relations():
-    # the rebuilt class c must satisfy c(t**(jL) g t**(-jL)) =
-    # c(t**L)**j c(g) c(t**L)**-j on shifted generators, not only on the
-    # generators that comm_from_partial checks
+    # the rebuilt class c must send t**L to its given image and satisfy
+    # c(t**(jL) g t**(-jL)) = c(t**L)**j c(g) c(t**L)**-j on shifted
+    # generators; comm_from_partial checks none of this, since it holds by
+    # construction
     rng = random.Random(40)
     rebuilt = 0
     for trial in range(60):
@@ -698,6 +702,7 @@ def test_comm_from_partial_conjugation_relations():
         except NotAHomomorphism:
             continue
         rebuilt += 1
+        assert comm_apply(rebuilt_c, LampElement(P.zero(), level)) == t_image
         for g, img in zip(basis.generators_as_k(), gen_images):
             for j in range(-3, 4):
                 got = comm_apply(rebuilt_c, LampElement(g.shifted(j * level), 0))
@@ -732,3 +737,106 @@ def test_submodule_json_round_trip():
     for _ in range(50):
         b = random_submodule(rng)
         assert SubmoduleBasis.from_json(json.loads(json.dumps(b.to_json()))) == b
+
+
+# --------------------- one home per formula on K, against the code it replaced
+
+
+def _old_eval_at(m, value, n):
+    """Oracle: tau(t**n) by the closed geometric formula."""
+    q = n // m
+    if q == 0:
+        return P.zero()
+    if q > 0:
+        return P.geometric(m, q) * value
+    return (P.geometric(m, -q) * value).shifted(n)
+
+
+def test_eval_at_and_raise_to_are_group_powers():
+    rng = random.Random(70)
+    for _ in range(40):
+        value = P([e for e in range(-6, 7) if rng.random() < 0.3])
+        for m in range(1, 9):
+            der = VDerElt(m, value)
+            for q in range(-6, 7):
+                assert der.eval_at(q * m) == _old_eval_at(m, value, q * m), (m, q)
+                if q > 0:
+                    assert der.raise_to(q * m) == VDerElt(
+                        q * m, P.geometric(m, q) * value
+                    )
+            if m > 1:
+                with pytest.raises(NotDivisible):
+                    der.eval_at(m + 1)
+                with pytest.raises(NotDivisible):
+                    der.raise_to(m + 1)
+
+
+def _old_flip_coords(xs, m):
+    """Oracle: coordinates of k(1/t) from the coordinates of k at level m."""
+    return [xs[0].flip()] + [xs[m - i].flip().shifted(-1) for i in range(1, m)]
+
+
+def _old_k_to_coords(k, m):
+    """Oracle: coordinates by collecting each residue class's exponents."""
+    exps = [[] for _ in range(m)]
+    for e in k.support():
+        exps[e % m].append(e // m)
+    return [P(qs) for qs in exps]
+
+
+def test_submodule_flip_reads_flipped_generators():
+    rng = random.Random(71)
+    for _ in range(60):
+        k = P([e for e in range(-12, 13) if rng.random() < 0.3])
+        for m in range(1, 7):
+            coords = k_to_coords(k, m)
+            assert coords == _old_k_to_coords(k, m)
+            assert coords_to_k(coords, m) == k
+            assert k_to_coords(k.flip(), m) == _old_flip_coords(coords, m)
+        basis = random_submodule(rng, max_level=4)
+        old = SubmoduleBasis.from_generators(
+            basis.level, [_old_flip_coords(row, basis.level) for row in basis.rows]
+        )
+        assert basis.flip() == old
+        assert basis.flip().flip() == basis
+
+
+def _old_apply_lin_to_vder(lin, value):
+    """Oracle: the j search with dreq the lcm of den / gcd(den, y) over the
+    coordinates y, and the image divided coordinate by coordinate."""
+    m = lin.level
+    ys = lin.num.apply(k_to_coords(value, m))
+    dreq = 1
+    for y in ys:
+        if y:
+            dreq = mask_lcm(dreq, mask_divmod(lin.den, mask_gcd(lin.den, y.mask))[0])
+    j = 1
+    while mask_divmod(P.geometric(1, j).mask, dreq)[1]:
+        j += 1
+    mult, dp = P.geometric(1, j), lin.den_poly()
+    return j, coords_to_k([(mult * y).exact_div(dp) for y in ys], m)
+
+
+def test_derivation_image_uses_one_gcd_for_the_denominator():
+    rng = random.Random(72)
+    deep = 0
+    for _ in range(150):
+        lin = _sample_lin(rng, rng.randrange(1, 4))
+        if rng.random() < 0.5:
+            lin = lin.compose(_sample_lin(rng, lin.level))
+        value = random_element(rng, 6).k
+        got = _apply_lin_to_vder(lin, value, "compose")
+        assert got == _old_apply_lin_to_vder(lin, value)
+        deep += got[0] > 1
+    assert deep >= 20
+    # the two forms of dreq agree on arbitrary masks, zero coordinates included
+    for _ in range(300):
+        den = rng.randrange(0, 1 << 7) * 2 + 1
+        ys = [rng.choice((0, rng.randrange(1, 1 << 9))) for _ in range(rng.randrange(1, 5))]
+        lcm_form = 1
+        for y in filter(None, ys):
+            lcm_form = mask_lcm(lcm_form, mask_divmod(den, mask_gcd(den, y))[0])
+        g = den
+        for y in ys:
+            g = mask_gcd(g, y)
+        assert mask_divmod(den, g)[0] == lcm_form

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from commlab.errors import (
@@ -49,6 +51,9 @@ def test_oracle_agreement_small_sweep():
     for p in primes:
         for d in ds:
             assert is_square_qp(d, p) == is_square_qp_bruteforce(d, p), (d, p)
+        # valuations other than 0 and 1, in the numerator and the denominator
+        for x in (18, 50, -12, 63, 4 * p**3, Fraction(2, 9), Fraction(9, 2 * p**2)):
+            assert is_square_qp(x, p) == is_square_qp_bruteforce(x, p), (x, p)
 
 
 def test_rank_over_examples():
