@@ -55,8 +55,7 @@ from .f2poly import (
     mask_reverse,
     mask_spread,
 )
-from .matrices import MatF2Rat
-from .polymat import PolyMat, f2_rank
+from .polymat import PolyMat, gauss_jordan
 from .ratfun import F2RatFun
 
 # Composing at the lcm of two levels, and the derivation image of a composite
@@ -293,42 +292,33 @@ class CommInftyElt:
         """Build from an array of F2RatFun; raises SingularMatrix if singular."""
         if level < 1:
             raise ExponentMismatch(f"commensuration level must be >= 1, got {level}")
-        mat = MatF2Rat(entries)
-        if mat.nrows != level or mat.ncols != level:
+        rows = [list(row) for row in entries]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        if len(rows) != level or ncols != level:
             raise DimensionMismatch(
                 f"level {level} needs a {level} x {level} matrix, "
-                f"got {mat.nrows} x {mat.ncols}"
+                f"got {len(rows)} x {ncols}"
             )
-        if not mat.det():
-            raise SingularMatrix("commensuration matrix must be invertible")
-        return cls.from_matrix(mat)
-
-    @classmethod
-    def from_matrix(cls, mat: MatF2Rat) -> "CommInftyElt":
-        """Build from a square matrix the caller knows to be invertible."""
-        level = mat.nrows
         den = 1
-        for row in mat.rows:
+        for row in rows:
             for x in row:
                 den = mask_lcm(den, x.den)
-        denp = F2LaurentPoly._raw(den, 0)
-        ents = [
-            [
-                (x.num_poly() * denp).exact_div(x.den_poly())
-                for x in row
-            ]
-            for row in mat.rows
-        ]
-        return cls(level, PolyMat.from_entries(level, ents), den)
+        num = PolyMat.from_entries(level, [
+            [F2LaurentPoly._raw(mask_mul(x.num, mask_divmod(den, x.den)[0]), x.shift) for x in row]
+            for row in rows
+        ])
+        if not gauss_jordan(num.entry_masks(), level):
+            raise SingularMatrix("commensuration matrix must be invertible")
+        return cls(level, num, den)
 
-    @property
-    def matrix(self) -> MatF2Rat:
-        m = self.level
-        entries = ((self.num.entry(i, j) for j in range(m)) for i in range(m))
-        return MatF2Rat._raw(
-            (tuple(F2RatFun(p.mask, self.den, p.shift) for p in row) for row in entries),
-            ncols=m,
-        )
+    def to_strings(self, var: str = "t") -> list[list[str]]:
+        """The entries of the matrix num / den, as strings in var."""
+        return [
+            [F2RatFun(mask, self.den, self.num.shift).to_string(var) for mask in row]
+            for row in self.num.entry_masks()
+        ]
 
     def den_poly(self) -> F2LaurentPoly:
         return F2LaurentPoly._raw(self.den, 0)
@@ -375,7 +365,15 @@ class CommInftyElt:
         )
 
     def inverse(self) -> "CommInftyElt":
-        return CommInftyElt.from_matrix(self.matrix.inv())
+        # num = u**shift * N, so the inverse is den * adj(N) * u**-shift / det N,
+        # with the factor u**v of det N moved into the shift
+        n = self.level
+        rows = [row + [int(i == j) for j in range(n)]
+                for i, row in enumerate(self.num.entry_masks())]
+        det = gauss_jordan(rows, n)
+        v = (det & -det).bit_length() - 1
+        adj = [[F2LaurentPoly._raw(m, -self.num.shift - v) for m in row[n:]] for row in rows]
+        return CommInftyElt(n, PolyMat.from_entries(n, adj).scalar_mul(self.den), det >> v)
 
     def flip_conj(self) -> "CommInftyElt":
         # A(1/s) = N(1/s) * s**deg / (s**deg * D(1/s)), and s**deg * D(1/s)
@@ -409,7 +407,7 @@ class CommInftyElt:
         return hash((self.level, self.den, self.num))
 
     def __repr__(self):
-        return f"CommInftyElt(level={self.level}, A={self.matrix.to_strings()})"
+        return f"CommInftyElt(level={self.level}, A={self.to_strings()})"
 
 
 # ---------------------------------------------------------------------------
@@ -539,16 +537,14 @@ class LampComm:
     def __repr__(self):
         return (
             f"LampComm(level={self.level}, der={self.der.value.to_string()!r}, "
-            f"A={self.lin.matrix.to_strings()}, flip={self.flip})"
+            f"A={self.lin.to_strings()}, flip={self.flip})"
         )
 
     def to_json(self):
         return {
             "level": self.level,
             "der": self.der.value.to_string(),
-            "A": [
-                [x.to_string("s") for x in row] for row in self.lin.matrix.rows
-            ],
+            "A": self.lin.to_strings("s"),
             "flip": self.flip,
         }
 
@@ -651,10 +647,10 @@ def comm_domain(c: LampComm):
     """
     level = c.level
     dp = c.lin.den_poly()
-    num = c.lin.num
+    masks, shift = c.lin.num.entry_masks(), c.lin.num.shift
     stacked = []
     for i in range(level):
-        stacked.append([num.entry(r, i) for r in range(level)])
+        stacked.append([F2LaurentPoly._raw(masks[r][i], shift) for r in range(level)])
     for i in range(level):
         stacked.append([dp if r == i else _ZERO for r in range(level)])
     gens = [y[:level] for y in hnf.left_kernel(stacked)]
@@ -682,10 +678,10 @@ def diagonal_embed(n: int, rows) -> LampComm:
         for j, v in enumerate(row):
             if v not in (0, 1):
                 raise ValueError(f"entry ({i}, {j}) is {v!r}, not 0 or 1")
-    masks = tuple(sum(v << j for j, v in enumerate(row)) for row in rows)
-    if f2_rank(masks) < n:
+    num = PolyMat(n, (tuple(sum(v << j for j, v in enumerate(row)) for row in rows),))
+    if not gauss_jordan(num.entry_masks(), n):
         raise SingularMatrix("matrix is not invertible over F2")
-    return LampComm.make(VDerElt.zero(), CommInftyElt(n, PolyMat(n, (masks,))), False)
+    return LampComm.make(VDerElt.zero(), CommInftyElt(n, num), False)
 
 
 def comm_from_partial(
@@ -726,13 +722,11 @@ def comm_from_partial(
     gens = domain.generators_as_k()
     cols_in = [k_to_coords(g.flip() if eps < 0 else g, level) for g in gens]
     cols_out = [k_to_coords(img.k, level) for img in gen_images]
-    to_rat = lambda polys: [F2RatFun.from_poly(p) for p in polys]
-    x_mat = MatF2Rat(list(map(to_rat, cols_in))).transpose()
-    h_mat = MatF2Rat(list(map(to_rat, cols_out))).transpose()
-    try:
-        lin = CommInftyElt.from_entries(level, (h_mat * x_mat.inv()).rows)
-    except SingularMatrix:
+    x = PolyMat.from_entries(level, list(zip(*cols_in)))
+    h = PolyMat.from_entries(level, list(zip(*cols_out)))
+    if not gauss_jordan(h.entry_masks(), level):
         raise NotAHomomorphism("generator images do not span a finite-index submodule")
+    lin = CommInftyElt(level, h).compose(CommInftyElt(level, x).inverse())
     value = t_image.k if eps > 0 else t_image.k.shifted(level)
     return LampComm.make(VDerElt(level, value), lin, eps < 0)
 

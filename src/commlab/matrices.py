@@ -1,4 +1,7 @@
-"""Dense exact matrices over Q and over F2(t).
+"""Dense exact matrices over Q (``MatQ``) on a base class for exact scalars.
+
+There is no matrix class over F2(t): lamplighter linear parts stay
+matrix polynomials (``polymat``), eliminated fraction-free over F2[u].
 
 A subclass fixes the scalars through the class attributes ``zero`` and
 ``one`` and the hook ``_coerce``.  Products and sums need only these, so
@@ -19,7 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SingularMatrix
-from .ratfun import F2RatFun
 
 
 class Mat:
@@ -263,24 +265,3 @@ class MatQ(Mat):
     def _inv_scalar(x):
         return 1 / x
 
-
-class MatF2Rat(Mat):
-    """Matrix over the rational function field F2(t)."""
-
-    __slots__ = ()
-    zero = F2RatFun.zero()
-    one = F2RatFun.one()
-
-    @classmethod
-    def _coerce(cls, x):
-        if isinstance(x, F2RatFun):
-            return x
-        if isinstance(x, str):
-            return F2RatFun.from_string(x)
-        if isinstance(x, int) and x in (0, 1):
-            return F2RatFun(x)
-        raise TypeError(f"cannot coerce {x!r} to F2(t)")
-
-    @staticmethod
-    def _inv_scalar(x):
-        return x.inverse()

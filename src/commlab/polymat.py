@@ -7,27 +7,38 @@ it represents an n x n matrix over F2[u, 1/u], which keeps products of
 large equivariant-commensuration matrices fast.  Only this module reads
 the rows of a coefficient, so the level changes, shift commute test and
 basis-reversal conjugation that the lamplighter module needs live here.
+``entry_masks`` reads all entries in one pass, and ``gauss_jordan`` is
+the one elimination over F2[u], so no matrix over F2(u) is ever formed.
 """
 
 from __future__ import annotations
 
-from .f2poly import F2LaurentPoly, mask_gcd
+from .f2poly import F2LaurentPoly, mask_divmod, mask_gcd, mask_mul
 
 
-def f2_rank(masks) -> int:
-    """Rank of a collection of F2 row vectors given as int masks."""
-    pivots = {}
-    rank = 0
-    for m in masks:
-        while m:
-            lead = m.bit_length() - 1
-            p = pivots.get(lead)
-            if p is None:
-                pivots[lead] = m
-                rank += 1
-                break
-            m ^= p
-    return rank
+def gauss_jordan(rows: list, n: int) -> int:
+    """Fraction-free Gauss-Jordan elimination over F2[u] (Bareiss 1968), in place.
+
+    rows holds n lists of poly masks: a square matrix N in the first n
+    columns, then any further columns B.  Returns det N, or 0 when N is
+    singular; otherwise the columns after the first n end up as adj(N) * B.
+    Every entry formed is a minor of the input, so each division by the
+    previous pivot is exact, and over F2 a row swap changes no sign.
+    """
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return 0
+        rows[k], rows[p] = rows[p], rows[k]
+        top = rows[k]
+        piv = top[k]
+        for row in rows[:k] + rows[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = mask_divmod(mask_mul(piv, row[j]) ^ mask_mul(a, top[j]), prev)[0]
+        prev = piv
+    return prev
 
 
 def _mat_mul(a: tuple, b: tuple) -> tuple:
@@ -128,18 +139,26 @@ class PolyMat:
             out.append(rows)
         return PolyMat(self.n, out, self.shift)
 
-    def entry(self, i: int, j: int) -> F2LaurentPoly:
-        mask = 0
+    def entry_masks(self) -> list[list[int]]:
+        """The n x n entries as poly masks: entry (i, j) is
+        u**shift times the polynomial in u whose mask is [i][j]."""
+        out = [[0] * self.n for _ in range(self.n)]
         for e, c in enumerate(self.coeffs):
-            if (c[i] >> j) & 1:
-                mask |= 1 << e
-        return F2LaurentPoly._raw(mask, self.shift)
+            bit = 1 << e
+            for row, r in zip(out, c):
+                while r:
+                    low = r & -r
+                    row[low.bit_length() - 1] |= bit
+                    r ^= low
+        return out
 
     @classmethod
     def from_entries(cls, n: int, entries) -> "PolyMat":
         """Build from an n x n array of F2LaurentPoly."""
         polys = [[entries[i][j] for j in range(n)] for i in range(n)]
         nonzero = [p for row in polys for p in row if not p.is_zero()]
+        if not nonzero:
+            return cls(n, ())
         lo = min(p.shift for p in nonzero)
         hi = max(p.shift + p.mask.bit_length() for p in nonzero)
         rows = [[0] * n for _ in range(hi - lo)]

@@ -294,6 +294,12 @@ class CommSpace:
     dz1: int
     red: TrivialReduced | BSReduced
 
+    def __post_init__(self):
+        dims = zip(("N0", "N1", "dZ", "dZ1"), (self.n0, self.n1, self.dz, self.dz1))
+        for name, value in dims:
+            if value < 0:
+                raise DimensionMismatch(f"{name} must be >= 0, got {value}")
+
     def identity_desc(self) -> "CommDesc":
         return CommDesc(
             self,

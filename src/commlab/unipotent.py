@@ -210,6 +210,8 @@ class LieAut:
     __slots__ = ("n", "mat", "_checked")
 
     def __init__(self, n: int, mat):
+        if n < 0:
+            raise DimensionMismatch(f"n must be >= 0, got {n}")
         mat = mat if isinstance(mat, MatQ) else MatQ(mat)
         dim = n * (n - 1) // 2
         if mat.nrows != dim or mat.ncols != dim:

@@ -1,15 +1,56 @@
-"""Seeded pseudo-random samplers for the test suite.
+"""Seeded pseudo-random samplers and independent oracles for the test suite.
 
 Each sampler draws from the ``random.Random`` it is given, so a fixed
 seed gives a fixed sample; ``tests/test_samplers.py`` pins that output.
+``MatF2Rat`` (field elimination over F2(t)) and ``f2_rank`` are the
+oracles that the fraction-free elimination of ``commlab.polymat`` is
+compared against; the program itself forms no matrix over F2(t).
 """
 
 from commlab.f2poly import F2LaurentPoly
 from commlab.lamplighter import CommInftyElt, LampComm, LampElement, SubmoduleBasis, VDerElt
-from commlab.matrices import MatF2Rat
+from commlab.matrices import Mat
 from commlab.ratfun import F2RatFun
 
 _ZERO = F2LaurentPoly.zero()
+
+
+def f2_rank(masks) -> int:
+    """Rank of a collection of F2 row vectors given as int masks."""
+    pivots = {}
+    rank = 0
+    for m in masks:
+        while m:
+            lead = m.bit_length() - 1
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = m
+                rank += 1
+                break
+            m ^= p
+    return rank
+
+
+class MatF2Rat(Mat):
+    """Matrix over the rational function field F2(t)."""
+
+    __slots__ = ()
+    zero = F2RatFun.zero()
+    one = F2RatFun.one()
+
+    @classmethod
+    def _coerce(cls, x):
+        if isinstance(x, F2RatFun):
+            return x
+        if isinstance(x, str):
+            return F2RatFun.from_string(x)
+        if isinstance(x, int) and x in (0, 1):
+            return F2RatFun(x)
+        raise TypeError(f"cannot coerce {x!r} to F2(t)")
+
+    @staticmethod
+    def _inv_scalar(x):
+        return x.inverse()
 
 
 def random_element(rng, max_exp: int = 8) -> LampElement:
@@ -69,4 +110,4 @@ def random_comm(rng, max_level: int = 6, max_deg: int = 8) -> LampComm:
         mat = mat * MatF2Rat(rows)
     support = [e for e in range(-max_deg, max_deg + 1) if rng.random() < 0.2]
     der = VDerElt(level, F2LaurentPoly(support))
-    return LampComm.make(der, CommInftyElt.from_matrix(mat), rng.random() < 0.5)
+    return LampComm.make(der, CommInftyElt.from_entries(level, mat.rows), rng.random() < 0.5)

@@ -15,11 +15,11 @@ from commlab.errors import IncompatibleCocycle
 from commlab.f2poly import F2LaurentPoly as P
 from commlab.f2poly import mask_mul
 from commlab.matrices import MatQ
-from commlab.polymat import f2_rank
 from commlab.solvable import AffineMap, BSElement
 from commlab.unipotent import UniTriMat
 
 import samplers
+from samplers import f2_rank
 
 
 def _report(num, label, elapsed, budget):

@@ -299,6 +299,38 @@ def test_error_exit_codes(capsys, tmp_path):
         assert json.loads(lines[0])["error"] == "ParseError", argv
 
 
+def test_linear_part_errors_print_fixed_lines(capsys):
+    # byte-identical to the output of the F2(t) matrix route these replaced
+    zero_images = {"level": 2, "H": [["1", "0"], ["0", "1"]],
+                   "gen_images": [{"k": "0", "n": 0}, {"k": "0", "n": 0}],
+                   "t_image": {"k": "0", "n": 2}}
+    for argv, want_code, want in [
+        (["lamp", "invert", "--comm",
+          '{"level":2,"der":"0","A":[["0","0"],["0","0"]],"flip":false}'], 1,
+         '{"error": "SingularMatrix", "detail": "commensuration matrix must be invertible"}'),
+        (["lamp", "invert", "--comm", '{"level":2,"der":"0","A":[["1","0"],["1"]],"flip":false}'],
+         2, '{"error": "ParseError", "detail": "ragged rows"}'),
+        (["lamp", "from-partial", "--data", json.dumps(zero_images)], 1,
+         '{"error": "NotAHomomorphism", '
+         '"detail": "generator images do not span a finite-index submodule"}'),
+    ]:
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (want_code, want + "\n", ""), argv
+
+
+def test_negative_dimensions_are_named(capsys):
+    blocks = {"h_central": [], "P": [], "h_10": [], "h_1z": []}
+    spec = {"space": {"N0": 0, "N1": 0, "dZ": -1, "dZ1": 0}, "a": blocks, "b": blocks}
+    for argv, detail in [
+        (["unipotent", "apply-aut", "--aut", '{"n":-2,"L":[[1,0,0],[0,1,0],[0,0,1]]}',
+          "--matrix", "[[1,1],[0,1]]"], "n must be >= 0, got -2"),
+        (["comm-desc", "mul", "--spec", json.dumps(spec)], "dZ must be >= 0, got -1"),
+    ]:
+        code, out = run_json(capsys, argv)
+        assert code == 1 and out == {"error": "DimensionMismatch", "detail": detail}, argv
+
+
 def test_running_out_of_memory_is_a_resource_limit(capsys, monkeypatch):
     # the handler is made to raise: a real allocation of this size may or may
     # not fail fast, depending on the host's overcommit policy

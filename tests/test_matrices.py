@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from commlab.errors import SingularMatrix
-from commlab.matrices import MatF2Rat, MatQ
+from commlab.matrices import MatQ
 from commlab.ratfun import F2RatFun
+from samplers import MatF2Rat
 
 
 def rand_matq(rng, n):

@@ -1,5 +1,6 @@
-"""Properties of ``commlab.matrices`` over Q and F2(t): the product and the
-elimination core."""
+"""Properties of the product and the elimination core of
+``commlab.matrices``, over Q and over F2(t) (the ``MatF2Rat`` oracle of
+``samplers`` is a subclass of the same core)."""
 
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commlab.errors import SingularMatrix
-from commlab.matrices import MatF2Rat, MatQ
+from commlab.matrices import MatQ
 from commlab.ratfun import F2RatFun
+from samplers import MatF2Rat
 
 SCALARS = {
     MatQ: st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),

@@ -3,8 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commlab.f2poly import F2LaurentPoly
-from commlab.polymat import PolyMat
+from commlab.f2poly import F2LaurentPoly, mask_mul
+from commlab.polymat import PolyMat, gauss_jordan
+from commlab.ratfun import F2RatFun
+from samplers import MatF2Rat
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -26,8 +28,17 @@ nonzero_polymats = polymats().filter(lambda a: a.coeffs)
 same_size_pairs = st.integers(1, 6).flatmap(lambda n: st.tuples(polymats(n), polymats(n)))
 
 
+def _entry(a, i, j):
+    """Oracle: entry (i, j) by a walk over every coefficient."""
+    mask = 0
+    for e, c in enumerate(a.coeffs):
+        if (c[i] >> j) & 1:
+            mask |= 1 << e
+    return F2LaurentPoly._raw(mask, a.shift)
+
+
 def _entries(a):
-    return [[a.entry(i, j) for j in range(a.n)] for i in range(a.n)]
+    return [[_entry(a, i, j) for j in range(a.n)] for i in range(a.n)]
 
 
 def _shift_matrix(n, d):
@@ -51,16 +62,24 @@ def test_product_is_the_entrywise_product(pair):
     a, b = pair
     zero = F2LaurentPoly.zero()
     want = [
-        [sum((a.entry(i, k) * b.entry(k, j) for k in range(a.n)), zero) for j in range(a.n)]
+        [sum((_entry(a, i, k) * _entry(b, k, j) for k in range(a.n)), zero) for j in range(a.n)]
         for i in range(a.n)
     ]
     assert _entries(a * b) == want
 
 
 @PROPERTY
-@given(nonzero_polymats)
+@given(polymats())
 def test_from_entries_rebuilds_the_matrix(a):
+    # the zero matrix too: all-zero entries give the zero PolyMat
     assert PolyMat.from_entries(a.n, _entries(a)) == a
+
+
+@PROPERTY
+@given(polymats())
+def test_entry_masks_agree_with_the_entry_walk(a):
+    masks = a.entry_masks()
+    assert [[F2LaurentPoly._raw(m, a.shift) for m in row] for row in masks] == _entries(a)
 
 
 @PROPERTY
@@ -68,7 +87,7 @@ def test_from_entries_rebuilds_the_matrix(a):
 def test_apply_is_the_entrywise_action(a, vec):
     vec = vec[:a.n]
     zero = F2LaurentPoly.zero()
-    want = [sum((a.entry(i, j) * vec[j] for j in range(a.n)), zero) for i in range(a.n)]
+    want = [sum((_entry(a, i, j) * vec[j] for j in range(a.n)), zero) for i in range(a.n)]
     assert a.apply(vec) == want
 
 
@@ -97,3 +116,44 @@ def test_flip_is_a_multiplicative_involution(pair):
     a, b = pair
     assert a.flip().flip() == a
     assert (a * b).flip() == a.flip() * b.flip()
+
+
+@st.composite
+def augmented(draw):
+    """(N, B): N an n x n matrix of poly masks (n = 1..6), B of 0 to 3
+    columns.  Half the masks are 0, so pivots often need a row swap, and
+    half the N are a product through a narrower inner dimension, so
+    singular ones are common."""
+    n = draw(st.integers(1, 6))
+    masks = st.integers(0, 15) | st.just(0)
+
+    def block(r, c):
+        return [[draw(masks) for _ in range(c)] for _ in range(r)]
+
+    if draw(st.booleans()):
+        mat = block(n, n)
+    else:
+        inner = draw(st.integers(0, n - 1))
+        left, right = block(n, inner), block(inner, n)
+        mat = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for t in range(inner):
+                    mat[i][j] ^= mask_mul(left[i][t], right[t][j])
+    return mat, block(n, draw(st.integers(0, 3)))
+
+
+@PROPERTY
+@given(augmented())
+def test_gauss_jordan_agrees_with_field_elimination(case):
+    mat, b = case
+    n = len(mat)
+    rows = [row + extra for row, extra in zip(mat, b)]
+    det = gauss_jordan(rows, n)
+    oracle = MatF2Rat([[F2RatFun(m) for m in row] for row in mat])
+    assert F2RatFun(det) == oracle.det()
+    if det:
+        adj_b = oracle.inv() * MatF2Rat([[F2RatFun(m) for m in row] for row in b], ncols=len(b[0]))
+        assert [[F2RatFun(m) for m in row[n:]] for row in rows] == [
+            [x * F2RatFun(det) for x in row] for row in adj_b.rows
+        ]

@@ -328,6 +328,16 @@ def test_comm_desc_dimension_mismatch():
             CommDesc(space, ident.h_central, ident.p, ident.h_10, ident.h_1z, red)
 
 
+def test_comm_space_rejects_negative_dimensions():
+    for dims, detail in (((-1, 0, 0, 0), "N0 must be >= 0, got -1"),
+                         ((0, -2, 0, 0), "N1 must be >= 0, got -2"),
+                         ((0, 0, -3, 0), "dZ must be >= 0, got -3"),
+                         ((0, 0, 0, -4), "dZ1 must be >= 0, got -4")):
+        with pytest.raises(DimensionMismatch, match=f"^{detail}$"):
+            CommSpace(*dims, TrivialReduced())
+    assert CommSpace(0, 0, 0, 0, TrivialReduced()).identity_desc().p == MatQ.identity(0)
+
+
 # ------------------------------------------------------ structure reports
 
 

@@ -194,6 +194,13 @@ def test_lie_aut_singular_rejected():
         LieAut(3, MatQ.zeros(dim, dim))
 
 
+def test_lie_aut_rejects_a_negative_size():
+    # n = -2 gives n(n-1)/2 = 3, so the size of the matrix alone cannot tell
+    with pytest.raises(DimensionMismatch, match="^n must be >= 0, got -2$"):
+        LieAut(-2, MatQ.identity(3))
+    assert LieAut(0, MatQ.identity(0)).n == 0
+
+
 def test_comm_from_lie_aut_examples():
     g = elementary(3, 0, 1)
     assert comm_from_lie_aut(LieAut.identity(3), g) == g
