@@ -1,6 +1,7 @@
 """Properties of the F2 routines whose cost must not grow with an exponent:
-``mask_divmod``, ``mask_pow_mod``, ``F2LaurentPoly.geometric``,
-``LampElement.__pow__`` and ``hnf._laurent_rep``."""
+``mask_divmod`` and ``F2LaurentPoly.exact_div`` on both division routes,
+``mask_pow_mod``, ``F2LaurentPoly.geometric``, ``LampElement.__pow__`` and
+``hnf._laurent_rep``."""
 
 import random
 
@@ -8,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commlab.f2poly import _WINDOW, F2LaurentPoly, mask_divmod, mask_mod, mask_mul, mask_pow_mod
+from commlab.f2poly import (
+    _WINDOW,
+    F2LaurentPoly,
+    _series_pays,
+    mask_divmod,
+    mask_mod,
+    mask_mul,
+    mask_pow_mod,
+)
 from commlab.hnf import _laurent_rep
 from commlab.lamplighter import LampElement
 
@@ -22,6 +31,21 @@ def masks(draw, max_bits, min_bits=0):
     if bits == 0:
         return 0
     return random.Random(draw(st.integers(0, 2**32))).getrandbits(bits) | 1 << (bits - 1)
+
+
+@st.composite
+def sparse_masks(draw, max_bits, min_bits=1):
+    """A mask of exactly ``bits`` bits with at most four more bits set below the top."""
+    bits = draw(st.integers(min_bits, max_bits))
+    mask = 1 << (bits - 1)
+    for tap in draw(st.lists(st.integers(0, bits - 1), max_size=4)):
+        mask |= 1 << tap
+    return mask
+
+
+def divisors(max_bits):
+    """Dense divisors of up to 71 bits, and sparse ones of up to max_bits."""
+    return st.one_of(masks(71, min_bits=1), sparse_masks(max_bits))
 
 
 def _naive_mod(a, b):
@@ -49,6 +73,49 @@ def test_mask_divmod_is_euclidean_division(a, b):
     q, r = mask_divmod(a, b)
     assert mask_mul(q, b) ^ r == a
     assert r.bit_length() < b.bit_length()
+
+
+@PROPERTY
+@given(masks(4 * _WINDOW + 100), divisors(4 * _WINDOW + 100), st.integers(0, 2**32))
+def test_division_routes_return_the_planted_quotient_and_remainder(c, b, seed):
+    # a = c*b + r with deg r < deg b has exactly one Euclidean quotient and
+    # remainder, whichever route mask_divmod takes; half the cases are exact
+    r = random.Random(seed).getrandbits(b.bit_length() - 1) if seed % 2 else 0
+    assert mask_divmod(mask_mul(c, b) ^ r, b) == (c, r)
+    # exact_div (odd masks, read off the low end) is None exactly when r != 0
+    odd = b | 1
+    got = F2LaurentPoly._raw(mask_mul(c, odd) ^ r, 3).exact_div(F2LaurentPoly._raw(odd, -2))
+    assert got == (None if r else F2LaurentPoly._raw(c, 5))
+
+
+def test_the_cost_rule_takes_each_route():
+    # short quotients and dense long divisors stay on the schoolbook loop
+    assert not _series_pays((1 << 5000) - 1, 95_001, 4999)
+    assert not _series_pays(0b1011, 40, 3)
+    # sparse divisors of long dividends take the series
+    assert _series_pays(0b1011, 99_997, 3)
+    assert _series_pays(1 | 1 << 64 | 1 << 9, 4000, 64)
+
+
+@pytest.mark.parametrize(
+    "bits, taps",
+    [(4, (0, 1)), (65, (0, 6, 1)), (5000, (0, 1700)), (65, None), (5000, None)],
+    ids=["4 bits", "65 bits sparse", "5000 bits sparse", "65 bits dense", "5000 bits dense"],
+)
+def test_division_of_hundred_thousand_bit_masks(bits, taps):
+    rng = random.Random(bits)
+    if taps is None:
+        divisor = rng.getrandbits(bits) | 1 | 1 << (bits - 1)
+    else:
+        divisor = sum(1 << t for t in taps) | 1 << (bits - 1)
+    c = rng.getrandbits(100_000) | 1 | 1 << 99_999
+    r = rng.getrandbits(bits - 1) | 1
+    a = mask_mul(c, divisor)
+    assert mask_divmod(a ^ r, divisor) == (c, r)
+    assert mask_divmod(a, divisor) == (c, 0)
+    b = F2LaurentPoly._raw(divisor, 0)
+    assert F2LaurentPoly._raw(a, 0).exact_div(b) == F2LaurentPoly._raw(c, 0)
+    assert F2LaurentPoly._raw(a ^ r, 0).exact_div(b) is None
 
 
 def test_mask_divmod_rejects_zero():

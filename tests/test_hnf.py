@@ -1,6 +1,9 @@
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from commlab.errors import SingularMatrix
 from commlab.f2poly import F2LaurentPoly as P
@@ -181,3 +184,42 @@ def test_module_intersect_with_self_and_full():
         ha, _ = hnf_f2poly(rand_nonsingular(rng, 1))
         assert module_intersect(ha, ha, 1) == ha
         assert module_intersect(ha, full, 1) == ha
+
+
+def det(mat):
+    """Leibniz determinant over F2[s, 1/s] (no signs in characteristic 2)."""
+    total = ZERO
+    for perm in permutations(range(len(mat))):
+        term = ONE
+        for i, j in enumerate(perm):
+            term = term * mat[i][j]
+        total = total + term
+    return total
+
+
+@st.composite
+def generator_matrices(draw):
+    """A 2x2 or 3x3 matrix of short polynomials with one entry s^(+-N) + p,
+    N up to 5000, so the elimination divides long masks by short ones
+    (the series route) and short by short (the schoolbook loop)."""
+    n = draw(st.integers(2, 3))
+    entry = st.sets(st.integers(-3, 6), max_size=5).map(P)
+    mat = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    big = draw(st.integers(100, 5000)) * draw(st.sampled_from([-1, 1]))
+    mat[i][j] = mat[i][j] + P([big])
+    return mat
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(generator_matrices())
+def test_hnf_invariants_with_a_long_entry(mat):
+    try:
+        h, u = hnf_f2poly(mat)
+    except SingularMatrix:
+        assume(False)
+    assert is_hnf(h)
+    for h_row, u_row in zip(h, u):
+        assert row_times_mat(u_row, mat) == h_row
+    d = det(u)
+    assert d.mask == 1  # a power of s: U is unimodular

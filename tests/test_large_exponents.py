@@ -2,6 +2,7 @@
 wall-clock bound, for the operations whose cost once grew with the exponent."""
 
 import json
+import random
 import time
 
 import pytest
@@ -38,6 +39,26 @@ def test_submodule_with_a_corner_exponent_of_a_million(corner):
     assert basis.index_log2 == d1.max_exp + d2.max_exp
     assert all(hnf.solve_membership(basis.rows, row) is not None for row in gens)
     assert elapsed < BUDGET_S
+
+
+def test_submodule_with_a_corner_exponent_of_ten_million():
+    d1, d2 = P.from_string("1+s+s^3"), P.from_string("1+s+s^2+s^3")
+    gens = [[d1, P.from_string(f"s^{-(10**7)}+s")], [P.zero(), d2]]
+    start = time.time()
+    basis = lamp.SubmoduleBasis.from_generators(2, gens)
+    elapsed = time.time() - start
+    assert basis.index_log2 == d1.max_exp + d2.max_exp
+    assert all(hnf.solve_membership(basis.rows, row) is not None for row in gens)
+    assert elapsed < BUDGET_S
+
+
+def test_exact_division_of_a_million_bit_product():
+    d = P.from_string("1+s+s^3")
+    q = P._raw(random.Random(6).getrandbits(10**6) | 1 | 1 << (10**6 - 1), -17)
+    start = time.time()
+    assert (q * d).exact_div(d) == q
+    assert (q * d + P.one()).exact_div(d) is None
+    assert time.time() - start < BUDGET_S
 
 
 def test_lamp_power_at_exponent_a_million():
