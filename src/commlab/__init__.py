@@ -5,10 +5,10 @@ Subpackage map:
 
 * ``f2poly``, ``ratfun``, ``polymat``, ``matrices``, ``hnf`` -- the
   exact-arithmetic substrate: F2 Laurent polynomials, the field F2(t),
-  F2 matrices as tuples of int row masks and matrix polynomials over
-  F2[u, 1/u] with a fraction-free elimination over F2[u], matrices over
-  Q (there is no matrix class over F2(t)), and Hermite normal forms over
-  F2[s, 1/s];
+  F2[u, 1/u]-linear maps of F2[t, 1/t] (u = t**n) stored as the images
+  of 1, t, ..., t**(n-1), one int mask each, with a fraction-free
+  elimination over F2[u], matrices over Q (there is no matrix class over
+  F2(t)), and Hermite normal forms over F2[s, 1/s];
 * ``lamplighter`` -- the lamplighter group and its commensurations in
   canonical (derivation, equivariant matrix, flip) coordinates;
 * ``storus`` -- S-arithmetic ranks of quadratic tori with a p-adic

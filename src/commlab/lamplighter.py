@@ -262,8 +262,9 @@ def _min_u_power_poly(d: int, k: int) -> int:
 
 class CommInftyElt:
     """Equivariant commensuration of K with an F2[t**m, t**-m]-linear
-    representative, stored as num/den with num a matrix polynomial and
-    den a scalar polynomial in s = t**m.
+    representative, stored as num/den with num an F2[s, 1/s]-linear map
+    of K (a PolyMat, by the images of 1, t, ..., t**(m-1)) and den a
+    scalar polynomial in s = t**m.
 
     Invariants: den has nonzero constant term and shares no factor with
     the gcd of the numerator entries.  Equality of canonical instances
@@ -309,16 +310,14 @@ class CommInftyElt:
             [F2LaurentPoly._raw(mask_mul(x.num, mask_divmod(den, x.den)[0]), x.shift) for x in row]
             for row in rows
         ])
-        if not gauss_jordan(num.entry_masks(), level):
+        if not gauss_jordan(num.entry_masks()[0], level):
             raise SingularMatrix("commensuration matrix must be invertible")
         return cls(level, num, den)
 
     def to_strings(self, var: str = "t") -> list[list[str]]:
         """The entries of the matrix num / den, as strings in var."""
-        return [
-            [F2RatFun(mask, self.den, self.num.shift).to_string(var) for mask in row]
-            for row in self.num.entry_masks()
-        ]
+        masks, shift = self.num.entry_masks()
+        return [[F2RatFun(mask, self.den, shift).to_string(var) for mask in row] for row in masks]
 
     def den_poly(self) -> F2LaurentPoly:
         return F2LaurentPoly._raw(self.den, 0)
@@ -368,11 +367,11 @@ class CommInftyElt:
         # num = u**shift * N, so the inverse is den * adj(N) * u**-shift / det N,
         # with the factor u**v of det N moved into the shift
         n = self.level
-        rows = [row + [int(i == j) for j in range(n)]
-                for i, row in enumerate(self.num.entry_masks())]
+        masks, shift = self.num.entry_masks()
+        rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(masks)]
         det = gauss_jordan(rows, n)
         v = (det & -det).bit_length() - 1
-        adj = [[F2LaurentPoly._raw(m, -self.num.shift - v) for m in row[n:]] for row in rows]
+        adj = [[F2LaurentPoly._raw(m, -shift - v) for m in row[n:]] for row in rows]
         return CommInftyElt(n, PolyMat.from_entries(n, adj).scalar_mul(self.den), det >> v)
 
     def flip_conj(self) -> "CommInftyElt":
@@ -381,19 +380,15 @@ class CommInftyElt:
         num = self.num.flip().scalar_mul(1 << (self.den.bit_length() - 1))
         return CommInftyElt(self.level, num, mask_reverse(self.den))
 
-    def lift(self, ys):
-        """The K element with coordinates ys / den, or None when den does
-        not divide every numerator coordinate in ys."""
-        if self.den != 1:
-            dp = self.den_poly()
-            ys = [y.exact_div(dp) for y in ys]
-            if any(q is None for q in ys):
-                return None
-        return coords_to_k(ys, self.level)
+    def lift(self, k: F2LaurentPoly):
+        """k / den(t**level), or None when den(t**level) does not divide k."""
+        if self.den == 1:
+            return k
+        return k.exact_div(self.den_poly().spread(self.level))
 
     def apply(self, k: F2LaurentPoly):
         """Image of a K element, or None when it is outside the domain."""
-        return self.lift(self.num.apply(k_to_coords(k, self.level)))
+        return self.lift(self.num.apply(k))
 
     def __eq__(self, other):
         return (
@@ -572,11 +567,11 @@ def _apply_lin_to_vder(lin: CommInftyElt, value: F2LaurentPoly, op: str):
     ResourceLimit, naming the operation ``op``.
     """
     m = lin.level
-    ys = lin.num.apply(k_to_coords(value, m))
+    y = lin.num.apply(value)
     den = g = lin.den
-    for y in ys:
-        g = mask_gcd(g, y.mask)
-    dreq = mask_divmod(den, g)[0]  # R_j * ys divisible by den iff dreq | R_j
+    for x in k_to_coords(y, m):
+        g = mask_gcd(g, x.mask)
+    dreq = mask_divmod(den, g)[0]  # den divides R_j * y iff dreq | R_j
     j = 1
     r = mask_mod(1, dreq)
     spow = mask_mod(2, dreq)
@@ -589,8 +584,7 @@ def _apply_lin_to_vder(lin: CommInftyElt, value: F2LaurentPoly, op: str):
             )
         r ^= spow
         spow = mask_mod(mask_mul(spow, 2), dreq)
-    mult = F2LaurentPoly.geometric(1, j)
-    image = lin.lift([mult * y for y in ys])
+    image = lin.lift(F2LaurentPoly.geometric(m, j) * y)
     if image is None:
         raise RuntimeError(
             f"derivation image at level {m}: multiplier of length {j} "
@@ -602,7 +596,6 @@ def _apply_lin_to_vder(lin: CommInftyElt, value: F2LaurentPoly, op: str):
 def comm_compose(c1: LampComm, c2: LampComm) -> LampComm:
     """The class of c1 after c2 (right-to-left composition)."""
     level = math.lcm(c1.level, c2.level)
-    d1 = c1.der.raise_to(level)
     a1 = c1.lin.raise_to(level)
     d2 = c2.der.raise_to(level)
     a2 = c2.lin.raise_to(level)
@@ -611,7 +604,7 @@ def comm_compose(c1: LampComm, c2: LampComm) -> LampComm:
         a2 = a2.flip_conj()
     j, applied = _apply_lin_to_vder(a1, d2.value, "compose")
     # the linear part stays at this level: make() lowers it to its least level
-    d1 = d1.raise_to(j * level)
+    d1 = c1.der.raise_to(j * level)
     return LampComm.make(
         VDerElt(d1.level, d1.value + applied), a1.compose(a2), c1.flip != c2.flip
     )
@@ -647,7 +640,7 @@ def comm_domain(c: LampComm):
     """
     level = c.level
     dp = c.lin.den_poly()
-    masks, shift = c.lin.num.entry_masks(), c.lin.num.shift
+    masks, shift = c.lin.num.entry_masks()
     stacked = []
     for i in range(level):
         stacked.append([F2LaurentPoly._raw(masks[r][i], shift) for r in range(level)])
@@ -678,8 +671,11 @@ def diagonal_embed(n: int, rows) -> LampComm:
         for j, v in enumerate(row):
             if v not in (0, 1):
                 raise ValueError(f"entry ({i}, {j}) is {v!r}, not 0 or 1")
-    num = PolyMat(n, (tuple(sum(v << j for j, v in enumerate(row)) for row in rows),))
-    if not gauss_jordan(num.entry_masks(), n):
+    # t**j goes to the sum of t**i over the rows i with a 1 in column j
+    num = PolyMat.from_images(n, [
+        F2LaurentPoly([i for i in range(n) if rows[i][j]]) for j in range(n)
+    ])
+    if not gauss_jordan(num.entry_masks()[0], n):
         raise SingularMatrix("matrix is not invertible over F2")
     return LampComm.make(VDerElt.zero(), CommInftyElt(n, num), False)
 
@@ -720,11 +716,9 @@ def comm_from_partial(
         if img.n != 0:
             raise NotAHomomorphism("image of a torsion generator must be torsion")
     gens = domain.generators_as_k()
-    cols_in = [k_to_coords(g.flip() if eps < 0 else g, level) for g in gens]
-    cols_out = [k_to_coords(img.k, level) for img in gen_images]
-    x = PolyMat.from_entries(level, list(zip(*cols_in)))
-    h = PolyMat.from_entries(level, list(zip(*cols_out)))
-    if not gauss_jordan(h.entry_masks(), level):
+    x = PolyMat.from_images(level, [g.flip() if eps < 0 else g for g in gens])
+    h = PolyMat.from_images(level, [img.k for img in gen_images])
+    if not gauss_jordan(h.entry_masks()[0], level):
         raise NotAHomomorphism("generator images do not span a finite-index submodule")
     lin = CommInftyElt(level, h).compose(CommInftyElt(level, x).inverse())
     value = t_image.k if eps > 0 else t_image.k.shifted(level)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import pathlib
@@ -455,3 +456,27 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, b""), argv
+
+
+def test_composing_dense_high_degree_classes_is_fast():
+    # the products of these numerators are one carry-less product per
+    # image, not one coefficient product per pair of nonzero coefficients;
+    # the digests are of the output before the product changed
+    c = '{"level":1,"der":"0","A":[["(1+s^3000)/(1+s+s^2000)"]],"flip":false}'
+    c1 = '{"level":1,"der":"0","A":[["(1+s^30000)/(1+s+s^20000)"]],"flip":false}'
+    c2 = '{"level":1,"der":"0","A":[["(1+s^3+s^40000)/(1+s+s^25000)"]],"flip":false}'
+    calls = [
+        (c, c, "3b6db6c3bd18d75e22d292cf115cbda212d183043094f78de025f86b1d1821e7", 22642),
+        (c1, c2, "fdcb764e9fc40341dbe973f43aba26bfa4d7a167860945c7f532b0bc6bb8b934", 366000),
+    ]
+    src = str(pathlib.Path(commlab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for first, second, digest, size in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "commlab.cli", "lamp", "compose", "--c1", first, "--c2", second],
+            capture_output=True, env=env, timeout=10,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert len(proc.stdout) == size
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest

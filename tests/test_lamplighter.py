@@ -260,7 +260,8 @@ def _lowest_terms_by_entries(num, den):
     if g == 1:
         return num, den
     gp = P._raw(g, 0)
-    ents = [[P._raw(m, num.shift).exact_div(gp) for m in row] for row in num.entry_masks()]
+    masks, shift = num.entry_masks()
+    ents = [[P._raw(m, shift).exact_div(gp) for m in row] for row in masks]
     return PolyMat.from_entries(num.n, ents), mask_divmod(den, g)[0]
 
 
@@ -865,9 +866,12 @@ def test_submodule_flip_reads_flipped_generators():
 
 def _old_apply_lin_to_vder(lin, value):
     """Oracle: the j search with dreq the lcm of den / gcd(den, y) over the
-    coordinates y, and the image divided coordinate by coordinate."""
+    coordinates y of the numerator's action, taken entry by entry, and the
+    image divided coordinate by coordinate."""
     m = lin.level
-    ys = lin.num.apply(k_to_coords(value, m))
+    masks, shift = lin.num.entry_masks()
+    xs = k_to_coords(value, m)
+    ys = [sum((P._raw(masks[i][j], shift) * xs[j] for j in range(m)), P.zero()) for i in range(m)]
     dreq = 1
     for y in ys:
         if y:

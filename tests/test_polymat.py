@@ -1,4 +1,4 @@
-"""Properties of the matrix-valued polynomials over F2."""
+"""Properties of the F2[u, 1/u]-linear maps of K (PolyMat) and of the elimination over F2[u]."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,90 +10,115 @@ from samplers import MatF2Rat
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
-laurent_polys = st.builds(F2LaurentPoly, st.lists(st.integers(-4, 4), max_size=4))
+# K elements spanning several blocks of up to 6 coordinates
+k_elements = st.builds(F2LaurentPoly, st.lists(st.integers(-20, 20), max_size=8))
+ZERO = F2LaurentPoly.zero()
 
 
 @st.composite
-def polymats(draw, n=None):
-    """n x n (n = 1..6 unless given), with 0 to 6 coefficients at a shift
-    in [-3, 3]."""
+def drawn(draw, n=None):
+    """(A, entries): n x n (n = 1..6 unless given) entries drawn as 0 to 6
+    coefficient matrices of row masks at a shift in [-3, 3], and A built
+    from them by from_entries."""
     if n is None:
         n = draw(st.integers(1, 6))
-    entries = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
-    coeffs = draw(st.lists(entries, max_size=6))
-    return PolyMat(n, map(tuple, coeffs), draw(st.integers(-3, 3)))
+    rows = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+    coeffs = draw(st.lists(rows, max_size=6))
+    shift = draw(st.integers(-3, 3))
+    entries = [
+        [F2LaurentPoly([shift + e for e, c in enumerate(coeffs) if c[i] >> j & 1]) for j in range(n)]
+        for i in range(n)
+    ]
+    return PolyMat.from_entries(n, entries), entries
 
 
-nonzero_polymats = polymats().filter(lambda a: a.coeffs)
-same_size_pairs = st.integers(1, 6).flatmap(lambda n: st.tuples(polymats(n), polymats(n)))
-
-
-def _entry(a, i, j):
-    """Oracle: entry (i, j) by a walk over every coefficient."""
-    mask = 0
-    for e, c in enumerate(a.coeffs):
-        if (c[i] >> j) & 1:
-            mask |= 1 << e
-    return F2LaurentPoly._raw(mask, a.shift)
+same_size_pairs = st.integers(1, 6).flatmap(lambda n: st.tuples(drawn(n), drawn(n)))
 
 
 def _entries(a):
-    return [[_entry(a, i, j) for j in range(a.n)] for i in range(a.n)]
+    """The entries of a PolyMat, as F2LaurentPoly, read by entry_masks."""
+    masks, shift = a.entry_masks()
+    return [[F2LaurentPoly._raw(m, shift) for m in row] for row in masks]
 
 
 def _shift_matrix(n, d):
     """T_d on n coordinates: e_i goes to e_(i+d), or to u * e_(i+d-n)."""
-    return PolyMat(n, (
-        tuple(1 << (r - d) if r >= d else 0 for r in range(n)),
-        tuple(1 << (r - d + n) if r < d else 0 for r in range(n)),
-    ))
+    entries = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        if i + d < n:
+            entries[i + d][i] = F2LaurentPoly.one()
+        else:
+            entries[i + d - n][i] = F2LaurentPoly.t_power(1)
+    return PolyMat.from_entries(n, entries)
+
+
+def _act(entries, k):
+    """Oracle: the matrix action on K, coordinates read residue by residue:
+    k is the sum of x_j(t**n) * t**j, and its image the sum of
+    (sum over j of entry (i, j) * x_j)(t**n) * t**i."""
+    n = len(entries)
+    xs = [F2LaurentPoly([e // n for e in k.support() if e % n == j]) for j in range(n)]
+    return sum((
+        sum((entries[i][j] * xs[j] for j in range(n)), ZERO).spread(n).shifted(i)
+        for i in range(n)
+    ), ZERO)
 
 
 @PROPERTY
-@given(polymats(), st.integers(0, 63).map(lambda m: 2 * m + 1))
-def test_scalar_div_inverts_scalar_mul(mat, mask):
+@given(drawn(), st.integers(0, 63).map(lambda m: 2 * m + 1))
+def test_scalar_div_inverts_scalar_mul(case, mask):
     # odd masks of degree 0 to 6
-    assert mat.scalar_mul(mask).scalar_div(mask) == mat
+    a, _ = case
+    assert a.scalar_mul(mask).scalar_div(mask) == a
+
+
+@PROPERTY
+@given(drawn(), st.integers(1, 63))
+def test_scalar_mul_multiplies_every_entry(case, mask):
+    a, entries = case
+    g = F2LaurentPoly._raw(mask, 0)
+    assert _entries(a.scalar_mul(mask)) == [[x * g for x in row] for row in entries]
 
 
 @PROPERTY
 @given(same_size_pairs)
 def test_product_is_the_entrywise_product(pair):
-    a, b = pair
-    zero = F2LaurentPoly.zero()
+    (a, ea), (b, eb) = pair
+    n = a.n
     want = [
-        [sum((_entry(a, i, k) * _entry(b, k, j) for k in range(a.n)), zero) for j in range(a.n)]
-        for i in range(a.n)
+        [sum((ea[i][k] * eb[k][j] for k in range(n)), ZERO) for j in range(n)]
+        for i in range(n)
     ]
     assert _entries(a * b) == want
 
 
 @PROPERTY
-@given(polymats())
-def test_from_entries_rebuilds_the_matrix(a):
-    # the zero matrix too: all-zero entries give the zero PolyMat
+@given(drawn())
+def test_from_entries_rebuilds_the_matrix(case):
+    # the zero matrix too: all-zero entries give the zero map
+    a, _ = case
     assert PolyMat.from_entries(a.n, _entries(a)) == a
 
 
 @PROPERTY
-@given(polymats())
-def test_entry_masks_agree_with_the_entry_walk(a):
-    masks = a.entry_masks()
-    assert [[F2LaurentPoly._raw(m, a.shift) for m in row] for row in masks] == _entries(a)
+@given(drawn())
+def test_entry_masks_agree_with_the_entry_walk(case):
+    # the drawn entries, walked out of the drawn coefficients, are the oracle
+    a, entries = case
+    assert _entries(a) == entries
 
 
 @PROPERTY
-@given(polymats(), st.lists(laurent_polys, min_size=6, max_size=6))
-def test_apply_is_the_entrywise_action(a, vec):
-    vec = vec[:a.n]
-    zero = F2LaurentPoly.zero()
-    want = [sum((_entry(a, i, j) * vec[j] for j in range(a.n)), zero) for i in range(a.n)]
-    assert a.apply(vec) == want
+@given(drawn(), k_elements)
+def test_apply_is_the_entrywise_action(case, k):
+    a, entries = case
+    assert a.apply(k) == _act(entries, k)
 
 
 @PROPERTY
-@given(nonzero_polymats, st.integers(2, 4))
-def test_lowering_inverts_raising(a, k):
+@given(drawn(), st.integers(2, 4))
+def test_lowering_inverts_raising(case, k):
+    a, _ = case
     raised = a.raised(k)
     assert raised.n == a.n * k
     assert raised.commutes_with(a.n)
@@ -101,10 +126,10 @@ def test_lowering_inverts_raising(a, k):
 
 
 @PROPERTY
-@given(nonzero_polymats, st.integers(1, 3))
-def test_commute_test_agrees_with_the_products(a, k):
+@given(drawn(), st.integers(1, 3))
+def test_commute_test_agrees_with_the_products(case, k):
     # raised matrices commute with some shifts, so both answers occur
-    b = a.raised(k)
+    b = case[0].raised(k)
     for d in range(1, b.n + 1):
         t = _shift_matrix(b.n, d)
         assert b.commutes_with(d) == (b * t == t * b), d
@@ -113,9 +138,38 @@ def test_commute_test_agrees_with_the_products(a, k):
 @PROPERTY
 @given(same_size_pairs)
 def test_flip_is_a_multiplicative_involution(pair):
-    a, b = pair
+    (a, _), (b, _) = pair
     assert a.flip().flip() == a
     assert (a * b).flip() == a.flip() * b.flip()
+
+
+@PROPERTY
+@given(same_size_pairs, k_elements, st.integers(1, 3))
+def test_maps_agree_with_arithmetic_on_k(pair, k, r):
+    (a, _), (b, _) = pair
+    assert (a * b).apply(k) == a.apply(b.apply(k))
+    assert a.raised(r).apply(k) == a.apply(k)
+    assert a.flip().apply(k) == a.apply(k.flip()).flip()
+    # the maps are F2[u]-linear, so the basis 1, t, ..., t**(n-1) decides
+    # equivariance; raising makes some d commute
+    c = a.raised(r)
+    basis = [F2LaurentPoly.t_power(j) for j in range(c.n)]
+    for d in range(1, c.n + 1):
+        equivariant = all(c.apply(x.shifted(d)) == c.apply(x).shifted(d) for x in basis + [k])
+        assert c.commutes_with(d) == equivariant, d
+
+
+def test_the_zero_map():
+    zero = PolyMat.from_entries(2, [[ZERO] * 2 for _ in range(2)])
+    ident = PolyMat.identity(2)
+    raised = zero.raised(2)
+    assert raised == PolyMat.from_entries(4, [[ZERO] * 4 for _ in range(4)])
+    assert raised.lowered(2) == zero
+    assert zero.flip() == zero
+    assert zero * ident == zero and ident * zero == zero
+    assert zero.scalar_mul(3) == zero
+    assert zero.commutes_with(1) and zero.commutes_with(2)
+    assert all(raised.commutes_with(d) for d in range(1, 5))
 
 
 @st.composite
