@@ -11,6 +11,13 @@ The mask helpers at the top operate on ordinary polynomials (mask bit 0
 is the constant term) and are shared with the rational-function and
 normal-form layers.
 
+The Kronecker layout (x = t**n; von zur Gathen and Gerhard, Modern
+Computer Algebra, 3rd ed., section 8.4) packs n masks into one whose bit
+n*e + i is bit e of mask i.  ``mask_interleave`` and ``mask_deinterleave``
+are the only code that does its arithmetic.  Masks are built and read in
+one pass over a string or buffer of their bits, never one set bit at a
+time, so the cost is linear in their length.
+
 Division has two routes, chosen by cost.  The schoolbook loop spends one
 xor per quotient bit.  The series route uses b(x)**2 = b(x**2) over F2:
 for b(0) = 1, 1/b = b(x) * b(x**2) * b(x**4) * ... mod x**n, so n
@@ -25,6 +32,8 @@ from __future__ import annotations
 
 import re
 
+from .errors import ResourceLimit
+
 # mask_divmod's schoolbook loop divides a long dividend this many quotient
 # bits at a time.
 _WINDOW = 1024
@@ -34,6 +43,9 @@ _WINDOW = 1024
 _SHORT = 128
 # byte i with its eight bits in reverse order
 _BIT_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+# the widest span, in bits, of a polynomial built from its exponents: parsing
+# "1+t^N" allocates N/8 bytes, so a wider span raises ResourceLimit first
+MAX_SPAN = 1 << 26
 
 
 def mask_deg(a: int) -> int:
@@ -157,16 +169,32 @@ def mask_pow_mod(a: int, e: int, d: int) -> int:
     return r
 
 
+def mask_interleave(masks, n: int) -> int:
+    """The mask whose bit n*e + i is bit e of masks[i], for a sequence of
+    one to n masks (missing ones are 0): sum of masks[i](x**n) * x**i."""
+    if n == 1:
+        return masks[0]
+    w = max(masks).bit_length()
+    # character n*(w-1-e) + (n-1-i) of the n*w-digit string is bit n*e + i
+    digits = bytearray(b"0" * (n * w))
+    for i, m in enumerate(masks):
+        if m:
+            digits[n - 1 - i::n] = format(m, "b").zfill(w).encode()
+    return int(digits or b"0", 2)
+
+
+def mask_deinterleave(a: int, n: int) -> list[int]:
+    """The n masks whose bit e is bit n*e + i of a; inverts mask_interleave."""
+    if n == 1:
+        return [a]
+    w = -(-a.bit_length() // n)
+    digits = format(a, "b").zfill(n * w)
+    return [int(digits[n - 1 - i::n] or "0", 2) for i in range(n)]
+
+
 def mask_spread(a: int, k: int) -> int:
     """Substitute x -> x**k into a poly mask (k >= 1)."""
-    if k == 1:
-        return a
-    acc = 0
-    while a:
-        low = a & -a
-        acc |= 1 << (k * (low.bit_length() - 1))
-        a &= a - 1
-    return acc
+    return mask_interleave((a,), k)
 
 
 def mask_reverse(a: int) -> int:
@@ -177,6 +205,7 @@ def mask_reverse(a: int) -> int:
 
 
 _TERM_RE = re.compile(r"^(1|[ts](\^(-?\d+))?)$")
+_ONE = re.compile("1")
 
 
 class F2LaurentPoly:
@@ -189,15 +218,8 @@ class F2LaurentPoly:
     __slots__ = ("mask", "shift")
 
     def __init__(self, support=()):
-        mask = 0
-        lo = 0
         exps = set(support)
-        if exps:
-            lo = min(exps)
-            for e in exps:
-                mask |= 1 << (e - lo)
-        self.mask = mask
-        self.shift = lo if mask else 0
+        self.mask, self.shift = _pack(exps) if exps else (0, 0)
 
     @classmethod
     def _raw(cls, mask: int, shift: int) -> "F2LaurentPoly":
@@ -241,13 +263,9 @@ class F2LaurentPoly:
         return cls._raw(mask, 0)
 
     def support(self) -> tuple[int, ...]:
-        out = []
-        m, s = self.mask, self.shift
-        while m:
-            low = m & -m
-            out.append(s + low.bit_length() - 1)
-            m &= m - 1
-        return tuple(out)
+        """The exponents in ascending order, read off one scan of the bit string."""
+        top = self.shift + self.mask.bit_length() - 1
+        return tuple(top - m.start() for m in _ONE.finditer(format(self.mask, "b")))[::-1]
 
     @property
     def min_exp(self) -> int:
@@ -338,14 +356,7 @@ class F2LaurentPoly:
     def to_string(self, var: str = "t") -> str:
         if self.mask == 0:
             return "0"
-        terms = []
-        for e in self.support():
-            if e == 0:
-                terms.append("1")
-            elif e == 1:
-                terms.append(var)
-            else:
-                terms.append(f"{var}^{e}")
+        terms = ["1" if e == 0 else var if e == 1 else f"{var}^{e}" for e in self.support()]
         return "+".join(terms)
 
     @classmethod
@@ -356,25 +367,32 @@ class F2LaurentPoly:
         text = text.replace(" ", "")
         if text == "0":
             return cls.zero()
-        mask, lo = 0, None
         exps = []
         for term in text.split("+"):
             m = _TERM_RE.match(term)
             if not m:
                 raise ValueError(f"bad polynomial term: {term!r}")
-            if term == "1":
-                exps.append(0)
-            elif m.group(3) is not None:
-                exps.append(int(m.group(3)))
-            else:
-                exps.append(1)
-        lo = min(exps)
-        for e in exps:
-            mask ^= 1 << (e - lo)
-        return cls._raw(mask, lo)
+            exps.append(0 if term == "1" else int(m.group(3) or 1))
+        return cls._raw(*_pack(exps))
 
     def __str__(self):
         return self.to_string()
 
     def __repr__(self):
         return f"F2LaurentPoly({self.to_string()!r})"
+
+
+def _pack(exps) -> tuple[int, int]:
+    """The mask and shift of the sum of t**e over the nonempty exps, where a
+    repeated exponent cancels: one bit toggle per term in a byte buffer.
+    Raises ResourceLimit, before allocating, for a span above MAX_SPAN."""
+    lo = min(exps)
+    span = max(exps) - lo
+    if span > MAX_SPAN:
+        raise ResourceLimit(f"work limit: a polynomial with exponents {lo} to "
+                            f"{lo + span} spans more than {MAX_SPAN} bits")
+    buf = bytearray(span // 8 + 1)
+    for e in exps:
+        e -= lo
+        buf[e >> 3] ^= 1 << (e & 7)
+    return int.from_bytes(buf, "little"), lo

@@ -47,6 +47,7 @@ from .errors import (
 )
 from .f2poly import (
     F2LaurentPoly,
+    mask_deinterleave,
     mask_divmod,
     mask_gcd,
     mask_lcm,
@@ -140,38 +141,6 @@ class LampElement:
     @classmethod
     def from_json(cls, obj) -> "LampElement":
         return cls(F2LaurentPoly.from_string(obj["k"]), operator.index(obj["n"]))
-
-
-# ---------------------------------------------------------------------------
-# coordinates of K at a level
-
-
-def k_to_coords(k: F2LaurentPoly, m: int) -> list[F2LaurentPoly]:
-    """Coordinates of k in the basis (1, t, ..., t**(m-1)) over F2[s, 1/s]."""
-    masks = [0] * m
-    los = [None] * m
-    mask, base = k.mask, k.shift
-    while mask:
-        low = mask & -mask
-        e = base + low.bit_length() - 1
-        j = e % m
-        q = (e - j) // m
-        if los[j] is None:  # bits ascend, so the first q is the least
-            los[j] = q
-        masks[j] |= 1 << (q - los[j])
-        mask &= mask - 1
-    return [
-        F2LaurentPoly._raw(masks[j], los[j] or 0) if masks[j] else _ZERO
-        for j in range(m)
-    ]
-
-
-def coords_to_k(xs, m: int) -> F2LaurentPoly:
-    out = _ZERO
-    for j, x in enumerate(xs):
-        if not x.is_zero():
-            out = out + x.spread(m).shifted(j)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +413,21 @@ class SubmoduleBasis:
         return hnf.submodule_index(self.rows)
 
     def generators_as_k(self) -> list[F2LaurentPoly]:
-        return [coords_to_k(row, self.level) for row in self.rows]
+        """The rows as elements of K: the images of 1, t, ..., t**(m-1)
+        under the map whose matrix has the rows as its columns."""
+        return PolyMat.from_entries(self.level, list(zip(*self.rows))).images()
+
+    def _coords(self, k: F2LaurentPoly) -> list[F2LaurentPoly]:
+        """The coordinates of k over F2[s, 1/s], in the basis 1, t, ..., t**(m-1)."""
+        m = self.level
+        xs = mask_deinterleave(k.mask << k.shift % m, m)
+        return [F2LaurentPoly._raw(x, k.shift // m) for x in xs]
 
     def contains(self, k: F2LaurentPoly) -> bool:
-        return hnf.solve_membership(self.rows, k_to_coords(k, self.level)) is not None
+        return hnf.solve_membership(self.rows, self._coords(k)) is not None
 
     def flip(self) -> "SubmoduleBasis":
-        gens = [k_to_coords(g.flip(), self.level) for g in self.generators_as_k()]
+        gens = [self._coords(g.flip()) for g in self.generators_as_k()]
         return SubmoduleBasis.from_generators(self.level, gens)
 
     def __eq__(self, other):
@@ -569,8 +546,10 @@ def _apply_lin_to_vder(lin: CommInftyElt, value: F2LaurentPoly, op: str):
     m = lin.level
     y = lin.num.apply(value)
     den = g = lin.den
-    for x in k_to_coords(y, m):
-        g = mask_gcd(g, x.mask)
+    # y is t**y.shift times y.mask, and a power of t permutes the coordinates up
+    # to powers of s, which are prime to the odd den: so read those of y.mask
+    for x in mask_deinterleave(y.mask, m):
+        g = mask_gcd(g, x)
     dreq = mask_divmod(den, g)[0]  # den divides R_j * y iff dreq | R_j
     j = 1
     r = mask_mod(1, dreq)

@@ -3,18 +3,26 @@
 Such a map is fixed by where it sends the basis 1, t, ..., t**(n-1), so a
 PolyMat holds those n images, each as an int mask at a common t-shift.
 As an n x n matrix over F2[u, 1/u], entry (i, j) is the part of image j
-at the exponents n*e + i; packing each column at stride n is Kronecker
-substitution u = t**n (von zur Gathen and Gerhard, Modern Computer
-Algebra, 3rd ed., section 8.4).  So the action on K, the product, the
-level changes, the shift commute test and the flip are shifts and
-carry-less products of the n masks.  Only this module reads the masks;
-``entry_masks`` reads all entries in one pass, and ``gauss_jordan`` is
-the one elimination over F2[u], so no matrix over F2(u) is ever formed.
+at the exponents n*e + i: each column is the Kronecker layout of
+``f2poly``, which owns it, so ``from_entries`` interleaves a column's
+entries and ``entry_masks`` de-interleaves them.  So the action on K, the
+product, the level changes, the shift commute test and the flip are
+shifts and carry-less products of the n masks.  Only this module reads
+the masks, and ``gauss_jordan`` is the one elimination over F2[u], so no
+matrix over F2(u) is ever formed.
 """
 
 from __future__ import annotations
 
-from .f2poly import F2LaurentPoly, mask_divmod, mask_gcd, mask_mul, mask_spread
+from .f2poly import (
+    F2LaurentPoly,
+    mask_deinterleave,
+    mask_divmod,
+    mask_gcd,
+    mask_interleave,
+    mask_mul,
+    mask_spread,
+)
 
 
 def gauss_jordan(rows: list, n: int) -> int:
@@ -78,14 +86,11 @@ class PolyMat:
         """Build from an n x n array of F2LaurentPoly in u: image j is the
         sum over i of entry (i, j) at u = t**n, times t**i."""
         base = min((x.shift for row in entries for x in row if x), default=0)
-        cols = [0] * n
-        for i, row in enumerate(entries):
-            for j, x in enumerate(row):
-                if x:
-                    cols[j] ^= mask_spread(x.mask, n) << n * (x.shift - base) + i
+        cols = (mask_interleave([x.mask << x.shift - base if x else 0 for x in col], n)
+                for col in zip(*entries))
         return cls(n, cols, n * base)
 
-    def _images(self) -> list[F2LaurentPoly]:
+    def images(self) -> list[F2LaurentPoly]:
         """The images of 1, t, ..., t**(n-1)."""
         return [F2LaurentPoly._raw(c, self.shift) for c in self.cols]
 
@@ -106,7 +111,7 @@ class PolyMat:
     def __mul__(self, other):
         if not isinstance(other, PolyMat):
             return NotImplemented
-        return PolyMat.from_images(self.n, [self.apply(k) for k in other._images()])
+        return PolyMat.from_images(self.n, [self.apply(k) for k in other.images()])
 
     def __eq__(self, other):
         return (
@@ -132,10 +137,7 @@ class PolyMat:
     def _column(self, c: int) -> list[int]:
         """The entries (0, j), ..., (n-1, j) of the column whose image mask
         is c, as poly masks at u**(shift // n)."""
-        n = self.n
-        # bit p of the string is t**(n*(shift // n) + p), so entry p % n
-        bits = format(c << self.shift % n, "b")[::-1]
-        return [int(bits[i::n][::-1] or "0", 2) for i in range(n)]
+        return mask_deinterleave(c << self.shift % self.n, self.n)
 
     def entry_masks(self) -> tuple[list[list[int]], int]:
         """The n x n entries as poly masks, and their common shift in u:
@@ -181,5 +183,5 @@ class PolyMat:
     def flip(self) -> "PolyMat":
         """F * A * F, where F(k)(t) = k(1/t): F(1) = 1 and, for j >= 1,
         F(t**j) = t**-n * t**(n-j), so image j is t**n * F(image (n-j))."""
-        ks = [k.flip() for k in self._images()]
+        ks = [k.flip() for k in self.images()]
         return PolyMat.from_images(self.n, ks[:1] + [k.shifted(self.n) for k in ks[:0:-1]])

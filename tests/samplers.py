@@ -5,9 +5,12 @@ seed gives a fixed sample; ``tests/test_samplers.py`` pins that output.
 ``MatF2Rat`` (field elimination over F2(t)) and ``f2_rank`` are the
 oracles that the fraction-free elimination of ``commlab.polymat`` is
 compared against; the program itself forms no matrix over F2(t).
+``k_to_coords`` and ``coords_to_k`` give the coordinates of K at a level
+through the ``f2poly`` interleave pair, and ``residue_coords`` is their
+oracle.
 """
 
-from commlab.f2poly import F2LaurentPoly
+from commlab.f2poly import F2LaurentPoly, mask_deinterleave, mask_interleave
 from commlab.lamplighter import CommInftyElt, LampComm, LampElement, SubmoduleBasis, VDerElt
 from commlab.matrices import Mat
 from commlab.ratfun import F2RatFun
@@ -29,6 +32,27 @@ def f2_rank(masks) -> int:
                 break
             m ^= p
     return rank
+
+
+def k_to_coords(k: F2LaurentPoly, m: int) -> list[F2LaurentPoly]:
+    """Coordinates of k over F2[s, 1/s], s = t**m, in the basis 1, t, ..., t**(m-1)."""
+    xs = mask_deinterleave(k.mask << k.shift % m, m)
+    return [F2LaurentPoly._raw(x, k.shift // m) for x in xs]
+
+
+def coords_to_k(xs, m: int) -> F2LaurentPoly:
+    """The element of K with coordinates xs at level m."""
+    lo = min((x.shift for x in xs if x), default=0)
+    masks = [x.mask << x.shift - lo if x else 0 for x in xs]
+    return F2LaurentPoly._raw(mask_interleave(masks, m), m * lo)
+
+
+def residue_coords(k: F2LaurentPoly, m: int) -> list[F2LaurentPoly]:
+    """Oracle: coordinates by collecting each residue class's exponents."""
+    exps = [[] for _ in range(m)]
+    for e in k.support():
+        exps[e % m].append(e // m)
+    return [F2LaurentPoly(qs) for qs in exps]
 
 
 class MatF2Rat(Mat):

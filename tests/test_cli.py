@@ -347,6 +347,17 @@ def test_running_out_of_memory_is_a_resource_limit(capsys, monkeypatch):
     ]
 
 
+def test_an_exponent_past_the_span_cap_is_a_resource_limit(capsys):
+    # parsing 1 + t^(2*10^9) would allocate a 250 MB mask; the span is
+    # checked against f2poly.MAX_SPAN before anything is allocated
+    start = time.perf_counter()
+    code, out = run_json(
+        capsys, ["lamp", "mul", "--g", '{"k":"1+t^2000000000","n":0}', "--h", '{"k":"1","n":0}']
+    )
+    assert code == 1 and out["error"] == "ResourceLimit"
+    assert time.perf_counter() - start < 1
+
+
 def test_demo_commands(capsys):
     for name in ("torus-example", "lamplighter-gl-embed", "bs-bogopolski", "radicability"):
         assert run(["demo", name]) == 0

@@ -1,7 +1,8 @@
 """Properties of the F2 routines whose cost must not grow with an exponent:
 ``mask_divmod`` and ``F2LaurentPoly.exact_div`` on both division routes,
-``mask_pow_mod``, ``F2LaurentPoly.geometric``, ``LampElement.__pow__`` and
-``hnf._laurent_rep``."""
+``mask_pow_mod``, ``F2LaurentPoly.geometric``, ``LampElement.__pow__``,
+``hnf._laurent_rep`` and the interleave pair of the Kronecker layout; and
+the ring axioms of ``F2LaurentPoly`` on masks of a few hundred bits."""
 
 import random
 
@@ -13,13 +14,16 @@ from commlab.f2poly import (
     _WINDOW,
     F2LaurentPoly,
     _series_pays,
+    mask_deinterleave,
     mask_divmod,
+    mask_interleave,
     mask_mod,
     mask_mul,
     mask_pow_mod,
 )
 from commlab.hnf import _laurent_rep
-from commlab.lamplighter import LampElement
+from commlab.lamplighter import LampElement, SubmoduleBasis
+from samplers import coords_to_k, k_to_coords, residue_coords
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -159,3 +163,45 @@ def test_laurent_rep_matches_the_shift_step_loop(am, shift, dm):
     assert rep.is_zero() or (rep.shift >= 0 and rep.max_exp < d.mask.bit_length() - 1)
     assert rep == F2LaurentPoly._raw(_rep_by_shift_steps(a, d), 0)
     assert (a + rep).exact_div(d) is not None
+
+
+def laurent(max_bits):
+    """An F2LaurentPoly with a mask of up to max_bits bits at a shift in -300..300."""
+    return st.builds(F2LaurentPoly._raw, masks(max_bits), st.integers(-300, 300))
+
+
+@PROPERTY
+@given(st.integers(1, 12), st.data())
+def test_deinterleave_inverts_interleave(n, data):
+    ms = data.draw(st.lists(masks(200), min_size=n, max_size=n))
+    a = mask_interleave(ms, n)
+    assert mask_deinterleave(a, n) == ms
+    assert mask_interleave(mask_deinterleave(a, n), n) == a
+    # bit n*e + i of the layout is bit e of mask i
+    assert all(a >> n * e + i & 1 == ms[i] >> e & 1 for i in range(n) for e in range(201))
+    # fewer than n masks leave the missing ones 0
+    assert mask_deinterleave(mask_interleave(ms[:1], n), n) == ms[:1] + [0] * (n - 1)
+
+
+@PROPERTY
+@given(laurent(300), st.integers(1, 12))
+def test_coordinates_are_the_residue_classes(k, m):
+    coords = k_to_coords(k, m)
+    assert coords == residue_coords(k, m)
+    assert SubmoduleBasis.full(m)._coords(k) == coords
+    assert coords_to_k(coords, m) == k
+
+
+@PROPERTY
+@given(laurent(300), laurent(300), laurent(300))
+def test_ring_axioms(a, b, c):
+    zero, one = F2LaurentPoly.zero(), F2LaurentPoly.one()
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert a + zero == a and a + a == zero
+    assert a * (b + c) == a * b + a * c
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * one == a and a * zero == zero
+    assert F2LaurentPoly(a.support()) == a
+    assert F2LaurentPoly.from_string(a.to_string()) == a

@@ -62,6 +62,11 @@ def test_string_round_trip():
         assert P.from_string(text).to_string() == text
     assert P.from_string("t^3 + t") == P([1, 3])
     assert P.from_string("1+1") == P.zero()
+    # repeated terms cancel mod 2, while a support is a set
+    assert P.from_string("t+t") == P.zero()
+    assert P.from_string("1+t+t") == P.one()
+    assert P.from_string("t^-3+t^4+t^-3") == P([4])
+    assert P([1, 1]) == P.t_power(1)
     with pytest.raises(ValueError):
         P.from_string("t^")
 

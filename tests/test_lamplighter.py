@@ -30,15 +30,22 @@ from commlab.lamplighter import (
     comm_domain,
     comm_from_partial,
     comm_invert,
-    coords_to_k,
     diagonal_embed,
-    k_to_coords,
     quotient_dim,
     theta_sign,
 )
 from commlab.polymat import PolyMat
 from commlab.ratfun import F2RatFun as R
-from samplers import MatF2Rat, f2_rank, random_comm, random_element, random_submodule
+from samplers import (
+    MatF2Rat,
+    coords_to_k,
+    f2_rank,
+    k_to_coords,
+    random_comm,
+    random_element,
+    random_submodule,
+    residue_coords,
+)
 
 E0 = LampElement.lamp(0)
 T = LampElement.shift(1)
@@ -356,8 +363,6 @@ def test_flip_conj_of_mult_by_t():
 def test_apply_agrees_with_coordinate_matrix_route():
     # independent route: apply the F2(s) matrix to rational coordinate
     # vectors and clear denominators by hand
-    from commlab.lamplighter import coords_to_k, k_to_coords
-
     rng = random.Random(62)
     for _ in range(40):
         lin = random_comm(rng, max_level=4).lin
@@ -592,8 +597,6 @@ def test_domain_is_exact():
 
 
 def test_domain_image_is_finite_index():
-    from commlab.lamplighter import k_to_coords
-
     rng = random.Random(34)
     for _ in range(15):
         c = random_comm(rng, max_level=3)
@@ -839,24 +842,20 @@ def _old_flip_coords(xs, m):
     return [xs[0].flip()] + [xs[m - i].flip().shifted(-1) for i in range(1, m)]
 
 
-def _old_k_to_coords(k, m):
-    """Oracle: coordinates by collecting each residue class's exponents."""
-    exps = [[] for _ in range(m)]
-    for e in k.support():
-        exps[e % m].append(e // m)
-    return [P(qs) for qs in exps]
-
-
 def test_submodule_flip_reads_flipped_generators():
     rng = random.Random(71)
     for _ in range(60):
         k = P([e for e in range(-12, 13) if rng.random() < 0.3])
         for m in range(1, 7):
             coords = k_to_coords(k, m)
-            assert coords == _old_k_to_coords(k, m)
+            assert coords == residue_coords(k, m)
             assert coords_to_k(coords, m) == k
             assert k_to_coords(k.flip(), m) == _old_flip_coords(coords, m)
         basis = random_submodule(rng, max_level=4)
+        # the basis reads its generators' coordinates back as its rows
+        assert [basis._coords(g) for g in basis.generators_as_k()] == [
+            list(row) for row in basis.rows
+        ]
         old = SubmoduleBasis.from_generators(
             basis.level, [_old_flip_coords(row, basis.level) for row in basis.rows]
         )

@@ -9,6 +9,7 @@ import pytest
 
 from commlab import cli, hnf, lamplighter as lamp
 from commlab.f2poly import F2LaurentPoly as P
+from commlab.f2poly import mask_deinterleave, mask_interleave, mask_spread
 
 BUDGET_S = 10.0
 N = 3_000_000
@@ -73,3 +74,19 @@ def test_lamp_power_at_exponent_a_million():
         P._raw((1 << e) - 1, 1 - e), -e
     )
     assert time.time() - start < BUDGET_S
+
+
+def test_dense_million_bit_masks_are_read_and_laid_out_in_one_pass():
+    # a walk over the set bits that touches the whole int at each step takes
+    # minutes at this size
+    rng = random.Random(16)
+    a = rng.getrandbits(10**6) | 1 | 1 << (10**6 - 1)
+    p = P._raw(a, -(10**5))
+    masks = [rng.getrandbits(10**6) for _ in range(3)]
+    start = time.time()
+    text = p.to_string()
+    assert text.startswith(f"t^{-(10**5)}+") and text.count("+") == a.bit_count() - 1
+    assert P.from_string(text) == p
+    assert mask_spread(a, 3) == mask_interleave([a, 0, 0], 3)
+    assert mask_deinterleave(mask_interleave(masks, 3), 3) == masks
+    assert time.time() - start < 5
