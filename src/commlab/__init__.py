@@ -4,11 +4,11 @@ S-arithmetic groups.
 Subpackage map:
 
 * ``f2poly``, ``ratfun``, ``polymat``, ``matrices``, ``hnf`` -- the
-  exact-arithmetic substrate: F2 Laurent polynomials, the field F2(t),
-  F2[u, 1/u]-linear maps of F2[t, 1/t] (u = t**n) stored as the images
-  of 1, t, ..., t**(n-1), one int mask each, with a fraction-free
-  elimination over F2[u], matrices over Q (there is no matrix class over
-  F2(t)), and Hermite normal forms over F2[s, 1/s];
+  exact-arithmetic substrate: F2 Laurent polynomials, the text format of
+  an F2(t) entry (no arithmetic in F2(t) is done), F2[u, 1/u]-linear maps
+  of F2[t, 1/t] (u = t**n) stored as the images of 1, t, ..., t**(n-1),
+  one int mask each, with a fraction-free elimination over F2[u],
+  matrices over Q, and Hermite normal forms over F2[s, 1/s];
 * ``lamplighter`` -- the lamplighter group and its commensurations in
   canonical (derivation, equivariant matrix, flip) coordinates;
 * ``storus`` -- S-arithmetic ranks of quadratic tori with a p-adic

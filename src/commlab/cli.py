@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import lamplighter as lamp
 from . import solvable, storus, unipotent
 from .errors import CommLabError, ResourceLimit, ZeroInput
-from .matrices import MatQ
+from .matrices import MatQ, parse_rational
 from .solvable import AffineMap, BSElement, CommDesc, CommSpace
 from .unipotent import LieAut, NilMat, UniTriMat
 
@@ -51,13 +51,8 @@ def _parse_int_matrix(text: str):
     return [[int(x) for x in row.split(",")] for row in text.split(";")]
 
 
-def _rational(x) -> Fraction:
-    """A JSON string or number, numbers read as decimals: 0.1 is 1/10."""
-    return Fraction(str(x))
-
-
 def _matq_from_json(obj, ncols=None) -> MatQ:
-    return MatQ([[_rational(x) for x in row] for row in obj], ncols=ncols)
+    return MatQ([[parse_rational(x) for x in row] for row in obj], ncols=ncols)
 
 
 def _matq_to_json(mat: MatQ):
@@ -85,7 +80,7 @@ def _lamp_comm(text: str) -> lamp.LampComm:
 
 
 def _affine(args) -> AffineMap:
-    return AffineMap(Fraction(args.r), Fraction(args.q))
+    return AffineMap(parse_rational(args.r), parse_rational(args.q))
 
 
 def _bs_elem(text: str) -> BSElement:
@@ -147,7 +142,7 @@ def _space_from_json(obj) -> CommSpace:
 def _desc_from_json(space: CommSpace, obj) -> CommDesc:
     red = space.red.identity()
     if obj.get("red") is not None:
-        red = AffineMap(_rational(obj["red"]["r"]), _rational(obj["red"]["q"]))
+        red = AffineMap(parse_rational(obj["red"]["r"]), parse_rational(obj["red"]["q"]))
     return CommDesc(
         space,
         _matq_from_json(obj["h_central"], ncols=space.n0),
@@ -172,7 +167,7 @@ def _descs(args, *keys):
 
 def _solve_inner(args):
     ts = [_matq_from_json(m) for m in _load_json(args.ts)]
-    vs = [MatQ.column([_rational(x) for x in v]) for v in _load_json(args.vs)]
+    vs = [MatQ.column([parse_rational(x) for x in v]) for v in _load_json(args.vs)]
     x = solvable.solve_inner_derivation(ts, vs)
     return [str(x.entry(i, 0)) for i in range(x.nrows)]
 

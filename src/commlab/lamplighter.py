@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import operator
 
-from . import hnf
+from . import hnf, ratfun
 from .errors import (
     DimensionMismatch,
     ExponentMismatch,
@@ -57,7 +57,6 @@ from .f2poly import (
     mask_spread,
 )
 from .polymat import PolyMat, gauss_jordan
-from .ratfun import F2RatFun
 
 # Composing at the lcm of two levels, and the derivation image of a composite
 # or inverse, may need a higher level; the work grows with it (a LEVEL_CAP x
@@ -259,10 +258,11 @@ class CommInftyElt:
 
     @classmethod
     def from_entries(cls, level: int, entries) -> "CommInftyElt":
-        """Build from an array of F2RatFun; raises SingularMatrix if singular."""
+        """Build from an array of entry strings (see ``ratfun``), the matrix
+        num / den over F2(s); raises SingularMatrix if singular."""
+        rows = [[ratfun.parse(x) for x in row] for row in entries]
         if level < 1:
             raise ExponentMismatch(f"commensuration level must be >= 1, got {level}")
-        rows = [list(row) for row in entries]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
@@ -271,12 +271,16 @@ class CommInftyElt:
                 f"level {level} needs a {level} x {level} matrix, "
                 f"got {len(rows)} x {ncols}"
             )
+        # each entry in lowest terms first (one gcd), so den is the least common
+        # denominator and (1+s^k)/(1+s^k) stays 1, not a dense quotient of it
+        rows = [[(mask_divmod(n.mask, g)[0], mask_divmod(d.mask, g)[0], n.shift - d.shift)
+                 for n, d in row for g in (mask_gcd(n.mask, d.mask),)] for row in rows]
         den = 1
         for row in rows:
-            for x in row:
-                den = mask_lcm(den, x.den)
+            for _, d, _ in row:
+                den = mask_lcm(den, d)
         num = PolyMat.from_entries(level, [
-            [F2LaurentPoly._raw(mask_mul(x.num, mask_divmod(den, x.den)[0]), x.shift) for x in row]
+            [F2LaurentPoly._raw(mask_mul(n, mask_divmod(den, d)[0]), shift) for n, d, shift in row]
             for row in rows
         ])
         if not gauss_jordan(num.entry_masks()[0], level):
@@ -286,7 +290,7 @@ class CommInftyElt:
     def to_strings(self, var: str = "t") -> list[list[str]]:
         """The entries of the matrix num / den, as strings in var."""
         masks, shift = self.num.entry_masks()
-        return [[F2RatFun(mask, self.den, shift).to_string(var) for mask in row] for row in masks]
+        return [[ratfun.to_string(mask, self.den, shift, var) for mask in row] for row in masks]
 
     def den_poly(self) -> F2LaurentPoly:
         return F2LaurentPoly._raw(self.den, 0)
@@ -524,10 +528,7 @@ class LampComm:
     def from_json(cls, obj) -> "LampComm":
         level = operator.index(obj["level"])
         der = VDerElt(level, F2LaurentPoly.from_string(obj["der"]))
-        lin = CommInftyElt.from_entries(
-            level,
-            [[F2RatFun.from_string(x) for x in row] for row in _json_matrix(obj, "A")],
-        )
+        lin = CommInftyElt.from_entries(level, _json_matrix(obj, "A"))
         flip = obj["flip"]
         if not isinstance(flip, bool):
             raise ValueError(f"flip must be a JSON boolean, got {flip!r}")

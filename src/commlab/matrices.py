@@ -14,14 +14,35 @@ collected once, and a term is formed only where the column entry is
 nonzero too, because the unitriangular, nilpotent and diagonal matrices
 of the Q side are mostly zeros.  Degenerate shapes (0xn, nx0, 0x0) are
 legal for every operation, so zero-dimensional blocks can flow through
-group-law formulas unchanged.
+group-law formulas unchanged.  ``parse_rational`` reads every rational literal.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .errors import SingularMatrix
+from .errors import ResourceLimit, SingularMatrix
+
+# 10**e has e + 1 digits, and CPython converts no int of more than 4300 digits
+# to a string by default; Fraction("1e10000000") alone would take seconds.
+MAX_DECIMAL_EXPONENT = 4299
+_DIGITS = r"\d+(?:_\d+)*"  # a digit run as Fraction reads it
+_EXPONENT = re.compile(
+    rf"\s*[-+]?(?=\.?\d)(?:{_DIGITS})?(?:\.(?:{_DIGITS})?)?[eE][-+]?({_DIGITS})\s*"
+)
+
+
+def parse_rational(x) -> Fraction:
+    """A string or number, numbers read as decimals: 0.1 is 1/10.  A
+    decimal exponent above MAX_DECIMAL_EXPONENT is a ResourceLimit."""
+    text = str(x)
+    m = _EXPONENT.fullmatch(text)
+    if m and int(m.group(1)) > MAX_DECIMAL_EXPONENT:
+        raise ResourceLimit(
+            f"work limit: the literal {text[:40]!r} has an exponent above {MAX_DECIMAL_EXPONENT}"
+        )
+    return Fraction(text)
 
 
 class Mat:

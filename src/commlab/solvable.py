@@ -41,7 +41,7 @@ from .errors import (
     UnknownInstantiation,
     ZeroInput,
 )
-from .matrices import MatQ
+from .matrices import MatQ, parse_rational
 
 # Bound on the multiplicative order K that bs_comm_domain searches for.
 ORDER_CAP = 4 * 10**6
@@ -125,7 +125,7 @@ class BSElement:
 
     @classmethod
     def from_json(cls, obj) -> "BSElement":
-        return cls(operator.index(obj["n"]), operator.index(obj["a"]), Fraction(str(obj["b"])))
+        return cls(operator.index(obj["n"]), operator.index(obj["a"]), parse_rational(obj["b"]))
 
 
 def bs_mul(g: BSElement, h: BSElement) -> BSElement:

@@ -2,18 +2,27 @@
 
 Each sampler draws from the ``random.Random`` it is given, so a fixed
 seed gives a fixed sample; ``tests/test_samplers.py`` pins that output.
-``MatF2Rat`` (field elimination over F2(t)) and ``f2_rank`` are the
-oracles that the fraction-free elimination of ``commlab.polymat`` is
-compared against; the program itself forms no matrix over F2(t).
-``k_to_coords`` and ``coords_to_k`` give the coordinates of K at a level
-through the ``f2poly`` interleave pair, and ``residue_coords`` is their
-oracle.
+``MatF2Rat`` (field elimination over F2(t), with ``F2RatFun`` as its
+scalar field) and ``f2_rank`` are the oracles that the fraction-free
+elimination of ``commlab.polymat`` is compared against; the program
+itself computes in no field F2(t), which is only the text format of an
+entry (``commlab.ratfun``), and ``F2RatFun`` reads and writes that text
+through it.  ``k_to_coords`` and ``coords_to_k`` give the coordinates of
+K at a level through the ``f2poly`` interleave pair, and
+``residue_coords`` is their oracle.
 """
 
-from commlab.f2poly import F2LaurentPoly, mask_deinterleave, mask_interleave
+from commlab import ratfun
+from commlab.f2poly import (
+    F2LaurentPoly,
+    mask_deinterleave,
+    mask_divmod,
+    mask_gcd,
+    mask_interleave,
+    mask_mul,
+)
 from commlab.lamplighter import CommInftyElt, LampComm, LampElement, SubmoduleBasis, VDerElt
 from commlab.matrices import Mat
-from commlab.ratfun import F2RatFun
 
 _ZERO = F2LaurentPoly.zero()
 
@@ -53,6 +62,124 @@ def residue_coords(k: F2LaurentPoly, m: int) -> list[F2LaurentPoly]:
     for e in k.support():
         exps[e % m].append(e // m)
     return [F2LaurentPoly(qs) for qs in exps]
+
+
+class F2RatFun:
+    """Element t**shift * num/den of the field F2(t): num and den are poly
+    masks with nonzero constant term and gcd 1, and all unit factors t**k
+    live in the shift, so equality is a tuple comparison."""
+
+    __slots__ = ("num", "den", "shift")
+
+    def __init__(self, num=0, den=1, shift=0):
+        """Build from poly masks (bit i = coefficient of t**i) and a unit shift."""
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        if num == 0:
+            self.num, self.den, self.shift = 0, 1, 0
+            return
+        low = (num & -num).bit_length() - 1
+        num >>= low
+        shift += low
+        low = (den & -den).bit_length() - 1
+        den >>= low
+        shift -= low
+        g = mask_gcd(num, den)
+        if g > 1:
+            num = mask_divmod(num, g)[0]
+            den = mask_divmod(den, g)[0]
+        self.num, self.den, self.shift = num, den, shift
+
+    @classmethod
+    def zero(cls) -> "F2RatFun":
+        return cls(0)
+
+    @classmethod
+    def one(cls) -> "F2RatFun":
+        return cls(1)
+
+    @classmethod
+    def t_power(cls, e: int) -> "F2RatFun":
+        return cls(1, 1, e)
+
+    @classmethod
+    def from_poly(cls, p: F2LaurentPoly) -> "F2RatFun":
+        return cls(p.mask, 1, p.shift)
+
+    @classmethod
+    def from_string(cls, text: str) -> "F2RatFun":
+        num, den = ratfun.parse(text)
+        return cls(num.mask, den.mask, num.shift - den.shift)
+
+    def to_string(self, var: str = "t") -> str:
+        return ratfun.to_string(self.num, self.den, self.shift, var)
+
+    def is_zero(self) -> bool:
+        return self.num == 0
+
+    def is_poly(self) -> bool:
+        """True when the element lies in F2[t, 1/t]."""
+        return self.den == 1
+
+    def to_poly(self) -> F2LaurentPoly:
+        if self.den != 1:
+            raise ValueError("not a Laurent polynomial")
+        return F2LaurentPoly._raw(self.num, self.shift)
+
+    def __bool__(self):
+        return self.num != 0
+
+    def __add__(self, other):
+        if not isinstance(other, F2RatFun):
+            return NotImplemented
+        if self.num == 0:
+            return other
+        if other.num == 0:
+            return self
+        lo = min(self.shift, other.shift)
+        n = mask_mul(self.num << (self.shift - lo), other.den) ^ mask_mul(
+            other.num << (other.shift - lo), self.den
+        )
+        return F2RatFun(n, mask_mul(self.den, other.den), lo)
+
+    __sub__ = __add__  # characteristic 2
+
+    def __mul__(self, other):
+        if not isinstance(other, F2RatFun):
+            return NotImplemented
+        return F2RatFun(
+            mask_mul(self.num, other.num),
+            mask_mul(self.den, other.den),
+            self.shift + other.shift,
+        )
+
+    def inverse(self) -> "F2RatFun":
+        if self.num == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return F2RatFun(self.den, self.num, -self.shift)
+
+    def __truediv__(self, other):
+        if not isinstance(other, F2RatFun):
+            return NotImplemented
+        return self * other.inverse()
+
+    def __neg__(self):
+        return self
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, F2RatFun)
+            and (self.num, self.den, self.shift) == (other.num, other.den, other.shift)
+        )
+
+    def __hash__(self):
+        return hash((self.num, self.den, self.shift))
+
+    def __str__(self):
+        return self.to_string()
+
+    def __repr__(self):
+        return f"F2RatFun({self.to_string()!r})"
 
 
 class MatF2Rat(Mat):
@@ -134,4 +261,4 @@ def random_comm(rng, max_level: int = 6, max_deg: int = 8) -> LampComm:
         mat = mat * MatF2Rat(rows)
     support = [e for e in range(-max_deg, max_deg + 1) if rng.random() < 0.2]
     der = VDerElt(level, F2LaurentPoly(support))
-    return LampComm.make(der, CommInftyElt.from_entries(level, mat.rows), rng.random() < 0.5)
+    return LampComm.make(der, CommInftyElt.from_entries(level, mat.to_strings()), rng.random() < 0.5)

@@ -1,11 +1,16 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import commlab
 from commlab.cli import _build_parser, run
@@ -311,6 +316,15 @@ def test_linear_part_errors_print_fixed_lines(capsys):
          '{"error": "SingularMatrix", "detail": "commensuration matrix must be invertible"}'),
         (["lamp", "invert", "--comm", '{"level":2,"der":"0","A":[["1","0"],["1"]],"flip":false}'],
          2, '{"error": "ParseError", "detail": "ragged rows"}'),
+        # every entry is parsed before the shape is checked
+        (["lamp", "invert", "--comm", '{"level":2,"der":"0","A":[["x"],["1","0"]],"flip":false}'],
+         2, '{"error": "ParseError", "detail": "bad polynomial term: \'x\'"}'),
+        (["lamp", "invert", "--comm", '{"level":2,"der":"0","A":[[1]],"flip":false}'], 2,
+         '{"error": "ParseError", "detail": "a rational function must be a string, got 1"}'),
+        (["lamp", "invert", "--comm", '{"level":2,"der":"0","A":[["1/0"]],"flip":false}'], 1,
+         '{"error": "ZeroInput", "detail": "zero denominator"}'),
+        (["lamp", "invert", "--comm", '{"level":1,"der":"0","A":[["0/(1+s)"]],"flip":false}'], 1,
+         '{"error": "SingularMatrix", "detail": "commensuration matrix must be invertible"}'),
         (["lamp", "from-partial", "--data", json.dumps(zero_images)], 1,
          '{"error": "NotAHomomorphism", '
          '"detail": "generator images do not span a finite-index submodule"}'),
@@ -356,6 +370,69 @@ def test_an_exponent_past_the_span_cap_is_a_resource_limit(capsys):
     )
     assert code == 1 and out["error"] == "ResourceLimit"
     assert time.perf_counter() - start < 1
+
+
+def test_a_huge_decimal_exponent_is_a_resource_limit(capsys):
+    # Fraction("1e10000000") alone takes seconds; matrices.parse_rational
+    # checks the exponent against MAX_DECIMAL_EXPONENT before converting
+    for argv in [
+        ["bs", "conj", "--r", "1", "--q", "1e10000000", "--elem", '{"n":2,"a":0,"b":"1"}'],
+        ["bs", "conj", "--r", "1", "--q", "1", "--elem", '{"n":2,"a":0,"b":"1e10000000"}'],
+        ["unipotent", "log", "--matrix", '[["1","1e9999999"],["0","1"]]'],
+    ]:
+        start = time.perf_counter()
+        code, out = run_json(capsys, argv)
+        assert code == 1 and out["error"] == "ResourceLimit", argv
+        assert time.perf_counter() - start < 1, argv
+    # exponents up to the cap are still read
+    code, out = run_json(capsys, ["unipotent", "log", "--matrix", '[["1","2.5e-3"],["0","1"]]'])
+    assert code == 0 and out == [["0", "1/400"], ["0", "0"]]
+    assert run(["bs", "domain", "--n", "2", "--r", "1", "--q", "1e4299"]) == 0
+    capsys.readouterr()
+    # a literal Fraction rejects is malformed, whatever its exponent
+    for q in ["1__0e99999", "1_e99999"]:
+        code, out = run_json(capsys, ["bs", "domain", "--n", "2", "--r", "1", "--q", q])
+        assert code == 2 and out["error"] == "ParseError", q
+
+
+def test_entries_that_cancel_are_cut_before_the_common_denominator(capsys):
+    # each entry is 1; an lcm of the denominators as written would be a
+    # dense mask of degree 2*10^6 and the elimination would run on its quotients
+    comm = json.dumps({"level": 2, "der": "0", "flip": False, "A": [
+        ["(1+s^1000000)/(1+s^1000000)", "0"], ["0", "(1+s^1000001)/(1+s^1000001)"]]})
+    start = time.perf_counter()
+    code, out = run_json(capsys, ["lamp", "invert", "--comm", comm])
+    assert code == 0 and out == {"A": [["1"]], "der": "0", "flip": False, "level": 1}
+    assert time.perf_counter() - start < 1
+
+
+# A entries of at most 12 characters from "01ts^-+/() ": free text, and
+# polynomials or quotients cut to 12 characters, so that well-formed and
+# domain-error entries are drawn as often as malformed ones
+_POLYS = st.lists(
+    st.sampled_from(["0", "1", "t", "s", "t^-1", "s^11", "s^-10", "t^0"]), min_size=1, max_size=3
+).map("+".join)
+_QUOTIENTS = st.tuples(_POLYS, st.sampled_from(["/", ")/(", " / "]), _POLYS).map(
+    lambda parts: "".join(parts)[:12]
+)
+_ENTRIES = st.one_of(
+    _POLYS, _QUOTIENTS, _QUOTIENTS, st.text(alphabet="01ts^-+/() ", max_size=12)
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 2).flatmap(lambda n: st.lists(
+    st.lists(_ENTRIES, min_size=n, max_size=n), min_size=1, max_size=n)))
+def test_fuzzed_entries_print_one_json_line(rows):
+    comm = json.dumps({"level": len(rows[0]), "der": "0", "A": rows, "flip": False})
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["lamp", "invert", "--comm", comm])
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1, comm
+    result = json.loads(lines[0])
+    assert code in (0, 1, 2), comm
+    assert code == 0 or "error" in result, comm
 
 
 def test_demo_commands(capsys):

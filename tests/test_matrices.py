@@ -5,8 +5,7 @@ import pytest
 
 from commlab.errors import SingularMatrix
 from commlab.matrices import MatQ
-from commlab.ratfun import F2RatFun
-from samplers import MatF2Rat
+from samplers import F2RatFun, MatF2Rat
 
 
 def rand_matq(rng, n):

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from commlab.errors import SingularMatrix
 from commlab.matrices import MatQ
-from commlab.ratfun import F2RatFun
-from samplers import MatF2Rat
+from samplers import F2RatFun, MatF2Rat
 
 SCALARS = {
     MatQ: st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from commlab.f2poly import F2LaurentPoly, mask_mul
 from commlab.polymat import PolyMat, gauss_jordan
-from commlab.ratfun import F2RatFun
-from samplers import MatF2Rat
+from samplers import F2RatFun, MatF2Rat
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 

@@ -1,9 +1,20 @@
+"""The entry format ``commlab.ratfun``, and the field ``F2RatFun`` of the
+``MatF2Rat`` oracle in ``samplers``."""
+
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from commlab import ratfun
 from commlab.f2poly import F2LaurentPoly as P
-from commlab.ratfun import F2RatFun as R
+from samplers import F2RatFun as R
+
+ELEMENTS = st.builds(
+    R, st.integers(0, (1 << 8) - 1), st.integers(0, (1 << 6) - 1).map(lambda d: 2 * d + 1),
+    st.integers(-4, 4),
+)
 
 
 def rand_ratfun(rng):
@@ -13,11 +24,11 @@ def rand_ratfun(rng):
 
 
 def test_canonical_form():
-    x = R.from_polys(P([1, 3]), P([2, 4]))
     # t(1+t^2) / t^2(1+t^2) = 1/t
+    x = R(0b1010, 0b10100)
     assert x == R.t_power(-1)
     assert x.den == 1
-    zero = R.from_polys(P.zero(), P([5]))
+    zero = R(0, 1 << 5)
     assert zero == R.zero() and zero.shift == 0
 
 
@@ -35,6 +46,18 @@ def test_field_axioms_sampled():
             assert a.inverse().inverse() == a
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(ELEMENTS, ELEMENTS, ELEMENTS)
+def test_field_axioms(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + a == R.zero()
+    if a:
+        assert a * a.inverse() == R.one()
+    assert R.from_string(a.to_string()) == a
+
+
 def test_division():
     a = R.from_string("(1+t)/(1+t+t^2)")
     assert a / a == R.one()
@@ -43,17 +66,43 @@ def test_division():
     with pytest.raises(ZeroDivisionError):
         R.zero().inverse()
     with pytest.raises(ZeroDivisionError):
-        R.from_polys(P([0]), P.zero())
+        R(1, 0)
 
 
 def test_string_round_trip():
+    # to_string writes lowest terms, and parse reads them back as written
     rng = random.Random(4)
     for _ in range(100):
         a = rand_ratfun(rng)
-        assert R.from_string(a.to_string()) == a
-    assert R.from_string("0") == R.zero()
-    assert R.from_string("t^2").to_string() == "t^2"
-    assert R.from_string("(1+t)/(1+t)") == R.one()
+        assert ratfun.parse(ratfun.to_string(a.num, a.den, a.shift, "t")) == (
+            P._raw(a.num, a.shift), P._raw(a.den, 0)
+        )
+    assert ratfun.parse("0") == (P.zero(), P.one())
+    assert ratfun.parse("t^2") == (P([2]), P.one())
+    assert ratfun.to_string(1, 1, 2, "t") == "t^2"
+    assert ratfun.to_string(0, 0b111, 5, "t") == "0"
+    assert ratfun.to_string(1, 0b111, -1, "t") == "(t^-1)/(1+t+t^2)"
+    # parse reduces nothing; to_string reduces by one gcd
+    assert ratfun.parse("(1+t)/(1+t)") == (P([0, 1]), P([0, 1]))
+    assert ratfun.parse(" ( t^-1 + t ) / ( 1 + t^2 ) ") == (P([-1, 1]), P([0, 2]))
+    assert ratfun.to_string(0b11, 0b11, 0, "t") == "1"
+    assert ratfun.to_string(0b101, 0b11, 1, "s") == "s+s^2"
+
+
+def test_parse_errors_keep_their_order():
+    # the numerator is read first, then the denominator, then tested for zero
+    for text, error, message in [
+        (5, TypeError, "a rational function must be a string, got 5"),
+        ("x", ValueError, "bad polynomial term: 'x'"),
+        ("x/0", ValueError, "bad polynomial term: 'x'"),
+        ("1/x", ValueError, "bad polynomial term: 'x'"),
+        ("1/1/1", ValueError, "bad polynomial term: '1/1'"),
+        ("1/0", ZeroDivisionError, "zero denominator"),
+        ("0/0", ZeroDivisionError, "zero denominator"),
+    ]:
+        with pytest.raises(error) as info:
+            ratfun.parse(text)
+        assert str(info.value) == message, text
 
 
 def test_poly_conversions():
