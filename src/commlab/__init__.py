@@ -8,7 +8,9 @@ Subpackage map:
   an F2(t) entry (no arithmetic in F2(t) is done), F2[u, 1/u]-linear maps
   of F2[t, 1/t] (u = t**n) stored as the images of 1, t, ..., t**(n-1),
   one int mask each, with a fraction-free elimination over F2[u],
-  matrices over Q, and Hermite normal forms over F2[s, 1/s];
+  matrices over Q (an integer matrix over one denominator, with a
+  fraction-free elimination over Z), and Hermite normal forms over
+  F2[s, 1/s];
 * ``lamplighter`` -- the lamplighter group and its commensurations in
   canonical (derivation, equivariant matrix, flip) coordinates;
 * ``storus`` -- S-arithmetic ranks of quadratic tori with a p-adic

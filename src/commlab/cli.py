@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import lamplighter as lamp
 from . import solvable, storus, unipotent
 from .errors import CommLabError, ResourceLimit, ZeroInput
-from .matrices import MatQ, parse_rational
+from .matrices import MatQ, format_rational, parse_rational
 from .solvable import AffineMap, BSElement, CommDesc, CommSpace
 from .unipotent import LieAut, NilMat, UniTriMat
 
@@ -56,7 +56,7 @@ def _matq_from_json(obj, ncols=None) -> MatQ:
 
 
 def _matq_to_json(mat: MatQ):
-    return [[str(x) for x in row] for row in mat.rows]
+    return mat.to_strings()
 
 
 def _matq_from_arg(text: str) -> MatQ:
@@ -154,7 +154,9 @@ def _desc_from_json(space: CommSpace, obj) -> CommDesc:
 
 
 def _desc_to_json(d: CommDesc):
-    red = {"r": str(d.red.r), "q": str(d.red.q)} if isinstance(d.red, AffineMap) else None
+    red = None
+    if isinstance(d.red, AffineMap):
+        red = {"r": format_rational(d.red.r), "q": format_rational(d.red.q)}
     return {"h_central": _matq_to_json(d.h_central), "P": _matq_to_json(d.p),
             "h_10": _matq_to_json(d.h_10), "h_1z": _matq_to_json(d.h_1z), "red": red}
 
@@ -169,7 +171,7 @@ def _solve_inner(args):
     ts = [_matq_from_json(m) for m in _load_json(args.ts)]
     vs = [MatQ.column([parse_rational(x) for x in v]) for v in _load_json(args.vs)]
     x = solvable.solve_inner_derivation(ts, vs)
-    return [str(x.entry(i, 0)) for i in range(x.nrows)]
+    return [entry for (entry,) in x.to_strings()]
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,37 @@
-"""Dense exact matrices over Q (``MatQ``) on a base class for exact scalars.
+"""Exact matrices over Q (``MatQ``), and the ring base ``Mat`` of the
+symbolic matrices of ``unipotent``.
 
-There is no matrix class over F2(t): lamplighter linear parts stay
-matrix polynomials (``polymat``), eliminated fraction-free over F2[u].
+There is one elimination core per ring: ``MatQ._gauss_jordan`` over Z
+here, and ``polymat.gauss_jordan`` over F2[u] for the lamplighter linear
+parts.  Both are fraction-free Gauss-Jordan eliminations (Bareiss 1968),
+so no matrix over a field of fractions is formed in the program.
 
-A subclass fixes the scalars through the class attributes ``zero`` and
-``one`` and the hook ``_coerce``.  Products and sums need only these, so
-the scalars may be any commutative ring; elimination needs the field
-hook ``_inv_scalar`` too.  One forward elimination, ``_echelon``, serves
-every elimination: ``det`` and ``rank`` read it directly, and ``_rref``
-adds back-substitution for ``inv``, ``solve`` and ``nullspace``.
-Products skip zero entries: each left row's nonzero entries are
-collected once, and a term is formed only where the column entry is
-nonzero too, because the unitriangular, nilpotent and diagonal matrices
-of the Q side are mostly zeros.  Degenerate shapes (0xn, nx0, 0x0) are
-legal for every operation, so zero-dimensional blocks can flow through
-group-law formulas unchanged.  ``parse_rational`` reads every rational literal.
+A ``MatQ`` is an integer matrix ``num`` over one positive denominator
+``den``, kept in lowest terms: gcd(den, every entry) is 1, and the zero
+matrix has den 1, so equality is a comparison of (num, den, ncols).  A
+product is one integer product over den1 * den2, a sum one rescale to the
+lcm of the denominators, a scalar product scales num and den, and each
+result takes one gcd back to lowest terms.  ``det``, ``rank``, ``inv``,
+``solve`` and ``nullspace`` read the one elimination.  A ``Fraction`` is
+formed only where an entry is read: ``entry``, ``rows`` and
+``to_strings``.  Degenerate shapes (0xn, nx0, 0x0) are legal for every
+operation, so zero-dimensional blocks can flow through group-law formulas
+unchanged.
+
+``Mat`` holds its entries as they are and has only sums and products, so
+its scalars may be any commutative ring with ``zero``, ``one`` and a
+``_coerce`` hook.  ``parse_rational`` reads every rational literal and
+``format_rational`` writes every one.
 """
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from fractions import Fraction
+from itertools import chain
+from operator import add, mul, sub
 
 from .errors import ResourceLimit, SingularMatrix
 
@@ -45,8 +56,32 @@ def parse_rational(x) -> Fraction:
     return Fraction(text)
 
 
+def format_rational(x: Fraction) -> str:
+    """x as ``str`` writes a Fraction.  A numerator or denominator with
+    more digits than CPython converts to a string is a ResourceLimit."""
+    try:
+        return str(x)
+    except ValueError:
+        big = max(abs(x.numerator), x.denominator)
+        d = int(big.bit_length() * math.log10(2))
+        digits = d + (big >= 10**d)
+        raise ResourceLimit(
+            f"work limit: printing a rational needs a {digits}-digit integer, above the "
+            f"{sys.get_int_max_str_digits()}-digit limit of integer string conversion"
+        ) from None
+
+
+def _rational(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise TypeError(f"cannot coerce {x!r} to a rational")
+
+
 class Mat:
-    """Immutable rectangular matrix over an exact commutative ring."""
+    """Immutable rectangular matrix over an exact commutative ring: sums
+    and products only."""
 
     __slots__ = ("rows", "_nc")
 
@@ -75,10 +110,6 @@ class Mat:
         )
 
     @classmethod
-    def zeros(cls, r: int, c: int):
-        return cls._raw(((cls.zero,) * c for _ in range(r)), ncols=c)
-
-    @classmethod
     def column(cls, entries):
         return cls([[x] for x in entries], ncols=1)
 
@@ -92,9 +123,6 @@ class Mat:
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
-
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
 
     def transpose(self):
         if not self.rows:
@@ -110,22 +138,6 @@ class Mat:
             (tuple(a + b for a, b in zip(r1, r2))
              for r1, r2 in zip(self.rows, other.rows)),
             ncols=self._nc,
-        )
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return type(self)._raw(
-            (tuple(a - b for a, b in zip(r1, r2))
-             for r1, r2 in zip(self.rows, other.rows)),
-            ncols=self._nc,
-        )
-
-    def __neg__(self):
-        return type(self)._raw(
-            (tuple(-a for a in row) for row in self.rows), ncols=self._nc
         )
 
     def __mul__(self, other):
@@ -153,136 +165,232 @@ class Mat:
     # the scalars commute, so c * M is M * c
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.rows == other.rows
-            and self._nc == other._nc
-        )
 
-    def __hash__(self):
-        return hash((self.rows, self._nc))
+class MatQ:
+    """Matrix over Q: the integer matrix num (a tuple of int tuples) over
+    the positive integer den, in lowest terms."""
 
-    def _echelon(self, aug: int = 0):
-        """Forward elimination to row echelon form.
-
-        Returns (rows as lists, pivot column list, signed product of the
-        pivots).  The last ``aug`` columns are carried along but never
-        used as pivots.  Pivot rows are not scaled, so for a square
-        matrix of full rank the product is its determinant.
-        """
-        rows = [list(r) for r in self.rows]
-        nr, nc = len(rows), self._nc
-        pivots = []
-        det = self.one
-        r = 0
-        for c in range(nc - aug):
-            if r == nr:
-                break
-            p = next((i for i in range(r, nr) if rows[i][c]), None)
-            if p is None:
-                continue
-            if p != r:
-                rows[r], rows[p] = rows[p], rows[r]
-                det = -det
-            det = det * rows[r][c]
-            inv = self._inv_scalar(rows[r][c])
-            for i in range(r + 1, nr):
-                if rows[i][c]:
-                    f = rows[i][c] * inv
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-        return rows, pivots, det
-
-    def _rref(self, aug: int = 0):
-        """``_echelon`` plus back-substitution: the reduced row echelon
-        form, as (rows as lists, pivot column list)."""
-        rows, pivots, _ = self._echelon(aug)
-        for r in reversed(range(len(pivots))):
-            c = pivots[r]
-            inv = self._inv_scalar(rows[r][c])
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(r):
-                if rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        return rows, pivots
-
-    def det(self):
-        if not self.is_square():
-            raise ValueError("determinant of non-square matrix")
-        _, pivots, det = self._echelon()
-        return det if len(pivots) == self.nrows else self.zero
-
-    def rank(self) -> int:
-        return len(self._echelon()[1])
-
-    def inv(self):
-        if not self.is_square():
-            raise ValueError("inverse of non-square matrix")
-        n = self.nrows
-        aug = type(self)._raw(
-            (r + i for r, i in zip(self.rows, type(self).identity(n).rows)), ncols=2 * n
-        )
-        rows, pivots = aug._rref(aug=n)
-        if len(pivots) < n:
-            raise SingularMatrix("matrix is not invertible")
-        return type(self)._raw((row[n:] for row in rows), ncols=n)
-
-    def solve(self, b: "Mat"):
-        """One exact solution of self * x = b, or None if inconsistent."""
-        if b.nrows != self.nrows:
-            raise ValueError("shape mismatch")
-        k = b.ncols
-        nc = self.ncols
-        aug = type(self)._raw(
-            (r + br for r, br in zip(self.rows, b.rows)), ncols=nc + k
-        )
-        rows, pivots = aug._rref(aug=k)
-        if any(any(row[nc:]) for row in rows[len(pivots):]):
-            return None
-        out = [[self.zero] * k for _ in range(nc)]
-        for r, c in enumerate(pivots):
-            out[c] = rows[r][nc:]
-        return type(self)._raw(out, ncols=k)
-
-    def nullspace(self):
-        """Basis of the right kernel, as a list of column matrices."""
-        nc = self.ncols
-        rows, pivots = self._rref()
-        basis = []
-        for f in (c for c in range(nc) if c not in pivots):
-            vec = [self.zero] * nc
-            vec[f] = self.one
-            for r, c in enumerate(pivots):
-                vec[c] = -rows[r][f]
-            basis.append(type(self).column(vec))
-        return basis
-
-    def to_strings(self):
-        return [[str(x) for x in row] for row in self.rows]
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.to_strings()!r})"
-
-
-class MatQ(Mat):
-    """Matrix over Q with arbitrary-precision rational entries."""
-
-    __slots__ = ()
+    __slots__ = ("num", "den", "_nc")
     zero = Fraction(0)
     one = Fraction(1)
 
+    def __init__(self, rows, ncols=None):
+        rows = [[(x if type(x) is Fraction else _rational(x)).as_integer_ratio() for x in row]
+                for row in rows]
+        if rows:
+            ncols = len(rows[0])
+            if any(len(r) != ncols for r in rows):
+                raise ValueError("ragged rows")
+        # the lcm of reduced denominators leaves no common factor
+        den = math.lcm(*[d for row in rows for _, d in row])
+        self.num = tuple([tuple([n * (den // d) for n, d in row]) for row in rows])
+        self.den = den
+        self._nc = ncols if ncols is not None else 0
+
     @classmethod
-    def _coerce(cls, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, (int, str)):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {x!r} to a rational")
+    def _raw(cls, num, den: int, ncols: int) -> "MatQ":
+        """num / den, already in lowest terms with den > 0."""
+        self = object.__new__(cls)
+        self.num = num
+        self.den = den
+        self._nc = ncols
+        return self
+
+    @classmethod
+    def _lowest(cls, num, den: int, ncols: int) -> "MatQ":
+        """num / den for any nonzero den, cut to lowest terms by one gcd."""
+        if den < 0:
+            num = tuple([tuple([-x for x in row]) for row in num])
+            den = -den
+        if den != 1:
+            g = math.gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                num = tuple([tuple([x // g for x in row]) for row in num])
+                den //= g
+        return cls._raw(num, den, ncols)
+
+    @classmethod
+    def identity(cls, n: int) -> "MatQ":
+        return cls._raw(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, n)
+
+    @classmethod
+    def zeros(cls, r: int, c: int) -> "MatQ":
+        return cls._raw(((0,) * c,) * r, 1, c)
+
+    @classmethod
+    def column(cls, entries) -> "MatQ":
+        return cls([[x] for x in entries], ncols=1)
+
+    @property
+    def nrows(self) -> int:
+        return len(self.num)
+
+    @property
+    def ncols(self) -> int:
+        return self._nc
+
+    @property
+    def rows(self):
+        """The entries as Fractions, read-only."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return Fraction(self.num[i][j], self.den)
+
+    def is_square(self) -> bool:
+        return len(self.num) == self._nc
+
+    def transpose(self) -> "MatQ":
+        num = tuple(zip(*self.num)) if self.num else ((),) * self._nc
+        return MatQ._raw(num, self.den, len(self.num))
+
+    def _combine(self, other, op):
+        """op(self, other) entrywise, for op add or sub."""
+        if type(other) is not MatQ:
+            return NotImplemented
+        if (len(self.num), self._nc) != (len(other.num), other._nc):
+            raise ValueError("shape mismatch")
+        a, b, den = self.num, other.num, self.den
+        if other.den != den:
+            den = math.lcm(den, other.den)
+            fa, fb = den // self.den, den // other.den
+            a = [[fa * x for x in row] for row in a]
+            b = [[fb * x for x in row] for row in b]
+        num = tuple([tuple(map(op, r1, r2)) for r1, r2 in zip(a, b)])
+        return MatQ._lowest(num, den, self._nc)
+
+    def __add__(self, other):
+        return self._combine(other, add)
+
+    def __sub__(self, other):
+        return self._combine(other, sub)
+
+    def __neg__(self):
+        return MatQ._raw(tuple([tuple([-x for x in row]) for row in self.num]), self.den, self._nc)
+
+    def __mul__(self, other):
+        if type(other) is MatQ:
+            if self._nc != len(other.num):
+                raise ValueError("shape mismatch")
+            cols = tuple(zip(*other.num)) if other.num else ((),) * other._nc
+            num = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num])
+            return MatQ._lowest(num, self.den * other.den, other._nc)
+        try:
+            scalar = _rational(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        p = scalar.numerator
+        num = tuple([tuple([p * x for x in row]) for row in self.num])
+        return MatQ._lowest(num, self.den * scalar.denominator, self._nc)
+
+    # the scalars commute, so c * M is M * c
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (
+            type(other) is MatQ
+            and self.den == other.den
+            and self._nc == other._nc
+            and self.num == other.num
+        )
+
+    def __hash__(self):
+        return hash((self.num, self.den, self._nc))
 
     @staticmethod
-    def _inv_scalar(x):
-        return 1 / x
+    def _gauss_jordan(aug: list, width: int):
+        """Fraction-free Gauss-Jordan elimination over Z (Bareiss 1968), in place.
 
+        aug holds integer rows.  Pivots are sought in the first ``width``
+        columns; later columns are carried along.  Returns (pivot columns,
+        d, sign).  Every entry formed is a minor of the input, so each
+        division by the previous pivot is exact.  At the end every pivot
+        equals the last one, d (1 when there is none), so the reduced row
+        echelon form is aug / d.  sign is that of the row permutation: a
+        square matrix of full rank has determinant sign * d.
+        """
+        pivots = []
+        prev, sign, nr = 1, 1, len(aug)
+        for c in range(width):
+            r = len(pivots)
+            if r == nr:
+                break
+            p = next((i for i in range(r, nr) if aug[i][c]), None)
+            if p is None:
+                continue
+            if p != r:
+                aug[r], aug[p] = aug[p], aug[r]
+                sign = -sign
+            top = aug[r]
+            piv = top[c]
+            for i, row in enumerate(aug):
+                if i == r:
+                    continue
+                a = row[c]
+                if a:
+                    aug[i] = [(piv * x - a * y) // prev for x, y in zip(row, top)]
+                elif piv != prev:  # every row moves to the scale of the new pivot
+                    aug[i] = [piv * x // prev for x in row]
+            pivots.append(c)
+            prev = piv
+        return pivots, prev, sign
+
+    def det(self) -> Fraction:
+        if not self.is_square():
+            raise ValueError("determinant of non-square matrix")
+        n = len(self.num)
+        pivots, d, sign = self._gauss_jordan([list(r) for r in self.num], n)
+        return Fraction(sign * d, self.den**n) if len(pivots) == n else Fraction(0)
+
+    def rank(self) -> int:
+        return len(self._gauss_jordan([list(r) for r in self.num], self._nc)[0])
+
+    def inv(self) -> "MatQ":
+        if not self.is_square():
+            raise ValueError("inverse of non-square matrix")
+        n = len(self.num)
+        aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.num)]
+        pivots, d, _ = self._gauss_jordan(aug, n)
+        if len(pivots) < n:
+            raise SingularMatrix("matrix is not invertible")
+        # (num / den)^-1 = den * num^-1, and num^-1 is the right half over d
+        den = self.den
+        return MatQ._lowest(tuple(tuple(den * x for x in row[n:]) for row in aug), d, n)
+
+    def solve(self, b: "MatQ"):
+        """One exact solution of self * x = b, or None if inconsistent."""
+        if len(b.num) != len(self.num):
+            raise ValueError("shape mismatch")
+        nc, k = self._nc, b._nc
+        aug = [list(r) + list(s) for r, s in zip(self.num, b.num)]
+        pivots, d, _ = self._gauss_jordan(aug, nc)
+        if any(any(row[nc:]) for row in aug[len(pivots):]):
+            return None
+        # num x = (den / b.den) * b.num, with free variables 0
+        out = [(0,) * k] * nc
+        den = self.den
+        for row, c in zip(aug, pivots):
+            out[c] = tuple(den * x for x in row[nc:])
+        return MatQ._lowest(tuple(out), d * b.den, k)
+
+    def nullspace(self) -> list:
+        """Basis of the right kernel, as a list of column matrices."""
+        nc = self._nc
+        rows = [list(r) for r in self.num]
+        pivots, d, _ = self._gauss_jordan(rows, nc)
+        basis = []
+        for f in (c for c in range(nc) if c not in pivots):
+            vec = [0] * nc
+            vec[f] = d
+            for row, c in zip(rows, pivots):
+                vec[c] = -row[f]
+            basis.append(MatQ._lowest(tuple((x,) for x in vec), d, 1))
+        return basis
+
+    def to_strings(self):
+        den = self.den
+        return [[format_rational(Fraction(x, den)) for x in row] for row in self.num]
+
+    def __repr__(self):
+        return f"MatQ({self.to_strings()!r})"

@@ -41,7 +41,7 @@ from .errors import (
     UnknownInstantiation,
     ZeroInput,
 )
-from .matrices import MatQ, parse_rational
+from .matrices import MatQ, format_rational, parse_rational
 
 # Bound on the multiplicative order K that bs_comm_domain searches for.
 ORDER_CAP = 4 * 10**6
@@ -121,7 +121,7 @@ class BSElement:
         return BSElement(self.n, -self.a, -s * self.b)
 
     def to_json(self):
-        return {"n": self.n, "a": self.a, "b": str(self.b)}
+        return {"n": self.n, "a": self.a, "b": format_rational(self.b)}
 
     @classmethod
     def from_json(cls, obj) -> "BSElement":
@@ -211,18 +211,20 @@ def solve_inner_derivation(ts, vs) -> MatQ:
                 raise IncompatibleCocycle(
                     "right-hand sides fail the commuting-cocycle identity"
                 )
-    # one elimination of [stacked T_i - 1 | stacked v_i] gives the rank of
-    # the stacked matrix, the consistency of the system and x
-    aug = MatQ._raw(
-        (dr + vr for d, v in zip(diffs, vs) for dr, vr in zip(d.rows, v.rows)),
-        ncols=dim + 1,
-    )
-    rows, pivots = aug._rref(aug=1)
+    # one elimination of [stacked T_i - 1 | stacked v_i], each pair of blocks
+    # over one denominator, gives the rank of the stacked matrix, the
+    # consistency of the system and x
+    aug = []
+    for d, v in zip(diffs, vs):
+        den = math.lcm(d.den, v.den)
+        fd, fv = den // d.den, den // v.den
+        aug += [[fd * x for x in dr] + [fv * vr[0]] for dr, vr in zip(d.num, v.num)]
+    pivots, last, _ = MatQ._gauss_jordan(aug, dim)
     if len(pivots) < dim:
         raise DegenerateAction("the actions share a nonzero fixed vector")
-    if any(row[dim] for row in rows[dim:]):
+    if any(row[dim] for row in aug[dim:]):
         raise IncompatibleCocycle("the stacked linear system is inconsistent")
-    return MatQ._raw((row[dim:] for row in rows[:dim]), ncols=1)
+    return MatQ._lowest(tuple((row[dim],) for row in aug[:dim]), last, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
 
 from .errors import (
     DimensionMismatch,
@@ -41,12 +40,11 @@ class UniTriMat:
             raise DimensionMismatch(f"matrix must be square, got {n} x {mat.ncols}")
         if n > DIMENSION_CAP:
             raise ResourceLimit(f"dimension capped at {DIMENSION_CAP}, got {n} x {n}")
-        for i in range(n):
-            if mat.entry(i, i) != 1:
+        for i, row in enumerate(mat.num):
+            if row[i] != mat.den:
                 raise ValueError("diagonal entries must be 1")
-            for j in range(i):
-                if mat.entry(i, j):
-                    raise ValueError("matrix must be upper triangular")
+            if any(row[:i]):
+                raise ValueError("matrix must be upper triangular")
         self.n = n
         self.mat = mat
 
@@ -94,10 +92,8 @@ class NilMat:
         n = mat.nrows
         if mat.ncols != n:
             raise DimensionMismatch(f"matrix must be square, got {n} x {mat.ncols}")
-        for i in range(n):
-            for j in range(i + 1):
-                if mat.entry(i, j):
-                    raise ValueError("matrix must be strictly upper triangular")
+        if any(any(row[:i + 1]) for i, row in enumerate(mat.num)):
+            raise ValueError("matrix must be strictly upper triangular")
         self.n = n
         self.mat = mat
 
@@ -122,8 +118,8 @@ class NilMat:
 
 
 def _log_series(x):
-    """log(I + x) for a strictly upper triangular x of any ``Mat``
-    subclass: the alternating finite series sum of (-1)**(k+1) x**k / k."""
+    """log(I + x) for a strictly upper triangular x, a ``MatQ`` or a
+    ``Mat``: the alternating finite series sum of (-1)**(k+1) x**k / k."""
     acc = power = x
     for k in range(2, x.nrows):
         power = power * x
@@ -132,7 +128,7 @@ def _log_series(x):
 
 
 def _exp_series(x):
-    """exp(x) for a strictly upper triangular x of any ``Mat`` subclass:
+    """exp(x) for a strictly upper triangular x, a ``MatQ`` or a ``Mat``:
     the finite series sum of x**k / k!."""
     acc = type(x).identity(x.nrows) + x
     power = x
@@ -163,17 +159,14 @@ def pth_root(g: UniTriMat, p: int) -> UniTriMat:
 
 
 def is_s_integral(g, primes) -> bool:
-    """Whether every entry denominator factors inside the prime set."""
-    mat = g.mat if isinstance(g, (UniTriMat, NilMat)) else g
-    for row in mat.rows:
-        for x in row:
-            d = x.denominator
-            for p in primes:
-                while d % p == 0:
-                    d //= p
-            if d != 1:
-                return False
-    return True
+    """Whether every entry denominator factors inside the prime set: in
+    lowest terms the common denominator is their lcm, so it is the one
+    to factor."""
+    d = (g.mat if isinstance(g, (UniTriMat, NilMat)) else g).den
+    for p in primes:
+        while d % p == 0:
+            d //= p
+    return d == 1
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +178,8 @@ def _basis_pairs(n: int):
 
 
 def _from_vec(cls, n: int, vec):
-    """The n x n matrix of a ``Mat`` subclass with coordinates vec in the
-    basis E(i, j), i < j."""
+    """The n x n matrix of class cls (``MatQ`` or a ``Mat``) with
+    coordinates vec in the basis E(i, j), i < j."""
     rows = [[cls.zero] * n for _ in range(n)]
     for v, (i, j) in zip(vec, _basis_pairs(n)):
         rows[i][j] = v
@@ -195,7 +188,7 @@ def _from_vec(cls, n: int, vec):
 
 def _apply_map(mat, x):
     """The linear map with matrix mat applied to x in the basis E(i, j);
-    mat and x share a ``Mat`` subclass."""
+    mat and x share a class."""
     n = x.nrows
     image = mat * type(mat).column([x.entry(i, j) for i, j in _basis_pairs(n)])
     return _from_vec(type(mat), n, [row[0] for row in image.rows])
@@ -382,7 +375,8 @@ def congruence_domain(aut: LieAut, primes) -> int:
         raise NotAnAutomorphism("the linear map does not preserve brackets")
     primes = set(primes)
     n = aut.n
-    dens = {x.denominator for x in chain.from_iterable(aut.mat.rows)} | set(range(2, n))
+    # the common denominator of the map is the lcm of its entry denominators
+    dens = {aut.mat.den} | set(range(2, n))
     outside = set().union(*(_factored(d, primes) for d in dens)) - primes
     # the symbolic composite exp(aut(log(I + X))), one variable per entry of X
     variables = [_MPoly({(idx,): Fraction(1)}) for idx in range(n * (n - 1) // 2)]

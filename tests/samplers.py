@@ -2,15 +2,19 @@
 
 Each sampler draws from the ``random.Random`` it is given, so a fixed
 seed gives a fixed sample; ``tests/test_samplers.py`` pins that output.
-``MatF2Rat`` (field elimination over F2(t), with ``F2RatFun`` as its
-scalar field) and ``f2_rank`` are the oracles that the fraction-free
-elimination of ``commlab.polymat`` is compared against; the program
+``FieldMat`` is a ``commlab.matrices.Mat`` with field elimination.  On it
+``MatF2Rat`` (over F2(t), with ``F2RatFun`` as its scalar field) and
+``f2_rank`` are the oracles that the fraction-free elimination of
+``commlab.polymat`` is compared against, and ``MatQFraction`` (one
+``Fraction`` per entry) is the oracle of ``commlab.matrices.MatQ``; the program
 itself computes in no field F2(t), which is only the text format of an
 entry (``commlab.ratfun``), and ``F2RatFun`` reads and writes that text
 through it.  ``k_to_coords`` and ``coords_to_k`` give the coordinates of
 K at a level through the ``f2poly`` interleave pair, and
 ``residue_coords`` is their oracle.
 """
+
+from fractions import Fraction
 
 from commlab import ratfun
 from commlab.f2poly import (
@@ -21,6 +25,7 @@ from commlab.f2poly import (
     mask_interleave,
     mask_mul,
 )
+from commlab.errors import SingularMatrix
 from commlab.lamplighter import CommInftyElt, LampComm, LampElement, SubmoduleBasis, VDerElt
 from commlab.matrices import Mat
 
@@ -182,7 +187,153 @@ class F2RatFun:
         return f"F2RatFun({self.to_string()!r})"
 
 
-class MatF2Rat(Mat):
+class FieldMat(Mat):
+    """A ``Mat`` over a field, with the field elimination that the program
+    does not use: a subclass adds the hook ``_inv_scalar``.  One forward
+    elimination, ``_echelon``, serves every elimination: ``det`` and
+    ``rank`` read it directly, and ``_rref`` adds back-substitution for
+    ``inv``, ``solve`` and ``nullspace``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zeros(cls, r: int, c: int):
+        return cls._raw(((cls.zero,) * c for _ in range(r)), ncols=c)
+
+    def is_square(self) -> bool:
+        return self.nrows == self.ncols
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
+        return type(self)._raw(
+            (tuple(a - b for a, b in zip(r1, r2))
+             for r1, r2 in zip(self.rows, other.rows)),
+            ncols=self._nc,
+        )
+
+    def __neg__(self):
+        return type(self)._raw(
+            (tuple(-a for a in row) for row in self.rows), ncols=self._nc
+        )
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.rows == other.rows
+            and self._nc == other._nc
+        )
+
+    def __hash__(self):
+        return hash((self.rows, self._nc))
+
+    def _echelon(self, aug: int = 0):
+        """Forward elimination to row echelon form.
+
+        Returns (rows as lists, pivot column list, signed product of the
+        pivots).  The last ``aug`` columns are carried along but never
+        used as pivots.  Pivot rows are not scaled, so for a square
+        matrix of full rank the product is its determinant.
+        """
+        rows = [list(r) for r in self.rows]
+        nr, nc = len(rows), self._nc
+        pivots = []
+        det = self.one
+        r = 0
+        for c in range(nc - aug):
+            if r == nr:
+                break
+            p = next((i for i in range(r, nr) if rows[i][c]), None)
+            if p is None:
+                continue
+            if p != r:
+                rows[r], rows[p] = rows[p], rows[r]
+                det = -det
+            det = det * rows[r][c]
+            inv = self._inv_scalar(rows[r][c])
+            for i in range(r + 1, nr):
+                if rows[i][c]:
+                    f = rows[i][c] * inv
+                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            pivots.append(c)
+            r += 1
+        return rows, pivots, det
+
+    def _rref(self, aug: int = 0):
+        """``_echelon`` plus back-substitution: the reduced row echelon
+        form, as (rows as lists, pivot column list)."""
+        rows, pivots, _ = self._echelon(aug)
+        for r in reversed(range(len(pivots))):
+            c = pivots[r]
+            inv = self._inv_scalar(rows[r][c])
+            rows[r] = [x * inv for x in rows[r]]
+            for i in range(r):
+                if rows[i][c]:
+                    f = rows[i][c]
+                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        return rows, pivots
+
+    def det(self):
+        if not self.is_square():
+            raise ValueError("determinant of non-square matrix")
+        _, pivots, det = self._echelon()
+        return det if len(pivots) == self.nrows else self.zero
+
+    def rank(self) -> int:
+        return len(self._echelon()[1])
+
+    def inv(self):
+        if not self.is_square():
+            raise ValueError("inverse of non-square matrix")
+        n = self.nrows
+        aug = type(self)._raw(
+            (r + i for r, i in zip(self.rows, type(self).identity(n).rows)), ncols=2 * n
+        )
+        rows, pivots = aug._rref(aug=n)
+        if len(pivots) < n:
+            raise SingularMatrix("matrix is not invertible")
+        return type(self)._raw((row[n:] for row in rows), ncols=n)
+
+    def solve(self, b: "Mat"):
+        """One exact solution of self * x = b, or None if inconsistent."""
+        if b.nrows != self.nrows:
+            raise ValueError("shape mismatch")
+        k = b.ncols
+        nc = self.ncols
+        aug = type(self)._raw(
+            (r + br for r, br in zip(self.rows, b.rows)), ncols=nc + k
+        )
+        rows, pivots = aug._rref(aug=k)
+        if any(any(row[nc:]) for row in rows[len(pivots):]):
+            return None
+        out = [[self.zero] * k for _ in range(nc)]
+        for r, c in enumerate(pivots):
+            out[c] = rows[r][nc:]
+        return type(self)._raw(out, ncols=k)
+
+    def nullspace(self):
+        """Basis of the right kernel, as a list of column matrices."""
+        nc = self.ncols
+        rows, pivots = self._rref()
+        basis = []
+        for f in (c for c in range(nc) if c not in pivots):
+            vec = [self.zero] * nc
+            vec[f] = self.one
+            for r, c in enumerate(pivots):
+                vec[c] = -rows[r][f]
+            basis.append(type(self).column(vec))
+        return basis
+
+    def to_strings(self):
+        return [[str(x) for x in row] for row in self.rows]
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_strings()!r})"
+
+
+class MatF2Rat(FieldMat):
     """Matrix over the rational function field F2(t)."""
 
     __slots__ = ()
@@ -202,6 +353,27 @@ class MatF2Rat(Mat):
     @staticmethod
     def _inv_scalar(x):
         return x.inverse()
+
+
+class MatQFraction(FieldMat):
+    """Matrix over Q with one Fraction per entry: the oracle for the
+    common-denominator ``commlab.matrices.MatQ``."""
+
+    __slots__ = ()
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    @classmethod
+    def _coerce(cls, x):
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, (int, str)):
+            return Fraction(x)
+        raise TypeError(f"cannot coerce {x!r} to a rational")
+
+    @staticmethod
+    def _inv_scalar(x):
+        return 1 / x
 
 
 def random_element(rng, max_exp: int = 8) -> LampElement:

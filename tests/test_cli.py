@@ -395,6 +395,28 @@ def test_a_huge_decimal_exponent_is_a_resource_limit(capsys):
         assert code == 2 and out["error"] == "ParseError", q
 
 
+def test_an_answer_past_the_digit_limit_is_a_resource_limit(capsys):
+    # each answer holds an integer of more than the 4300 digits CPython
+    # converts to a string; matrices.format_rational names the digit count
+    big = "1e4299"
+    desc = {"h_central": [], "P": [], "h_10": [], "h_1z": [], "red": {"r": big, "q": "0"}}
+    space = {"N0": 0, "N1": 0, "dZ": 0, "dZ1": 0, "red": "bs"}
+    for argv, digits in [
+        (["unipotent", "log", "--matrix",
+          json.dumps([["1", big, "0"], ["0", "1", big], ["0", "0", "1"]])], 8598),
+        (["bs", "mul", "--g", '{"n":10,"a":5,"b":"1"}', "--h", json.dumps({"n": 10, "a": 0, "b": big})],
+         4305),
+        (["comm-desc", "mul", "--spec", json.dumps({"space": space, "a": desc, "b": desc})], 8599),
+        (["solve-inner", "--ts", '[[["1e-4299"]]]', "--vs", json.dumps([[big]])], 8599),
+    ]:
+        code, out = run_json(capsys, argv)
+        assert code == 1 and out["error"] == "ResourceLimit", argv
+        assert f"printing a rational needs a {digits}-digit integer" in out["detail"], argv
+    # 10**4299 itself has 4300 digits and prints
+    code, out = run_json(capsys, ["unipotent", "log", "--matrix", json.dumps([["1", big], ["0", "1"]])])
+    assert code == 0 and out == [["0", str(10**4299)], ["0", "0"]]
+
+
 def test_entries_that_cancel_are_cut_before_the_common_denominator(capsys):
     # each entry is 1; an lcm of the denominators as written would be a
     # dense mask of degree 2*10^6 and the elimination would run on its quotients

@@ -1,7 +1,9 @@
-"""Properties of the product and the elimination core of
-``commlab.matrices``, over Q and over F2(t) (the ``MatF2Rat`` oracle of
-``samplers`` is a subclass of the same core)."""
+"""Properties of the products and eliminations of ``commlab.matrices.MatQ``
+and of the field matrices of ``samplers`` (``MatF2Rat`` over F2(t)); the
+common-denominator ``MatQ`` is also compared with ``MatQFraction``, one
+``Fraction`` per entry, operation by operation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from commlab.errors import SingularMatrix
 from commlab.matrices import MatQ
-from samplers import F2RatFun, MatF2Rat
+from samplers import F2RatFun, MatF2Rat, MatQFraction
 
 SCALARS = {
     MatQ: st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
@@ -155,3 +157,101 @@ def test_product_is_the_textbook_triple_sum(cls, data):
     if k != m:
         with pytest.raises(ValueError, match="shape mismatch"):
             b * b
+
+
+# ---------------------------------------------------------------------------
+# the common-denominator MatQ against the Fraction-entry oracle
+
+# numerators and denominators whose lcms and gcds mix the primes 2, 3 and 5
+RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 5, 6, 9, 10, 12]))
+
+
+@st.composite
+def rational_rows(draw, nrows, ncols):
+    """Rows of Fractions; half of the draws are a product through a
+    narrower inner dimension, so rank-deficient ones are common."""
+
+    def block(r, c):
+        return [[draw(RATIONALS) for _ in range(c)] for _ in range(r)]
+
+    if draw(st.booleans()):
+        return block(nrows, ncols)
+    inner = draw(st.integers(0, max(0, min(nrows, ncols) - 1)))
+    left, right = block(nrows, inner), block(inner, ncols)
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)]
+            if right else [Fraction(0)] * ncols for row in left]
+
+
+@st.composite
+def pair(draw, nrows, ncols):
+    """The same matrix as a MatQ and as a MatQFraction."""
+    rows = draw(rational_rows(nrows, ncols))
+    return MatQ(rows, ncols=ncols), MatQFraction(rows, ncols=ncols)
+
+
+SIDES = st.integers(0, 5)
+
+
+def canonical(mat):
+    """mat is int tuples over a positive denominator in lowest terms."""
+    num, den = mat.num, mat.den
+    assert type(num) is tuple and all(type(row) is tuple and len(row) == mat.ncols for row in num)
+    assert all(type(x) is int for row in num for x in row) and type(den) is int
+    assert den > 0 and math.gcd(den, *(x for row in num for x in row)) == 1
+    if not any(any(row) for row in num):
+        assert den == 1
+
+
+def agrees(mat, oracle):
+    """mat is canonical and equals oracle."""
+    canonical(mat)
+    assert (mat.nrows, mat.ncols) == (oracle.nrows, oracle.ncols)
+    assert mat.rows == oracle.rows
+    assert mat.to_strings() == oracle.to_strings()
+
+
+@PROPERTY
+@given(data=st.data())
+def test_matq_ring_operations_agree_with_the_fraction_oracle(data):
+    r, c, k = data.draw(SIDES), data.draw(SIDES), data.draw(SIDES)
+    (a, a_), (b, b_) = data.draw(pair(r, c)), data.draw(pair(r, c))
+    m, m_ = data.draw(pair(c, k))
+    s = data.draw(RATIONALS | st.integers(-3, 3))
+    agrees(a, a_)
+    agrees(a + b, a_ + b_)
+    agrees(a - b, a_ - b_)
+    agrees(-a, -a_)
+    agrees(a * m, a_ * m_)
+    agrees(s * a, s * a_)
+    agrees(a * s, a_ * s)
+    agrees(a.transpose(), a_.transpose())
+    assert (a == b) == (a_ == b_)
+    assert (a - a) == MatQ.zeros(r, c) and (a - a).den == 1
+
+
+@PROPERTY
+@given(data=st.data())
+def test_matq_elimination_agrees_with_the_fraction_oracle(data):
+    r, c, k = data.draw(SIDES), data.draw(SIDES), data.draw(st.integers(0, 2))
+    a, a_ = data.draw(pair(r, c))
+    b, b_ = data.draw(pair(r, k))
+    assert a.rank() == a_.rank()
+    kernel, kernel_ = a.nullspace(), a_.nullspace()
+    assert len(kernel) == len(kernel_)
+    for v, v_ in zip(kernel, kernel_):
+        agrees(v, v_)
+    x, x_ = a.solve(b), a_.solve(b_)
+    assert (x is None) == (x_ is None)
+    if x is not None:
+        agrees(x, x_)
+    consistent = a * data.draw(pair(c, k))[0]
+    y = a.solve(consistent)
+    canonical(y)
+    assert a * y == consistent
+    s, s_ = data.draw(pair(r, r))
+    assert s.det() == s_.det()
+    if s_.det():
+        agrees(s.inv(), s_.inv())
+    else:
+        with pytest.raises(SingularMatrix):
+            s.inv()

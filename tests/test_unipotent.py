@@ -4,6 +4,8 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commlab.errors import (
     DimensionMismatch,
@@ -117,6 +119,28 @@ def test_is_s_integral_examples():
 
 
 # ------------------------------------------------------- Lie automorphisms
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    st.integers(0, 5).flatmap(lambda n: st.lists(
+        st.lists(st.builds(F, st.integers(-20, 20), st.sampled_from([1, 2, 3, 4, 6, 7, 9, 10, 14])),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=n)),
+    st.sets(st.sampled_from([2, 3, 5, 7])),
+)
+def test_is_s_integral_reads_the_common_denominator(rows, primes):
+    """In lowest terms the common denominator is the lcm of the entry
+    denominators, so it factors inside S exactly when each of them does."""
+
+    def s_unit(d):
+        for p in primes:
+            while d % p == 0:
+                d //= p
+        return d == 1
+
+    mat = MatQ(rows)
+    assert is_s_integral(mat, primes) == all(s_unit(x.denominator) for row in rows for x in row)
 
 
 def test_lie_aut_check_examples():
@@ -391,6 +415,22 @@ def test_congruence_domain_agrees_with_the_oracle():
                     assert congruence_domain(aut, primes) == expected, (aut.mat, primes)
                     answers.add(expected)
     assert min(answers) == 1 and max(answers) > 100, sorted(answers)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(
+    st.integers(3, 5).flatmap(lambda n: st.lists(
+        st.builds(F, st.sampled_from([1, 2, 3, 5, -1, 7]), st.sampled_from([1, 2, 3])),
+        min_size=n, max_size=n)),
+    st.sets(st.sampled_from([2, 3, 5, 7]), max_size=2),
+)
+def test_congruence_domain_on_diagonal_torus_actions(d, primes):
+    """The diagonal maps E(i, j) -> (d_i / d_j) E(i, j) that the benchmark
+    times: congruence_domain factors the common denominator of the map,
+    the oracle every entry denominator."""
+    n = len(d)
+    aut = LieAut.diagonal(n, [d[i] / d[j] for i in range(n) for j in range(i + 1, n)])
+    assert congruence_domain(aut, primes) == oracle_congruence_domain(aut, primes)
 
 
 def test_congruence_domain_rejects_non_automorphism():
