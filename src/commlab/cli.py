@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import lamplighter as lamp
 from . import solvable, storus, unipotent
 from .errors import CommLabError, ResourceLimit, ZeroInput
-from .matrices import MatQ, format_rational, parse_rational
+from .matrices import MatQ, format_rational, parse_rational, too_many_digits
 from .solvable import AffineMap, BSElement, CommDesc, CommSpace
 from .unipotent import LieAut, NilMat, UniTriMat
 
@@ -386,6 +386,12 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         result = args.handler(args)
+        if isinstance(result, int):
+            return result
+        try:
+            text = json.dumps(result, indent=2 if args.pretty else None, sort_keys=True)
+        except ValueError:  # only an int past CPython's string conversion limit
+            raise too_many_digits(max(map(abs, _ints(result))), "an answer") from None
     except CommLabError as exc:
         print(json.dumps({"error": exc.code, "detail": exc.detail}))
         return 1
@@ -398,10 +404,15 @@ def run(argv) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(json.dumps({"error": "ParseError", "detail": str(exc)}))
         return 2
-    if isinstance(result, int):
-        return result
-    print(json.dumps(result, indent=2 if args.pretty else None, sort_keys=True))
+    print(text)
     return 0
+
+
+def _ints(obj) -> list:
+    """Every int in a JSON result."""
+    if isinstance(obj, (list, tuple, dict)):
+        return [i for x in (obj.values() if isinstance(obj, dict) else obj) for i in _ints(x)]
+    return [obj] if isinstance(obj, int) else []
 
 
 def main() -> None:

@@ -18,14 +18,16 @@ are the only code that does its arithmetic.  Masks are built and read in
 one pass over a string or buffer of their bits, never one set bit at a
 time, so the cost is linear in their length.
 
-Division has two routes, chosen by cost.  The schoolbook loop spends one
-xor per quotient bit.  The series route uses b(x)**2 = b(x**2) over F2:
+This is the only module that divides.  ``mask_divmod`` picks one of two
+routes by cost.  The schoolbook loop spends one xor per quotient bit.  The
+series route uses b(x)**2 = b(x**2) over F2:
 for b(0) = 1, 1/b = b(x) * b(x**2) * b(x**4) * ... mod x**n, so n
 quotient bits cost about popcount(b) * log2(n) big-int shift-xors (von zur
 Gathen and Gerhard, Modern Computer Algebra, 3rd ed., section 9.1).  With
 w = popcount(b) and L = n.bit_length(), the series is taken when
 4*w*L < n and w*L < 2*(deg b + _WINDOW) (``_series_pays``): sparse
-divisors of long dividends.
+divisors of long dividends.  The Laurent ``F2LaurentPoly.divmod`` clears
+negative powers from the low end by the series, then calls ``mask_divmod``.
 """
 
 from __future__ import annotations
@@ -153,20 +155,6 @@ def mask_lcm(a: int, b: int) -> int:
 
 def mask_mod(a: int, b: int) -> int:
     return mask_divmod(a, b)[1]
-
-
-def mask_pow_mod(a: int, e: int, d: int) -> int:
-    """a**e modulo d (e >= 0, d != 0) by square-and-multiply.
-
-    O(log e) products and reductions, each of masks of degree below
-    2*deg d + deg a: the cost grows with the number of bits of e, not with e.
-    """
-    r = mask_mod(1, d)
-    for bit in bin(e)[2:]:
-        r = mask_mod(mask_mul(r, r), d)
-        if bit == "1":
-            r = mask_mod(mask_mul(r, a), d)
-    return r
 
 
 def mask_interleave(masks, n: int) -> int:
@@ -328,20 +316,21 @@ class F2LaurentPoly:
         """Exact quotient self/other in F2[t,1/t], or None if not divisible."""
         if other.mask == 0:
             raise ZeroDivisionError("division by zero polynomial")
-        if self.mask == 0:
-            return F2LaurentPoly.zero()
-        a, b = self.mask, other.mask
-        n = a.bit_length() - b.bit_length() + 1  # quotient bits
-        if n > _SHORT and _series_pays(b, n, b.bit_length() - 1):
-            # both masks are odd, so the quotient is read from the low end
-            q = _series_quot(a, b, n)
-            if mask_mul(q, b) != a:
-                return None
-        else:
-            q, r = mask_divmod(a, b)
-            if r:
-                return None
-        return F2LaurentPoly._raw(q, self.shift - other.shift)
+        q, r = mask_divmod(self.mask, other.mask)
+        return None if r else F2LaurentPoly._raw(q, self.shift - other.shift)
+
+    def divmod(self, d: int) -> tuple["F2LaurentPoly", int]:
+        """(q, r) with self = q*d + r for a poly mask d with d(0) = 1 and r the
+        poly mask of degree < deg d, the canonical representative of self mod d.
+        Below t**0, q is self/d mod t**-shift by the series, which leaves a
+        polynomial self - q*d for mask_divmod."""
+        a, k = self.mask, self.shift
+        if k >= 0:
+            q, r = mask_divmod(a << k, d)
+            return F2LaurentPoly._raw(q, 0), r
+        low = _series_quot(a, d, -k)
+        q, r = mask_divmod((a ^ mask_mul(low, d)) >> -k, d)
+        return F2LaurentPoly._raw(q << -k | low, k), r
 
     def __eq__(self, other):
         return (

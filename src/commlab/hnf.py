@@ -9,32 +9,19 @@ equality is then a syntactic check.
 
 Matrices here are plain tuples of tuples of F2LaurentPoly; row spans
 are the submodules.  The echelon routine tracks a unimodular transform,
-which also yields left kernels and module intersections.
+which also yields left kernels and module intersections.  Every division
+is f2poly's: the Euclidean steps are ``mask_divmod``, and an entry above a
+pivot d is reduced by ``F2LaurentPoly.divmod(d)``, whose quotient is the
+row multiplier.
 """
 
 from __future__ import annotations
 
 from .errors import SingularMatrix
-from .f2poly import F2LaurentPoly, mask_deg, mask_divmod, mask_mod, mask_mul, mask_pow_mod
+from .f2poly import F2LaurentPoly, mask_deg, mask_divmod
 
 _ZERO = F2LaurentPoly.zero()
 _ONE = F2LaurentPoly.one()
-
-
-def _laurent_quot(a: F2LaurentPoly, b: F2LaurentPoly) -> F2LaurentPoly:
-    """q with a - q*b of smaller normalized degree than b (b != 0)."""
-    q, _ = mask_divmod(a.mask, b.mask)
-    return F2LaurentPoly._raw(q, a.shift - b.shift)
-
-
-def _laurent_rep(a: F2LaurentPoly, d: F2LaurentPoly) -> F2LaurentPoly:
-    """Canonical representative of a modulo the ideal (d), d with nonzero
-    constant term: the unique polynomial of degree < deg d."""
-    dm = d.mask
-    k = a.shift
-    # a = s^k * a.mask, and s is invertible mod d: s^-1 = (d+1)/s
-    unit = mask_pow_mod(2 if k >= 0 else (dm ^ 1) >> 1, abs(k), dm)
-    return F2LaurentPoly._raw(mask_mod(mask_mul(unit, a.mask), dm), 0)
 
 
 def _row_add(rows, i, j, q):
@@ -64,8 +51,10 @@ def row_echelon(mat):
         while len(live) > 1:
             live.sort(key=lambda i: mask_deg(H[i][c].mask))
             base = live[0]
+            b = H[base][c]
             for i in live[1:]:
-                q = _laurent_quot(H[i][c], H[base][c])
+                a = H[i][c]  # a - q*b has a smaller normalized degree than b
+                q = F2LaurentPoly._raw(mask_divmod(a.mask, b.mask)[0], a.shift - b.shift)
                 _row_add(H, i, base, q)
                 _row_add(U, i, base, q)
             live = [i for i in live if H[i][c]]
@@ -80,14 +69,11 @@ def row_echelon(mat):
         pivots.append(c)
         r += 1
     for pr, pc in enumerate(pivots):
-        d = H[pr][pc]
+        d = H[pr][pc].mask
         for i in range(pr):
-            a = H[i][pc]
-            if a.is_zero():
-                continue
-            rep = _laurent_rep(a, d)
-            if rep != a:
-                q = (a + rep).exact_div(d)
+            # subtracting q times the pivot row leaves the representative
+            q = H[i][pc].divmod(d)[0]
+            if q:
                 _row_add(H, i, pr, q)
                 _row_add(U, i, pr, q)
     return (

@@ -312,13 +312,8 @@ class CommInftyElt:
             nn = self.num
         else:
             dw = _min_u_power_poly(self.den, k)
-            e, rem = mask_divmod(mask_spread(dw, k), self.den)
-            if rem:
-                raise RuntimeError(
-                    f"raise_to from level {m} to {n}: denominator of degree "
-                    f"{self.den.bit_length() - 1} does not divide its multiple"
-                )
-            nn = self.num.scalar_mul(e)
+            # den divides dw(s**k) by the choice of dw
+            nn = self.num.scalar_mul(mask_divmod(mask_spread(dw, k), self.den)[0])
         return CommInftyElt(n, nn.raised(k), dw)
 
     def canonical(self) -> "CommInftyElt":
@@ -564,13 +559,7 @@ def _apply_lin_to_vder(lin: CommInftyElt, value: F2LaurentPoly, op: str):
             )
         r ^= spow
         spow = mask_mod(mask_mul(spow, 2), dreq)
-    image = lin.lift(F2LaurentPoly.geometric(m, j) * y)
-    if image is None:
-        raise RuntimeError(
-            f"derivation image at level {m}: multiplier of length {j} "
-            f"leaves a remainder mod a denominator of degree {den.bit_length() - 1}"
-        )
-    return j, image
+    return j, lin.lift(F2LaurentPoly.geometric(m, j) * y)
 
 
 def comm_compose(c1: LampComm, c2: LampComm) -> LampComm:

@@ -62,13 +62,17 @@ def format_rational(x: Fraction) -> str:
     try:
         return str(x)
     except ValueError:
-        big = max(abs(x.numerator), x.denominator)
-        d = int(big.bit_length() * math.log10(2))
-        digits = d + (big >= 10**d)
-        raise ResourceLimit(
-            f"work limit: printing a rational needs a {digits}-digit integer, above the "
-            f"{sys.get_int_max_str_digits()}-digit limit of integer string conversion"
-        ) from None
+        raise too_many_digits(max(abs(x.numerator), x.denominator), "a rational") from None
+
+
+def too_many_digits(big: int, what: str) -> ResourceLimit:
+    """The ResourceLimit for printing ``what``, which holds the too long int big."""
+    d = int(big.bit_length() * math.log10(2))
+    digits = d + (big >= 10**d)
+    return ResourceLimit(
+        f"work limit: printing {what} needs a {digits}-digit integer, above the "
+        f"{sys.get_int_max_str_digits()}-digit limit of integer string conversion"
+    )
 
 
 def _rational(x) -> Fraction:

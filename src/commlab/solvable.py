@@ -45,6 +45,10 @@ from .matrices import MatQ, format_rational, parse_rational
 
 # Bound on the multiplicative order K that bs_comm_domain searches for.
 ORDER_CAP = 4 * 10**6
+_BABY_STEPS = 1 << 15  # of that search
+# Bound on |a| * n.bit_length(), at most twice the bits of a BS power n**a:
+# a printable answer needs n**a of up to about 2 * 4300 digits, 28600 bits.
+MAX_POWER_BITS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +102,13 @@ def _check_base(n: int) -> None:
         raise DegenerateAction(f"BS(1, n) needs base n >= 2, got {n}")
 
 
+def _scaled(n: int, a: int, x: Fraction) -> Fraction:
+    """n**a * x, the power formed only for x != 0 and refused past MAX_POWER_BITS."""
+    if x and abs(a) * n.bit_length() > MAX_POWER_BITS:
+        raise ResourceLimit(f"work limit: the power {n}**{a} has more than {MAX_POWER_BITS} bits")
+    return Fraction(n) ** a * x if x else x
+
+
 @dataclass(frozen=True)
 class BSElement:
     """Element of BS(1, n) as the affine map x -> n**a * x + b."""
@@ -117,8 +128,7 @@ class BSElement:
         return cls(n, 0, Fraction(0))
 
     def inverse(self) -> "BSElement":
-        s = Fraction(self.n) ** (-self.a)
-        return BSElement(self.n, -self.a, -s * self.b)
+        return BSElement(self.n, -self.a, -_scaled(self.n, -self.a, self.b))
 
     def to_json(self):
         return {"n": self.n, "a": self.a, "b": format_rational(self.b)}
@@ -131,7 +141,7 @@ class BSElement:
 def bs_mul(g: BSElement, h: BSElement) -> BSElement:
     if g.n != h.n:
         raise BaseMismatch(f"bases {g.n} and {h.n} differ")
-    return BSElement(g.n, g.a + h.a, g.b + Fraction(g.n) ** g.a * h.b)
+    return BSElement(g.n, g.a + h.a, g.b + _scaled(g.n, g.a, h.b))
 
 
 def bs_comm_domain(c: AffineMap, n: int) -> tuple[int, int]:
@@ -139,24 +149,34 @@ def bs_comm_domain(c: AffineMap, n: int) -> tuple[int, int]:
 
     D clears the n-coprime denominator parts of the scale and the
     translation of c; K is the multiplicative order of n modulo the
-    n-coprime denominator of the translation.  Conjugation by c maps
+    n-coprime denominator d of the translation.  Conjugation by c maps
     every element with a in K*Z and b in D*Z[1/n] back into BS(1, n).
-    K is found one power of n at a time, so a K above ORDER_CAP raises
-    ResourceLimit.
+    K is found by giant and baby steps (Shanks): K = i*B - j, 0 <= j < B,
+    where n**(i*B) = n**j.  A baby step is a product by the small n and a
+    giant step a full product mod d, hence B = _BABY_STEPS of the first to
+    ORDER_CAP / B of the second.  A K above ORDER_CAP raises ResourceLimit.
     """
     _check_base(n)
     d_r = _n_coprime_denominator(c.r, n)
     d_q = _n_coprime_denominator(c.q, n)
     d = d_r * d_q // math.gcd(d_r, d_q)
-    k, acc = 1, n % d_q
-    while d_q > 1 and acc != 1:
-        if k == ORDER_CAP:
-            raise ResourceLimit(
-                f"work limit: the conjugation domain needs the order of {n} modulo {d_q}, "
-                f"which exceeds {ORDER_CAP}"
-            )
-        acc = acc * n % d_q
-        k += 1
+    if d_q == 1:
+        return 1, d
+    giant, y, step = {}, 1, pow(n, _BABY_STEPS, d_q)
+    for i in range(1, -(-ORDER_CAP // _BABY_STEPS) + 1):
+        y = y * step % d_q
+        giant.setdefault(y, i)
+    k, x = ORDER_CAP + 1, 1
+    for j in range(_BABY_STEPS):  # x = n**j; a hit gives a multiple of K
+        if j and x == 1:
+            return j, d
+        if x in giant:
+            k = min(k, giant[x] * _BABY_STEPS - j)
+        x = x * n % d_q
+    if k > ORDER_CAP:
+        modulus = d_q if d_q.bit_length() <= 64 else f"a {d_q.bit_length()}-bit integer"
+        raise ResourceLimit(f"work limit: the conjugation domain needs the order of {n} "
+                            f"modulo {modulus}, which exceeds {ORDER_CAP}")
     return k, d
 
 
@@ -167,8 +187,7 @@ def bs_comm_apply(c: AffineMap, g: BSElement) -> BSElement:
         raise OutOfDomain(
             f"element outside the congruence subgroup (K={k}, D={d})"
         )
-    scale = Fraction(g.n) ** g.a
-    return BSElement(g.n, g.a, c.r * g.b + c.q * (1 - scale))
+    return BSElement(g.n, g.a, c.r * g.b + c.q - _scaled(g.n, g.a, c.q))
 
 
 # ---------------------------------------------------------------------------

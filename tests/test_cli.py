@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import commlab
@@ -412,9 +412,46 @@ def test_an_answer_past_the_digit_limit_is_a_resource_limit(capsys):
         code, out = run_json(capsys, argv)
         assert code == 1 and out["error"] == "ResourceLimit", argv
         assert f"printing a rational needs a {digits}-digit integer" in out["detail"], argv
+    # an int answer too: D = 10**4303 (cli._dumps names the digit count)
+    start = time.perf_counter()
+    code = run(["bs", "domain", "--n", "3", "--r", "0.0001e-4299", "--q", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == "" and len(captured.out.splitlines()) == 1
+    out = json.loads(captured.out)
+    assert out["error"] == "ResourceLimit"
+    assert "printing an answer needs a 4304-digit integer" in out["detail"]
+    assert time.perf_counter() - start < 1
     # 10**4299 itself has 4300 digits and prints
     code, out = run_json(capsys, ["unipotent", "log", "--matrix", json.dumps([["1", big], ["0", "1"]])])
     assert code == 0 and out == [["0", str(10**4299)], ["0", "0"]]
+
+
+def test_a_huge_bs_exponent_is_a_resource_limit(capsys):
+    # n**a is formed only where it scales a nonzero translation, and one of
+    # more than solvable.MAX_POWER_BITS bits is refused before it is formed
+    one = '{"n":2,"a":0,"b":"1"}'
+    for argv in [
+        ["bs", "mul", "--g", '{"n":2,"a":100000000,"b":"0"}', "--h", one],
+        ["bs", "mul", "--g", '{"n":2,"a":1000000000000,"b":"0"}', "--h", one],
+        ["bs", "conj", "--r", "1", "--q", "1", "--elem", '{"n":2,"a":-1000000000000,"b":"0"}'],
+    ]:
+        start = time.perf_counter()
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == "", argv
+        assert json.loads(captured.out)["error"] == "ResourceLimit", argv
+        assert time.perf_counter() - start < 1, argv
+    # with a zero translation no power is formed
+    code, out = run_json(capsys, ["bs", "mul", "--g", '{"n":2,"a":1000000000000,"b":"5"}',
+                                  "--h", '{"n":2,"a":1,"b":"0"}'])
+    assert code == 0 and out == {"n": 2, "a": 1000000000001, "b": "5"}
+    code, out = run_json(capsys, ["bs", "conj", "--r", "3", "--q", "0",
+                                  "--elem", '{"n":2,"a":1000000000000,"b":"1"}'])
+    assert code == 0 and out == {"n": 2, "a": 1000000000000, "b": "3"}
+    # a printable answer is below the cap: 10**8000 * 10**-4299 = 10**3701
+    code, out = run_json(capsys, ["bs", "mul", "--g", '{"n":10,"a":8000,"b":"0"}',
+                                  "--h", '{"n":10,"a":0,"b":"1e-4299"}'])
+    assert code == 0 and out == {"n": 10, "a": 8000, "b": str(10**3701)}
 
 
 def test_entries_that_cancel_are_cut_before_the_common_denominator(capsys):
@@ -455,6 +492,53 @@ def test_fuzzed_entries_print_one_json_line(rows):
     result = json.loads(lines[0])
     assert code in (0, 1, 2), comm
     assert code == 0 or "error" in result, comm
+
+
+# BS fields: short ints, ints of up to 15 digits, decimals with large
+# exponents and junk; n and a are JSON values (a non-int is malformed), b, r
+# and q strings, and --n an int, which argparse reads
+_SHORT_INTS = st.integers(-20, 20)
+_LONG_INTS = st.integers(-10**15 + 1, 10**15 - 1)
+_DECIMALS = st.tuples(st.sampled_from(["1", "-3", "0.0001", "2.5", "7"]),
+                      st.integers(-5000, 5000)).map(lambda p: f"{p[0]}e{p[1]}")
+_JUNK = st.text(alphabet="0123456789-+./e_ x", max_size=8)
+_RATIONALS = st.one_of(
+    _SHORT_INTS.map(str), _LONG_INTS.map(str), _DECIMALS, _JUNK,
+    st.tuples(_SHORT_INTS, _LONG_INTS).map(lambda p: f"{p[0]}/{p[1]}"),
+)
+_BASES = st.one_of(st.integers(2, 12), _SHORT_INTS, _LONG_INTS)
+_EXPONENTS = st.one_of(_SHORT_INTS, _LONG_INTS, _DECIMALS, _JUNK)
+_BS_ELEMS = st.fixed_dictionaries({
+    "n": st.one_of(_BASES, _DECIMALS, _JUNK), "a": _EXPONENTS, "b": _RATIONALS
+}).map(json.dumps)
+_BS_CALLS = st.one_of(
+    st.tuples(_BS_ELEMS, _BS_ELEMS).map(lambda gh: ["bs", "mul", "--g", gh[0], "--h", gh[1]]),
+    # the same base for both, so that the product is reached
+    st.tuples(_BASES, _EXPONENTS, _RATIONALS, _EXPONENTS, _RATIONALS).map(lambda p: [
+        "bs", "mul", "--g", json.dumps({"n": p[0], "a": p[1], "b": p[2]}),
+        "--h", json.dumps({"n": p[0], "a": p[3], "b": p[4]})]),
+    st.tuples(_RATIONALS, _RATIONALS, _BS_ELEMS).map(
+        lambda p: ["bs", "conj", f"--r={p[0]}", f"--q={p[1]}", "--elem", p[2]]),
+    st.tuples(_BASES, _RATIONALS, _RATIONALS).map(
+        lambda p: ["bs", "domain", f"--n={p[0]}", f"--r={p[1]}", f"--q={p[2]}"]),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_BS_CALLS)
+@example(["bs", "domain", "--n", "3", "--r", "0.0001e-4299", "--q", "0"])
+@example(["bs", "mul", "--g", '{"n":2,"a":100000000,"b":"0"}', "--h", '{"n":2,"a":0,"b":"1"}'])
+def test_fuzzed_bs_calls_print_one_json_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert time.perf_counter() - start < 2, argv
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 and err.getvalue() == "", argv
+    result = json.loads(lines[0])
+    assert code in (0, 1, 2), argv
+    assert code == 0 or "error" in result, argv
 
 
 def test_demo_commands(capsys):

@@ -1,8 +1,8 @@
 """Properties of the F2 routines whose cost must not grow with an exponent:
 ``mask_divmod`` and ``F2LaurentPoly.exact_div`` on both division routes,
-``mask_pow_mod``, ``F2LaurentPoly.geometric``, ``LampElement.__pow__``,
-``hnf._laurent_rep`` and the interleave pair of the Kronecker layout; and
-the ring axioms of ``F2LaurentPoly`` on masks of a few hundred bits."""
+the Laurent ``F2LaurentPoly.divmod``, ``F2LaurentPoly.geometric``,
+``LampElement.__pow__`` and the interleave pair of the Kronecker layout;
+and the ring axioms of ``F2LaurentPoly`` on masks of a few hundred bits."""
 
 import random
 
@@ -17,11 +17,8 @@ from commlab.f2poly import (
     mask_deinterleave,
     mask_divmod,
     mask_interleave,
-    mask_mod,
     mask_mul,
-    mask_pow_mod,
 )
-from commlab.hnf import _laurent_rep
 from commlab.lamplighter import LampElement, SubmoduleBasis
 from samplers import coords_to_k, k_to_coords, residue_coords
 
@@ -61,13 +58,16 @@ def _naive_mod(a, b):
 
 
 def _rep_by_shift_steps(a, d):
-    """The representative of a mod d (d(0) = 1), found by multiplying by s
-    or by s^-1 once per unit of a's shift."""
-    dm = d.mask
-    r = _naive_mod(a.mask, dm)
-    unit = 2 if a.shift >= 0 else (dm ^ 1) >> 1  # s, or s^-1 = (d+1)/s mod d
+    """The representative of a mod the poly mask d (d(0) = 1), found by
+    multiplying by s or by s^-1 = (d+1)/s mod d once per unit of a's shift."""
+    r = _naive_mod(a.mask, d)
+    top = 1 << d.bit_length() - 1
     for _ in range(abs(a.shift)):
-        r = _naive_mod(mask_mul(r, unit), dm)
+        if a.shift > 0:
+            r <<= 1
+            r ^= d if r & top else 0
+        else:
+            r = (r ^ d if r & 1 else r) >> 1
     return r
 
 
@@ -128,15 +128,6 @@ def test_mask_divmod_rejects_zero():
 
 
 @PROPERTY
-@given(masks(24), st.integers(0, 60), masks(20, min_bits=1))
-def test_mask_pow_mod_matches_repeated_products(a, e, d):
-    want = mask_mod(1, d)
-    for _ in range(e):
-        want = mask_mod(mask_mul(want, a), d)
-    assert mask_pow_mod(a, e, d) == want
-
-
-@PROPERTY
 @given(st.integers(1, 40), st.integers(0, 80))
 def test_geometric_is_its_defining_sum(step, count):
     want = F2LaurentPoly(range(0, step * count, step))
@@ -155,14 +146,15 @@ def test_lamp_power_matches_repeated_products(k, n, e):
 
 
 @PROPERTY
-@given(masks(40, min_bits=1), st.integers(-2000, 2000), masks(13, min_bits=1))
-def test_laurent_rep_matches_the_shift_step_loop(am, shift, dm):
+@given(masks(300), st.integers(-2000, 2000),
+       st.one_of(masks(300, min_bits=1), sparse_masks(300)))
+def test_laurent_divmod_matches_the_shift_step_loop(am, shift, dm):
     a = F2LaurentPoly._raw(am, shift)
-    d = F2LaurentPoly._raw(dm | 1, 0)
-    rep = _laurent_rep(a, d)
-    assert rep.is_zero() or (rep.shift >= 0 and rep.max_exp < d.mask.bit_length() - 1)
-    assert rep == F2LaurentPoly._raw(_rep_by_shift_steps(a, d), 0)
-    assert (a + rep).exact_div(d) is not None
+    d = dm | 1
+    q, r = a.divmod(d)
+    assert q * F2LaurentPoly._raw(d, 0) + F2LaurentPoly._raw(r, 0) == a
+    assert r.bit_length() < d.bit_length()
+    assert r == _rep_by_shift_steps(a, d)
 
 
 def laurent(max_bits):

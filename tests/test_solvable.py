@@ -13,9 +13,11 @@ from commlab.errors import (
     DimensionMismatch,
     IncompatibleCocycle,
     OutOfDomain,
+    ResourceLimit,
     UnknownInstantiation,
     ZeroInput,
 )
+from commlab import solvable
 from commlab.matrices import MatQ
 from commlab.solvable import (
     AffineMap,
@@ -125,6 +127,42 @@ def test_bs_comm_domain_examples():
     assert bs_comm_domain(AffineMap(1, F(1, 3)), 2) == (2, 3)
     assert bs_comm_domain(AffineMap(F(1, 5), F(1, 2)), 2) == (1, 5)
     assert bs_comm_domain(AffineMap(1, F(1, 7)), 2) == (3, 7)  # ord(2 mod 7) = 3
+
+
+def _order_by_powers(n, d, cap):
+    """The order of n mod d by one product per power, or None above cap."""
+    k, x = 1, n % d
+    while x != 1:
+        if k == cap:
+            return None
+        x, k = x * n % d, k + 1
+    return k
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(2, 30), st.integers(2, 600), st.integers(1, 300), st.integers(1, 40))
+def test_order_search_matches_the_power_loop(n, d, cap, baby):
+    # small caps and baby-step counts, so that the giant steps and the cap
+    # boundary are reached; there are no more baby steps than the cap, as in
+    # the module's constants
+    if math.gcd(n, d) != 1:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvable, "ORDER_CAP", cap)
+        mp.setattr(solvable, "_BABY_STEPS", min(baby, cap))
+        try:
+            got = bs_comm_domain(AffineMap(1, F(1, d)), n)[0]
+        except ResourceLimit:
+            got = None
+    assert got == _order_by_powers(n, d, cap)
+
+
+def test_order_search_on_large_moduli():
+    # 2 has order 40009 mod 2**40009 - 1: past the baby steps, on 40009-bit ints
+    assert bs_comm_domain(AffineMap(1, F(1, 2**40009 - 1)), 2) == (40009, 2**40009 - 1)
+    # 3 mod 10**4303 has an order far above ORDER_CAP; the detail names its size
+    with pytest.raises(ResourceLimit, match="modulo a 14295-bit integer"):
+        bs_comm_domain(AffineMap(1, F(1, 10**4303)), 3)
 
 
 def test_bs_comm_apply_examples():
