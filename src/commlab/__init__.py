@@ -20,6 +20,8 @@ Subpackage map:
 * ``solvable`` -- Baumslag-Solitar commensurations, the
   inner-derivation solver, and the iterated semidirect-product law;
 * ``errors`` -- the domain errors, each with the code the CLI reports;
+* ``frozen`` -- the base of the immutable value classes of ``storus``
+  and ``solvable``;
 * ``cli`` -- the ``comm-lab`` command-line interface.
 """
 

@@ -1,15 +1,20 @@
 """Command-line entry point.
 
 Each leaf subcommand is defined once, in ``_build_parser``, together
-with the handler that runs it.  Handlers read JSON (inline or a file
-path; JSON numbers are read as decimals, so ``0.1`` is 1/10) and return
-their result; ``run`` is the one place that prints a result or an error
-and picks the exit code: 0 on success, 1 on domain errors (reported as
+with the handler that runs it.  The parser is built eagerly, in full,
+and imports no compute layer, so ``--help`` and argparse's rejections
+load none; each handler, and each demo, imports the layer it runs in
+its own body, so a call loads the code of its own family only (a
+``lamp`` call never loads ``matrices``, a ``bs`` call never
+``f2poly``).  Handlers read JSON (inline or a file path; JSON numbers
+are read as decimals, so ``0.1`` is 1/10) and return their result;
+``run`` is the one place that prints a result or an error and picks the
+exit code: 0 on success, 1 on domain errors (reported as
 ``{"error": code, "detail": text}``; running out of memory is the code
-``ResourceLimit``), 2 on malformed input.  ``--pretty``
-indents the same JSON.  The ``demo`` subcommand reproduces the worked
-computations shipped with the package, prints one PASS/FAIL line per
-check and returns its own exit code.
+``ResourceLimit``), 2 on malformed input, a command line that argparse
+rejects included.  ``--pretty`` indents the same JSON.  The ``demo``
+subcommand reproduces the worked computations shipped with the package,
+prints one PASS/FAIL line per check and returns its own exit code.
 """
 
 from __future__ import annotations
@@ -19,16 +24,9 @@ import itertools
 import json
 import operator
 import os
-import random
 import sys
-from fractions import Fraction
 
-from . import lamplighter as lamp
-from . import solvable, storus, unipotent
 from .errors import CommLabError, ResourceLimit, ZeroInput
-from .matrices import MatQ, format_rational, parse_rational, too_many_digits
-from .solvable import AffineMap, BSElement, CommDesc, CommSpace
-from .unipotent import LieAut, NilMat, UniTriMat
 
 
 def _load_json(text: str):
@@ -51,19 +49,17 @@ def _parse_int_matrix(text: str):
     return [[int(x) for x in row.split(",")] for row in text.split(";")]
 
 
-def _matq_from_json(obj, ncols=None) -> MatQ:
+def _matq_from_json(obj, ncols=None):
+    from .matrices import MatQ, parse_rational
     return MatQ([[parse_rational(x) for x in row] for row in obj], ncols=ncols)
 
 
-def _matq_to_json(mat: MatQ):
-    return mat.to_strings()
-
-
-def _matq_from_arg(text: str) -> MatQ:
+def _matq_from_arg(text: str):
     return _matq_from_json(_load_json(text))
 
 
-def _unitri_from_arg(text: str) -> UniTriMat:
+def _unitri_from_arg(text: str):
+    from .unipotent import UniTriMat
     return UniTriMat(_matq_from_arg(text))
 
 
@@ -71,23 +67,29 @@ def _unitri_from_arg(text: str) -> UniTriMat:
 # subcommand handlers: each returns the JSON result that ``run`` prints
 
 
-def _lamp_elem(text: str) -> lamp.LampElement:
-    return lamp.LampElement.from_json(_load_json(text))
+def _lamp_elem(text: str):
+    from .lamplighter import LampElement
+    return LampElement.from_json(_load_json(text))
 
 
-def _lamp_comm(text: str) -> lamp.LampComm:
-    return lamp.LampComm.from_json(_load_json(text))
+def _lamp_comm(text: str):
+    from .lamplighter import LampComm
+    return LampComm.from_json(_load_json(text))
 
 
-def _affine(args) -> AffineMap:
+def _affine(args):
+    from .matrices import parse_rational
+    from .solvable import AffineMap
     return AffineMap(parse_rational(args.r), parse_rational(args.q))
 
 
-def _bs_elem(text: str) -> BSElement:
+def _bs_elem(text: str):
+    from .solvable import BSElement
     return BSElement.from_json(_load_json(text))
 
 
 def _torus_rank(args):
+    from . import storus
     if args.matrix:
         spec = storus.torus_from_matrix2(_parse_int_matrix(args.matrix))
     elif args.disc is not None:
@@ -105,7 +107,23 @@ def _torus_rank(args):
     return out
 
 
+def _lamp_apply(args):
+    from .lamplighter import comm_apply
+    return comm_apply(_lamp_comm(args.comm), _lamp_elem(args.elem)).to_json()
+
+
+def _lamp_compose(args):
+    from .lamplighter import comm_compose
+    return comm_compose(_lamp_comm(args.c1), _lamp_comm(args.c2)).to_json()
+
+
+def _lamp_invert(args):
+    from .lamplighter import comm_invert
+    return comm_invert(_lamp_comm(args.comm)).to_json()
+
+
 def _lamp_from_partial(args):
+    from . import lamplighter as lamp
     data = _load_json(args.data)
     level = operator.index(data["level"])
     basis = lamp.SubmoduleBasis.from_json({"level": level, "H": data["H"]})
@@ -114,32 +132,68 @@ def _lamp_from_partial(args):
     return lamp.comm_from_partial(level, basis, gen_images, t_image).to_json()
 
 
+def _lamp_embed_gl(args):
+    from .lamplighter import diagonal_embed
+    return diagonal_embed(args.n, _parse_int_matrix(args.matrix)).to_json()
+
+
 def _lamp_quotient_dim(args):
-    basis = lamp.SubmoduleBasis.from_json(_load_json(args.submodule))
-    dim = lamp.quotient_dim(basis, args.m)
+    from .lamplighter import SubmoduleBasis, quotient_dim
+    basis = SubmoduleBasis.from_json(_load_json(args.submodule))
+    dim = quotient_dim(basis, args.m)
     return {"dim": dim, "m": args.m, "index_log2": basis.index_log2}
 
 
+def _uni_log(args):
+    from .unipotent import unitri_log
+    return unitri_log(_unitri_from_arg(args.matrix)).mat.to_strings()
+
+
+def _uni_exp(args):
+    from .unipotent import NilMat, unitri_exp
+    return unitri_exp(NilMat(_matq_from_arg(args.matrix))).mat.to_strings()
+
+
+def _uni_root(args):
+    from .unipotent import pth_root
+    return pth_root(_unitri_from_arg(args.matrix), args.p).mat.to_strings()
+
+
 def _uni_apply_aut(args):
+    from .unipotent import LieAut, comm_from_lie_aut
     aut_obj = _load_json(args.aut)
     aut = LieAut(operator.index(aut_obj["n"]), _matq_from_json(aut_obj["L"]))
-    return _matq_to_json(unipotent.comm_from_lie_aut(aut, _unitri_from_arg(args.matrix)).mat)
+    return comm_from_lie_aut(aut, _unitri_from_arg(args.matrix)).mat.to_strings()
+
+
+def _bs_mul(args):
+    from .solvable import bs_mul
+    return bs_mul(_bs_elem(args.g), _bs_elem(args.h)).to_json()
+
+
+def _bs_conj(args):
+    from .solvable import bs_comm_apply
+    return bs_comm_apply(_affine(args), _bs_elem(args.elem)).to_json()
 
 
 def _bs_domain(args):
-    k, d = solvable.bs_comm_domain(_affine(args), args.n)
+    from .solvable import bs_comm_domain
+    k, d = bs_comm_domain(_affine(args), args.n)
     return {"K": k, "D": d}
 
 
-def _space_from_json(obj) -> CommSpace:
+def _space_from_json(obj):
+    from .solvable import CommSpace, reduced_part
     return CommSpace(
         operator.index(obj["N0"]), operator.index(obj["N1"]),
         operator.index(obj["dZ"]), operator.index(obj["dZ1"]),
-        solvable.reduced_part(obj.get("red", "trivial")),
+        reduced_part(obj.get("red", "trivial")),
     )
 
 
-def _desc_from_json(space: CommSpace, obj) -> CommDesc:
+def _desc_from_json(space, obj):
+    from .matrices import parse_rational
+    from .solvable import AffineMap, CommDesc
     red = space.red.identity()
     if obj.get("red") is not None:
         red = AffineMap(parse_rational(obj["red"]["r"]), parse_rational(obj["red"]["q"]))
@@ -153,12 +207,14 @@ def _desc_from_json(space: CommSpace, obj) -> CommDesc:
     )
 
 
-def _desc_to_json(d: CommDesc):
+def _desc_to_json(d):
+    from .matrices import format_rational
+    from .solvable import AffineMap
     red = None
     if isinstance(d.red, AffineMap):
         red = {"r": format_rational(d.red.r), "q": format_rational(d.red.q)}
-    return {"h_central": _matq_to_json(d.h_central), "P": _matq_to_json(d.p),
-            "h_10": _matq_to_json(d.h_10), "h_1z": _matq_to_json(d.h_1z), "red": red}
+    return {"h_central": d.h_central.to_strings(), "P": d.p.to_strings(),
+            "h_10": d.h_10.to_strings(), "h_1z": d.h_1z.to_strings(), "red": red}
 
 
 def _descs(args, *keys):
@@ -167,10 +223,22 @@ def _descs(args, *keys):
     return [_desc_from_json(space, spec[k]) for k in keys]
 
 
+def _desc_mul(args):
+    from .solvable import comm_desc_mul
+    return _desc_to_json(comm_desc_mul(*_descs(args, "a", "b")))
+
+
+def _desc_inv(args):
+    from .solvable import comm_desc_inv
+    return _desc_to_json(comm_desc_inv(*_descs(args, "a")))
+
+
 def _solve_inner(args):
+    from .matrices import MatQ, parse_rational
+    from .solvable import solve_inner_derivation
     ts = [_matq_from_json(m) for m in _load_json(args.ts)]
     vs = [MatQ.column([parse_rational(x) for x in v]) for v in _load_json(args.vs)]
-    x = solvable.solve_inner_derivation(ts, vs)
+    x = solve_inner_derivation(ts, vs)
     return [entry for (entry,) in x.to_strings()]
 
 
@@ -188,6 +256,7 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
 
 
 def _demo_torus_example(_seed: int) -> bool:
+    from . import storus
     spec = storus.torus_from_matrix2([[2, 1], [1, 1]])
     ok = _check("closure of [[2,1],[1,1]] is the norm-one torus of disc 5",
                 spec == storus.TorusSpec.norm_one(5))
@@ -201,6 +270,7 @@ def _demo_torus_example(_seed: int) -> bool:
 
 
 def _demo_lamplighter_gl_embed(_seed: int) -> bool:
+    from . import lamplighter as lamp
     mats = []
     for bits in itertools.product([0, 1], repeat=4):
         a, b, c, d = bits
@@ -224,6 +294,10 @@ def _demo_lamplighter_gl_embed(_seed: int) -> bool:
 
 
 def _demo_bs_bogopolski(seed: int) -> bool:
+    import random
+    from fractions import Fraction
+    from . import solvable
+    from .solvable import AffineMap, BSElement
     report = solvable.reduced_comm_structure(1, 0, "bs")
     ok = _check("commensurator shape for the solvable Baumslag-Solitar groups",
                 "Q |x Q*" in report.iso, report.iso)
@@ -251,6 +325,10 @@ def _demo_bs_bogopolski(seed: int) -> bool:
 
 
 def _demo_radicability(seed: int) -> bool:
+    import random
+    from fractions import Fraction
+    from . import unipotent
+    from .unipotent import UniTriMat
     rng = random.Random(seed)
     fails = 0
     for _ in range(200):
@@ -289,6 +367,15 @@ def _demo(args) -> int:
 # argument parsing and the one place that prints results
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ArgumentError on a command line it rejects, where argparse
+    prints usage to stderr and exits 2, so that ``run`` prints one JSON
+    line; ``add_subparsers`` makes every subcommand parser a _Parser too."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 _INT_FLAGS = ("--n", "--m", "--p")
 
 
@@ -303,7 +390,7 @@ def _leaf(subs, name: str, handler, *flags: str, **kwargs) -> argparse.ArgumentP
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="comm-lab",
         description="exact computations with commensurators of solvable "
         "S-arithmetic groups",
@@ -322,47 +409,31 @@ def _build_parser() -> argparse.ArgumentParser:
     lsubs = p.add_subparsers(dest="lamp_cmd", required=True)
     _leaf(lsubs, "mul", lambda a: (_lamp_elem(a.g) * _lamp_elem(a.h)).to_json(),
           "--g", "--h")
-    _leaf(lsubs, "apply",
-          lambda a: lamp.comm_apply(_lamp_comm(a.comm), _lamp_elem(a.elem)).to_json(),
-          "--comm", "--elem")
-    _leaf(lsubs, "compose",
-          lambda a: lamp.comm_compose(_lamp_comm(a.c1), _lamp_comm(a.c2)).to_json(),
-          "--c1", "--c2")
-    _leaf(lsubs, "invert", lambda a: lamp.comm_invert(_lamp_comm(a.comm)).to_json(), "--comm")
+    _leaf(lsubs, "apply", _lamp_apply, "--comm", "--elem")
+    _leaf(lsubs, "compose", _lamp_compose, "--c1", "--c2")
+    _leaf(lsubs, "invert", _lamp_invert, "--comm")
     _leaf(lsubs, "from-partial", _lamp_from_partial, "--data")
-    _leaf(lsubs, "embed-gl",
-          lambda a: lamp.diagonal_embed(a.n, _parse_int_matrix(a.matrix)).to_json(),
+    _leaf(lsubs, "embed-gl", _lamp_embed_gl,
           "--n").add_argument("--matrix", required=True, help='F2 matrix "1,0;0,1"')
     _leaf(lsubs, "quotient-dim", _lamp_quotient_dim, "--submodule", "--m")
 
     p = subs.add_parser("unipotent", help="unitriangular groups over Q")
     usubs = p.add_subparsers(dest="uni_cmd", required=True)
-    _leaf(usubs, "log",
-          lambda a: _matq_to_json(unipotent.unitri_log(_unitri_from_arg(a.matrix)).mat),
-          "--matrix")
-    _leaf(usubs, "exp",
-          lambda a: _matq_to_json(unipotent.unitri_exp(NilMat(_matq_from_arg(a.matrix))).mat),
-          "--matrix")
-    _leaf(usubs, "root",
-          lambda a: _matq_to_json(unipotent.pth_root(_unitri_from_arg(a.matrix), a.p).mat),
-          "--p", "--matrix")
+    _leaf(usubs, "log", _uni_log, "--matrix")
+    _leaf(usubs, "exp", _uni_exp, "--matrix")
+    _leaf(usubs, "root", _uni_root, "--p", "--matrix")
     _leaf(usubs, "apply-aut", _uni_apply_aut, "--aut", "--matrix")
 
     p = subs.add_parser("bs", help="solvable Baumslag-Solitar groups")
     bsubs = p.add_subparsers(dest="bs_cmd", required=True)
-    _leaf(bsubs, "mul", lambda a: solvable.bs_mul(_bs_elem(a.g), _bs_elem(a.h)).to_json(),
-          "--g", "--h")
-    _leaf(bsubs, "conj",
-          lambda a: solvable.bs_comm_apply(_affine(a), _bs_elem(a.elem)).to_json(),
-          "--r", "--q", "--elem")
+    _leaf(bsubs, "mul", _bs_mul, "--g", "--h")
+    _leaf(bsubs, "conj", _bs_conj, "--r", "--q", "--elem")
     _leaf(bsubs, "domain", _bs_domain, "--n", "--r", "--q")
 
     p = subs.add_parser("comm-desc", help="iterated semidirect-product law")
     dsubs = p.add_subparsers(dest="desc_cmd", required=True)
-    _leaf(dsubs, "mul", lambda a: _desc_to_json(solvable.comm_desc_mul(*_descs(a, "a", "b"))),
-          "--spec")
-    _leaf(dsubs, "inv", lambda a: _desc_to_json(solvable.comm_desc_inv(*_descs(a, "a"))),
-          "--spec")
+    _leaf(dsubs, "mul", _desc_mul, "--spec")
+    _leaf(dsubs, "inv", _desc_inv, "--spec")
 
     p = _leaf(subs, "solve-inner", _solve_inner, help="inner-derivation linear solver")
     p.add_argument("--ts", required=True, help="JSON list of square matrices")
@@ -382,8 +453,11 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    except argparse.ArgumentError as exc:
+        print(json.dumps({"error": "ParseError", "detail": str(exc)}))
+        return 2
+    except SystemExit:  # --help, which printed the help
+        return 0
     try:
         result = args.handler(args)
         if isinstance(result, int):
@@ -391,6 +465,7 @@ def run(argv) -> int:
         try:
             text = json.dumps(result, indent=2 if args.pretty else None, sort_keys=True)
         except ValueError:  # only an int past CPython's string conversion limit
+            from .matrices import too_many_digits
             raise too_many_digits(max(map(abs, _ints(result))), "an answer") from None
     except CommLabError as exc:
         print(json.dumps({"error": exc.code, "detail": exc.detail}))

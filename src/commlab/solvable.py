@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -41,6 +40,7 @@ from .errors import (
     UnknownInstantiation,
     ZeroInput,
 )
+from .frozen import Frozen
 from .matrices import MatQ, format_rational, parse_rational
 
 # Bound on the multiplicative order K that bs_comm_domain searches for.
@@ -55,16 +55,14 @@ MAX_POWER_BITS = 1 << 16
 # affine maps and Baumslag-Solitar elements
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Frozen):
     """x -> r*x + q with r != 0; the group Q x| Q* under composition."""
 
-    r: Fraction
-    q: Fraction
+    __slots__ = ("r", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", Fraction(self.r))
-        object.__setattr__(self, "q", Fraction(self.q))
+    def __init__(self, r, q):
+        object.__setattr__(self, "r", Fraction(r))
+        object.__setattr__(self, "q", Fraction(q))
         if self.r == 0:
             raise ZeroInput("scale must be nonzero")
 
@@ -109,16 +107,15 @@ def _scaled(n: int, a: int, x: Fraction) -> Fraction:
     return Fraction(n) ** a * x if x else x
 
 
-@dataclass(frozen=True)
-class BSElement:
+class BSElement(Frozen):
     """Element of BS(1, n) as the affine map x -> n**a * x + b."""
 
-    n: int
-    a: int
-    b: Fraction
+    __slots__ = ("n", "a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, n: int, a: int, b):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", Fraction(b))
         _check_base(self.n)
         if not _is_n_integral(self.b, self.n):
             raise OutOfDomain(f"translation {self.b} is not a {self.n}-integer")
@@ -300,8 +297,7 @@ def reduced_part(tag: str):
     return cls()
 
 
-@dataclass(frozen=True)
-class CommSpace:
+class CommSpace(Frozen):
     """Dimension data (N0, N1, dZ, dZ1) and the reduced-part instantiation.
 
     The reduced part is ``TrivialReduced`` or ``BSReduced``; neither acts
@@ -309,13 +305,14 @@ class CommSpace:
     carry no action factors for it.
     """
 
-    n0: int
-    n1: int
-    dz: int
-    dz1: int
-    red: TrivialReduced | BSReduced
+    __slots__ = ("n0", "n1", "dz", "dz1", "red")
 
-    def __post_init__(self):
+    def __init__(self, n0: int, n1: int, dz: int, dz1: int, red: TrivialReduced | BSReduced):
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "dz", dz)
+        object.__setattr__(self, "dz1", dz1)
+        object.__setattr__(self, "red", red)
         dims = zip(("N0", "N1", "dZ", "dZ1"), (self.n0, self.n1, self.dz, self.dz1))
         for name, value in dims:
             if value < 0:
@@ -343,20 +340,20 @@ class CommSpace:
         return hash((self.n0, self.n1, self.dz, self.dz1, type(self.red)))
 
 
-@dataclass(frozen=True)
-class CommDesc:
+class CommDesc(Frozen):
     """Element of the iterated semidirect product: a central Hom block
     dZ x N0, an invertible GL block N0 x N0, a Hom block N0 x N1, a Hom
     block dZ1 x N1, and a reduced-part element."""
 
-    space: CommSpace
-    h_central: MatQ
-    p: MatQ
-    h_10: MatQ
-    h_1z: MatQ
-    red: object
+    __slots__ = ("space", "h_central", "p", "h_10", "h_1z", "red")
 
-    def __post_init__(self):
+    def __init__(self, space: CommSpace, h_central: MatQ, p: MatQ, h_10: MatQ, h_1z: MatQ, red):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "h_central", h_central)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "h_10", h_10)
+        object.__setattr__(self, "h_1z", h_1z)
+        object.__setattr__(self, "red", red)
         s = self.space
         shapes = (
             (self.h_central, s.dz, s.n0),
@@ -403,14 +400,16 @@ def comm_desc_inv(x: CommDesc) -> CommDesc:
     )
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Frozen):
     """Shape of the commensurator of a reduced solvable group."""
 
-    n: int
-    dim_z: int
-    iso: str
-    space: CommSpace
+    __slots__ = ("n", "dim_z", "iso", "space")
+
+    def __init__(self, n: int, dim_z: int, iso: str, space: CommSpace):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "dim_z", dim_z)
+        object.__setattr__(self, "iso", iso)
+        object.__setattr__(self, "space", space)
 
 
 def reduced_comm_structure(n: int, dim_z: int, aut_desc: str) -> StructureReport:

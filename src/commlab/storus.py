@@ -14,7 +14,6 @@ square in the local field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -25,6 +24,7 @@ from .errors import (
     ReducibleCharPoly,
     ZeroInput,
 )
+from .frozen import Frozen
 
 TRIAL_BOUND = 10**6
 
@@ -120,12 +120,15 @@ def is_square_qp(x, p: int) -> bool:
     return pow(u, (p - 1) // 2, p) == 1
 
 
-@dataclass(frozen=True)
-class TorusFactor:
-    kind: str  # "Gm" | "NormOne" | "RestScalars"
-    d: int | None = None
+class TorusFactor(Frozen):
+    """One factor: ``kind`` is "Gm", "NormOne" or "RestScalars", and ``d``
+    the squarefree discriminant of the last two."""
 
-    def __post_init__(self):
+    __slots__ = ("kind", "d")
+
+    def __init__(self, kind: str, d: int | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "d", d)
         if self.kind == "Gm":
             if self.d is not None:
                 raise InvalidTorusSpec("Gm carries no discriminant")
@@ -138,11 +141,13 @@ class TorusFactor:
             raise InvalidTorusSpec(f"discriminant {self.d} is not squarefree")
 
 
-@dataclass(frozen=True)
-class TorusSpec:
+class TorusSpec(Frozen):
     """Product of Gm / norm-one / restriction-of-scalars quadratic factors."""
 
-    factors: tuple[TorusFactor, ...] = field(default_factory=tuple)
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[TorusFactor, ...] = ()):
+        object.__setattr__(self, "factors", factors)
 
     @classmethod
     def gm(cls) -> "TorusSpec":
@@ -170,12 +175,14 @@ class TorusSpec:
         return cls(tuple(TorusFactor(f["kind"], f.get("d")) for f in obj))
 
 
-@dataclass(frozen=True)
-class RankReport:
-    rank_R: int
-    rank_Q: int
-    rank_Qp: dict
-    N: int
+class RankReport(Frozen):
+    __slots__ = ("rank_R", "rank_Q", "rank_Qp", "N")
+
+    def __init__(self, rank_R: int, rank_Q: int, rank_Qp: dict, N: int):
+        object.__setattr__(self, "rank_R", rank_R)
+        object.__setattr__(self, "rank_Q", rank_Q)
+        object.__setattr__(self, "rank_Qp", rank_Qp)
+        object.__setattr__(self, "N", N)
 
     def to_json(self):
         return {

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -496,7 +497,7 @@ def test_fuzzed_entries_print_one_json_line(rows):
 
 # BS fields: short ints, ints of up to 15 digits, decimals with large
 # exponents and junk; n and a are JSON values (a non-int is malformed), b, r
-# and q strings, and --n an int, which argparse reads
+# and q strings, and --n an int or junk, which argparse rejects
 _SHORT_INTS = st.integers(-20, 20)
 _LONG_INTS = st.integers(-10**15 + 1, 10**15 - 1)
 _DECIMALS = st.tuples(st.sampled_from(["1", "-3", "0.0001", "2.5", "7"]),
@@ -519,7 +520,7 @@ _BS_CALLS = st.one_of(
         "--h", json.dumps({"n": p[0], "a": p[3], "b": p[4]})]),
     st.tuples(_RATIONALS, _RATIONALS, _BS_ELEMS).map(
         lambda p: ["bs", "conj", f"--r={p[0]}", f"--q={p[1]}", "--elem", p[2]]),
-    st.tuples(_BASES, _RATIONALS, _RATIONALS).map(
+    st.tuples(st.one_of(_BASES, _JUNK), _RATIONALS, _RATIONALS).map(
         lambda p: ["bs", "domain", f"--n={p[0]}", f"--r={p[1]}", f"--q={p[2]}"]),
 )
 
@@ -539,6 +540,92 @@ def test_fuzzed_bs_calls_print_one_json_line(argv):
     result = json.loads(lines[0])
     assert code in (0, 1, 2), argv
     assert code == 0 or "error" in result, argv
+
+
+def test_a_rejected_command_line_prints_one_json_line(capsys):
+    # argparse's message, as a ParseError line on stdout, and nothing on stderr
+    assert run(["bs", "domain", "--n", "abc", "--r", "1", "--q", "1"]) == 2
+    assert capsys.readouterr() == (
+        '{"error": "ParseError", "detail": "argument --n: invalid int value: \'abc\'"}\n', "")
+    for argv, detail in [
+        (["bs", "domain", "--r", "1", "--q", "1"], "the following arguments are required: --n"),
+        (["lamp", "nope"], "argument lamp_cmd: invalid choice: "),
+        (["torus-rank", "--disc", "5", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ]:
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == "" and len(captured.out.splitlines()) == 1, argv
+        out = json.loads(captured.out)
+        assert out["error"] == "ParseError" and out["detail"].startswith(detail), argv
+    # --help still prints the help and exits 0
+    assert run(["bs", "domain", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: comm-lab bs domain") and captured.err == ""
+
+
+# sha256 of the help text at 80 columns, taken before handlers imported their
+# own layer: the parser is built the same way, so the text is the same.
+# argparse lays help out differently across CPython versions; these are 3.11's
+_HELP_SHA256 = {
+    (): "073397628794adcba8fa57b74a70d3a73e251e113f44415cc30b0e304527323b",
+    ("lamp",): "78465dc2d70e7748e9285351559f8a6081c58dc858acb368263e8231e62e50fd",
+    ("unipotent",): "3e8a097171a8d9eae03db27c2f61259c9f11bc93d5cf78387d07fea071b6e26b",
+    ("bs",): "c31c78c259a46c4c3abccee6cdb855656c6eb7e1def186d4a0f0a384096cac2f",
+    ("comm-desc",): "661a006b2a141dd6d42dedc50300727f716258cc0e12f88ea8ead81b73293429",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help text pinned on CPython 3.11")
+def test_help_text_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for group, digest in _HELP_SHA256.items():
+        assert run([*group, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, group
+
+
+# run in a fresh interpreter without site hooks, which may import modules of
+# their own; prints the exit code and the modules that the call loaded
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import contextlib, io, json
+from commlab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
+"""
+_LAMP_LAYERS = {f"commlab.{m}" for m in ("lamplighter", "f2poly", "polymat", "hnf", "ratfun")}
+_Q_LAYERS = {f"commlab.{m}" for m in ("matrices", "solvable", "storus", "unipotent")}
+
+
+def test_each_call_imports_only_its_own_layer():
+    comm = '{"level":1,"der":"t","A":[["1/(1+s)"]],"flip":false}'
+    space = {"N0": 1, "N1": 0, "dZ": 0, "dZ1": 0}
+    desc = {"h_central": [], "P": [["2"]], "h_10": [[]], "h_1z": []}
+    calls = [
+        (["lamp", "compose", "--c1", comm, "--c2", comm], _Q_LAYERS | {"fractions", "random"}),
+        (["bs", "conj", "--r", "2", "--q", "1/3", "--elem", '{"n":2,"a":2,"b":"3"}'],
+         _LAMP_LAYERS | {"random"}),
+        (["unipotent", "root", "--p", "3", "--matrix", "[[1,1],[0,1]]"], _LAMP_LAYERS | {"random"}),
+        (["torus-rank", "--matrix", "2,1;1,1", "--primes", "3,11"], _LAMP_LAYERS | {"random"}),
+        (["comm-desc", "inv", "--spec", json.dumps({"space": space, "a": desc})],
+         _LAMP_LAYERS | {"random"}),
+        (["solve-inner", "--ts", '[[["2"]]]', "--vs", '[["1"]]'], _LAMP_LAYERS | {"random"}),
+        (["--help"], _LAMP_LAYERS | _Q_LAYERS | {"commlab.frozen", "fractions", "random"}),
+    ]
+    src = str(pathlib.Path(commlab.__file__).parents[1])
+    for argv, absent in calls:
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _IMPORT_PROBE, json.dumps(argv)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["code"] == 0, argv
+        assert "commlab.cli" in out["loaded"]
+        assert not (absent | {"dataclasses"}) & set(out["loaded"]), (argv, out["loaded"])
 
 
 def test_demo_commands(capsys):

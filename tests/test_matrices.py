@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from commlab.errors import SingularMatrix
-from commlab.matrices import MatQ
+from commlab.errors import ResourceLimit, SingularMatrix
+from commlab.matrices import EXACT_DIGIT_BITS, MatQ, format_rational
 from samplers import F2RatFun, MatF2Rat
 
 
@@ -97,3 +98,19 @@ def test_string_round_trip():
     assert MatQ(a.to_strings()) == a
     b = MatF2Rat([["(1+t)/(1+t+t^2)", "0"], ["t^-1", "1"]])
     assert MatF2Rat(b.to_strings()) == b
+
+
+def test_a_huge_int_is_refused_without_counting_its_digits():
+    # 10**d is formed only up to EXACT_DIGIT_BITS bits; past that the message
+    # gives the lower bound read off the bit length (2**(10**8) has 30102999
+    # digits and more)
+    big = Fraction(1 << 10**8)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="needs an integer of at least 30102999 digits"):
+        format_rational(big)
+    assert time.perf_counter() - start < 1
+    # at the bound the count is still exact: 2**(2**20 - 1) has 315653 digits
+    with pytest.raises(ResourceLimit, match="needs a 315653-digit integer"):
+        format_rational(Fraction(1 << (EXACT_DIGIT_BITS - 1)))
+    with pytest.raises(ResourceLimit, match="needs an integer of at least 315653 digits"):
+        format_rational(Fraction(1 << EXACT_DIGIT_BITS))
