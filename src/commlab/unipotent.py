@@ -6,12 +6,22 @@ and automorphisms of the group correspond to bracket-preserving linear
 maps on the strictly-upper-triangular matrices.  A congruence-depth
 scan realizes each such automorphism as a commensuration of the
 S-integer points.
+
+log, exp and roots sum their series on integers (``_series``): each
+power of x is formed on its band above the diagonal and cut to lowest
+terms by one gcd, and the sum by one more.  The generic series over
+matrix classes (``_log_series``, ``_exp_series``, with ``_from_vec`` and
+``_apply_map``) serve only the symbolic composite of
+``congruence_domain`` and the test oracle.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
+from operator import add, mul
 
 from .errors import (
     DimensionMismatch,
@@ -27,6 +37,15 @@ from .storus import TRIAL_BOUND, prime_factors
 # Size bound for unitriangular matrices (factorial denominators grow with it).
 DIMENSION_CAP = 12
 
+# the series coefficients (k, a, b), the term (a / b) * x**k; an n x n
+# strictly upper triangular x has x**n = 0, so k < DIMENSION_CAP suffices
+_LOG_COEFFS = tuple((k, (-1) ** (k + 1), k) for k in range(1, DIMENSION_CAP))
+_EXP_COEFFS = tuple((k, 1, math.factorial(k)) for k in range(DIMENSION_CAP))
+
+
+def _too_large(n: int) -> ResourceLimit:
+    return ResourceLimit(f"dimension capped at {DIMENSION_CAP}, got {n} x {n}")
+
 
 class UniTriMat:
     """Upper unitriangular matrix with exact rational entries."""
@@ -39,7 +58,7 @@ class UniTriMat:
         if mat.ncols != n:
             raise DimensionMismatch(f"matrix must be square, got {n} x {mat.ncols}")
         if n > DIMENSION_CAP:
-            raise ResourceLimit(f"dimension capped at {DIMENSION_CAP}, got {n} x {n}")
+            raise _too_large(n)
         for i, row in enumerate(mat.num):
             if row[i] != mat.den:
                 raise ValueError("diagonal entries must be 1")
@@ -92,6 +111,8 @@ class NilMat:
         n = mat.nrows
         if mat.ncols != n:
             raise DimensionMismatch(f"matrix must be square, got {n} x {mat.ncols}")
+        if n > DIMENSION_CAP:
+            raise _too_large(n)
         if any(any(row[:i + 1]) for i, row in enumerate(mat.num)):
             raise ValueError("matrix must be strictly upper triangular")
         self.n = n
@@ -118,8 +139,10 @@ class NilMat:
 
 
 def _log_series(x):
-    """log(I + x) for a strictly upper triangular x, a ``MatQ`` or a
-    ``Mat``: the alternating finite series sum of (-1)**(k+1) x**k / k."""
+    """log(I + x) for a strictly upper triangular x of any matrix class:
+    the alternating finite series sum of (-1)**(k+1) x**k / k.  It serves
+    only the symbolic composite of ``congruence_domain`` and the test
+    oracle; ``unitri_log`` sums ``_series``."""
     acc = power = x
     for k in range(2, x.nrows):
         power = power * x
@@ -128,8 +151,10 @@ def _log_series(x):
 
 
 def _exp_series(x):
-    """exp(x) for a strictly upper triangular x, a ``MatQ`` or a ``Mat``:
-    the finite series sum of x**k / k!."""
+    """exp(x) for a strictly upper triangular x of any matrix class: the
+    finite series sum of x**k / k!.  It serves only the symbolic composite
+    of ``congruence_domain`` and the test oracle; ``unitri_exp`` sums
+    ``_series``."""
     acc = type(x).identity(x.nrows) + x
     power = x
     fact = 1
@@ -140,22 +165,79 @@ def _exp_series(x):
     return acc
 
 
+def _series(num, den: int, coeffs):
+    """The sum of (a / b) * (num / den)**k over the (k, a, b) in coeffs
+    with k < n, for a strictly upper triangular n x n integer matrix num
+    (a tuple of int tuples) and den > 0, as (integer matrix, denominator).
+
+    (num / den)**k vanishes below its k-th superdiagonal, so each power is
+    formed on that band only, as the previous power times num, and cut to
+    lowest terms by one gcd; the first zero power ends the sum.  The terms
+    are added over the running lcm of their denominators, and the answer
+    is not cut to lowest terms.
+    """
+    n = len(num)
+    cols = list(zip(*num))
+    power, pden = num, den
+    acc = [[0] * n for _ in range(n)]
+    lcm = 1
+    for k, a, b in coeffs:
+        if k >= n:
+            break
+        if k > 1:
+            power = [
+                [0] * (i + k)
+                + [sum(map(mul, row[i + k - 1:j], cols[j][i + k - 1:j])) for j in range(i + k, n)]
+                for i, row in enumerate(power[:n - k])
+            ]
+            # a fold: gcd(*entries) would build an argument tuple per power
+            g = reduce(math.gcd, chain.from_iterable(power), 0)
+            if not g:
+                break
+            pden *= den
+            g = math.gcd(g, pden)
+            if g > 1:
+                power = [[x // g for x in row] for row in power]
+                pden //= g
+        tden = b * pden if k else b
+        if lcm % tden:
+            f = tden // math.gcd(lcm, tden)
+            lcm *= f
+            acc = [list(map(f.__mul__, row)) for row in acc]
+        c = a * (lcm // tden)
+        if k:
+            for i, src in enumerate(power[:n - k]):
+                row = acc[i]
+                row[i + k:] = map(add, row[i + k:], map(c.__mul__, src[i + k:]))
+        else:
+            for i, row in enumerate(acc):
+                row[i] += c
+    return tuple(map(tuple, acc)), lcm
+
+
+def _strict(g: UniTriMat):
+    """The numerator of g - I over g's denominator, in lowest terms like
+    g: g's numerator with its diagonal set to 0."""
+    return tuple((0,) * (i + 1) + row[i + 1:] for i, row in enumerate(g.mat.num))
+
+
 def unitri_log(g: UniTriMat) -> NilMat:
     """Exact logarithm: the alternating finite series in (g - I)."""
-    return NilMat(_log_series(g.mat - MatQ.identity(g.n)))
+    return NilMat(MatQ._lowest(*_series(_strict(g), g.mat.den, _LOG_COEFFS), g.n))
 
 
 def unitri_exp(x: NilMat) -> UniTriMat:
     """Exact exponential: the finite series sum of x**k / k!."""
-    return UniTriMat(_exp_series(x.mat))
+    return UniTriMat(MatQ._lowest(*_series(x.mat.num, x.mat.den, _EXP_COEFFS), x.n))
 
 
 def pth_root(g: UniTriMat, p: int) -> UniTriMat:
-    """The unique unitriangular solution of X**p = g (any p >= 1)."""
+    """The unique unitriangular solution of X**p = g (any p >= 1):
+    exp(log(g) / p), the log's denominator multiplied by p."""
     if p < 1:
         raise ExponentMismatch(f"the root exponent must be >= 1, got {p}")
-    x = unitri_log(g)
-    return unitri_exp(NilMat(x.mat * Fraction(1, p)))
+    num, den = _series(_strict(g), g.mat.den, _LOG_COEFFS)
+    return UniTriMat(MatQ._lowest(*_series(num, den * p, _EXP_COEFFS), g.n))
 
 
 def is_s_integral(g, primes) -> bool:
@@ -178,8 +260,9 @@ def _basis_pairs(n: int):
 
 
 def _from_vec(cls, n: int, vec):
-    """The n x n matrix of class cls (``MatQ`` or a ``Mat``) with
-    coordinates vec in the basis E(i, j), i < j."""
+    """The n x n matrix of class cls with coordinates vec in the basis
+    E(i, j), i < j.  A class other than ``MatQ`` is passed only by the
+    symbolic composite of ``congruence_domain``."""
     rows = [[cls.zero] * n for _ in range(n)]
     for v, (i, j) in zip(vec, _basis_pairs(n)):
         rows[i][j] = v
@@ -188,7 +271,8 @@ def _from_vec(cls, n: int, vec):
 
 def _apply_map(mat, x):
     """The linear map with matrix mat applied to x in the basis E(i, j);
-    mat and x share a class."""
+    mat and x share a class, which is other than ``MatQ`` only in the
+    symbolic composite of ``congruence_domain``."""
     n = x.nrows
     image = mat * type(mat).column([x.entry(i, j) for i, j in _basis_pairs(n)])
     return _from_vec(type(mat), n, [row[0] for row in image.rows])
@@ -205,6 +289,8 @@ class LieAut:
     def __init__(self, n: int, mat):
         if n < 0:
             raise DimensionMismatch(f"n must be >= 0, got {n}")
+        if n > DIMENSION_CAP:
+            raise _too_large(n)
         mat = mat if isinstance(mat, MatQ) else MatQ(mat)
         dim = n * (n - 1) // 2
         if mat.nrows != dim or mat.ncols != dim:
@@ -284,13 +370,14 @@ def lie_aut_check(aut: LieAut) -> bool:
 
 
 def comm_from_lie_aut(aut: LieAut, g: UniTriMat) -> UniTriMat:
-    """exp(aut(log g)); a homomorphism in g when aut preserves brackets."""
-    if not lie_aut_check(aut):
-        raise NotAnAutomorphism("the linear map does not preserve brackets")
+    """exp(aut(log g)); a homomorphism in g when aut preserves brackets.
+    The sizes are compared before the bracket check, the costlier test."""
     if g.n != aut.n:
         raise DimensionMismatch(
             f"an automorphism for n = {aut.n} cannot act on a {g.n}x{g.n} matrix"
         )
+    if not lie_aut_check(aut):
+        raise NotAnAutomorphism("the linear map does not preserve brackets")
     return unitri_exp(aut.apply(unitri_log(g)))
 
 

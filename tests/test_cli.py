@@ -455,6 +455,39 @@ def test_a_huge_bs_exponent_is_a_resource_limit(capsys):
     assert code == 0 and out == {"n": 10, "a": 8000, "b": str(10**3701)}
 
 
+def test_unipotent_sizes_are_checked_before_any_work(capsys):
+    # a strict matrix past the cap used to run its series before the
+    # unitriangular answer was refused (10 s at 120 x 120), and an aut
+    # whose size differs from the matrix's its bracket check first (4 s
+    # at n = 16, 0.7 s at n = 12)
+    strict = json.dumps([[f"{(i + j) % 7 - 3}/{j % 5 + 1}" if j > i else "0" for j in range(120)]
+                         for i in range(120)])
+
+    def identity_aut(n):
+        dim = n * (n - 1) // 2
+        return json.dumps({"n": n, "L": [[int(i == j) for j in range(dim)] for i in range(dim)]})
+
+    g3 = "[[1,1,0],[0,1,0],[0,0,1]]"
+    for argv, error, detail in [
+        (["unipotent", "exp", "--matrix", strict], "ResourceLimit",
+         "dimension capped at 12, got 120 x 120"),
+        (["unipotent", "apply-aut", "--aut", identity_aut(16), "--matrix", g3], "ResourceLimit",
+         "dimension capped at 12, got 16 x 16"),
+        (["unipotent", "apply-aut", "--aut", identity_aut(12), "--matrix", g3],
+         "DimensionMismatch", "an automorphism for n = 12 cannot act on a 3x3 matrix"),
+        # a map that is no automorphism, on a matrix of the wrong size
+        (["unipotent", "apply-aut", "--aut", '{"n":3,"L":[[2,0,0],[0,2,0],[0,0,2]]}',
+          "--matrix", "[[1,1],[0,1]]"], "DimensionMismatch",
+         "an automorphism for n = 3 cannot act on a 2x2 matrix"),
+    ]:
+        start = time.perf_counter()
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == "", argv[:2]
+        assert json.loads(captured.out) == {"error": error, "detail": detail}, argv[:2]
+        assert time.perf_counter() - start < 1, argv[:2]
+
+
 def test_entries_that_cancel_are_cut_before_the_common_denominator(capsys):
     # each entry is 1; an lcm of the denominators as written would be a
     # dense mask of degree 2*10^6 and the elimination would run on its quotients

@@ -17,9 +17,12 @@ from commlab.errors import (
 )
 from commlab.matrices import MatQ
 from commlab.unipotent import (
+    DIMENSION_CAP,
     LieAut,
     NilMat,
     UniTriMat,
+    _exp_series,
+    _log_series,
     comm_from_lie_aut,
     congruence_domain,
     is_s_integral,
@@ -28,6 +31,7 @@ from commlab.unipotent import (
     unitri_exp,
     unitri_log,
 )
+from samplers import MatQFraction
 
 
 def elementary(n, i, j, c=1):
@@ -77,6 +81,70 @@ def test_log_exp_inverse_sampled():
             ]
         )
         assert unitri_log(unitri_exp(x)) == x
+
+
+@st.composite
+def strict_rows(draw):
+    """The rows of a strictly upper triangular n x n rational matrix, n
+    from 0 to 12: small entries over small denominators, or entries of up
+    to 200 bits over a pool of up to three denominators of up to 200 bits.
+    The entries come from a Random with a drawn seed, so that every size
+    is reached with either kind and large entries stay large."""
+    n = draw(st.integers(0, DIMENSION_CAP))
+    big = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if big:
+        pool = [rng.randrange(1, 2**200) for _ in range(rng.randrange(1, 4))]
+        return [[F(rng.randrange(-2**200, 2**200), rng.choice(pool)) if j > i else F(0)
+                 for j in range(n)] for i in range(n)]
+    return [[F(rng.randrange(-9, 10), rng.choice([1, 2, 3, 4, 5, 6, 7, 9])) if j > i else F(0)
+             for j in range(n)] for i in range(n)]
+
+
+def unitri_from(rows):
+    return UniTriMat([[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(strict_rows())
+def test_log_and_exp_match_the_fraction_series(rows):
+    """The integer band series against the generic series summed over one
+    Fraction per entry, both ways round."""
+    n = len(rows)
+    g = unitri_from(rows)
+    oracle_log = _log_series(MatQFraction(g.mat.rows) - MatQFraction.identity(n))
+    assert unitri_log(g).mat.rows == oracle_log.rows
+    x = NilMat(rows)
+    assert unitri_exp(x).mat.rows == _exp_series(MatQFraction(rows)).rows
+    assert unitri_exp(unitri_log(g)) == g
+    assert unitri_log(unitri_exp(x)) == x
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(strict_rows(), st.sampled_from([1, 2, 3, 5, 7]))
+def test_pth_root_is_a_root(rows, p):
+    g = unitri_from(rows)
+    assert pth_root(g, p) ** p == g
+
+
+def test_exp_of_a_log_with_large_denominators_is_fast():
+    """At n = 12 a log with 200-bit entry denominators has a 2000-bit
+    denominator, and its powers have far smaller ones than its
+    denominator's powers: cutting each power to lowest terms keeps log,
+    exp and root at about 10 ms each."""
+    rng = random.Random(48)
+    n = DIMENSION_CAP
+    d = rng.randrange(2**199, 2**200)
+    g = unitri_from([[F(rng.randrange(-2**200, 2**200), d) if j > i else F(0)
+                      for j in range(n)] for i in range(n)])
+    start = time.perf_counter()
+    x = unitri_log(g)
+    back = unitri_exp(x)
+    root = pth_root(g, 3)
+    elapsed = time.perf_counter() - start
+    assert x.mat.den.bit_length() > 2000
+    assert back == g and root ** 3 == g
+    assert elapsed < 2, elapsed
 
 
 # ------------------------------------------------------------------- roots
@@ -232,6 +300,9 @@ def test_comm_from_lie_aut_examples():
     assert comm_from_lie_aut(graded, g) == elementary(3, 0, 1, 2)
     with pytest.raises(NotAnAutomorphism):
         comm_from_lie_aut(LieAut.diagonal(3, [2, 2, 2]), g)
+    # the sizes are compared before the brackets are
+    with pytest.raises(DimensionMismatch, match="n = 3 cannot act on a 2x2 matrix"):
+        comm_from_lie_aut(LieAut.diagonal(3, [2, 2, 2]), elementary(2, 0, 1))
 
 
 def test_comm_from_lie_aut_is_homomorphism():
@@ -455,6 +526,13 @@ def test_shape_validation():
     with pytest.raises(ResourceLimit, match="capped at 12, got 13 x 13"):
         UniTriMat.identity(13)
     UniTriMat.identity(12)
+    # the Lie algebra side has the same cap, checked before any other work
+    with pytest.raises(ResourceLimit, match="capped at 12, got 13 x 13"):
+        NilMat.zero(13)
+    NilMat.zero(12)
+    with pytest.raises(ResourceLimit, match="capped at 12, got 13 x 13"):
+        LieAut(13, [[1]])
+    LieAut.identity(12)
     # sizes that disagree are a domain error naming both sizes
     with pytest.raises(DimensionMismatch, match="3 x 3 matrix for n = 3, got 1 x 1"):
         LieAut(3, [[1]])
