@@ -1,5 +1,4 @@
-"""Exact matrices over Q (``MatQ``), and the ring base ``Mat`` of the
-symbolic matrices of ``unipotent``.
+"""Exact matrices over Q (``MatQ``) and the reading and writing of rationals.
 
 There is one elimination core per ring: ``MatQ._gauss_jordan`` over Z
 here, and ``polymat.gauss_jordan`` over F2[u] for the lamplighter linear
@@ -18,9 +17,7 @@ formed only where an entry is read: ``entry``, ``rows`` and
 operation, so zero-dimensional blocks can flow through group-law formulas
 unchanged.
 
-``Mat`` holds its entries as they are and has only sums and products, so
-its scalars may be any commutative ring with ``zero``, ``one`` and a
-``_coerce`` hook.  ``parse_rational`` reads every rational literal and
+``parse_rational`` reads every rational literal and
 ``format_rational`` writes every one.
 """
 
@@ -90,93 +87,6 @@ def _rational(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to a rational")
-
-
-class Mat:
-    """Immutable rectangular matrix over an exact commutative ring: sums
-    and products only."""
-
-    __slots__ = ("rows", "_nc")
-
-    def __init__(self, rows, ncols=None):
-        rows = tuple(tuple(self._coerce(x) for x in row) for row in rows)
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise ValueError("ragged rows")
-        self.rows = rows
-        self._nc = ncols if ncols is not None else 0
-
-    @classmethod
-    def _raw(cls, rows, ncols=None):
-        self = object.__new__(cls)
-        self.rows = tuple(tuple(row) for row in rows)
-        self._nc = len(self.rows[0]) if self.rows else (ncols or 0)
-        return self
-
-    @classmethod
-    def identity(cls, n: int):
-        one, zero = cls.one, cls.zero
-        return cls._raw(
-            (tuple(one if i == j else zero for j in range(n)) for i in range(n)),
-            ncols=n,
-        )
-
-    @classmethod
-    def column(cls, entries):
-        return cls([[x] for x in entries], ncols=1)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return self._nc
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
-    def transpose(self):
-        if not self.rows:
-            return type(self)._raw(((),) * self._nc, ncols=0)
-        return type(self)._raw(zip(*self.rows), ncols=self.nrows)
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return type(self)._raw(
-            (tuple(a + b for a, b in zip(r1, r2))
-             for r1, r2 in zip(self.rows, other.rows)),
-            ncols=self._nc,
-        )
-
-    def __mul__(self, other):
-        if type(other) is type(self):
-            if self.ncols != other.nrows:
-                raise ValueError("shape mismatch")
-            cols = other.transpose().rows
-            zero = self.zero
-            out = []
-            for row in self.rows:
-                support = [(k, a) for k, a in enumerate(row) if a]
-                out.append(tuple(
-                    sum((a * col[k] for k, a in support if col[k]), zero)
-                    for col in cols
-                ))
-            return type(self)._raw(out, ncols=other.ncols)
-        try:
-            scalar = self._coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return type(self)._raw(
-            (tuple(a * scalar for a in row) for row in self.rows), ncols=self._nc
-        )
-
-    # the scalars commute, so c * M is M * c
-    __rmul__ = __mul__
 
 
 class MatQ:

@@ -53,14 +53,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_set(primes) -> frozenset:
+    """The prime set S, each member checked in increasing order: NotPrime
+    for any other integer, on which a divide-out loop would never end
+    (1) or count a composite as a prime (4)."""
+    primes = frozenset(primes)
+    for p in sorted(primes):
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+    return primes
+
+
 def prime_factors(n: int, known=()) -> tuple[dict, int]:
     """The factorization {p: multiplicity} of n >= 1, and the cofactor
     left uncertified (1 when the factorization is complete).
 
-    The primes in ``known`` are divided out first and the rest is
-    trial-divided up to TRIAL_BOUND.  A remaining factor is prime when it
-    is below the square of the first divisor not tried (about
-    TRIAL_BOUND**2); a larger one is returned as the cofactor.
+    The primes in ``known`` (checked by ``prime_set``) are divided out
+    first and the rest is trial-divided up to TRIAL_BOUND.  A remaining
+    factor is prime when it is below the square of the first divisor not
+    tried (about TRIAL_BOUND**2); a larger one is returned as the cofactor.
     """
     out = {}
     for p in known:
@@ -222,10 +233,7 @@ def rank_over(spec: TorusSpec, fieldtag) -> int:
 
 def s_rank(spec: TorusSpec, primes) -> RankReport:
     """Free rank of the S-integer points, with the per-field breakdown."""
-    primes = sorted(set(primes))
-    for p in primes:
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
+    primes = sorted(prime_set(primes))
     r_r = rank_over(spec, "R")
     r_q = rank_over(spec, "Q")
     r_p = {p: rank_over(spec, ("Qp", p)) for p in primes}

@@ -3,16 +3,18 @@
 Everything is exact: the matrix logarithm and exponential are finite
 sums for unitriangular/nilpotent matrices, p-th roots are exp(log/p),
 and automorphisms of the group correspond to bracket-preserving linear
-maps on the strictly-upper-triangular matrices.  A congruence-depth
-scan realizes each such automorphism as a commensuration of the
-S-integer points.
+maps on the strictly-upper-triangular matrices.  Each such map phi
+induces the commensuration exp(phi(log g)) of the S-integer points on
+the congruence subgroup of least depth D, which ``congruence_domain``
+reads off the images of the root elements.
 
 log, exp and roots sum their series on integers (``_series``): each
 power of x is formed on its band above the diagonal and cut to lowest
-terms by one gcd, and the sum by one more.  The generic series over
-matrix classes (``_log_series``, ``_exp_series``, with ``_from_vec`` and
-``_apply_map``) serve only the symbolic composite of
-``congruence_domain`` and the test oracle.
+terms by one gcd, and the sum by one more.  A map's images of the basis
+elements E(i, j) are read as integer matrices over its one denominator
+(``_root_images``); the bracket check multiplies their nonzero entries,
+and each step of the congruence depth's bisection sums one integer
+exp series per image.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .errors import (
     ResourceLimit,
     SingularMap,
 )
-from .matrices import Mat, MatQ
-from .storus import TRIAL_BOUND, prime_factors
+from .matrices import MatQ
+from .storus import TRIAL_BOUND, is_prime, prime_factors, prime_set
 
 # Size bound for unitriangular matrices (factorial denominators grow with it).
 DIMENSION_CAP = 12
@@ -134,36 +136,6 @@ class NilMat:
     def __repr__(self):
         return f"NilMat({self.mat.to_strings()})"
 
-    def bracket(self, other: "NilMat") -> "NilMat":
-        return NilMat(self.mat * other.mat - other.mat * self.mat)
-
-
-def _log_series(x):
-    """log(I + x) for a strictly upper triangular x of any matrix class:
-    the alternating finite series sum of (-1)**(k+1) x**k / k.  It serves
-    only the symbolic composite of ``congruence_domain`` and the test
-    oracle; ``unitri_log`` sums ``_series``."""
-    acc = power = x
-    for k in range(2, x.nrows):
-        power = power * x
-        acc = acc + power * Fraction((-1) ** (k + 1), k)
-    return acc
-
-
-def _exp_series(x):
-    """exp(x) for a strictly upper triangular x of any matrix class: the
-    finite series sum of x**k / k!.  It serves only the symbolic composite
-    of ``congruence_domain`` and the test oracle; ``unitri_exp`` sums
-    ``_series``."""
-    acc = type(x).identity(x.nrows) + x
-    power = x
-    fact = 1
-    for k in range(2, x.nrows):
-        power = power * x
-        fact *= k
-        acc = acc + power * Fraction(1, fact)
-    return acc
-
 
 def _series(num, den: int, coeffs):
     """The sum of (a / b) * (num / den)**k over the (k, a, b) in coeffs
@@ -243,9 +215,9 @@ def pth_root(g: UniTriMat, p: int) -> UniTriMat:
 def is_s_integral(g, primes) -> bool:
     """Whether every entry denominator factors inside the prime set: in
     lowest terms the common denominator is their lcm, so it is the one
-    to factor."""
+    to factor.  A set with a member that is not prime is NotPrime."""
     d = (g.mat if isinstance(g, (UniTriMat, NilMat)) else g).den
-    for p in primes:
+    for p in prime_set(primes):
         while d % p == 0:
             d //= p
     return d == 1
@@ -259,23 +231,18 @@ def _basis_pairs(n: int):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _from_vec(cls, n: int, vec):
-    """The n x n matrix of class cls with coordinates vec in the basis
-    E(i, j), i < j.  A class other than ``MatQ`` is passed only by the
-    symbolic composite of ``congruence_domain``."""
-    rows = [[cls.zero] * n for _ in range(n)]
+def _from_vec(n: int, vec):
+    """The rows (a tuple of tuples) of the n x n matrix with coordinates
+    vec in the basis E(i, j), i < j, and 0 elsewhere."""
+    rows = [[0] * n for _ in range(n)]
     for v, (i, j) in zip(vec, _basis_pairs(n)):
         rows[i][j] = v
-    return cls(rows)
+    return tuple(map(tuple, rows))
 
 
-def _apply_map(mat, x):
-    """The linear map with matrix mat applied to x in the basis E(i, j);
-    mat and x share a class, which is other than ``MatQ`` only in the
-    symbolic composite of ``congruence_domain``."""
-    n = x.nrows
-    image = mat * type(mat).column([x.entry(i, j) for i, j in _basis_pairs(n)])
-    return _from_vec(type(mat), n, [row[0] for row in image.rows])
+def _check_size(aut, n: int) -> None:
+    if n != aut.n:
+        raise DimensionMismatch(f"an automorphism for n = {aut.n} cannot act on a {n}x{n} matrix")
 
 
 class LieAut:
@@ -325,10 +292,15 @@ class LieAut:
         return [x.mat.entry(i, j) for (i, j) in _basis_pairs(self.n)]
 
     def from_vec(self, vec) -> NilMat:
-        return NilMat(_from_vec(MatQ, self.n, vec))
+        return NilMat(MatQ(_from_vec(self.n, vec)))
 
     def apply(self, x: NilMat) -> NilMat:
-        return NilMat(_apply_map(self.mat, x.mat))
+        """The image of x: the map's integer matrix times the numerators
+        of x's coordinates, over the product of the two denominators."""
+        _check_size(self, x.n)
+        vec = [x.mat.num[i][j] for i, j in _basis_pairs(self.n)]
+        image = [sum(map(mul, row, vec)) for row in self.mat.num]
+        return NilMat(MatQ._lowest(_from_vec(self.n, image), x.mat.den * self.mat.den, self.n))
 
     def compose(self, other: "LieAut") -> "LieAut":
         if self.n != other.n:
@@ -345,24 +317,51 @@ class LieAut:
         return hash((self.n, self.mat))
 
 
+def _root_images(aut: LieAut):
+    """The image of each basis element E(i, j) as an integer matrix:
+    column (i, j) of aut.mat.num laid out strictly upper triangular, so
+    that aut sends E(i, j) to it over aut.mat.den."""
+    return [_from_vec(aut.n, col) for col in zip(*aut.mat.num)]
+
+
+def _commutator(a, b) -> dict:
+    """a b - b a as the dict of its nonzero entries, for integer matrices
+    each given as the list of its nonzero entries (r, s, v) and the map
+    from a row r to the list of that row's (s, v)."""
+    out = {}
+    for (entries, _), (_, rows), sign in ((a, b, 1), (b, a, -1)):
+        for r, s, v in entries:
+            for t, w in rows.get(s, ()):
+                out[r, t] = out.get((r, t), 0) + sign * v * w
+    return {key: v for key, v in out.items() if v}
+
+
 def lie_aut_check(aut: LieAut) -> bool:
     """Exact test that the map preserves all basis brackets.
 
     In the basis E(i, j), [E(i, j), E(k, l)] = d(j, k) E(i, l) - d(l, i) E(k, j)
-    with d the Kronecker delta, so the image of a basis bracket is plus or
-    minus one column of ``aut.mat``, or zero.  By antisymmetry only pairs
-    E(i, j) < E(k, l) in the basis order are checked; there i <= k < l,
-    so the second term vanishes and the bracket of the two column images
-    must equal column (i, l) when j = k, and zero otherwise.
+    with d the Kronecker delta.  By antisymmetry only pairs E(i, j) < E(k, l)
+    in the basis order are checked; there i <= k < l, so the second term
+    vanishes.  With A, B and C the integer images (``_root_images``) of
+    E(i, j), E(k, l) and E(i, l) over the map's denominator den, the
+    bracket is preserved when A B - B A equals den C if j = k, and zero
+    otherwise; the products run over the nonzero entries of the images.
     """
     if aut._checked is not None:
         return aut._checked
     pairs = _basis_pairs(aut.n)
     index = {pair: idx for idx, pair in enumerate(pairs)}
-    images = [aut.from_vec(col) for col in aut.mat.transpose().rows]
-    zero = NilMat.zero(aut.n)
+    den = aut.mat.den
+    sparse, scaled = [], []
+    for image in _root_images(aut):
+        entries = [(r, s, v) for r, row in enumerate(image) for s, v in enumerate(row) if v]
+        rows = {}
+        for r, s, v in entries:
+            rows.setdefault(r, []).append((s, v))
+        sparse.append((entries, rows))
+        scaled.append({(r, s): den * v for r, s, v in entries})
     aut._checked = all(
-        images[a].bracket(images[b]) == (images[index[i, l]] if j == k else zero)
+        _commutator(sparse[a], sparse[b]) == (scaled[index[i, l]] if j == k else {})
         for a, (i, j) in enumerate(pairs)
         for b, (k, l) in enumerate(pairs[a + 1:], a + 1)
     )
@@ -372,10 +371,7 @@ def lie_aut_check(aut: LieAut) -> bool:
 def comm_from_lie_aut(aut: LieAut, g: UniTriMat) -> UniTriMat:
     """exp(aut(log g)); a homomorphism in g when aut preserves brackets.
     The sizes are compared before the bracket check, the costlier test."""
-    if g.n != aut.n:
-        raise DimensionMismatch(
-            f"an automorphism for n = {aut.n} cannot act on a {g.n}x{g.n} matrix"
-        )
+    _check_size(aut, g.n)
     if not lie_aut_check(aut):
         raise NotAnAutomorphism("the linear map does not preserve brackets")
     return unitri_exp(aut.apply(unitri_log(g)))
@@ -383,59 +379,6 @@ def comm_from_lie_aut(aut: LieAut, g: UniTriMat) -> UniTriMat:
 
 # ---------------------------------------------------------------------------
 # congruence depth of the induced commensuration
-
-
-class _MPoly:
-    """Sparse multivariate polynomial over Q; monomials are sorted
-    tuples of variable indices (with multiplicity)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms or {})
-
-    @classmethod
-    def const(cls, c) -> "_MPoly":
-        c = Fraction(c)
-        return cls({(): c} if c else {})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            c2 = out.get(m, 0) + c
-            if c2:
-                out[m] = c2
-            else:
-                out.pop(m, None)
-        return _MPoly(out)
-
-    def __mul__(self, other):
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                c = out.get(m, 0) + c1 * c2
-                if c:
-                    out[m] = c
-                else:
-                    out.pop(m, None)
-        return _MPoly(out)
-
-
-class _MPolyMat(Mat):
-    """Matrix over the ring of ``_MPoly``; rationals are read as constants.
-    It has no elimination hook: only sums and products are used."""
-
-    __slots__ = ()
-    zero = _MPoly()
-    one = _MPoly.const(1)
-
-    @classmethod
-    def _coerce(cls, x):
-        return x if isinstance(x, _MPoly) else _MPoly.const(x)
 
 
 def _factored(n: int, known=()) -> dict:
@@ -447,35 +390,48 @@ def _factored(n: int, known=()) -> dict:
     return factors
 
 
-def congruence_domain(aut: LieAut, primes) -> int:
-    """Least D = P**e making the induced map S-integral on the depth-D
-    congruence subgroup.
+def _exp_is_p_integral(num, scale: int, den: int, p: int) -> bool:
+    """Whether exp(scale * num / den) is p-integral, for a strictly upper
+    triangular integer matrix num: one integer series, then one gcd to
+    read the denominator of its sum in lowest terms."""
+    num, lcm = _series([[scale * x for x in row] for row in num], den, _EXP_COEFFS)
+    return lcm // math.gcd(lcm, *chain.from_iterable(num)) % p != 0
 
-    P is the product of the primes outside S occurring in denominators
-    of the map and of the exp/log factorials for this size, and e is
-    the least exponent for which every coefficient of the symbolic
-    composite sends entries in D * Z[1/S] into Z[1/S].  The scan is a
-    sufficient certificate; minimality beyond the scanned form is not
-    claimed.
+
+def congruence_domain(aut: LieAut, primes) -> int:
+    """The least depth D at which the induced commensuration is defined:
+    it sends Gamma(D) = {g in U_n(Z[1/S]) : g = I mod D} into U_n(Z[1/S]),
+    and a depth works exactly when D divides it.
+
+    Gamma(D) is generated by the root elements e_ij(x) = I + x E(i, j),
+    x in D Z[1/S], and the commensuration sends e_ij(x) to exp(x N_ij),
+    N_ij the image of E(i, j).  For a prime p outside S, if exp(p**e N)
+    is p-integral then so is exp(p**(e+1) N), its p-th power, and by
+    continuity so is exp(t p**e N) for every t in Z_p.  So D is the
+    product of the p**e_p, e_p the least e that makes exp(p**e N_ij)
+    p-integral for every i < j, found by bisection.  e_p is at most
+    v_p(den) + [p < n], den the map's denominator: then p**e N_ij / den
+    has valuation at least [p < n], which outweighs v_p(k!) < k.  So
+    only primes that divide den or are below n can occur.
     """
+    primes = prime_set(primes)
     if not lie_aut_check(aut):
         raise NotAnAutomorphism("the linear map does not preserve brackets")
-    primes = set(primes)
-    n = aut.n
-    # the common denominator of the map is the lcm of its entry denominators
-    dens = {aut.mat.den} | set(range(2, n))
-    outside = set().union(*(_factored(d, primes) for d in dens)) - primes
-    # the symbolic composite exp(aut(log(I + X))), one variable per entry of X
-    variables = [_MPoly({(idx,): Fraction(1)}) for idx in range(n * (n - 1) // 2)]
-    log = _log_series(_from_vec(_MPolyMat, n, variables))
-    out = _exp_series(_apply_map(_MPolyMat(aut.mat.rows), log))
-    # least exponent clearing every coefficient
-    known = primes | outside
-    e = 0
-    for row in out.rows:
-        for entry in row:
-            for mono, coef in entry.terms.items():
-                for q, v in _factored(coef.denominator, known).items():
-                    if q in outside:
-                        e = max(e, -(-v // len(mono)))  # ceil(v / deg)
-    return math.prod(outside) ** e
+    n, den = aut.n, aut.mat.den
+    images = _root_images(aut)
+    tops = _factored(den, primes)
+    for p in filter(is_prime, range(2, n)):
+        tops[p] = tops.get(p, 0) + 1
+    depth = 1
+    for p, top in tops.items():
+        if p in primes:
+            continue
+        low = 0
+        while low < top:
+            mid = (low + top) // 2
+            if all(_exp_is_p_integral(image, p**mid, den, p) for image in images):
+                top = mid
+            else:
+                low = mid + 1
+        depth *= p**top
+    return depth

@@ -2,8 +2,8 @@
 
 Each sampler draws from the ``random.Random`` it is given, so a fixed
 seed gives a fixed sample; ``tests/test_samplers.py`` pins that output.
-``FieldMat`` is a ``commlab.matrices.Mat`` with field elimination.  On it
-``MatF2Rat`` (over F2(t), with ``F2RatFun`` as its scalar field) and
+``FieldMat`` is a matrix over an exact field with one scalar object per
+entry and the field elimination.  On it ``MatF2Rat`` (over F2(t), with ``F2RatFun`` as its scalar field) and
 ``f2_rank`` are the oracles that the fraction-free elimination of
 ``commlab.polymat`` is compared against, and ``MatQFraction`` (one
 ``Fraction`` per entry) is the oracle of ``commlab.matrices.MatQ``; the program
@@ -11,7 +11,9 @@ itself computes in no field F2(t), which is only the text format of an
 entry (``commlab.ratfun``), and ``F2RatFun`` reads and writes that text
 through it.  ``k_to_coords`` and ``coords_to_k`` give the coordinates of
 K at a level through the ``f2poly`` interleave pair, and
-``residue_coords`` is their oracle.
+``residue_coords`` is their oracle.  ``log_series`` and ``exp_series``
+sum the unitriangular log and exp on any such matrix class: the oracle of
+the integer series of ``commlab.unipotent``.
 """
 
 from fractions import Fraction
@@ -27,7 +29,6 @@ from commlab.f2poly import (
 )
 from commlab.errors import SingularMatrix
 from commlab.lamplighter import CommInftyElt, LampComm, LampElement, SubmoduleBasis, VDerElt
-from commlab.matrices import Mat
 
 _ZERO = F2LaurentPoly.zero()
 
@@ -187,14 +188,95 @@ class F2RatFun:
         return f"F2RatFun({self.to_string()!r})"
 
 
-class FieldMat(Mat):
-    """A ``Mat`` over a field, with the field elimination that the program
-    does not use: a subclass adds the hook ``_inv_scalar``.  One forward
-    elimination, ``_echelon``, serves every elimination: ``det`` and
-    ``rank`` read it directly, and ``_rref`` adds back-substitution for
-    ``inv``, ``solve`` and ``nullspace``."""
+class FieldMat:
+    """Immutable rectangular matrix over an exact field, one scalar object
+    per entry, with the field elimination that the program does not use:
+    a subclass adds ``zero``, ``one`` and the hooks ``_coerce`` and
+    ``_inv_scalar``.  One forward elimination, ``_echelon``, serves every
+    elimination: ``det`` and ``rank`` read it directly, and ``_rref`` adds
+    back-substitution for ``inv``, ``solve`` and ``nullspace``."""
 
-    __slots__ = ()
+    __slots__ = ("rows", "_nc")
+
+    def __init__(self, rows, ncols=None):
+        rows = tuple(tuple(self._coerce(x) for x in row) for row in rows)
+        if rows:
+            ncols = len(rows[0])
+            if any(len(r) != ncols for r in rows):
+                raise ValueError("ragged rows")
+        self.rows = rows
+        self._nc = ncols if ncols is not None else 0
+
+    @classmethod
+    def _raw(cls, rows, ncols=None):
+        self = object.__new__(cls)
+        self.rows = tuple(tuple(row) for row in rows)
+        self._nc = len(self.rows[0]) if self.rows else (ncols or 0)
+        return self
+
+    @classmethod
+    def identity(cls, n: int):
+        one, zero = cls.one, cls.zero
+        return cls._raw(
+            (tuple(one if i == j else zero for j in range(n)) for i in range(n)),
+            ncols=n,
+        )
+
+    @classmethod
+    def column(cls, entries):
+        return cls([[x] for x in entries], ncols=1)
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    @property
+    def ncols(self) -> int:
+        return self._nc
+
+    def entry(self, i: int, j: int):
+        return self.rows[i][j]
+
+    def transpose(self):
+        if not self.rows:
+            return type(self)._raw(((),) * self._nc, ncols=0)
+        return type(self)._raw(zip(*self.rows), ncols=self.nrows)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
+        return type(self)._raw(
+            (tuple(a + b for a, b in zip(r1, r2))
+             for r1, r2 in zip(self.rows, other.rows)),
+            ncols=self._nc,
+        )
+
+    def __mul__(self, other):
+        if type(other) is type(self):
+            if self.ncols != other.nrows:
+                raise ValueError("shape mismatch")
+            cols = other.transpose().rows
+            zero = self.zero
+            out = []
+            for row in self.rows:
+                support = [(k, a) for k, a in enumerate(row) if a]
+                out.append(tuple(
+                    sum((a * col[k] for k, a in support if col[k]), zero)
+                    for col in cols
+                ))
+            return type(self)._raw(out, ncols=other.ncols)
+        try:
+            scalar = self._coerce(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        return type(self)._raw(
+            (tuple(a * scalar for a in row) for row in self.rows), ncols=self._nc
+        )
+
+    # the scalars commute, so c * M is M * c
+    __rmul__ = __mul__
 
     @classmethod
     def zeros(cls, r: int, c: int):
@@ -296,7 +378,7 @@ class FieldMat(Mat):
             raise SingularMatrix("matrix is not invertible")
         return type(self)._raw((row[n:] for row in rows), ncols=n)
 
-    def solve(self, b: "Mat"):
+    def solve(self, b: "FieldMat"):
         """One exact solution of self * x = b, or None if inconsistent."""
         if b.nrows != self.nrows:
             raise ValueError("shape mismatch")
@@ -374,6 +456,29 @@ class MatQFraction(FieldMat):
     @staticmethod
     def _inv_scalar(x):
         return 1 / x
+
+
+def log_series(x):
+    """log(I + x) for a strictly upper triangular ``FieldMat`` x: the
+    alternating finite series sum of (-1)**(k+1) x**k / k."""
+    acc = power = x
+    for k in range(2, x.nrows):
+        power = power * x
+        acc = acc + power * Fraction((-1) ** (k + 1), k)
+    return acc
+
+
+def exp_series(x):
+    """exp(x) for a strictly upper triangular ``FieldMat`` x: the finite
+    series sum of x**k / k!."""
+    acc = type(x).identity(x.nrows) + x
+    power = x
+    fact = 1
+    for k in range(2, x.nrows):
+        power = power * x
+        fact *= k
+        acc = acc + power * Fraction(1, fact)
+    return acc
 
 
 def random_element(rng, max_exp: int = 8) -> LampElement:

@@ -488,6 +488,20 @@ def test_unipotent_sizes_are_checked_before_any_work(capsys):
         assert time.perf_counter() - start < 1, argv[:2]
 
 
+def test_apply_aut_at_the_size_cap_is_fast(capsys):
+    # the bracket check of the n = 12 identity, 2145 brackets, took 0.6 s
+    # as dense matrix products; over the nonzero entries of the column
+    # images it takes milliseconds
+    dim = 12 * 11 // 2
+    aut = json.dumps({"n": 12, "L": [[int(i == j) for j in range(dim)] for i in range(dim)]})
+    g = [[str(int(j >= i)) for j in range(12)] for i in range(12)]
+    start = time.perf_counter()
+    code, out = run_json(capsys, ["unipotent", "apply-aut", "--aut", aut, "--matrix", json.dumps(g)])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and out == g
+    assert elapsed < 0.25, elapsed
+
+
 def test_entries_that_cancel_are_cut_before_the_common_denominator(capsys):
     # each entry is 1; an lcm of the denominators as written would be a
     # dense mask of degree 2*10^6 and the elimination would run on its quotients

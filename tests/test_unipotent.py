@@ -12,6 +12,7 @@ from commlab.errors import (
     ExceedsFactorBound,
     ExponentMismatch,
     NotAnAutomorphism,
+    NotPrime,
     ResourceLimit,
     SingularMap,
 )
@@ -21,8 +22,6 @@ from commlab.unipotent import (
     LieAut,
     NilMat,
     UniTriMat,
-    _exp_series,
-    _log_series,
     comm_from_lie_aut,
     congruence_domain,
     is_s_integral,
@@ -31,7 +30,7 @@ from commlab.unipotent import (
     unitri_exp,
     unitri_log,
 )
-from samplers import MatQFraction
+from samplers import MatQFraction, exp_series, log_series
 
 
 def elementary(n, i, j, c=1):
@@ -112,10 +111,10 @@ def test_log_and_exp_match_the_fraction_series(rows):
     Fraction per entry, both ways round."""
     n = len(rows)
     g = unitri_from(rows)
-    oracle_log = _log_series(MatQFraction(g.mat.rows) - MatQFraction.identity(n))
+    oracle_log = log_series(MatQFraction(g.mat.rows) - MatQFraction.identity(n))
     assert unitri_log(g).mat.rows == oracle_log.rows
     x = NilMat(rows)
-    assert unitri_exp(x).mat.rows == _exp_series(MatQFraction(rows)).rows
+    assert unitri_exp(x).mat.rows == exp_series(MatQFraction(rows)).rows
     assert unitri_exp(unitri_log(g)) == g
     assert unitri_log(unitri_exp(x)) == x
 
@@ -179,6 +178,19 @@ def test_radicability_in_s_integers():
     assert not is_s_integral(r3, {2})
 
 
+@pytest.mark.parametrize("bad", [1, 0, 4, -3])
+def test_a_prime_set_with_a_non_prime_is_refused(bad):
+    """1 used to make the divide-out loops of is_s_integral and of the
+    factorization in congruence_domain run forever, and 4 was read as a
+    prime."""
+    for call in (lambda s: is_s_integral(elementary(3, 0, 1, F(1, 6)), s),
+                 lambda s: congruence_domain(LieAut.identity(3), s)):
+        start = time.perf_counter()
+        with pytest.raises(NotPrime, match=f"^{bad} is not prime$"):
+            call({2, bad})
+        assert time.perf_counter() - start < 0.1
+
+
 def test_is_s_integral_examples():
     assert is_s_integral(elementary(3, 0, 2, F(1, 2)), {2}) is True
     assert is_s_integral(elementary(3, 0, 2, F(1, 2)), set()) is False
@@ -216,18 +228,76 @@ def test_lie_aut_check_examples():
     # uniform scaling doubles one side of the bracket and quadruples the other
     assert lie_aut_check(LieAut.diagonal(3, [2, 2, 2])) is False
     assert lie_aut_check(LieAut.diagonal(3, [2, 4, 2])) is True
+    assert lie_aut_check(LieAut(3, flip(3))) is True
+    assert lie_aut_check(LieAut(3, -flip(3))) is False
+
+
+def bracket(x, y):
+    return NilMat(x.mat * y.mat - y.mat * x.mat)
 
 
 def bracket_check_by_definition(aut):
     """aut([x, y]) == [aut(x), aut(y)] for every ordered pair of basis
-    elements, each side through a full ``apply``."""
+    elements, each side through a full ``apply`` and dense ``MatQ``
+    products."""
     dim = aut.mat.nrows
     basis = [aut.from_vec([int(k == idx) for k in range(dim)]) for idx in range(dim)]
     images = [aut.apply(x) for x in basis]
     return all(
-        aut.apply(basis[a].bracket(basis[b])) == images[a].bracket(images[b])
+        aut.apply(bracket(basis[a], basis[b])) == bracket(images[a], images[b])
         for a in range(dim) for b in range(dim)
     )
+
+
+def conjugated_diagonal(rng, n, denoms=(1, 2, 3, 5)):
+    """Ad(h) after the diagonal map E(i, j) -> (d_i / d_j) E(i, j), for a
+    random unitriangular h: a bracket-preserving map with dense columns."""
+    h = rand_unitri(rng, n, denoms)
+    d = [F(rng.choice([1, 2, 3, 5, 7, -1]), rng.choice([1, 2, 3, 5])) for _ in range(n)]
+    diagonal = LieAut.diagonal(n, [d[i] / d[j] for i in range(n) for j in range(i + 1, n)])
+    return LieAut(n, inner_map(h.mat) * diagonal.mat)
+
+
+def flip(n):
+    """The matrix of x -> -J x^T J, J the antidiagonal permutation: E(i, j)
+    goes to -E(n-1-j, n-1-i).  It preserves brackets but is no
+    conjugation: a conjugation sends E(i, j), E(j, l) to A, B with
+    B A = 0, the flip to A, B with A B = 0, so a check that got the sign
+    of B A wrong passes the one and fails the other."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return MatQ([[-int(pairs[r] == (n - 1 - j, n - 1 - i)) for i, j in pairs]
+                 for r in range(len(pairs))])
+
+
+@st.composite
+def dense_maps(draw):
+    """(n, matrix) for n from 2 to 5: Ad(h) after a diagonal map, that
+    after the flip, either with one entry changed, or small random
+    integers (a few of them singular)."""
+    n = draw(st.integers(2, 5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["conjugated", "flipped", "perturbed", "random"]))
+    dim = n * (n - 1) // 2
+    if kind == "random":
+        return n, [[rng.randrange(-3, 4) for _ in range(dim)] for _ in range(dim)]
+    mat = conjugated_diagonal(rng, n).mat
+    if kind == "flipped" or (kind == "perturbed" and rng.random() < 0.5):
+        mat = mat * flip(n)
+    rows = [list(row) for row in mat.rows]
+    if kind == "perturbed":
+        rows[rng.randrange(dim)][rng.randrange(dim)] += rng.choice([-1, F(1, 2), 2])
+    return n, rows
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(dense_maps())
+def test_lie_aut_check_agrees_with_the_definition_on_dense_maps(case):
+    n, rows = case
+    try:
+        aut = LieAut(n, rows)
+    except SingularMap:
+        return
+    assert lie_aut_check(aut) is bracket_check_by_definition(aut)
 
 
 def graded_inner(rng, n):
@@ -329,6 +399,40 @@ def test_comm_from_lie_aut_respects_composition():
 # --------------------------------------------------------- congruence depth
 
 
+def prime_divisors(m):
+    out, p = set(), 2
+    while p * p <= m:
+        if m % p == 0:
+            out.add(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out | ({m} if m > 1 else set())
+
+
+def depth_point(rng, n, d, primes):
+    """A random point of the depth-d congruence subgroup: each entry above
+    the diagonal is d times an S-integer."""
+    rows = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = d * F(rng.randrange(-6, 7), math.prod(p ** rng.randrange(0, 3) for p in primes))
+    return UniTriMat(rows)
+
+
+def assert_least_depth(aut, primes, d, rng, points=10):
+    """d is the least congruence depth of aut.  Soundness: random points of
+    Gamma(d) have S-integral images.  Minimality: for each prime p | d some
+    root element e_ij(d / p), a point of Gamma(d / p), has an image that is
+    not S-integral."""
+    n = aut.n
+    for _ in range(points):
+        assert is_s_integral(comm_from_lie_aut(aut, depth_point(rng, n, d, primes)), primes)
+    for p in prime_divisors(d):
+        assert any(not is_s_integral(comm_from_lie_aut(aut, elementary(n, i, j, d // p)), primes)
+                   for i in range(n) for j in range(i + 1, n)), (aut.mat, primes, d, p)
+
+
 def test_congruence_domain_examples():
     assert congruence_domain(LieAut.identity(3), set()) == 1
     assert congruence_domain(LieAut.identity(3), {5}) == 1
@@ -336,6 +440,30 @@ def test_congruence_domain_examples():
     third = LieAut.diagonal(3, [F(1, 3), F(1, 3), 1])
     d = congruence_domain(third, {2})
     assert d == 3
+    # a diagonal map sends e_ij(x) to I + x c E(i, j): no factorial enters,
+    # so the scan's extra factor 2 is gone
+    assert congruence_domain(LieAut.diagonal(3, [F(4, 3), F(4, 3), 1]), {7}) == 3
+
+
+def test_congruence_domain_in_small_sizes():
+    # no basis element for n = 0 and 1; for n = 2, exp(x E(0, 1)) = I + x E(0, 1)
+    assert congruence_domain(LieAut.identity(0), set()) == 1
+    assert congruence_domain(LieAut.identity(1), {2}) == 1
+    assert congruence_domain(LieAut.identity(2), set()) == 1
+    assert congruence_domain(LieAut.diagonal(2, [F(3, 20)]), set()) == 20
+    assert congruence_domain(LieAut.diagonal(2, [F(3, 20)]), {5}) == 4
+    assert congruence_domain(LieAut.diagonal(2, [F(-7, 1)]), {3}) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_congruence_domain_of_a_deep_denominator(p):
+    """The bisection runs over [0, 200 + [p < 3]]: about eight tests of
+    the images, not one per exponent."""
+    aut = LieAut.diagonal(3, [F(1, p**200), F(1, p**200), 1])
+    start = time.perf_counter()
+    assert congruence_domain(aut, {5}) == p**200
+    assert time.perf_counter() - start < 1
+    assert_least_depth(aut, {5}, p**200, random.Random(p), points=3)
 
 
 def test_congruence_domain_factor_bound():
@@ -358,16 +486,7 @@ def test_congruence_domain_soundness():
     ):
         d = congruence_domain(aut, primes)
         for _ in range(25):
-            n = aut.n
-            rows = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    denom = 1
-                    for p in primes:
-                        denom *= p ** rng.randrange(0, 3)
-                    rows[i][j] = d * F(rng.randrange(-6, 7), denom)
-            img = comm_from_lie_aut(aut, UniTriMat(rows))
-            assert is_s_integral(img, primes)
+            assert is_s_integral(comm_from_lie_aut(aut, depth_point(rng, aut.n, d, primes)), primes)
 
 
 class OraclePoly:
@@ -403,24 +522,18 @@ class OraclePoly:
 
 
 def oracle_congruence_domain(aut, primes):
-    """congruence_domain written out with hand-built loops over matrix
-    indices: the log and exp series, the map applied coefficient-wise as
-    image (i2, j2) += aut.mat[(i2, j2), (i, j)] * log (i, j), and the
-    same exponent scan."""
+    """The depth D = P**e that congruence_domain returned before it found
+    the least one, written out with hand-built loops over matrix indices:
+    P the primes outside S in the map's denominators and in 2, ..., n - 1,
+    the symbolic composite exp(aut(log(I + X))) in one variable per entry
+    of X, the map applied coefficient-wise as image (i2, j2) +=
+    aut.mat[(i2, j2), (i, j)] * log (i, j), and e the least exponent that
+    clears every coefficient.  It is a sufficient depth, so the least one
+    divides it."""
 
     def mat_mul(a, b):
         return [[sum((a[i][k] * b[k][j] for k in range(n)), OraclePoly())
                  for j in range(n)] for i in range(n)]
-
-    def prime_factors(m):
-        out, p = set(), 2
-        while p * p <= m:
-            if m % p == 0:
-                out.add(p)
-                while m % p == 0:
-                    m //= p
-            p += 1
-        return out | ({m} if m > 1 else set())
 
     def const(c):
         return OraclePoly({(): F(c)} if c else {})
@@ -429,9 +542,9 @@ def oracle_congruence_domain(aut, primes):
     outside = set()
     for row in aut.mat.rows:
         for x in row:
-            outside |= prime_factors(x.denominator)
+            outside |= prime_divisors(x.denominator)
     for k in range(2, n):
-        outside |= prime_factors(k)
+        outside |= prime_divisors(k)
     outside -= primes
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     x = [[OraclePoly() for _ in range(n)] for _ in range(n)]
@@ -460,7 +573,7 @@ def oracle_congruence_domain(aut, primes):
         for j in range(n):
             for mono, coef in out[i][j].terms.items():
                 den = coef.denominator
-                for q in prime_factors(den) - primes:
+                for q in prime_divisors(den) - primes:
                     assert q in outside
                     v = 0
                     while den % q == 0:
@@ -472,7 +585,9 @@ def oracle_congruence_domain(aut, primes):
 
 def test_congruence_domain_agrees_with_the_oracle():
     """Inner maps x -> g x g**-1 and diagonal conjugations, neither of
-    them symmetric in general, so a transposed map is caught."""
+    them symmetric in general, so a transposed map is caught: the least
+    depth divides the oracle's sufficient one and has its witnesses, and
+    on some maps it is a proper divisor."""
     rng = random.Random(47)
     answers = set()
     for n in (3, 4, 5):
@@ -482,10 +597,13 @@ def test_congruence_domain_agrees_with_the_oracle():
             diagonal = LieAut.diagonal(n, [d[i] / d[j] for i in range(n) for j in range(i + 1, n)])
             for aut in (inner, diagonal):
                 for primes in (set(), {2}, {3}, {2, 3}):
-                    expected = oracle_congruence_domain(aut, primes)
-                    assert congruence_domain(aut, primes) == expected, (aut.mat, primes)
-                    answers.add(expected)
-    assert min(answers) == 1 and max(answers) > 100, sorted(answers)
+                    depth = congruence_domain(aut, primes)
+                    sufficient = oracle_congruence_domain(aut, primes)
+                    assert sufficient % depth == 0, (aut.mat, primes, depth, sufficient)
+                    assert_least_depth(aut, primes, depth, rng, points=3)
+                    answers.add((depth, sufficient))
+    assert min(answers)[0] == 1 and max(d for d, _ in answers) > 100, sorted(answers)
+    assert any(d < sufficient for d, sufficient in answers)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
@@ -501,7 +619,22 @@ def test_congruence_domain_on_diagonal_torus_actions(d, primes):
     the oracle every entry denominator."""
     n = len(d)
     aut = LieAut.diagonal(n, [d[i] / d[j] for i in range(n) for j in range(i + 1, n)])
-    assert congruence_domain(aut, primes) == oracle_congruence_domain(aut, primes)
+    depth = congruence_domain(aut, primes)
+    assert oracle_congruence_domain(aut, primes) % depth == 0
+    assert_least_depth(aut, primes, depth, random.Random(depth), points=3)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(2, 6), st.integers(0, 2**32), st.sets(st.sampled_from([2, 3, 5, 7])))
+def test_congruence_domain_is_the_least_depth(n, seed, primes):
+    """On Ad(h) after a diagonal map, whose root images are dense: the
+    soundness and minimality witnesses pin D exactly, and D divides the
+    oracle's sufficient depth."""
+    rng = random.Random(seed)
+    aut = conjugated_diagonal(rng, n, denoms=(1, 2, 3, 5, 7, 9))
+    depth = congruence_domain(aut, primes)
+    assert oracle_congruence_domain(aut, primes) % depth == 0
+    assert_least_depth(aut, primes, depth, rng)
 
 
 def test_congruence_domain_rejects_non_automorphism():
