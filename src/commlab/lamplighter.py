@@ -171,12 +171,25 @@ class VDerElt:
         return VDerElt(n, self.eval_at(n))
 
     def canonical(self) -> "VDerElt":
-        if self.value.is_zero():
+        """The same derivation at the least level d | m from which it arises.
+
+        Raising from d multiplies the value by G_d = 1 + t**d + ... +
+        t**(m-d) = (1 + t**m) / (1 + t**d), so v arises from d exactly when
+        1 + t**m divides v * (1 + t**d).  Reduced mod 1 + t**m, v is the
+        m-bit cyclic word w (the fold of v), and w * t**d is w rotated by
+        d, so that holds exactly when rotating w by d fixes it.  The d
+        that fix w form the subgroup of Z/m generated by its least period,
+        so the least divisor that fixes w is the least level, and one
+        exact division by G_d lowers v.
+        """
+        v = self.value
+        if v.is_zero():
             return VDerElt(1, _ZERO)
         m = self.level
-        lowered = lambda d: self.value.exact_div(F2LaurentPoly.geometric(d, m // d))
-        d = _least_level(m, lambda d: lowered(d) is not None)
-        return self if d == m else VDerElt(d, lowered(d))
+        w = mask_mod(v.mask, 1 << m | 1)
+        full = (1 << m) - 1
+        d = _least_level(m, lambda d: (w << d | w >> (m - d)) & full == w)
+        return self if d == m else VDerElt(d, v.exact_div(F2LaurentPoly.geometric(d, m // d)))
 
     def flip_conj(self) -> "VDerElt":
         """Conjugate by the orientation flip, at the same level."""
@@ -243,7 +256,12 @@ class CommInftyElt:
 
     def __init__(self, level: int, num: PolyMat, den: int = 1):
         """num is the nonzero numerator of an invertible matrix and den
-        has nonzero constant term; their common factor is divided out."""
+        has nonzero constant term; their common factor is divided out.
+
+        This is the reducing constructor, for num / den that may share a
+        factor: compose, inverse and canonical build through it.
+        raise_to, flip_conj and from_entries, whose num and den are coprime
+        by construction, build through _coprime instead."""
         g = num.content_mask(den)
         if g > 1:
             den = mask_divmod(den, g)[0]
@@ -251,6 +269,34 @@ class CommInftyElt:
         self.level = level
         self.num = num
         self.den = den
+
+    @classmethod
+    def _coprime(cls, level: int, num: PolyMat, den: int) -> "CommInftyElt":
+        """num / den as given, for a den prime to the content of num.
+
+        Its three callers meet that by construction:
+
+        * raise_to, from level m to n = k*m: dw is the least D with den
+          dividing D(s**k), and the raised numerator is num * dw(s**k) / den
+          over F2[w], w = s**k.  If a prime p(w) divided dw and every
+          raised entry, then den would divide c * (dw / p)(s**k), where c is
+          the content of num; since c is prime to den, den would divide
+          (dw / p)(s**k), against the least choice of dw.
+        * flip_conj: s -> 1/s and the factor s**deg den map the content of
+          num and den to their reversals, up to powers of s, and reversal
+          keeps polynomials with nonzero constant term coprime.
+        * from_entries: each entry is in lowest terms first and den is the
+          lcm of their denominators.  If p**a exactly divides den, then
+          p**a exactly divides the denominator of some entry, whose
+          numerator is then prime to p, and its entry of num is that
+          numerator times a factor of den / (its denominator), which p
+          does not divide.
+        """
+        self = object.__new__(cls)
+        self.level = level
+        self.num = num
+        self.den = den
+        return self
 
     @classmethod
     def identity(cls, level: int = 1) -> "CommInftyElt":
@@ -285,7 +331,7 @@ class CommInftyElt:
         ])
         if not gauss_jordan(num.entry_masks()[0], level):
             raise SingularMatrix("commensuration matrix must be invertible")
-        return cls(level, num, den)
+        return cls._coprime(level, num, den)
 
     def to_strings(self, var: str = "t") -> list[list[str]]:
         """The entries of the matrix num / den, as strings in var."""
@@ -314,7 +360,7 @@ class CommInftyElt:
             dw = _min_u_power_poly(self.den, k)
             # den divides dw(s**k) by the choice of dw
             nn = self.num.scalar_mul(mask_divmod(mask_spread(dw, k), self.den)[0])
-        return CommInftyElt(n, nn.raised(k), dw)
+        return CommInftyElt._coprime(n, nn.raised(k), dw)
 
     def canonical(self) -> "CommInftyElt":
         m = self.level
@@ -346,7 +392,7 @@ class CommInftyElt:
         # A(1/s) = N(1/s) * s**deg / (s**deg * D(1/s)), and s**deg * D(1/s)
         # is the reversed denominator
         num = self.num.flip().scalar_mul(1 << (self.den.bit_length() - 1))
-        return CommInftyElt(self.level, num, mask_reverse(self.den))
+        return CommInftyElt._coprime(self.level, num, mask_reverse(self.den))
 
     def lift(self, k: F2LaurentPoly):
         """k / den(t**level), or None when den(t**level) does not divide k."""

@@ -94,11 +94,11 @@ class PolyMat:
         """The images of 1, t, ..., t**(n-1)."""
         return [F2LaurentPoly._raw(c, self.shift) for c in self.cols]
 
-    def apply(self, k: F2LaurentPoly) -> F2LaurentPoly:
-        """Image of a K element: t**(n*e + j) goes to t**(n*e) times image j,
-        one shift-xor per nonzero bit of k."""
+    def _apply_mask(self, mask: int, base: int) -> int:
+        """The image of t**base * mask, as a mask at t**(n*(base // n) + shift):
+        t**(n*e + j) goes to t**(n*e) times image j, one shift-xor per
+        nonzero bit of mask."""
         n, cols = self.n, self.cols
-        mask, base = k.mask, k.shift
         e0 = base // n
         acc = 0
         while mask:
@@ -106,12 +106,23 @@ class PolyMat:
             e, j = divmod(base + low.bit_length() - 1, n)
             acc ^= cols[j] << n * (e - e0)
             mask ^= low
-        return F2LaurentPoly._raw(acc, n * e0 + self.shift)
+        return acc
+
+    def apply(self, k: F2LaurentPoly) -> F2LaurentPoly:
+        """Image of a K element."""
+        return F2LaurentPoly._raw(
+            self._apply_mask(k.mask, k.shift), self.n * (k.shift // self.n) + self.shift
+        )
 
     def __mul__(self, other):
+        """self after other.  Every column of other sits at other.shift, so
+        each column mask is mapped at that one base and the images share
+        the shift n*(other.shift // n) + self.shift."""
         if not isinstance(other, PolyMat):
             return NotImplemented
-        return PolyMat.from_images(self.n, [self.apply(k) for k in other.images()])
+        base = other.shift
+        cols = (self._apply_mask(c, base) for c in other.cols)
+        return PolyMat(self.n, cols, self.n * (base // self.n) + self.shift)
 
     def __eq__(self, other):
         return (

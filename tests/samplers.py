@@ -11,9 +11,11 @@ itself computes in no field F2(t), which is only the text format of an
 entry (``commlab.ratfun``), and ``F2RatFun`` reads and writes that text
 through it.  ``k_to_coords`` and ``coords_to_k`` give the coordinates of
 K at a level through the ``f2poly`` interleave pair, and
-``residue_coords`` is their oracle.  ``log_series`` and ``exp_series``
-sum the unitriangular log and exp on any such matrix class: the oracle of
-the integer series of ``commlab.unipotent``.
+``residue_coords`` is their oracle.  ``vder_canonical_by_trial`` finds
+the least level of a virtual derivation by one division per divisor of
+its level, the oracle of ``VDerElt.canonical``.  ``log_series`` and
+``exp_series`` sum the unitriangular log and exp on any such matrix class:
+the oracle of the integer series of ``commlab.unipotent``.
 """
 
 from fractions import Fraction
@@ -68,6 +70,19 @@ def residue_coords(k: F2LaurentPoly, m: int) -> list[F2LaurentPoly]:
     for e in k.support():
         exps[e % m].append(e // m)
     return [F2LaurentPoly(qs) for qs in exps]
+
+
+def vder_canonical_by_trial(v: VDerElt) -> VDerElt:
+    """Oracle: the least d | m such that 1 + t**d + ... + t**(m-d) divides
+    the value, with the quotient, trying each divisor d in turn."""
+    if v.value.is_zero():
+        return VDerElt(1, _ZERO)
+    m = v.level
+    for d in range(1, m + 1):
+        if m % d == 0:
+            lowered = v.value.exact_div(F2LaurentPoly.geometric(d, m // d))
+            if lowered is not None:
+                return VDerElt(d, lowered)
 
 
 class F2RatFun:

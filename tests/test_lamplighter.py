@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -45,6 +46,7 @@ from samplers import (
     random_element,
     random_submodule,
     residue_coords,
+    vder_canonical_by_trial,
 )
 
 E0 = LampElement.lamp(0)
@@ -154,6 +156,35 @@ def test_vder_canonical_properties(level, support, j, k):
     assert c.canonical() == c
     assert v.level % c.level == 0 and c.raise_to(v.level) == v
     assert v.raise_to(k * v.level).canonical() == c
+
+
+@st.composite
+def raised_values(draw):
+    """A value at a level with many divisors (or level 1), raised from a
+    drawn divisor level, and half the time with one term added, so both
+    a lowered and an unlowered canonical form occur; an empty support
+    gives the zero value."""
+    m = draw(st.sampled_from([1, 12, 60, 360, 720]))
+    d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    v = VDerElt(d, P(draw(st.sets(st.integers(-40, 40), max_size=6)))).raise_to(m)
+    extra = draw(st.none() | st.integers(-40, m + 40))
+    return v if extra is None else VDerElt(m, v.value + P([extra]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(raised_values())
+def test_vder_canonical_agrees_with_trial_division(v):
+    assert v.canonical() == vder_canonical_by_trial(v)
+
+
+def test_vder_canonical_of_a_dense_value_is_fast():
+    # 720 has 30 divisors; the value is folded once and divided by no G_d
+    rng = random.Random(66)
+    v = P._raw(rng.getrandbits(10**5) | 1 << 10**5 | 1, -7)
+    start = time.perf_counter()
+    c = VDerElt(720, v).canonical()
+    assert time.perf_counter() - start < 0.05
+    assert c == vder_canonical_by_trial(VDerElt(720, v))
 
 
 # ------------------------------------------- equivariant commensurations
@@ -288,16 +319,36 @@ def _lowest_terms_by_entries(num, den):
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(st.integers(0, 2**32))
 def test_comm_infty_is_kept_in_lowest_terms(seed):
-    # every linear part built on the way is checked against the oracle
-    built = []
+    # every linear part built on the way is checked against the oracle: those
+    # built by the reducing __init__ and those built by _coprime, whose callers
+    # skip the gcd; a stand-in for the den slot notes every instance that gets
+    # a denominator, so a build by any other route fails the count below
+    built, den_set = [], []
     init = CommInftyElt.__init__
+    coprime = CommInftyElt.__dict__["_coprime"].__func__
+    den_slot = CommInftyElt.__dict__["den"]
 
     def recording_init(self, level, num, den=1):
         init(self, level, num, den)
-        built.append((num, den, self.num, self.den))
+        built.append((self, num, den))
+
+    def recording_coprime(cls, level, num, den):
+        self = coprime(cls, level, num, den)
+        built.append((self, num, den))
+        return self
+
+    class RecordingSlot:
+        def __get__(self, obj, owner=None):
+            return den_slot.__get__(obj, owner)
+
+        def __set__(self, obj, value):
+            den_set.append(obj)
+            den_slot.__set__(obj, value)
 
     rng = random.Random(seed)
-    with mock.patch.object(CommInftyElt, "__init__", recording_init):
+    with mock.patch.object(CommInftyElt, "__init__", recording_init), \
+            mock.patch.object(CommInftyElt, "_coprime", classmethod(recording_coprime)), \
+            mock.patch.object(CommInftyElt, "den", RecordingSlot()):
         c1, c2 = random_comm(rng), random_comm(rng)
         # a denominator and its inverse's cancel down to the identity
         lin = c1.lin
@@ -307,10 +358,19 @@ def test_comm_infty_is_kept_in_lowest_terms(seed):
         comm_invert(c2)
         raised = c1.lin.flip_conj().raise_to(2 * c1.level)
         raised.canonical()
+        # each entry written over a drawn factor that its numerator shares
+        masks, shift = c2.lin.num.entry_masks()
+        written = [
+            [f"({P._raw(mask_mul(x, g), shift)})/({P._raw(mask_mul(c2.lin.den, g), 0)})"
+             for x in row for g in (rng.choice((1, 0b11, 0b111, 0b1011)),)]
+            for row in masks
+        ]
+        assert CommInftyElt.from_entries(c2.level, written) == c2.lin
     assert built
-    for num, den, out_num, out_den in built:
-        assert out_den & 1 and out_num.content_mask(out_den) == 1
-        assert (out_num, out_den) == _lowest_terms_by_entries(num, den)
+    assert sorted(map(id, den_set)) == sorted(id(c) for c, _, _ in built)
+    for c, num, den in built:
+        assert c.den & 1 and c.num.content_mask(c.den) == 1
+        assert (c.num, c.den) == _lowest_terms_by_entries(num, den)
 
 
 @st.composite
@@ -462,6 +522,22 @@ def test_group_axioms_sampled():
         ci = comm_invert(c)
         assert comm_compose(c, ci) == IDENT
         assert comm_compose(ci, c) == IDENT
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(0, 2**32))
+def test_group_laws_on_random_classes(seed):
+    rng = random.Random(seed)
+    a, b, c = (random_comm(rng) for _ in range(3))
+    assert comm_compose(comm_compose(a, b), c) == comm_compose(a, comm_compose(b, c))
+    ai = comm_invert(a)
+    assert comm_compose(a, ai) == IDENT
+    assert comm_compose(ai, a) == IDENT
+    assert comm_invert(ai) == a
+    # the flip class and its conjugates are involutions
+    assert comm_compose(FLIP, FLIP) == IDENT
+    f = comm_compose(comm_compose(a, FLIP), ai)
+    assert comm_compose(f, f) == IDENT
 
 
 def test_apply_examples():

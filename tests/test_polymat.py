@@ -40,15 +40,29 @@ def _entries(a):
     return [[F2LaurentPoly._raw(m, shift) for m in row] for row in masks]
 
 
-def _shift_matrix(n, d):
-    """T_d on n coordinates: e_i goes to e_(i+d), or to u * e_(i+d-n)."""
+def _shift_entries(n, d):
+    """The entries of T_d on n coordinates: e_i goes to e_(i+d), or to
+    u * e_(i+d-n)."""
     entries = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         if i + d < n:
             entries[i + d][i] = F2LaurentPoly.one()
         else:
             entries[i + d - n][i] = F2LaurentPoly.t_power(1)
-    return PolyMat.from_entries(n, entries)
+    return entries
+
+
+def _shift_matrix(n, d):
+    return PolyMat.from_entries(n, _shift_entries(n, d))
+
+
+def _product(ea, eb):
+    """Oracle: the product of two arrays of entries."""
+    n = len(ea)
+    return [
+        [sum((ea[i][k] * eb[k][j] for k in range(n)), ZERO) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def _act(entries, k):
@@ -80,15 +94,18 @@ def test_scalar_mul_multiplies_every_entry(case, mask):
 
 
 @PROPERTY
-@given(same_size_pairs)
-def test_product_is_the_entrywise_product(pair):
+@given(same_size_pairs, st.integers(0, 5))
+def test_product_is_the_entrywise_product(pair, r):
+    # the right factor is moved to T_d * b, d = (r - b.shift) mod n, so its
+    # shift is r mod n: every column of it sits at a shift that need not be a
+    # multiple of n, the common base the product maps each column at
     (a, ea), (b, eb) = pair
     n = a.n
-    want = [
-        [sum((ea[i][k] * eb[k][j] for k in range(n)), ZERO) for j in range(n)]
-        for i in range(n)
-    ]
-    assert _entries(a * b) == want
+    d = (r - b.shift) % n
+    if d and any(b.cols):
+        b = PolyMat(n, b.cols, b.shift + d)
+        eb = _product(_shift_entries(n, d), eb)
+    assert _entries(a * b) == _product(ea, eb)
 
 
 @PROPERTY
