@@ -8,11 +8,13 @@ to its canonical representative modulo that diagonal.  Submodule
 equality is then a syntactic check.
 
 Matrices here are plain tuples of tuples of F2LaurentPoly; row spans
-are the submodules.  The echelon routine tracks a unimodular transform,
-which also yields left kernels and module intersections.  Every division
-is f2poly's: the Euclidean steps are ``mask_divmod``, and an entry above a
-pivot d is reduced by ``F2LaurentPoly.divmod(d)``, whose quotient is the
-row multiplier.
+are the submodules.  The echelon routines return the echelon form and
+its pivot columns and track no transform: a kernel is read off the
+echelon form of an augmented matrix [A | I] instead (see
+``lamplighter.comm_domain``).  Every division is f2poly's: the
+Euclidean steps are ``mask_divmod``, and an entry above a pivot d is
+reduced by ``F2LaurentPoly.divmod(d)``, whose quotient is the row
+multiplier.
 """
 
 from __future__ import annotations
@@ -20,26 +22,24 @@ from __future__ import annotations
 from .errors import SingularMatrix
 from .f2poly import F2LaurentPoly, mask_deg, mask_divmod
 
-_ZERO = F2LaurentPoly.zero()
-_ONE = F2LaurentPoly.one()
-
 
 def _row_add(rows, i, j, q):
-    """rows[i] += q * rows[j] (characteristic 2)."""
-    rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+    """rows[i] += q * rows[j] (characteristic 2), leaving an entry as it is
+    where rows[j] has a zero."""
+    rows[i] = [a + q * b if b else a for a, b in zip(rows[i], rows[j])]
 
 
-def row_echelon(mat):
-    """Canonical row echelon form over F2[s, 1/s] with transform.
+def echelon(mat):
+    """Row echelon form over F2[s, 1/s] by Euclidean steps, unreduced.
 
-    Returns (H, U, pivots) with H = U*mat, U invertible over the ring,
-    zero rows of H at the bottom, pivot entries unit-normalized and the
-    entries above each pivot reduced modulo it.
+    Returns (H, pivots): H, a list of row lists, has the row span of mat,
+    zero rows at the bottom and pivot entries unit-normalized; pivots are
+    the pivot columns of its rows.  The entries above a pivot are left as
+    they are, so rows that a caller discards are never reduced.
     """
     H = [list(row) for row in mat]
     nr = len(H)
     nc = len(H[0]) if nr else 0
-    U = [[_ONE if i == j else _ZERO for j in range(nr)] for i in range(nr)]
     pivots = []
     r = 0
     for c in range(nc):
@@ -56,18 +56,25 @@ def row_echelon(mat):
                 a = H[i][c]  # a - q*b has a smaller normalized degree than b
                 q = F2LaurentPoly._raw(mask_divmod(a.mask, b.mask)[0], a.shift - b.shift)
                 _row_add(H, i, base, q)
-                _row_add(U, i, base, q)
             live = [i for i in live if H[i][c]]
         p = live[0]
         H[r], H[p] = H[p], H[r]
-        U[r], U[p] = U[p], U[r]
         sh = H[r][c].shift
         if sh:
-            unit = F2LaurentPoly.t_power(-sh)
-            H[r] = [unit * x for x in H[r]]
-            U[r] = [unit * x for x in U[r]]
+            H[r] = [x.shifted(-sh) for x in H[r]]
         pivots.append(c)
         r += 1
+    return H, pivots
+
+
+def row_echelon(mat):
+    """Canonical row echelon form over F2[s, 1/s].
+
+    Returns (H, pivots): the echelon form with the entries above each
+    pivot reduced modulo it, as a tuple of row tuples, and its pivot
+    columns.
+    """
+    H, pivots = echelon(mat)
     for pr, pc in enumerate(pivots):
         d = H[pr][pc].mask
         for i in range(pr):
@@ -75,16 +82,12 @@ def row_echelon(mat):
             q = H[i][pc].divmod(d)[0]
             if q:
                 _row_add(H, i, pr, q)
-                _row_add(U, i, pr, q)
-    return (
-        tuple(tuple(row) for row in H),
-        tuple(tuple(row) for row in U),
-        tuple(pivots),
-    )
+    return tuple(tuple(row) for row in H), tuple(pivots)
 
 
 def hnf_f2poly(mat):
-    """Hermite normal form (H, U) of a square matrix, H = U*mat.
+    """Hermite normal form H of a square matrix: the canonical basis of
+    its row span.
 
     Requires det != 0 up to powers of s; raises SingularMatrix otherwise.
     """
@@ -93,11 +96,11 @@ def hnf_f2poly(mat):
     if any(len(row) != n for row in mat):
         raise ValueError("matrix must be square")
     if n == 0:
-        return (), ()
-    H, U, pivots = row_echelon(mat)
+        return ()
+    H, pivots = row_echelon(mat)
     if len(pivots) < n:
         raise SingularMatrix("matrix is singular over F2[s, 1/s]")
-    return H, U
+    return H
 
 
 def is_hnf(mat) -> bool:
@@ -129,24 +132,6 @@ def submodule_index(mat) -> int:
     return sum(mask_deg(row[i].mask) for i, row in enumerate(mat))
 
 
-def left_kernel(mat):
-    """Generators of {y : y*mat = 0} over F2[s, 1/s], as rows."""
-    H, U, pivots = row_echelon(mat)
-    return tuple(U[r] for r in range(len(pivots), len(H)))
-
-
-def row_times_mat(y, mat):
-    """Row vector times matrix over F2[s, 1/s]."""
-    nc = len(mat[0]) if mat else 0
-    out = [_ZERO] * nc
-    for coef, row in zip(y, mat):
-        if coef.is_zero():
-            continue
-        for j in range(nc):
-            out[j] = out[j] + coef * row[j]
-    return tuple(out)
-
-
 def module_from_rows(rows, n: int):
     """HNF basis of the span of the given generator rows.
 
@@ -154,17 +139,10 @@ def module_from_rows(rows, n: int):
     """
     if not rows:
         raise SingularMatrix("no generators")
-    H, _, pivots = row_echelon(rows)
+    H, pivots = row_echelon(rows)
     if len(pivots) < n:
         raise SingularMatrix("generators do not span a finite-index submodule")
     return tuple(H[i] for i in range(n))
-
-
-def module_intersect(ha, hb, n: int):
-    """HNF basis of rowspan(ha) & rowspan(hb), both full rank n."""
-    stacked = tuple(ha) + tuple(hb)
-    gens = [row_times_mat(y[: len(ha)], ha) for y in left_kernel(stacked)]
-    return module_from_rows(gens, n)
 
 
 def solve_membership(hmat, vec):

@@ -612,11 +612,11 @@ def comm_compose(c1: LampComm, c2: LampComm) -> LampComm:
     """The class of c1 after c2 (right-to-left composition)."""
     level = math.lcm(c1.level, c2.level)
     a1 = c1.lin.raise_to(level)
-    d2 = c2.der.raise_to(level)
-    a2 = c2.lin.raise_to(level)
+    d2, a2 = c2.der, c2.lin
     if c1.flip:
-        d2 = d2.flip_conj()
-        a2 = a2.flip_conj()
+        # flipping commutes with raising, and costs less at c2's own level
+        d2, a2 = d2.flip_conj(), a2.flip_conj()
+    d2, a2 = d2.raise_to(level), a2.raise_to(level)
     j, applied = _apply_lin_to_vder(a1, d2.value, "compose")
     # the linear part stays at this level: make() lowers it to its least level
     d1 = c1.der.raise_to(j * level)
@@ -652,20 +652,35 @@ def comm_domain(c: LampComm):
     Returns (D, L): the HNF basis of the submodule D of K and the level
     L such that c applies on {(k, l*L) : k in D, l in Z} and nowhere
     else.
+
+    For the linear part num / den, D = {y : num*y in den*K} in the
+    coordinates at level L.  It is read off one echelon form over
+    F2[s, 1/s] of the 2L x 2L matrix with rows (column i of num | e_i)
+    and (den*e_i | 0), i < L, with no transform: the den*e_i rows give
+    the first block full rank, so the last L rows of the echelon form
+    vanish on it, and since the first L rows are triangular there, the
+    last L span every row combination that vanishes on it.  So their
+    second blocks span exactly the y with y*num^T in the row span of
+    den*I, that is D, and D has full rank as den*K lies in it.  The
+    echelon form is left unreduced, since its first L rows are dropped,
+    and the L x L triangular block is brought to its HNF.  A flipped
+    class applies lin after F, so its domain is F(D), the flip of that
+    basis.  (The domain of F*lin*F is F(D) too, but the Euclidean steps
+    on its block matrix can swell where those on lin's do not: for a
+    row-permuted triangular lin at level 60 they ran for minutes.)
     """
     level = c.level
     dp = c.lin.den_poly()
     masks, shift = c.lin.num.entry_masks()
     stacked = []
     for i in range(level):
-        stacked.append([F2LaurentPoly._raw(masks[r][i], shift) for r in range(level)])
+        row = [F2LaurentPoly._raw(masks[r][i], shift) for r in range(level)]
+        stacked.append(row + [_ONE if r == i else _ZERO for r in range(level)])
     for i in range(level):
-        stacked.append([dp if r == i else _ZERO for r in range(level)])
-    gens = [y[:level] for y in hnf.left_kernel(stacked)]
-    basis = SubmoduleBasis.from_generators(level, gens)
-    if c.flip:
-        basis = basis.flip()
-    return basis, level
+        stacked.append([dp if r == i else _ZERO for r in range(level)] + [_ZERO] * level)
+    H, _ = hnf.echelon(stacked)
+    basis = SubmoduleBasis.from_generators(level, [row[level:] for row in H[level:]])
+    return (basis.flip() if c.flip else basis), level
 
 
 def theta_sign(c: LampComm) -> int:

@@ -32,20 +32,40 @@ def gauss_jordan(rows: list, n: int) -> int:
     columns, then any further columns B.  Returns det N, or 0 when N is
     singular; otherwise the columns after the first n end up as adj(N) * B.
     Every entry formed is a minor of the input, so each division by the
-    previous pivot is exact, and over F2 a row swap changes no sign.
+    previous pivot is exact, and over F2 a row swap changes no sign, so
+    the answer does not depend on which rows are taken as pivots.  The
+    pivot at column k is the row with the most zeros left in N (the
+    fewest nonzero entries, Markowitz's rule): a row-permuted triangular
+    N is then eliminated in its triangular order, and no entry fills in.
+
+    At pivot k each other row x becomes (piv*x + a*top) / prev, a its
+    column-k entry.  A row with a = 0 is only rescaled by piv/prev, so
+    (q, r) = divmod(piv, prev) is taken once per pivot: such a row is
+    left as it is when piv = prev, multiplied by q when prev divides piv,
+    and divided entry by entry otherwise.  Products with a zero factor
+    are skipped, and so is the division when prev = 1.
     """
     prev = 1
     for k in range(n):
-        p = next((i for i in range(k, n) if rows[i][k]), None)
-        if p is None:
+        live = [i for i in range(k, n) if rows[i][k]]
+        if not live:
             return 0
+        p = live[0] if len(live) == 1 else max(live, key=lambda i: rows[i][k:n].count(0))
         rows[k], rows[p] = rows[p], rows[k]
         top = rows[k]
         piv = top[k]
+        q, r = mask_divmod(piv, prev)
         for row in rows[:k] + rows[k + 1:]:
             a = row[k]
+            if not (a or r):
+                if q != 1:
+                    row[k + 1:] = [mask_mul(q, x) for x in row[k + 1:]]
+                continue
             for j in range(k + 1, len(row)):
-                row[j] = mask_divmod(mask_mul(piv, row[j]) ^ mask_mul(a, top[j]), prev)[0]
+                x = mask_mul(piv, row[j]) if row[j] else 0
+                if a and top[j]:
+                    x ^= mask_mul(a, top[j])
+                row[j] = mask_divmod(x, prev)[0] if prev != 1 and x else x
         prev = piv
     return prev
 

@@ -13,7 +13,12 @@ through it.  ``k_to_coords`` and ``coords_to_k`` give the coordinates of
 K at a level through the ``f2poly`` interleave pair, and
 ``residue_coords`` is their oracle.  ``vder_canonical_by_trial`` finds
 the least level of a virtual derivation by one division per divisor of
-its level, the oracle of ``VDerElt.canonical``.  ``log_series`` and
+its level, the oracle of ``VDerElt.canonical``.  ``row_echelon_with_transform``
+is the Hermite form over F2[s, 1/s] that also tracks the unimodular
+transform U with H = U*mat; with ``left_kernel``, ``row_times_mat`` and
+``module_intersect`` it gives ``comm_domain_by_kernel``, the three-HNF
+route (left kernel, HNF of the kernel rows, flip of that basis) that
+``commlab.lamplighter.comm_domain`` is compared against.  ``log_series`` and
 ``exp_series`` sum the unitriangular log and exp on any such matrix class:
 the oracle of the integer series of ``commlab.unipotent``.
 """
@@ -30,6 +35,7 @@ from commlab.f2poly import (
     mask_mul,
 )
 from commlab.errors import SingularMatrix
+from commlab.hnf import module_from_rows
 from commlab.lamplighter import CommInftyElt, LampComm, LampElement, SubmoduleBasis, VDerElt
 
 _ZERO = F2LaurentPoly.zero()
@@ -83,6 +89,96 @@ def vder_canonical_by_trial(v: VDerElt) -> VDerElt:
             lowered = v.value.exact_div(F2LaurentPoly.geometric(d, m // d))
             if lowered is not None:
                 return VDerElt(d, lowered)
+
+
+def row_echelon_with_transform(mat):
+    """Oracle: the canonical row echelon form over F2[s, 1/s] with its
+    transform, (H, U, pivots) with H = U*mat and U invertible over the
+    ring, by the same Euclidean steps and reductions as
+    ``commlab.hnf.row_echelon``, each applied to U as well."""
+    H = [list(row) for row in mat]
+    nr = len(H)
+    nc = len(H[0]) if nr else 0
+    U = [[F2LaurentPoly.one() if i == j else _ZERO for j in range(nr)] for i in range(nr)]
+
+    def row_add(i, j, q):
+        H[i] = [a + q * b for a, b in zip(H[i], H[j])]
+        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        live = [i for i in range(r, nr) if H[i][c]]
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda i: H[i][c].mask.bit_length())
+            base = live[0]
+            b = H[base][c]
+            for i in live[1:]:
+                a = H[i][c]
+                row_add(i, base, F2LaurentPoly._raw(mask_divmod(a.mask, b.mask)[0], a.shift - b.shift))
+            live = [i for i in live if H[i][c]]
+        p = live[0]
+        H[r], H[p] = H[p], H[r]
+        U[r], U[p] = U[p], U[r]
+        unit = F2LaurentPoly.t_power(-H[r][c].shift)
+        H[r] = [unit * x for x in H[r]]
+        U[r] = [unit * x for x in U[r]]
+        pivots.append(c)
+        r += 1
+    for pr, pc in enumerate(pivots):
+        d = H[pr][pc].mask
+        for i in range(pr):
+            q = H[i][pc].divmod(d)[0]
+            if q:
+                row_add(i, pr, q)
+    return tuple(map(tuple, H)), tuple(map(tuple, U)), tuple(pivots)
+
+
+def hnf_with_transform(mat):
+    """Oracle: (H, U) with H the Hermite form of a nonsingular square
+    matrix and H = U*mat."""
+    H, U, pivots = row_echelon_with_transform(mat)
+    if len(pivots) < len(mat):
+        raise SingularMatrix("matrix is singular over F2[s, 1/s]")
+    return H, U
+
+
+def left_kernel(mat):
+    """Generators of {y : y*mat = 0} over F2[s, 1/s], as rows: the rows of
+    U below the rank."""
+    H, U, pivots = row_echelon_with_transform(mat)
+    return U[len(pivots):]
+
+
+def row_times_mat(y, mat):
+    """Row vector times matrix over F2[s, 1/s]."""
+    return tuple(sum((c * row[j] for c, row in zip(y, mat)), _ZERO) for j in range(len(mat[0])))
+
+
+def module_intersect(ha, hb, n: int):
+    """HNF basis of rowspan(ha) & rowspan(hb), both full rank n: the
+    images in ha of the left kernel of ha stacked on hb."""
+    gens = [row_times_mat(y[:len(ha)], ha) for y in left_kernel(tuple(ha) + tuple(hb))]
+    return module_from_rows(gens, n)
+
+
+def comm_domain_by_kernel(c: LampComm):
+    """Oracle: the domain of a class by three Hermite forms.  The left
+    kernel of the rows (column i of num) and (den*e_i) gives generators
+    y of {y : num*y in den*K}, their HNF is the domain of the linear
+    part, and a flipped class flips that basis."""
+    level = c.level
+    masks, shift = c.lin.num.entry_masks()
+    stacked = [[F2LaurentPoly._raw(masks[r][i], shift) for r in range(level)]
+               for i in range(level)]
+    stacked += [[c.lin.den_poly() if r == i else _ZERO for r in range(level)]
+                for i in range(level)]
+    basis = SubmoduleBasis.from_generators(level, [y[:level] for y in left_kernel(stacked)])
+    return (basis.flip() if c.flip else basis), level
 
 
 class F2RatFun:

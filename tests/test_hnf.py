@@ -10,12 +10,17 @@ from commlab.f2poly import F2LaurentPoly as P
 from commlab.hnf import (
     hnf_f2poly,
     is_hnf,
-    left_kernel,
     module_from_rows,
-    module_intersect,
-    row_times_mat,
+    row_echelon,
     solve_membership,
     submodule_index,
+)
+from samplers import (
+    hnf_with_transform,
+    left_kernel,
+    module_intersect,
+    row_echelon_with_transform,
+    row_times_mat,
 )
 
 ZERO = P.zero()
@@ -37,6 +42,13 @@ def rand_nonsingular(rng, n):
             continue
 
 
+def hnf_and_transform(mat):
+    """(H, U) of the oracle, with the program's H asserted equal to its H."""
+    h, u = hnf_with_transform(mat)
+    assert hnf_f2poly(mat) == h
+    return h, u
+
+
 def mat_mul(a, b):
     n = len(b[0])
     return [
@@ -47,11 +59,11 @@ def mat_mul(a, b):
 
 def test_identity_and_unit_normalization():
     ident = [[ONE, ZERO], [ZERO, ONE]]
-    h, u = hnf_f2poly(ident)
+    h, u = hnf_and_transform(ident)
     assert h == ((ONE, ZERO), (ZERO, ONE))
     assert u == ((ONE, ZERO), (ZERO, ONE))
     # s is a unit: diag(s, 1) reduces to the identity
-    h, u = hnf_f2poly([[S, ZERO], [ZERO, ONE]])
+    h, u = hnf_and_transform([[S, ZERO], [ZERO, ONE]])
     assert h == ((ONE, ZERO), (ZERO, ONE))
     assert u == ((P([-1]), ZERO), (ZERO, ONE))
 
@@ -59,7 +71,7 @@ def test_identity_and_unit_normalization():
 def test_hand_reduction():
     # rows (1+s, 0) and (1, 1) span the kernel-of-augmentation submodule;
     # Euclidean reduction gives pivots 1 and 1+s
-    h, u = hnf_f2poly([[P([0, 1]), ZERO], [ONE, ONE]])
+    h, u = hnf_and_transform([[P([0, 1]), ZERO], [ONE, ONE]])
     assert h == ((ONE, ONE), (ZERO, P([0, 1])))
     assert mat_mul(list(u), [[P([0, 1]), ZERO], [ONE, ONE]]) == [list(r) for r in h]
     assert submodule_index(h) == 1
@@ -68,12 +80,16 @@ def test_hand_reduction():
 def test_singular_rejected():
     with pytest.raises(SingularMatrix):
         hnf_f2poly([[ONE, ONE], [ONE, ONE]])
+    with pytest.raises(SingularMatrix):
+        hnf_with_transform([[ONE, ONE], [ONE, ONE]])
     with pytest.raises(ValueError):
         hnf_f2poly([[ONE, ONE]])
 
 
 def test_zero_by_zero():
-    assert hnf_f2poly([]) == ((), ())
+    assert hnf_f2poly([]) == ()
+    assert row_echelon([]) == ((), ())
+    assert row_echelon_with_transform([]) == ((), (), ())
 
 
 def test_submodule_index_examples():
@@ -88,9 +104,9 @@ def test_hnf_is_idempotent():
     rng = random.Random(8)
     for _ in range(50):
         n = rng.randrange(1, 4)
-        h, _ = hnf_f2poly(rand_nonsingular(rng, n))
+        h = hnf_f2poly(rand_nonsingular(rng, n))
         assert is_hnf(h)
-        h2, u2 = hnf_f2poly(h)
+        h2, u2 = hnf_and_transform(h)
         assert h2 == h
         ident = tuple(
             tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
@@ -104,9 +120,9 @@ def test_index_additive_under_products():
         n = rng.randrange(1, 4)
         a = rand_nonsingular(rng, n)
         b = rand_nonsingular(rng, n)
-        ia = submodule_index(hnf_f2poly(a)[0])
-        ib = submodule_index(hnf_f2poly(b)[0])
-        iab = submodule_index(hnf_f2poly(mat_mul(a, b))[0])
+        ia = submodule_index(hnf_f2poly(a))
+        ib = submodule_index(hnf_f2poly(b))
+        iab = submodule_index(hnf_f2poly(mat_mul(a, b)))
         assert iab == ia + ib
 
 
@@ -115,7 +131,7 @@ def test_transform_is_exact():
     for _ in range(30):
         n = rng.randrange(1, 4)
         mat = rand_nonsingular(rng, n)
-        h, u = hnf_f2poly(mat)
+        h, u = hnf_and_transform(mat)
         assert mat_mul(list(u), mat) == [list(r) for r in h]
 
 
@@ -123,7 +139,7 @@ def test_membership_solver():
     rng = random.Random(11)
     for _ in range(40):
         n = rng.randrange(1, 4)
-        h, _ = hnf_f2poly(rand_nonsingular(rng, n))
+        h = hnf_f2poly(rand_nonsingular(rng, n))
         coeffs = [rand_poly(rng) for _ in range(n)]
         vec = row_times_mat(coeffs, h)
         got = solve_membership(h, vec)
@@ -138,6 +154,7 @@ def test_left_kernel_annihilates():
         top = rand_nonsingular(rng, n)
         stacked = [list(r) for r in top] + [list(r) for r in top]
         kern = left_kernel(stacked)
+        assert row_echelon(stacked) == row_echelon_with_transform(stacked)[::2]
         assert len(kern) == n
         for y in kern:
             assert all(x.is_zero() for x in row_times_mat(y, stacked))
@@ -147,8 +164,8 @@ def test_module_intersect():
     rng = random.Random(13)
     for _ in range(20):
         n = rng.randrange(1, 3)
-        ha, _ = hnf_f2poly(rand_nonsingular(rng, n))
-        hb, _ = hnf_f2poly(rand_nonsingular(rng, n))
+        ha = hnf_f2poly(rand_nonsingular(rng, n))
+        hb = hnf_f2poly(rand_nonsingular(rng, n))
         hc = module_intersect(ha, hb, n)
         assert is_hnf(hc)
         # every generator of the intersection lies in both spans
@@ -179,9 +196,9 @@ def test_is_hnf_rejects_unreduced_entries():
 
 def test_module_intersect_with_self_and_full():
     rng = random.Random(14)
-    full = hnf_f2poly([[ONE]])[0]
+    full = hnf_f2poly([[ONE]])
     for _ in range(15):
-        ha, _ = hnf_f2poly(rand_nonsingular(rng, 1))
+        ha = hnf_f2poly(rand_nonsingular(rng, 1))
         assert module_intersect(ha, ha, 1) == ha
         assert module_intersect(ha, full, 1) == ha
 
@@ -215,7 +232,7 @@ def generator_matrices(draw):
 @given(generator_matrices())
 def test_hnf_invariants_with_a_long_entry(mat):
     try:
-        h, u = hnf_f2poly(mat)
+        h, u = hnf_and_transform(mat)
     except SingularMatrix:
         assume(False)
     assert is_hnf(h)

@@ -191,18 +191,25 @@ def test_the_zero_map():
 @st.composite
 def augmented(draw):
     """(N, B): N an n x n matrix of poly masks (n = 1..6), B of 0 to 3
-    columns.  Half the masks are 0, so pivots often need a row swap, and
-    half the N are a product through a narrower inner dimension, so
-    singular ones are common."""
+    columns.  A third of the N are dense: half their masks are 0, so
+    pivots often need a row swap.  A third are a product through a
+    narrower inner dimension, so singular ones are common.  A third are
+    triangular with a diagonal of 1, u, u**2 and 1 + u and sparse entries
+    on one side, with their rows permuted, as the lamplighter linear parts
+    are: so rows whose pivot-column entry is 0 are common, and each pivot
+    is the previous one times a diagonal entry (equal to it for a diagonal
+    1).  Half of those gain one entry on the other side, after which a
+    pivot need not be a multiple of the previous one."""
     n = draw(st.integers(1, 6))
     masks = st.integers(0, 15) | st.just(0)
 
     def block(r, c):
         return [[draw(masks) for _ in range(c)] for _ in range(r)]
 
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["dense", "product", "triangular"]))
+    if kind == "dense":
         mat = block(n, n)
-    else:
+    elif kind == "product":
         inner = draw(st.integers(0, n - 1))
         left, right = block(n, inner), block(inner, n)
         mat = [[0] * n for _ in range(n)]
@@ -210,6 +217,19 @@ def augmented(draw):
             for j in range(n):
                 for t in range(inner):
                     mat[i][j] ^= mask_mul(left[i][t], right[t][j])
+    else:
+        lower = draw(st.booleans())
+        sparse = st.sampled_from([0, 0, 0, 1, 2, 3, 5, 7])
+        mat = [[draw(st.sampled_from([1, 2, 4, 3])) if i == j
+                else draw(sparse) if (j < i) == lower else 0
+                for j in range(n)] for i in range(n)]
+        if n > 1 and draw(st.booleans()):
+            # one entry on the other side: a pivot need no longer be a
+            # multiple of the previous one
+            i, j = draw(st.permutations(range(n)))[:2]
+            mat[min(i, j) if lower else max(i, j)][max(i, j) if lower else min(i, j)] = draw(
+                st.sampled_from([1, 2, 3, 5, 7]))
+        mat = [mat[p] for p in draw(st.permutations(range(n)))]
     return mat, block(n, draw(st.integers(0, 3)))
 
 
