@@ -85,24 +85,6 @@ def row_echelon(mat):
     return tuple(tuple(row) for row in H), tuple(pivots)
 
 
-def hnf_f2poly(mat):
-    """Hermite normal form H of a square matrix: the canonical basis of
-    its row span.
-
-    Requires det != 0 up to powers of s; raises SingularMatrix otherwise.
-    """
-    mat = tuple(tuple(row) for row in mat)
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return ()
-    H, pivots = row_echelon(mat)
-    if len(pivots) < n:
-        raise SingularMatrix("matrix is singular over F2[s, 1/s]")
-    return H
-
-
 def is_hnf(mat) -> bool:
     """Check the canonical-form invariants used by submodule_index."""
     n = len(mat)

@@ -192,12 +192,18 @@ class MatQ:
     def __neg__(self):
         return MatQ._raw(tuple([tuple([-x for x in row]) for row in self.num]), self.den, self._nc)
 
+    @staticmethod
+    def _num_product(a, b, ncols: int):
+        """The integer product of the numerators a and b (tuples of int
+        tuples), b with ncols columns: the one product loop over Q."""
+        cols = tuple(zip(*b)) if b else ((),) * ncols
+        return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+
     def __mul__(self, other):
         if type(other) is MatQ:
             if self._nc != len(other.num):
                 raise ValueError("shape mismatch")
-            cols = tuple(zip(*other.num)) if other.num else ((),) * other._nc
-            num = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num])
+            num = MatQ._num_product(self.num, other.num, other._nc)
             return MatQ._lowest(num, self.den * other.den, other._nc)
         try:
             scalar = _rational(other)

@@ -196,7 +196,29 @@ def solve_inner_derivation(ts, vs) -> MatQ:
 
     The T_i must commute, have no common nonzero fixed vector, and the
     v_i must satisfy (T_j - 1) v_i = (T_i - 1) v_j; then x exists and is
-    unique.
+    unique.  The checks fail in that order: IncompatibleCocycle if the
+    T_i do not commute or the v_i fail the identity, DegenerateAction if
+    they share a fixed vector.
+
+    Two products share the denominator of T_i times that of T_j, so the
+    commutation is tested on the integer numerators.  T - 1 is T's
+    numerator with den taken off the diagonal, over T's den: that leaves
+    the gcd with den unchanged, so it stays in lowest terms.  One
+    elimination of the stacked system [T_i - 1 | v_i] gives its rank, its
+    consistency and x, and the identity is checked only when that finds a
+    rank below dim or no solution.  This keeps the order above:
+
+    * If the T_i commute and x solves every block, then
+      (T_j - 1) v_i - (T_i - 1) v_j = (T_j T_i - T_i T_j) x = 0, so the
+      identity holds whenever the elimination finds x.
+    * If the T_i commute, the identity holds and the rank is dim, the
+      system is consistent.  Over the algebraic closure the space splits
+      into joint generalized eigenspaces W of the A_i = T_i - 1.  On each
+      W some A_i is invertible, or else the commuting nilpotent A_i | W
+      would share a kernel vector, a common fixed vector.  Then
+      x_W = A_i^-1 v_i solves every block on W, since
+      A_i (A_j x_W - v_j) = A_j v_i - A_i v_j = 0.  So a system with no
+      solution that passes the identity has a rank below dim.
     """
     ts = [t if isinstance(t, MatQ) else MatQ(t) for t in ts]
     vs = [v if isinstance(v, MatQ) else MatQ(v) for v in vs]
@@ -215,31 +237,31 @@ def solve_inner_derivation(ts, vs) -> MatQ:
             raise DimensionMismatch(
                 f"the right-hand sides must be {dim}x1 columns, got {v.nrows}x{v.ncols}"
             )
+    product = MatQ._num_product
     for i, ti in enumerate(ts):
         for tj in ts[i + 1:]:
-            if ti * tj != tj * ti:
+            if product(ti.num, tj.num, dim) != product(tj.num, ti.num, dim):
                 raise IncompatibleCocycle("the matrices do not commute")
-    ident = MatQ.identity(dim)
-    diffs = [t - ident for t in ts]
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            if diffs[j] * vs[i] != diffs[i] * vs[j]:
-                raise IncompatibleCocycle(
-                    "right-hand sides fail the commuting-cocycle identity"
-                )
-    # one elimination of [stacked T_i - 1 | stacked v_i], each pair of blocks
-    # over one denominator, gives the rank of the stacked matrix, the
-    # consistency of the system and x
+    diffs = [
+        MatQ._raw(tuple(row[:r] + (row[r] - t.den,) + row[r + 1:] for r, row in enumerate(t.num)),
+                  t.den, dim)
+        for t in ts
+    ]
+    # each pair of blocks over one denominator
     aug = []
     for d, v in zip(diffs, vs):
         den = math.lcm(d.den, v.den)
         fd, fv = den // d.den, den // v.den
         aug += [[fd * x for x in dr] + [fv * vr[0]] for dr, vr in zip(d.num, v.num)]
     pivots, last, _ = MatQ._gauss_jordan(aug, dim)
-    if len(pivots) < dim:
+    if len(pivots) < dim or any(row[dim] for row in aug[dim:]):
+        for i in range(len(ts)):
+            for j in range(i + 1, len(ts)):
+                if diffs[j] * vs[i] != diffs[i] * vs[j]:
+                    raise IncompatibleCocycle(
+                        "right-hand sides fail the commuting-cocycle identity"
+                    )
         raise DegenerateAction("the actions share a nonzero fixed vector")
-    if any(row[dim] for row in aug[dim:]):
-        raise IncompatibleCocycle("the stacked linear system is inconsistent")
     return MatQ._lowest(tuple((row[dim],) for row in aug[:dim]), last, 1)
 
 

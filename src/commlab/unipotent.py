@@ -1,20 +1,23 @@
 """Unitriangular groups over Q and their S-integer subgroups.
 
 Everything is exact: the matrix logarithm and exponential are finite
-sums for unitriangular/nilpotent matrices, p-th roots are exp(log/p),
-and automorphisms of the group correspond to bracket-preserving linear
-maps on the strictly-upper-triangular matrices.  Each such map phi
-induces the commensuration exp(phi(log g)) of the S-integer points on
-the congruence subgroup of least depth D, which ``congruence_domain``
+sums for unitriangular/nilpotent matrices, and so is every rational
+power g**r = sum of C(r, k) (g - I)**k (Higham, Functions of Matrices,
+2008, section 1.2), which gives the p-th root (r = 1/p) and the inverse
+(r = -1).  Automorphisms of the group correspond to bracket-preserving
+linear maps on the strictly-upper-triangular matrices.  Each such map
+phi induces the commensuration exp(phi(log g)) of the S-integer points
+on the congruence subgroup of least depth D, which ``congruence_domain``
 reads off the images of the root elements.
 
-log, exp and roots sum their series on integers (``_series``): each
-power of x is formed on its band above the diagonal and cut to lowest
-terms by one gcd, and the sum by one more.  A map's images of the basis
-elements E(i, j) are read as integer matrices over its one denominator
-(``_root_images``); the bracket check multiplies their nonzero entries,
-and each step of the congruence depth's bisection sums one integer
-exp series per image.
+log, exp, roots and inverses each sum one series on integers
+(``_series``): each power of x is formed on its band above the diagonal
+and cut to lowest terms by one gcd, and the sum by one more; the root
+and inverse coefficients are binomial ones (``_binomial``).  A map's
+images of the basis elements E(i, j) are read as integer matrices over
+its one denominator (``_root_images``); the bracket check multiplies
+their nonzero entries, and each step of the congruence depth's
+bisection sums one integer exp series per image.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .storus import TRIAL_BOUND, is_prime, prime_factors, prime_set
 # Size bound for unitriangular matrices (factorial denominators grow with it).
 DIMENSION_CAP = 12
 
-# the series coefficients (k, a, b), the term (a / b) * x**k; an n x n
+# the series coefficients (k, c, d), the term (c / d) * x**k; an n x n
 # strictly upper triangular x has x**n = 0, so k < DIMENSION_CAP suffices
 _LOG_COEFFS = tuple((k, (-1) ** (k + 1), k) for k in range(1, DIMENSION_CAP))
 _EXP_COEFFS = tuple((k, 1, math.factorial(k)) for k in range(DIMENSION_CAP))
@@ -79,7 +82,9 @@ class UniTriMat:
         return UniTriMat(self.mat * other.mat)
 
     def inverse(self) -> "UniTriMat":
-        return UniTriMat(self.mat.inv())
+        """g**-1 as the Neumann series sum of (-1)**k (g - I)**k, one
+        binomial series (r = -1) on g's integer numerator."""
+        return _power(self, -1, 1)
 
     def __pow__(self, e: int) -> "UniTriMat":
         if e < 0:
@@ -138,28 +143,32 @@ class NilMat:
 
 
 def _series(num, den: int, coeffs):
-    """The sum of (a / b) * (num / den)**k over the (k, a, b) in coeffs
-    with k < n, for a strictly upper triangular n x n integer matrix num
-    (a tuple of int tuples) and den > 0, as (integer matrix, denominator).
+    """The sum of (c / d) * (num / den)**k over the (k, c, d) in coeffs,
+    d > 0, with k < n, for a strictly upper triangular n x n integer
+    matrix num (a tuple of int tuples) and den > 0, as (integer matrix,
+    denominator).
 
     (num / den)**k vanishes below its k-th superdiagonal, so each power is
-    formed on that band only, as the previous power times num, and cut to
-    lowest terms by one gcd; the first zero power ends the sum.  The terms
-    are added over the running lcm of their denominators, and the answer
-    is not cut to lowest terms.
+    formed and kept on that band only, as the previous power times num,
+    and cut to lowest terms by one gcd; the first zero power ends the sum.
+    The terms are added over the running lcm of their denominators, and
+    the answer is not cut to lowest terms.
     """
     n = len(num)
     cols = list(zip(*num))
-    power, pden = num, den
+    # row i of the k-th power holds its columns i + k, ..., n - 1
+    power = [row[i + 1:] for i, row in enumerate(num)]
+    pden = den
     acc = [[0] * n for _ in range(n)]
     lcm = 1
-    for k, a, b in coeffs:
+    for k, c, d in coeffs:
         if k >= n:
             break
         if k > 1:
+            # entry (i, j) sums over columns i + k - 1, ..., j - 1 of the last
+            # power's row i, a prefix of it: the product stops at the column slice
             power = [
-                [0] * (i + k)
-                + [sum(map(mul, row[i + k - 1:j], cols[j][i + k - 1:j])) for j in range(i + k, n)]
+                [sum(map(mul, row, cols[j][i + k - 1:j])) for j in range(i + k, n)]
                 for i, row in enumerate(power[:n - k])
             ]
             # a fold: gcd(*entries) would build an argument tuple per power
@@ -171,16 +180,16 @@ def _series(num, den: int, coeffs):
             if g > 1:
                 power = [[x // g for x in row] for row in power]
                 pden //= g
-        tden = b * pden if k else b
+        tden = d * pden if k else d
         if lcm % tden:
             f = tden // math.gcd(lcm, tden)
             lcm *= f
             acc = [list(map(f.__mul__, row)) for row in acc]
-        c = a * (lcm // tden)
+        c *= lcm // tden
         if k:
             for i, src in enumerate(power[:n - k]):
                 row = acc[i]
-                row[i + k:] = map(add, row[i + k:], map(c.__mul__, src[i + k:]))
+                row[i + k:] = map(add, row[i + k:], map(c.__mul__, src))
         else:
             for i, row in enumerate(acc):
                 row[i] += c
@@ -203,13 +212,37 @@ def unitri_exp(x: NilMat) -> UniTriMat:
     return UniTriMat(MatQ._lowest(*_series(x.mat.num, x.mat.den, _EXP_COEFFS), x.n))
 
 
+def _binomial(a: int, b: int, n: int):
+    """The terms (k, c, d), k < n, with c / d = C(a / b, k), b > 0: each
+    is the previous times (a/b - k + 1) / k, cut to lowest terms with
+    d > 0 by one gcd.  They end at the first zero coefficient, after which
+    every one is zero (a / b a whole number >= 0)."""
+    c = d = 1
+    for k in range(n):
+        if not c:
+            return
+        yield k, c, d
+        c *= a - k * b
+        d *= (k + 1) * b
+        g = math.gcd(c, d)
+        c, d = c // g, d // g
+
+
+def _power(g: UniTriMat, a: int, b: int) -> UniTriMat:
+    """g**(a / b), b > 0: the binomial series sum of C(a / b, k) (g - I)**k,
+    finite since (g - I)**n = 0, summed by one ``_series`` on g's integer
+    numerator."""
+    return UniTriMat(MatQ._lowest(*_series(_strict(g), g.mat.den, _binomial(a, b, g.n)), g.n))
+
+
 def pth_root(g: UniTriMat, p: int) -> UniTriMat:
     """The unique unitriangular solution of X**p = g (any p >= 1):
-    exp(log(g) / p), the log's denominator multiplied by p."""
+    g**(1/p), one binomial series in g - I.  It equals exp(log(g) / p),
+    whose p-th power is g, since (1 + x)**(1/p) and exp(log(1 + x) / p)
+    are the same power series."""
     if p < 1:
         raise ExponentMismatch(f"the root exponent must be >= 1, got {p}")
-    num, den = _series(_strict(g), g.mat.den, _LOG_COEFFS)
-    return UniTriMat(MatQ._lowest(*_series(num, den * p, _EXP_COEFFS), g.n))
+    return _power(g, 1, p)
 
 
 def is_s_integral(g, primes) -> bool:

@@ -13,7 +13,9 @@ through it.  ``k_to_coords`` and ``coords_to_k`` give the coordinates of
 K at a level through the ``f2poly`` interleave pair, and
 ``residue_coords`` is their oracle.  ``vder_canonical_by_trial`` finds
 the least level of a virtual derivation by one division per divisor of
-its level, the oracle of ``VDerElt.canonical``.  ``row_echelon_with_transform``
+its level, the oracle of ``VDerElt.canonical``.  ``hnf_f2poly`` is the
+Hermite form of a nonsingular square matrix read off
+``commlab.hnf.row_echelon``, and ``row_echelon_with_transform``
 is the Hermite form over F2[s, 1/s] that also tracks the unimodular
 transform U with H = U*mat; with ``left_kernel``, ``row_times_mat`` and
 ``module_intersect`` it gives ``comm_domain_by_kernel``, the three-HNF
@@ -21,6 +23,8 @@ route (left kernel, HNF of the kernel rows, flip of that basis) that
 ``commlab.lamplighter.comm_domain`` is compared against.  ``log_series`` and
 ``exp_series`` sum the unitriangular log and exp on any such matrix class:
 the oracle of the integer series of ``commlab.unipotent``.
+``solve_inner_by_definition`` solves the inner-derivation systems over
+``MatQFraction`` with every check in the order of its definition.
 """
 
 from fractions import Fraction
@@ -34,8 +38,8 @@ from commlab.f2poly import (
     mask_interleave,
     mask_mul,
 )
-from commlab.errors import SingularMatrix
-from commlab.hnf import module_from_rows
+from commlab.errors import DegenerateAction, IncompatibleCocycle, SingularMatrix
+from commlab.hnf import module_from_rows, row_echelon
 from commlab.lamplighter import CommInftyElt, LampComm, LampElement, SubmoduleBasis, VDerElt
 
 _ZERO = F2LaurentPoly.zero()
@@ -136,6 +140,24 @@ def row_echelon_with_transform(mat):
             if q:
                 row_add(i, pr, q)
     return tuple(map(tuple, H)), tuple(map(tuple, U)), tuple(pivots)
+
+
+def hnf_f2poly(mat):
+    """Hermite normal form H of a square matrix: the canonical basis of
+    its row span, read off ``commlab.hnf.row_echelon``.
+
+    Requires det != 0 up to powers of s; raises SingularMatrix otherwise.
+    """
+    mat = tuple(tuple(row) for row in mat)
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix must be square")
+    if n == 0:
+        return ()
+    H, pivots = row_echelon(mat)
+    if len(pivots) < n:
+        raise SingularMatrix("matrix is singular over F2[s, 1/s]")
+    return H
 
 
 def hnf_with_transform(mat):
@@ -590,6 +612,33 @@ def exp_series(x):
         fact *= k
         acc = acc + power * Fraction(1, fact)
     return acc
+
+
+def solve_inner_by_definition(ts, vs):
+    """x with (T_i - 1) x = v_i for MatQ T_i and columns v_i, over
+    ``MatQFraction``: the oracle of ``commlab.solvable.solve_inner_derivation``.
+    Its checks run in the order of their definition: the T_i commute, the
+    v_i satisfy (T_j - 1) v_i = (T_i - 1) v_j, the stacked T_i - 1 have
+    full rank, and the stacked system is consistent."""
+    ts = [MatQFraction(t.rows) for t in ts]
+    vs = [MatQFraction(v.rows) for v in vs]
+    for i, ti in enumerate(ts):
+        for tj in ts[i + 1:]:
+            if ti * tj != tj * ti:
+                raise IncompatibleCocycle("the matrices do not commute")
+    ident = MatQFraction.identity(ts[0].nrows)
+    diffs = [t - ident for t in ts]
+    for i in range(len(ts)):
+        for j in range(i + 1, len(ts)):
+            if diffs[j] * vs[i] != diffs[i] * vs[j]:
+                raise IncompatibleCocycle("right-hand sides fail the commuting-cocycle identity")
+    stacked = MatQFraction([row for d in diffs for row in d.rows])
+    if stacked.rank() < ident.nrows:
+        raise DegenerateAction("the actions share a nonzero fixed vector")
+    x = stacked.solve(MatQFraction([row for v in vs for row in v.rows]))
+    if x is None:
+        raise IncompatibleCocycle("the stacked linear system is inconsistent")
+    return x
 
 
 def random_element(rng, max_exp: int = 8) -> LampElement:

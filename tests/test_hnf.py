@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from commlab.errors import SingularMatrix
 from commlab.f2poly import F2LaurentPoly as P
 from commlab.hnf import (
-    hnf_f2poly,
     is_hnf,
     module_from_rows,
     row_echelon,
@@ -16,6 +15,7 @@ from commlab.hnf import (
     submodule_index,
 )
 from samplers import (
+    hnf_f2poly,
     hnf_with_transform,
     left_kernel,
     module_intersect,

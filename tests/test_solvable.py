@@ -34,6 +34,7 @@ from commlab.solvable import (
     reduced_comm_structure,
     solve_inner_derivation,
 )
+from samplers import solve_inner_by_definition
 
 
 def rand_affine(rng):
@@ -228,21 +229,33 @@ def test_solve_inner_examples():
 
 
 def test_solve_inner_rejections():
-    with pytest.raises(DegenerateAction):
+    with pytest.raises(DegenerateAction, match="^the actions share a nonzero fixed vector$"):
         solve_inner_derivation([MatQ([[1, 0], [0, 2]])], [MatQ.column([0, 1])])
-    with pytest.raises(IncompatibleCocycle):
+    # this system also has no solution; the identity is named, as it is checked first
+    with pytest.raises(IncompatibleCocycle,
+                       match="^right-hand sides fail the commuting-cocycle identity$"):
         solve_inner_derivation(
             [MatQ([[2, 0], [0, 3]]), MatQ([[3, 0], [0, 2]])],
             [MatQ.column([1, 2]), MatQ.column([2, 2])],
         )
-    with pytest.raises(IncompatibleCocycle):
+    with pytest.raises(IncompatibleCocycle, match="^the matrices do not commute$"):
         solve_inner_derivation(
             [MatQ([[1, 1], [0, 2]]), MatQ([[2, 0], [1, 1]])],
             [MatQ.column([0, 0]), MatQ.column([0, 0])],
         )
+    # a shared fixed vector and a failed identity: the identity is named
+    with pytest.raises(IncompatibleCocycle,
+                       match="^right-hand sides fail the commuting-cocycle identity$"):
+        solve_inner_derivation(
+            [MatQ([[1, 0], [0, 2]]), MatQ([[1, 0], [0, 3]])],
+            [MatQ.column([0, 1]), MatQ.column([0, 0])],
+        )
 
 
-def _planted_system(rng, dim, count):
+def _planted_system(rng, dim, count, fixed=False):
+    """Commuting T_i = C D_i C^-1, D_i diagonal with eigenvalues != 1, a
+    planted x and v_i = (T_i - 1) x.  With ``fixed`` every D_i has the
+    eigenvalue 1 at one shared place, so the T_i share a fixed vector."""
     base = MatQ.identity(dim)
     # random unimodular conjugator keeps everything exact
     conj = MatQ.identity(dim)
@@ -254,11 +267,12 @@ def _planted_system(rng, dim, count):
             conj = conj * MatQ(rows)
     cinv = conj.inv()
     eigs = [F(2), F(3), F(-1), F(5), F(1, 2), F(3, 2), F(-1, 2), F(5, 2)]
+    one = rng.randrange(dim) if fixed else None
     ts = []
     for _ in range(count):
         diag = MatQ(
             [
-                [rng.choice(eigs) if i == j else F(0) for j in range(dim)]
+                [(F(1) if i == one else rng.choice(eigs)) if i == j else F(0) for j in range(dim)]
                 for i in range(dim)
             ]
         )
@@ -280,6 +294,46 @@ def test_solve_inner_planted():
         for t, v in zip(ts, vs):
             assert (t - MatQ.identity(dim)) * got == v
         solved += 1
+
+
+@st.composite
+def inner_systems(draw):
+    """(ts, vs): a planted system of ``_planted_system`` with dim 1 to 5
+    and 1 to 3 matrices, as it is, with one v entry changed, with one T
+    swapped for a small random matrix (which commutes with the others
+    only by chance), with a shared eigenvalue 1, or with both a shared
+    eigenvalue 1 and a changed v entry."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["planted", "changed", "swapped", "fixed", "fixed changed"]))
+    dim, count = rng.randrange(1, 6), rng.randrange(1, 4)
+    ts, vs, _ = _planted_system(rng, dim, count, fixed=kind.startswith("fixed"))
+    if kind.endswith("changed"):
+        k = rng.randrange(count)
+        rows = [list(r) for r in vs[k].rows]
+        rows[rng.randrange(dim)][0] += rng.choice([F(1), F(-1, 3), F(2)])
+        vs[k] = MatQ(rows)
+    elif kind == "swapped":
+        ts[rng.randrange(count)] = MatQ(
+            [[F(rng.randrange(-3, 4), rng.choice([1, 2])) for _ in range(dim)] for _ in range(dim)]
+        )
+    return ts, vs
+
+
+def outcome(solve, ts, vs):
+    """The solution's entries, or the error's class and message."""
+    try:
+        return solve(ts, vs).rows
+    except (DegenerateAction, IncompatibleCocycle) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(inner_systems())
+def test_solve_inner_agrees_with_the_definition(system):
+    """The same solution, or the same error with the same message, as the
+    checks in the order of their definition over one Fraction per entry."""
+    ts, vs = system
+    assert outcome(solve_inner_derivation, ts, vs) == outcome(solve_inner_by_definition, ts, vs)
 
 
 # ------------------------------------------- iterated semidirect product

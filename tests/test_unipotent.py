@@ -30,6 +30,7 @@ from commlab.unipotent import (
     unitri_exp,
     unitri_log,
 )
+from commlab.storus import is_prime
 from samplers import MatQFraction, exp_series, log_series
 
 
@@ -124,6 +125,32 @@ def test_log_and_exp_match_the_fraction_series(rows):
 def test_pth_root_is_a_root(rows, p):
     g = unitri_from(rows)
     assert pth_root(g, p) ** p == g
+
+
+@st.composite
+def root_degrees(draw):
+    """p from 1, 2, 3, 5 and 7, or the least probable prime (storus.is_prime)
+    at or above a drawn integer of a drawn bit length up to 127, so of up
+    to 128 bits."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from([1, 2, 3, 5, 7]))
+    bits = draw(st.integers(2, 127))
+    p = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    while not is_prime(p):
+        p += 1
+    return p
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(strict_rows(), root_degrees())
+def test_root_and_inverse_match_the_fraction_series(rows, p):
+    """The binomial series against the elimination (the inverse) and
+    against exp(log(g) / p) summed over one Fraction per entry (the root)."""
+    n = len(rows)
+    g = unitri_from(rows)
+    assert g.inverse().mat == g.mat.inv()
+    log = log_series(MatQFraction(g.mat.rows) - MatQFraction.identity(n))
+    assert pth_root(g, p).mat.rows == exp_series(log * F(1, p)).rows
 
 
 def test_exp_of_a_log_with_large_denominators_is_fast():
