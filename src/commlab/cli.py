@@ -122,6 +122,11 @@ def _lamp_invert(args):
     return comm_invert(_lamp_comm(args.comm)).to_json()
 
 
+def _lamp_domain(args):
+    from .lamplighter import comm_domain
+    return comm_domain(_lamp_comm(args.comm))[0].to_json()
+
+
 def _lamp_from_partial(args):
     from . import lamplighter as lamp
     data = _load_json(args.data)
@@ -412,6 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _leaf(lsubs, "apply", _lamp_apply, "--comm", "--elem")
     _leaf(lsubs, "compose", _lamp_compose, "--c1", "--c2")
     _leaf(lsubs, "invert", _lamp_invert, "--comm")
+    _leaf(lsubs, "domain", _lamp_domain, "--comm")
     _leaf(lsubs, "from-partial", _lamp_from_partial, "--data")
     _leaf(lsubs, "embed-gl", _lamp_embed_gl,
           "--n").add_argument("--matrix", required=True, help='F2 matrix "1,0;0,1"')

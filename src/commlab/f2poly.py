@@ -45,6 +45,9 @@ _WINDOW = 1024
 _SHORT = 128
 # byte i with its eight bits in reverse order
 _BIT_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+# byte i -> 1 if i is nonzero, and the positions of its set bits
+_NONZERO = bytes(min(i, 1) for i in range(256))
+_BITS_OF = tuple(tuple(k for k in range(8) if i >> k & 1) for i in range(256))
 # the widest span, in bits, of a polynomial built from its exponents: parsing
 # "1+t^N" allocates N/8 bytes, so a wider span raises ResourceLimit first
 MAX_SPAN = 1 << 26
@@ -251,9 +254,26 @@ class F2LaurentPoly:
         return cls._raw(mask, 0)
 
     def support(self) -> tuple[int, ...]:
-        """The exponents in ascending order, read off one scan of the bit string."""
-        top = self.shift + self.mask.bit_length() - 1
-        return tuple(top - m.start() for m in _ONE.finditer(format(self.mask, "b")))[::-1]
+        """The exponents in ascending order.  A mask with fewer than one set
+        bit per 512 of its length is read off its nonzero bytes, which one
+        translate and one find per byte locate, so it costs about a byte per
+        8 bits of span; a denser one off one scan of its bit string, which
+        costs a character per bit but less per set bit.  Timed at lengths
+        4096 to 2**22, the byte walk is 1.3-2x slower than the scan at one
+        set bit per 128-256 bits, about even at one per 512 and faster
+        beyond."""
+        mask, shift = self.mask, self.shift
+        if mask.bit_count() * 512 < mask.bit_length():
+            buf = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+            nonzero = buf.translate(_NONZERO)
+            out = []
+            i = nonzero.find(1)
+            while i >= 0:
+                out.extend(shift + 8 * i + k for k in _BITS_OF[buf[i]])
+                i = nonzero.find(1, i + 1)
+            return tuple(out)
+        top = shift + mask.bit_length() - 1
+        return tuple(top - m.start() for m in _ONE.finditer(format(mask, "b")))[::-1]
 
     @property
     def min_exp(self) -> int:

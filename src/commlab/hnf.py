@@ -8,19 +8,31 @@ to its canonical representative modulo that diagonal.  Submodule
 equality is then a syntactic check.
 
 Matrices here are plain tuples of tuples of F2LaurentPoly; row spans
-are the submodules.  The echelon routines return the echelon form and
-its pivot columns and track no transform: a kernel is read off the
-echelon form of an augmented matrix [A | I] instead (see
-``lamplighter.comm_domain``).  Every division is f2poly's: the
-Euclidean steps are ``mask_divmod``, and an entry above a pivot d is
-reduced by ``F2LaurentPoly.divmod(d)``, whose quotient is the row
-multiplier.
+are the submodules.  Two routines build the form, and neither tracks a
+transform: a kernel is read off the form of an augmented matrix [A | I]
+instead (see ``lamplighter.comm_domain``).
+
+* ``row_echelon`` takes any rows, by Euclidean steps on their entries
+  as they are.
+* ``hnf_mod`` takes rows and a poly mask d with d(0) = 1 and returns
+  the form of span(rows) + d*F^n.  Since that module holds d*e_j for
+  every column j, each entry is kept as its representative modulo d, a
+  polynomial of degree < deg d, so no entry of the elimination grows
+  past deg d (Hermite form modulo a multiple of the determinant: Domich,
+  Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, A Course in
+  Computational Algebraic Number Theory, GTM 138, Algorithm 2.4.8).
+
+Every division is f2poly's: the Euclidean steps are ``mask_divmod``, and
+an entry above a pivot d is reduced by ``F2LaurentPoly.divmod(d)``, whose
+quotient is the row multiplier.
 """
 
 from __future__ import annotations
 
 from .errors import SingularMatrix
-from .f2poly import F2LaurentPoly, mask_deg, mask_divmod
+from .f2poly import F2LaurentPoly, mask_deg, mask_divmod, mask_mod, mask_mul
+
+_ZERO = F2LaurentPoly.zero()
 
 
 def _row_add(rows, i, j, q):
@@ -29,13 +41,13 @@ def _row_add(rows, i, j, q):
     rows[i] = [a + q * b if b else a for a, b in zip(rows[i], rows[j])]
 
 
-def echelon(mat):
-    """Row echelon form over F2[s, 1/s] by Euclidean steps, unreduced.
+def row_echelon(mat):
+    """Canonical row echelon form over F2[s, 1/s] by Euclidean steps.
 
-    Returns (H, pivots): H, a list of row lists, has the row span of mat,
-    zero rows at the bottom and pivot entries unit-normalized; pivots are
-    the pivot columns of its rows.  The entries above a pivot are left as
-    they are, so rows that a caller discards are never reduced.
+    Returns (H, pivots): H, a tuple of row tuples, has the row span of
+    mat, zero rows at the bottom, pivot entries unit-normalized and the
+    entries above each pivot reduced modulo it; pivots are the pivot
+    columns of its rows.
     """
     H = [list(row) for row in mat]
     nr = len(H)
@@ -64,17 +76,6 @@ def echelon(mat):
             H[r] = [x.shifted(-sh) for x in H[r]]
         pivots.append(c)
         r += 1
-    return H, pivots
-
-
-def row_echelon(mat):
-    """Canonical row echelon form over F2[s, 1/s].
-
-    Returns (H, pivots): the echelon form with the entries above each
-    pivot reduced modulo it, as a tuple of row tuples, and its pivot
-    columns.
-    """
-    H, pivots = echelon(mat)
     for pr, pc in enumerate(pivots):
         d = H[pr][pc].mask
         for i in range(pr):
@@ -83,6 +84,54 @@ def row_echelon(mat):
             if q:
                 _row_add(H, i, pr, q)
     return tuple(tuple(row) for row in H), tuple(pivots)
+
+
+def _add_mod(row, src, q, start, d):
+    """row[j] += q * src[j] modulo d for the columns j >= start."""
+    for j in range(start, len(row)):
+        if src[j]:
+            x = row[j] ^ mask_mul(q, src[j])
+            row[j] = mask_mod(x, d) if x.bit_length() >= d.bit_length() else x
+
+
+def hnf_mod(rows, n: int, d: int):
+    """The HNF basis, n x n, of span(rows) + d*F^n for rows of width n and
+    a poly mask d with d(0) = 1.
+
+    Entries are poly masks reduced modulo d throughout.  At column c the
+    row d*e_c joins the rows with a nonzero entry there, Euclidean steps
+    over F2[s] bring one of them to the gcd g of those entries and d, and
+    each row a step touched has its entries right of c reduced modulo d;
+    rows that vanish are dropped.  g divides d, so g(0) = 1 and it is the
+    unit-normalized pivot.  Reducing modulo d adds a multiple of some
+    d*e_j, which lies in the module and, for j past the row's pivot, in
+    the span of the later basis rows, so the basis stays a basis; the
+    entries above each pivot are reduced the same way at the end.
+    """
+    work = [[x.divmod(d)[1] if x else 0 for x in row] for row in rows]
+    work = [row for row in work if any(row)]
+    H = []
+    for c in range(n):
+        live = [row for row in work if row[c]]
+        work = [row for row in work if not row[c]]
+        if 1 not in [row[c] for row in live]:
+            # else d*e_c is in the span of the row with a 1 and the later d*e_j
+            live.append([d if j == c else 0 for j in range(n)])
+        while len(live) > 1:
+            live.sort(key=lambda row: row[c].bit_length())
+            base = live[0]
+            for row in live[1:]:
+                q, row[c] = mask_divmod(row[c], base[c])
+                _add_mod(row, base, q, c + 1, d)
+            work += [row for row in live[1:] if not row[c] and any(row)]
+            live = [row for row in live if row[c]]
+        H.append(live[0])
+    for j, pivot in enumerate(H):
+        for row in H[:j]:
+            if row[j]:
+                q, row[j] = mask_divmod(row[j], pivot[j])
+                _add_mod(row, pivot, q, j + 1, d)
+    return tuple(tuple(F2LaurentPoly._raw(x, 0) if x else _ZERO for x in row) for row in H)
 
 
 def is_hnf(mat) -> bool:

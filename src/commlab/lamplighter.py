@@ -445,9 +445,8 @@ class SubmoduleBasis:
 
     @classmethod
     def full(cls, level: int = 1) -> "SubmoduleBasis":
-        return cls(level, hnf.row_echelon(
-            [[_ONE if i == j else _ZERO for j in range(level)] for i in range(level)]
-        )[0])
+        return cls(level, [[_ONE if i == j else _ZERO for j in range(level)]
+                           for i in range(level)])
 
     @classmethod
     def from_generators(cls, level: int, gens) -> "SubmoduleBasis":
@@ -654,32 +653,28 @@ def comm_domain(c: LampComm):
     else.
 
     For the linear part num / den, D = {y : num*y in den*K} in the
-    coordinates at level L.  It is read off one echelon form over
-    F2[s, 1/s] of the 2L x 2L matrix with rows (column i of num | e_i)
-    and (den*e_i | 0), i < L, with no transform: the den*e_i rows give
-    the first block full rank, so the last L rows of the echelon form
-    vanish on it, and since the first L rows are triangular there, the
-    last L span every row combination that vanishes on it.  So their
-    second blocks span exactly the y with y*num^T in the row span of
-    den*I, that is D, and D has full rank as den*K lies in it.  The
-    echelon form is left unreduced, since its first L rows are dropped,
-    and the L x L triangular block is brought to its HNF.  A flipped
-    class applies lin after F, so its domain is F(D), the flip of that
-    basis.  (The domain of F*lin*F is F(D) too, but the Euclidean steps
-    on its block matrix can swell where those on lin's do not: for a
-    row-permuted triangular lin at level 60 they ran for minutes.)
+    coordinates at level L.  It is read off the Hermite form over
+    F2[s, 1/s] of the module M spanned by the rows (column i of num | e_i),
+    i < L, and den*F^(2L), with no transform.  The y with (0 | y) in M
+    are those with y*num^T in den*F^L, plus den*F^L, which D already
+    holds since den*K lies in it: so they form D.  M has full rank, and
+    the last L rows of its triangular form vanish on the first block
+    and span every element of M that does, so their second blocks are
+    the HNF basis of D.  Since den*F^(2L) lies in M, the form is
+    ``hnf.hnf_mod`` modulo den, whose entries never reach deg den (Domich,
+    Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138,
+    Algorithm 2.4.8).  For den = 1, D is K, with no elimination at all.  A
+    flipped class applies lin after F, so its domain is F(D), the flip of
+    that basis.
     """
     level = c.level
-    dp = c.lin.den_poly()
+    if c.lin.den == 1:  # num maps K into K, and F(K) = K
+        return SubmoduleBasis.full(level), level
     masks, shift = c.lin.num.entry_masks()
-    stacked = []
-    for i in range(level):
-        row = [F2LaurentPoly._raw(masks[r][i], shift) for r in range(level)]
-        stacked.append(row + [_ONE if r == i else _ZERO for r in range(level)])
-    for i in range(level):
-        stacked.append([dp if r == i else _ZERO for r in range(level)] + [_ZERO] * level)
-    H, _ = hnf.echelon(stacked)
-    basis = SubmoduleBasis.from_generators(level, [row[level:] for row in H[level:]])
+    rows = [[F2LaurentPoly._raw(masks[r][i], shift) for r in range(level)]
+            + [_ONE if r == i else _ZERO for r in range(level)] for i in range(level)]
+    H = hnf.hnf_mod(rows, 2 * level, c.lin.den)
+    basis = SubmoduleBasis(level, [row[level:] for row in H[level:]])
     return (basis.flip() if c.flip else basis), level
 
 

@@ -73,13 +73,23 @@ class UniTriMat:
         self.mat = mat
 
     @classmethod
+    def _raw(cls, mat: MatQ) -> "UniTriMat":
+        """A MatQ that is unitriangular by construction, of size at most
+        DIMENSION_CAP, taken without a scan: products, exp and the
+        binomial series of unitriangular matrices of that size."""
+        self = object.__new__(cls)
+        self.n = mat.nrows
+        self.mat = mat
+        return self
+
+    @classmethod
     def identity(cls, n: int) -> "UniTriMat":
         return cls(MatQ.identity(n))
 
     def __mul__(self, other):
         if not isinstance(other, UniTriMat):
             return NotImplemented
-        return UniTriMat(self.mat * other.mat)
+        return UniTriMat._raw(self.mat * other.mat)
 
     def inverse(self) -> "UniTriMat":
         """g**-1 as the Neumann series sum of (-1)**k (g - I)**k, one
@@ -209,7 +219,7 @@ def unitri_log(g: UniTriMat) -> NilMat:
 
 def unitri_exp(x: NilMat) -> UniTriMat:
     """Exact exponential: the finite series sum of x**k / k!."""
-    return UniTriMat(MatQ._lowest(*_series(x.mat.num, x.mat.den, _EXP_COEFFS), x.n))
+    return UniTriMat._raw(MatQ._lowest(*_series(x.mat.num, x.mat.den, _EXP_COEFFS), x.n))
 
 
 def _binomial(a: int, b: int, n: int):
@@ -232,7 +242,7 @@ def _power(g: UniTriMat, a: int, b: int) -> UniTriMat:
     """g**(a / b), b > 0: the binomial series sum of C(a / b, k) (g - I)**k,
     finite since (g - I)**n = 0, summed by one ``_series`` on g's integer
     numerator."""
-    return UniTriMat(MatQ._lowest(*_series(_strict(g), g.mat.den, _binomial(a, b, g.n)), g.n))
+    return UniTriMat._raw(MatQ._lowest(*_series(_strict(g), g.mat.den, _binomial(a, b, g.n)), g.n))
 
 
 def pth_root(g: UniTriMat, p: int) -> UniTriMat:

@@ -23,7 +23,8 @@ route (left kernel, HNF of the kernel rows, flip of that basis) that
 ``commlab.lamplighter.comm_domain`` is compared against.  ``log_series`` and
 ``exp_series`` sum the unitriangular log and exp on any such matrix class:
 the oracle of the integer series of ``commlab.unipotent``.
-``solve_inner_by_definition`` solves the inner-derivation systems over
+``ci_lamp_class`` draws the row-permuted triangular classes of the CI
+lamplighter digest.  ``solve_inner_by_definition`` solves the inner-derivation systems over
 ``MatQFraction`` with every check in the order of its definition.
 """
 
@@ -699,3 +700,27 @@ def random_comm(rng, max_level: int = 6, max_deg: int = 8) -> LampComm:
     support = [e for e in range(-max_deg, max_deg + 1) if rng.random() < 0.2]
     der = VDerElt(level, F2LaurentPoly(support))
     return LampComm.make(der, CommInftyElt.from_entries(level, mat.to_strings()), rng.random() < 0.5)
+
+
+def ci_lamp_class(rng, level):
+    """A class drawn as by the CI step "Lamplighter outputs match the base
+    branch": a row-permuted lower-triangular linear part with a diagonal
+    of 1, s, 1/s and 1 + s + s^2 and entries over 1, 1 + s or 1 + s + s^2,
+    a sparse derivation value of span up to 10^4, and a random flip."""
+
+    def poly(lo, hi, terms):
+        exps = sorted({rng.randrange(lo, hi) for _ in range(terms)})
+        return "+".join("1" if e == 0 else "t" if e == 1 else f"t^{e}" for e in exps) or "0"
+
+    def entry():
+        num = poly(-2, 3, rng.randrange(1, 4)).replace("t", "s")
+        den = rng.choice(("1", "1", "1+s", "1+s+s^2"))
+        return num if den == "1" else f"({num})/({den})"
+
+    rows = [[entry() if j < i and rng.random() < 0.3
+             else rng.choice(("1", "s", "s^-1", "1+s+s^2")) if j == i else "0"
+             for j in range(level)] for i in range(level)]
+    der = poly(-rng.choice((4, 5000)), rng.choice((4, 5000)), rng.randrange(0, 40))
+    return LampComm.from_json({"level": level, "der": der,
+                               "A": [rows[p] for p in rng.sample(range(level), level)],
+                               "flip": rng.random() < 0.5})

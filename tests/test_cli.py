@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -82,6 +83,36 @@ def test_lamp_from_partial(capsys):
     code, out = run_json(capsys, ["lamp", "from-partial", "--data", json.dumps(data)])
     assert code == 0
     assert out == {"level": 1, "der": "1+t", "A": [["1"]], "flip": False}
+
+
+def test_lamp_domain(capsys):
+    from commlab.lamplighter import LampComm, SubmoduleBasis, comm_compose, comm_domain
+    from samplers import ci_lamp_class
+
+    c = {"level": 2, "der": "t", "A": [["1", "0"], ["0", "(1)/(1+s+s^3)"]], "flip": True}
+    code, out = run_json(capsys, ["lamp", "domain", "--comm", json.dumps(c)])
+    assert code == 0 and out == {"level": 2, "H": [["1", "0"], ["0", "1+s^2+s^3"]]}
+    # the shape that quotient-dim and from-partial read
+    basis = SubmoduleBasis.from_json(out)
+    assert basis == comm_domain(LampComm.from_json(c))[0] and basis.index_log2 == 3
+    # a level-60 class whose domain took over 15 s by an unreduced echelon
+    # form; its parse takes about 0.06 s, so the bound is on the domain
+    c60 = ci_lamp_class(random.Random(2), 60)
+    start = time.perf_counter()
+    code, out = run_json(capsys, ["lamp", "domain", "--comm", json.dumps(c60.to_json())])
+    assert time.perf_counter() - start < 2  # about 0.1 s
+    assert code == 0 and SubmoduleBasis.from_json(out) == comm_domain(c60)[0]
+    # its flip conjugate, untimed: the parse alone takes 0.5-0.8 s here, and
+    # test_lamplighter bounds the domain of these conjugates
+    flip = LampComm.flip_class()
+    conj = comm_compose(flip, comm_compose(c60, flip))
+    code, out = run_json(capsys, ["lamp", "domain", "--comm", json.dumps(conj.to_json())])
+    assert code == 0 and SubmoduleBasis.from_json(out) == comm_domain(conj)[0]
+    # malformed input
+    for comm in ('{"level": 2', '{"level": 1, "der": "t^x", "A": [["1"]], "flip": false}',
+                 '{"level": 1, "der": "0", "A": [["1"]], "flip": "no"}'):
+        code, out = run_json(capsys, ["lamp", "domain", "--comm", comm])
+        assert code == 2 and out["error"] == "ParseError", comm
 
 
 def test_unipotent_commands(capsys):
@@ -616,7 +647,7 @@ def test_a_rejected_command_line_prints_one_json_line(capsys):
 # argparse lays help out differently across CPython versions; these are 3.11's
 _HELP_SHA256 = {
     (): "073397628794adcba8fa57b74a70d3a73e251e113f44415cc30b0e304527323b",
-    ("lamp",): "78465dc2d70e7748e9285351559f8a6081c58dc858acb368263e8231e62e50fd",
+    ("lamp",): "0937b0d9ec189d9268a9aaff116ef0695641f1ac4fb9417a2fdee950daf8f26c",
     ("unipotent",): "3e8a097171a8d9eae03db27c2f61259c9f11bc93d5cf78387d07fea071b6e26b",
     ("bs",): "c31c78c259a46c4c3abccee6cdb855656c6eb7e1def186d4a0f0a384096cac2f",
     ("comm-desc",): "661a006b2a141dd6d42dedc50300727f716258cc0e12f88ea8ead81b73293429",
@@ -709,8 +740,9 @@ def _leaves(parser, path=()):
 
 def test_every_leaf_subcommand_has_a_handler():
     leaves = dict(_leaves(_build_parser()))
-    assert len(leaves) == 19
+    assert len(leaves) == 20
     assert ("lamp", "quotient-dim") in leaves and ("demo",) in leaves
+    assert ("lamp", "domain") in leaves
     for path, leaf in leaves.items():
         assert callable(leaf.get_default("handler")), path
 

@@ -2,7 +2,8 @@
 ``mask_divmod`` and ``F2LaurentPoly.exact_div`` on both division routes,
 the Laurent ``F2LaurentPoly.divmod``, ``F2LaurentPoly.geometric``,
 ``LampElement.__pow__`` and the interleave pair of the Kronecker layout;
-and the ring axioms of ``F2LaurentPoly`` on masks of a few hundred bits."""
+and the ring axioms of ``F2LaurentPoly`` on masks of a few hundred bits,
+and its support on masks on both sides of its sparse-route switch."""
 
 import random
 
@@ -197,3 +198,17 @@ def test_ring_axioms(a, b, c):
     assert a * one == a and a * zero == zero
     assert F2LaurentPoly(a.support()) == a
     assert F2LaurentPoly.from_string(a.to_string()) == a
+
+
+@PROPERTY
+@given(st.sets(st.integers(-(10**5), 10**5), min_size=1, max_size=400), st.integers(0, 2**32))
+def test_support_lists_the_terms_on_both_routes(exps, seed):
+    # a mask with fewer than one set bit per 512 of its span walks its nonzero
+    # bytes, a denser one scans its bit string; crowding the terms into a
+    # window of a random width puts draws on both sides of that switch
+    lo = min(exps)
+    width = random.Random(seed).choice([8, 600, 5000, 2 * 10**5 + 1])
+    terms = sorted({lo + (e - lo) % width for e in exps})
+    p = F2LaurentPoly(terms)
+    assert p.support() == tuple(terms)
+    assert F2LaurentPoly.from_string(p.to_string()) == p

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commlab import ratfun
+from commlab import hnf, ratfun
 from commlab.errors import (
     DimensionMismatch,
     ExponentMismatch,
@@ -40,6 +40,7 @@ from commlab.polymat import PolyMat
 from samplers import (
     F2RatFun as R,
     MatF2Rat,
+    ci_lamp_class,
     comm_domain_by_kernel,
     coords_to_k,
     f2_rank,
@@ -445,8 +446,8 @@ def test_a_row_permuted_triangular_class_at_level_60_is_fast():
     assert time.perf_counter() - start < 2.5  # about 0.5 s
     assert lin.compose(inv).canonical() == CommInftyElt.identity(1)
     # the domain, plain and flipped, and the class rebuilt from it: about
-    # 0.2 and 0.7 s; the domain of the flip-conjugated linear part by the
-    # same echelon form takes 24 s
+    # 0.2 and 0.7 s; the domain of the flip-conjugated linear part took 24 s
+    # by an unreduced echelon form, and takes about 0.01 s modulo den
     for flip in (False, True):
         c = LampComm.make(VDerElt.zero(), lin, flip)
         start = time.perf_counter()
@@ -784,6 +785,78 @@ def test_domain_agrees_with_the_kernel_route(case, flip):
     # the domain of the level the class was drawn at, not only of its least level
     raw = LampComm(VDerElt.zero().raise_to(level), lin, flip)
     assert comm_domain(raw) == comm_domain_by_kernel(raw)
+    # and of the flip conjugate of the linear part, whose echelon steps swelled
+    conj = LampComm.make(VDerElt.zero(), lin.flip_conj(), flip)
+    assert comm_domain(conj) == comm_domain_by_kernel(conj)
+
+
+def laurent_polys(span=6):
+    """A Laurent polynomial with exponents in [-span, span], in a quarter
+    of the draws plus a term s^-N or s^N with N <= 300."""
+    return st.builds(
+        lambda exps, far: P(exps ^ far),
+        st.sets(st.integers(-span, span), max_size=4),
+        st.one_of(st.just(set()), st.just(set()), st.just(set()),
+                  st.builds(lambda e: {e}, st.integers(-300, 300))),
+    )
+
+
+def hnf_mod_entry_degrees(call):
+    """Run call() and return, for each hnf.hnf_mod call it makes, deg d and
+    the largest degree of an entry that call multiplies (-1 if none)."""
+    found = []
+    hnf_mod, mul = hnf.hnf_mod, hnf.mask_mul
+
+    def counted_hnf_mod(rows, n, d):
+        found.append([d.bit_length() - 1, -1])
+        return hnf_mod(rows, n, d)
+
+    def counted_mul(a, b):
+        found[-1][1] = max(found[-1][1], a.bit_length() - 1, b.bit_length() - 1)
+        return mul(a, b)
+
+    with mock.patch.object(hnf, "hnf_mod", counted_hnf_mod), \
+            mock.patch.object(hnf, "mask_mul", counted_mul):
+        call()
+    return found
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(laurent_polys(), min_size=n, max_size=n), max_size=5))),
+    st.sets(st.integers(1, 9), max_size=4))
+def test_hnf_mod_is_the_form_of_the_rows_and_d_times_the_free_module(case, d_exps):
+    n, rows = case
+    d = P({0} | d_exps).mask  # d(0) = 1
+    dp = P._raw(d, 0)
+    stacked = rows + [[dp if i == j else P.zero() for j in range(n)] for i in range(n)]
+    H, pivots = hnf.row_echelon(stacked)
+    assert pivots == tuple(range(n))
+    out = []
+    for deg_d, deg_entry in hnf_mod_entry_degrees(lambda: out.append(hnf.hnf_mod(rows, n, d))):
+        assert deg_entry < deg_d
+    assert out[0] == H[:n]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_domains_of_flip_conjugated_level_60_classes_are_fast(seed):
+    # F*c*F for a level-60 class of the CI generator: by an unreduced echelon
+    # form its domain ran past 15 s for the classes whose linear part is the
+    # flip conjugate of the triangular one; modulo den it takes about 0.05 s
+    c = ci_lamp_class(random.Random(seed), 60)
+    conj = comm_compose(FLIP, comm_compose(c, FLIP))
+    assert conj.level == 60 and conj.lin == c.lin.flip_conj()
+    start = time.perf_counter()
+    basis, level = comm_domain(conj)
+    assert time.perf_counter() - start < 2.5
+    assert level == 60 and basis.index_log2 == comm_domain(c)[0].index_log2
+    # every entry stays reduced modulo den; unreduced, the touched rows'
+    # entries reach degree 108-358 here and the form takes 2-9 times as long
+    [(deg_den, deg_entry)] = hnf_mod_entry_degrees(lambda: comm_domain(conj))
+    assert 0 <= deg_entry < deg_den
+    images = [comm_apply(conj, LampElement(g, 0)) for g in basis.generators_as_k()]
+    t_image = comm_apply(conj, LampElement.shift(level))
+    assert comm_from_partial(level, basis, images, t_image) == conj
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)

@@ -153,6 +153,20 @@ def test_root_and_inverse_match_the_fraction_series(rows, p):
     assert pth_root(g, p).mat.rows == exp_series(log * F(1, p)).rows
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(strict_rows(), st.integers(0, 2**32))
+def test_unchecked_results_pass_the_checking_constructor(rows, seed):
+    """Products, exp, inverses and roots skip the unitriangular scan; each
+    result is what UniTriMat(mat), which scans, builds from its matrix."""
+    n = len(rows)
+    g = unitri_from(rows)
+    h = rand_unitri(random.Random(seed), n, denoms=(1, 2, 3, 5))
+    for out in (g * h, h * g, unitri_exp(NilMat(rows)), g.inverse(), pth_root(g, 3), g ** 3):
+        checked = UniTriMat(out.mat)
+        assert type(out) is UniTriMat and out.n == checked.n == n
+        assert out == checked and out.mat.rows == checked.mat.rows
+
+
 def test_exp_of_a_log_with_large_denominators_is_fast():
     """At n = 12 a log with 200-bit entry denominators has a 2000-bit
     denominator, and its powers have far smaller ones than its
