@@ -19,7 +19,8 @@ Subpackage map:
   roots, S-integrality, Lie-algebra automorphisms;
 * ``solvable`` -- Baumslag-Solitar commensurations, the
   inner-derivation solver, and the iterated semidirect-product law;
-* ``errors`` -- the domain errors, each with the code the CLI reports;
+* ``errors`` -- the domain errors, each with the code the CLI reports,
+  and ``json_int``, the reader of an integer field of JSON input;
 * ``frozen`` -- the base of the immutable value classes of ``storus``
   and ``solvable``;
 * ``cli`` -- the ``comm-lab`` command-line interface.

@@ -22,11 +22,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import operator
 import os
 import sys
 
-from .errors import CommLabError, ResourceLimit, ZeroInput
+from .errors import CommLabError, ResourceLimit, ZeroInput, json_int
 
 
 def _load_json(text: str):
@@ -130,7 +129,7 @@ def _lamp_domain(args):
 def _lamp_from_partial(args):
     from . import lamplighter as lamp
     data = _load_json(args.data)
-    level = operator.index(data["level"])
+    level = json_int(data["level"])
     basis = lamp.SubmoduleBasis.from_json({"level": level, "H": data["H"]})
     gen_images = [lamp.LampElement.from_json(x) for x in data["gen_images"]]
     t_image = lamp.LampElement.from_json(data["t_image"])
@@ -167,7 +166,7 @@ def _uni_root(args):
 def _uni_apply_aut(args):
     from .unipotent import LieAut, comm_from_lie_aut
     aut_obj = _load_json(args.aut)
-    aut = LieAut(operator.index(aut_obj["n"]), _matq_from_json(aut_obj["L"]))
+    aut = LieAut(json_int(aut_obj["n"]), _matq_from_json(aut_obj["L"]))
     return comm_from_lie_aut(aut, _unitri_from_arg(args.matrix)).mat.to_strings()
 
 
@@ -190,8 +189,8 @@ def _bs_domain(args):
 def _space_from_json(obj):
     from .solvable import CommSpace, reduced_part
     return CommSpace(
-        operator.index(obj["N0"]), operator.index(obj["N1"]),
-        operator.index(obj["dZ"]), operator.index(obj["dZ1"]),
+        json_int(obj["N0"]), json_int(obj["N1"]),
+        json_int(obj["dZ"]), json_int(obj["dZ1"]),
         reduced_part(obj.get("red", "trivial")),
     )
 

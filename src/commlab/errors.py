@@ -1,8 +1,20 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one reader of
+an integer field of JSON input.
 
 Every domain error carries a machine-readable ``code`` that the
 command-line interface echoes in its JSON error reports.
 """
+
+import operator
+
+
+def json_int(x) -> int:
+    """x as the int of an integer field of JSON input.  operator.index
+    refuses every other JSON value with a TypeError, but takes true and
+    false for 1 and 0, so a bool is refused first."""
+    if isinstance(x, bool):
+        raise TypeError(f"an integer field must be a JSON integer, got {str(x).lower()}")
+    return operator.index(x)
 
 
 class CommLabError(Exception):

@@ -276,12 +276,6 @@ class F2LaurentPoly:
         return tuple(top - m.start() for m in _ONE.finditer(format(mask, "b")))[::-1]
 
     @property
-    def min_exp(self) -> int:
-        if self.mask == 0:
-            raise ValueError("zero polynomial has no exponents")
-        return self.shift
-
-    @property
     def max_exp(self) -> int:
         if self.mask == 0:
             raise ValueError("zero polynomial has no exponents")

@@ -13,7 +13,7 @@ transform: a kernel is read off the form of an augmented matrix [A | I]
 instead (see ``lamplighter.comm_domain``).
 
 * ``row_echelon`` takes any rows, by Euclidean steps on their entries
-  as they are.
+  as they are; ``SubmoduleBasis.from_generators`` reads it.
 * ``hnf_mod`` takes rows and a poly mask d with d(0) = 1 and returns
   the form of span(rows) + d*F^n.  Since that module holds d*e_j for
   every column j, each entry is kept as its representative modulo d, a
@@ -21,15 +21,17 @@ instead (see ``lamplighter.comm_domain``).
   past deg d (Hermite form modulo a multiple of the determinant: Domich,
   Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, A Course in
   Computational Algebraic Number Theory, GTM 138, Algorithm 2.4.8).
+  ``lamplighter.comm_domain`` reads it, for a flipped class on the flip
+  conjugate of its linear part.
 
-Every division is f2poly's: the Euclidean steps are ``mask_divmod``, and
-an entry above a pivot d is reduced by ``F2LaurentPoly.divmod(d)``, whose
-quotient is the row multiplier.
+``is_hnf`` checks the form, and ``solve_membership`` solves y*H = v on
+it.  Every division is f2poly's: the Euclidean steps are
+``mask_divmod``, and an entry above a pivot d is reduced by
+``F2LaurentPoly.divmod(d)``, whose quotient is the row multiplier.
 """
 
 from __future__ import annotations
 
-from .errors import SingularMatrix
 from .f2poly import F2LaurentPoly, mask_deg, mask_divmod, mask_mod, mask_mul
 
 _ZERO = F2LaurentPoly.zero()
@@ -135,7 +137,7 @@ def hnf_mod(rows, n: int, d: int):
 
 
 def is_hnf(mat) -> bool:
-    """Check the canonical-form invariants used by submodule_index."""
+    """Check the canonical-form invariants that ``SubmoduleBasis`` relies on."""
     n = len(mat)
     for i, row in enumerate(mat):
         if len(row) != n:
@@ -150,30 +152,6 @@ def is_hnf(mat) -> bool:
                 if x.shift < 0 or x.max_exp >= mask_deg(d.mask):
                     return False
     return True
-
-
-def submodule_index(mat) -> int:
-    """log2 of the index of the row span inside the free module.
-
-    The input must be in Hermite normal form; the answer is the sum of
-    the diagonal degrees.
-    """
-    if not is_hnf(tuple(tuple(row) for row in mat)):
-        raise ValueError("matrix is not in Hermite normal form")
-    return sum(mask_deg(row[i].mask) for i, row in enumerate(mat))
-
-
-def module_from_rows(rows, n: int):
-    """HNF basis of the span of the given generator rows.
-
-    The span must have full rank n.
-    """
-    if not rows:
-        raise SingularMatrix("no generators")
-    H, pivots = row_echelon(rows)
-    if len(pivots) < n:
-        raise SingularMatrix("generators do not span a finite-index submodule")
-    return tuple(H[i] for i in range(n))
 
 
 def solve_membership(hmat, vec):

@@ -33,7 +33,6 @@ Conventions fixed here once and for all:
 from __future__ import annotations
 
 import math
-import operator
 
 from . import hnf, ratfun
 from .errors import (
@@ -44,9 +43,11 @@ from .errors import (
     OutOfDomain,
     ResourceLimit,
     SingularMatrix,
+    json_int,
 )
 from .f2poly import (
     F2LaurentPoly,
+    mask_deg,
     mask_deinterleave,
     mask_divmod,
     mask_gcd,
@@ -139,7 +140,7 @@ class LampElement:
 
     @classmethod
     def from_json(cls, obj) -> "LampElement":
-        return cls(F2LaurentPoly.from_string(obj["k"]), operator.index(obj["n"]))
+        return cls(F2LaurentPoly.from_string(obj["k"]), json_int(obj["n"]))
 
 
 # ---------------------------------------------------------------------------
@@ -450,29 +451,24 @@ class SubmoduleBasis:
 
     @classmethod
     def from_generators(cls, level: int, gens) -> "SubmoduleBasis":
-        return cls(level, hnf.module_from_rows(gens, level))
+        """The span of the generator rows, which must have full rank."""
+        if not gens:
+            raise SingularMatrix("no generators")
+        H, pivots = hnf.row_echelon(gens)
+        if len(pivots) < level:
+            raise SingularMatrix("generators do not span a finite-index submodule")
+        return cls(level, H[:level])
 
     @property
     def index_log2(self) -> int:
-        return hnf.submodule_index(self.rows)
+        """log2 of the index in K: the sum of the diagonal degrees, as the
+        constructor has checked the Hermite form."""
+        return sum(mask_deg(row[i].mask) for i, row in enumerate(self.rows))
 
     def generators_as_k(self) -> list[F2LaurentPoly]:
         """The rows as elements of K: the images of 1, t, ..., t**(m-1)
         under the map whose matrix has the rows as its columns."""
         return PolyMat.from_entries(self.level, list(zip(*self.rows))).images()
-
-    def _coords(self, k: F2LaurentPoly) -> list[F2LaurentPoly]:
-        """The coordinates of k over F2[s, 1/s], in the basis 1, t, ..., t**(m-1)."""
-        m = self.level
-        xs = mask_deinterleave(k.mask << k.shift % m, m)
-        return [F2LaurentPoly._raw(x, k.shift // m) for x in xs]
-
-    def contains(self, k: F2LaurentPoly) -> bool:
-        return hnf.solve_membership(self.rows, self._coords(k)) is not None
-
-    def flip(self) -> "SubmoduleBasis":
-        gens = [self._coords(g.flip()) for g in self.generators_as_k()]
-        return SubmoduleBasis.from_generators(self.level, gens)
 
     def __eq__(self, other):
         return (
@@ -501,7 +497,7 @@ class SubmoduleBasis:
         rows = [
             [F2LaurentPoly.from_string(x) for x in r] for r in _json_matrix(obj, "H")
         ]
-        return cls(operator.index(obj["level"]), rows)
+        return cls(json_int(obj["level"]), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +526,6 @@ class LampComm:
     @classmethod
     def identity(cls) -> "LampComm":
         return cls(VDerElt.zero(), CommInftyElt.identity(1), False)
-
-    @classmethod
-    def flip_class(cls) -> "LampComm":
-        return cls(VDerElt.zero(), CommInftyElt.identity(1), True)
 
     @property
     def level(self) -> int:
@@ -566,7 +558,7 @@ class LampComm:
 
     @classmethod
     def from_json(cls, obj) -> "LampComm":
-        level = operator.index(obj["level"])
+        level = json_int(obj["level"])
         der = VDerElt(level, F2LaurentPoly.from_string(obj["der"]))
         lin = CommInftyElt.from_entries(level, _json_matrix(obj, "A"))
         flip = obj["flip"]
@@ -663,24 +655,21 @@ def comm_domain(c: LampComm):
     the HNF basis of D.  Since den*F^(2L) lies in M, the form is
     ``hnf.hnf_mod`` modulo den, whose entries never reach deg den (Domich,
     Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138,
-    Algorithm 2.4.8).  For den = 1, D is K, with no elimination at all.  A
-    flipped class applies lin after F, so its domain is F(D), the flip of
-    that basis.
+    Algorithm 2.4.8).  For den = 1, D is K, with no elimination at all.
+
+    A flipped class applies lin after the flip F, an involution that maps
+    K onto K, so lin(F k) lies in K exactly when F(lin(F k)) does: its
+    domain is that of the flip conjugate F*lin*F, read off the same way.
     """
     level = c.level
     if c.lin.den == 1:  # num maps K into K, and F(K) = K
         return SubmoduleBasis.full(level), level
-    masks, shift = c.lin.num.entry_masks()
+    lin = c.lin.flip_conj() if c.flip else c.lin
+    masks, shift = lin.num.entry_masks()
     rows = [[F2LaurentPoly._raw(masks[r][i], shift) for r in range(level)]
             + [_ONE if r == i else _ZERO for r in range(level)] for i in range(level)]
-    H = hnf.hnf_mod(rows, 2 * level, c.lin.den)
-    basis = SubmoduleBasis(level, [row[level:] for row in H[level:]])
-    return (basis.flip() if c.flip else basis), level
-
-
-def theta_sign(c: LampComm) -> int:
-    """Image in {+1, -1} of the induced commensuration of Z."""
-    return -1 if c.flip else 1
+    H = hnf.hnf_mod(rows, 2 * level, lin.den)
+    return SubmoduleBasis(level, [row[level:] for row in H[level:]]), level
 
 
 def diagonal_embed(n: int, rows) -> LampComm:

@@ -10,12 +10,12 @@ A ``MatQ`` is an integer matrix ``num`` over one positive denominator
 matrix has den 1, so equality is a comparison of (num, den, ncols).  A
 product is one integer product over den1 * den2, a sum one rescale to the
 lcm of the denominators, a scalar product scales num and den, and each
-result takes one gcd back to lowest terms.  ``det``, ``rank``, ``inv``,
-``solve`` and ``nullspace`` read the one elimination.  A ``Fraction`` is
-formed only where an entry is read: ``entry``, ``rows`` and
-``to_strings``.  Degenerate shapes (0xn, nx0, 0x0) are legal for every
-operation, so zero-dimensional blocks can flow through group-law formulas
-unchanged.
+result takes one gcd back to lowest terms.  ``det``, ``inv`` and the
+inner-derivation solver of ``commlab.solvable`` read the one
+elimination.  A ``Fraction`` is formed only where an entry is read:
+``entry``, ``rows`` and ``to_strings``.  Degenerate shapes (0xn, nx0,
+0x0) are legal for every operation, so zero-dimensional blocks can flow
+through group-law formulas unchanged.
 
 ``parse_rational`` reads every rational literal and
 ``format_rational`` writes every one.
@@ -164,10 +164,6 @@ class MatQ:
     def is_square(self) -> bool:
         return len(self.num) == self._nc
 
-    def transpose(self) -> "MatQ":
-        num = tuple(zip(*self.num)) if self.num else ((),) * self._nc
-        return MatQ._raw(num, self.den, len(self.num))
-
     def _combine(self, other, op):
         """op(self, other) entrywise, for op add or sub."""
         if type(other) is not MatQ:
@@ -272,9 +268,6 @@ class MatQ:
         pivots, d, sign = self._gauss_jordan([list(r) for r in self.num], n)
         return Fraction(sign * d, self.den**n) if len(pivots) == n else Fraction(0)
 
-    def rank(self) -> int:
-        return len(self._gauss_jordan([list(r) for r in self.num], self._nc)[0])
-
     def inv(self) -> "MatQ":
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
@@ -286,36 +279,6 @@ class MatQ:
         # (num / den)^-1 = den * num^-1, and num^-1 is the right half over d
         den = self.den
         return MatQ._lowest(tuple(tuple(den * x for x in row[n:]) for row in aug), d, n)
-
-    def solve(self, b: "MatQ"):
-        """One exact solution of self * x = b, or None if inconsistent."""
-        if len(b.num) != len(self.num):
-            raise ValueError("shape mismatch")
-        nc, k = self._nc, b._nc
-        aug = [list(r) + list(s) for r, s in zip(self.num, b.num)]
-        pivots, d, _ = self._gauss_jordan(aug, nc)
-        if any(any(row[nc:]) for row in aug[len(pivots):]):
-            return None
-        # num x = (den / b.den) * b.num, with free variables 0
-        out = [(0,) * k] * nc
-        den = self.den
-        for row, c in zip(aug, pivots):
-            out[c] = tuple(den * x for x in row[nc:])
-        return MatQ._lowest(tuple(out), d * b.den, k)
-
-    def nullspace(self) -> list:
-        """Basis of the right kernel, as a list of column matrices."""
-        nc = self._nc
-        rows = [list(r) for r in self.num]
-        pivots, d, _ = self._gauss_jordan(rows, nc)
-        basis = []
-        for f in (c for c in range(nc) if c not in pivots):
-            vec = [0] * nc
-            vec[f] = d
-            for row, c in zip(rows, pivots):
-                vec[c] = -row[f]
-            basis.append(MatQ._lowest(tuple((x,) for x in vec), d, 1))
-        return basis
 
     def to_strings(self):
         den = self.den

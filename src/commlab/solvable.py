@@ -27,7 +27,6 @@ precomposition with the inverse of its action on the source.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 from .errors import (
@@ -39,6 +38,7 @@ from .errors import (
     ResourceLimit,
     UnknownInstantiation,
     ZeroInput,
+    json_int,
 )
 from .frozen import Frozen
 from .matrices import MatQ, format_rational, parse_rational
@@ -132,7 +132,7 @@ class BSElement(Frozen):
 
     @classmethod
     def from_json(cls, obj) -> "BSElement":
-        return cls(operator.index(obj["n"]), operator.index(obj["a"]), parse_rational(obj["b"]))
+        return cls(json_int(obj["n"]), json_int(obj["a"]), parse_rational(obj["b"]))
 
 
 def bs_mul(g: BSElement, h: BSElement) -> BSElement:

@@ -331,12 +331,6 @@ class LieAut:
         ]
         return cls(n, rows)
 
-    def to_vec(self, x: NilMat):
-        return [x.mat.entry(i, j) for (i, j) in _basis_pairs(self.n)]
-
-    def from_vec(self, vec) -> NilMat:
-        return NilMat(MatQ(_from_vec(self.n, vec)))
-
     def apply(self, x: NilMat) -> NilMat:
         """The image of x: the map's integer matrix times the numerators
         of x's coordinates, over the product of the two denominators."""
@@ -344,14 +338,6 @@ class LieAut:
         vec = [x.mat.num[i][j] for i, j in _basis_pairs(self.n)]
         image = [sum(map(mul, row, vec)) for row in self.mat.num]
         return NilMat(MatQ._lowest(_from_vec(self.n, image), x.mat.den * self.mat.den, self.n))
-
-    def compose(self, other: "LieAut") -> "LieAut":
-        if self.n != other.n:
-            raise DimensionMismatch(
-                f"cannot compose an automorphism for n = {self.n} "
-                f"with one for n = {other.n}"
-            )
-        return LieAut(self.n, self.mat * other.mat)
 
     def __eq__(self, other):
         return isinstance(other, LieAut) and self.n == other.n and self.mat == other.mat

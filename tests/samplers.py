@@ -19,10 +19,11 @@ Hermite form of a nonsingular square matrix read off
 is the Hermite form over F2[s, 1/s] that also tracks the unimodular
 transform U with H = U*mat; with ``left_kernel``, ``row_times_mat`` and
 ``module_intersect`` it gives ``comm_domain_by_kernel``, the three-HNF
-route (left kernel, HNF of the kernel rows, flip of that basis) that
-``commlab.lamplighter.comm_domain`` is compared against.  ``log_series`` and
-``exp_series`` sum the unitriangular log and exp on any such matrix class:
-the oracle of the integer series of ``commlab.unipotent``.
+route (left kernel, HNF of the kernel rows, ``flip_basis`` of that
+basis) that ``commlab.lamplighter.comm_domain`` is compared against.
+``log_series`` and ``exp_series`` sum the unitriangular log and exp on
+any such matrix class: the oracle of the integer series of
+``commlab.unipotent``.
 ``ci_lamp_class`` draws the row-permuted triangular classes of the CI
 lamplighter digest.  ``solve_inner_by_definition`` solves the inner-derivation systems over
 ``MatQFraction`` with every check in the order of its definition.
@@ -40,7 +41,7 @@ from commlab.f2poly import (
     mask_mul,
 )
 from commlab.errors import DegenerateAction, IncompatibleCocycle, SingularMatrix
-from commlab.hnf import module_from_rows, row_echelon
+from commlab.hnf import row_echelon
 from commlab.lamplighter import CommInftyElt, LampComm, LampElement, SubmoduleBasis, VDerElt
 
 _ZERO = F2LaurentPoly.zero()
@@ -186,14 +187,22 @@ def module_intersect(ha, hb, n: int):
     """HNF basis of rowspan(ha) & rowspan(hb), both full rank n: the
     images in ha of the left kernel of ha stacked on hb."""
     gens = [row_times_mat(y[:len(ha)], ha) for y in left_kernel(tuple(ha) + tuple(hb))]
-    return module_from_rows(gens, n)
+    return SubmoduleBasis.from_generators(n, gens).rows
+
+
+def flip_basis(basis: SubmoduleBasis) -> SubmoduleBasis:
+    """Oracle: F(D) for the flip F, k -> k(1/t), as the span of the
+    coordinates of the flipped generators of D."""
+    m = basis.level
+    return SubmoduleBasis.from_generators(
+        m, [k_to_coords(g.flip(), m) for g in basis.generators_as_k()])
 
 
 def comm_domain_by_kernel(c: LampComm):
     """Oracle: the domain of a class by three Hermite forms.  The left
     kernel of the rows (column i of num) and (den*e_i) gives generators
     y of {y : num*y in den*K}, their HNF is the domain of the linear
-    part, and a flipped class flips that basis."""
+    part, and a flipped class flips that basis (``flip_basis``)."""
     level = c.level
     masks, shift = c.lin.num.entry_masks()
     stacked = [[F2LaurentPoly._raw(masks[r][i], shift) for r in range(level)]
@@ -201,7 +210,7 @@ def comm_domain_by_kernel(c: LampComm):
     stacked += [[c.lin.den_poly() if r == i else _ZERO for r in range(level)]
                 for i in range(level)]
     basis = SubmoduleBasis.from_generators(level, [y[:level] for y in left_kernel(stacked)])
-    return (basis.flip() if c.flip else basis), level
+    return (flip_basis(basis) if c.flip else basis), level
 
 
 class F2RatFun:

@@ -86,7 +86,8 @@ def test_lamp_from_partial(capsys):
 
 
 def test_lamp_domain(capsys):
-    from commlab.lamplighter import LampComm, SubmoduleBasis, comm_compose, comm_domain
+    from commlab.lamplighter import (CommInftyElt, LampComm, SubmoduleBasis, VDerElt,
+                                     comm_compose, comm_domain)
     from samplers import ci_lamp_class
 
     c = {"level": 2, "der": "t", "A": [["1", "0"], ["0", "(1)/(1+s+s^3)"]], "flip": True}
@@ -104,7 +105,7 @@ def test_lamp_domain(capsys):
     assert code == 0 and SubmoduleBasis.from_json(out) == comm_domain(c60)[0]
     # its flip conjugate, untimed: the parse alone takes 0.5-0.8 s here, and
     # test_lamplighter bounds the domain of these conjugates
-    flip = LampComm.flip_class()
+    flip = LampComm(VDerElt.zero(), CommInftyElt.identity(1), True)
     conj = comm_compose(flip, comm_compose(c60, flip))
     code, out = run_json(capsys, ["lamp", "domain", "--comm", json.dumps(conj.to_json())])
     assert code == 0 and SubmoduleBasis.from_json(out) == comm_domain(conj)[0]
@@ -203,6 +204,41 @@ def test_solve_inner_command(capsys):
         ],
     )
     assert code == 0 and out == ["1", "1"]
+
+
+_AUT = '{"n": @, "L": [["2", "0", "0"], ["0", "4", "0"], ["0", "0", "2"]]}'
+_SPACE = {"N0": 1, "N1": 0, "dZ": 0, "dZ1": 0}
+# each integer field of JSON input: a command line with @ in its place, and
+# a value that the field takes
+INTEGER_FIELDS = {
+    "LampComm.level": (
+        ["lamp", "invert", "--comm", '{"level": @, "der": "0", "A": [["1"]], "flip": false}'], 1),
+    "SubmoduleBasis.level": (
+        ["lamp", "quotient-dim", "--submodule", '{"level": @, "H": [["1+s"]]}', "--m", "2"], 1),
+    "LampElement.n": (["lamp", "mul", "--g", '{"k": "1", "n": @}', "--h", '{"k": "1", "n": 0}'], 1),
+    "BSElement.n": (["bs", "mul", "--g", '{"n": @, "a": 1, "b": "0"}', "--h", '{"n": 2, "a": 0, "b": "1"}'], 2),
+    "BSElement.a": (["bs", "mul", "--g", '{"n": 2, "a": @, "b": "0"}', "--h", '{"n": 2, "a": 0, "b": "1"}'], 1),
+    "from-partial level": (["lamp", "from-partial", "--data", '{"level": @, "H": [["1"]], '
+                            '"gen_images": [{"k": "1", "n": 0}], "t_image": {"k": "1+t", "n": 1}}'], 1),
+    "apply-aut n": (["unipotent", "apply-aut", "--aut", _AUT, "--matrix",
+                     '[["1", "0", "1"], ["0", "1", "0"], ["0", "0", "1"]]'], 3),
+    **{f"space {key}": (["comm-desc", "inv", "--spec", json.dumps(
+        {"space": {**_SPACE, key: "@"}, "a": {"h_central": [], "P": [["2"]], "h_10": [[]], "h_1z": []}}
+    ).replace('"@"', "@")], _SPACE[key]) for key in _SPACE},
+}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_a_json_boolean_is_no_integer(capsys, field):
+    # operator.index reads true and false as 1 and 0
+    argv, value = INTEGER_FIELDS[field]
+    code, out = run_json(capsys, [arg.replace("@", json.dumps(value)) for arg in argv])
+    assert code == 0, out
+    for boolean in ("true", "false"):
+        code, out = run_json(capsys, [arg.replace("@", boolean) for arg in argv])
+        assert code == 2 and out == {
+            "error": "ParseError",
+            "detail": f"an integer field must be a JSON integer, got {boolean}"}
 
 
 def _least_level_class(level):

@@ -20,7 +20,7 @@ from commlab.f2poly import (
     mask_interleave,
     mask_mul,
 )
-from commlab.lamplighter import LampElement, SubmoduleBasis
+from commlab.lamplighter import LampElement
 from samplers import coords_to_k, k_to_coords, residue_coords
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -181,7 +181,6 @@ def test_deinterleave_inverts_interleave(n, data):
 def test_coordinates_are_the_residue_classes(k, m):
     coords = k_to_coords(k, m)
     assert coords == residue_coords(k, m)
-    assert SubmoduleBasis.full(m)._coords(k) == coords
     assert coords_to_k(coords, m) == k
 
 

@@ -51,10 +51,10 @@ def test_ring_axioms_sampled():
 def test_support_and_exponents():
     p = P([5, -2, 0])
     assert p.support() == (-2, 0, 5)
-    assert p.min_exp == -2 and p.max_exp == 5
+    assert p.shift == -2 and p.max_exp == 5
     assert len(p) == 3
     with pytest.raises(ValueError):
-        P.zero().min_exp
+        P.zero().max_exp
 
 
 def test_string_round_trip():

@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 
 from commlab.errors import SingularMatrix
 from commlab.f2poly import F2LaurentPoly as P
-from commlab.hnf import (
-    is_hnf,
-    module_from_rows,
-    row_echelon,
-    solve_membership,
-    submodule_index,
-)
+from commlab.hnf import is_hnf, row_echelon, solve_membership
+from commlab.lamplighter import SubmoduleBasis
 from samplers import (
     hnf_f2poly,
     hnf_with_transform,
@@ -74,7 +69,7 @@ def test_hand_reduction():
     h, u = hnf_and_transform([[P([0, 1]), ZERO], [ONE, ONE]])
     assert h == ((ONE, ONE), (ZERO, P([0, 1])))
     assert mat_mul(list(u), [[P([0, 1]), ZERO], [ONE, ONE]]) == [list(r) for r in h]
-    assert submodule_index(h) == 1
+    assert SubmoduleBasis(2, h).index_log2 == 1
 
 
 def test_singular_rejected():
@@ -93,11 +88,11 @@ def test_zero_by_zero():
 
 
 def test_submodule_index_examples():
-    assert submodule_index([[ONE, ZERO], [ZERO, ONE]]) == 0
-    assert submodule_index([[P([0, 1]), ZERO], [ZERO, ONE]]) == 1
-    assert submodule_index([[P([0, 1]), ZERO], [ZERO, P([0, 1])]]) == 2
+    assert SubmoduleBasis(2, [[ONE, ZERO], [ZERO, ONE]]).index_log2 == 0
+    assert SubmoduleBasis(2, [[P([0, 1]), ZERO], [ZERO, ONE]]).index_log2 == 1
+    assert SubmoduleBasis(2, [[P([0, 1]), ZERO], [ZERO, P([0, 1])]]).index_log2 == 2
     with pytest.raises(ValueError):
-        submodule_index([[S, ZERO], [ZERO, ONE]])  # unit diagonal entry
+        SubmoduleBasis(2, [[S, ZERO], [ZERO, ONE]])  # unit diagonal entry
 
 
 def test_hnf_is_idempotent():
@@ -120,9 +115,9 @@ def test_index_additive_under_products():
         n = rng.randrange(1, 4)
         a = rand_nonsingular(rng, n)
         b = rand_nonsingular(rng, n)
-        ia = submodule_index(hnf_f2poly(a))
-        ib = submodule_index(hnf_f2poly(b))
-        iab = submodule_index(hnf_f2poly(mat_mul(a, b)))
+        ia = SubmoduleBasis(n, hnf_f2poly(a)).index_log2
+        ib = SubmoduleBasis(n, hnf_f2poly(b)).index_log2
+        iab = SubmoduleBasis(n, hnf_f2poly(mat_mul(a, b))).index_log2
         assert iab == ia + ib
 
 
@@ -180,7 +175,7 @@ def test_module_intersect():
                 assert solve_membership(hc, x) is not None
         # span(ha * hb) is inside span(hb), so its meet with span(ha)
         # witnesses deep common elements
-        for row in module_from_rows(mat_mul(list(ha), list(hb)), n):
+        for row in SubmoduleBasis.from_generators(n, mat_mul(list(ha), list(hb))).rows:
             if solve_membership(ha, row) is not None:
                 assert solve_membership(hc, row) is not None
 

@@ -34,7 +34,6 @@ from commlab.lamplighter import (
     comm_invert,
     diagonal_embed,
     quotient_dim,
-    theta_sign,
 )
 from commlab.polymat import PolyMat
 from samplers import (
@@ -44,6 +43,7 @@ from samplers import (
     comm_domain_by_kernel,
     coords_to_k,
     f2_rank,
+    flip_basis,
     k_to_coords,
     random_comm,
     random_element,
@@ -55,12 +55,18 @@ from samplers import (
 E0 = LampElement.lamp(0)
 T = LampElement.shift(1)
 IDENT = LampComm.identity()
-FLIP = LampComm.flip_class()
+FLIP = LampComm(VDerElt.zero(), CommInftyElt.identity(1), True)
 
 
 def mult_by(text: str) -> LampComm:
     c = CommInftyElt.from_entries(1, [[text]])
     return LampComm.make(VDerElt.zero(), c, False)
+
+
+def contains(basis: SubmoduleBasis, k: P) -> bool:
+    """Oracle: k lies in the submodule, by the triangular solve on its
+    coordinates."""
+    return hnf.solve_membership(basis.rows, k_to_coords(k, basis.level)) is not None
 
 
 def matrix(lin: CommInftyElt) -> MatF2Rat:
@@ -606,17 +612,19 @@ def test_apply_is_homomorphism_on_domain():
         assert comm_apply(c, g * h) == comm_apply(c, g) * comm_apply(c, h)
 
 
-def test_theta_sign():
-    assert theta_sign(IDENT) == 1
-    assert theta_sign(FLIP) == -1
+def test_the_flip_of_a_composite_is_the_product_of_the_flips():
+    # the induced commensuration of Z is -1 exactly on the flipped classes,
+    # and the map to {+1, -1} is a homomorphism
+    assert not IDENT.flip and FLIP.flip
     conj = comm_from_partial(
         1, SubmoduleBasis.full(1), [E0], LampElement(P([0, 1]), 1)
     )
-    assert theta_sign(conj) == 1
+    assert not conj.flip
     rng = random.Random(32)
     for _ in range(50):
         c1, c2 = random_comm(rng), random_comm(rng)
-        assert theta_sign(comm_compose(c1, c2)) == theta_sign(c1) * theta_sign(c2)
+        assert comm_compose(c1, c2).flip == (c1.flip != c2.flip)
+        assert comm_invert(c1).flip == c1.flip
 
 
 def test_compose_deepens_level_when_denominators_require():
@@ -703,7 +711,7 @@ def test_domain_of_flip_class_with_asymmetric_denominator():
     # membership in the reported domain is exactly applicability
     for k in (P([0, 1, 3]), P([0, 2, 3]), P([0, 1, 3]) * P([1])):
         for c, dom in ((plain, d_plain), (flipped, d_flip)):
-            if dom.contains(k):
+            if contains(dom, k):
                 comm_apply(c, LampElement(k, 0))
             else:
                 with pytest.raises(OutOfDomain):
@@ -721,7 +729,7 @@ def test_domain_is_exact():
         # elements outside the domain are rejected
         for _ in range(10):
             k = P([e for e in range(-5, 6) if rng.random() < 0.3])
-            if basis.contains(k):
+            if contains(basis, k):
                 comm_apply(c, LampElement(k, 0))
             else:
                 with pytest.raises(OutOfDomain):
@@ -788,6 +796,10 @@ def test_domain_agrees_with_the_kernel_route(case, flip):
     # and of the flip conjugate of the linear part, whose echelon steps swelled
     conj = LampComm.make(VDerElt.zero(), lin.flip_conj(), flip)
     assert comm_domain(conj) == comm_domain_by_kernel(conj)
+    # a flipped class applies lin after F, so its domain is F(D) for the
+    # domain D of the class unflipped
+    basis, _ = comm_domain(LampComm(raw.der, lin, False))
+    assert comm_domain(LampComm(raw.der, lin, True)) == (flip_basis(basis), level)
 
 
 def laurent_polys(span=6):
@@ -857,6 +869,9 @@ def test_domains_of_flip_conjugated_level_60_classes_are_fast(seed):
     images = [comm_apply(conj, LampElement(g, 0)) for g in basis.generators_as_k()]
     t_image = comm_apply(conj, LampElement.shift(level))
     assert comm_from_partial(level, basis, images, t_image) == conj
+    # the domain of c flipped is F(D) for the domain D of c unflipped
+    plain, _ = comm_domain(LampComm(c.der, c.lin, False))
+    assert comm_domain(LampComm(c.der, c.lin, True))[0] == flip_basis(plain)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -1115,14 +1130,14 @@ def test_submodule_flip_reads_flipped_generators():
             assert k_to_coords(k.flip(), m) == _old_flip_coords(coords, m)
         basis = random_submodule(rng, max_level=4)
         # the basis reads its generators' coordinates back as its rows
-        assert [basis._coords(g) for g in basis.generators_as_k()] == [
+        assert [k_to_coords(g, basis.level) for g in basis.generators_as_k()] == [
             list(row) for row in basis.rows
         ]
         old = SubmoduleBasis.from_generators(
             basis.level, [_old_flip_coords(row, basis.level) for row in basis.rows]
         )
-        assert basis.flip() == old
-        assert basis.flip().flip() == basis
+        assert flip_basis(basis) == old
+        assert flip_basis(flip_basis(basis)) == basis
 
 
 def _old_apply_lin_to_vder(lin, value):
