@@ -19,10 +19,12 @@ Subpackage map:
   roots, S-integrality, Lie-algebra automorphisms;
 * ``solvable`` -- Baumslag-Solitar commensurations, the
   inner-derivation solver, and the iterated semidirect-product law;
-* ``errors`` -- the domain errors, each with the code the CLI reports,
-  and ``json_int``, the reader of an integer field of JSON input;
-* ``frozen`` -- the base of the immutable value classes of ``storus``
-  and ``solvable``;
+* ``errors`` -- the domain errors, each with the code the CLI reports
+  (its class name), and ``json_int`` and ``json_matrix``, the readers of
+  an integer field and of a matrix of JSON input;
+* ``frozen`` -- ``Value``, the base of every value class, whose equality
+  and hash come from its ``__slots__``, and ``Frozen``, the immutable
+  values of ``storus`` and ``solvable``;
 * ``cli`` -- the ``comm-lab`` command-line interface.
 """
 

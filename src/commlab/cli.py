@@ -25,7 +25,7 @@ import json
 import os
 import sys
 
-from .errors import CommLabError, ResourceLimit, ZeroInput, json_int
+from .errors import CommLabError, ResourceLimit, ZeroInput, json_int, json_matrix
 
 
 def _load_json(text: str):
@@ -48,13 +48,13 @@ def _parse_int_matrix(text: str):
     return [[int(x) for x in row.split(",")] for row in text.split(";")]
 
 
-def _matq_from_json(obj, ncols=None):
+def _matq_from_json(obj, name: str, ncols=None):
     from .matrices import MatQ, parse_rational
-    return MatQ([[parse_rational(x) for x in row] for row in obj], ncols=ncols)
+    return MatQ([[parse_rational(x) for x in row] for row in json_matrix(obj, name)], ncols=ncols)
 
 
 def _matq_from_arg(text: str):
-    return _matq_from_json(_load_json(text))
+    return _matq_from_json(_load_json(text), "--matrix")
 
 
 def _unitri_from_arg(text: str):
@@ -166,7 +166,7 @@ def _uni_root(args):
 def _uni_apply_aut(args):
     from .unipotent import LieAut, comm_from_lie_aut
     aut_obj = _load_json(args.aut)
-    aut = LieAut(json_int(aut_obj["n"]), _matq_from_json(aut_obj["L"]))
+    aut = LieAut(json_int(aut_obj["n"]), _matq_from_json(aut_obj["L"], "L"))
     return comm_from_lie_aut(aut, _unitri_from_arg(args.matrix)).mat.to_strings()
 
 
@@ -203,10 +203,10 @@ def _desc_from_json(space, obj):
         red = AffineMap(parse_rational(obj["red"]["r"]), parse_rational(obj["red"]["q"]))
     return CommDesc(
         space,
-        _matq_from_json(obj["h_central"], ncols=space.n0),
-        _matq_from_json(obj["P"], ncols=space.n0),
-        _matq_from_json(obj["h_10"], ncols=space.n1),
-        _matq_from_json(obj["h_1z"], ncols=space.n1),
+        _matq_from_json(obj["h_central"], "h_central", ncols=space.n0),
+        _matq_from_json(obj["P"], "P", ncols=space.n0),
+        _matq_from_json(obj["h_10"], "h_10", ncols=space.n1),
+        _matq_from_json(obj["h_1z"], "h_1z", ncols=space.n1),
         red,
     )
 
@@ -240,8 +240,9 @@ def _desc_inv(args):
 def _solve_inner(args):
     from .matrices import MatQ, parse_rational
     from .solvable import solve_inner_derivation
-    ts = [_matq_from_json(m) for m in _load_json(args.ts)]
-    vs = [MatQ.column([parse_rational(x) for x in v]) for v in _load_json(args.vs)]
+    ts = [_matq_from_json(m, "a --ts matrix") for m in _load_json(args.ts)]
+    vs = [MatQ.column([parse_rational(x) for x in v])
+          for v in json_matrix(_load_json(args.vs), "--vs")]
     x = solve_inner_derivation(ts, vs)
     return [entry for (entry,) in x.to_strings()]
 

@@ -1,8 +1,8 @@
-"""Exception hierarchy shared across the package, and the one reader of
-an integer field of JSON input.
+"""Exception hierarchy shared across the package, and the readers of an
+integer field and of a matrix of JSON input.
 
-Every domain error carries a machine-readable ``code`` that the
-command-line interface echoes in its JSON error reports.
+Every domain error carries a machine-readable ``code``, its class name,
+that the command-line interface echoes in its JSON error reports.
 """
 
 import operator
@@ -17,10 +17,24 @@ def json_int(x) -> int:
     return operator.index(x)
 
 
+def json_matrix(rows, name: str) -> list:
+    """rows as the rows of the matrix ``name`` of JSON input, which must
+    be a list of lists ([] included): a string row would be read as the
+    row of its characters."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise TypeError(f"{name} must be a list of lists, got {rows!r}")
+    return rows
+
+
 class CommLabError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package; each
+    subclass's code is its name."""
 
     code = "Error"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__
 
     def __init__(self, detail=""):
         super().__init__(detail or self.code)
@@ -28,76 +42,76 @@ class CommLabError(Exception):
 
 
 class SingularMatrix(CommLabError):
-    code = "SingularMatrix"
+    pass
 
 
 class SingularMap(CommLabError):
-    code = "SingularMap"
+    pass
 
 
 class NotDivisible(CommLabError):
-    code = "NotDivisible"
+    pass
 
 
 class OutOfDomain(CommLabError):
-    code = "OutOfDomain"
+    pass
 
 
 class NotAHomomorphism(CommLabError):
-    code = "NotAHomomorphism"
+    pass
 
 
 class ExponentMismatch(CommLabError):
-    code = "ExponentMismatch"
+    pass
 
 
 class ZeroInput(CommLabError):
-    code = "ZeroInput"
+    pass
 
 
 class NotPrime(CommLabError):
-    code = "NotPrime"
+    pass
 
 
 class InvalidTorusSpec(CommLabError):
-    code = "InvalidTorusSpec"
+    pass
 
 
 class ReducibleCharPoly(CommLabError):
-    code = "ReducibleCharPoly"
+    pass
 
 
 class FiniteOrder(CommLabError):
-    code = "FiniteOrder"
+    pass
 
 
 class ExceedsFactorBound(CommLabError):
-    code = "ExceedsFactorBound"
+    pass
 
 
 class BaseMismatch(CommLabError):
-    code = "BaseMismatch"
+    pass
 
 
 class IncompatibleCocycle(CommLabError):
-    code = "IncompatibleCocycle"
+    pass
 
 
 class DegenerateAction(CommLabError):
-    code = "DegenerateAction"
+    pass
 
 
 class DimensionMismatch(CommLabError):
-    code = "DimensionMismatch"
+    pass
 
 
 class UnknownInstantiation(CommLabError):
-    code = "UnknownInstantiation"
+    pass
 
 
 class NotAnAutomorphism(CommLabError):
-    code = "NotAnAutomorphism"
+    pass
 
 
 class ResourceLimit(CommLabError):
-    code = "ResourceLimit"
+    pass

@@ -35,6 +35,7 @@ from __future__ import annotations
 import re
 
 from .errors import ResourceLimit
+from .frozen import Value
 
 # mask_divmod's schoolbook loop divides a long dividend this many quotient
 # bits at a time.
@@ -199,7 +200,7 @@ _TERM_RE = re.compile(r"^(1|[ts](\^(-?\d+))?)$")
 _ONE = re.compile("1")
 
 
-class F2LaurentPoly:
+class F2LaurentPoly(Value):
     """Finitely supported element of F2[t, 1/t], i.e. a sum of distinct powers of t.
 
     Instances are immutable and hashable; equality is equality of
@@ -345,16 +346,6 @@ class F2LaurentPoly:
         low = _series_quot(a, d, -k)
         q, r = mask_divmod((a ^ mask_mul(low, d)) >> -k, d)
         return F2LaurentPoly._raw(q << -k | low, k), r
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, F2LaurentPoly)
-            and self.mask == other.mask
-            and self.shift == other.shift
-        )
-
-    def __hash__(self):
-        return hash((self.mask, self.shift))
 
     def to_string(self, var: str = "t") -> str:
         if self.mask == 0:

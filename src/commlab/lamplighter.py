@@ -44,6 +44,7 @@ from .errors import (
     ResourceLimit,
     SingularMatrix,
     json_int,
+    json_matrix,
 )
 from .f2poly import (
     F2LaurentPoly,
@@ -57,6 +58,7 @@ from .f2poly import (
     mask_reverse,
     mask_spread,
 )
+from .frozen import Value
 from .polymat import PolyMat, gauss_jordan
 
 # Composing at the lcm of two levels, and the derivation image of a composite
@@ -68,14 +70,6 @@ _ZERO = F2LaurentPoly.zero()
 _ONE = F2LaurentPoly.one()
 
 
-def _json_matrix(obj, key: str) -> list:
-    """The matrix obj[key], which JSON must give as a list of lists."""
-    rows = obj[key]
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise TypeError(f"{key} must be a list of lists, got {rows!r}")
-    return rows
-
-
 def _least_level(m: int, arises_from) -> int:
     """Least divisor d of m with arises_from(d), else m."""
     return next((d for d in range(1, m) if m % d == 0 and arises_from(d)), m)
@@ -85,7 +79,7 @@ def _least_level(m: int, arises_from) -> int:
 # group elements
 
 
-class LampElement:
+class LampElement(Value):
     """Element (k, n) of K x| Z; identity is (0, 0)."""
 
     __slots__ = ("k", "n")
@@ -126,12 +120,6 @@ class LampElement:
             k = k.shifted(n * (e - 1))
         return LampElement(k, n * e)
 
-    def __eq__(self, other):
-        return isinstance(other, LampElement) and self.k == other.k and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.k, self.n))
-
     def __repr__(self):
         return f"LampElement({self.k.to_string()!r}, {self.n})"
 
@@ -147,7 +135,7 @@ class LampElement:
 # virtual derivations
 
 
-class VDerElt:
+class VDerElt(Value):
     """Virtual derivation from a finite-index subgroup of Z into K.
 
     Recorded by its level m (the derivation is defined on m*Z) and the
@@ -202,16 +190,6 @@ class VDerElt:
             raise NotDivisible(f"{self.level} does not divide {n}")
         return (LampElement(self.value, self.level) ** (n // self.level)).k
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, VDerElt)
-            and self.level == other.level
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.level, self.value))
-
     def __repr__(self):
         return f"VDerElt({self.level}, {self.value.to_string()!r})"
 
@@ -242,7 +220,7 @@ def _min_u_power_poly(d: int, k: int) -> int:
         cur = mask_mod(mask_mul(cur, uk), d)
 
 
-class CommInftyElt:
+class CommInftyElt(Value):
     """Equivariant commensuration of K with an F2[t**m, t**-m]-linear
     representative, stored as num/den with num an F2[s, 1/s]-linear map
     of K (a PolyMat, by the images of 1, t, ..., t**(m-1)) and den a
@@ -405,17 +383,6 @@ class CommInftyElt:
         """Image of a K element, or None when it is outside the domain."""
         return self.lift(self.num.apply(k))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CommInftyElt)
-            and self.level == other.level
-            and self.den == other.den
-            and self.num == other.num
-        )
-
-    def __hash__(self):
-        return hash((self.level, self.den, self.num))
-
     def __repr__(self):
         return f"CommInftyElt(level={self.level}, A={self.to_strings()})"
 
@@ -424,7 +391,7 @@ class CommInftyElt:
 # finite-index submodules of K
 
 
-class SubmoduleBasis:
+class SubmoduleBasis(Value):
     """Finite-index F2[s, 1/s]-submodule of K at a level, by an HNF basis."""
 
     __slots__ = ("level", "rows")
@@ -470,16 +437,6 @@ class SubmoduleBasis:
         under the map whose matrix has the rows as its columns."""
         return PolyMat.from_entries(self.level, list(zip(*self.rows))).images()
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubmoduleBasis)
-            and self.level == other.level
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.level, self.rows))
-
     def __repr__(self):
         return (
             f"SubmoduleBasis(level={self.level}, "
@@ -495,7 +452,7 @@ class SubmoduleBasis:
     @classmethod
     def from_json(cls, obj) -> "SubmoduleBasis":
         rows = [
-            [F2LaurentPoly.from_string(x) for x in r] for r in _json_matrix(obj, "H")
+            [F2LaurentPoly.from_string(x) for x in r] for r in json_matrix(obj["H"], "H")
         ]
         return cls(json_int(obj["level"]), rows)
 
@@ -504,7 +461,7 @@ class SubmoduleBasis:
 # commensurations of the lamplighter group
 
 
-class LampComm:
+class LampComm(Value):
     """Canonical commensuration (der, lin, flip) of the lamplighter group."""
 
     __slots__ = ("der", "lin", "flip")
@@ -531,17 +488,6 @@ class LampComm:
     def level(self) -> int:
         return self.der.level
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LampComm)
-            and self.flip == other.flip
-            and self.der == other.der
-            and self.lin == other.lin
-        )
-
-    def __hash__(self):
-        return hash((self.der, self.lin, self.flip))
-
     def __repr__(self):
         return (
             f"LampComm(level={self.level}, der={self.der.value.to_string()!r}, "
@@ -560,7 +506,7 @@ class LampComm:
     def from_json(cls, obj) -> "LampComm":
         level = json_int(obj["level"])
         der = VDerElt(level, F2LaurentPoly.from_string(obj["der"]))
-        lin = CommInftyElt.from_entries(level, _json_matrix(obj, "A"))
+        lin = CommInftyElt.from_entries(level, json_matrix(obj["A"], "A"))
         flip = obj["flip"]
         if not isinstance(flip, bool):
             raise ValueError(f"flip must be a JSON boolean, got {flip!r}")

@@ -31,6 +31,7 @@ from itertools import chain
 from operator import add, mul, sub
 
 from .errors import ResourceLimit, SingularMatrix
+from .frozen import Value
 
 # 10**e has e + 1 digits, and CPython converts no int of more than 4300 digits
 # to a string by default; Fraction("1e10000000") alone would take seconds.
@@ -89,7 +90,7 @@ def _rational(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
 
-class MatQ:
+class MatQ(Value):
     """Matrix over Q: the integer matrix num (a tuple of int tuples) over
     the positive integer den, in lowest terms."""
 
@@ -211,17 +212,6 @@ class MatQ:
 
     # the scalars commute, so c * M is M * c
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            type(other) is MatQ
-            and self.den == other.den
-            and self._nc == other._nc
-            and self.num == other.num
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den, self._nc))
 
     @staticmethod
     def _gauss_jordan(aug: list, width: int):

@@ -23,6 +23,7 @@ from .f2poly import (
     mask_mul,
     mask_spread,
 )
+from .frozen import Value
 
 
 def gauss_jordan(rows: list, n: int) -> int:
@@ -70,7 +71,7 @@ def gauss_jordan(rows: list, n: int) -> int:
     return prev
 
 
-class PolyMat:
+class PolyMat(Value):
     """F2[u, 1/u]-linear map of K with u = t**n: image j of the basis
     1, t, ..., t**(n-1) is t**shift * cols[j].
 
@@ -143,17 +144,6 @@ class PolyMat:
         base = other.shift
         cols = (self._apply_mask(c, base) for c in other.cols)
         return PolyMat(self.n, cols, self.n * (base // self.n) + self.shift)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyMat)
-            and self.n == other.n
-            and self.shift == other.shift
-            and self.cols == other.cols
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.shift, self.cols))
 
     def scalar_mul(self, mask: int) -> "PolyMat":
         """Multiply by the nonzero scalar polynomial in u given as a mask."""

@@ -40,7 +40,7 @@ from .errors import (
     ZeroInput,
     json_int,
 )
-from .frozen import Frozen
+from .frozen import Frozen, Value
 from .matrices import MatQ, format_rational, parse_rational
 
 # Bound on the multiplicative order K that bs_comm_domain searches for.
@@ -61,8 +61,7 @@ class AffineMap(Frozen):
     __slots__ = ("r", "q")
 
     def __init__(self, r, q):
-        object.__setattr__(self, "r", Fraction(r))
-        object.__setattr__(self, "q", Fraction(q))
+        super().__init__(Fraction(r), Fraction(q))
         if self.r == 0:
             raise ZeroInput("scale must be nonzero")
 
@@ -113,9 +112,7 @@ class BSElement(Frozen):
     __slots__ = ("n", "a", "b")
 
     def __init__(self, n: int, a: int, b):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", Fraction(b))
+        super().__init__(n, a, Fraction(b))
         _check_base(self.n)
         if not _is_n_integral(self.b, self.n):
             raise OutOfDomain(f"translation {self.b} is not a {self.n}-integer")
@@ -269,9 +266,10 @@ def solve_inner_derivation(ts, vs) -> MatQ:
 # the iterated semidirect product of block descriptions
 
 
-class TrivialReduced:
+class TrivialReduced(Value):
     """Reduced part with only the identity automorphism."""
 
+    __slots__ = ()
     name = "trivial"
 
     def identity(self):
@@ -288,11 +286,12 @@ class TrivialReduced:
         return None
 
 
-class BSReduced:
+class BSReduced(Value):
     """Reduced part Q x| Q*, the commensurations of a solvable
     Baumslag-Solitar group; it fixes the exponent direction, so it acts
     trivially on every block."""
 
+    __slots__ = ()
     name = "bs"
 
     def identity(self):
@@ -322,19 +321,17 @@ def reduced_part(tag: str):
 class CommSpace(Frozen):
     """Dimension data (N0, N1, dZ, dZ1) and the reduced-part instantiation.
 
-    The reduced part is ``TrivialReduced`` or ``BSReduced``; neither acts
-    on the blocks, which is why ``comm_desc_mul`` and ``comm_desc_inv``
-    carry no action factors for it.
+    The reduced part is ``TrivialReduced`` or ``BSReduced``, values with
+    no fields, so two spaces are equal when their dimensions and the
+    classes of their reduced parts are.  Neither acts on the blocks,
+    which is why ``comm_desc_mul`` and ``comm_desc_inv`` carry no action
+    factors for it.
     """
 
     __slots__ = ("n0", "n1", "dz", "dz1", "red")
 
     def __init__(self, n0: int, n1: int, dz: int, dz1: int, red: TrivialReduced | BSReduced):
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "n1", n1)
-        object.__setattr__(self, "dz", dz)
-        object.__setattr__(self, "dz1", dz1)
-        object.__setattr__(self, "red", red)
+        super().__init__(n0, n1, dz, dz1, red)
         dims = zip(("N0", "N1", "dZ", "dZ1"), (self.n0, self.n1, self.dz, self.dz1))
         for name, value in dims:
             if value < 0:
@@ -350,17 +347,6 @@ class CommSpace(Frozen):
             self.red.identity(),
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CommSpace)
-            and (self.n0, self.n1, self.dz, self.dz1) ==
-            (other.n0, other.n1, other.dz, other.dz1)
-            and type(self.red) is type(other.red)
-        )
-
-    def __hash__(self):
-        return hash((self.n0, self.n1, self.dz, self.dz1, type(self.red)))
-
 
 class CommDesc(Frozen):
     """Element of the iterated semidirect product: a central Hom block
@@ -370,12 +356,7 @@ class CommDesc(Frozen):
     __slots__ = ("space", "h_central", "p", "h_10", "h_1z", "red")
 
     def __init__(self, space: CommSpace, h_central: MatQ, p: MatQ, h_10: MatQ, h_1z: MatQ, red):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "h_central", h_central)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "h_10", h_10)
-        object.__setattr__(self, "h_1z", h_1z)
-        object.__setattr__(self, "red", red)
+        super().__init__(space, h_central, p, h_10, h_1z, red)
         s = self.space
         shapes = (
             (self.h_central, s.dz, s.n0),
@@ -426,12 +407,6 @@ class StructureReport(Frozen):
     """Shape of the commensurator of a reduced solvable group."""
 
     __slots__ = ("n", "dim_z", "iso", "space")
-
-    def __init__(self, n: int, dim_z: int, iso: str, space: CommSpace):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dim_z", dim_z)
-        object.__setattr__(self, "iso", iso)
-        object.__setattr__(self, "space", space)
 
 
 def reduced_comm_structure(n: int, dim_z: int, aut_desc: str) -> StructureReport:

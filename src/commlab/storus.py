@@ -27,6 +27,9 @@ from .errors import (
 from .frozen import Frozen
 
 TRIAL_BOUND = 10**6
+# psi_12, the least strong pseudoprime to all twelve bases of is_prime
+# (Sorenson and Webster, Math. Comp. 86, 2017): they prove primality below it
+PRIME_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
@@ -54,11 +57,17 @@ def is_prime(n: int) -> bool:
 
 
 def prime_set(primes) -> frozenset:
-    """The prime set S, each member checked in increasing order: NotPrime
-    for any other integer, on which a divide-out loop would never end
-    (1) or count a composite as a prime (4)."""
+    """The prime set S, each member checked in increasing order:
+    ExceedsFactorBound from PRIME_BOUND on, where is_prime certifies
+    nothing, and NotPrime for any other integer, on which a divide-out
+    loop would never end (1) or count a composite as a prime (4)."""
     primes = frozenset(primes)
     for p in sorted(primes):
+        if p >= PRIME_BOUND:
+            raise ExceedsFactorBound(
+                f"cannot certify {p} as prime: the Miller-Rabin bases prove "
+                f"primality only below {PRIME_BOUND}"
+            )
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
     return primes
@@ -107,12 +116,12 @@ def squarefree_part(n: int) -> int:
 
 
 def is_square_qp(x, p: int) -> bool:
-    """Whether x in Q* is a square in the p-adic field Q_p."""
+    """Whether x in Q* is a square in the p-adic field Q_p, p checked
+    by prime_set."""
     x = Fraction(x)
     if x == 0:
         raise ZeroInput("0 has no meaningful p-adic square class here")
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    prime_set((p,))
     num, den = x.numerator, x.denominator
     v = 0
     while num % p == 0:
@@ -138,8 +147,7 @@ class TorusFactor(Frozen):
     __slots__ = ("kind", "d")
 
     def __init__(self, kind: str, d: int | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "d", d)
+        super().__init__(kind, d)
         if self.kind == "Gm":
             if self.d is not None:
                 raise InvalidTorusSpec("Gm carries no discriminant")
@@ -158,7 +166,7 @@ class TorusSpec(Frozen):
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple[TorusFactor, ...] = ()):
-        object.__setattr__(self, "factors", factors)
+        super().__init__(factors)
 
     @classmethod
     def gm(cls) -> "TorusSpec":
@@ -188,12 +196,6 @@ class TorusSpec(Frozen):
 
 class RankReport(Frozen):
     __slots__ = ("rank_R", "rank_Q", "rank_Qp", "N")
-
-    def __init__(self, rank_R: int, rank_Q: int, rank_Qp: dict, N: int):
-        object.__setattr__(self, "rank_R", rank_R)
-        object.__setattr__(self, "rank_Q", rank_Q)
-        object.__setattr__(self, "rank_Qp", rank_Qp)
-        object.__setattr__(self, "N", N)
 
     def to_json(self):
         return {

@@ -3,19 +3,19 @@
 Everything is exact: the matrix logarithm and exponential are finite
 sums for unitriangular/nilpotent matrices, and so is every rational
 power g**r = sum of C(r, k) (g - I)**k (Higham, Functions of Matrices,
-2008, section 1.2), which gives the p-th root (r = 1/p) and the inverse
-(r = -1).  Automorphisms of the group correspond to bracket-preserving
-linear maps on the strictly-upper-triangular matrices.  Each such map
-phi induces the commensuration exp(phi(log g)) of the S-integer points
-on the congruence subgroup of least depth D, which ``congruence_domain``
-reads off the images of the root elements.
+2008, section 1.2), which gives the p-th root (r = 1/p), the inverse
+(r = -1) and every integer power (r = e).  Automorphisms of the group
+correspond to bracket-preserving linear maps on the strictly-upper-triangular
+matrices.  Each such map phi induces the commensuration exp(phi(log g))
+of the S-integer points on the congruence subgroup of least depth D,
+which ``congruence_domain`` reads off the images of the root elements.
 
-log, exp, roots and inverses each sum one series on integers
+log, exp, roots, inverses and powers each sum one series on integers
 (``_series``): each power of x is formed on its band above the diagonal
-and cut to lowest terms by one gcd, and the sum by one more; the root
-and inverse coefficients are binomial ones (``_binomial``).  A map's
-images of the basis elements E(i, j) are read as integer matrices over
-its one denominator (``_root_images``); the bracket check multiplies
+and cut to lowest terms by one gcd, and the sum by one more; the root,
+inverse and power coefficients are binomial ones (``_binomial``).  A
+map's images of the basis elements E(i, j) are read as integer matrices
+over its one denominator (``_root_images``); the bracket check multiplies
 their nonzero entries, and each step of the congruence depth's
 bisection sums one integer exp series per image.
 """
@@ -36,6 +36,7 @@ from .errors import (
     ResourceLimit,
     SingularMap,
 )
+from .frozen import Value
 from .matrices import MatQ
 from .storus import TRIAL_BOUND, is_prime, prime_factors, prime_set
 
@@ -52,7 +53,7 @@ def _too_large(n: int) -> ResourceLimit:
     return ResourceLimit(f"dimension capped at {DIMENSION_CAP}, got {n} x {n}")
 
 
-class UniTriMat:
+class UniTriMat(Value):
     """Upper unitriangular matrix with exact rational entries."""
 
     __slots__ = ("n", "mat")
@@ -97,28 +98,14 @@ class UniTriMat:
         return _power(self, -1, 1)
 
     def __pow__(self, e: int) -> "UniTriMat":
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = UniTriMat.identity(self.n)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, UniTriMat) and self.mat == other.mat
-
-    def __hash__(self):
-        return hash(self.mat)
+        """g**e for any integer e, one binomial series (r = e)."""
+        return _power(self, e, 1)
 
     def __repr__(self):
         return f"UniTriMat({self.mat.to_strings()})"
 
 
-class NilMat:
+class NilMat(Value):
     """Strictly upper triangular rational matrix (a nilpotent Lie element)."""
 
     __slots__ = ("n", "mat")
@@ -141,12 +128,6 @@ class NilMat:
 
     def __add__(self, other):
         return NilMat(self.mat + other.mat)
-
-    def __eq__(self, other):
-        return isinstance(other, NilMat) and self.mat == other.mat
-
-    def __hash__(self):
-        return hash(self.mat)
 
     def __repr__(self):
         return f"NilMat({self.mat.to_strings()})"
@@ -292,7 +273,9 @@ class LieAut:
     """Invertible linear map on the strictly upper triangular matrices,
     stored in the elementary-matrix basis E(i, j), i < j, ordered
     lexicographically.  Whether it preserves the bracket is checked by
-    lie_aut_check, not assumed."""
+    lie_aut_check, not assumed.  Its value is (n, mat) alone: the slot
+    _checked caches lie_aut_check's verdict, so it is no ``Value`` and
+    compares and hashes by its own pair."""
 
     __slots__ = ("n", "mat", "_checked")
 

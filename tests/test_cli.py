@@ -241,6 +241,56 @@ def test_a_json_boolean_is_no_integer(capsys, field):
             "detail": f"an integer field must be a JSON integer, got {boolean}"}
 
 
+_BLOCKS = {"h_central": [["0"]], "P": [["1"]], "h_10": [["0"]], "h_1z": [["0"]]}
+# each matrix or vector list of JSON input that the rational layer reads: a
+# command line with @ in the place of one row, the row, and the name that the
+# error gives; a JSON string in that place used to be read as the row of its
+# characters
+MATRIX_ROWS = {
+    "--matrix": (["unipotent", "log", "--matrix", '[@, ["0", "1"]]'], ["1", "0"], "--matrix"),
+    "L": (["unipotent", "apply-aut", "--aut", '{"n": 2, "L": [@]}', "--matrix",
+           '[["1", "1"], ["0", "1"]]'], ["2"], "L"),
+    "--ts": (["solve-inner", "--ts", '[[@, ["0", "2"]]]', "--vs", '[["2", "0"]]'],
+             ["2", "0"], "a --ts matrix"),
+    "--vs": (["solve-inner", "--ts", '[[["2", "0"], ["0", "2"]]]', "--vs", "[@]"],
+             ["1", "2"], "--vs"),
+    **{key: (["comm-desc", "inv", "--spec", json.dumps(
+        {"space": {"N0": 1, "N1": 1, "dZ": 1, "dZ1": 1}, "a": {**_BLOCKS, key: ["@"]}}
+    ).replace('"@"', "@")], _BLOCKS[key][0], key) for key in _BLOCKS},
+}
+
+
+@pytest.mark.parametrize("flag", sorted(MATRIX_ROWS))
+def test_a_json_string_is_no_matrix_row(capsys, flag):
+    argv, row, name = MATRIX_ROWS[flag]
+    code, out = run_json(capsys, [arg.replace("@", json.dumps(row)) for arg in argv])
+    assert code == 0, out
+    code, out = run_json(capsys, [arg.replace("@", json.dumps("".join(row))) for arg in argv])
+    assert code == 2 and out["error"] == "ParseError", out
+    assert out["detail"].startswith(f"{name} must be a list of lists, got "), out
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["lamp", "invert", "--comm", '{"level": 1, "der": "0", "A": ["1"], "flip": false}'],
+     "A must be a list of lists, got ['1']"),
+    (["lamp", "quotient-dim", "--submodule", '{"level": 1, "H": ["1+s"]}', "--m", "2"],
+     "H must be a list of lists, got ['1+s']"),
+])
+def test_a_lamplighter_matrix_is_a_list_of_lists(capsys, argv, detail):
+    code, out = run_json(capsys, argv)
+    assert code == 2 and out == {"error": "ParseError", "detail": detail}
+
+
+@pytest.mark.parametrize("prime", [318665857834031151167461, 2**89 - 1])
+def test_torus_rank_refuses_a_prime_it_cannot_certify(capsys, prime):
+    # the first is psi_12, a composite that passes every Miller-Rabin base of is_prime
+    code, out = run_json(capsys, ["torus-rank", "--disc", "2", "--primes", f"3,{prime}"])
+    assert code == 1 and out["error"] == "ExceedsFactorBound"
+    assert out["detail"].endswith("prove primality only below 318665857834031151167461")
+    code, out = run_json(capsys, ["torus-rank", "--disc", "2", "--primes", f"3,{2**61 - 1}"])
+    assert code == 0 and out["rank_Qp"] == {"3": 0, str(2**61 - 1): 1}
+
+
 def _least_level_class(level):
     """JSON of the level-`level` class with derivation t^(level - 1) and
     identity linear part; it arises from no lower level."""

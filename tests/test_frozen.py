@@ -4,16 +4,23 @@ from fractions import Fraction
 import pytest
 
 from commlab.errors import DegenerateAction, InvalidTorusSpec, OutOfDomain, ZeroInput
+from commlab.f2poly import F2LaurentPoly
+from commlab.frozen import Value
+from commlab.lamplighter import CommInftyElt, LampComm, LampElement, SubmoduleBasis, VDerElt
 from commlab.matrices import MatQ
+from commlab.polymat import PolyMat
 from commlab.solvable import (
     AffineMap,
     BSElement,
+    BSReduced,
     CommDesc,
     CommSpace,
     StructureReport,
+    TrivialReduced,
     reduced_part,
 )
 from commlab.storus import RankReport, TorusFactor, TorusSpec
+from commlab.unipotent import NilMat, UniTriMat
 
 _SPACE = CommSpace(1, 0, 0, 0, reduced_part("bs"))
 _BLOCKS = (MatQ.zeros(0, 1), MatQ([[2]]), MatQ.zeros(1, 0), MatQ.zeros(0, 0))
@@ -79,3 +86,46 @@ def test_constructors_keep_their_checks_in_order():
     with pytest.raises(InvalidTorusSpec, match="not squarefree"):
         TorusFactor("NormOne", 12)
     assert TorusSpec().factors == () and TorusFactor("Gm").d is None
+
+
+_ONE_T = F2LaurentPoly({1})
+# for each mutable value class, two instances with equal fields built two
+# ways and one with one field changed (the class, for the reduced parts,
+# which have no fields)
+_VALUE_CASES = [
+    (F2LaurentPoly({0, 3}), F2LaurentPoly.from_string("1+t^3"), F2LaurentPoly({1, 4})),
+    (PolyMat(2, [1, 2]), PolyMat.identity(2), PolyMat(2, [1, 2], 1)),
+    (MatQ.zeros(0, 1), MatQ([], ncols=1), MatQ.zeros(0, 2)),
+    (LampElement(_ONE_T, 2), LampElement.from_json({"k": "t", "n": 2}), LampElement(_ONE_T, 3)),
+    (VDerElt(2, _ONE_T), VDerElt(2, F2LaurentPoly.from_string("t")), VDerElt(4, _ONE_T)),
+    (CommInftyElt.identity(2), CommInftyElt(2, PolyMat.identity(2)),
+     CommInftyElt(2, PolyMat.identity(2), 0b11)),
+    (SubmoduleBasis.full(1), SubmoduleBasis(1, [[F2LaurentPoly.one()]]),
+     SubmoduleBasis(1, [[F2LaurentPoly({0, 1})]])),
+    (LampComm.identity(), LampComm(VDerElt.zero(), CommInftyElt.identity(1), False),
+     LampComm(VDerElt.zero(), CommInftyElt.identity(1), True)),
+    (UniTriMat([[1, 2], [0, 1]]), UniTriMat(MatQ([[1, 2], [0, 1]])), UniTriMat([[1, 3], [0, 1]])),
+    (NilMat([[0, 2], [0, 0]]), NilMat(MatQ([[0, 2], [0, 0]])), NilMat([[0, 3], [0, 0]])),
+    (TrivialReduced(), reduced_part("trivial"), BSReduced()),
+    (BSReduced(), reduced_part("bs"), TrivialReduced()),
+]
+
+
+def _twin(obj):
+    """An instance of another Value class with the same slots and fields."""
+    twin = object.__new__(type("Twin", (Value,), {"__slots__": type(obj).__slots__}))
+    for name in type(obj).__slots__:
+        object.__setattr__(twin, name, getattr(obj, name))
+    return twin
+
+
+@pytest.mark.parametrize("same, equal, other", _VALUE_CASES + _CASES,
+                         ids=lambda c: type(c).__name__)
+def test_values_are_equal_exactly_when_class_and_fields_are(same, equal, other):
+    assert same is not equal and same == equal and not same != equal
+    assert same != other and other != same
+    twin = _twin(same)
+    assert twin._fields(twin) == same._fields(same)
+    assert same != twin and twin != same  # the class is part of equality
+    if not isinstance(same, RankReport):  # a dict field: unhashable
+        assert hash(same) == hash(equal) == hash(same._fields(same))

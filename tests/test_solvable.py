@@ -32,6 +32,7 @@ from commlab.solvable import (
     comm_desc_inv,
     comm_desc_mul,
     reduced_comm_structure,
+    reduced_part,
     solve_inner_derivation,
 )
 from samplers import solve_inner_by_definition
@@ -386,6 +387,20 @@ def test_comm_desc_group_axioms():
             ai = comm_desc_inv(a)
             assert comm_desc_mul(a, ai) == ident
             assert comm_desc_mul(ai, a) == ident
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.tuples(*[st.integers(0, 3)] * 4), st.sampled_from(["trivial", "bs"]),
+       st.integers(0, 2**32))
+def test_comm_desc_law_is_a_group_law(dims, tag, seed):
+    """Associativity, the identity and inverses, each operand over its own
+    CommSpace, so that the product compares spaces by value."""
+    rng = random.Random(seed)
+    a, b, c = (rand_desc(rng, CommSpace(*dims, reduced_part(tag))) for _ in range(3))
+    ident = CommSpace(*dims, reduced_part(tag)).identity_desc()
+    assert comm_desc_mul(comm_desc_mul(a, b), c) == comm_desc_mul(a, comm_desc_mul(b, c))
+    assert comm_desc_mul(a, ident) == a == comm_desc_mul(ident, a)
+    assert comm_desc_mul(a, comm_desc_inv(a)) == ident == comm_desc_mul(comm_desc_inv(a), a)
 
 
 def test_comm_desc_block_conventions():

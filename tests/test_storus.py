@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commlab.errors import (
     ExceedsFactorBound,
@@ -11,11 +13,13 @@ from commlab.errors import (
     ZeroInput,
 )
 from commlab.storus import (
+    PRIME_BOUND,
     RankReport,
     TorusSpec,
     is_prime,
     is_square_qp,
     is_square_qp_bruteforce,
+    prime_set,
     rank_over,
     s_rank,
     squarefree_part,
@@ -54,6 +58,43 @@ def test_oracle_agreement_small_sweep():
         # valuations other than 0 and 1, in the numerator and the denominator
         for x in (18, 50, -12, 63, 4 * p**3, Fraction(2, 9), Fraction(9, 2 * p**2)):
             assert is_square_qp(x, p) == is_square_qp_bruteforce(x, p), (x, p)
+
+
+_SMALL_PRIMES = [p for p in range(2, 200) if is_prime(p)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from(_SMALL_PRIMES), st.sampled_from([1, -1]), st.integers(-4, 4),
+       st.integers(1, 10**6), st.integers(1, 10**6))
+def test_is_square_qp_agrees_with_the_search_oracle(p, sign, v, a, b):
+    """x = +-p**v * a / b, a and b drawn without regard to p, so that the
+    valuation of x is v plus theirs."""
+    x = sign * Fraction(p) ** v * Fraction(a, b)
+    assert is_square_qp(x, p) == is_square_qp_bruteforce(x, p), (x, p)
+
+
+# psi_12 = 399165290221 * 798330580441 passes the Miller-Rabin test to all
+# twelve bases of is_prime (Sorenson and Webster, Math. Comp. 86, 2017), and
+# 2**89 - 1 is a prime above it
+@pytest.mark.parametrize("big", [318665857834031151167461, 2**89 - 1])
+def test_a_member_at_or_above_psi12_is_refused(big):
+    assert big >= PRIME_BOUND == 399165290221 * 798330580441
+    bound = f"only below {PRIME_BOUND}$"
+    with pytest.raises(ExceedsFactorBound, match=f"^cannot certify {big} as prime: .*{bound}"):
+        prime_set({3, big})
+    with pytest.raises(ExceedsFactorBound, match=bound):
+        s_rank(TorusSpec.norm_one(2), [big])
+    with pytest.raises(ExceedsFactorBound, match=bound):
+        is_square_qp(2, big)
+    # the members are checked in increasing order, so a smaller non-prime is NotPrime
+    with pytest.raises(NotPrime, match="^4 is not prime$"):
+        prime_set({4, big})
+
+
+def test_a_prime_below_psi12_is_accepted():
+    p = 2**61 - 1
+    assert prime_set({2, p}) == {2, p}
+    assert s_rank(TorusSpec.norm_one(2), [p]).rank_Qp == {p: 1}  # p = 7 mod 8
 
 
 def test_rank_over_examples():

@@ -2,6 +2,8 @@ import math
 import random
 import time
 from fractions import Fraction as F
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,16 @@ def test_log_and_exp_match_the_fraction_series(rows):
 def test_pth_root_is_a_root(rows, p):
     g = unitri_from(rows)
     assert pth_root(g, p) ** p == g
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(strict_rows(), st.integers(-4, 4))
+def test_power_is_the_repeated_product(rows, e):
+    """g ** e, one binomial series, against the product of |e| copies of
+    g (e >= 0) or of its inverse (e < 0)."""
+    g = unitri_from(rows)
+    base = g if e >= 0 else g.inverse()
+    assert g ** e == reduce(mul, [base] * abs(e), UniTriMat.identity(len(rows)))
 
 
 @st.composite
