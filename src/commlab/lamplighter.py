@@ -521,14 +521,23 @@ def _apply_lin_to_vder(lin: CommInftyElt, value: F2LaurentPoly, op: str):
     is the level-raising multiplier 1 + s + ... + s**(j-1) with
     s = t**level.  A j with j * level above LEVEL_CAP raises
     ResourceLimit, naming the operation ``op``.
+
+    With den = 1 the image lin.num(value) is in K, so the answer is
+    (1, that image) with no gcd.  Otherwise den requires the factor
+    den / g of R_j, g the gcd of den and the coordinates of the image,
+    and the gcd loop stops once g is 1.
     """
     m = lin.level
     y = lin.num.apply(value)
     den = g = lin.den
+    if den == 1:
+        return 1, y
     # y is t**y.shift times y.mask, and a power of t permutes the coordinates up
     # to powers of s, which are prime to the odd den: so read those of y.mask
     for x in mask_deinterleave(y.mask, m):
         g = mask_gcd(g, x)
+        if g == 1:
+            break
     dreq = mask_divmod(den, g)[0]  # den divides R_j * y iff dreq | R_j
     j = 1
     r = mask_mod(1, dreq)

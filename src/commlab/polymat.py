@@ -14,6 +14,9 @@ matrix over F2(u) is ever formed.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 from .f2poly import (
     F2LaurentPoly,
     mask_deinterleave,
@@ -81,11 +84,15 @@ class PolyMat(Value):
     __slots__ = ("n", "shift", "cols")
 
     def __init__(self, n: int, cols, shift: int = 0):
+        """Puts t**shift * cols in the normal form.  The lowest set bit
+        of the OR of the masks is the lowest one of any mask, so one OR
+        gives the power of t that all of them share."""
         cols = tuple(cols)
-        low = min(((c & -c).bit_length() - 1 for c in cols if c), default=None)
-        if low is None:
+        union = reduce(operator.or_, cols, 0)
+        if not union:
             shift = 0
-        elif low:
+        elif not union & 1:
+            low = (union & -union).bit_length() - 1
             cols = tuple(c >> low for c in cols)
             shift += low
         self.n = n
@@ -146,7 +153,10 @@ class PolyMat(Value):
         return PolyMat(self.n, cols, self.n * (base // self.n) + self.shift)
 
     def scalar_mul(self, mask: int) -> "PolyMat":
-        """Multiply by the nonzero scalar polynomial in u given as a mask."""
+        """Multiply by the nonzero scalar polynomial in u given as a mask;
+        by 1 this is the map itself."""
+        if mask == 1:
+            return self
         g = mask_spread(mask, self.n)
         return PolyMat(self.n, (mask_mul(c, g) for c in self.cols), self.shift)
 
@@ -167,13 +177,17 @@ class PolyMat(Value):
         return [list(row) for row in zip(*columns)], self.shift // self.n
 
     def content_mask(self, g: int) -> int:
-        """gcd of the mask g and all entry polynomials, as a mask."""
+        """gcd of the mask g and all entry polynomials, as a mask.  Once
+        the gcd is 1 no entry can change it, so it returns 1 at that entry
+        (or at once, for g = 1) without reading the rest."""
+        if g == 1:
+            return g
         for c in self.cols:
-            if g == 1:
-                break
             for mask in self._column(c):
                 if mask:
                     g = mask_gcd(g, mask)
+                    if g == 1:
+                        return g
         return g
 
     # ------------------------------------------------------------------

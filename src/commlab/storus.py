@@ -122,6 +122,12 @@ def is_square_qp(x, p: int) -> bool:
     if x == 0:
         raise ZeroInput("0 has no meaningful p-adic square class here")
     prime_set((p,))
+    return _is_square_qp(x, p)
+
+
+def _is_square_qp(x, p: int) -> bool:
+    """is_square_qp for a nonzero int or Fraction x and a p that
+    prime_set has already checked."""
     num, den = x.numerator, x.denominator
     v = 0
     while num % p == 0:
@@ -206,39 +212,44 @@ class RankReport(Frozen):
         }
 
 
-def _sqrt_in_field(d: int, fieldtag) -> bool:
-    if fieldtag == "R":
-        return d > 0
-    if fieldtag == "Q":
-        return False  # d squarefree, not 1
-    p = fieldtag[1]
-    return is_square_qp(d, p)
-
-
-def rank_over(spec: TorusSpec, fieldtag) -> int:
-    """Rank of the torus over R, Q, or Q_p.
-
-    ``fieldtag`` is "R", "Q", or ("Qp", p).
-    """
-    if not isinstance(spec, TorusSpec):
-        raise InvalidTorusSpec("expected a TorusSpec")
+def _local_rank(spec: TorusSpec, is_square) -> int:
+    """Rank of the torus over a field in which the discriminant d of a
+    factor has a square root exactly when is_square(d)."""
     total = 0
     for f in spec.factors:
         if f.kind == "Gm":
             total += 1
         elif f.kind == "NormOne":
-            total += 1 if _sqrt_in_field(f.d, fieldtag) else 0
+            total += 1 if is_square(f.d) else 0
         else:  # RestScalars
-            total += 2 if _sqrt_in_field(f.d, fieldtag) else 1
+            total += 2 if is_square(f.d) else 1
     return total
 
 
+def rank_over(spec: TorusSpec, fieldtag) -> int:
+    """Rank of the torus over R, Q, or Q_p.
+
+    ``fieldtag`` is "R", "Q", or ("Qp", p); is_square_qp checks p at
+    each factor with a discriminant.
+    """
+    if not isinstance(spec, TorusSpec):
+        raise InvalidTorusSpec("expected a TorusSpec")
+    if fieldtag == "R":
+        return _local_rank(spec, lambda d: d > 0)
+    if fieldtag == "Q":
+        return _local_rank(spec, lambda d: False)  # d squarefree, not 1
+    p = fieldtag[1]
+    return _local_rank(spec, lambda d: is_square_qp(d, p))
+
+
 def s_rank(spec: TorusSpec, primes) -> RankReport:
-    """Free rank of the S-integer points, with the per-field breakdown."""
+    """Free rank of the S-integer points, with the per-field breakdown.
+    S is checked once, by prime_set, so the Q_p ranks test squares
+    without checking p again."""
     primes = sorted(prime_set(primes))
     r_r = rank_over(spec, "R")
     r_q = rank_over(spec, "Q")
-    r_p = {p: rank_over(spec, ("Qp", p)) for p in primes}
+    r_p = {p: _local_rank(spec, lambda d, p=p: _is_square_qp(d, p)) for p in primes}
     n = r_r - r_q + sum(r_p.values())
     return RankReport(r_r, r_q, r_p, n)
 

@@ -260,9 +260,10 @@ def test_comm_infty_canonical_inverts_raise():
             assert c.raise_to(k * c.level).canonical() == c
 
 
-def _sample_lin(rng, level):
+def _sample_lin(rng, level, polynomial=False):
     """Invertible level-`level` class: a product of elementary matrices
-    with a rational off-diagonal entry or a t-power on the diagonal."""
+    with a rational off-diagonal entry (a Laurent polynomial one, so den
+    is 1, when `polynomial`) or a t-power on the diagonal."""
     ident = MatF2Rat.identity(level)
     mat = ident
     for _ in range(rng.randrange(1, 4)):
@@ -271,7 +272,8 @@ def _sample_lin(rng, level):
         if i == j:
             rows[i][i] = R.t_power(rng.choice((-1, 1)))
         else:
-            rows[i][j] = R(rng.randrange(1, 8), 2 * rng.randrange(4) + 1, rng.randrange(-1, 2))
+            den = 1 if polynomial else 2 * rng.randrange(4) + 1
+            rows[i][j] = R(rng.randrange(1, 8), den, rng.randrange(-1, 2))
         mat = mat * MatF2Rat(rows)
     return CommInftyElt.from_entries(level, mat.to_strings())
 
@@ -311,6 +313,26 @@ def test_comm_infty_canonical_level_is_least_commuting_divisor():
         assert c.raise_to(m) == lin
         seen.add((least == 1, least == m))
     assert seen == {(True, False), (False, False), (False, True)}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(2, 12), st.integers(0, 2**32), st.booleans(), st.booleans())
+def test_comm_infty_canonical_level_is_least_commuting_divisor_on_drawn_classes(
+        m, seed, polynomial, flip):
+    # the same oracle over drawn levels and classes, with or without
+    # denominators, raised from two divisor levels and composed
+    rng = random.Random(seed)
+    divs = [d for d in range(1, m + 1) if m % d == 0]
+    lin = _sample_lin(rng, rng.choice(divs), polynomial).raise_to(m)
+    lin = lin.compose(_sample_lin(rng, rng.choice(divs), polynomial).raise_to(m))
+    if flip:
+        lin = lin.flip_conj()
+    a = matrix(lin)
+    least = min(d for d in divs if a * _shift_matrix(m, d) == _shift_matrix(m, d) * a)
+    c = lin.canonical()
+    assert c.level == least
+    assert c.canonical() == c
+    assert c.raise_to(m) == lin
 
 
 def _lowest_terms_by_entries(num, den):
@@ -1171,6 +1193,19 @@ def test_derivation_image_uses_one_gcd_for_the_denominator():
         assert got == _old_apply_lin_to_vder(lin, value)
         deep += got[0] > 1
     assert deep >= 20
+    # den = 1 classes at the levels 8-12 of composition at high level, some
+    # raised from a divisor level: the image is in K, so j = 1
+    for _ in range(40):
+        level = rng.randrange(8, 13)
+        divs = [d for d in range(1, level + 1) if level % d == 0]
+        lin = _sample_lin(rng, rng.choice(divs), polynomial=True).raise_to(level)
+        if rng.random() < 0.5:
+            lin = lin.compose(_sample_lin(rng, level, polynomial=True))
+        assert lin.den == 1
+        value = random_element(rng, 40).k
+        got = _apply_lin_to_vder(lin, value, "compose")
+        assert got == _old_apply_lin_to_vder(lin, value)
+        assert got[0] == 1
     # the two forms of dreq agree on arbitrary masks, zero coordinates included
     for _ in range(300):
         den = rng.randrange(0, 1 << 7) * 2 + 1

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commlab.f2poly import F2LaurentPoly, mask_mul
+from commlab.f2poly import F2LaurentPoly, mask_gcd, mask_mul
 from commlab.polymat import PolyMat, gauss_jordan
 from samplers import F2RatFun, MatF2Rat
 
@@ -173,6 +173,78 @@ def test_maps_agree_with_arithmetic_on_k(pair, k, r):
     for d in range(1, c.n + 1):
         equivariant = all(c.apply(x.shifted(d)) == c.apply(x).shifted(d) for x in basis + [k])
         assert c.commutes_with(d) == equivariant, d
+
+
+def _is_normal(a):
+    """The normal form: some column mask is odd, or every one is 0 and the shift is 0."""
+    return any(c & 1 for c in a.cols) or (not any(a.cols) and a.shift == 0)
+
+
+@PROPERTY
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 1 << 12), min_size=n, max_size=n))),
+    st.integers(0, 4), st.integers(-9, 9))
+def test_the_constructor_puts_the_map_in_normal_form(case, low, shift):
+    # every column has at least `low` zero low bits, so the common power of
+    # t is often positive; the built map is the one given
+    n, cols = case
+    cols = [c << low for c in cols]
+    a = PolyMat(n, cols, shift)
+    assert _is_normal(a)
+    if any(cols):
+        assert a.shift >= shift
+        assert all(c == x << (a.shift - shift) for c, x in zip(cols, a.cols))
+
+
+@PROPERTY
+@given(same_size_pairs, st.integers(0, 5), st.integers(1, 3),
+       st.integers(0, 63).map(lambda m: 2 * m + 1))
+def test_every_result_is_in_normal_form(pair, r, k, mask):
+    # b is moved to T_d * b as in the product test, so products see columns
+    # at a shift that is no multiple of n; mask 1 included
+    (a, _), (b, _) = pair
+    n = a.n
+    d = (r - b.shift) % n
+    if d and any(b.cols):
+        b = PolyMat(n, b.cols, b.shift + d)
+    for x in (a, b):
+        assert _is_normal(x)
+        assert x.scalar_mul(1) == x
+    for out in (a * b, b * a, a.raised(k), b.raised(k), a.scalar_mul(mask),
+                b.scalar_mul(mask), a.scalar_mul(mask).scalar_div(mask), a.flip(), b.flip()):
+        assert _is_normal(out)
+
+
+@st.composite
+def content_case(draw):
+    """(A, g): every entry of A is f times a drawn polynomial and g is f times
+    an odd drawn mask, so the gcd keeps f until an entry prime to f comes.
+    Often one entry (i, j) with i < n - 1 is set to a power of u, which is
+    prime to g: the gcd then reaches 1 partway through column j."""
+    n = draw(st.integers(1, 5))
+    f = draw(st.integers(0, 15).map(lambda m: 2 * m + 1))
+    g = mask_mul(f, draw(st.integers(0, 15).map(lambda m: 2 * m + 1)))
+    masks = draw(st.lists(st.lists(st.integers(0, 63), min_size=n, max_size=n),
+                          min_size=n, max_size=n))
+    shift = draw(st.integers(-3, 3))
+    entries = [[F2LaurentPoly._raw(mask_mul(f, m), shift) for m in row] for row in masks]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 2)), draw(st.integers(0, n - 1))
+        entries[i][j] = F2LaurentPoly.t_power(draw(st.integers(-3, 3)))
+    return PolyMat.from_entries(n, entries), g
+
+
+@PROPERTY
+@given(content_case())
+def test_content_mask_is_the_gcd_with_every_entry(case):
+    # oracle: one plain gcd loop over every entry of entry_masks, no early exit
+    a, g = case
+    want = g
+    for row in a.entry_masks()[0]:
+        for m in row:
+            want = mask_gcd(want, m)
+    assert a.content_mask(g) == want
+    assert a.content_mask(1) == 1
 
 
 def test_the_zero_map():

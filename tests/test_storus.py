@@ -1,9 +1,11 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commlab import storus
 from commlab.errors import (
     ExceedsFactorBound,
     FiniteOrder,
@@ -125,6 +127,48 @@ def test_s_rank_additive_and_monotone():
         assert total == sum(s_rank(p, primes).N for p in parts)
         assert total >= 0
     assert s_rank(spec, [2]).N <= s_rank(spec, [2, 5]).N
+
+
+def test_s_rank_checks_s_once():
+    # the Q_p ranks test squares without checking p again, and equal the
+    # checked rank_over; rank_over checks p only at a factor with a
+    # discriminant, as before
+    spec = TorusSpec.norm_one(5) * TorusSpec.rest_scalars(-1) * TorusSpec.norm_one(-3)
+    primes = [2, 3, 5, 7, 11, 13]
+    with mock.patch.object(storus, "prime_set", wraps=storus.prime_set) as checked:
+        report = s_rank(spec, primes)
+    assert checked.call_count == 1
+    assert report.rank_Qp == {p: rank_over(spec, ("Qp", p)) for p in primes}
+    with pytest.raises(NotPrime, match="^4 is not prime$"):
+        rank_over(TorusSpec.norm_one(5), ("Qp", 4))
+    assert rank_over(TorusSpec.gm(), ("Qp", 4)) == 1
+
+
+_DISCS = [d for d in range(-30, 31) if d not in (0, 1) and squarefree_part(d) == d]
+_FACTORS = st.one_of(
+    st.just(TorusSpec.gm()),
+    st.sampled_from(_DISCS).map(TorusSpec.norm_one),
+    st.sampled_from(_DISCS).map(TorusSpec.rest_scalars),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.lists(_FACTORS, min_size=1, max_size=4),
+       st.lists(st.sampled_from(_SMALL_PRIMES[:15]), max_size=5))
+def test_s_rank_agrees_with_the_search_oracle(factors, primes):
+    # oracle: each factor's local rank from d > 0 over R, no square over Q
+    # (d squarefree, not 1), and the search oracle over each Q_p
+    spec = factors[0]
+    for f in factors[1:]:
+        spec = spec * f
+
+    def rank(is_square):
+        return sum(1 if f.kind == "Gm" else int(is_square(f.d)) + (f.kind == "RestScalars")
+                   for f in spec.factors)
+
+    r_r, r_q = rank(lambda d: d > 0), rank(lambda d: False)
+    r_p = {p: rank(lambda d, p=p: is_square_qp_bruteforce(d, p)) for p in set(primes)}
+    assert s_rank(spec, primes) == RankReport(r_r, r_q, r_p, r_r - r_q + sum(r_p.values()))
 
 
 def test_rank_q_bounds():
