@@ -196,7 +196,7 @@ def mask_reverse(a: int) -> int:
     return rev >> (8 * nbytes - a.bit_length())
 
 
-_TERM_RE = re.compile(r"^(1|[ts](\^(-?\d+))?)$")
+_TERM_RE = re.compile(r"1|[ts](?:\^(-?\d+))?")
 _ONE = re.compile("1")
 
 
@@ -355,7 +355,11 @@ class F2LaurentPoly(Value):
 
     @classmethod
     def from_string(cls, text: str) -> "F2LaurentPoly":
-        """Parse ``0``, or ``+``-joined terms ``1 | t | t^<int>`` (``s`` accepted too)."""
+        """Parse ``0``, or ``+``-joined terms ``1 | t | t^<int>`` (``s`` accepted too).
+
+        Spaces are dropped; every other character belongs to a term, which
+        must match whole, so a newline makes its term bad.  One term is
+        t**e at once; more are packed, where a repeated exponent cancels."""
         if not isinstance(text, str):
             raise TypeError(f"a polynomial must be a string, got {text!r}")
         text = text.replace(" ", "")
@@ -363,10 +367,12 @@ class F2LaurentPoly(Value):
             return cls.zero()
         exps = []
         for term in text.split("+"):
-            m = _TERM_RE.match(term)
+            m = _TERM_RE.fullmatch(term)
             if not m:
                 raise ValueError(f"bad polynomial term: {term!r}")
-            exps.append(0 if term == "1" else int(m.group(3) or 1))
+            exps.append(0 if term == "1" else int(m.group(1) or 1))
+        if len(exps) == 1:
+            return cls._raw(1, exps[0])
         return cls._raw(*_pack(exps))
 
     def __str__(self):

@@ -284,7 +284,15 @@ class CommInftyElt(Value):
     @classmethod
     def from_entries(cls, level: int, entries) -> "CommInftyElt":
         """Build from an array of entry strings (see ``ratfun``), the matrix
-        num / den over F2(s); raises SingularMatrix if singular."""
+        num / den over F2(s); raises SingularMatrix if singular.
+
+        Every entry is parsed, in lowest terms, before the level and the
+        shape are checked.  den is the lcm of the entry denominators other
+        than 1, the least common one, so (1+s^k)/(1+s^k) stays 1 and not a
+        dense quotient of it.  Each numerator, times den/d where its d is
+        not den, is shifted to the least power of s of any entry: one
+        matrix of poly masks, whose columns interleave into num and whose
+        elimination tests det = 0 (a common power of s changes neither)."""
         rows = [[ratfun.parse(x) for x in row] for row in entries]
         if level < 1:
             raise ExponentMismatch(f"commensuration level must be >= 1, got {level}")
@@ -296,19 +304,16 @@ class CommInftyElt(Value):
                 f"level {level} needs a {level} x {level} matrix, "
                 f"got {len(rows)} x {ncols}"
             )
-        # each entry in lowest terms first (one gcd), so den is the least common
-        # denominator and (1+s^k)/(1+s^k) stays 1, not a dense quotient of it
-        rows = [[(mask_divmod(n.mask, g)[0], mask_divmod(d.mask, g)[0], n.shift - d.shift)
-                 for n, d in row for g in (mask_gcd(n.mask, d.mask),)] for row in rows]
         den = 1
         for row in rows:
             for _, d, _ in row:
-                den = mask_lcm(den, d)
-        num = PolyMat.from_entries(level, [
-            [F2LaurentPoly._raw(mask_mul(n, mask_divmod(den, d)[0]), shift) for n, d, shift in row]
-            for row in rows
-        ])
-        if not gauss_jordan(num.entry_masks()[0], level):
+                if d != 1:
+                    den = mask_lcm(den, d)
+        base = min((shift for row in rows for n, _, shift in row if n), default=0)
+        masks = [[(n if d == den else mask_mul(n, mask_divmod(den, d)[0])) << shift - base
+                  if n else 0 for n, d, shift in row] for row in rows]
+        num = PolyMat.from_masks(level, masks, base)
+        if not gauss_jordan(masks, level):
             raise SingularMatrix("commensuration matrix must be invertible")
         return cls._coprime(level, num, den)
 
@@ -364,8 +369,8 @@ class CommInftyElt(Value):
         rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(masks)]
         det = gauss_jordan(rows, n)
         v = (det & -det).bit_length() - 1
-        adj = [[F2LaurentPoly._raw(m, -shift - v) for m in row[n:]] for row in rows]
-        return CommInftyElt(n, PolyMat.from_entries(n, adj).scalar_mul(self.den), det >> v)
+        adj = PolyMat.from_masks(n, [row[n:] for row in rows], -shift - v)
+        return CommInftyElt(n, adj.scalar_mul(self.den), det >> v)
 
     def flip_conj(self) -> "CommInftyElt":
         # A(1/s) = N(1/s) * s**deg / (s**deg * D(1/s)), and s**deg * D(1/s)

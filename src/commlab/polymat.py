@@ -4,8 +4,8 @@ Such a map is fixed by where it sends the basis 1, t, ..., t**(n-1), so a
 PolyMat holds those n images, each as an int mask at a common t-shift.
 As an n x n matrix over F2[u, 1/u], entry (i, j) is the part of image j
 at the exponents n*e + i: each column is the Kronecker layout of
-``f2poly``, which owns it, so ``from_entries`` interleaves a column's
-entries and ``entry_masks`` de-interleaves them.  So the action on K, the
+``f2poly``, which owns it, so ``from_masks`` interleaves a column's
+entry masks and ``entry_masks`` de-interleaves them.  So the action on K, the
 product, the level changes, the shift commute test and the flip are
 shifts and carry-less products of the n masks.  Only this module reads
 the masks, and ``gauss_jordan`` is the one elimination over F2[u], so no
@@ -114,9 +114,14 @@ class PolyMat(Value):
         """Build from an n x n array of F2LaurentPoly in u: image j is the
         sum over i of entry (i, j) at u = t**n, times t**i."""
         base = min((x.shift for row in entries for x in row if x), default=0)
-        cols = (mask_interleave([x.mask << x.shift - base if x else 0 for x in col], n)
-                for col in zip(*entries))
-        return cls(n, cols, n * base)
+        return cls.from_masks(n, [[x.mask << x.shift - base if x else 0 for x in row]
+                                  for row in entries], base)
+
+    @classmethod
+    def from_masks(cls, n: int, rows, shift: int) -> "PolyMat":
+        """Inverse of entry_masks: entry (i, j) is u**shift times the
+        polynomial whose mask is rows[i][j]."""
+        return cls(n, (mask_interleave(col, n) for col in zip(*rows)), n * shift)
 
     def images(self) -> list[F2LaurentPoly]:
         """The images of 1, t, ..., t**(n-1)."""

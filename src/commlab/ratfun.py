@@ -5,6 +5,10 @@ linear part is an F2[s, 1/s]-linear map over one scalar denominator
 (``lamplighter.CommInftyElt``).  An entry of its matrix is written
 ``poly`` or ``poly/poly``, each side optionally parenthesized, in the
 term syntax of ``F2LaurentPoly.from_string``.
+
+Parse and print speak one triple (num, den, shift), the element
+t**shift * num/den with num and den poly masks: ``parse`` returns it in
+lowest terms and ``to_string`` writes it, so each inverts the other.
 """
 
 from __future__ import annotations
@@ -12,18 +16,29 @@ from __future__ import annotations
 from .f2poly import F2LaurentPoly, mask_divmod, mask_gcd
 
 
-def parse(text: str) -> tuple[F2LaurentPoly, F2LaurentPoly]:
-    """The numerator and denominator of ``text``, as written (unreduced)."""
+def parse(text: str) -> tuple[int, int, int]:
+    """The triple (num, den, shift) of ``text`` in lowest terms: num and
+    den are coprime poly masks, den and a nonzero num odd, and zero is
+    (0, 1, 0).  The gcd is taken only for a denominator other than a
+    power of t."""
     if not isinstance(text, str):
         raise TypeError(f"a rational function must be a string, got {text!r}")
+    if text == "0":
+        return 0, 1, 0
     top, slash, bottom = text.replace(" ", "").partition("/")
     num = F2LaurentPoly.from_string(top.strip("()"))
     if not slash:
-        return num, F2LaurentPoly.one()
+        return num.mask, 1, num.shift
     den = F2LaurentPoly.from_string(bottom.strip("()"))
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
-    return num, den
+    if num.is_zero():
+        return 0, 1, 0
+    n, d = num.mask, den.mask
+    if d != 1:
+        g = mask_gcd(n, d)
+        n, d = mask_divmod(n, g)[0], mask_divmod(d, g)[0]
+    return n, d, num.shift - den.shift
 
 
 def to_string(num: int, den: int, shift: int, var: str) -> str:

@@ -24,6 +24,9 @@ basis) that ``commlab.lamplighter.comm_domain`` is compared against.
 ``log_series`` and ``exp_series`` sum the unitriangular log and exp on
 any such matrix class: the oracle of the integer series of
 ``commlab.unipotent``.
+``from_entries_by_polys`` reads a linear part through one pair of
+``F2LaurentPoly`` per entry, the oracle of
+``commlab.lamplighter.CommInftyElt.from_entries``.
 ``ci_lamp_class`` draws the row-permuted triangular classes of the CI
 lamplighter digest.  ``solve_inner_by_definition`` solves the inner-derivation systems over
 ``MatQFraction`` with every check in the order of its definition.
@@ -38,11 +41,19 @@ from commlab.f2poly import (
     mask_divmod,
     mask_gcd,
     mask_interleave,
+    mask_lcm,
     mask_mul,
 )
-from commlab.errors import DegenerateAction, IncompatibleCocycle, SingularMatrix
+from commlab.errors import (
+    DegenerateAction,
+    DimensionMismatch,
+    ExponentMismatch,
+    IncompatibleCocycle,
+    SingularMatrix,
+)
 from commlab.hnf import row_echelon
 from commlab.lamplighter import CommInftyElt, LampComm, LampElement, SubmoduleBasis, VDerElt
+from commlab.polymat import PolyMat, gauss_jordan
 
 _ZERO = F2LaurentPoly.zero()
 
@@ -213,6 +224,48 @@ def comm_domain_by_kernel(c: LampComm):
     return (flip_basis(basis) if c.flip else basis), level
 
 
+def from_entries_by_polys(level: int, entries) -> CommInftyElt:
+    """``CommInftyElt.from_entries`` by the route that reads each entry into
+    a pair of F2LaurentPoly as written: one gcd per entry, the lcm of every
+    denominator, the numerators as F2LaurentPoly into
+    ``PolyMat.from_entries``, and the elimination of its ``entry_masks``.
+    The same checks in the same order, with the same errors."""
+    def parse(text):
+        if not isinstance(text, str):
+            raise TypeError(f"a rational function must be a string, got {text!r}")
+        top, slash, bottom = text.replace(" ", "").partition("/")
+        num = F2LaurentPoly.from_string(top.strip("()"))
+        if not slash:
+            return num, F2LaurentPoly.one()
+        den = F2LaurentPoly.from_string(bottom.strip("()"))
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        return num, den
+
+    rows = [[parse(x) for x in row] for row in entries]
+    if level < 1:
+        raise ExponentMismatch(f"commensuration level must be >= 1, got {level}")
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged rows")
+    if len(rows) != level or ncols != level:
+        raise DimensionMismatch(
+            f"level {level} needs a {level} x {level} matrix, got {len(rows)} x {ncols}")
+    rows = [[(mask_divmod(n.mask, g)[0], mask_divmod(d.mask, g)[0], n.shift - d.shift)
+             for n, d in row for g in (mask_gcd(n.mask, d.mask),)] for row in rows]
+    den = 1
+    for row in rows:
+        for _, d, _ in row:
+            den = mask_lcm(den, d)
+    num = PolyMat.from_entries(level, [
+        [F2LaurentPoly._raw(mask_mul(n, mask_divmod(den, d)[0]), shift) for n, d, shift in row]
+        for row in rows
+    ])
+    if not gauss_jordan(num.entry_masks()[0], level):
+        raise SingularMatrix("commensuration matrix must be invertible")
+    return CommInftyElt._coprime(level, num, den)
+
+
 class F2RatFun:
     """Element t**shift * num/den of the field F2(t): num and den are poly
     masks with nonzero constant term and gcd 1, and all unit factors t**k
@@ -257,8 +310,7 @@ class F2RatFun:
 
     @classmethod
     def from_string(cls, text: str) -> "F2RatFun":
-        num, den = ratfun.parse(text)
-        return cls(num.mask, den.mask, num.shift - den.shift)
+        return cls(*ratfun.parse(text))
 
     def to_string(self, var: str = "t") -> str:
         return ratfun.to_string(self.num, self.den, self.shift, var)

@@ -452,6 +452,21 @@ def test_linear_part_errors_print_fixed_lines(capsys):
         assert (code, captured.out, captured.err) == (want_code, want + "\n", ""), argv
 
 
+def test_a_newline_in_a_term_is_a_parse_error(capsys):
+    # a term pattern anchored by $ read "1\n" as t: mul printed {"k": "t", "n": 0}
+    for argv in [
+        ["lamp", "mul", "--g", '{"k":"1\\n","n":0}', "--h", '{"k":"0","n":0}'],
+        ["lamp", "invert", "--comm", '{"level":1,"der":"0","A":[["1\\n"]],"flip":false}'],
+        ["lamp", "invert", "--comm", '{"level":1,"der":"t^3\\n","A":[["1"]],"flip":false}'],
+    ]:
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, ""), argv
+        term = "t^3\n" if "t^3" in argv[-1] else "1\n"
+        assert captured.out == json.dumps(
+            {"error": "ParseError", "detail": f"bad polynomial term: {term!r}"}) + "\n", argv
+
+
 def test_negative_dimensions_are_named(capsys):
     blocks = {"h_central": [], "P": [], "h_10": [], "h_1z": []}
     spec = {"space": {"N0": 0, "N1": 0, "dZ": -1, "dZ1": 0}, "a": blocks, "b": blocks}
@@ -630,7 +645,7 @@ def test_entries_that_cancel_are_cut_before_the_common_denominator(capsys):
     assert time.perf_counter() - start < 1
 
 
-# A entries of at most 12 characters from "01ts^-+/() ": free text, and
+# A entries of at most 12 characters from "01ts^-+/() \n": free text, and
 # polynomials or quotients cut to 12 characters, so that well-formed and
 # domain-error entries are drawn as often as malformed ones
 _POLYS = st.lists(
@@ -640,7 +655,7 @@ _QUOTIENTS = st.tuples(_POLYS, st.sampled_from(["/", ")/(", " / "]), _POLYS).map
     lambda parts: "".join(parts)[:12]
 )
 _ENTRIES = st.one_of(
-    _POLYS, _QUOTIENTS, _QUOTIENTS, st.text(alphabet="01ts^-+/() ", max_size=12)
+    _POLYS, _QUOTIENTS, _QUOTIENTS, st.text(alphabet="01ts^-+/() \n", max_size=12)
 )
 
 
@@ -648,15 +663,19 @@ _ENTRIES = st.one_of(
 @given(st.integers(1, 2).flatmap(lambda n: st.lists(
     st.lists(_ENTRIES, min_size=n, max_size=n), min_size=1, max_size=n)))
 def test_fuzzed_entries_print_one_json_line(rows):
+    # each class goes to every lamp leaf that reads one class: invert,
+    # domain, and compose with itself
     comm = json.dumps({"level": len(rows[0]), "der": "0", "A": rows, "flip": False})
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = run(["lamp", "invert", "--comm", comm])
-    lines = out.getvalue().splitlines()
-    assert len(lines) == 1, comm
-    result = json.loads(lines[0])
-    assert code in (0, 1, 2), comm
-    assert code == 0 or "error" in result, comm
+    for argv in (["lamp", "invert", "--comm", comm], ["lamp", "domain", "--comm", comm],
+                 ["lamp", "compose", "--c1", comm, "--c2", comm]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(argv)
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1, argv
+        result = json.loads(lines[0])
+        assert code in (0, 1, 2), argv
+        assert code == 0 or "error" in result, argv
 
 
 # BS fields: short ints, ints of up to 15 digits, decimals with large

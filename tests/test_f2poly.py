@@ -67,8 +67,22 @@ def test_string_round_trip():
     assert P.from_string("1+t+t") == P.one()
     assert P.from_string("t^-3+t^4+t^-3") == P([4])
     assert P([1, 1]) == P.t_power(1)
+    # a single term, with or without an exponent
+    assert P.from_string("s^-7") == P.t_power(-7)
+    assert P.from_string(" 1 ") == P.one()
     with pytest.raises(ValueError):
         P.from_string("t^")
+
+
+def test_a_term_must_match_whole():
+    # a newline is no space: it stays in its term, which is then bad (a term
+    # pattern anchored by $ read "1\n" as t and "t^3\n" as t^3)
+    for text, term in [("1\n", "1\n"), ("1\n+t", "1\n"), ("t^3\n", "t^3\n"),
+                       ("t+\nt", "\nt"), ("t^2\n+1", "t^2\n"), ("t^", "t^"), ("1t", "1t"),
+                       ("", ""), ("t++1", "")]:
+        with pytest.raises(ValueError) as info:
+            P.from_string(text)
+        assert str(info.value) == f"bad polynomial term: {term!r}", text
 
 
 def test_flip_and_shift():

@@ -44,6 +44,7 @@ from samplers import (
     coords_to_k,
     f2_rank,
     flip_basis,
+    from_entries_by_polys,
     k_to_coords,
     random_comm,
     random_element,
@@ -454,6 +455,76 @@ def test_linear_parts_agree_with_field_elimination(entries):
 def test_comm_infty_singular_rejected():
     with pytest.raises(SingularMatrix):
         CommInftyElt.from_entries(2, [["1", "1"], ["1", "1"]])
+
+
+@st.composite
+def written_entries(draw):
+    """An entry string as a user may write it: "0" and zero over a
+    denominator, polynomials whose repeated terms cancel (s+s), and
+    quotients f*a/(f*b) written term by term, unreduced, with f and b
+    possibly divisible by s; negative exponents, spaces and parentheses."""
+    kind = draw(st.integers(0, 8))
+    if kind == 0:
+        return draw(st.sampled_from(["0", "0/(1+s)", " 0 ", "(0)/(s^2)", "(s+s)/(1+s)"]))
+    spaced = draw(st.booleans())
+
+    def term(e):
+        return "1" if e == 0 else "s" if e == 1 else f"s^{e}"
+
+    def written(exps):
+        return (" + " if spaced else "+").join(map(term, exps))
+
+    a = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    if kind < 4:
+        return written(a)
+    f = draw(st.sampled_from([[0], [1], [0, 1], [-1, 1], [0, 1, 2]]))
+    b = draw(st.sampled_from([[0], [2], [0, 1], [2, 3], [0, 2, 3], [1, 1, 0]]))
+    top = written([i + j for i in f for j in a])
+    bottom = written([i + j for i in f for j in b])
+    if spaced:
+        return f" ( {top} ) / ( {bottom} ) "
+    return f"({top})/({bottom})"
+
+
+@st.composite
+def written_matrices(draw):
+    """(level, rows) at levels 1-4: square arrays, a third of them with a
+    row repeated or zeroed (singular); and now and then a malformed entry, a
+    ragged array, one with a row or a column too many or too few, or a wrong
+    level."""
+    level = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["square"] * 8 + ["ragged", "rows", "cols", "level"]))
+    nrows = level + (draw(st.sampled_from([-1, 1])) if shape == "rows" else 0)
+    ncols = level + (draw(st.sampled_from([-1, 1])) if shape == "cols" else 0)
+    rows = [[draw(written_entries()) for _ in range(ncols)] for _ in range(nrows)]
+    if shape == "ragged" and level > 1:
+        rows[draw(st.integers(0, nrows - 1))].pop()
+    if shape == "level":
+        level = draw(st.sampled_from([0, level + 1]))
+    if rows and rows[0] and draw(st.integers(0, 7)) == 0:
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows[0]) - 1))
+        rows[i][j] = draw(st.sampled_from(["x", "1/0", "s/(s+s)", "1/1/1", "s^", 1]))
+    if len(rows) > 1 and draw(st.integers(0, 2)) == 0:
+        i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+        rows[i] = list(rows[j]) if draw(st.booleans()) else ["0"] * len(rows[i])
+    return level, rows
+
+
+def _built_or_raised(build, level, rows):
+    try:
+        return build(level, rows)
+    except Exception as exc:  # noqa: BLE001 -- both routes must raise alike
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(written_matrices())
+def test_entries_read_as_masks_agree_with_the_polynomial_route(case):
+    # the oracle reads each entry into a pair of F2LaurentPoly as written,
+    # then gcd, lcm, PolyMat.from_entries and the elimination of entry_masks
+    level, rows = case
+    got = _built_or_raised(CommInftyElt.from_entries, level, rows)
+    assert got == _built_or_raised(from_entries_by_polys, level, rows), case
 
 
 def test_a_row_permuted_triangular_class_at_level_60_is_fast():

@@ -114,6 +114,11 @@ def test_from_entries_rebuilds_the_matrix(case):
     # the zero matrix too: all-zero entries give the zero map
     a, _ = case
     assert PolyMat.from_entries(a.n, _entries(a)) == a
+    # from_masks inverts entry_masks, and a common power of u moves into the
+    # shift whether it sits in the masks or in the shift argument
+    masks, shift = a.entry_masks()
+    assert PolyMat.from_masks(a.n, masks, shift) == a
+    assert PolyMat.from_masks(a.n, [[m << 3 for m in row] for row in masks], shift - 3) == a
 
 
 @PROPERTY

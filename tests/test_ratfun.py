@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from commlab import ratfun
 from commlab.f2poly import F2LaurentPoly as P
+from commlab.f2poly import mask_divmod, mask_gcd, mask_mul
 from samplers import F2RatFun as R
 
 ELEMENTS = st.builds(
@@ -70,23 +71,44 @@ def test_division():
 
 
 def test_string_round_trip():
-    # to_string writes lowest terms, and parse reads them back as written
+    # parse reads back the lowest-terms triple (num, den, shift) that
+    # to_string writes
     rng = random.Random(4)
     for _ in range(100):
         a = rand_ratfun(rng)
-        assert ratfun.parse(ratfun.to_string(a.num, a.den, a.shift, "t")) == (
-            P._raw(a.num, a.shift), P._raw(a.den, 0)
-        )
-    assert ratfun.parse("0") == (P.zero(), P.one())
-    assert ratfun.parse("t^2") == (P([2]), P.one())
+        assert ratfun.parse(ratfun.to_string(a.num, a.den, a.shift, "t")) == (a.num, a.den, a.shift)
+    assert ratfun.parse("0") == (0, 1, 0)
+    assert ratfun.parse("t^2") == (1, 1, 2)
     assert ratfun.to_string(1, 1, 2, "t") == "t^2"
     assert ratfun.to_string(0, 0b111, 5, "t") == "0"
     assert ratfun.to_string(1, 0b111, -1, "t") == "(t^-1)/(1+t+t^2)"
-    # parse reduces nothing; to_string reduces by one gcd
-    assert ratfun.parse("(1+t)/(1+t)") == (P([0, 1]), P([0, 1]))
-    assert ratfun.parse(" ( t^-1 + t ) / ( 1 + t^2 ) ") == (P([-1, 1]), P([0, 2]))
+    # both reduce by one gcd; powers of t go to the shift
+    assert ratfun.parse("(1+t)/(1+t)") == (1, 1, 0)
+    assert ratfun.parse(" ( t^-1 + t ) / ( 1 + t^2 ) ") == (1, 1, -1)
+    assert ratfun.parse("(1+t^2)/(1+t)") == (0b11, 1, 0)
+    assert ratfun.parse("(s+s^2)/(s^3+s^4)") == (1, 1, -2)
+    assert ratfun.parse("(t^-1)/(1+t+t^2)") == (1, 0b111, -1)
+    assert ratfun.parse("1/t^3") == (1, 1, -3)
+    # a zero numerator is (0, 1, 0) whatever the denominator
+    assert ratfun.parse("0/(1+s)") == (0, 1, 0)
+    assert ratfun.parse("(s+s)/(s^5)") == (0, 1, 0)
     assert ratfun.to_string(0b11, 0b11, 0, "t") == "1"
     assert ratfun.to_string(0b101, 0b11, 1, "s") == "s+s^2"
+
+
+ODD_MASKS = st.integers(0, (1 << 12) - 1).map(lambda m: 2 * m + 1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(ODD_MASKS, ODD_MASKS, st.integers(-20, 20), st.sampled_from(["t", "s"]),
+       st.sampled_from([1, 0b11, 0b111, 0b1011]))
+def test_parse_inverts_to_string(num, den, shift, var, common):
+    # a drawn common factor makes about half of the pairs unreduced
+    num, den = mask_mul(num, common), mask_mul(den, common)
+    g = mask_gcd(num, den)
+    want = (mask_divmod(num, g)[0], mask_divmod(den, g)[0], shift)
+    assert ratfun.parse(ratfun.to_string(num, den, shift, var)) == want
+    assert ratfun.parse(ratfun.to_string(0, den, shift, var)) == (0, 1, 0)
 
 
 def test_parse_errors_keep_their_order():
@@ -97,6 +119,7 @@ def test_parse_errors_keep_their_order():
         ("x/0", ValueError, "bad polynomial term: 'x'"),
         ("1/x", ValueError, "bad polynomial term: 'x'"),
         ("1/1/1", ValueError, "bad polynomial term: '1/1'"),
+        ("1\n/(1+t)", ValueError, "bad polynomial term: '1\\n'"),
         ("1/0", ZeroDivisionError, "zero denominator"),
         ("0/0", ZeroDivisionError, "zero denominator"),
     ]:
