@@ -482,7 +482,10 @@ def run(argv) -> int:
     except MemoryError:
         print(json.dumps({"error": ResourceLimit.code, "detail": "out of memory"}))
         return 1
-    except (ValueError, KeyError, TypeError) as exc:
+    except KeyError as exc:  # a JSON object without a key that the call reads
+        print(json.dumps({"error": "ParseError", "detail": f"missing key {exc}"}))
+        return 2
+    except (ValueError, TypeError) as exc:
         print(json.dumps({"error": "ParseError", "detail": str(exc)}))
         return 2
     print(text)

@@ -9,7 +9,10 @@ entry masks and ``entry_masks`` de-interleaves them.  So the action on K, the
 product, the level changes, the shift commute test and the flip are
 shifts and carry-less products of the n masks.  Only this module reads
 the masks, and ``gauss_jordan`` is the one elimination over F2[u], so no
-matrix over F2(u) is ever formed.
+matrix over F2(u) is ever formed.  It peels column singletons before it
+eliminates, so a row-permuted triangular matrix, the shape of the
+lamplighter linear parts and of their flip conjugates, costs one
+back-substitution.
 """
 
 from __future__ import annotations
@@ -30,17 +33,104 @@ from .frozen import Value
 
 
 def gauss_jordan(rows: list, n: int) -> int:
-    """Fraction-free Gauss-Jordan elimination over F2[u] (Bareiss 1968), in place.
+    """det N and adj(N) * B over F2[u], in place, with work that follows
+    the nonzero entries of N.
 
     rows holds n lists of poly masks: a square matrix N in the first n
     columns, then any further columns B.  Returns det N, or 0 when N is
     singular; otherwise the columns after the first n end up as adj(N) * B.
+
+    The column singletons are peeled first, the leading 1 x 1 blocks of
+    the block triangular form (Duff and Reid, ACM TOMS 4, 1978): a column
+    with one live entry p is a pivot, and det N is p times det N without
+    p's row and column (over F2 there is no sign); a column with no live
+    entry means det N = 0.  A later pivot's row is 0 in every earlier
+    pivot's column, and so are the rows left, the core, so det N is the
+    product of the pivots times det core (``_bareiss``).  Then X = adj(N) B
+    solves N X = det N * B, with every division exact: the core's X is
+    det N / det core times the ``_bareiss`` columns of [core | its rows of
+    B], and, in reverse peel order, a pivot p at (i, j) gives
+    x_j = (det N * b_i - the rest of row i times X) / p.
+    """
+    by_row = [[j for j in range(n) if row[j]] for row in rows]
+    col_rows = [set() for _ in range(n)]  # the live rows of each column
+    for i, js in enumerate(by_row):
+        for j in js:
+            col_rows[j].add(i)
+    todo = [j for j in range(n) if len(col_rows[j]) < 2]
+    peel = []
+    while todo:
+        j = todo.pop()
+        live = col_rows[j]
+        if not live:
+            return 0
+        i = live.pop()
+        peel.append((i, j))
+        for jj in by_row[i]:
+            if jj != j:
+                live = col_rows[jj]
+                live.remove(i)
+                if len(live) < 2:
+                    todo.append(jj)
+    if not peel:
+        return _bareiss(rows, n)
+    det = 1
+    for i, j in peel:
+        det = mask_mul(det, rows[i][j])
+    x = [None] * n
+    core = [j for j in range(n) if col_rows[j]]
+    if core:
+        out = {i for i, _ in peel}
+        sub = [[row[j] for j in core] + row[n:] for i, row in enumerate(rows) if i not in out]
+        d = _bareiss(sub, len(core))
+        if not d:
+            return 0
+        for j, row in zip(core, sub):
+            x[j] = _scaled(row[len(core):], det)
+        det = mask_mul(det, d)
+    if len(rows[0]) == n:
+        return det
+    for i, j in reversed(peel):
+        row = rows[i]
+        acc = _scaled(row[n:], det)
+        for jj in by_row[i]:
+            if jj != j:
+                a = row[jj]
+                acc = [v ^ mask_mul(a, w) if w else v for v, w in zip(acc, x[jj])]
+        x[j] = _divided(acc, row[j])
+    for j in range(n):
+        rows[j][n:] = x[j]
+    return det
+
+
+def _scaled(vec: list, f: int) -> list:
+    """The poly masks of vec times f."""
+    return vec if f == 1 else [mask_mul(f, v) if v else 0 for v in vec]
+
+
+def _divided(vec: list, p: int) -> list:
+    """The exact quotients of the poly masks of vec by p; by a power of u
+    a shift."""
+    if p & (p - 1) == 0:
+        k = p.bit_length() - 1
+        return [v >> k for v in vec] if k else vec
+    return [mask_divmod(v, p)[0] if v else 0 for v in vec]
+
+
+def _bareiss(rows: list, n: int) -> int:
+    """Fraction-free elimination over F2[u] (Bareiss 1968), in place: the
+    core of ``gauss_jordan``, with the same arguments and answer.
+
     Every entry formed is a minor of the input, so each division by the
     previous pivot is exact, and over F2 a row swap changes no sign, so
     the answer does not depend on which rows are taken as pivots.  The
     pivot at column k is the row with the most zeros left in N (the
-    fewest nonzero entries, Markowitz's rule): a row-permuted triangular
-    N is then eliminated in its triangular order, and no entry fills in.
+    fewest nonzero entries, Markowitz's rule).  It still pays: the cores
+    that the peel leaves of the domain images of level-60 flipped classes
+    take 0.05-0.16 s with it and 0.12-0.33 s with the first live row as
+    pivot.  With no columns B only the rows below a pivot are eliminated,
+    as det N is the last pivot; with B every other row is (Gauss-Jordan),
+    and B ends up as adj(N) * B.
 
     At pivot k each other row x becomes (piv*x + a*top) / prev, a its
     column-k entry.  A row with a = 0 is only rescaled by piv/prev, so
@@ -59,7 +149,7 @@ def gauss_jordan(rows: list, n: int) -> int:
         top = rows[k]
         piv = top[k]
         q, r = mask_divmod(piv, prev)
-        for row in rows[:k] + rows[k + 1:]:
+        for row in rows[k + 1:] if len(top) == n else rows[:k] + rows[k + 1:]:
             a = row[k]
             if not (a or r):
                 if q != 1:

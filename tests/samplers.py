@@ -11,7 +11,9 @@ itself computes in no field F2(t), which is only the text format of an
 entry (``commlab.ratfun``), and ``F2RatFun`` reads and writes that text
 through it.  ``k_to_coords`` and ``coords_to_k`` give the coordinates of
 K at a level through the ``f2poly`` interleave pair, and
-``residue_coords`` is their oracle.  ``vder_canonical_by_trial`` finds
+``residue_coords`` is their oracle; ``interleave_by_bits`` and
+``deinterleave_by_bits`` are the oracles of that pair, one digit at a
+time.  ``vder_canonical_by_trial`` finds
 the least level of a virtual derivation by one division per divisor of
 its level, the oracle of ``VDerElt.canonical``.  ``hnf_f2poly`` is the
 Hermite form of a nonsingular square matrix read off
@@ -85,6 +87,31 @@ def coords_to_k(xs, m: int) -> F2LaurentPoly:
     lo = min((x.shift for x in xs if x), default=0)
     masks = [x.mask << x.shift - lo if x else 0 for x in xs]
     return F2LaurentPoly._raw(mask_interleave(masks, m), m * lo)
+
+
+def interleave_by_bits(masks, n: int) -> int:
+    """Oracle of ``mask_interleave``: for each set digit e of masks[i],
+    found one at a time in its digit string, bit n*e + i is set."""
+    out = 0
+    for i, m in enumerate(masks):
+        digits = format(m, "b")[::-1]
+        e = digits.find("1")
+        while e >= 0:
+            out |= 1 << n * e + i
+            e = digits.find("1", e + 1)
+    return out
+
+
+def deinterleave_by_bits(a: int, n: int) -> list[int]:
+    """Oracle of ``mask_deinterleave``: each set digit p of a, found one
+    at a time in its digit string, is bit p // n of strand p mod n."""
+    out = [0] * n
+    digits = format(a, "b")[::-1]
+    p = digits.find("1")
+    while p >= 0:
+        out[p % n] |= 1 << p // n
+        p = digits.find("1", p + 1)
+    return out
 
 
 def residue_coords(k: F2LaurentPoly, m: int) -> list[F2LaurentPoly]:

@@ -103,11 +103,12 @@ def test_lamp_domain(capsys):
     code, out = run_json(capsys, ["lamp", "domain", "--comm", json.dumps(c60.to_json())])
     assert time.perf_counter() - start < 2  # about 0.1 s
     assert code == 0 and SubmoduleBasis.from_json(out) == comm_domain(c60)[0]
-    # its flip conjugate, untimed: the parse alone takes 0.5-0.8 s here, and
-    # test_lamplighter bounds the domain of these conjugates
+    # its flip conjugate, whose parse took 0.5-0.8 s before the column peel
     flip = LampComm(VDerElt.zero(), CommInftyElt.identity(1), True)
     conj = comm_compose(flip, comm_compose(c60, flip))
+    start = time.perf_counter()
     code, out = run_json(capsys, ["lamp", "domain", "--comm", json.dumps(conj.to_json())])
+    assert time.perf_counter() - start < 2  # about 0.03 s
     assert code == 0 and SubmoduleBasis.from_json(out) == comm_domain(conj)[0]
     # malformed input
     for comm in ('{"level": 2', '{"level": 1, "der": "t^x", "A": [["1"]], "flip": false}',
@@ -279,6 +280,16 @@ def test_a_json_string_is_no_matrix_row(capsys, flag):
 def test_a_lamplighter_matrix_is_a_list_of_lists(capsys, argv, detail):
     code, out = run_json(capsys, argv)
     assert code == 2 and out == {"error": "ParseError", "detail": detail}
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["lamp", "mul", "--g", '{"k": "t", "n": 1}', "--h", '{"k": "t"}'], "'n'"),
+    (["lamp", "invert", "--comm", '{"level": 1, "der": "0", "flip": false}'], "'A'"),
+])
+def test_a_missing_json_key_is_named(capsys, argv, key):
+    # str() of a KeyError is the repr of the key alone
+    code, out = run_json(capsys, argv)
+    assert code == 2 and out == {"error": "ParseError", "detail": f"missing key {key}"}
 
 
 @pytest.mark.parametrize("prime", [318665857834031151167461, 2**89 - 1])

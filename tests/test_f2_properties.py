@@ -14,14 +14,22 @@ from hypothesis import strategies as st
 from commlab.f2poly import (
     _WINDOW,
     F2LaurentPoly,
+    _bits_pay,
     _series_pays,
     mask_deinterleave,
     mask_divmod,
     mask_interleave,
     mask_mul,
+    mask_spread,
 )
 from commlab.lamplighter import LampElement
-from samplers import coords_to_k, k_to_coords, residue_coords
+from samplers import (
+    coords_to_k,
+    deinterleave_by_bits,
+    interleave_by_bits,
+    k_to_coords,
+    residue_coords,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -163,17 +171,35 @@ def laurent(max_bits):
     return st.builds(F2LaurentPoly._raw, masks(max_bits), st.integers(-300, 300))
 
 
+def kronecker_masks(max_span):
+    """Dense masks of up to 200 bits, and sparse ones of up to max_span bits
+    with at most four more bits set, so a layout of them may take either
+    route of ``_bits_pay``."""
+    return st.one_of(masks(200), sparse_masks(max_span), st.just(0))
+
+
 @PROPERTY
-@given(st.integers(1, 12), st.data())
+@given(st.integers(1, 40), st.data())
 def test_deinterleave_inverts_interleave(n, data):
-    ms = data.draw(st.lists(masks(200), min_size=n, max_size=n))
+    ms = data.draw(st.lists(kronecker_masks(10**4), min_size=n, max_size=n))
     a = mask_interleave(ms, n)
-    assert mask_deinterleave(a, n) == ms
-    assert mask_interleave(mask_deinterleave(a, n), n) == a
-    # bit n*e + i of the layout is bit e of mask i
-    assert all(a >> n * e + i & 1 == ms[i] >> e & 1 for i in range(n) for e in range(201))
+    assert a == interleave_by_bits(ms, n)
+    assert mask_deinterleave(a, n) == ms == deinterleave_by_bits(a, n)
     # fewer than n masks leave the missing ones 0
     assert mask_deinterleave(mask_interleave(ms[:1], n), n) == ms[:1] + [0] * (n - 1)
+    # spreading is the interleave of one mask
+    assert mask_spread(ms[0], n) == interleave_by_bits(ms[:1], n)
+
+
+def test_the_conversion_rule_takes_each_route():
+    # a few set bits take the set-bit route, at any length up to 2**18
+    assert _bits_pay(4, 64, 2) and _bits_pay(60, 240, 60)
+    assert _bits_pay(8, 10**4, 6) and _bits_pay(300, 2**18, 6)
+    # dense layouts take the string route, and so does any layout with at
+    # least 512 + n set bits, however long
+    assert not _bits_pay(30, 64, 2) and not _bits_pay(200, 240, 60)
+    assert not _bits_pay(5000, 10**4, 6) and not _bits_pay(500, 2**18, 6)
+    assert not _bits_pay(2**16, 2**26, 2)
 
 
 @PROPERTY

@@ -268,22 +268,39 @@ def test_the_zero_map():
 @st.composite
 def augmented(draw):
     """(N, B): N an n x n matrix of poly masks (n = 1..6), B of 0 to 3
-    columns.  A third of the N are dense: half their masks are 0, so
-    pivots often need a row swap.  A third are a product through a
-    narrower inner dimension, so singular ones are common.  A third are
-    triangular with a diagonal of 1, u, u**2 and 1 + u and sparse entries
-    on one side, with their rows permuted, as the lamplighter linear parts
-    are: so rows whose pivot-column entry is 0 are common, and each pivot
-    is the previous one times a diagonal entry (equal to it for a diagonal
-    1).  Half of those gain one entry on the other side, after which a
-    pivot need not be a multiple of the previous one."""
+    columns.  Of the six kinds of N:
+    - dense: half the masks are 0, so pivots often need a row swap;
+    - product: a product through a narrower inner dimension, so singular
+      ones are common;
+    - triangular: a diagonal of 1, u, u**2 and 1 + u and sparse entries on
+      one side, rows permuted, as the lamplighter linear parts are, so the
+      column peel takes it whole; half of them gain one entry on the other
+      side, which may leave a core for the elimination;
+    - cored: triangular around a dense 2 x 2 or 3 x 3 diagonal block, rows
+      and columns permuted, so the peel stops part way and the core is
+      eliminated: at the block, or before the triangular part after it;
+    - zero column: a triangular or dense one with a column of zeros, so
+      the peel or the core meets a column with no live entry;
+    - row singletons: dense with some rows cut to one entry, the shape
+      whose singletons are rows and not columns.
+    """
     n = draw(st.integers(1, 6))
     masks = st.integers(0, 15) | st.just(0)
 
     def block(r, c):
         return [[draw(masks) for _ in range(c)] for _ in range(r)]
 
-    kind = draw(st.sampled_from(["dense", "product", "triangular"]))
+    def triangular(lower):
+        sparse = st.sampled_from([0, 0, 0, 1, 2, 3, 5, 7])
+        return [[draw(st.sampled_from([1, 2, 4, 3])) if i == j
+                 else draw(sparse) if (j < i) == lower else 0
+                 for j in range(n)] for i in range(n)]
+
+    def permuted(mat):
+        return [mat[p] for p in draw(st.permutations(range(n)))]
+
+    kind = draw(st.sampled_from(
+        ["dense", "product", "triangular", "cored", "zero column", "row singletons"]))
     if kind == "dense":
         mat = block(n, n)
     elif kind == "product":
@@ -294,19 +311,34 @@ def augmented(draw):
             for j in range(n):
                 for t in range(inner):
                     mat[i][j] ^= mask_mul(left[i][t], right[t][j])
-    else:
+    elif kind == "triangular":
         lower = draw(st.booleans())
-        sparse = st.sampled_from([0, 0, 0, 1, 2, 3, 5, 7])
-        mat = [[draw(st.sampled_from([1, 2, 4, 3])) if i == j
-                else draw(sparse) if (j < i) == lower else 0
-                for j in range(n)] for i in range(n)]
+        mat = triangular(lower)
         if n > 1 and draw(st.booleans()):
             # one entry on the other side: a pivot need no longer be a
             # multiple of the previous one
             i, j = draw(st.permutations(range(n)))[:2]
             mat[min(i, j) if lower else max(i, j)][max(i, j) if lower else min(i, j)] = draw(
                 st.sampled_from([1, 2, 3, 5, 7]))
-        mat = [mat[p] for p in draw(st.permutations(range(n)))]
+        mat = permuted(mat)
+    elif kind == "cored":
+        mat = triangular(draw(st.booleans()))
+        size = draw(st.integers(min(2, n), min(3, n)))
+        at = draw(st.integers(0, n - size))
+        for i in range(at, at + size):
+            mat[i][at:at + size] = [draw(st.integers(1, 15)) for _ in range(size)]
+        cols = draw(st.permutations(range(n)))
+        mat = permuted([[row[j] for j in cols] for row in mat])
+    elif kind == "zero column":
+        mat = permuted(triangular(True)) if draw(st.booleans()) else block(n, n)
+        j = draw(st.integers(0, n - 1))
+        for row in mat:
+            row[j] = 0
+    else:
+        mat = block(n, n)
+        for i in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+            j = draw(st.integers(0, n - 1))
+            mat[i] = [draw(st.integers(1, 15)) if k == j else 0 for k in range(n)]
     return mat, block(n, draw(st.integers(0, 3)))
 
 
