@@ -22,7 +22,10 @@ layouts take the set bits, and a layout with 512 + n set bits or more
 takes the string however long it is, so neither route is worse than
 linear in the length.
 
-This is the only module that divides.  ``mask_divmod`` picks one of two
+This is the only module that divides.  ``mask_mod`` and ``mask_gcd``
+need only remainders: a quotient of at most _SHORT bits is left unformed,
+each step xoring b into the dividend, and a longer one goes to
+``mask_divmod``, the only long division.  ``mask_divmod`` picks one of two
 routes by cost.  The schoolbook loop spends one xor per quotient bit.  The
 series route uses b(x)**2 = b(x**2) over F2:
 for b(0) = 1, 1/b = b(x) * b(x**2) * b(x**4) * ... mod x**n, so n
@@ -163,9 +166,26 @@ def mask_divmod(a: int, b: int) -> tuple[int, int]:
     return q, a
 
 
+def mask_mod(a: int, b: int) -> int:
+    """a mod b.  A quotient of at most _SHORT bits is never formed: the
+    schoolbook loop xors b into a and keeps no quotient bits.  Longer
+    quotients go to ``mask_divmod``, and so does b = 0, which raises
+    ZeroDivisionError."""
+    db = b.bit_length() - 1
+    k = a.bit_length() - 1 - db
+    if k >= _SHORT or b == 0:
+        return mask_divmod(a, b)[1]
+    while k >= 0:
+        a ^= b << k
+        k = a.bit_length() - 1 - db
+    return a
+
+
 def mask_gcd(a: int, b: int) -> int:
+    """gcd of two poly masks by Euclid's algorithm on ``mask_mod``'s
+    remainders, so no quotient is formed."""
     while b:
-        a, b = b, mask_divmod(a, b)[1]
+        a, b = b, mask_mod(a, b)
     return a
 
 
@@ -173,10 +193,6 @@ def mask_lcm(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
     return mask_mul(b, mask_divmod(a, mask_gcd(a, b))[0])
-
-
-def mask_mod(a: int, b: int) -> int:
-    return mask_divmod(a, b)[1]
 
 
 def mask_interleave(masks, n: int) -> int:

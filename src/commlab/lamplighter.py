@@ -141,7 +141,11 @@ class VDerElt(Value):
     Recorded by its level m (the derivation is defined on m*Z) and the
     value tau(t**m).  The cocycle rule tau(t**(a+b)) = tau(t**a) +
     t**a * tau(t**b) makes tau(t**(q*m)) the K-part of (tau(t**m), m)**q
-    in K x| Z, so values at other levels are read off group powers.
+    in K x| Z, so values at other levels are read off group powers: for
+    q > 0, tau(t**m) times G(m, q) = 1 + t**m + ... + t**((q-1)*m).  These
+    series telescope, G(d, a*b) = G(d, a) * G(a*d, b), so a value at any
+    level that the derivation arises from is one product or one exact
+    division away from the value at any other.
     """
 
     __slots__ = ("level", "value")
@@ -157,10 +161,12 @@ class VDerElt(Value):
         return cls(1, _ZERO)
 
     def raise_to(self, n: int) -> "VDerElt":
+        if n == self.level:
+            return self
         return VDerElt(n, self.eval_at(n))
 
-    def canonical(self) -> "VDerElt":
-        """The same derivation at the least level d | m from which it arises.
+    def least_level(self) -> int:
+        """The least level d | m from which the derivation arises.
 
         Raising from d multiplies the value by G_d = 1 + t**d + ... +
         t**(m-d) = (1 + t**m) / (1 + t**d), so v arises from d exactly when
@@ -168,17 +174,35 @@ class VDerElt(Value):
         m-bit cyclic word w (the fold of v), and w * t**d is w rotated by
         d, so that holds exactly when rotating w by d fixes it.  The d
         that fix w form the subgroup of Z/m generated by its least period,
-        so the least divisor that fixes w is the least level, and one
-        exact division by G_d lowers v.
+        so the least divisor that fixes w is the least level.
         """
         v = self.value
         if v.is_zero():
-            return VDerElt(1, _ZERO)
+            return 1
         m = self.level
         w = mask_mod(v.mask, 1 << m | 1)
         full = (1 << m) - 1
-        d = _least_level(m, lambda d: (w << d | w >> (m - d)) & full == w)
-        return self if d == m else VDerElt(d, v.exact_div(F2LaurentPoly.geometric(d, m // d)))
+        return _least_level(m, lambda d: (w << d | w >> (m - d)) & full == w)
+
+    def at_level(self, n: int) -> "VDerElt":
+        """The same derivation at level n, a multiple of its least level.
+
+        That level divides g = gcd(m, n), so the value is lowered to g by
+        one exact division by G(g, m/g) and raised to n by one product
+        with G(g, n/g); a level that divides m takes the division alone,
+        a multiple of m the product alone."""
+        m = self.level
+        if n == m:
+            return self
+        g = math.gcd(m, n)
+        v = self.value
+        if g < m:
+            v = v.exact_div(F2LaurentPoly.geometric(g, m // g))
+        return VDerElt(n, v if g == n else v * F2LaurentPoly.geometric(g, n // g))
+
+    def canonical(self) -> "VDerElt":
+        """The same derivation at its least level."""
+        return self.at_level(self.least_level())
 
     def flip_conj(self) -> "VDerElt":
         """Conjugate by the orientation flip, at the same level."""
@@ -188,6 +212,8 @@ class VDerElt(Value):
         """tau(t**n) for n a multiple of the level."""
         if n % self.level:
             raise NotDivisible(f"{self.level} does not divide {n}")
+        if n > 0:
+            return self.value * F2LaurentPoly.geometric(self.level, n // self.level)
         return (LampElement(self.value, self.level) ** (n // self.level)).k
 
     def __repr__(self):
@@ -238,9 +264,9 @@ class CommInftyElt(Value):
         has nonzero constant term; their common factor is divided out.
 
         This is the reducing constructor, for num / den that may share a
-        factor: compose, inverse and canonical build through it.
-        raise_to, flip_conj and from_entries, whose num and den are coprime
-        by construction, build through _coprime instead."""
+        factor: compose and the lowering of at_level build through it.
+        raise_to, flip_conj, from_entries and inverse, whose num and den
+        are coprime by construction, build through _coprime instead."""
         g = num.content_mask(den)
         if g > 1:
             den = mask_divmod(den, g)[0]
@@ -253,7 +279,7 @@ class CommInftyElt(Value):
     def _coprime(cls, level: int, num: PolyMat, den: int) -> "CommInftyElt":
         """num / den as given, for a den prime to the content of num.
 
-        Its three callers meet that by construction:
+        Its four callers meet that by construction:
 
         * raise_to, from level m to n = k*m: dw is the least D with den
           dividing D(s**k), and the raised numerator is num * dw(s**k) / den
@@ -270,6 +296,7 @@ class CommInftyElt(Value):
           numerator is then prime to p, and its entry of num is that
           numerator times a factor of den / (its denominator), which p
           does not divide.
+        * inverse: it divides out the gcd of det N and the entries itself.
         """
         self = object.__new__(cls)
         self.level = level
@@ -346,13 +373,28 @@ class CommInftyElt(Value):
             nn = self.num.scalar_mul(mask_divmod(mask_spread(dw, k), self.den)[0])
         return CommInftyElt._coprime(n, nn.raised(k), dw)
 
-    def canonical(self) -> "CommInftyElt":
+    def least_level(self) -> int:
+        """The least level d | m at which the map is equivariant: the least
+        d with which num commutes."""
+        return _least_level(self.level, self.num.commutes_with)
+
+    def at_level(self, n: int) -> "CommInftyElt":
+        """The same map at level n, a multiple of its least level.
+
+        That level divides g = gcd(m, n), so the map commutes with t**g: it
+        is lowered to g at once, over the denominator den(s**(m/g)) in
+        the variable t**g, and raised from g to n.  A level that divides m
+        takes the lowering alone, a multiple of m the raising alone."""
         m = self.level
-        d = _least_level(m, self.num.commutes_with)
-        if d == m:
-            return self
-        k = m // d
-        return CommInftyElt(d, self.num.lowered(k), mask_spread(self.den, k))
+        g = math.gcd(m, n)
+        low = self
+        if g < m:
+            low = CommInftyElt(g, self.num.lowered(m // g), mask_spread(self.den, m // g))
+        return low.raise_to(n)
+
+    def canonical(self) -> "CommInftyElt":
+        """The same map at its least level."""
+        return self.at_level(self.least_level())
 
     def compose(self, other: "CommInftyElt") -> "CommInftyElt":
         if self.level != other.level:
@@ -362,20 +404,37 @@ class CommInftyElt(Value):
         )
 
     def inverse(self) -> "CommInftyElt":
-        # num = u**shift * N, so the inverse is den * adj(N) * u**-shift / det N,
-        # with the factor u**v of det N moved into the shift
+        """The inverse map, den * adj(N) * u**-shift / det N for num =
+        u**shift * N, with the factor u**v of det N moved into the shift.
+
+        It is reduced on the entry masks that ``gauss_jordan`` leaves:
+        they are multiplied by den, and their gcd g with det N / u**v
+        (an odd mask, so powers of u do not change it) is taken, stopping
+        once it is 1.  For g > 1 the entries and det N / u**v are divided
+        by g.  The quotient is then in lowest terms, so the entries are
+        interleaved once, into a numerator built through _coprime."""
         n = self.level
         masks, shift = self.num.entry_masks()
         rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(masks)]
         det = gauss_jordan(rows, n)
         v = (det & -det).bit_length() - 1
-        adj = PolyMat.from_masks(n, [row[n:] for row in rows], -shift - v)
-        return CommInftyElt(n, adj.scalar_mul(self.den), det >> v)
+        det >>= v
+        den = self.den
+        adj = [[mask_mul(x, den) if x and den != 1 else x for x in row[n:]] for row in rows]
+        g = det
+        for x in (x for row in adj for x in row if x):
+            if g == 1:
+                break
+            g = mask_gcd(g, x)
+        if g > 1:
+            det = mask_divmod(det, g)[0]
+            adj = [[mask_divmod(x, g)[0] if x else 0 for x in row] for row in adj]
+        return CommInftyElt._coprime(n, PolyMat.from_masks(n, adj, -shift - v), det)
 
     def flip_conj(self) -> "CommInftyElt":
         # A(1/s) = N(1/s) * s**deg / (s**deg * D(1/s)), and s**deg * D(1/s)
         # is the reversed denominator
-        num = self.num.flip().scalar_mul(1 << (self.den.bit_length() - 1))
+        num = self.num.flip().shifted(self.level * (self.den.bit_length() - 1))
         return CommInftyElt._coprime(self.level, num, mask_reverse(self.den))
 
     def lift(self, k: F2LaurentPoly):
@@ -480,10 +539,13 @@ class LampComm(Value):
 
     @classmethod
     def make(cls, der: VDerElt, lin: CommInftyElt, flip: bool) -> "LampComm":
-        dc = der.canonical()
-        lc = lin.canonical()
-        level = math.lcm(dc.level, lc.level)
-        return cls(dc.raise_to(level), lc.raise_to(level), flip)
+        """The canonical class of (der, lin, flip): both components at the
+        lcm of their least levels, the least level at which both are
+        defined.  Each is moved there in one step from the level it is
+        given at (``at_level``), without first going to its own least
+        level."""
+        level = math.lcm(der.least_level(), lin.least_level())
+        return cls(der.at_level(level), lin.at_level(level), flip)
 
     @classmethod
     def identity(cls) -> "LampComm":
@@ -665,6 +727,11 @@ def comm_from_partial(
 
     The generator images must be torsion, their span must be full, and
     the image of t**level must project to +-level in the Z-direction.
+    The span is full when the matrix H of the images has det H != 0, and
+    as det X != 0 that is tested on the numerator of A = H * X**-1: it has
+    the shape of the class's own linear part, which for a permuted
+    triangular class the column peel of ``gauss_jordan`` eliminates
+    whole, where H may leave a dense core.
     The relations then hold by construction, so none is checked: the
     linear part A = H * X**-1 maps column i of X (generator i, flipped
     when the shift is inverted) to column i of H (its image) exactly, and
@@ -692,9 +759,9 @@ def comm_from_partial(
     gens = domain.generators_as_k()
     x = PolyMat.from_images(level, [g.flip() if eps < 0 else g for g in gens])
     h = PolyMat.from_images(level, [img.k for img in gen_images])
-    if not gauss_jordan(h.entry_masks()[0], level):
-        raise NotAHomomorphism("generator images do not span a finite-index submodule")
     lin = CommInftyElt(level, h).compose(CommInftyElt(level, x).inverse())
+    if not gauss_jordan(lin.num.entry_masks()[0], level):
+        raise NotAHomomorphism("generator images do not span a finite-index submodule")
     value = t_image.k if eps > 0 else t_image.k.shifted(level)
     return LampComm.make(VDerElt(level, value), lin, eps < 0)
 

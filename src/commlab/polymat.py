@@ -27,6 +27,7 @@ from .f2poly import (
     mask_gcd,
     mask_interleave,
     mask_mul,
+    mask_reverse,
     mask_spread,
 )
 from .frozen import Value
@@ -312,6 +313,15 @@ class PolyMat(Value):
 
     def flip(self) -> "PolyMat":
         """F * A * F, where F(k)(t) = k(1/t): F(1) = 1 and, for j >= 1,
-        F(t**j) = t**-n * t**(n-j), so image j is t**n * F(image (n-j))."""
-        ks = [k.flip() for k in self.images()]
-        return PolyMat.from_images(self.n, ks[:1] + [k.shifted(self.n) for k in ks[:0:-1]])
+        F(t**j) = t**-n * t**(n-j), so image j is t**n * F(image (n-j)).
+        With w the width of the widest mask, F(t**shift * c) is
+        t**(1 - w - shift) times c reversed within w bits, so every image is
+        a reversed mask at that one shift, and t**n shifts it by n."""
+        n, cols = self.n, self.cols
+        w = max(cols).bit_length()
+        rev = [mask_reverse(c) << w - c.bit_length() if c else 0 for c in cols]
+        return PolyMat(n, rev[:1] + [c << n for c in rev[:0:-1]], 1 - w - self.shift)
+
+    def shifted(self, k: int) -> "PolyMat":
+        """The map times t**k: the same masks at shift + k."""
+        return PolyMat(self.n, self.cols, self.shift + k)

@@ -15,7 +15,10 @@ K at a level through the ``f2poly`` interleave pair, and
 ``deinterleave_by_bits`` are the oracles of that pair, one digit at a
 time.  ``vder_canonical_by_trial`` finds
 the least level of a virtual derivation by one division per divisor of
-its level, the oracle of ``VDerElt.canonical``.  ``hnf_f2poly`` is the
+its level, the oracle of ``VDerElt.canonical``, and
+``make_by_least_levels`` takes each component of a class to its least
+level and raises both to the lcm, the oracle of ``LampComm.make``.
+``hnf_f2poly`` is the
 Hermite form of a nonsingular square matrix read off
 ``commlab.hnf.row_echelon``, and ``row_echelon_with_transform``
 is the Hermite form over F2[s, 1/s] that also tracks the unimodular
@@ -34,6 +37,7 @@ lamplighter digest.  ``solve_inner_by_definition`` solves the inner-derivation s
 ``MatQFraction`` with every check in the order of its definition.
 """
 
+import math
 from fractions import Fraction
 
 from commlab import ratfun
@@ -133,6 +137,14 @@ def vder_canonical_by_trial(v: VDerElt) -> VDerElt:
             lowered = v.value.exact_div(F2LaurentPoly.geometric(d, m // d))
             if lowered is not None:
                 return VDerElt(d, lowered)
+
+
+def make_by_least_levels(der: VDerElt, lin: CommInftyElt, flip: bool) -> LampComm:
+    """Oracle of LampComm.make: each component at its least level by
+    ``canonical``, then both raised to the lcm of those levels."""
+    dc, lc = der.canonical(), lin.canonical()
+    level = math.lcm(dc.level, lc.level)
+    return LampComm(dc.raise_to(level), lc.raise_to(level), flip)
 
 
 def row_echelon_with_transform(mat):

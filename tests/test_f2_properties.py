@@ -1,24 +1,29 @@
 """Properties of the F2 routines whose cost must not grow with an exponent:
 ``mask_divmod`` and ``F2LaurentPoly.exact_div`` on both division routes,
+``mask_mod`` and ``mask_gcd`` on both remainder routes,
 the Laurent ``F2LaurentPoly.divmod``, ``F2LaurentPoly.geometric``,
 ``LampElement.__pow__`` and the interleave pair of the Kronecker layout;
 and the ring axioms of ``F2LaurentPoly`` on masks of a few hundred bits,
 and its support on masks on both sides of its sparse-route switch."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commlab.f2poly import (
+    _SHORT,
     _WINDOW,
     F2LaurentPoly,
     _bits_pay,
     _series_pays,
     mask_deinterleave,
     mask_divmod,
+    mask_gcd,
     mask_interleave,
+    mask_mod,
     mask_mul,
     mask_spread,
 )
@@ -134,6 +139,40 @@ def test_division_of_hundred_thousand_bit_masks(bits, taps):
 def test_mask_divmod_rejects_zero():
     with pytest.raises(ZeroDivisionError):
         mask_divmod(5, 0)
+    with pytest.raises(ZeroDivisionError):
+        mask_mod(5, 0)
+
+
+def _euclid_gcd(a, b):
+    """Oracle: Euclid's algorithm on the remainders of mask_divmod."""
+    while b:
+        a, b = b, mask_divmod(a, b)[1]
+    return a
+
+
+@PROPERTY
+@given(masks(3 * _SHORT), st.one_of(st.just(1), divisors(2 * _SHORT)), masks(40), st.booleans())
+def test_remainder_helpers_agree_with_mask_divmod(a, b, g, planted):
+    # quotients of up to 3 * _SHORT bits, so both the inline loop and
+    # mask_divmod run; b = 1 and a < b occur, and half the pairs share the
+    # factor g
+    if planted:
+        a, b = mask_mul(a, g | 1), mask_mul(b, g | 1)
+    assert mask_mod(a, b) == mask_divmod(a, b)[1]
+    assert mask_gcd(a, b) == _euclid_gcd(a, b)
+    assert mask_gcd(b, a) == _euclid_gcd(b, a)
+
+
+def test_remainder_helpers_leave_short_quotients_to_the_inline_loop():
+    # a quotient of _SHORT bits is never formed; one of _SHORT + 1 bits goes
+    # to mask_divmod, once from each helper, with the same remainder
+    b = 0b1011
+    for bits, calls in ((_SHORT, 0), (_SHORT + 1, 2)):
+        a = 1 << (bits + 2) | 0b110101
+        with mock.patch("commlab.f2poly.mask_divmod", wraps=mask_divmod) as divmod_:
+            assert mask_mod(a, b) == _naive_mod(a, b)
+            assert mask_gcd(a, b) == _euclid_gcd(a, b)
+        assert divmod_.call_count == calls
 
 
 @PROPERTY

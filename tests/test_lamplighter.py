@@ -46,6 +46,7 @@ from samplers import (
     flip_basis,
     from_entries_by_polys,
     k_to_coords,
+    make_by_least_levels,
     random_comm,
     random_element,
     random_submodule,
@@ -166,6 +167,29 @@ def test_vder_canonical_properties(level, support, j, k):
     assert c.canonical() == c
     assert v.level % c.level == 0 and c.raise_to(v.level) == v
     assert v.raise_to(k * v.level).canonical() == c
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 3), st.booleans())
+def test_make_moves_each_component_once(seed, k, j, flip):
+    # the linear part at L = k * l for a class of level l, so its least level
+    # divides l; the derivation at j * L, raised from a divisor d of j * L, so
+    # the least levels need not divide each other, and then the linear part
+    # is lowered below L and raised to the lcm
+    rng = random.Random(seed)
+    c = random_comm(rng, max_level=4)
+    level = k * c.level
+    lin = c.lin.raise_to(level)
+    d = rng.choice([d for d in range(1, j * level + 1) if j * level % d == 0])
+    v = VDerElt(d, random_element(rng, 6).k)
+    assert v.raise_to(v.level) == v
+    der = v.raise_to(j * level)
+    assert LampComm.make(der, lin, flip) == make_by_least_levels(der, lin, flip)
+    # a derivation moves to any multiple n of its least level, which need
+    # divide neither its level nor be a multiple of it
+    least = vder_canonical_by_trial(der)
+    n = least.level * rng.randrange(1, 6)
+    assert der.at_level(n) == least.raise_to(n)
 
 
 @st.composite
@@ -979,6 +1003,26 @@ def test_the_level_120_flip_conjugate_parses_fast():
     back = LampComm.from_json(json.loads(text))
     assert time.perf_counter() - start < 2.5
     assert back == conj and back.lin == c.lin.flip_conj()
+
+
+def test_the_flipped_level_120_classes_rebuild_fast():
+    # the CI generator's level-120 classes, flipped, rebuilt from their domain
+    # images: with det h != 0 tested on the matrix h of the images, the
+    # rebuilds took 1.1-3.1 s each; tested on the numerator of h * X**-1,
+    # which has the class's own permuted-triangular shape, about 0.02 s
+    total = 0.0
+    for seed in range(3):
+        c = ci_lamp_class(random.Random(seed), 120)
+        x = LampComm(c.der, c.lin, True)
+        basis, level = comm_domain(x)
+        assert level == 120
+        images = [comm_apply(x, LampElement(g, 0)) for g in basis.generators_as_k()]
+        t_image = comm_apply(x, LampElement.shift(level))
+        start = time.perf_counter()
+        back = comm_from_partial(level, basis, images, t_image)
+        total += time.perf_counter() - start
+        assert back == x
+    assert total < 2.5
 
 
 @pytest.mark.parametrize("seed", range(6))
