@@ -91,10 +91,10 @@ def _torus_rank(args):
     from . import storus
     if args.matrix:
         spec = storus.torus_from_matrix2(_parse_int_matrix(args.matrix))
+    elif args.kind == "gm":  # Gm has no discriminant, so --disc is not read
+        spec = storus.TorusSpec.gm()
     elif args.disc is not None:
-        if args.kind == "gm":
-            spec = storus.TorusSpec.gm()
-        elif args.kind == "restscalars":
+        if args.kind == "restscalars":
             spec = storus.TorusSpec.rest_scalars(args.disc)
         else:
             spec = storus.TorusSpec.norm_one(args.disc)

@@ -9,7 +9,10 @@ operations at machine speed; the public interface speaks exponent sets.
 
 The mask helpers at the top operate on ordinary polynomials (mask bit 0
 is the constant term) and are shared with the rational-function and
-normal-form layers.
+normal-form layers.  It owns the arithmetic of a vector of masks too:
+``mask_content``, the one content gcd (a lazy fold that stops once it is
+1), ``masks_scaled``, the one scale, and ``masks_divided``, the one exact
+division.
 
 The Kronecker layout (x = t**n; von zur Gathen and Gerhard, Modern
 Computer Algebra, 3rd ed., section 8.4) packs n masks into one whose bit
@@ -59,6 +62,9 @@ _BITS_OF = tuple(tuple(k for k in range(8) if i >> k & 1) for i in range(256))
 # the widest span, in bits, of a polynomial built from its exponents: parsing
 # "1+t^N" allocates N/8 bytes, so a wider span raises ResourceLimit first
 MAX_SPAN = 1 << 26
+# the most terms to_string prints: a term costs about 0.6 us and 110 bytes
+# while the string is built, so more raise ResourceLimit before any is built
+MAX_PRINT_TERMS = 1 << 20
 
 
 def mask_deg(a: int) -> int:
@@ -187,6 +193,32 @@ def mask_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, mask_mod(a, b)
     return a
+
+
+def mask_content(g: int, masks) -> int:
+    """gcd of the poly mask g and every mask of the iterable masks, read
+    lazily: once the gcd is 1 no mask can change it, so it returns without
+    reading another (at once for g = 1).  A zero mask leaves it as it is."""
+    if g != 1:
+        for m in masks:
+            if m:
+                g = mask_gcd(g, m)
+                if g == 1:
+                    break
+    return g
+
+
+def masks_scaled(masks: list, f: int) -> list:
+    """The poly masks times f; by f = 1 the list itself."""
+    return masks if f == 1 else [mask_mul(f, m) if m else 0 for m in masks]
+
+
+def masks_divided(masks: list, p: int) -> list:
+    """The exact quotients of the poly masks by p (by a power of x, a shift)."""
+    if p & (p - 1) == 0:
+        k = p.bit_length() - 1
+        return [m >> k for m in masks] if k else masks
+    return [mask_divmod(m, p)[0] if m else 0 for m in masks]
 
 
 def mask_lcm(a: int, b: int) -> int:
@@ -411,6 +443,9 @@ class F2LaurentPoly(Value):
     def to_string(self, var: str = "t") -> str:
         if self.mask == 0:
             return "0"
+        if len(self) > MAX_PRINT_TERMS:
+            raise ResourceLimit(f"work limit: printing a polynomial needs {len(self)} terms, "
+                                f"above the {MAX_PRINT_TERMS}-term limit")
         terms = ["1" if e == 0 else var if e == 1 else f"{var}^{e}" for e in self.support()]
         return "+".join(terms)
 

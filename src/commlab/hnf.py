@@ -7,34 +7,30 @@ triangular, each diagonal entry a polynomial with nonzero constant term
 to its canonical representative modulo that diagonal.  Submodule
 equality is then a syntactic check.
 
-Matrices here are plain tuples of tuples of F2LaurentPoly; row spans
-are the submodules.  Two routines build the form, and neither tracks a
-transform: a kernel is read off the form of an augmented matrix [A | I]
-instead (see ``lamplighter.comm_domain``).
+Row spans are the submodules.  Two routines build the form, and neither
+tracks a transform: a kernel is read off the form of an augmented matrix
+[A | I] instead (see ``lamplighter.comm_domain``).
 
-* ``row_echelon`` takes any rows, by Euclidean steps on their entries
-  as they are; ``SubmoduleBasis.from_generators`` reads it.
-* ``hnf_mod`` takes rows and a poly mask d with d(0) = 1 and returns
-  the form of span(rows) + d*F^n.  Since that module holds d*e_j for
-  every column j, each entry is kept as its representative modulo d, a
-  polynomial of degree < deg d, so no entry of the elimination grows
-  past deg d (Hermite form modulo a multiple of the determinant: Domich,
-  Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, A Course in
-  Computational Algebraic Number Theory, GTM 138, Algorithm 2.4.8).
-  ``lamplighter.comm_domain`` reads it, for a flipped class on the flip
-  conjugate of its linear part.
+* ``row_echelon`` takes any rows of F2LaurentPoly, by Euclidean steps on
+  their entries as they are; ``SubmoduleBasis.from_generators`` reads it.
+* ``hnf_mod`` takes and returns rows of poly masks: the form of
+  span(rows) + d*F^n for a mask d with d(0) = 1.  Since that module holds
+  d*e_j for every column j, each entry is kept as its representative
+  modulo d, so no entry of the elimination reaches deg d (Domich, Kannan
+  and Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138, Algorithm
+  2.4.8).  ``lamplighter.comm_domain`` reads it, for a flipped class on
+  the flip conjugate of its linear part.
 
-``is_hnf`` checks the form, and ``solve_membership`` solves y*H = v on
-it.  Every division is f2poly's: the Euclidean steps are
-``mask_divmod``, and an entry above a pivot d is reduced by
-``F2LaurentPoly.divmod(d)``, whose quotient is the row multiplier.
+``is_hnf`` and ``solve_membership`` (y*H = v) read F2LaurentPoly rows.
+Every division is f2poly's: the Euclidean steps are ``mask_divmod``,
+the reductions modulo d ``mask_mod``, and ``row_echelon`` reduces above
+a pivot d by ``F2LaurentPoly.divmod(d)``, whose quotient is the row
+multiplier.
 """
 
 from __future__ import annotations
 
 from .f2poly import F2LaurentPoly, mask_deg, mask_divmod, mask_mod, mask_mul
-
-_ZERO = F2LaurentPoly.zero()
 
 
 def _row_add(rows, i, j, q):
@@ -96,21 +92,21 @@ def _add_mod(row, src, q, start, d):
             row[j] = mask_mod(x, d) if x.bit_length() >= d.bit_length() else x
 
 
-def hnf_mod(rows, n: int, d: int):
-    """The HNF basis, n x n, of span(rows) + d*F^n for rows of width n and
-    a poly mask d with d(0) = 1.
+def hnf_mod(rows, n: int, d: int) -> list:
+    """The HNF basis, n lists of n poly masks, of span(rows) + d*F^n for
+    rows of n poly masks and a poly mask d with d(0) = 1.
 
-    Entries are poly masks reduced modulo d throughout.  At column c the
-    row d*e_c joins the rows with a nonzero entry there, Euclidean steps
-    over F2[s] bring one of them to the gcd g of those entries and d, and
-    each row a step touched has its entries right of c reduced modulo d;
-    rows that vanish are dropped.  g divides d, so g(0) = 1 and it is the
+    Entries are reduced modulo d throughout, the input by ``mask_mod``.
+    At column c the row d*e_c joins the rows with a nonzero entry there,
+    Euclidean steps over F2[s] bring one of them to the gcd g of those
+    entries and d, and each row a step touched has its entries right of c
+    reduced modulo d; rows that vanish are dropped.  g divides d, so g(0) = 1 and it is the
     unit-normalized pivot.  Reducing modulo d adds a multiple of some
     d*e_j, which lies in the module and, for j past the row's pivot, in
     the span of the later basis rows, so the basis stays a basis; the
     entries above each pivot are reduced the same way at the end.
     """
-    work = [[x.divmod(d)[1] if x else 0 for x in row] for row in rows]
+    work = [[mask_mod(x, d) for x in row] for row in rows]
     work = [row for row in work if any(row)]
     H = []
     for c in range(n):
@@ -133,7 +129,7 @@ def hnf_mod(rows, n: int, d: int):
             if row[j]:
                 q, row[j] = mask_divmod(row[j], pivot[j])
                 _add_mod(row, pivot, q, j + 1, d)
-    return tuple(tuple(F2LaurentPoly._raw(x, 0) if x else _ZERO for x in row) for row in H)
+    return H
 
 
 def is_hnf(mat) -> bool:

@@ -48,15 +48,17 @@ from .errors import (
 )
 from .f2poly import (
     F2LaurentPoly,
+    mask_content,
     mask_deg,
     mask_deinterleave,
     mask_divmod,
-    mask_gcd,
     mask_lcm,
     mask_mod,
     mask_mul,
     mask_reverse,
     mask_spread,
+    masks_divided,
+    masks_scaled,
 )
 from .frozen import Value
 from .polymat import PolyMat, gauss_jordan
@@ -209,11 +211,9 @@ class VDerElt(Value):
         return VDerElt(self.level, self.value.flip().shifted(self.level))
 
     def eval_at(self, n: int) -> F2LaurentPoly:
-        """tau(t**n) for n a multiple of the level."""
+        """tau(t**n), n a multiple of the level: the K-part of (value, level)**(n/level)."""
         if n % self.level:
             raise NotDivisible(f"{self.level} does not divide {n}")
-        if n > 0:
-            return self.value * F2LaurentPoly.geometric(self.level, n // self.level)
         return (LampElement(self.value, self.level) ** (n // self.level)).k
 
     def __repr__(self):
@@ -420,15 +420,11 @@ class CommInftyElt(Value):
         v = (det & -det).bit_length() - 1
         det >>= v
         den = self.den
-        adj = [[mask_mul(x, den) if x and den != 1 else x for x in row[n:]] for row in rows]
-        g = det
-        for x in (x for row in adj for x in row if x):
-            if g == 1:
-                break
-            g = mask_gcd(g, x)
+        adj = [masks_scaled(row[n:], den) for row in rows]
+        g = mask_content(det, (x for row in adj for x in row))
         if g > 1:
             det = mask_divmod(det, g)[0]
-            adj = [[mask_divmod(x, g)[0] if x else 0 for x in row] for row in adj]
+            adj = [masks_divided(row, g) for row in adj]
         return CommInftyElt._coprime(n, PolyMat.from_masks(n, adj, -shift - v), det)
 
     def flip_conj(self) -> "CommInftyElt":
@@ -592,19 +588,16 @@ def _apply_lin_to_vder(lin: CommInftyElt, value: F2LaurentPoly, op: str):
     With den = 1 the image lin.num(value) is in K, so the answer is
     (1, that image) with no gcd.  Otherwise den requires the factor
     den / g of R_j, g the gcd of den and the coordinates of the image,
-    and the gcd loop stops once g is 1.
+    and ``mask_content`` stops once g is 1.
     """
     m = lin.level
     y = lin.num.apply(value)
-    den = g = lin.den
+    den = lin.den
     if den == 1:
         return 1, y
     # y is t**y.shift times y.mask, and a power of t permutes the coordinates up
     # to powers of s, which are prime to the odd den: so read those of y.mask
-    for x in mask_deinterleave(y.mask, m):
-        g = mask_gcd(g, x)
-        if g == 1:
-            break
+    g = mask_content(den, mask_deinterleave(y.mask, m))
     dreq = mask_divmod(den, g)[0]  # den divides R_j * y iff dreq | R_j
     j = 1
     r = mask_mod(1, dreq)
@@ -617,7 +610,7 @@ def _apply_lin_to_vder(lin: CommInftyElt, value: F2LaurentPoly, op: str):
                 f"with a denominator of degree {den.bit_length() - 1}"
             )
         r ^= spow
-        spow = mask_mod(mask_mul(spow, 2), dreq)
+        spow = mask_mod(spow << 1, dreq)
     return j, lin.lift(F2LaurentPoly.geometric(m, j) * y)
 
 
@@ -687,11 +680,13 @@ def comm_domain(c: LampComm):
     if c.lin.den == 1:  # num maps K into K, and F(K) = K
         return SubmoduleBasis.full(level), level
     lin = c.lin.flip_conj() if c.flip else c.lin
+    den = lin.den
     masks, shift = lin.num.entry_masks()
-    rows = [[F2LaurentPoly._raw(masks[r][i], shift) for r in range(level)]
-            + [_ONE if r == i else _ZERO for r in range(level)] for i in range(level)]
-    H = hnf.hnf_mod(rows, 2 * level, lin.den)
-    return SubmoduleBasis(level, [row[level:] for row in H[level:]]), level
+    # each entry u**shift * m enters as its residue modulo den, by one divmod
+    rows = [[F2LaurentPoly._raw(masks[r][i], shift).divmod(den)[1] if masks[r][i] else 0
+             for r in range(level)] + [int(r == i) for r in range(level)] for i in range(level)]
+    H = hnf.hnf_mod(rows, 2 * level, den)[level:]
+    return SubmoduleBasis(level, [[F2LaurentPoly._raw(x, 0) for x in r[level:]] for r in H]), level
 
 
 def diagonal_embed(n: int, rows) -> LampComm:
@@ -707,11 +702,11 @@ def diagonal_embed(n: int, rows) -> LampComm:
         for j, v in enumerate(row):
             if v not in (0, 1):
                 raise ValueError(f"entry ({i}, {j}) is {v!r}, not 0 or 1")
-    # t**j goes to the sum of t**i over the rows i with a 1 in column j
-    num = PolyMat.from_images(n, [
-        F2LaurentPoly([i for i in range(n) if rows[i][j]]) for j in range(n)
-    ])
-    if not gauss_jordan(num.entry_masks()[0], n):
+    # the 0/1 entries as constant poly masks: t**j goes to the sum of t**i over
+    # the rows i with a 1 in column j, and det over F2[u] is det over F2
+    masks = [[int(v) for v in row] for row in rows]
+    num = PolyMat.from_masks(n, masks, 0)
+    if not gauss_jordan(masks, n):
         raise SingularMatrix("matrix is not invertible over F2")
     return LampComm.make(VDerElt.zero(), CommInftyElt(n, num), False)
 

@@ -95,8 +95,6 @@ class MatQ(Value):
     the positive integer den, in lowest terms."""
 
     __slots__ = ("num", "den", "_nc")
-    zero = Fraction(0)
-    one = Fraction(1)
 
     def __init__(self, rows, ncols=None):
         rows = [[(x if type(x) is Fraction else _rational(x)).as_integer_ratio() for x in row]

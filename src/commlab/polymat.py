@@ -12,7 +12,8 @@ the masks, and ``gauss_jordan`` is the one elimination over F2[u], so no
 matrix over F2(u) is ever formed.  It peels column singletons before it
 eliminates, so a row-permuted triangular matrix, the shape of the
 lamplighter linear parts and of their flip conjugates, costs one
-back-substitution.
+back-substitution.  The gcd, scale and exact division of a vector of
+masks that it and the scalar methods use are ``f2poly``'s.
 """
 
 from __future__ import annotations
@@ -22,13 +23,15 @@ from functools import reduce
 
 from .f2poly import (
     F2LaurentPoly,
+    mask_content,
     mask_deinterleave,
     mask_divmod,
-    mask_gcd,
     mask_interleave,
     mask_mul,
     mask_reverse,
     mask_spread,
+    masks_divided,
+    masks_scaled,
 )
 from .frozen import Value
 
@@ -87,35 +90,21 @@ def gauss_jordan(rows: list, n: int) -> int:
         if not d:
             return 0
         for j, row in zip(core, sub):
-            x[j] = _scaled(row[len(core):], det)
+            x[j] = masks_scaled(row[len(core):], det)
         det = mask_mul(det, d)
     if len(rows[0]) == n:
         return det
     for i, j in reversed(peel):
         row = rows[i]
-        acc = _scaled(row[n:], det)
+        acc = masks_scaled(row[n:], det)
         for jj in by_row[i]:
             if jj != j:
                 a = row[jj]
                 acc = [v ^ mask_mul(a, w) if w else v for v, w in zip(acc, x[jj])]
-        x[j] = _divided(acc, row[j])
+        x[j] = masks_divided(acc, row[j])
     for j in range(n):
         rows[j][n:] = x[j]
     return det
-
-
-def _scaled(vec: list, f: int) -> list:
-    """The poly masks of vec times f."""
-    return vec if f == 1 else [mask_mul(f, v) if v else 0 for v in vec]
-
-
-def _divided(vec: list, p: int) -> list:
-    """The exact quotients of the poly masks of vec by p; by a power of u
-    a shift."""
-    if p & (p - 1) == 0:
-        k = p.bit_length() - 1
-        return [v >> k for v in vec] if k else vec
-    return [mask_divmod(v, p)[0] if v else 0 for v in vec]
 
 
 def _bareiss(rows: list, n: int) -> int:
@@ -249,17 +238,12 @@ class PolyMat(Value):
         return PolyMat(self.n, cols, self.n * (base // self.n) + self.shift)
 
     def scalar_mul(self, mask: int) -> "PolyMat":
-        """Multiply by the nonzero scalar polynomial in u given as a mask;
-        by 1 this is the map itself."""
-        if mask == 1:
-            return self
-        g = mask_spread(mask, self.n)
-        return PolyMat(self.n, (mask_mul(c, g) for c in self.cols), self.shift)
+        """Multiply by the nonzero scalar polynomial in u given as a mask."""
+        return PolyMat(self.n, masks_scaled(self.cols, mask_spread(mask, self.n)), self.shift)
 
     def scalar_div(self, mask: int) -> "PolyMat":
         """Exact quotient by the scalar polynomial in u given as an odd mask."""
-        g = mask_spread(mask, self.n)
-        return PolyMat(self.n, (mask_divmod(c, g)[0] for c in self.cols), self.shift)
+        return PolyMat(self.n, masks_divided(self.cols, mask_spread(mask, self.n)), self.shift)
 
     def _column(self, c: int) -> list[int]:
         """The entries (0, j), ..., (n-1, j) of the column whose image mask
@@ -273,18 +257,9 @@ class PolyMat(Value):
         return [list(row) for row in zip(*columns)], self.shift // self.n
 
     def content_mask(self, g: int) -> int:
-        """gcd of the mask g and all entry polynomials, as a mask.  Once
-        the gcd is 1 no entry can change it, so it returns 1 at that entry
-        (or at once, for g = 1) without reading the rest."""
-        if g == 1:
-            return g
-        for c in self.cols:
-            for mask in self._column(c):
-                if mask:
-                    g = mask_gcd(g, mask)
-                    if g == 1:
-                        return g
-        return g
+        """gcd of the mask g and all entries, read a column at a time by
+        ``mask_content``, which stops once the gcd is 1."""
+        return mask_content(g, (m for c in self.cols for m in self._column(c)))
 
     # ------------------------------------------------------------------
     # the level and the orientation

@@ -39,6 +39,19 @@ def test_torus_rank_by_matrix(capsys):
     assert out["torus"] == [{"kind": "NormOne", "d": 5}]
 
 
+def test_torus_rank_of_gm_needs_no_disc(capsys):
+    # Gm has no discriminant: --kind gm answers without --disc, and a --disc
+    # given with it is not read
+    code, out = run_json(capsys, ["torus-rank", "--kind", "gm", "--primes", "3"])
+    assert code == 0
+    assert out["N"] == 1 and out["torus"] == [{"kind": "Gm"}]
+    code, with_disc = run_json(capsys, ["torus-rank", "--kind", "gm", "--disc", "5", "--primes", "3"])
+    assert code == 0 and with_disc == out
+    # the quadratic kinds still need one
+    code, out = run_json(capsys, ["torus-rank", "--primes", "3"])
+    assert code == 2 and out == {"error": "ParseError", "detail": "provide --matrix or --disc"}
+
+
 def test_lamp_mul_and_apply(capsys):
     code, out = run_json(
         capsys,
@@ -514,6 +527,21 @@ def test_an_exponent_past_the_span_cap_is_a_resource_limit(capsys):
     )
     assert code == 1 and out["error"] == "ResourceLimit"
     assert time.perf_counter() - start < 1
+
+
+def test_a_polynomial_past_the_print_limit_is_a_resource_limit(capsys):
+    # tau(t^n) of the derivation 1 at level 1 has n terms; printing one
+    # costs about 0.6 us and 110 bytes, so f2poly.MAX_PRINT_TERMS stops
+    # the print before any string is built
+    comm = '{"level":1,"der":"1","A":[["1"]],"flip":false}'
+    n = 2**20 + 1
+    start = time.perf_counter()
+    code, out = run_json(capsys, ["lamp", "apply", "--comm", comm, "--elem", f'{{"k":"0","n":{n}}}'])
+    assert code == 1 and out["error"] == "ResourceLimit"
+    assert f"printing a polynomial needs {n} terms" in out["detail"]
+    assert time.perf_counter() - start < 1
+    code, out = run_json(capsys, ["lamp", "apply", "--comm", comm, "--elem", '{"k":"0","n":1000}'])
+    assert code == 0 and len(out["k"].split("+")) == 1000
 
 
 def test_a_huge_decimal_exponent_is_a_resource_limit(capsys):

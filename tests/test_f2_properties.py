@@ -1,6 +1,8 @@
 """Properties of the F2 routines whose cost must not grow with an exponent:
 ``mask_divmod`` and ``F2LaurentPoly.exact_div`` on both division routes,
-``mask_mod`` and ``mask_gcd`` on both remainder routes,
+``mask_mod`` and ``mask_gcd`` on both remainder routes, the content fold
+``mask_content`` and the vector helpers ``masks_scaled`` and
+``masks_divided``,
 the Laurent ``F2LaurentPoly.divmod``, ``F2LaurentPoly.geometric``,
 ``LampElement.__pow__`` and the interleave pair of the Kronecker layout;
 and the ring axioms of ``F2LaurentPoly`` on masks of a few hundred bits,
@@ -19,6 +21,7 @@ from commlab.f2poly import (
     F2LaurentPoly,
     _bits_pay,
     _series_pays,
+    mask_content,
     mask_deinterleave,
     mask_divmod,
     mask_gcd,
@@ -26,6 +29,8 @@ from commlab.f2poly import (
     mask_mod,
     mask_mul,
     mask_spread,
+    masks_divided,
+    masks_scaled,
 )
 from commlab.lamplighter import LampElement
 from samplers import (
@@ -173,6 +178,51 @@ def test_remainder_helpers_leave_short_quotients_to_the_inline_loop():
             assert mask_mod(a, b) == _naive_mod(a, b)
             assert mask_gcd(a, b) == _euclid_gcd(a, b)
         assert divmod_.call_count == calls
+
+
+@PROPERTY
+@given(st.one_of(st.just(1), masks(60, min_bits=1)),
+       st.lists(st.one_of(st.just(0), masks(120)), max_size=6),
+       st.one_of(st.just(1), st.builds(lambda k: 1 << k, st.integers(1, 9)), masks(30, min_bits=2)),
+       st.booleans())
+def test_vector_helpers_agree_with_a_euclid_fold_and_mask_divmod(g, vec, p, planted):
+    # zeros in vec, g = 1, p = 1 and p a power of x occur; half the cases
+    # plant p as a common factor of g and every entry
+    if planted:
+        g, vec = mask_mul(g, p), [mask_mul(v, p) for v in vec]
+    want = g
+    for v in vec:  # oracle: the plain fold, no early exit, zeros included
+        want = _euclid_gcd(want, v)
+    assert mask_content(g, vec) == want
+    assert mask_content(g, iter(vec)) == want
+    assert mask_content(1, vec) == 1
+    if planted:
+        assert mask_divmod(want, p)[1] == 0
+    scaled = masks_scaled(vec, p)
+    assert [mask_divmod(x, p) for x in scaled] == [(v, 0) for v in vec]
+    assert masks_divided(scaled, p) == vec
+    if planted:
+        assert masks_divided(vec, p) == [mask_divmod(v, p)[0] for v in vec]
+
+
+def test_mask_content_stops_reading_once_the_gcd_is_1():
+    # over F2: 0b110 = x(x+1), 0b1010 = x(x+1)^2 and 0b111 is irreducible, so
+    # from g = x^2(x+1) the gcd is x(x+1) until 0b111 brings it to 1; the zero
+    # is read but takes no gcd step, and nothing after 0b111 is read
+    read = []
+
+    def entries():
+        for m in (0b110, 0, 0b1010, 0b111, 0b1000, 0b10):
+            read.append(m)
+            yield m
+
+    with mock.patch("commlab.f2poly.mask_gcd", wraps=mask_gcd) as gcd_:
+        assert mask_content(0b1100, entries()) == 1
+    assert read == [0b110, 0, 0b1010, 0b111]
+    assert gcd_.call_count == 3
+    read.clear()
+    assert mask_content(1, entries()) == 1 and read == []
+    assert mask_content(0b1100, (0b110, 0b1010)) == 0b110
 
 
 @PROPERTY

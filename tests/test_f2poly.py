@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from commlab import f2poly
+from commlab.errors import ResourceLimit
 from commlab.f2poly import F2LaurentPoly as P
 from commlab.f2poly import mask_divmod, mask_gcd, mask_mul
 
@@ -55,6 +57,15 @@ def test_support_and_exponents():
     assert len(p) == 3
     with pytest.raises(ValueError):
         P.zero().max_exp
+
+
+def test_to_string_refuses_more_terms_than_the_print_limit(monkeypatch):
+    # MAX_PRINT_TERMS terms print; one more is refused, by its count
+    assert f2poly.MAX_PRINT_TERMS == 2**20
+    monkeypatch.setattr(f2poly, "MAX_PRINT_TERMS", 4)
+    assert P([-1, 0, 3, 9]).to_string() == "t^-1+1+t^3+t^9"
+    with pytest.raises(ResourceLimit, match="needs 5 terms, above the 4-term limit"):
+        P([-1, 0, 3, 9, 20]).to_string("s")
 
 
 def test_string_round_trip():

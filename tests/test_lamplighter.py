@@ -933,13 +933,17 @@ def laurent_polys(span=6):
 
 def hnf_mod_entry_degrees(call):
     """Run call() and return, for each hnf.hnf_mod call it makes, deg d and
-    the largest degree of an entry that call multiplies (-1 if none)."""
+    the largest degree of an entry that call multiplies (-1 if none).  Each
+    call must take and return rows of poly masks."""
     found = []
     hnf_mod, mul = hnf.hnf_mod, hnf.mask_mul
 
     def counted_hnf_mod(rows, n, d):
+        assert all(type(x) is int for row in rows for x in row)
         found.append([d.bit_length() - 1, -1])
-        return hnf_mod(rows, n, d)
+        out = hnf_mod(rows, n, d)
+        assert all(type(x) is int for row in out for x in row)
+        return out
 
     def counted_mul(a, b):
         found[-1][1] = max(found[-1][1], a.bit_length() - 1, b.bit_length() - 1)
@@ -962,10 +966,13 @@ def test_hnf_mod_is_the_form_of_the_rows_and_d_times_the_free_module(case, d_exp
     stacked = rows + [[dp if i == j else P.zero() for j in range(n)] for i in range(n)]
     H, pivots = hnf.row_echelon(stacked)
     assert pivots == tuple(range(n))
+    # hnf_mod reads poly masks: an entry with an s^-N term enters as its
+    # residue modulo d, any other as its own mask, which hnf_mod reduces
+    masks = [[x.mask << x.shift if x.shift >= 0 else x.divmod(d)[1] for x in row] for row in rows]
     out = []
-    for deg_d, deg_entry in hnf_mod_entry_degrees(lambda: out.append(hnf.hnf_mod(rows, n, d))):
+    for deg_d, deg_entry in hnf_mod_entry_degrees(lambda: out.append(hnf.hnf_mod(masks, n, d))):
         assert deg_entry < deg_d
-    assert out[0] == H[:n]
+    assert out[0] == [[x.mask << x.shift for x in row] for row in H[:n]]
 
 
 @pytest.mark.parametrize("seed", range(6))

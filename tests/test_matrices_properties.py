@@ -25,6 +25,8 @@ SCALARS = {
         F2RatFun, st.integers(0, 7), st.sampled_from([1, 3, 5, 7]), st.integers(-1, 1)
     ),
 }
+# the zero of each entry ring (MatQ keeps no field hooks; the oracles do)
+ZERO = {MatQ: Fraction(0), MatQFraction: MatQFraction.zero, MatF2Rat: MatF2Rat.zero}
 FIELDS = pytest.mark.parametrize("cls", [MatQ, MatF2Rat], ids=["Q", "F2(t)"])
 ORACLE_FIELDS = pytest.mark.parametrize("cls", [MatQFraction, MatF2Rat], ids=["Q", "F2(t)"])
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -69,7 +71,7 @@ def rank(a) -> int:
 def test_det_rank_and_inv_agree(cls, data):
     a = data.draw(square(cls))
     n = a.nrows
-    singular = a.det() == cls.zero
+    singular = a.det() == ZERO[cls]
     assert singular == (rank(a) < n)
     if singular:
         with pytest.raises(SingularMatrix):
@@ -138,7 +140,7 @@ def textbook_product(a, b):
     """(ab)[i][j] = sum over k of a[i][k] * b[k][j], every term formed."""
     cls = type(a)
     return cls(
-        [[sum((a.entry(i, k) * b.entry(k, j) for k in range(a.ncols)), cls.zero)
+        [[sum((a.entry(i, k) * b.entry(k, j) for k in range(a.ncols)), ZERO[cls])
           for j in range(b.ncols)] for i in range(a.nrows)],
         ncols=b.ncols,
     )
@@ -152,7 +154,7 @@ def sparse_or_dense(draw, cls, nrows, ncols):
 
     def entry():
         if sparse and draw(st.integers(0, 3)):
-            return cls.zero
+            return ZERO[cls]
         return draw(SCALARS[cls])
 
     return cls([[entry() for _ in range(ncols)] for _ in range(nrows)], ncols=ncols)
