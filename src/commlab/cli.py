@@ -25,7 +25,7 @@ import json
 import os
 import sys
 
-from .errors import CommLabError, ResourceLimit, ZeroInput, json_int, json_matrix
+from .errors import CommLabError, ResourceLimit, SingularMatrix, ZeroInput, json_int, json_matrix
 
 
 def _load_json(text: str):
@@ -201,10 +201,16 @@ def _desc_from_json(space, obj):
     red = space.red.identity()
     if obj.get("red") is not None:
         red = AffineMap(parse_rational(obj["red"]["r"]), parse_rational(obj["red"]["q"]))
+    h_central = _matq_from_json(obj["h_central"], "h_central", ncols=space.n0)
+    p = _matq_from_json(obj["P"], "P", ncols=space.n0)
+    # the GL block arrives from outside here; products and inverses of
+    # invertible blocks are invertible, so CommDesc itself takes no det
+    if p.is_square() and p.det() == 0:
+        raise SingularMatrix("the GL block P is not invertible")
     return CommDesc(
         space,
-        _matq_from_json(obj["h_central"], "h_central", ncols=space.n0),
-        _matq_from_json(obj["P"], "P", ncols=space.n0),
+        h_central,
+        p,
         _matq_from_json(obj["h_10"], "h_10", ncols=space.n1),
         _matq_from_json(obj["h_1z"], "h_1z", ncols=space.n1),
         red,

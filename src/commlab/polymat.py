@@ -115,12 +115,14 @@ def _bareiss(rows: list, n: int) -> int:
     previous pivot is exact, and over F2 a row swap changes no sign, so
     the answer does not depend on which rows are taken as pivots.  The
     pivot at column k is the row with the most zeros left in N (the
-    fewest nonzero entries, Markowitz's rule).  It still pays: the cores
-    that the peel leaves of the domain images of level-60 flipped classes
-    take 0.05-0.16 s with it and 0.12-0.33 s with the first live row as
-    pivot.  With no columns B only the rows below a pivot are eliminated,
-    as det N is the last pivot; with B every other row is (Gauss-Jordan),
-    and B ends up as adj(N) * B.
+    fewest nonzero entries, Markowitz's rule).  It pays on sparse cores
+    and costs little on dense ones: on drawn matrices of 8-bit entries
+    with a permuted nonzero diagonal, 10 at n = 30 and density 0.1 take
+    214 ms with it and 339 ms with the first live row as pivot, 20 at
+    n = 20 and density 0.15 take 154 and 152 ms, and 20 dense 12 x 12
+    take 78 and 71 ms.  With no columns B only the rows below a pivot
+    are eliminated, as det N is the last pivot; with B every other row
+    is (Gauss-Jordan), and B ends up as adj(N) * B.
 
     At pivot k each other row x becomes (piv*x + a*top) / prev, a its
     column-k entry.  A row with a = 0 is only rescaled by piv/prev, so

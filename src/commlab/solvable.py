@@ -145,10 +145,13 @@ def bs_comm_domain(c: AffineMap, n: int) -> tuple[int, int]:
     translation of c; K is the multiplicative order of n modulo the
     n-coprime denominator d of the translation.  Conjugation by c maps
     every element with a in K*Z and b in D*Z[1/n] back into BS(1, n).
-    K is found by giant and baby steps (Shanks): K = i*B - j, 0 <= j < B,
-    where n**(i*B) = n**j.  A baby step is a product by the small n and a
-    giant step a full product mod d, hence B = _BABY_STEPS of the first to
-    ORDER_CAP / B of the second.  A K above ORDER_CAP raises ResourceLimit.
+    K is found by baby and giant steps (Shanks).  The baby steps n**j,
+    j < B = _BABY_STEPS, return j at the first n**j = 1.  Failing that,
+    K >= B, so those B powers are distinct, and the first giant step
+    n**(i*B) among them, n**(i*B) = n**j, gives K = i*B - j.  A baby step
+    is a product by the small n and a giant step a full product mod d,
+    hence B of the first to ORDER_CAP / B of the second.  A K above
+    ORDER_CAP raises ResourceLimit.
     """
     _check_base(n)
     d_r = _n_coprime_denominator(c.r, n)
@@ -156,22 +159,23 @@ def bs_comm_domain(c: AffineMap, n: int) -> tuple[int, int]:
     d = d_r * d_q // math.gcd(d_r, d_q)
     if d_q == 1:
         return 1, d
-    giant, y, step = {}, 1, pow(n, _BABY_STEPS, d_q)
-    for i in range(1, -(-ORDER_CAP // _BABY_STEPS) + 1):
-        y = y * step % d_q
-        giant.setdefault(y, i)
-    k, x = ORDER_CAP + 1, 1
-    for j in range(_BABY_STEPS):  # x = n**j; a hit gives a multiple of K
+    baby, x = {}, 1
+    for j in range(_BABY_STEPS):  # x = n**j
         if j and x == 1:
             return j, d
-        if x in giant:
-            k = min(k, giant[x] * _BABY_STEPS - j)
+        baby[x] = j
         x = x * n % d_q
-    if k > ORDER_CAP:
-        modulus = d_q if d_q.bit_length() <= 64 else f"a {d_q.bit_length()}-bit integer"
-        raise ResourceLimit(f"work limit: the conjugation domain needs the order of {n} "
-                            f"modulo {modulus}, which exceeds {ORDER_CAP}")
-    return k, d
+    y = 1
+    for i in range(1, -(-ORDER_CAP // _BABY_STEPS) + 1):
+        y = y * x % d_q  # x = n**B
+        if y in baby:
+            k = i * _BABY_STEPS - baby[y]
+            if k <= ORDER_CAP:
+                return k, d
+            break
+    modulus = d_q if d_q.bit_length() <= 64 else f"a {d_q.bit_length()}-bit integer"
+    raise ResourceLimit(f"work limit: the conjugation domain needs the order of {n} "
+                        f"modulo {modulus}, which exceeds {ORDER_CAP}")
 
 
 def bs_comm_apply(c: AffineMap, g: BSElement) -> BSElement:

@@ -80,7 +80,8 @@ def prime_factors(n: int, known=()) -> tuple[dict, int]:
     The primes in ``known`` (checked by ``prime_set``) are divided out
     first and the rest is trial-divided up to TRIAL_BOUND.  A remaining
     factor is prime when it is below the square of the first divisor not
-    tried (about TRIAL_BOUND**2); a larger one is returned as the cofactor.
+    tried (about TRIAL_BOUND**2), or below PRIME_BOUND and certified by
+    ``is_prime``; any other is returned as the cofactor.
     """
     out = {}
     for p in known:
@@ -93,7 +94,7 @@ def prime_factors(n: int, known=()) -> tuple[dict, int]:
             n //= p
             out[p] = out.get(p, 0) + 1
         p += 1 if p == 2 else 2
-    if 1 < n < p * p:
+    if 1 < n and (n < p * p or n < PRIME_BOUND and is_prime(n)):
         out[n] = 1
         n = 1
     return out, n
@@ -102,8 +103,9 @@ def prime_factors(n: int, known=()) -> tuple[dict, int]:
 def squarefree_part(n: int) -> int:
     """Largest squarefree divisor with the same sign.
 
-    Factors by trial division up to 10**6; inputs whose unfactored part
-    is neither 1 nor a perfect square are rejected.
+    Factors by ``prime_factors``: trial division up to 10**6, and a
+    leftover certified prime.  An input whose unfactored part is neither 1
+    nor a perfect square is rejected.
     """
     if n == 0:
         return 0

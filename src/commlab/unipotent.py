@@ -122,13 +122,6 @@ class NilMat(Value):
         self.n = n
         self.mat = mat
 
-    @classmethod
-    def zero(cls, n: int) -> "NilMat":
-        return cls(MatQ.zeros(n, n))
-
-    def __add__(self, other):
-        return NilMat(self.mat + other.mat)
-
     def __repr__(self):
         return f"NilMat({self.mat.to_strings()})"
 

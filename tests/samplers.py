@@ -32,9 +32,11 @@ any such matrix class: the oracle of the integer series of
 ``from_entries_by_polys`` reads a linear part through one pair of
 ``F2LaurentPoly`` per entry, the oracle of
 ``commlab.lamplighter.CommInftyElt.from_entries``.
-``ci_lamp_class`` draws the row-permuted triangular classes of the CI
-lamplighter digest.  ``solve_inner_by_definition`` solves the inner-derivation systems over
-``MatQFraction`` with every check in the order of its definition.
+``ci_lamp_class`` draws the row-permuted triangular classes of the
+lamplighter digest of ``tests/test_outputs.py``, and ``sparse_poly`` the
+sparse polynomials of that digest.  ``solve_inner_by_definition`` solves
+the inner-derivation systems over ``MatQFraction`` with every check in
+the order of its definition.
 """
 
 import math
@@ -802,25 +804,28 @@ def random_comm(rng, max_level: int = 6, max_deg: int = 8) -> LampComm:
     return LampComm.make(der, CommInftyElt.from_entries(level, mat.to_strings()), rng.random() < 0.5)
 
 
-def ci_lamp_class(rng, level):
-    """A class drawn as by the CI step "Lamplighter outputs match the base
-    branch": a row-permuted lower-triangular linear part with a diagonal
-    of 1, s, 1/s and 1 + s + s^2 and entries over 1, 1 + s or 1 + s + s^2,
-    a sparse derivation value of span up to 10^4, and a random flip."""
+def sparse_poly(rng, lo, hi, terms) -> str:
+    """A Laurent polynomial in t with up to ``terms`` exponents drawn from
+    [lo, hi), as text."""
+    exps = sorted({rng.randrange(lo, hi) for _ in range(terms)})
+    return "+".join("1" if e == 0 else "t" if e == 1 else f"t^{e}" for e in exps) or "0"
 
-    def poly(lo, hi, terms):
-        exps = sorted({rng.randrange(lo, hi) for _ in range(terms)})
-        return "+".join("1" if e == 0 else "t" if e == 1 else f"t^{e}" for e in exps) or "0"
+
+def ci_lamp_class(rng, level):
+    """A class drawn as by the lamplighter digest of ``tests/test_outputs.py``:
+    a row-permuted lower-triangular linear part with a diagonal of 1, s,
+    1/s and 1 + s + s^2 and entries over 1, 1 + s or 1 + s + s^2, a sparse
+    derivation value of span up to 10^4, and a random flip."""
 
     def entry():
-        num = poly(-2, 3, rng.randrange(1, 4)).replace("t", "s")
+        num = sparse_poly(rng, -2, 3, rng.randrange(1, 4)).replace("t", "s")
         den = rng.choice(("1", "1", "1+s", "1+s+s^2"))
         return num if den == "1" else f"({num})/({den})"
 
     rows = [[entry() if j < i and rng.random() < 0.3
              else rng.choice(("1", "s", "s^-1", "1+s+s^2")) if j == i else "0"
              for j in range(level)] for i in range(level)]
-    der = poly(-rng.choice((4, 5000)), rng.choice((4, 5000)), rng.randrange(0, 40))
+    der = sparse_poly(rng, -rng.choice((4, 5000)), rng.choice((4, 5000)), rng.randrange(0, 40))
     return LampComm.from_json({"level": level, "der": der,
                                "A": [rows[p] for p in rng.sample(range(level), level)],
                                "flip": rng.random() < 0.5})

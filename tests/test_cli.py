@@ -208,6 +208,23 @@ def test_comm_desc_rejects_a_reduced_part_the_space_cannot_hold(capsys):
     assert code == 1 and out["error"] == "DimensionMismatch"
 
 
+def test_comm_desc_refuses_a_singular_gl_block_in_either_description(capsys):
+    identity = {"h_central": [], "P": [["1", "0"], ["0", "1"]], "h_10": [[], []], "h_1z": []}
+    singular = {**identity, "P": [["1", "2"], ["1/2", "1"]]}  # det 0
+    space = {"N0": 2, "N1": 0, "dZ": 0, "dZ1": 0}
+    for a, b in ((identity, singular), (singular, identity)):
+        spec = json.dumps({"space": space, "a": a, "b": b})
+        code, out = run_json(capsys, ["comm-desc", "mul", "--spec", spec])
+        assert code == 1 and out == {"error": "SingularMatrix",
+                                     "detail": "the GL block P is not invertible"}
+    code, out = run_json(capsys, ["comm-desc", "inv", "--spec",
+                                  json.dumps({"space": space, "a": singular})])
+    assert code == 1 and out["error"] == "SingularMatrix"
+    code, out = run_json(capsys, ["comm-desc", "mul", "--spec",
+                                  json.dumps({"space": space, "a": identity, "b": identity})])
+    assert code == 0 and out["P"] == identity["P"]
+
+
 def test_solve_inner_command(capsys):
     code, out = run_json(
         capsys,

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -165,6 +166,16 @@ def test_order_search_on_large_moduli():
     # 3 mod 10**4303 has an order far above ORDER_CAP; the detail names its size
     with pytest.raises(ResourceLimit, match="modulo a 14295-bit integer"):
         bs_comm_domain(AffineMap(1, F(1, 10**4303)), 3)
+
+
+def test_the_order_search_stops_at_its_first_hit():
+    # 2 has order 2 mod 3, found at the second baby step; under a cap of
+    # 2**35 a search that builds its giant-step table first forms 2**20 entries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvable, "ORDER_CAP", 2**35)
+        start = time.perf_counter()
+        assert bs_comm_domain(AffineMap(1, F(1, 3)), 2) == (2, 3)
+        assert time.perf_counter() - start < 0.02
 
 
 def test_bs_comm_apply_examples():

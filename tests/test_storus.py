@@ -212,6 +212,8 @@ def test_squarefree_part():
     assert squarefree_part(2 * 3 * 5 * 7) == 210
     # trial division to 10**6 proves a leftover below (10**6 + 1)**2 prime
     assert squarefree_part(10**12 + 39) == 10**12 + 39
+    # and is_prime certifies a leftover above that square
+    assert squarefree_part(2 * (10**14 + 31)) == 2 * (10**14 + 31)
     assert squarefree_part(2 * (10**6 + 3) ** 2) == 2
     big = 1000003 * 1000033  # two large primes, product not a square
     assert is_prime(1000003) and is_prime(1000033)

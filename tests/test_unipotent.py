@@ -54,14 +54,14 @@ def rand_unitri(rng, n, denoms=(1, 2)):
 
 
 def test_log_examples():
-    assert unitri_log(UniTriMat.identity(3)) == NilMat.zero(3)
+    assert unitri_log(UniTriMat.identity(3)) == NilMat(MatQ.zeros(3, 3))
     assert unitri_log(elementary(3, 0, 2)).mat == MatQ([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
     g = UniTriMat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     assert unitri_log(g).mat == MatQ([["0", "1", "-1/2"], ["0", "0", "1"], ["0", "0", "0"]])
 
 
 def test_exp_examples():
-    assert unitri_exp(NilMat.zero(3)) == UniTriMat.identity(3)
+    assert unitri_exp(NilMat(MatQ.zeros(3, 3))) == UniTriMat.identity(3)
     assert unitri_exp(NilMat([[0, 0, 1], [0, 0, 0], [0, 0, 0]])) == elementary(3, 0, 2)
     x = NilMat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert unitri_exp(x).mat == MatQ([["1", "1", "1/2"], ["0", "1", "1"], ["0", "0", "1"]])
@@ -537,13 +537,15 @@ def test_congruence_domain_of_a_deep_denominator(p):
 
 
 def test_congruence_domain_factor_bound():
-    # a prime beyond the trial bound is certified below its square
-    p = 10**12 + 39
-    assert congruence_domain(LieAut.diagonal(3, [F(1, p), F(1, p), 1]), {2}) == p
-    p = 10**14 + 31
+    # a prime beyond the trial bound is certified below its square, and
+    # above it by is_prime
+    for p in (10**12 + 39, 10**14 + 31):
+        assert congruence_domain(LieAut.diagonal(3, [F(1, p), F(1, p), 1]), {2}) == p
+    # a product of two primes beyond the trial bound is left unfactored
+    n = 1000003 * 1000033
     start = time.perf_counter()
-    with pytest.raises(ExceedsFactorBound, match=f"cannot factor {p}"):
-        congruence_domain(LieAut.diagonal(3, [F(1, p), F(1, p), 1]), {2})
+    with pytest.raises(ExceedsFactorBound, match=f"cannot factor {n}"):
+        congruence_domain(LieAut.diagonal(3, [F(1, n), F(1, n), 1]), {2})
     assert time.perf_counter() - start < 1
 
 
@@ -731,8 +733,8 @@ def test_shape_validation():
     UniTriMat.identity(12)
     # the Lie algebra side has the same cap, checked before any other work
     with pytest.raises(ResourceLimit, match="capped at 12, got 13 x 13"):
-        NilMat.zero(13)
-    NilMat.zero(12)
+        NilMat(MatQ.zeros(13, 13))
+    NilMat(MatQ.zeros(12, 12))
     with pytest.raises(ResourceLimit, match="capped at 12, got 13 x 13"):
         LieAut(13, [[1]])
     LieAut.identity(12)
