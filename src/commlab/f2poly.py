@@ -16,14 +16,18 @@ division.
 
 The Kronecker layout (x = t**n; von zur Gathen and Gerhard, Modern
 Computer Algebra, 3rd ed., section 8.4) packs n masks into one whose bit
-n*e + i is bit e of mask i.  ``mask_interleave``, ``mask_deinterleave``
-and ``mask_spread`` are the only code that does its arithmetic.  Each
-builds or reads a layout one set bit at a time, at a few big-int
-operations on the whole mask per bit, or in one pass over a string of
-all its digits, whichever ``_bits_pay`` finds cheaper: short sparse
-layouts take the set bits, and a layout with 512 + n set bits or more
-takes the string however long it is, so neither route is worse than
-linear in the length.
+n*e + i is bit e of mask i.  ``mask_interleave``, ``mask_deinterleave``,
+``mask_spread`` and ``mask_strands`` are the only code that does its
+arithmetic.  The first three build or read a layout one set bit at a
+time, at a few big-int operations on the whole mask per bit, or in one
+pass over a string of all its digits, whichever ``_bits_pay`` finds
+cheaper: short sparse layouts take the set bits, and a layout with
+512 + n set bits or more takes the string however long it is, so neither
+route is worse than linear in the length.  ``mask_strands`` splits a
+layout into its n strands, each left in place, with one comb of the bits
+at the multiples of n; ``_strands_pay`` is the cost rule by which
+``PolyMat._apply_mask`` maps a mask through them, one carry-less product
+per strand, instead of one shift-xor per set bit.
 
 This is the only module that divides.  ``mask_mod`` and ``mask_gcd``
 need only remainders: a quotient of at most _SHORT bits is left unformed,
@@ -59,8 +63,9 @@ _BIT_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 # byte i -> 1 if i is nonzero, and the positions of its set bits
 _NONZERO = bytes(min(i, 1) for i in range(256))
 _BITS_OF = tuple(tuple(k for k in range(8) if i >> k & 1) for i in range(256))
-# the widest span, in bits, of a polynomial built from its exponents: parsing
-# "1+t^N" allocates N/8 bytes, so a wider span raises ResourceLimit first
+# the widest span, in bits, of a polynomial built from its exponents, as a sum
+# or as a geometric series: parsing "1+t^N" allocates N/8 bytes, so a wider
+# span raises ResourceLimit first
 MAX_SPAN = 1 << 26
 # the most terms to_string prints: a term costs about 0.6 us and 110 bytes
 # while the string is built, so more raise ResourceLimit before any is built
@@ -111,6 +116,26 @@ def _bits_pay(pop: int, length: int, n: int) -> bool:
     grows with the length, and it keeps pop below 512 + n on long ones.
     """
     return pop * (65536 + length) < 65536 * (4 + n) + 512 * length
+
+
+def _strands_pay(pop: int, n: int, bits: int) -> bool:
+    """Whether an F2[u]-linear map of K, u = t**n, whose n column masks
+    have bits set bits in all, acts on a mask with pop set bits for less
+    one strand at a time (``mask_strands``, a product per column) than one
+    shift-xor per set bit (``PolyMat._apply_mask``).
+
+    A strand's product loops over the set bits of the sparser of its
+    column and its strand, so the strands make at most min(pop, bits) loop
+    steps where the set bits make pop.  Measured on CPython 3.11 (x86_64),
+    a loop step costs about what a set bit does (0.3-0.5 us) and a strand
+    about two, so the strands pay once pop > 2*n + min(pop, bits), that is
+    once pop > 2*n + bits.  On every call of one seed-1 pass of the
+    benchmark's lamp_mix (12252 calls, n <= 6) and lamp_large (6471 calls,
+    n <= 12) this comes within 0.2% of the cheaper route of each call,
+    where pop > 2*n alone is 7% above it on lamp_mix and the set bits
+    alone 62% above it on lamp_large.
+    """
+    return pop > 2 * n + bits
 
 
 def _series_quot(a: int, b: int, n: int) -> int:
@@ -282,6 +307,22 @@ def mask_spread(a: int, k: int) -> int:
     return acc
 
 
+def mask_strands(a: int, n: int) -> list[int]:
+    """The n strands of the layout a: strand i keeps the bits n*e + i of a,
+    moved to n*e, so a is the sum of strand i times x**i.  Each is a and
+    one comb of the bits at the multiples of n, after a shift by i.  The
+    comb doubles its teeth per step, a few big-int shifts and ors (a long
+    division of 2**(n*w) - 1 by 2**n - 1 took 2-4x as long at 10**5 bits)."""
+    if n == 1:
+        return [a]
+    w = -(-a.bit_length() // n)
+    comb, k = 1, 1  # comb has k teeth
+    while k < w:
+        comb |= comb << n * k
+        k *= 2
+    return [a >> i & comb for i in range(n)]
+
+
 def mask_reverse(a: int) -> int:
     """Reverse the coefficients of a nonzero poly mask (x -> 1/x up to a shift)."""
     nbytes = (a.bit_length() + 7) // 8
@@ -332,12 +373,16 @@ class F2LaurentPoly(Value):
     @classmethod
     def geometric(cls, step: int, count: int) -> "F2LaurentPoly":
         """1 + t**step + t**(2*step) + ... + t**((count-1)*step), count >= 0.
+        Raises ResourceLimit, before allocating, when it would span more
+        than MAX_SPAN bits.
 
         Built by doubling along the bits of count: O(log count) big-int
         shifts and ors, O(step*count) bit work in all.  (The closed form
         (2**(step*count) - 1) // (2**step - 1) is exact too, but its long
         division is quadratic in step.)
         """
+        if step * (count - 1) > MAX_SPAN:
+            raise _span_limit(0, step * (count - 1))
         mask, n = 0, 0  # mask holds the first n terms
         for bit in bin(count)[2:]:
             mask |= mask << (step * n)
@@ -385,15 +430,20 @@ class F2LaurentPoly(Value):
         return self.mask.bit_count()
 
     def __add__(self, other):
+        """The sum.  Raises ResourceLimit, before allocating, when the two
+        exponent ranges together span more than MAX_SPAN bits."""
         if not isinstance(other, F2LaurentPoly):
             return NotImplemented
-        if self.mask == 0:
+        a, sa, b, sb = self.mask, self.shift, other.mask, other.shift
+        if a == 0:
             return other
-        if other.mask == 0:
+        if b == 0:
             return self
-        lo = min(self.shift, other.shift)
-        m = (self.mask << (self.shift - lo)) ^ (other.mask << (other.shift - lo))
-        return F2LaurentPoly._raw(m, lo)
+        if sa > sb:  # a starts lowest, and b is shifted onto it
+            a, sa, b, sb = b, sb, a, sa
+        if sb - sa + b.bit_length() > MAX_SPAN + 1 or a.bit_length() > MAX_SPAN + 1:
+            raise _span_limit(sa, max(sa + a.bit_length(), sb + b.bit_length()) - 1)
+        return F2LaurentPoly._raw(a ^ b << sb - sa, sa)
 
     __sub__ = __add__  # characteristic 2
 
@@ -485,10 +535,15 @@ def _pack(exps) -> tuple[int, int]:
     lo = min(exps)
     span = max(exps) - lo
     if span > MAX_SPAN:
-        raise ResourceLimit(f"work limit: a polynomial with exponents {lo} to "
-                            f"{lo + span} spans more than {MAX_SPAN} bits")
+        raise _span_limit(lo, lo + span)
     buf = bytearray(span // 8 + 1)
     for e in exps:
         e -= lo
         buf[e >> 3] ^= 1 << (e & 7)
     return int.from_bytes(buf, "little"), lo
+
+
+def _span_limit(lo: int, hi: int) -> ResourceLimit:
+    """The error for a polynomial with exponents lo to hi, past MAX_SPAN."""
+    return ResourceLimit(f"work limit: a polynomial with exponents {lo} to {hi} "
+                         f"spans more than {MAX_SPAN} bits")

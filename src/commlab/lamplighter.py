@@ -65,7 +65,8 @@ from .polymat import PolyMat, gauss_jordan
 
 # Composing at the lcm of two levels, and the derivation image of a composite
 # or inverse, may need a higher level; the work grows with it (a LEVEL_CAP x
-# LEVEL_CAP matrix over F2(s)), so raise_to and the j search stop at the cap.
+# LEVEL_CAP matrix over F2(s)), so _scaled_to, which raise_to and compose call
+# first, and the j search stop at the cap.
 LEVEL_CAP = 512
 
 _ZERO = F2LaurentPoly.zero()
@@ -116,6 +117,8 @@ class LampElement(Value):
         n = self.n
         if n == 0:
             return LampElement(self.k if e % 2 else _ZERO, 0)
+        if self.k.is_zero():  # a power of t: no series is formed
+            return LampElement(_ZERO, n * e)
         # g**e = (k * (1 + t**n + ... + t**(n*(e-1))), n*e)
         k = self.k * F2LaurentPoly.geometric(abs(n), e)
         if n < 0:
@@ -353,9 +356,22 @@ class CommInftyElt(Value):
         return F2LaurentPoly._raw(self.den, 0)
 
     def raise_to(self, n: int) -> "CommInftyElt":
+        """The same map at level n, a multiple of the level: the numerator
+        that ``_scaled_to`` gives, raised, over its dw."""
+        if n == self.level:
+            return self
+        num, dw = self._scaled_to(n)
+        return CommInftyElt._coprime(n, num.raised(n // self.level), dw)
+
+    def _scaled_to(self, n: int) -> tuple[PolyMat, int]:
+        """(num * dw(s**k) / den, dw) at this level m, for k = n / m: dw is
+        the least D with den dividing D(s**k), so at level n the map is that
+        numerator, raised by k, over dw (in w = s**k).  For n = m it is
+        (num, den).  A level n above LEVEL_CAP raises ResourceLimit before
+        any work."""
         m = self.level
         if n == m:
-            return self
+            return self.num, self.den
         if n % m:
             raise NotDivisible(f"{m} does not divide {n}")
         if n > LEVEL_CAP:
@@ -363,15 +379,12 @@ class CommInftyElt(Value):
                 f"work limit: raising a linear part from level {m} to level {n} "
                 f"passes {LEVEL_CAP}"
             )
-        k = n // m
         if self.den == 1:
-            dw = 1
-            nn = self.num
-        else:
-            dw = _min_u_power_poly(self.den, k)
-            # den divides dw(s**k) by the choice of dw
-            nn = self.num.scalar_mul(mask_divmod(mask_spread(dw, k), self.den)[0])
-        return CommInftyElt._coprime(n, nn.raised(k), dw)
+            return self.num, 1
+        k = n // m
+        dw = _min_u_power_poly(self.den, k)
+        # den divides dw(s**k) by the choice of dw
+        return self.num.scalar_mul(mask_divmod(mask_spread(dw, k), self.den)[0]), dw
 
     def least_level(self) -> int:
         """The least level d | m at which the map is equivariant: the least
@@ -433,15 +446,11 @@ class CommInftyElt(Value):
         num = self.num.flip().shifted(self.level * (self.den.bit_length() - 1))
         return CommInftyElt._coprime(self.level, num, mask_reverse(self.den))
 
-    def lift(self, k: F2LaurentPoly):
-        """k / den(t**level), or None when den(t**level) does not divide k."""
-        if self.den == 1:
-            return k
-        return k.exact_div(self.den_poly().spread(self.level))
-
     def apply(self, k: F2LaurentPoly):
-        """Image of a K element, or None when it is outside the domain."""
-        return self.lift(self.num.apply(k))
+        """Image of a K element, num(k) / den(t**level), or None when it is
+        outside the domain: when den(t**level) does not divide num(k)."""
+        y = self.num.apply(k)
+        return y if self.den == 1 else y.exact_div(self.den_poly().spread(self.level))
 
     def __repr__(self):
         return f"CommInftyElt(level={self.level}, A={self.to_strings()})"
@@ -539,8 +548,11 @@ class LampComm(Value):
         lcm of their least levels, the least level at which both are
         defined.  Each is moved there in one step from the level it is
         given at (``at_level``), without first going to its own least
-        level."""
-        level = math.lcm(der.least_level(), lin.least_level())
+        level.  The linear part's least level divides its level, so a
+        derivation whose least level is a multiple of that level fixes the
+        lcm alone, with no search of the linear part's."""
+        d = der.least_level()
+        level = d if d % lin.level == 0 else math.lcm(d, lin.least_level())
         return cls(der.at_level(level), lin.at_level(level), flip)
 
     @classmethod
@@ -576,66 +588,78 @@ class LampComm(Value):
         return cls.make(der, lin, flip)
 
 
-def _apply_lin_to_vder(lin: CommInftyElt, value: F2LaurentPoly, op: str):
-    """Image of a derivation value under an equivariant commensuration.
+def _apply_lin_to_vder(level: int, num: PolyMat, den: int, value: F2LaurentPoly, op: str):
+    """Image of a derivation value under the equivariant commensuration
+    num / den at the given level; num may be the same map at any level that
+    divides it, as its action on K is the same.
 
-    The image need not lie in K; the result is the least j >= 1 such
-    that lin(R_j * value) does, together with that element, where R_j
+    The image need not lie in K; the result is the least j >= 1 such that
+    (num / den)(R_j * value) does, together with that element, where R_j
     is the level-raising multiplier 1 + s + ... + s**(j-1) with
     s = t**level.  A j with j * level above LEVEL_CAP raises
     ResourceLimit, naming the operation ``op``.
 
-    With den = 1 the image lin.num(value) is in K, so the answer is
-    (1, that image) with no gcd.  Otherwise den requires the factor
-    den / g of R_j, g the gcd of den and the coordinates of the image,
-    and ``mask_content`` stops once g is 1.
+    With den = 1 the image num(value) is in K, so the answer is (1, that
+    image) with no gcd.  Otherwise den requires the factor den / g of R_j,
+    g the gcd of den and the coordinates of the image at the level, and
+    ``mask_content`` stops once g is 1.  compose passes its first factor's
+    numerator at that factor's own level, so a derivation value much denser
+    than it takes ``PolyMat._apply_mask``'s strand route, at most one
+    product per column of that level.
     """
-    m = lin.level
-    y = lin.num.apply(value)
-    den = lin.den
+    y = num.apply(value)
     if den == 1:
         return 1, y
     # y is t**y.shift times y.mask, and a power of t permutes the coordinates up
     # to powers of s, which are prime to the odd den: so read those of y.mask
-    g = mask_content(den, mask_deinterleave(y.mask, m))
+    g = mask_content(den, mask_deinterleave(y.mask, level))
     dreq = mask_divmod(den, g)[0]  # den divides R_j * y iff dreq | R_j
     j = 1
     r = mask_mod(1, dreq)
     spow = mask_mod(2, dreq)
     while r:
         j += 1
-        if j * m > LEVEL_CAP:
+        if j * level > LEVEL_CAP:
             raise ResourceLimit(
-                f"work limit: {op} needs a level above {LEVEL_CAP} from level {m} "
+                f"work limit: {op} needs a level above {LEVEL_CAP} from level {level} "
                 f"with a denominator of degree {den.bit_length() - 1}"
             )
         r ^= spow
         spow = mask_mod(spow << 1, dreq)
-    return j, lin.lift(F2LaurentPoly.geometric(m, j) * y)
+    return j, (F2LaurentPoly.geometric(level, j) * y).exact_div(
+        F2LaurentPoly._raw(mask_spread(den, level), 0))
 
 
 def comm_compose(c1: LampComm, c2: LampComm) -> LampComm:
-    """The class of c1 after c2 (right-to-left composition)."""
+    """The class of c1 after c2 (right-to-left composition), at the lcm L
+    of their levels l1 and l2, with no raised numerator built.
+
+    Each linear part is scaled at its own level (``_scaled_to``): at L, a1
+    is the level-l1 numerator n1 over dw1, and a2 is n2, raised by L / l2,
+    over dw2.  The numerator of the product is n1 after that raised n2,
+    whose columns are formed one at a time (``PolyMat.after_raised``), over
+    dw1 * dw2, reduced to lowest terms.  The derivation image applies n1,
+    at level l1, to c2's derivation value at L.  A level L above LEVEL_CAP
+    raises ResourceLimit, naming l1, before any work."""
     level = math.lcm(c1.level, c2.level)
-    a1 = c1.lin.raise_to(level)
+    n1, dw1 = c1.lin._scaled_to(level)
     d2, a2 = c2.der, c2.lin
     if c1.flip:
         # flipping commutes with raising, and costs less at c2's own level
         d2, a2 = d2.flip_conj(), a2.flip_conj()
-    d2, a2 = d2.raise_to(level), a2.raise_to(level)
-    j, applied = _apply_lin_to_vder(a1, d2.value, "compose")
+    n2, dw2 = a2._scaled_to(level)
+    j, applied = _apply_lin_to_vder(level, n1, dw1, d2.raise_to(level).value, "compose")
     # the linear part stays at this level: make() lowers it to its least level
     d1 = c1.der.raise_to(j * level)
-    return LampComm.make(
-        VDerElt(d1.level, d1.value + applied), a1.compose(a2), c1.flip != c2.flip
-    )
+    lin = CommInftyElt(level, n1.after_raised(n2, level // a2.level), mask_mul(dw1, dw2))
+    return LampComm.make(VDerElt(d1.level, d1.value + applied), lin, c1.flip != c2.flip)
 
 
 def comm_invert(c: LampComm) -> LampComm:
     a = c.lin.flip_conj() if c.flip else c.lin
     beta = a.inverse()
     v = c.der.flip_conj().value if c.flip else c.der.value
-    j, applied = _apply_lin_to_vder(beta, v, "invert")
+    j, applied = _apply_lin_to_vder(c.level, beta.num, beta.den, v, "invert")
     return LampComm.make(VDerElt(j * c.level, applied), beta, c.flip)
 
 

@@ -7,7 +7,12 @@ at the exponents n*e + i: each column is the Kronecker layout of
 ``f2poly``, which owns it, so ``from_masks`` interleaves a column's
 entry masks and ``entry_masks`` de-interleaves them.  So the action on K, the
 product, the level changes, the shift commute test and the flip are
-shifts and carry-less products of the n masks.  Only this module reads
+shifts and carry-less products of the n masks.  The action, which the
+product shares, maps a mask one shift-xor per set bit, or one product per
+column with a strand of the mask (``f2poly.mask_strands``), as one cost
+comparison picks (``f2poly._strands_pay``); a map after another map
+raised to a finer level takes the raised columns one at a time
+(``after_raised``), so no raised map is built.  Only this module reads
 the masks, and ``gauss_jordan`` is the one elimination over F2[u], so no
 matrix over F2(u) is ever formed.  It peels column singletons before it
 eliminates, so a row-permuted triangular matrix, the shape of the
@@ -23,6 +28,7 @@ from functools import reduce
 
 from .f2poly import (
     F2LaurentPoly,
+    _strands_pay,
     mask_content,
     mask_deinterleave,
     mask_divmod,
@@ -30,6 +36,7 @@ from .f2poly import (
     mask_mul,
     mask_reverse,
     mask_spread,
+    mask_strands,
     masks_divided,
     masks_scaled,
 )
@@ -209,11 +216,25 @@ class PolyMat(Value):
         """The images of 1, t, ..., t**(n-1)."""
         return [F2LaurentPoly._raw(c, self.shift) for c in self.cols]
 
-    def _apply_mask(self, mask: int, base: int) -> int:
+    def _col_bits(self) -> int:
+        """The set bits of all columns, which ``_strands_pay`` reads."""
+        return sum(map(int.bit_count, self.cols))
+
+    def _apply_mask(self, mask: int, base: int, bits: int) -> int:
         """The image of t**base * mask, as a mask at t**(n*(base // n) + shift):
-        t**(n*e + j) goes to t**(n*e) times image j, one shift-xor per
-        nonzero bit of mask."""
+        t**(n*e + j) goes to t**(n*e) times image j.  By one of two routes,
+        as ``_strands_pay`` picks from bits, the map's ``_col_bits``: one
+        shift-xor per set bit of mask, or, with mask aligned to its residue
+        so that bit n*e + j stands for t**(n*(e + base // n) + j), one
+        carry-less product per column j, of image j and strand j of that
+        layout (``mask_strands``)."""
         n, cols = self.n, self.cols
+        if _strands_pay(mask.bit_count(), n, bits):
+            acc = 0
+            for c, s in zip(cols, mask_strands(mask << base % n, n)):
+                if c and s:
+                    acc ^= mask_mul(c, s)
+            return acc
         e0 = base // n
         acc = 0
         while mask:
@@ -226,18 +247,27 @@ class PolyMat(Value):
     def apply(self, k: F2LaurentPoly) -> F2LaurentPoly:
         """Image of a K element."""
         return F2LaurentPoly._raw(
-            self._apply_mask(k.mask, k.shift), self.n * (k.shift // self.n) + self.shift
+            self._apply_mask(k.mask, k.shift, self._col_bits()),
+            self.n * (k.shift // self.n) + self.shift,
         )
 
     def __mul__(self, other):
-        """self after other.  Every column of other sits at other.shift, so
-        each column mask is mapped at that one base and the images share
-        the shift n*(other.shift // n) + self.shift."""
+        """self after other, at the same level."""
         if not isinstance(other, PolyMat):
             return NotImplemented
-        base = other.shift
-        cols = (self._apply_mask(c, base) for c in other.cols)
-        return PolyMat(self.n, cols, self.n * (base // self.n) + self.shift)
+        return self.after_raised(other, 1)
+
+    def after_raised(self, other: "PolyMat", k: int) -> "PolyMat":
+        """self after other.raised(k), a map at level L = other.n * k, which
+        self.n divides, with no raised map built: column n*a + j of the
+        raised map is column j of other shifted by n*a, with n = other.n,
+        and is formed only as it is mapped.  Every column sits at
+        other.shift, so each is mapped at that one base, and the images
+        share the shift self.n*(other.shift // self.n) + self.shift, and
+        self's column bits are counted once for all of them."""
+        n, base, bits = other.n, other.shift, self._col_bits()
+        cols = (self._apply_mask(c << n * a, base, bits) for a in range(k) for c in other.cols)
+        return PolyMat(n * k, cols, self.n * (base // self.n) + self.shift)
 
     def scalar_mul(self, mask: int) -> "PolyMat":
         """Multiply by the nonzero scalar polynomial in u given as a mask."""

@@ -34,7 +34,11 @@ any such matrix class: the oracle of the integer series of
 ``commlab.lamplighter.CommInftyElt.from_entries``.
 ``ci_lamp_class`` draws the row-permuted triangular classes of the
 lamplighter digest of ``tests/test_outputs.py``, and ``sparse_poly`` the
-sparse polynomials of that digest.  ``solve_inner_by_definition`` solves
+sparse polynomials of that digest; ``dense_der_class`` draws the classes
+of its compose digest, with derivations far denser than their level, and
+``compose_by_raising`` composes two classes with both linear parts raised
+to the lcm of their levels and multiplied there, the oracle of
+``commlab.lamplighter.comm_compose``.  ``solve_inner_by_definition`` solves
 the inner-derivation systems over ``MatQFraction`` with every check in
 the order of its definition.
 """
@@ -60,7 +64,8 @@ from commlab.errors import (
     SingularMatrix,
 )
 from commlab.hnf import row_echelon
-from commlab.lamplighter import CommInftyElt, LampComm, LampElement, SubmoduleBasis, VDerElt
+from commlab.lamplighter import (CommInftyElt, LampComm, LampElement, SubmoduleBasis, VDerElt,
+                                 _apply_lin_to_vder)
 from commlab.polymat import PolyMat, gauss_jordan
 
 _ZERO = F2LaurentPoly.zero()
@@ -147,6 +152,21 @@ def make_by_least_levels(der: VDerElt, lin: CommInftyElt, flip: bool) -> LampCom
     dc, lc = der.canonical(), lin.canonical()
     level = math.lcm(dc.level, lc.level)
     return LampComm(dc.raise_to(level), lc.raise_to(level), flip)
+
+
+def compose_by_raising(c1: LampComm, c2: LampComm) -> LampComm:
+    """Oracle of comm_compose: both linear parts raised to the lcm L of the
+    levels, as maps at level L, and multiplied there; the derivation image
+    is taken by the raised first factor."""
+    level = math.lcm(c1.level, c2.level)
+    a1 = c1.lin.raise_to(level)
+    d2, a2 = c2.der, c2.lin
+    if c1.flip:
+        d2, a2 = d2.flip_conj(), a2.flip_conj()
+    d2, a2 = d2.raise_to(level), a2.raise_to(level)
+    j, applied = _apply_lin_to_vder(level, a1.num, a1.den, d2.value, "compose")
+    d1 = c1.der.raise_to(j * level)
+    return LampComm.make(VDerElt(d1.level, d1.value + applied), a1.compose(a2), c1.flip != c2.flip)
 
 
 def row_echelon_with_transform(mat):
@@ -829,3 +849,24 @@ def ci_lamp_class(rng, level):
     return LampComm.from_json({"level": level, "der": der,
                                "A": [rows[p] for p in rng.sample(range(level), level)],
                                "flip": rng.random() < 0.5})
+
+
+def dense_der_class(rng, level, with_den, flip):
+    """A class drawn as by the compose digest of ``tests/test_outputs.py``: a
+    row-permuted triangular linear part with one to three entries above the
+    diagonal, over den = 1 or, with_den, with one diagonal entry over 1 + s,
+    1 + s + s^2 or 1 + s^2 + s^3, and a derivation with a term at about half
+    of the exponents in [-4l, 4l) or [-16l, 16l) at level l."""
+    rows = [["0"] * level for _ in range(level)]
+    for i in range(level):
+        rows[i][i] = rng.choice(("1", "s", "s^-1", "1+s+s^2"))
+    for _ in range(rng.randrange(1, 4)):
+        i, j = sorted(rng.sample(range(level), 2))
+        rows[i][j] = sparse_poly(rng, -2, 5, rng.randrange(1, 4)).replace("t", "s")
+    if with_den:
+        i = rng.randrange(level)
+        rows[i][i] = f"({rows[i][i]})/({rng.choice(('1+s', '1+s+s^2', '1+s^2+s^3'))})"
+    rng.shuffle(rows)
+    span = rng.choice((4, 16)) * level
+    der = "+".join(f"t^{e}" for e in range(-span, span) if rng.random() < 0.5) or "0"
+    return LampComm.from_json({"level": level, "der": der, "A": rows, "flip": flip})

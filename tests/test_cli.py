@@ -764,11 +764,9 @@ _BS_CALLS = st.one_of(
 )
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(_BS_CALLS)
-@example(["bs", "domain", "--n", "3", "--r", "0.0001e-4299", "--q", "0"])
-@example(["bs", "mul", "--g", '{"n":2,"a":100000000,"b":"0"}', "--h", '{"n":2,"a":0,"b":"1"}'])
-def test_fuzzed_bs_calls_print_one_json_line(argv):
+def _prints_one_json_line(argv):
+    """Runs argv in process: one JSON line on stdout, nothing on stderr,
+    exit 0, or 1 or 2 with an error object, within 2 s."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -779,6 +777,59 @@ def test_fuzzed_bs_calls_print_one_json_line(argv):
     result = json.loads(lines[0])
     assert code in (0, 1, 2), argv
     assert code == 0 or "error" in result, argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_BS_CALLS)
+@example(["bs", "domain", "--n", "3", "--r", "0.0001e-4299", "--q", "0"])
+@example(["bs", "mul", "--g", '{"n":2,"a":100000000,"b":"0"}', "--h", '{"n":2,"a":0,"b":"1"}'])
+def test_fuzzed_bs_calls_print_one_json_line(argv):
+    _prints_one_json_line(argv)
+
+
+# lamp elements with terms t^+-N and Z-parts n up to 10^25 in size, so that a
+# sum, product or geometric series may pass the span cap
+_HUGE = st.one_of(st.integers(-30, 30), st.integers(-10**8, 10**8), st.integers(-10**25, 10**25))
+_LAMP_TERMS = st.lists(_HUGE.map(lambda e: "1" if e == 0 else f"t^{e}"), min_size=1, max_size=3)
+_LAMP_ELEMS = st.fixed_dictionaries({"k": _LAMP_TERMS.map("+".join), "n": _HUGE}).map(json.dumps)
+_LAMP_CLASSES = [json.dumps(c) for c in (
+    {"level": 1, "der": "1", "A": [["1"]], "flip": False},
+    {"level": 1, "der": "1+t", "A": [["(1)/(1+t)"]], "flip": True},
+    {"level": 2, "der": "t^-3+1", "A": [["0", "s"], ["1", "1+s"]], "flip": False},
+    {"level": 2, "der": "0", "A": [["1", "s^-1"], ["0", "1"]], "flip": True},
+)]
+_LAMP_CALLS = st.one_of(
+    st.tuples(_LAMP_ELEMS, _LAMP_ELEMS).map(
+        lambda gh: ["lamp", "mul", "--g", gh[0], "--h", gh[1]]),
+    st.tuples(st.sampled_from(_LAMP_CLASSES), _LAMP_ELEMS).map(
+        lambda ce: ["lamp", "apply", "--comm", ce[0], "--elem", ce[1]]),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_LAMP_CALLS)
+@example(["lamp", "mul", "--g", '{"k":"1","n":100000000000000000000}', "--h", '{"k":"t","n":1}'])
+@example(["lamp", "mul", "--g", '{"k":"t^100000000000000000000","n":0}',
+          "--h", '{"k":"t^-100000000000000000000","n":0}'])
+@example(["lamp", "apply", "--comm", _LAMP_CLASSES[0],
+          "--elem", '{"k":"0","n":100000000000000000000}'])
+def test_fuzzed_lamp_mul_and_apply_print_one_json_line(argv):
+    _prints_one_json_line(argv)
+
+
+@pytest.mark.parametrize("n", [10**8, 10**20])
+def test_a_class_with_derivation_zero_keeps_the_span_of_its_input(capsys, n):
+    # tau(t^n) is 0 for the derivation 0, so no series is formed and the
+    # span cap, which bounds results, refuses nothing: the image keeps k
+    comm = '{"level":1,"der":"0","A":[["1"]],"flip":false}'
+    start = time.perf_counter()
+    code, out = run_json(capsys, ["lamp", "apply", "--comm", comm, "--elem", f'{{"k":"t","n":{n}}}'])
+    assert code == 0 and out == {"k": "t", "n": n}
+    comm = '{"level":2,"der":"0","A":[["0","1"],["1","0"]],"flip":true}'
+    code, out = run_json(capsys, ["lamp", "apply", "--comm", comm,
+                                  "--elem", f'{{"k":"1+t^3","n":{-2 * n}}}'])
+    assert code == 0 and out == {"k": "t^-4+t", "n": 2 * n}
+    assert time.perf_counter() - start < 1
 
 
 def test_a_rejected_command_line_prints_one_json_line(capsys):

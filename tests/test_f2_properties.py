@@ -4,7 +4,8 @@
 ``mask_content`` and the vector helpers ``masks_scaled`` and
 ``masks_divided``,
 the Laurent ``F2LaurentPoly.divmod``, ``F2LaurentPoly.geometric``,
-``LampElement.__pow__`` and the interleave pair of the Kronecker layout;
+``LampElement.__pow__``, the interleave pair and the strands of the
+Kronecker layout, and the span cap of sums and geometric series;
 and the ring axioms of ``F2LaurentPoly`` on masks of a few hundred bits,
 and its support on masks on both sides of its sparse-route switch."""
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commlab.f2poly import (
+    MAX_SPAN,
     _SHORT,
     _WINDOW,
     F2LaurentPoly,
@@ -29,9 +31,11 @@ from commlab.f2poly import (
     mask_mod,
     mask_mul,
     mask_spread,
+    mask_strands,
     masks_divided,
     masks_scaled,
 )
+from commlab.errors import ResourceLimit
 from commlab.lamplighter import LampElement
 from samplers import (
     coords_to_k,
@@ -278,6 +282,37 @@ def test_deinterleave_inverts_interleave(n, data):
     assert mask_deinterleave(mask_interleave(ms[:1], n), n) == ms[:1] + [0] * (n - 1)
     # spreading is the interleave of one mask
     assert mask_spread(ms[0], n) == interleave_by_bits(ms[:1], n)
+
+
+@PROPERTY
+@given(st.integers(1, 140), kronecker_masks(10**4))
+def test_strands_split_the_layout(n, a):
+    strands = mask_strands(a, n)
+    assert len(strands) == n
+    assert mask_deinterleave(a, n) == [mask_deinterleave(s, n)[0] for s in strands]
+    acc = 0
+    for i, s in enumerate(strands):
+        assert mask_deinterleave(s, n)[1:] == [0] * (n - 1)  # bits at multiples of n only
+        acc ^= s << i
+    assert acc == a
+
+
+def test_sums_and_geometric_series_past_the_span_cap_are_refused():
+    # refused before the mask is allocated, as a parsed polynomial is
+    one, far = F2LaurentPoly.one(), F2LaurentPoly.t_power(MAX_SPAN + 1)
+    huge = F2LaurentPoly.t_power(10**20)
+    for a, b in ((one, far), (far, one), (huge, huge.flip()),
+                 (F2LaurentPoly([0, 5]), F2LaurentPoly([MAX_SPAN - 2, MAX_SPAN + 1]))):
+        with pytest.raises(ResourceLimit, match="spans more than 67108864 bits"):
+            a + b
+    with pytest.raises(ResourceLimit, match="exponents 0 to 100000000000000000000 spans"):
+        F2LaurentPoly.geometric(1, 10**20 + 1)
+    with pytest.raises(ResourceLimit, match="exponents 0 to 67108866 spans"):
+        F2LaurentPoly.geometric(2, 2**25 + 2)
+    # up to the cap they are formed
+    assert len(one + F2LaurentPoly.t_power(MAX_SPAN)) == 2
+    assert len(F2LaurentPoly([3, 4]) + F2LaurentPoly([3, MAX_SPAN])) == 2
+    assert len(F2LaurentPoly.geometric(2, 2**25 + 1)) == 2**25 + 1
 
 
 def test_the_conversion_rule_takes_each_route():

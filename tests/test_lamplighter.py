@@ -41,7 +41,9 @@ from samplers import (
     MatF2Rat,
     ci_lamp_class,
     comm_domain_by_kernel,
+    compose_by_raising,
     coords_to_k,
+    dense_der_class,
     f2_rank,
     flip_basis,
     from_entries_by_polys,
@@ -799,6 +801,47 @@ def test_deepening_past_the_level_cap_is_a_resource_limit():
         CommInftyElt.identity(31).raise_to(31 * 37)
 
 
+def test_composing_past_the_level_cap_is_refused_before_any_work():
+    # levels 23 and 29 compose at L = 667: the first factor's linear part
+    # would be raised past the cap, whichever factor has a denominator
+    def cls(level, den):
+        rows = [["1" if i == j else "0" for j in range(level)] for i in range(level)]
+        rows[0][0] = "(1)/(1+s)" if den else "s"
+        return LampComm.from_json({"level": level, "der": "t", "A": rows, "flip": False})
+
+    for l1, l2 in ((23, 29), (29, 23)):
+        for den1 in (False, True):
+            c1, c2 = cls(l1, den1), cls(l2, not den1)
+            assert (c1.level, c2.level, c1.lin.den != 1) == (l1, l2, den1)
+            with pytest.raises(ResourceLimit) as err:
+                comm_compose(c1, c2)
+            assert str(err.value) == (f"work limit: raising a linear part from level {l1} "
+                                      "to level 667 passes 512")
+
+
+_COPRIME = [(a, b) for a in range(2, 31) for b in range(2, 31)
+            if math.gcd(a, b) == 1 and a * b <= 512]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.sampled_from(_COPRIME), st.integers(0, 2**32), st.booleans(), st.booleans(),
+       st.booleans(), st.booleans())
+def test_compose_equals_the_product_of_the_raised_linear_parts(levels, seed, den1, den2,
+                                                               flip1, flip2):
+    rng = random.Random(seed)
+    c1 = dense_der_class(rng, levels[0], den1, flip1)
+    c2 = dense_der_class(rng, levels[1], den2, flip2)
+
+    def outcome(compose):
+        # the class, or a limit that both routes must meet alike
+        try:
+            return compose(c1, c2)
+        except ResourceLimit as exc:
+            return str(exc)
+
+    assert outcome(comm_compose) == outcome(compose_by_raising)
+
+
 # ------------------------------------------------------------------ domains
 
 
@@ -1347,7 +1390,7 @@ def test_derivation_image_uses_one_gcd_for_the_denominator():
         if rng.random() < 0.5:
             lin = lin.compose(_sample_lin(rng, lin.level))
         value = random_element(rng, 6).k
-        got = _apply_lin_to_vder(lin, value, "compose")
+        got = _apply_lin_to_vder(lin.level, lin.num, lin.den, value, "compose")
         assert got == _old_apply_lin_to_vder(lin, value)
         deep += got[0] > 1
     assert deep >= 20
@@ -1361,7 +1404,7 @@ def test_derivation_image_uses_one_gcd_for_the_denominator():
             lin = lin.compose(_sample_lin(rng, level, polynomial=True))
         assert lin.den == 1
         value = random_element(rng, 40).k
-        got = _apply_lin_to_vder(lin, value, "compose")
+        got = _apply_lin_to_vder(lin.level, lin.num, lin.den, value, "compose")
         assert got == _old_apply_lin_to_vder(lin, value)
         assert got[0] == 1
     # the two forms of dreq agree on arbitrary masks, zero coordinates included

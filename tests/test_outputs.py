@@ -5,6 +5,7 @@ tests/test_outputs.py`` prints, and names the change in CHANGES.md.
 """
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from commlab.storus import is_prime
 from commlab.unipotent import (LieAut, NilMat, UniTriMat, comm_from_lie_aut, lie_aut_check,
                                pth_root, unitri_exp, unitri_log)
 
-from samplers import ci_lamp_class, sparse_poly as poly
+from samplers import ci_lamp_class, dense_der_class, sparse_poly as poly
 
 
 def unipotent_digest() -> str:
@@ -387,6 +388,34 @@ def lamplighter_digest() -> str:
     return h.hexdigest()
 
 
+def compose_digest() -> str:
+    """comm_compose both ways on 96 seeded pairs of classes at coprime
+    levels 2-30, so the composite's level is their product, up to 870
+    (past LEVEL_CAP = 512 the error's name and message is hashed), drawn
+    by ``dense_der_class``: a row-permuted triangular linear part over
+    den = 1, or with a denominator on either side, on both or on neither,
+    each flip on either side, and a derivation far denser than its level,
+    so that the strand route of the action runs.  A composite is hashed by
+    its level, flip, derivation mask and shift, and numerator columns,
+    shift and den, which fix it as its to_json does at a fraction of the
+    cost at level 870."""
+    h = hashlib.sha256()
+    pairs = [(a, b) for a in range(2, 31) for b in range(a + 1, 31) if math.gcd(a, b) == 1]
+    for i in range(96):
+        rng = random.Random(20000 + i)
+        l1, l2 = rng.choice(pairs)
+        c1 = dense_der_class(rng, l1, i % 2 == 1, i // 4 % 2 == 1)
+        c2 = dense_der_class(rng, l2, i // 2 % 2 == 1, i // 8 % 2 == 1)
+        for a, b in ((c1, c2), (c2, c1)):
+            try:
+                c = comm_compose(a, b)
+                h.update(repr((i, c.level, c.flip, c.der.value.shift, c.der.value.mask,
+                               c.lin.num.shift, c.lin.num.cols, c.lin.den)).encode())
+            except CommLabError as exc:
+                h.update(repr((i, type(exc).__name__, str(exc))).encode())
+    return h.hexdigest()
+
+
 def bs_domain_digest() -> str:
     """bs_comm_domain's (K, D), or the error's name and message, on 60
     seeded maps AffineMap(r, q) and bases n = 2-30.  q's denominator is d
@@ -421,10 +450,14 @@ def test_lamplighter_outputs_are_pinned():
     assert lamplighter_digest() == "7dd1342a90a5f45602a94bfc52dc3731ab214bf82ede8b6d2a39133832727f87"
 
 
+def test_compose_outputs_are_pinned():
+    assert compose_digest() == "0d5169f067f1f053bb7ac1600a8e6455547f016035cfc5bcd96e5cdb3b5f1de3"
+
+
 def test_bs_domain_outputs_are_pinned():
     assert bs_domain_digest() == "6788084aafcc68e1f505736d8fe1fc953c8a3e2dfc9ac547964b9266d7c48984"
 
 
 if __name__ == "__main__":
-    for digest in (unipotent_digest, lamplighter_digest, bs_domain_digest):
+    for digest in (unipotent_digest, lamplighter_digest, compose_digest, bs_domain_digest):
         print(digest.__name__, digest())

@@ -1,9 +1,13 @@
 """Properties of the F2[u, 1/u]-linear maps of K (PolyMat) and of the elimination over F2[u]."""
 
+import random
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commlab.f2poly import F2LaurentPoly, mask_gcd, mask_mul
+from commlab import polymat
+from commlab.f2poly import F2LaurentPoly, _strands_pay, mask_gcd, mask_mul
 from commlab.polymat import PolyMat, gauss_jordan
 from samplers import F2RatFun, MatF2Rat
 
@@ -134,6 +138,50 @@ def test_entry_masks_agree_with_the_entry_walk(case):
 def test_apply_is_the_entrywise_action(case, k):
     a, entries = case
     assert a.apply(k) == _act(entries, k)
+
+
+def _by_route(a, mask, base, strands):
+    """a._apply_mask with the route forced: one product per strand, or one
+    shift-xor per set bit."""
+    with mock.patch.object(polymat, "_strands_pay", lambda pop, n, bits: strands):
+        return a._apply_mask(mask, base, a._col_bits())
+
+
+@PROPERTY
+@given(st.integers(1, 132), st.integers(0, 2**32))
+def test_the_two_routes_of_the_action_agree(n, seed):
+    # columns of 1 to about 3n bits, a fifth of them zero (all of them now and
+    # then), at any shift; masks sparse or dense, up to 8n bits, at a base
+    # from -5n to 5n, so that the rule picks either route
+    rng = random.Random(seed)
+    zeros = rng.choice((0.2, 0.2, 1))
+    width = rng.choice((1, 8, 3 * n))
+    cols = [0 if rng.random() < zeros else rng.getrandbits(width) for _ in range(n)]
+    a = PolyMat(n, cols, rng.randrange(-2 * n, 2 * n))
+    length = rng.randrange(1, 8 * n + 2)
+    if rng.random() < 0.5:
+        mask = rng.getrandbits(length)
+    else:
+        mask = sum(1 << rng.randrange(length) for _ in range(rng.randrange(0, 4)))
+    base = rng.randrange(-5 * n, 5 * n + 1)
+    want = _by_route(a, mask, base, False)
+    assert _by_route(a, mask, base, True) == want == a._apply_mask(mask, base, a._col_bits())
+    k = F2LaurentPoly._raw(mask, base)
+    assert a.apply(k) == sum((F2LaurentPoly._raw(c, a.shift).shifted(e - e % n)
+                              for e in k.support() for c in [a.cols[e % n]]), ZERO)
+
+
+def test_the_action_rule_takes_each_route():
+    # one bit per column: the strands once the mask has more than 2n + P set
+    # bits, P = n those of all columns
+    assert not _strands_pay(12, 6, 6) and not _strands_pay(18, 6, 6)
+    assert _strands_pay(19, 6, 6) and _strands_pay(100, 6, 6)
+    # columns with at least as many set bits as the mask: the set bits
+    dense = PolyMat(6, (2**40 - 1,) * 6)
+    assert dense._col_bits() == 240
+    assert not _strands_pay(40, 6, 240) and not _strands_pay(240, 6, 240)
+    assert not _strands_pay(252, 6, 240) and _strands_pay(253, 6, 240)
+    assert _strands_pay(397, 132, 132) and not _strands_pay(396, 132, 132)
 
 
 @PROPERTY
