@@ -20,8 +20,8 @@ Subpackage map:
 * ``solvable`` -- Baumslag-Solitar commensurations, the
   inner-derivation solver, and the iterated semidirect-product law;
 * ``errors`` -- the domain errors, each with the code the CLI reports
-  (its class name), and ``json_int`` and ``json_matrix``, the readers of
-  an integer field and of a matrix of JSON input;
+  (its class name), and ``json_int``, ``json_list`` and ``json_matrix``,
+  the readers of an integer field, a list and a matrix of JSON input;
 * ``frozen`` -- ``Value``, the base of every value class, whose equality
   and hash come from its ``__slots__``, and ``Frozen``, the immutable
   values of ``storus`` and ``solvable``;

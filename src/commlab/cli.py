@@ -25,19 +25,22 @@ import json
 import os
 import sys
 
-from .errors import CommLabError, ResourceLimit, SingularMatrix, ZeroInput, json_int, json_matrix
+from .errors import (CommLabError, ResourceLimit, SingularMatrix, ZeroInput, json_int, json_list,
+                     json_matrix)
 
 
 def _load_json(text: str):
-    """Accept inline JSON or a path to a JSON file."""
+    """Accept inline JSON or a path to a JSON file.  A JSON number with a
+    fraction or an exponent is read as the text of its literal, so that
+    ``parse_rational`` reads it exactly, its exponent cap included."""
     text = text.strip()
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=str)
     except json.JSONDecodeError:
         if os.path.exists(text):
             try:
                 with open(text) as fh:
-                    return json.load(fh)
+                    return json.load(fh, parse_float=str)
             except OSError as exc:
                 raise ValueError(f"cannot read {text!r}: {exc.strerror}") from exc
         raise
@@ -131,7 +134,7 @@ def _lamp_from_partial(args):
     data = _load_json(args.data)
     level = json_int(data["level"])
     basis = lamp.SubmoduleBasis.from_json({"level": level, "H": data["H"]})
-    gen_images = [lamp.LampElement.from_json(x) for x in data["gen_images"]]
+    gen_images = [lamp.LampElement.from_json(x) for x in json_list(data["gen_images"], "gen_images")]
     t_image = lamp.LampElement.from_json(data["t_image"])
     return lamp.comm_from_partial(level, basis, gen_images, t_image).to_json()
 
@@ -246,7 +249,7 @@ def _desc_inv(args):
 def _solve_inner(args):
     from .matrices import MatQ, parse_rational
     from .solvable import solve_inner_derivation
-    ts = [_matq_from_json(m, "a --ts matrix") for m in _load_json(args.ts)]
+    ts = [_matq_from_json(m, "a --ts matrix") for m in json_list(_load_json(args.ts), "--ts")]
     vs = [MatQ.column([parse_rational(x) for x in v])
           for v in json_matrix(_load_json(args.vs), "--vs")]
     x = solve_inner_derivation(ts, vs)

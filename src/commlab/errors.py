@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the readers of an
-integer field and of a matrix of JSON input.
+integer field, a list and a matrix of JSON input.
 
 Every domain error carries a machine-readable ``code``, its class name,
 that the command-line interface echoes in its JSON error reports.
@@ -11,10 +11,20 @@ import operator
 def json_int(x) -> int:
     """x as the int of an integer field of JSON input.  operator.index
     refuses every other JSON value with a TypeError, but takes true and
-    false for 1 and 0, so a bool is refused first."""
-    if isinstance(x, bool):
-        raise TypeError(f"an integer field must be a JSON integer, got {str(x).lower()}")
+    false for 1 and 0, so a bool is refused first, and so is a string:
+    the CLI reads a JSON number such as 1.5 as the text of its literal."""
+    if isinstance(x, (bool, str)):
+        text = repr(x) if isinstance(x, str) else str(x).lower()
+        raise TypeError(f"an integer field must be a JSON integer, got {text}")
     return operator.index(x)
+
+
+def json_list(x, name: str) -> list:
+    """x as the list ``name`` of JSON input: an object would be read as
+    the list of its keys."""
+    if not isinstance(x, list):
+        raise TypeError(f"{name} must be a list, got {x!r}")
+    return x
 
 
 def json_matrix(rows, name: str) -> list:

@@ -12,7 +12,12 @@ product is one integer product over den1 * den2, a sum one rescale to the
 lcm of the denominators, a scalar product scales num and den, and each
 result takes one gcd back to lowest terms.  ``det``, ``inv`` and the
 inner-derivation solver of ``commlab.solvable`` read the one
-elimination.  A ``Fraction`` is formed only where an entry is read:
+elimination; the solver resumes it block by block, each new row entering
+at the scale of the pivots found so far, and tests the commutation of
+its maps with ``MatQ._commute``, which compares the two products of a
+pair as dot products with rows packed into one int each (a Kronecker
+substitution).
+A ``Fraction`` is formed only where an entry is read:
 ``entry``, ``rows`` and ``to_strings``.  Degenerate shapes (0xn, nx0,
 0x0) are legal for every operation, so zero-dimensional blocks can flow
 through group-law formulas unchanged.
@@ -212,23 +217,75 @@ class MatQ(Value):
     __rmul__ = __mul__
 
     @staticmethod
-    def _gauss_jordan(aug: list, width: int):
+    def _commute(nums, n: int) -> bool:
+        """Whether the n x n integer matrices nums commute pairwise, each
+        pair tested on packed rows (a Kronecker substitution).
+
+        Row k of a matrix B packs to the int P_B[k] = sum_j B[k][j] * X^j,
+        X = 2^b > 4 n M^2 for M the largest |entry| of nums.  Then row i
+        of A B packs to sum_k A[i][k] P_B[k], n products of an int by a
+        packed row, so a pair costs 2n dot products, not the 2n^3 products
+        of A B and B A.  The test is exact: an entry of A B - B A has
+        absolute value at most 2 n M^2 < X / 2, so a packed row of the
+        difference is 0 only if every digit is.
+        """
+        if len(nums) < 2 or n < 2:  # 1 x 1 matrices commute
+            return True
+        m = max(map(abs, chain.from_iterable(chain.from_iterable(nums))))
+        b = (4 * n * m * m).bit_length()
+        packed = []
+        for num in nums:
+            rows = []
+            for row in num:
+                p = 0
+                for x in reversed(row):  # Horner's rule in X
+                    p = (p << b) + x
+                rows.append(p)
+            packed.append(rows)
+        for i, (a, pa) in enumerate(zip(nums, packed)):
+            for c, pc in zip(nums[i + 1:], packed[i + 1:]):
+                if [sum(map(mul, row, pc)) for row in a] != [sum(map(mul, row, pa)) for row in c]:
+                    return False
+        return True
+
+    @staticmethod
+    def _gauss_jordan(aug: list, width: int, pivots=(), prev: int = 1):
         """Fraction-free Gauss-Jordan elimination over Z (Bareiss 1968), in place.
 
         aug holds integer rows.  Pivots are sought in the first ``width``
         columns; later columns are carried along.  Returns (pivot columns,
         d, sign).  Every entry formed is a minor of the input, so each
         division by the previous pivot is exact.  At the end every pivot
-        equals the last one, d (1 when there is none), so the reduced row
-        echelon form is aug / d.  sign is that of the row permutation: a
-        square matrix of full rank has determinant sign * d.
+        equals the last one, d (1 when there is none), and the k-th row
+        has its pivot in column pivots[k], so the reduced row echelon form
+        is aug / d.  sign is that of the row permutation: a square matrix
+        of full rank has determinant sign * d.
+
+        Given the (pivots, d) of an earlier call whose pivot rows are the
+        first len(pivots) rows of aug, the elimination resumes: each later
+        row a is a new input row, and enters as d * a - sum_k a[p_k] R_k
+        over the pivot rows R_k, the minors that the steps so far would
+        have made of it, with no division; the remaining columns then take
+        the usual steps.  sign is then that of this call's swaps.
         """
-        pivots = []
-        prev, sign, nr = 1, 1, len(aug)
+        pivots = list(pivots)
+        sign, nr = 1, len(aug)
+        if pivots:
+            tops = aug[:len(pivots)]
+            for i in range(len(pivots), nr):
+                a = aug[i]
+                row = [prev * x for x in a]
+                for p, top in zip(pivots, tops):
+                    f = a[p]
+                    if f:
+                        row = [x - f * y for x, y in zip(row, top)]
+                aug[i] = row
         for c in range(width):
             r = len(pivots)
             if r == nr:
                 break
+            if c in pivots:
+                continue
             p = next((i for i in range(r, nr) if aug[i][c]), None)
             if p is None:
                 continue

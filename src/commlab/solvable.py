@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     BaseMismatch,
@@ -202,16 +203,24 @@ def solve_inner_derivation(ts, vs) -> MatQ:
     they share a fixed vector.
 
     Two products share the denominator of T_i times that of T_j, so the
-    commutation is tested on the integer numerators.  T - 1 is T's
-    numerator with den taken off the diagonal, over T's den: that leaves
-    the gcd with den unchanged, so it stays in lowest terms.  One
-    elimination of the stacked system [T_i - 1 | v_i] gives its rank, its
-    consistency and x, and the identity is checked only when that finds a
-    rank below dim or no solution.  This keeps the order above:
+    commutation is tested on the integer numerators, on rows packed as
+    the base-X digits of one int with X = 2^b > 4 dim M^2, M the largest
+    |numerator entry| (``MatQ._commute``): each digit of a difference of
+    products is at most 2 dim M^2 < X / 2 in absolute value, so the test
+    is exact.  Each block [T_i - 1 | v_i], T - 1 being T's numerator with
+    den taken off the diagonal, is put over one denominator.  The blocks
+    enter one elimination (``MatQ._gauss_jordan``) in turn only while its
+    rank is below dim: a later block joins the pivot rows already formed,
+    with no restart.  Once the rank is dim, x = num / d is fixed, and each
+    remaining block [A | b] is checked by one integer product,
+    A num = d b, as is each row an elimination left past its pivots,
+    zero but for its last entry.  The identity is checked only when this
+    finds a rank below dim or a row that x does not solve.  This keeps
+    the order above:
 
     * If the T_i commute and x solves every block, then
       (T_j - 1) v_i - (T_i - 1) v_j = (T_j T_i - T_i T_j) x = 0, so the
-      identity holds whenever the elimination finds x.
+      identity holds whenever every block is solved.
     * If the T_i commute, the identity holds and the rank is dim, the
       system is consistent.  Over the algebraic closure the space splits
       into joint generalized eigenspaces W of the A_i = T_i - 1.  On each
@@ -219,7 +228,8 @@ def solve_inner_derivation(ts, vs) -> MatQ:
       would share a kernel vector, a common fixed vector.  Then
       x_W = A_i^-1 v_i solves every block on W, since
       A_i (A_j x_W - v_j) = A_j v_i - A_i v_j = 0.  So a system with no
-      solution that passes the identity has a rank below dim.
+      solution that passes the identity has a rank below dim, and a block
+      that fails A num = d b once the rank is dim fails the identity.
     """
     ts = [t if isinstance(t, MatQ) else MatQ(t) for t in ts]
     vs = [v if isinstance(v, MatQ) else MatQ(v) for v in vs]
@@ -238,32 +248,38 @@ def solve_inner_derivation(ts, vs) -> MatQ:
             raise DimensionMismatch(
                 f"the right-hand sides must be {dim}x1 columns, got {v.nrows}x{v.ncols}"
             )
-    product = MatQ._num_product
-    for i, ti in enumerate(ts):
-        for tj in ts[i + 1:]:
-            if product(ti.num, tj.num, dim) != product(tj.num, ti.num, dim):
-                raise IncompatibleCocycle("the matrices do not commute")
-    diffs = [
-        MatQ._raw(tuple(row[:r] + (row[r] - t.den,) + row[r + 1:] for r, row in enumerate(t.num)),
-                  t.den, dim)
-        for t in ts
-    ]
-    # each pair of blocks over one denominator
-    aug = []
-    for d, v in zip(diffs, vs):
-        den = math.lcm(d.den, v.den)
-        fd, fv = den // d.den, den // v.den
-        aug += [[fd * x for x in dr] + [fv * vr[0]] for dr, vr in zip(d.num, v.num)]
-    pivots, last, _ = MatQ._gauss_jordan(aug, dim)
-    if len(pivots) < dim or any(row[dim] for row in aug[dim:]):
-        for i in range(len(ts)):
-            for j in range(i + 1, len(ts)):
-                if diffs[j] * vs[i] != diffs[i] * vs[j]:
-                    raise IncompatibleCocycle(
-                        "right-hand sides fail the commuting-cocycle identity"
-                    )
-        raise DegenerateAction("the actions share a nonzero fixed vector")
-    return MatQ._lowest(tuple((row[dim],) for row in aug[:dim]), last, 1)
+    if not MatQ._commute([t.num for t in ts], dim):
+        raise IncompatibleCocycle("the matrices do not commute")
+    # rows still to check against x: blocks after the rank is dim, and the
+    # rows an elimination leaves past its pivots, zero but for their last entry
+    aug, pivots, d, rest = [], [], 1, []
+    for t, v in zip(ts, vs):
+        den = math.lcm(t.den, v.den)
+        fd, fv = den // t.den, den // v.den
+        block = []
+        for r, (row, (y,)) in enumerate(zip(t.num, v.num)):
+            row = [fd * x for x in row]
+            row[r] -= den
+            row.append(fv * y)
+            block.append(row)
+        if len(pivots) < dim:
+            aug += block
+            pivots, d, _ = MatQ._gauss_jordan(aug, dim, pivots, d)
+            block = aug[len(pivots):]
+            del aug[len(pivots):]
+        rest += block
+    if len(pivots) == dim:
+        xs = [0] * dim + [-d]  # (num, -d) for x = num / d
+        for row, p in zip(aug, pivots):
+            xs[p] = row[dim]
+        if not any([sum(map(mul, row, xs)) for row in rest]):
+            return MatQ._lowest(tuple([(x,) for x in xs[:dim]]), d, 1)
+    diffs = [t - MatQ.identity(dim) for t in ts]
+    for i in range(len(ts)):
+        for j in range(i + 1, len(ts)):
+            if diffs[j] * vs[i] != diffs[i] * vs[j]:
+                raise IncompatibleCocycle("right-hand sides fail the commuting-cocycle identity")
+    raise DegenerateAction("the actions share a nonzero fixed vector")
 
 
 # ---------------------------------------------------------------------------

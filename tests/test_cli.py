@@ -456,6 +456,10 @@ def test_error_exit_codes(capsys, tmp_path):
         ["lamp", "quotient-dim", "--submodule", '{"level":1,"H":"1"}', "--m", "1"],
         ["lamp", "from-partial", "--data", '{"level":1,"H":"1",'
          '"gen_images":[{"k":"1","n":0}],"t_image":{"k":"0","n":1}}'],
+        # an object in place of a list
+        ["solve-inner", "--ts", "{}", "--vs", "[]"],
+        ["lamp", "from-partial", "--data", '{"level":1,"H":[["1"]],'
+         '"gen_images":{},"t_image":{"k":"0","n":1}}'],
     ]:
         code = run(argv)
         captured = capsys.readouterr()
@@ -561,6 +565,27 @@ def test_a_polynomial_past_the_print_limit_is_a_resource_limit(capsys):
     assert code == 0 and len(out["k"].split("+")) == 1000
 
 
+def test_json_numbers_are_read_as_decimals(capsys, tmp_path):
+    # each literal reaches parse_rational as written, never through a float
+    for argv, answer in [
+        (["unipotent", "log", "--matrix", "[[1, 0.30000000000000000001],[0,1]]"],
+         [["0", "30000000000000000001/100000000000000000000"], ["0", "0"]]),
+        (["unipotent", "log", "--matrix", "[[1, 1e-400],[0,1]]"],
+         [["0", "1/1" + "0" * 400], ["0", "0"]]),
+        (["unipotent", "log", "--matrix", "[[1, 12345678901234567890.5],[0,1]]"],
+         [["0", "24691357802469135781/2"], ["0", "0"]]),
+        (["solve-inner", "--ts", "[[[0.10000000000000000001]]]", "--vs", "[[1]]"],
+         ["-100000000000000000000/89999999999999999999"]),
+        (["unipotent", "log", "--matrix", "[[1, 2.5e-3],[0,1]]"], [["0", "1/400"], ["0", "0"]]),
+    ]:
+        assert run_json(capsys, argv) == (0, answer), argv
+    # from a file too
+    path = tmp_path / "m.json"
+    path.write_text("[[1, 0.30000000000000000001],[0,1]]")
+    code, out = run_json(capsys, ["unipotent", "log", "--matrix", str(path)])
+    assert (code, out) == (0, [["0", "30000000000000000001/100000000000000000000"], ["0", "0"]])
+
+
 def test_a_huge_decimal_exponent_is_a_resource_limit(capsys):
     # Fraction("1e10000000") alone takes seconds; matrices.parse_rational
     # checks the exponent against MAX_DECIMAL_EXPONENT before converting
@@ -568,6 +593,8 @@ def test_a_huge_decimal_exponent_is_a_resource_limit(capsys):
         ["bs", "conj", "--r", "1", "--q", "1e10000000", "--elem", '{"n":2,"a":0,"b":"1"}'],
         ["bs", "conj", "--r", "1", "--q", "1", "--elem", '{"n":2,"a":0,"b":"1e10000000"}'],
         ["unipotent", "log", "--matrix", '[["1","1e9999999"],["0","1"]]'],
+        # a JSON number, read as the text of its literal
+        ["unipotent", "log", "--matrix", '[[1,1e10000000],[0,1]]'],
     ]:
         start = time.perf_counter()
         code, out = run_json(capsys, argv)

@@ -282,6 +282,80 @@ def test_gauss_jordan_is_d_times_the_reduced_form(data):
     assert len(MatQ._gauss_jordan([list(col) for col in zip(*num)], r)[0]) == full
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_gauss_jordan_resumes_where_it_stopped(data):
+    # the first k rows eliminated, the zero rows left behind dropped, the
+    # others appended and the elimination resumed: the same pivot columns and
+    # reduced form as one elimination of all rows, the pivots found in another
+    # order (no columns carried, so the dropped rows are zero)
+    r, c = data.draw(SIDES), data.draw(SIDES)
+    num = data.draw(integer_rows(r, c))
+    k = data.draw(st.integers(0, r))
+    aug = [list(row) for row in num[:k]]
+    pivots, d, _ = MatQ._gauss_jordan(aug, c)
+    aug = aug[:len(pivots)] + [list(row) for row in num[k:]]
+    pivots, d, _ = MatQ._gauss_jordan(aug, c, pivots, d)
+    rows, pivots_ = MatQFraction(num, ncols=c)._rref()
+    assert sorted(pivots) == pivots_
+    assert [row for _, row in sorted(zip(pivots, aug))] == [[d * x for x in row]
+                                                            for row in rows[:len(pivots)]]
+    assert not any(map(any, aug[len(pivots):]))
+
+
+def commute_by_products(nums, n):
+    return all(MatQ._num_product(a, b, n) == MatQ._num_product(b, a, n)
+               for i, a in enumerate(nums) for b in nums[i + 1:])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_packed_commutation_agrees_with_the_products(data):
+    # integer matrices of up to 70 bits: drawn, or polynomials in one drawn
+    # matrix (so they commute), or those with one entry moved by 1
+    n = data.draw(st.integers(0, 5))
+    bits = data.draw(st.sampled_from([2, 8, 70]))
+    entries = st.integers(-(2**bits), 2**bits)
+    base = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+    nums = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+            sq = MatQ._num_product(base, base, n)
+            m = [[a * x + b * y + (i == j) for j, (x, y) in enumerate(zip(r1, r2))]
+                 for i, (r1, r2) in enumerate(zip(base, sq))]
+        else:
+            m = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+        if n and data.draw(st.booleans()):
+            m[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] += 1
+        nums.append(tuple(map(tuple, m)))
+    assert MatQ._commute(nums, n) == commute_by_products(nums, n)
+
+
+def test_packed_commutation_sees_one_unit_near_the_bound():
+    # the entries of A B and B A sit near the bound n M^2 of a product entry,
+    # and differ by 1 in the entry (0, 1) only; -A commutes with A
+    for m in (3, 2**64 + 1, 3**200):
+        a = ((m, m - 1), (0, m - 1))
+        b = ((m, m), (0, m - 1))
+        ab, ba = MatQ._num_product(a, b, 2), MatQ._num_product(b, a, 2)
+        assert ab[0][1] - ba[0][1] == 1 and (ab[0][0], ab[1]) == (ba[0][0], ba[1])
+        assert ab[0][1] > 2 * m * m - 3 * m
+        neg = tuple(tuple(-x for x in row) for row in a)
+        assert MatQ._commute([a, b], 2) is False
+        assert MatQ._commute([b, a], 2) is False
+        assert MatQ._commute([a, neg, neg], 2) is True
+        assert MatQ._commute([a, neg, b], 2) is False
+    # A B - B A has the row (0, c 2^j, -c), which packs to 0 in the base
+    # X = 2^j of the entries' own size, but not in one above 4 n M^2
+    a = ((0, 0, 0), (0, -1, 0), (0, 0, 1))
+    for j in range(1, 80):
+        for c in (1, 3):
+            b = ((0, c << j, c), (0, 0, 0), (0, 0, 0))
+            assert not commute_by_products([a, b], 3)
+            assert MatQ._commute([a, b], 3) is False
+
+
 @PROPERTY
 @given(data=st.data())
 def test_matq_elimination_agrees_with_the_fraction_oracle(data):

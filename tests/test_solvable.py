@@ -264,10 +264,14 @@ def test_solve_inner_rejections():
         )
 
 
-def _planted_system(rng, dim, count, fixed=False):
+def _planted_system(rng, dim, count, fixed=False, staggered=False, wide=False):
     """Commuting T_i = C D_i C^-1, D_i diagonal with eigenvalues != 1, a
     planted x and v_i = (T_i - 1) x.  With ``fixed`` every D_i has the
-    eigenvalue 1 at one shared place, so the T_i share a fixed vector."""
+    eigenvalue 1 at one shared place, so the T_i share a fixed vector;
+    with ``staggered`` (count <= dim) each D_i has it at a place of its
+    own, so every T_i - 1 is singular but the stack has full rank.  With
+    ``wide`` the eigenvalues and x have numerators and denominators of 60
+    to 64 bits."""
     base = MatQ.identity(dim)
     # random unimodular conjugator keeps everything exact
     conj = MatQ.identity(dim)
@@ -279,17 +283,28 @@ def _planted_system(rng, dim, count, fixed=False):
             conj = conj * MatQ(rows)
     cinv = conj.inv()
     eigs = [F(2), F(3), F(-1), F(5), F(1, 2), F(3, 2), F(-1, 2), F(5, 2)]
+
+    def eig():
+        if wide:
+            return F(rng.choice((1, -1)) * rng.randrange(2**60, 2**64), rng.randrange(2**60, 2**64))
+        return rng.choice(eigs)
+
     one = rng.randrange(dim) if fixed else None
+    ones = rng.sample(range(dim), count) if staggered else [one] * count
     ts = []
-    for _ in range(count):
+    for place in ones:
         diag = MatQ(
             [
-                [(F(1) if i == one else rng.choice(eigs)) if i == j else F(0) for j in range(dim)]
+                [(F(1) if i == place else eig()) if i == j else F(0) for j in range(dim)]
                 for i in range(dim)
             ]
         )
         ts.append(conj * diag * cinv)
-    x = MatQ.column([F(rng.randrange(-4, 5), rng.choice([1, 2])) for _ in range(dim)])
+    if wide:
+        x = MatQ.column([F(rng.randrange(-(2**64), 2**64), rng.randrange(2**60, 2**64))
+                         for _ in range(dim)])
+    else:
+        x = MatQ.column([F(rng.randrange(-4, 5), rng.choice([1, 2])) for _ in range(dim)])
     vs = [(t - base) * x for t in ts]
     return ts, vs, x
 
@@ -314,11 +329,20 @@ def inner_systems(draw):
     and 1 to 3 matrices, as it is, with one v entry changed, with one T
     swapped for a small random matrix (which commutes with the others
     only by chance), with a shared eigenvalue 1, or with both a shared
-    eigenvalue 1 and a changed v entry."""
+    eigenvalue 1 and a changed v entry; or "staggered", with dim 2 to 5
+    and 2 or 3 matrices, each T_i with the eigenvalue 1 at a place of its
+    own, so the first block is singular and the stack has full rank; or
+    "wide", with eigenvalues and x of 60- to 64-bit numerators and
+    denominators."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    kind = draw(st.sampled_from(["planted", "changed", "swapped", "fixed", "fixed changed"]))
+    kind = draw(st.sampled_from(
+        ["planted", "changed", "swapped", "fixed", "fixed changed", "staggered", "wide"]))
     dim, count = rng.randrange(1, 6), rng.randrange(1, 4)
-    ts, vs, _ = _planted_system(rng, dim, count, fixed=kind.startswith("fixed"))
+    if kind == "staggered":
+        dim = max(dim, 2)
+        count = max(2, min(count, dim))
+    ts, vs, _ = _planted_system(rng, dim, count, fixed=kind.startswith("fixed"),
+                                staggered=kind == "staggered", wide=kind == "wide")
     if kind.endswith("changed"):
         k = rng.randrange(count)
         rows = [list(r) for r in vs[k].rows]
@@ -339,7 +363,7 @@ def outcome(solve, ts, vs):
         return type(exc), str(exc)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(derandomize=True, database=None, deadline=None, max_examples=210)
 @given(inner_systems())
 def test_solve_inner_agrees_with_the_definition(system):
     """The same solution, or the same error with the same message, as the
