@@ -22,8 +22,9 @@ Subpackage map:
 * ``errors`` -- the domain errors, each with the code the CLI reports
   (its class name), and ``json_int``, ``json_list`` and ``json_matrix``,
   the readers of an integer field, a list and a matrix of JSON input;
-* ``frozen`` -- ``Value``, the base of every value class, whose equality
-  and hash come from its ``__slots__``, and ``Frozen``, the immutable
+* ``frozen`` -- ``Value``, the base of every value class, whose
+  equality, hash and dataclass-style repr come from its ``__slots__``
+  (a ``_`` slot is a cache, not a field), and ``Frozen``, the immutable
   values of ``storus`` and ``solvable``;
 * ``cli`` -- the ``comm-lab`` command-line interface.
 """

@@ -524,6 +524,8 @@ class F2LaurentPoly(Value):
     def __str__(self):
         return self.to_string()
 
+    # the one repr besides Value's: every lamplighter value prints through
+    # this atom, and its mask may pass CPython's 4300-digit int-to-str limit
     def __repr__(self):
         return f"F2LaurentPoly({self.to_string()!r})"
 

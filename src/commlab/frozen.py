@@ -1,11 +1,13 @@
 """The bases of the value classes.
 
-A ``Value`` subclass names its fields in ``__slots__``, and two instances
-are equal, and hash alike, when they are of the same class and their
-field tuples are equal; the getter of that tuple is built once, when the
-class is created.  A ``Frozen`` value takes its fields in slot order, in
-``Frozen.__init__``; after that a field refuses assignment and deletion,
-and the value prints as a dataclass would.
+A ``Value`` subclass names its fields in ``__slots__``; a slot whose name
+starts with ``_`` is a cache, not a field.  Two instances are equal, and
+hash alike, when they are of the same class and their field tuples are
+equal, and a value prints as a dataclass would, ``Type(name=..., ...)``
+over its fields: the one getter of that tuple, built once when the class
+is created, serves all three.  A ``Frozen`` value takes its fields in slot
+order, in ``Frozen.__init__``; after that a field refuses assignment and
+deletion.
 """
 
 from operator import attrgetter
@@ -16,7 +18,7 @@ class Value:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = cls.__slots__
+        names = cls._names = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         # attrgetter of one name gives the bare field, and of none is no getter
         cls._fields = staticmethod(
             attrgetter(*names) if len(names) > 1
@@ -31,6 +33,11 @@ class Value:
     def __hash__(self):
         return hash(self._fields(self))
 
+    def __repr__(self):
+        fields = zip(self._names, self._fields(self))
+        fields = ", ".join(f"{name}={value!r}" for name, value in fields)
+        return f"{type(self).__name__}({fields})"
+
 
 class Frozen(Value):
     __slots__ = ()
@@ -44,7 +51,3 @@ class Frozen(Value):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"

@@ -125,9 +125,6 @@ class LampElement(Value):
             k = k.shifted(n * (e - 1))
         return LampElement(k, n * e)
 
-    def __repr__(self):
-        return f"LampElement({self.k.to_string()!r}, {self.n})"
-
     def to_json(self):
         return {"k": self.k.to_string(), "n": self.n}
 
@@ -218,9 +215,6 @@ class VDerElt(Value):
         if n % self.level:
             raise NotDivisible(f"{self.level} does not divide {n}")
         return (LampElement(self.value, self.level) ** (n // self.level)).k
-
-    def __repr__(self):
-        return f"VDerElt({self.level}, {self.value.to_string()!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +446,6 @@ class CommInftyElt(Value):
         y = self.num.apply(k)
         return y if self.den == 1 else y.exact_div(self.den_poly().spread(self.level))
 
-    def __repr__(self):
-        return f"CommInftyElt(level={self.level}, A={self.to_strings()})"
-
 
 # ---------------------------------------------------------------------------
 # finite-index submodules of K
@@ -506,12 +497,6 @@ class SubmoduleBasis(Value):
         under the map whose matrix has the rows as its columns."""
         return PolyMat.from_entries(self.level, list(zip(*self.rows))).images()
 
-    def __repr__(self):
-        return (
-            f"SubmoduleBasis(level={self.level}, "
-            f"H={[[x.to_string() for x in r] for r in self.rows]})"
-        )
-
     def to_json(self):
         return {
             "level": self.level,
@@ -562,12 +547,6 @@ class LampComm(Value):
     @property
     def level(self) -> int:
         return self.der.level
-
-    def __repr__(self):
-        return (
-            f"LampComm(level={self.level}, der={self.der.value.to_string()!r}, "
-            f"A={self.lin.to_strings()}, flip={self.flip})"
-        )
 
     def to_json(self):
         return {

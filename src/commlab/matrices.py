@@ -6,8 +6,10 @@ parts.  Both are fraction-free Gauss-Jordan eliminations (Bareiss 1968),
 so no matrix over a field of fractions is formed in the program.
 
 A ``MatQ`` is an integer matrix ``num`` over one positive denominator
-``den``, kept in lowest terms: gcd(den, every entry) is 1, and the zero
-matrix has den 1, so equality is a comparison of (num, den, ncols).  A
+``den``, with ``ncols`` columns, kept in lowest terms: gcd(den, every
+entry) is 1, and the zero matrix has den 1.  Its fields are (num, den,
+ncols), so equality compares them, and ``ncols`` being a field keeps a
+0xn matrix apart from a 0xm one, whose ``num`` is the same empty tuple.  A
 product is one integer product over den1 * den2, a sum one rescale to the
 lcm of the denominators, a scalar product scales num and den, and each
 result takes one gcd back to lowest terms.  ``det``, ``inv`` and the
@@ -96,10 +98,10 @@ def _rational(x) -> Fraction:
 
 
 class MatQ(Value):
-    """Matrix over Q: the integer matrix num (a tuple of int tuples) over
-    the positive integer den, in lowest terms."""
+    """Matrix over Q: the integer matrix num (a tuple of int tuples), with
+    ncols columns, over the positive integer den, in lowest terms."""
 
-    __slots__ = ("num", "den", "_nc")
+    __slots__ = ("num", "den", "ncols")
 
     def __init__(self, rows, ncols=None):
         rows = [[(x if type(x) is Fraction else _rational(x)).as_integer_ratio() for x in row]
@@ -112,7 +114,7 @@ class MatQ(Value):
         den = math.lcm(*[d for row in rows for _, d in row])
         self.num = tuple([tuple([n * (den // d) for n, d in row]) for row in rows])
         self.den = den
-        self._nc = ncols if ncols is not None else 0
+        self.ncols = ncols if ncols is not None else 0
 
     @classmethod
     def _raw(cls, num, den: int, ncols: int) -> "MatQ":
@@ -120,7 +122,7 @@ class MatQ(Value):
         self = object.__new__(cls)
         self.num = num
         self.den = den
-        self._nc = ncols
+        self.ncols = ncols
         return self
 
     @classmethod
@@ -153,10 +155,6 @@ class MatQ(Value):
         return len(self.num)
 
     @property
-    def ncols(self) -> int:
-        return self._nc
-
-    @property
     def rows(self):
         """The entries as Fractions, read-only."""
         den = self.den
@@ -166,13 +164,13 @@ class MatQ(Value):
         return Fraction(self.num[i][j], self.den)
 
     def is_square(self) -> bool:
-        return len(self.num) == self._nc
+        return len(self.num) == self.ncols
 
     def _combine(self, other, op):
         """op(self, other) entrywise, for op add or sub."""
         if type(other) is not MatQ:
             return NotImplemented
-        if (len(self.num), self._nc) != (len(other.num), other._nc):
+        if (len(self.num), self.ncols) != (len(other.num), other.ncols):
             raise ValueError("shape mismatch")
         a, b, den = self.num, other.num, self.den
         if other.den != den:
@@ -181,7 +179,7 @@ class MatQ(Value):
             a = [[fa * x for x in row] for row in a]
             b = [[fb * x for x in row] for row in b]
         num = tuple([tuple(map(op, r1, r2)) for r1, r2 in zip(a, b)])
-        return MatQ._lowest(num, den, self._nc)
+        return MatQ._lowest(num, den, self.ncols)
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -190,7 +188,8 @@ class MatQ(Value):
         return self._combine(other, sub)
 
     def __neg__(self):
-        return MatQ._raw(tuple([tuple([-x for x in row]) for row in self.num]), self.den, self._nc)
+        num = tuple([tuple([-x for x in row]) for row in self.num])
+        return MatQ._raw(num, self.den, self.ncols)
 
     @staticmethod
     def _num_product(a, b, ncols: int):
@@ -201,17 +200,17 @@ class MatQ(Value):
 
     def __mul__(self, other):
         if type(other) is MatQ:
-            if self._nc != len(other.num):
+            if self.ncols != len(other.num):
                 raise ValueError("shape mismatch")
-            num = MatQ._num_product(self.num, other.num, other._nc)
-            return MatQ._lowest(num, self.den * other.den, other._nc)
+            num = MatQ._num_product(self.num, other.num, other.ncols)
+            return MatQ._lowest(num, self.den * other.den, other.ncols)
         try:
             scalar = _rational(other)
         except (TypeError, ValueError):
             return NotImplemented
         p = scalar.numerator
         num = tuple([tuple([p * x for x in row]) for row in self.num])
-        return MatQ._lowest(num, self.den * scalar.denominator, self._nc)
+        return MatQ._lowest(num, self.den * scalar.denominator, self.ncols)
 
     # the scalars commute, so c * M is M * c
     __rmul__ = __mul__
@@ -328,6 +327,3 @@ class MatQ(Value):
     def to_strings(self):
         den = self.den
         return [[format_rational(Fraction(x, den)) for x in row] for row in self.num]
-
-    def __repr__(self):
-        return f"MatQ({self.to_strings()!r})"

@@ -101,9 +101,6 @@ class UniTriMat(Value):
         """g**e for any integer e, one binomial series (r = e)."""
         return _power(self, e, 1)
 
-    def __repr__(self):
-        return f"UniTriMat({self.mat.to_strings()})"
-
 
 class NilMat(Value):
     """Strictly upper triangular rational matrix (a nilpotent Lie element)."""
@@ -121,9 +118,6 @@ class NilMat(Value):
             raise ValueError("matrix must be strictly upper triangular")
         self.n = n
         self.mat = mat
-
-    def __repr__(self):
-        return f"NilMat({self.mat.to_strings()})"
 
 
 def _series(num, den: int, coeffs):
@@ -262,13 +256,13 @@ def _check_size(aut, n: int) -> None:
         raise DimensionMismatch(f"an automorphism for n = {aut.n} cannot act on a {n}x{n} matrix")
 
 
-class LieAut:
+class LieAut(Value):
     """Invertible linear map on the strictly upper triangular matrices,
     stored in the elementary-matrix basis E(i, j), i < j, ordered
     lexicographically.  Whether it preserves the bracket is checked by
-    lie_aut_check, not assumed.  Its value is (n, mat) alone: the slot
-    _checked caches lie_aut_check's verdict, so it is no ``Value`` and
-    compares and hashes by its own pair."""
+    lie_aut_check, not assumed.  Its fields are (n, mat): the slot
+    _checked caches lie_aut_check's verdict, and a ``_`` slot is no field,
+    so a checked map and a fresh one compare and hash alike."""
 
     __slots__ = ("n", "mat", "_checked")
 
@@ -314,12 +308,6 @@ class LieAut:
         vec = [x.mat.num[i][j] for i, j in _basis_pairs(self.n)]
         image = [sum(map(mul, row, vec)) for row in self.mat.num]
         return NilMat(MatQ._lowest(_from_vec(self.n, image), x.mat.den * self.mat.den, self.n))
-
-    def __eq__(self, other):
-        return isinstance(other, LieAut) and self.n == other.n and self.mat == other.mat
-
-    def __hash__(self):
-        return hash((self.n, self.mat))
 
 
 def _root_images(aut: LieAut):

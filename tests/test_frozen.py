@@ -20,7 +20,7 @@ from commlab.solvable import (
     reduced_part,
 )
 from commlab.storus import RankReport, TorusFactor, TorusSpec
-from commlab.unipotent import NilMat, UniTriMat
+from commlab.unipotent import LieAut, NilMat, UniTriMat, lie_aut_check
 
 _SPACE = CommSpace(1, 0, 0, 0, reduced_part("bs"))
 _BLOCKS = (MatQ.zeros(0, 1), MatQ([[2]]), MatQ.zeros(1, 0), MatQ.zeros(0, 0))
@@ -40,9 +40,11 @@ _CASES = [
 
 
 def _as_dataclass(obj):
-    """The frozen dataclass these classes were, holding the same fields."""
-    cls = dataclasses.make_dataclass(type(obj).__name__, type(obj).__slots__, frozen=True)
-    return cls(*(getattr(obj, name) for name in type(obj).__slots__))
+    """The frozen dataclass of obj's slots but its ``_`` ones (caches),
+    holding the same fields."""
+    names = [name for name in type(obj).__slots__ if not name.startswith("_")]
+    cls = dataclasses.make_dataclass(type(obj).__name__, names, frozen=True)
+    return cls(*(getattr(obj, name) for name in names))
 
 
 @pytest.mark.parametrize("same, equal, other", _CASES, ids=lambda c: type(c).__name__)
@@ -89,6 +91,18 @@ def test_constructors_keep_their_checks_in_order():
 
 
 _ONE_T = F2LaurentPoly({1})
+# the scales of E(0, 1), E(0, 2), E(1, 2): [E(0, 1), E(1, 2)] = E(0, 2), so 2 * 3 = 6
+_LIE_SCALES = (2, 6, 3)
+
+
+def _checked_aut():
+    """A Lie map whose lie_aut_check has run: its _checked cache is set,
+    where that of a fresh map is None, and it is no field."""
+    aut = LieAut.diagonal(3, _LIE_SCALES)
+    assert aut._checked is None and lie_aut_check(aut) and aut._checked
+    return aut
+
+
 # for each mutable value class, two instances with equal fields built two
 # ways and one with one field changed (the class, for the reduced parts,
 # which have no fields)
@@ -108,6 +122,7 @@ _VALUE_CASES = [
     (NilMat([[0, 2], [0, 0]]), NilMat(MatQ([[0, 2], [0, 0]])), NilMat([[0, 3], [0, 0]])),
     (TrivialReduced(), reduced_part("trivial"), BSReduced()),
     (BSReduced(), reduced_part("bs"), TrivialReduced()),
+    (_checked_aut(), LieAut.diagonal(3, _LIE_SCALES), LieAut.diagonal(3, (2, 1, 3))),
 ]
 
 
@@ -129,3 +144,11 @@ def test_values_are_equal_exactly_when_class_and_fields_are(same, equal, other):
     assert same != twin and twin != same  # the class is part of equality
     if not isinstance(same, RankReport):  # a dict field: unhashable
         assert hash(same) == hash(equal) == hash(same._fields(same))
+
+
+@pytest.mark.parametrize("obj", [case[0] for case in _VALUE_CASES], ids=lambda c: type(c).__name__)
+def test_values_print_as_frozen_dataclasses_of_their_public_slots(obj):
+    if isinstance(obj, F2LaurentPoly):  # the atom prints its text
+        assert repr(obj) == "F2LaurentPoly('1+t^3')"
+    else:
+        assert repr(obj) == repr(_as_dataclass(obj))

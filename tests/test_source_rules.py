@@ -1,6 +1,7 @@
 """Rules on the source of src/, read off the syntax tree of each file:
-no assert statement, no module-level mutable state and no import from
-outside the standard library."""
+no assert statement, no module-level mutable state, no import from
+outside the standard library, and one place that decides how a value
+compares, hashes and prints."""
 
 import ast
 import pathlib
@@ -81,3 +82,33 @@ def test_only_stdlib_imports_in_src(trees):
             hits += [f"{path}:{node.lineno}: {name}" for name in names
                      if name.split(".")[0] not in allowed]
     assert not hits, "third-party imports in src/:\n" + "\n".join(hits)
+
+
+# the classes that may define each method: frozen.Value for all three, and
+# F2LaurentPoly, the atom every lamplighter value prints through, its repr
+VALUE_DUNDERS = {
+    "__eq__": {"src/commlab/frozen.py:Value"},
+    "__hash__": {"src/commlab/frozen.py:Value"},
+    "__repr__": {"src/commlab/frozen.py:Value", "src/commlab/f2poly.py:F2LaurentPoly"},
+}
+
+
+def test_only_value_defines_equality_hash_and_repr(trees):
+    # a def or an assignment of the name in a class body defines it
+    hits = []
+    for path, tree in trees:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                hits += [f"{path}:{node.lineno}: {cls.name}.{name}" for name in names
+                         if name in VALUE_DUNDERS
+                         and f"{path.as_posix()}:{cls.name}" not in VALUE_DUNDERS[name]]
+    assert not hits, "value methods defined outside frozen.Value:\n" + "\n".join(hits)
