@@ -26,8 +26,8 @@ cheaper: short sparse layouts take the set bits, and a layout with
 route is worse than linear in the length.  ``mask_strands`` splits a
 layout into its n strands, each left in place, with one comb of the bits
 at the multiples of n; ``_strands_pay`` is the cost rule by which
-``PolyMat._apply_mask`` maps a mask through them, one carry-less product
-per strand, instead of one shift-xor per set bit.
+``PolyMat._act`` maps a mask through them, one carry-less product per
+strand, instead of one shift-xor per set bit.
 
 This is the only module that divides.  ``mask_mod`` and ``mask_gcd``
 need only remainders: a quotient of at most _SHORT bits is left unformed,
@@ -122,18 +122,21 @@ def _strands_pay(pop: int, n: int, bits: int) -> bool:
     """Whether an F2[u]-linear map of K, u = t**n, whose n column masks
     have bits set bits in all, acts on a mask with pop set bits for less
     one strand at a time (``mask_strands``, a product per column) than one
-    shift-xor per set bit (``PolyMat._apply_mask``).
+    shift-xor per set bit (``PolyMat._act``).
 
     A strand's product loops over the set bits of the sparser of its
     column and its strand, so the strands make at most min(pop, bits) loop
-    steps where the set bits make pop.  Measured on CPython 3.11 (x86_64),
-    a loop step costs about what a set bit does (0.3-0.5 us) and a strand
-    about two, so the strands pay once pop > 2*n + min(pop, bits), that is
-    once pop > 2*n + bits.  On every call of one seed-1 pass of the
-    benchmark's lamp_mix (12252 calls, n <= 6) and lamp_large (6471 calls,
-    n <= 12) this comes within 0.2% of the cheaper route of each call,
-    where pop > 2*n alone is 7% above it on lamp_mix and the set bits
-    alone 62% above it on lamp_large.
+    steps where the set bits make pop.  Measured on CPython 3.11 (x86_64)
+    in ``_act``'s one loop, a set bit costs about 0.3-0.45 us to read and
+    0.1 us more per raised copy, and a strand one to two set bits, so the
+    strands pay once pop > c*n + min(pop, bits) for c between 1 and 2;
+    the rule takes c = 2, so pop > 2*n + bits.  Timed by both routes, with
+    all its raised copies, on every mask that one seed-1 pass of the
+    benchmark's lamp_mix (6929 masks, n <= 6) and lamp_large (1263 masks,
+    n <= 12) maps, the rule comes within 1.3% and 2.0% of the cheaper
+    route of each mask; the set bits alone are 2% and 145% above that, the
+    rules with n or 3*n for 2*n, or bits / 2 for bits, within about 2% of
+    this one, and 6*n 9% above it on lamp_large.
     """
     return pop > 2 * n + bits
 

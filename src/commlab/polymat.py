@@ -7,12 +7,15 @@ at the exponents n*e + i: each column is the Kronecker layout of
 ``f2poly``, which owns it, so ``from_masks`` interleaves a column's
 entry masks and ``entry_masks`` de-interleaves them.  So the action on K, the
 product, the level changes, the shift commute test and the flip are
-shifts and carry-less products of the n masks.  The action, which the
-product shares, maps a mask one shift-xor per set bit, or one product per
-column with a strand of the mask (``f2poly.mask_strands``), as one cost
-comparison picks (``f2poly._strands_pay``); a map after another map
-raised to a finer level takes the raised columns one at a time
-(``after_raised``), so no raised map is built.  Only this module reads
+shifts and carry-less products of the n masks.  One loop, ``_act``, is
+the action: it maps a sequence of masks at one base, and the same masks
+raised by k, each by one shift-xor per set bit, its set bits read once for
+all k copies, or by one product per column with a strand of the mask
+(``f2poly.mask_strands``), as one cost comparison picks
+(``f2poly._strands_pay``).  ``apply`` is its one-mask case, and a map
+after another map raised to a finer level (``after_raised``, which the
+product is at k = 1) maps the other map's columns in one call, so no
+raised map is built.  Only this module reads
 the masks, and ``gauss_jordan`` is the one elimination over F2[u], so no
 matrix over F2(u) is ever formed.  It peels column singletons before it
 eliminates, so a row-permuted triangular matrix, the shape of the
@@ -216,40 +219,49 @@ class PolyMat(Value):
         """The images of 1, t, ..., t**(n-1)."""
         return [F2LaurentPoly._raw(c, self.shift) for c in self.cols]
 
-    def _col_bits(self) -> int:
-        """The set bits of all columns, which ``_strands_pay`` reads."""
-        return sum(map(int.bit_count, self.cols))
+    def _act(self, masks, base: int, k: int = 1) -> list[int]:
+        """The images of t**base times each mask of masks, and of the same
+        masks raised by k: with w = len(masks), entry w*a + i is the image
+        of t**(base + w*a) * masks[i], for a < k, as a mask at
+        t**off + shift, off = n*(base // n).  t**(n*e + j) goes to
+        t**(n*e) times image j.
 
-    def _apply_mask(self, mask: int, base: int, bits: int) -> int:
-        """The image of t**base * mask, as a mask at t**(n*(base // n) + shift):
-        t**(n*e + j) goes to t**(n*e) times image j.  By one of two routes,
-        as ``_strands_pay`` picks from bits, the map's ``_col_bits``: one
-        shift-xor per set bit of mask, or, with mask aligned to its residue
-        so that bit n*e + j stands for t**(n*(e + base // n) + j), one
-        carry-less product per column j, of image j and strand j of that
-        layout (``mask_strands``)."""
+        A mask takes one of two routes, as ``_strands_pay`` picks from its
+        set bits and those of all n columns: its set bits are read once,
+        each as the exponent q above off, and each is one shift-xor,
+        cols[q % n] << q - q % n, into every copy, w*a added to q for copy
+        a; or each copy, aligned so that bit n*e + j stands for
+        t**(off + n*e + j), is one carry-less product per column j, of
+        image j and strand j of that layout (``mask_strands``)."""
         n, cols = self.n, self.cols
-        if _strands_pay(mask.bit_count(), n, bits):
-            acc = 0
-            for c, s in zip(cols, mask_strands(mask << base % n, n)):
-                if c and s:
-                    acc ^= mask_mul(c, s)
-            return acc
-        e0 = base // n
-        acc = 0
-        while mask:
-            low = mask & -mask
-            e, j = divmod(base + low.bit_length() - 1, n)
-            acc ^= cols[j] << n * (e - e0)
-            mask ^= low
-        return acc
+        bits = sum(map(int.bit_count, cols))
+        w, res = len(masks), base % n
+        out = [0] * (w * k)
+        for i, mask in enumerate(masks):
+            if _strands_pay(mask.bit_count(), n, bits):
+                for a in range(k):
+                    acc = 0
+                    for c, s in zip(cols, mask_strands(mask << w * a + res, n)):
+                        if c and s:
+                            acc ^= mask_mul(c, s)
+                    out[w * a + i] = acc
+                continue
+            slots = range(i, w * k, w)  # where the copies of this mask go
+            while mask:
+                b = mask & -mask
+                q = res + b.bit_length() - 1
+                mask ^= b
+                for j in slots:
+                    r = q % n
+                    out[j] ^= cols[r] << q - r
+                    q += w
+        return out
 
     def apply(self, k: F2LaurentPoly) -> F2LaurentPoly:
         """Image of a K element."""
-        return F2LaurentPoly._raw(
-            self._apply_mask(k.mask, k.shift, self._col_bits()),
-            self.n * (k.shift // self.n) + self.shift,
-        )
+        n = self.n
+        return F2LaurentPoly._raw(self._act((k.mask,), k.shift)[0],
+                                  n * (k.shift // n) + self.shift)
 
     def __mul__(self, other):
         """self after other, at the same level."""
@@ -261,13 +273,13 @@ class PolyMat(Value):
         """self after other.raised(k), a map at level L = other.n * k, which
         self.n divides, with no raised map built: column n*a + j of the
         raised map is column j of other shifted by n*a, with n = other.n,
-        and is formed only as it is mapped.  Every column sits at
-        other.shift, so each is mapped at that one base, and the images
-        share the shift self.n*(other.shift // self.n) + self.shift, and
-        self's column bits are counted once for all of them."""
-        n, base, bits = other.n, other.shift, self._col_bits()
-        cols = (self._apply_mask(c << n * a, base, bits) for a in range(k) for c in other.cols)
-        return PolyMat(n * k, cols, self.n * (base // self.n) + self.shift)
+        which is the raising of ``_act``.  So one call maps all L columns
+        at the one base other.shift, reading the set bits of each column of
+        other once for its k copies, and the images share the shift
+        self.n*(other.shift // self.n) + self.shift."""
+        base = other.shift
+        return PolyMat(other.n * k, self._act(other.cols, base, k),
+                       self.n * (base // self.n) + self.shift)
 
     def scalar_mul(self, mask: int) -> "PolyMat":
         """Multiply by the nonzero scalar polynomial in u given as a mask."""

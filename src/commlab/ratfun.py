@@ -44,7 +44,9 @@ def parse(text: str) -> tuple[int, int, int]:
 def to_string(num: int, den: int, shift: int, var: str) -> str:
     """t**shift * num/den in lowest terms, for poly masks num and den with
     den(0) = 1."""
-    if den == 1 or not num:  # no gcd to take, as for most entries of a large class
+    if not num:  # most entries of a large class
+        return "0"
+    if den == 1:
         return F2LaurentPoly._raw(num, shift).to_string(var)
     g = mask_gcd(num, den)
     top = F2LaurentPoly._raw(mask_divmod(num, g)[0], shift).to_string(var)

@@ -13,7 +13,9 @@ through it.  ``k_to_coords`` and ``coords_to_k`` give the coordinates of
 K at a level through the ``f2poly`` interleave pair, and
 ``residue_coords`` is their oracle; ``interleave_by_bits`` and
 ``deinterleave_by_bits`` are the oracles of that pair, one digit at a
-time.  ``vder_canonical_by_trial`` finds
+time.  ``act_per_mask`` maps one mask through a ``PolyMat`` with a call
+of its own, by the route that ``_strands_pay`` picks for it, the oracle of
+``PolyMat._act``.  ``vder_canonical_by_trial`` finds
 the least level of a virtual derivation by one division per divisor of
 its level, the oracle of ``VDerElt.canonical``, and
 ``make_by_least_levels`` takes each component of a class to its least
@@ -49,12 +51,14 @@ from fractions import Fraction
 from commlab import ratfun
 from commlab.f2poly import (
     F2LaurentPoly,
+    _strands_pay,
     mask_deinterleave,
     mask_divmod,
     mask_gcd,
     mask_interleave,
     mask_lcm,
     mask_mul,
+    mask_strands,
 )
 from commlab.errors import (
     DegenerateAction,
@@ -131,6 +135,30 @@ def residue_coords(k: F2LaurentPoly, m: int) -> list[F2LaurentPoly]:
     for e in k.support():
         exps[e % m].append(e // m)
     return [F2LaurentPoly(qs) for qs in exps]
+
+
+def act_per_mask(a: PolyMat, mask: int, base: int) -> int:
+    """Oracle of PolyMat._act: the image of t**base * mask under a, as a
+    mask at t**(n*(base // n) + a.shift), by one of two routes as
+    ``_strands_pay`` picks from the set bits of mask and of all columns:
+    one shift-xor per set bit, t**(n*e + j) going to t**(n*e) times image
+    j, or one carry-less product per column j, of image j and strand j of
+    mask aligned to its residue."""
+    n, cols = a.n, a.cols
+    if _strands_pay(mask.bit_count(), n, sum(map(int.bit_count, cols))):
+        acc = 0
+        for c, s in zip(cols, mask_strands(mask << base % n, n)):
+            if c and s:
+                acc ^= mask_mul(c, s)
+        return acc
+    e0 = base // n
+    acc = 0
+    while mask:
+        low = mask & -mask
+        e, j = divmod(base + low.bit_length() - 1, n)
+        acc ^= cols[j] << n * (e - e0)
+        mask ^= low
+    return acc
 
 
 def vder_canonical_by_trial(v: VDerElt) -> VDerElt:

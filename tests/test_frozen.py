@@ -152,3 +152,17 @@ def test_values_print_as_frozen_dataclasses_of_their_public_slots(obj):
         assert repr(obj) == "F2LaurentPoly('1+t^3')"
     else:
         assert repr(obj) == repr(_as_dataclass(obj))
+
+
+def test_ints_past_the_int_to_str_limit_print_in_hex():
+    # a column of 20000 set bits has about 6000 decimal digits, past the
+    # 4300 of CPython's default limit: alone, in a tuple field and in a
+    # nested value, it prints in hex, and short ints stay decimal
+    big = (1 << 20000) - 1
+    assert repr(PolyMat(2, [1, 2])) == "PolyMat(n=2, shift=0, cols=(1, 2))"
+    assert repr(PolyMat(1, [big])) == f"PolyMat(n=1, shift=0, cols=({big:#x},))"
+    assert repr(PolyMat(2, [big, 2])) == f"PolyMat(n=2, shift=0, cols=({big:#x}, 2))"
+    assert repr(CommInftyElt(1, PolyMat(1, [big]))) == (
+        f"CommInftyElt(level=1, num=PolyMat(n=1, shift=0, cols=({big:#x},)), den=1)")
+    assert repr(MatQ([[big, 1]])) == f"MatQ(num=(({big:#x}, 1),), den=1, ncols=2)"
+    assert repr(LampElement(_ONE_T, big)) == f"LampElement(k=F2LaurentPoly('t'), n={big:#x})"

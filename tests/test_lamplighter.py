@@ -19,7 +19,7 @@ from commlab.errors import (
     SingularMatrix,
 )
 from commlab.f2poly import F2LaurentPoly as P
-from commlab.f2poly import mask_divmod, mask_gcd, mask_lcm, mask_mul
+from commlab.f2poly import mask_divmod, mask_gcd, mask_lcm, mask_mod, mask_mul
 from commlab.lamplighter import (
     CommInftyElt,
     LampComm,
@@ -27,6 +27,7 @@ from commlab.lamplighter import (
     SubmoduleBasis,
     VDerElt,
     _apply_lin_to_vder,
+    _fold,
     comm_apply,
     comm_compose,
     comm_domain,
@@ -211,6 +212,16 @@ def raised_values(draw):
 @given(raised_values())
 def test_vder_canonical_agrees_with_trial_division(v):
     assert v.canonical() == vder_canonical_by_trial(v)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 200), st.integers(0, 10**4), st.integers(0, 2**32))
+def test_the_fold_is_the_remainder_mod_1_plus_t_to_the_level(m, length, seed):
+    # dense or one-bit values, of any length up to 10^4 bits, m of them
+    # or fewer too
+    rng = random.Random(seed)
+    v = rng.getrandbits(length) if seed % 2 else 1 << length
+    assert _fold(v, m) == mask_mod(v, 1 << m | 1)
 
 
 def test_vder_canonical_of_a_dense_value_is_fast():
@@ -817,6 +828,24 @@ def test_composing_past_the_level_cap_is_refused_before_any_work():
                 comm_compose(c1, c2)
             assert str(err.value) == (f"work limit: raising a linear part from level {l1} "
                                       "to level 667 passes 512")
+
+
+def test_the_level_cap_bounds_the_factors_levels_not_the_answers():
+    # tau1 = x2 + x101 at level 202 and tau2 = x101 + y3 at level 303, where
+    # x2, x101 and y3 have the values 1, t^7 and t^2 at levels 2, 101 and 3:
+    # the sum is x2 + y3, of canonical level 6, but the lcm 606 of the
+    # factors' levels passes the cap, so compose refuses it at once
+    def der_class(level, *parts):
+        value = sum((VDerElt(d, P([e])).raise_to(level).value for d, e in parts), P.zero())
+        return LampComm.make(VDerElt(level, value), CommInftyElt.identity(1), False)
+
+    c1, c2 = der_class(202, (2, 0), (101, 7)), der_class(303, (101, 7), (3, 2))
+    assert (c1.level, c2.level) == (202, 303)
+    product = VDerElt(606, c1.der.raise_to(606).value + c2.der.raise_to(606).value)
+    assert product.canonical() == der_class(6, (2, 0), (3, 2)).der
+    with pytest.raises(ResourceLimit, match="^work limit: raising a linear part from level 202 "
+                       "to level 606 passes 512$"):
+        comm_compose(c1, c2)
 
 
 _COPRIME = [(a, b) for a in range(2, 31) for b in range(2, 31)

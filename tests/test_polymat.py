@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from commlab import polymat
 from commlab.f2poly import F2LaurentPoly, _strands_pay, mask_gcd, mask_mul
 from commlab.polymat import PolyMat, gauss_jordan
-from samplers import F2RatFun, MatF2Rat
+from samplers import F2RatFun, MatF2Rat, act_per_mask
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -140,11 +140,11 @@ def test_apply_is_the_entrywise_action(case, k):
     assert a.apply(k) == _act(entries, k)
 
 
-def _by_route(a, mask, base, strands):
-    """a._apply_mask with the route forced: one product per strand, or one
-    shift-xor per set bit."""
+def _by_route(a, masks, base, k, strands):
+    """a._act with the route forced for every mask: one product per strand,
+    or one shift-xor per set bit."""
     with mock.patch.object(polymat, "_strands_pay", lambda pop, n, bits: strands):
-        return a._apply_mask(mask, base, a._col_bits())
+        return a._act(masks, base, k)
 
 
 @PROPERTY
@@ -152,23 +152,41 @@ def _by_route(a, mask, base, strands):
 def test_the_two_routes_of_the_action_agree(n, seed):
     # columns of 1 to about 3n bits, a fifth of them zero (all of them now and
     # then), at any shift; masks sparse or dense, up to 8n bits, at a base
-    # from -5n to 5n, so that the rule picks either route
+    # from -5n to 5n, so that the rule picks either route, with 1 to 3 masks
+    # raised by 1 to 4
     rng = random.Random(seed)
     zeros = rng.choice((0.2, 0.2, 1))
     width = rng.choice((1, 8, 3 * n))
     cols = [0 if rng.random() < zeros else rng.getrandbits(width) for _ in range(n)]
     a = PolyMat(n, cols, rng.randrange(-2 * n, 2 * n))
     length = rng.randrange(1, 8 * n + 2)
-    if rng.random() < 0.5:
-        mask = rng.getrandbits(length)
-    else:
-        mask = sum(1 << rng.randrange(length) for _ in range(rng.randrange(0, 4)))
+    masks = [rng.getrandbits(length) if rng.random() < 0.5
+             else sum(1 << rng.randrange(length) for _ in range(rng.randrange(0, 4)))
+             for _ in range(rng.randrange(1, 4))]
+    base, k = rng.randrange(-5 * n, 5 * n + 1), rng.randrange(1, 5)
+    want = _by_route(a, masks, base, k, False)
+    assert _by_route(a, masks, base, k, True) == want == a._act(masks, base, k)
+    x = F2LaurentPoly._raw(masks[0], base)
+    assert a.apply(x) == sum((F2LaurentPoly._raw(c, a.shift).shifted(e - e % n)
+                              for e in x.support() for c in [a.cols[e % n]]), ZERO)
+
+
+@PROPERTY
+@given(st.integers(1, 24), st.integers(1, 12), st.integers(0, 2**32))
+def test_the_action_equals_the_per_mask_action(n, k, seed):
+    # a map of one or two bits per column, so that the masks, of 0 to 6n set
+    # bits and a zero one now and then, take different routes in one call, at
+    # a negative or odd base; the per-mask action of act_per_mask is the oracle
+    rng = random.Random(seed)
+    cols = [0 if rng.random() < 0.2 else 1 << rng.randrange(4) | 1 << rng.randrange(2 * n)
+            for _ in range(n)]
+    a = PolyMat(n, cols, rng.randrange(-3 * n, 3 * n))
+    w = rng.randrange(1, 9)
+    masks = [sum(1 << rng.randrange(12 * n) for _ in range(rng.choice((0, 1, 2, 3 * n, 6 * n))))
+             for _ in range(w)]
     base = rng.randrange(-5 * n, 5 * n + 1)
-    want = _by_route(a, mask, base, False)
-    assert _by_route(a, mask, base, True) == want == a._apply_mask(mask, base, a._col_bits())
-    k = F2LaurentPoly._raw(mask, base)
-    assert a.apply(k) == sum((F2LaurentPoly._raw(c, a.shift).shifted(e - e % n)
-                              for e in k.support() for c in [a.cols[e % n]]), ZERO)
+    got = a._act(masks, base, k)
+    assert got == [act_per_mask(a, m << w * j, base) for j in range(k) for m in masks]
 
 
 def test_the_action_rule_takes_each_route():
@@ -176,9 +194,8 @@ def test_the_action_rule_takes_each_route():
     # bits, P = n those of all columns
     assert not _strands_pay(12, 6, 6) and not _strands_pay(18, 6, 6)
     assert _strands_pay(19, 6, 6) and _strands_pay(100, 6, 6)
-    # columns with at least as many set bits as the mask: the set bits
-    dense = PolyMat(6, (2**40 - 1,) * 6)
-    assert dense._col_bits() == 240
+    # columns with at least as many set bits as the mask (six of 40 bits,
+    # 240 in all): the set bits
     assert not _strands_pay(40, 6, 240) and not _strands_pay(240, 6, 240)
     assert not _strands_pay(252, 6, 240) and _strands_pay(253, 6, 240)
     assert _strands_pay(397, 132, 132) and not _strands_pay(396, 132, 132)
