@@ -223,7 +223,7 @@ class PolyMat(Value):
         """The images of t**base times each mask of masks, and of the same
         masks raised by k: with w = len(masks), entry w*a + i is the image
         of t**(base + w*a) * masks[i], for a < k, as a mask at
-        t**off + shift, off = n*(base // n).  t**(n*e + j) goes to
+        t**(off + shift), off = n*(base // n).  t**(n*e + j) goes to
         t**(n*e) times image j.
 
         A mask takes one of two routes, as ``_strands_pay`` picks from its
