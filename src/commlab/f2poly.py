@@ -42,6 +42,12 @@ w = popcount(b) and L = n.bit_length(), the series is taken when
 4*w*L < n and w*L < 2*(deg b + _WINDOW) (``_series_pays``): sparse
 divisors of long dividends.  The Laurent ``F2LaurentPoly.divmod`` clears
 negative powers from the low end by the series, then calls ``mask_divmod``.
+
+``mask_geometric`` is the one geometric series G(step, count) = 1 +
+x**step + ... + x**((count-1)*step), which group powers, derivation
+values and level changes multiply or divide by.  A short one is the one
+exact division (2**(step*count) - 1) // (2**step - 1), a long one is
+doubled along the bits of count, as ``_closed_form_pays`` picks.
 """
 
 from __future__ import annotations
@@ -141,6 +147,28 @@ def _strands_pay(pop: int, n: int, bits: int) -> bool:
     return pop > 2 * n + bits
 
 
+def _closed_form_pays(step: int, count: int) -> bool:
+    """Whether G(step, count) = 1 + x**step + ... + x**((count-1)*step) costs
+    less as the one exact division (2**(step*count) - 1) // (2**step - 1)
+    than by doubling along the bits of count (``mask_geometric``).
+
+    The doubling spends a Python step per bit of count and a shift-or of
+    the series so far; the division one pass over its step*count bits,
+    about step/30 passes once the divisor has more than one 30-bit digit.
+    Timed on CPython 3.11 (x86_64), the division is 2-5x faster on short
+    series, (step, count) = (1, 10**3) 0.6 against 2.2 us, (3, 10**3) 0.9
+    against 1.6 and (12, 5) 0.3 against 0.6, and slower on long ones,
+    (1, 10**5) 28 against 10 us, (2, 10**4) 5.7 against 4.6, (30, 10**3) 8.6
+    against 2.9, (132, 50) 4.5 against 1.2 and (512, 5) 3.2 against 0.6.
+    Searched along count at steps 1 to 384, the division wins up to
+    step*count of about 5500-8000 bits for step <= 30, and up to
+    step*step*count of about 0.7-1.1 * 10**5 above; the rule
+    step*count*(step + 10) < 10**5 puts each crossing within 2x of its
+    length, where the two routes cost about the same.
+    """
+    return step * count * (step + 10) < 100000
+
+
 def _series_quot(a: int, b: int, n: int) -> int:
     """a / b mod x**n for b(0) = 1: a times b(x) * b(x**2) * b(x**4) * ...
 
@@ -198,6 +226,30 @@ def mask_divmod(a: int, b: int) -> tuple[int, int]:
             q |= 1 << k
         k = a.bit_length() - 1 - db
     return q, a
+
+
+def mask_geometric(step: int, count: int) -> int:
+    """The poly mask of 1 + x**step + x**(2*step) + ... + x**((count-1)*step),
+    count >= 0.  Raises ResourceLimit, before allocating, when it would span
+    more than MAX_SPAN bits.
+
+    A short series is the exact division (2**(step*count) - 1) //
+    (2**step - 1), a long one is built by doubling along the bits of count,
+    O(log count) big-int shifts and ors, as ``_closed_form_pays`` picks: the
+    division is quadratic in step, the doubling pays a Python step per bit of
+    count."""
+    if step * (count - 1) > MAX_SPAN:
+        raise _span_limit(0, step * (count - 1))
+    if _closed_form_pays(step, count):
+        return ((1 << step * count) - 1) // ((1 << step) - 1)
+    mask, n = 0, 0  # mask holds the first n terms
+    for bit in bin(count)[2:]:
+        mask |= mask << (step * n)
+        n *= 2
+        if bit == "1":
+            mask |= 1 << (step * n)
+            n += 1
+    return mask
 
 
 def mask_mod(a: int, b: int) -> int:
@@ -375,25 +427,10 @@ class F2LaurentPoly(Value):
 
     @classmethod
     def geometric(cls, step: int, count: int) -> "F2LaurentPoly":
-        """1 + t**step + t**(2*step) + ... + t**((count-1)*step), count >= 0.
-        Raises ResourceLimit, before allocating, when it would span more
-        than MAX_SPAN bits.
-
-        Built by doubling along the bits of count: O(log count) big-int
-        shifts and ors, O(step*count) bit work in all.  (The closed form
-        (2**(step*count) - 1) // (2**step - 1) is exact too, but its long
-        division is quadratic in step.)
-        """
-        if step * (count - 1) > MAX_SPAN:
-            raise _span_limit(0, step * (count - 1))
-        mask, n = 0, 0  # mask holds the first n terms
-        for bit in bin(count)[2:]:
-            mask |= mask << (step * n)
-            n *= 2
-            if bit == "1":
-                mask |= 1 << (step * n)
-                n += 1
-        return cls._raw(mask, 0)
+        """1 + t**step + t**(2*step) + ... + t**((count-1)*step), count >= 0:
+        the mask of ``mask_geometric``, which raises ResourceLimit, before
+        allocating, when it would span more than MAX_SPAN bits."""
+        return cls._raw(mask_geometric(step, count), 0)
 
     def support(self) -> tuple[int, ...]:
         """The exponents in ascending order.  A mask with fewer than one set

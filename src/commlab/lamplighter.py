@@ -52,6 +52,7 @@ from .f2poly import (
     mask_deg,
     mask_deinterleave,
     mask_divmod,
+    mask_geometric,
     mask_lcm,
     mask_mod,
     mask_mul,
@@ -94,8 +95,48 @@ def _fold(v: int, m: int) -> int:
 
 
 def _least_level(m: int, arises_from) -> int:
-    """Least divisor d of m with arises_from(d), else m."""
-    return next((d for d in range(1, m) if m % d == 0 and arises_from(d)), m)
+    """Least divisor d of m with arises_from(d), else m, for a test that
+    holds at m and whose divisors of m that pass are the multiples of the
+    least one: the rotations that fix a cyclic word of m bits, and the
+    powers of t with which a level-m map commutes, form subgroups of Z/m.
+
+    So the least level is reached by prime descent from m: for each prime
+    p of m, d is replaced by d/p while arises_from(d/p) holds, at most as
+    many tests as m has prime factors with multiplicity, where an ascending
+    scan tests every divisor below the answer."""
+    d, rest, p = m, m, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # the prime left
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            while e and arises_from(d // p):
+                d //= p
+                e -= 1
+        p += 1
+    return d
+
+
+def _power_k(k: F2LaurentPoly, n: int, e: int) -> F2LaurentPoly:
+    """The K-part of (k, n)**e, for any integer e, on masks.
+
+    (k, n)**e is (sum of t**(n*i) * k over i in I, n*e), with I = [0, e) for
+    e >= 0 and [e, 0) for e < 0, as (k, n)**-1 = (t**-n * k, -n).  For
+    n != 0 that sum is k times the geometric series G(|n|, |e|) of
+    ``mask_geometric``, shifted to the least n*i: one series, one product
+    and one shift, with no element built and no recursion through the
+    inverse.  For k = 0 no series is formed, and for n = 0 the sum is k
+    when e is odd and 0 otherwise."""
+    if not k or not e:
+        return _ZERO
+    if n == 0:
+        return k if e % 2 else _ZERO
+    lo = min(e, 0)  # I = [lo, lo + |e|)
+    low = n * lo if n > 0 else n * (lo + abs(e) - 1)
+    return F2LaurentPoly._raw(mask_mul(k.mask, mask_geometric(abs(n), abs(e))), k.shift + low)
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +173,8 @@ class LampElement(Value):
         return LampElement(self.k.shifted(-self.n), -self.n)
 
     def __pow__(self, e: int) -> "LampElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        n = self.n
-        if n == 0:
-            return LampElement(self.k if e % 2 else _ZERO, 0)
-        if self.k.is_zero():  # a power of t: no series is formed
-            return LampElement(_ZERO, n * e)
-        # g**e = (k * (1 + t**n + ... + t**(n*(e-1))), n*e)
-        k = self.k * F2LaurentPoly.geometric(abs(n), e)
-        if n < 0:
-            k = k.shifted(n * (e - 1))
-        return LampElement(k, n * e)
+        """g**e for any integer e: the K-part of ``_power_k``."""
+        return LampElement(_power_k(self.k, self.n, e), self.n * e)
 
     def to_json(self):
         return {"k": self.k.to_string(), "n": self.n}
@@ -218,10 +249,12 @@ class VDerElt(Value):
         if n == m:
             return self
         g = math.gcd(m, n)
-        v = self.value
+        v, shift = self.value.mask, self.value.shift
         if g < m:
-            v = v.exact_div(F2LaurentPoly.geometric(g, m // g))
-        return VDerElt(n, v if g == n else v * F2LaurentPoly.geometric(g, n // g))
+            v = mask_divmod(v, mask_geometric(g, m // g))[0]
+        if g < n:
+            v = mask_mul(v, mask_geometric(g, n // g))
+        return VDerElt(n, F2LaurentPoly._raw(v, shift))
 
     def canonical(self) -> "VDerElt":
         """The same derivation at its least level."""
@@ -232,10 +265,13 @@ class VDerElt(Value):
         return VDerElt(self.level, self.value.flip().shifted(self.level))
 
     def eval_at(self, n: int) -> F2LaurentPoly:
-        """tau(t**n), n a multiple of the level: the K-part of (value, level)**(n/level)."""
+        """tau(t**n), n a multiple of the level: the K-part of
+        (value, level)**(n/level), read off masks by ``_power_k`` (one
+        geometric series, one product and one shift), with no group element
+        built."""
         if n % self.level:
             raise NotDivisible(f"{self.level} does not divide {n}")
-        return (LampElement(self.value, self.level) ** (n // self.level)).k
+        return _power_k(self.value, self.level, n // self.level)
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +662,8 @@ def _apply_lin_to_vder(level: int, num: PolyMat, den: int, value: F2LaurentPoly,
             )
         r ^= spow
         spow = mask_mod(spow << 1, dreq)
-    return j, (F2LaurentPoly.geometric(level, j) * y).exact_div(
-        F2LaurentPoly._raw(mask_spread(den, level), 0))
+    q = mask_divmod(mask_mul(mask_geometric(level, j), y.mask), mask_spread(den, level))[0]
+    return j, F2LaurentPoly._raw(q, y.shift)
 
 
 def comm_compose(c1: LampComm, c2: LampComm) -> LampComm:

@@ -232,13 +232,19 @@ class PolyMat(Value):
         cols[q % n] << q - q % n, into every copy, w*a added to q for copy
         a; or each copy, aligned so that bit n*e + j stands for
         t**(off + n*e + j), is one carry-less product per column j, of
-        image j and strand j of that layout (``mask_strands``)."""
+        image j and strand j of that layout (``mask_strands``).  The rule is
+        false for pop <= 2n whatever the columns hold, so their set bits are
+        summed only once a mask has more: a one-mask ``apply`` of a sparse
+        mask reads no column before its loop."""
         n, cols = self.n, self.cols
-        bits = sum(map(int.bit_count, cols))
+        bits = 0  # those of all columns, summed once a mask has more than 2n
         w, res = len(masks), base % n
         out = [0] * (w * k)
         for i, mask in enumerate(masks):
-            if _strands_pay(mask.bit_count(), n, bits):
+            pop = mask.bit_count()
+            if pop > 2 * n and not bits:
+                bits = sum(map(int.bit_count, cols))
+            if _strands_pay(pop, n, bits):
                 for a in range(k):
                     acc = 0
                     for c, s in zip(cols, mask_strands(mask << w * a + res, n)):

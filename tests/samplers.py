@@ -19,7 +19,12 @@ of its own, by the route that ``_strands_pay`` picks for it, the oracle of
 the least level of a virtual derivation by one division per divisor of
 its level, the oracle of ``VDerElt.canonical``, and
 ``make_by_least_levels`` takes each component of a class to its least
-level and raises both to the lcm, the oracle of ``LampComm.make``.
+level and raises both to the lcm, the oracle of ``LampComm.make``, and
+``least_level_by_scan`` tests the divisors of a level in ascending order,
+the oracle of ``lamplighter._least_level``.  ``lamp_power_by_inverse``
+raises a lamplighter element to a negative power through its inverse and
+to a positive one by the defining sum of the geometric series, the oracle
+of ``LampElement.__pow__`` and ``VDerElt.eval_at``.
 ``hnf_f2poly`` is the
 Hermite form of a nonsingular square matrix read off
 ``commlab.hnf.row_echelon``, and ``row_echelon_with_transform``
@@ -159,6 +164,28 @@ def act_per_mask(a: PolyMat, mask: int, base: int) -> int:
         acc ^= cols[j] << n * (e - e0)
         mask ^= low
     return acc
+
+
+def lamp_power_by_inverse(g: LampElement, e: int) -> LampElement:
+    """Oracle of ``LampElement.__pow__`` and ``VDerElt.eval_at``: g**e for
+    e < 0 as the power -e of g.inverse(), and for e > 0 as k times the
+    defining sum 1 + t**|n| + ... + t**(|n|*(e-1)), shifted by n*(e-1) for
+    n < 0; a power of t (k = 0) is formed with no sum."""
+    if e < 0:
+        return lamp_power_by_inverse(g.inverse(), -e)
+    n = g.n
+    if n == 0:
+        return LampElement(g.k if e % 2 else _ZERO, 0)
+    if g.k.is_zero():
+        return LampElement(_ZERO, n * e)
+    k = g.k * F2LaurentPoly(range(0, abs(n) * e, abs(n)))
+    return LampElement(k.shifted(n * (e - 1)) if n < 0 else k, n * e)
+
+
+def least_level_by_scan(m: int, arises_from) -> int:
+    """Oracle of ``lamplighter._least_level``: the divisors of m tested in
+    ascending order, the first that passes, else m."""
+    return next((d for d in range(1, m) if m % d == 0 and arises_from(d)), m)
 
 
 def vder_canonical_by_trial(v: VDerElt) -> VDerElt:

@@ -6,6 +6,8 @@ import json
 import os
 import pathlib
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -844,6 +846,20 @@ def test_fuzzed_lamp_mul_and_apply_print_one_json_line(argv):
     _prints_one_json_line(argv)
 
 
+@pytest.mark.parametrize("n", [10**8, -10**8])
+def test_a_derivation_value_past_the_span_cap_is_refused_with_its_exponents(capsys, n):
+    # tau(t^n) of the derivation 1 at level 1 is a series of |n| terms, from
+    # t^0 for n > 0 and from t^n shifted up by the inverse for n < 0: either
+    # way the series spans exponents 0 to 10^8 - 1, refused before it is formed
+    comm = '{"level":1,"der":"1","A":[["1"]],"flip":false}'
+    start = time.perf_counter()
+    code = run(["lamp", "apply", "--comm", comm, "--elem", f'{{"k":"0","n":{n}}}'])
+    assert code == 1 and capsys.readouterr().out == (
+        '{"error": "ResourceLimit", "detail": "work limit: a polynomial with exponents '
+        '0 to 99999999 spans more than 67108864 bits"}\n')
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("n", [10**8, 10**20])
 def test_a_class_with_derivation_zero_keeps_the_span_of_its_input(capsys, n):
     # tau(t^n) is 0 for the derivation 0, so no series is formed and the
@@ -1079,3 +1095,39 @@ def test_composing_dense_high_degree_classes_is_fast():
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert len(proc.stdout) == size
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def _readme_commands():
+    """The lines of README's sh blocks, continuations joined, split as sh
+    splits them; comments and blank lines left out."""
+    text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip() and not line.lstrip().startswith("#"):
+                lines.append(shlex.split(line, comments=True))
+    return lines
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    # each comm-lab line exits 0 with one JSON line, or a demo's PASS lines;
+    # an echo line writes the file that a later line reads, in tmp_path
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for argv in _readme_commands():
+        if argv[0] == "echo":
+            assert argv[2] == ">" and len(argv) == 4, argv
+            (tmp_path / argv[3]).write_text(argv[1] + "\n")
+        elif argv[0] == "comm-lab":
+            assert run(argv[1:]) == 0, argv
+            lines = capsys.readouterr().out.splitlines()
+            if argv[1] == "demo":
+                assert lines and all(x.startswith("PASS") for x in lines), argv
+            else:
+                assert len(lines) == 1 and json.loads(lines[0]) is not None, argv
+            ran += 1
+    assert ran >= 13
+    code, out = run_json(capsys, ["lamp", "apply", "--comm",
+                                  '{"level":2,"der":"1+t","A":[["1","0"],["0","1+s"]],"flip":true}',
+                                  "--elem", '{"k":"t^3","n":-6}'])
+    assert (code, out) == (0, {"k": "t^-3+t^-1+1+t+t^2+t^3+t^4+t^5", "n": 6})

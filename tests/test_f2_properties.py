@@ -3,9 +3,9 @@
 ``mask_mod`` and ``mask_gcd`` on both remainder routes, the content fold
 ``mask_content`` and the vector helpers ``masks_scaled`` and
 ``masks_divided``,
-the Laurent ``F2LaurentPoly.divmod``, ``F2LaurentPoly.geometric``,
-``LampElement.__pow__``, the interleave pair and the strands of the
-Kronecker layout, and the span cap of sums and geometric series;
+the Laurent ``F2LaurentPoly.divmod``, ``mask_geometric`` and
+``F2LaurentPoly.geometric`` on both routes, ``LampElement.__pow__``, the
+interleave pair and the strands of the Kronecker layout, and the span cap of sums and geometric series;
 and the ring axioms of ``F2LaurentPoly`` on masks of a few hundred bits,
 and its support on masks on both sides of its sparse-route switch."""
 
@@ -16,17 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commlab import f2poly
 from commlab.f2poly import (
     MAX_SPAN,
     _SHORT,
     _WINDOW,
     F2LaurentPoly,
     _bits_pay,
+    _closed_form_pays,
     _series_pays,
     mask_content,
     mask_deinterleave,
     mask_divmod,
     mask_gcd,
+    mask_geometric,
     mask_interleave,
     mask_mod,
     mask_mul,
@@ -42,6 +45,7 @@ from samplers import (
     deinterleave_by_bits,
     interleave_by_bits,
     k_to_coords,
+    lamp_power_by_inverse,
     residue_coords,
 )
 
@@ -230,10 +234,48 @@ def test_mask_content_stops_reading_once_the_gcd_is_1():
 
 
 @PROPERTY
-@given(st.integers(1, 40), st.integers(0, 80))
-def test_geometric_is_its_defining_sum(step, count):
+@given(st.integers(1, 600), st.data())
+def test_geometric_is_its_defining_sum(step, data):
+    # counts up to 2*10**4 and spans up to 10**6 bits, drawn near the last
+    # count that _closed_form_pays gives the division as often as anywhere,
+    # so the rule picks either route; each route is forced too
+    top = min(2 * 10**4, 10**6 // step)
+    cross = 10**5 // (step * (step + 10))
+    count = data.draw(st.one_of(st.integers(0, top),
+                                st.integers(max(0, cross - 3), min(top, cross + 3))))
     want = F2LaurentPoly(range(0, step * count, step))
     assert F2LaurentPoly.geometric(step, count) == want
+    for closed in (False, True):
+        with mock.patch.object(f2poly, "_closed_form_pays", lambda s, c: closed):
+            assert mask_geometric(step, count) == want.mask
+
+
+def test_the_geometric_rule_takes_each_route():
+    # the division for short series, the doubling for long ones, at the
+    # timed (step, count) of the rule's docstring
+    for step, count in ((1, 10**3), (3, 10**3), (12, 5), (132, 5), (1, 2), (600, 0)):
+        assert _closed_form_pays(step, count), (step, count)
+    for step, count in ((1, 10**5), (2, 10**4), (30, 10**3), (132, 50), (512, 5), (1, 10**4)):
+        assert not _closed_form_pays(step, count), (step, count)
+
+
+@PROPERTY
+@given(st.sets(st.integers(-9, 9)), st.integers(-12, 12), st.integers(-10**3, 10**3))
+def test_lamp_power_is_the_power_of_the_inverse_and_the_sum(k, n, e):
+    g = LampElement(F2LaurentPoly(k), n)
+    assert g**e == lamp_power_by_inverse(g, e)
+
+
+def test_a_power_of_t_forms_no_series():
+    # k = 0: the power is (0, n*e) with no geometric series, whatever e
+    with mock.patch("commlab.lamplighter.mask_geometric", wraps=mask_geometric) as geo:
+        for n in (-3, -1, 1, 2, 7):
+            g = LampElement(F2LaurentPoly.zero(), n)
+            for e in range(-2000, 2001):
+                assert g**e == LampElement(F2LaurentPoly.zero(), n * e)
+        assert geo.call_count == 0
+        LampElement(F2LaurentPoly.one(), 1) ** 5
+        assert geo.call_count == 1
 
 
 @PROPERTY
@@ -295,6 +337,19 @@ def test_strands_split_the_layout(n, a):
         assert mask_deinterleave(s, n)[1:] == [0] * (n - 1)  # bits at multiples of n only
         acc ^= s << i
     assert acc == a
+
+
+def test_geometric_series_past_the_span_cap_are_refused_on_both_routes():
+    # the refusal comes first: either route would ask for 2**(10**20) first
+    for closed in (False, True):
+        with mock.patch.object(f2poly, "_closed_form_pays", lambda s, c: closed):
+            for step, count, hi in ((1, 10**20 + 1, 10**20), (2, 2**25 + 2, 2**26 + 2),
+                                    (600, 10**18, 600 * (10**18 - 1))):
+                with pytest.raises(ResourceLimit) as err:
+                    mask_geometric(step, count)
+                assert str(err.value) == (f"work limit: a polynomial with exponents 0 to {hi} "
+                                          "spans more than 67108864 bits")
+            assert mask_geometric(2, 2**25 + 1).bit_count() == 2**25 + 1
 
 
 def test_sums_and_geometric_series_past_the_span_cap_are_refused():

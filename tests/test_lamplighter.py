@@ -28,6 +28,7 @@ from commlab.lamplighter import (
     VDerElt,
     _apply_lin_to_vder,
     _fold,
+    _least_level,
     comm_apply,
     comm_compose,
     comm_domain,
@@ -49,6 +50,8 @@ from samplers import (
     flip_basis,
     from_entries_by_polys,
     k_to_coords,
+    lamp_power_by_inverse,
+    least_level_by_scan,
     make_by_least_levels,
     random_comm,
     random_element,
@@ -1364,6 +1367,44 @@ def test_eval_at_and_raise_to_are_group_powers():
                     der.eval_at(m + 1)
                 with pytest.raises(NotDivisible):
                     der.raise_to(m + 1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 12), st.sets(st.integers(-20, 20), max_size=8), st.integers(-10**3, 10**3))
+def test_eval_at_is_the_power_of_the_element(m, support, q):
+    # n = q*m of either sign and 0; the oracle forms the power through the
+    # inverse and the defining sum of the series
+    value = P(support)
+    assert VDerElt(m, value).eval_at(q * m) == lamp_power_by_inverse(LampElement(value, m), q).k
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 720), st.data())
+def test_least_level_by_prime_descent_is_the_scan(m, data):
+    # a test that passes on the multiples of a drawn divisor d of m, as the
+    # rotations of a cyclic word and the commuting powers of t do
+    d = data.draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    calls = []
+
+    def passes(e):
+        calls.append(e)
+        return e % d == 0
+
+    assert _least_level(m, passes) == least_level_by_scan(m, passes) == d
+    assert all(m % e == 0 and e < m for e in calls)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(0, 2**32), st.sampled_from([1, 2, 3, 4, 6, 12]), st.integers(1, 5))
+def test_least_levels_of_both_components_are_the_scan(seed, k, j):
+    # the derivation's rotation test and the linear part's commutation test,
+    # on components raised from a lower level
+    rng = random.Random(seed)
+    c = random_comm(rng, max_level=4)
+    lin = c.lin.raise_to(k * c.level)
+    assert lin.least_level() == least_level_by_scan(lin.level, lin.num.commutes_with)
+    der = c.der.raise_to(j * c.level)
+    assert der.least_level() == vder_canonical_by_trial(der).level
 
 
 def _old_flip_coords(xs, m):

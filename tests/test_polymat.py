@@ -185,8 +185,20 @@ def test_the_action_equals_the_per_mask_action(n, k, seed):
     masks = [sum(1 << rng.randrange(12 * n) for _ in range(rng.choice((0, 1, 2, 3 * n, 6 * n))))
              for _ in range(w)]
     base = rng.randrange(-5 * n, 5 * n + 1)
-    got = a._act(masks, base, k)
+    seen = []
+
+    def rule(pop, n, bits):
+        seen.append((pop, bits))
+        return _strands_pay(pop, n, bits)
+
+    with mock.patch.object(polymat, "_strands_pay", rule):
+        got = a._act(masks, base, k)
     assert got == [act_per_mask(a, m << w * j, base) for j in range(k) for m in masks]
+    # each mask takes the route that the set bits of all columns give, which
+    # _act sums only once a mask has more than 2n
+    total = sum(map(int.bit_count, a.cols))
+    assert [_strands_pay(pop, n, bits) for pop, bits in seen] == [
+        _strands_pay(m.bit_count(), n, total) for m in masks]
 
 
 def test_the_action_rule_takes_each_route():
