@@ -848,9 +848,9 @@ def test_fuzzed_lamp_mul_and_apply_print_one_json_line(argv):
 
 @pytest.mark.parametrize("n", [10**8, -10**8])
 def test_a_derivation_value_past_the_span_cap_is_refused_with_its_exponents(capsys, n):
-    # tau(t^n) of the derivation 1 at level 1 is a series of |n| terms, from
-    # t^0 for n > 0 and from t^n shifted up by the inverse for n < 0: either
-    # way the series spans exponents 0 to 10^8 - 1, refused before it is formed
+    # tau(t^n) of the derivation 1 at level 1 is the series G(1, |n|), shifted
+    # to t^n for n < 0: either way G is refused before it is formed or shifted,
+    # with its own exponents 0 to 10^8 - 1
     comm = '{"level":1,"der":"1","A":[["1"]],"flip":false}'
     start = time.perf_counter()
     code = run(["lamp", "apply", "--comm", comm, "--elem", f'{{"k":"0","n":{n}}}'])

@@ -5,9 +5,10 @@
 ``masks_divided``,
 the Laurent ``F2LaurentPoly.divmod``, ``mask_geometric`` and
 ``F2LaurentPoly.geometric`` on both routes, ``LampElement.__pow__``, the
-interleave pair and the strands of the Kronecker layout, and the span cap of sums and geometric series;
-and the ring axioms of ``F2LaurentPoly`` on masks of a few hundred bits,
-and its support on masks on both sides of its sparse-route switch."""
+interleave pair and the strands of the Kronecker layout, and the span cap
+of sums and geometric series; and the ring axioms of ``F2LaurentPoly``
+on masks of a few hundred bits, and its support on masks on both sides of
+its sparse-route switch."""
 
 import random
 from unittest import mock
@@ -251,8 +252,8 @@ def test_geometric_is_its_defining_sum(step, data):
 
 
 def test_the_geometric_rule_takes_each_route():
-    # the division for short series, the doubling for long ones, at the
-    # timed (step, count) of the rule's docstring
+    # the division for short series, the doubling for long ones: the timed
+    # (step, count) of the rule's docstring, and a few ends
     for step, count in ((1, 10**3), (3, 10**3), (12, 5), (132, 5), (1, 2), (600, 0)):
         assert _closed_form_pays(step, count), (step, count)
     for step, count in ((1, 10**5), (2, 10**4), (30, 10**3), (132, 50), (512, 5), (1, 10**4)):
