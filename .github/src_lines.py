@@ -1,5 +1,5 @@
-"""Net lines of src/ between two commits, split into code, docstring,
-comment and blank lines.
+"""Net lines of src/ and of tests/ between two commits, each split into
+code, docstring, comment and blank lines.
 
     python .github/src_lines.py BASE [HEAD]
 
@@ -41,21 +41,22 @@ def split(text: str) -> Counter:
     return Counter(kinds)
 
 
-def count(rev: str) -> Counter:
-    """The kinds of line of every Python file under src/ at rev."""
+def count(rev: str, top: str) -> Counter:
+    """The kinds of line of every Python file under the directory top at rev."""
     total = Counter()
-    for path in git("ls-tree", "-r", "--name-only", rev, "--", "src").split():
+    for path in git("ls-tree", "-r", "--name-only", rev, "--", top).split():
         if path.endswith(".py"):
             total += split(git("show", f"{rev}:{path}"))
     return total
 
 
 def main(base: str, head: str = "HEAD") -> None:
-    old, new = count(base), count(head)
-    for kind in KINDS:
-        print(f"src/ {kind} lines: {old[kind]} -> {new[kind]} ({new[kind] - old[kind]:+d})")
-    total_old, total_new = sum(old.values()), sum(new.values())
-    print(f"src/ lines: {total_old} -> {total_new} ({total_new - total_old:+d})")
+    for top in ("src", "tests"):
+        old, new = count(base, top), count(head, top)
+        for kind in KINDS:
+            print(f"{top}/ {kind} lines: {old[kind]} -> {new[kind]} ({new[kind] - old[kind]:+d})")
+        total_old, total_new = sum(old.values()), sum(new.values())
+        print(f"{top}/ lines: {total_old} -> {total_new} ({total_new - total_old:+d})")
 
 
 if __name__ == "__main__":

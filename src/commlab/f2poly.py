@@ -11,8 +11,14 @@ The mask helpers at the top operate on ordinary polynomials (mask bit 0
 is the constant term) and are shared with the rational-function and
 normal-form layers.  It owns the arithmetic of a vector of masks too:
 ``mask_content``, the one content gcd (a lazy fold that stops once it is
-1), ``masks_scaled``, the one scale, and ``masks_divided``, the one exact
-division.
+1), ``masks_scaled``, the one scale, ``masks_divided``, the one exact
+division, and ``masks_aligned``, the one move of (mask, shift) pairs to a
+common shift, which a linear part's entries and a map's images take.
+
+It owns the span cap too: a polynomial whose exponents would span more
+than MAX_SPAN bits, whether parsed, a sum, a geometric series or the
+images of a map whose masks ``masks_aligned`` moves, raises ResourceLimit
+before its mask is allocated.
 
 The Kronecker layout (x = t**n; von zur Gathen and Gerhard, Modern
 Computer Algebra, 3rd ed., section 8.4) packs n masks into one whose bit
@@ -69,9 +75,9 @@ _BIT_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 # byte i -> 1 if i is nonzero, and the positions of its set bits
 _NONZERO = bytes(min(i, 1) for i in range(256))
 _BITS_OF = tuple(tuple(k for k in range(8) if i >> k & 1) for i in range(256))
-# the widest span, in bits, of a polynomial built from its exponents, as a sum
-# or as a geometric series: parsing "1+t^N" allocates N/8 bytes, so a wider
-# span raises ResourceLimit first
+# the widest span, in bits, of a polynomial built from its exponents, as a sum,
+# as a geometric series or as the images of aligned masks: parsing "1+t^N"
+# allocates N/8 bytes, so a wider span raises ResourceLimit first
 MAX_SPAN = 1 << 26
 # the most terms to_string prints: a term costs about 0.6 us and 110 bytes
 # while the string is built, so more raise ResourceLimit before any is built
@@ -301,6 +307,23 @@ def masks_divided(masks: list, p: int) -> list:
     return [mask_divmod(m, p)[0] if m else 0 for m in masks]
 
 
+def masks_aligned(rows, n: int = 1) -> tuple[list[list[int]], int]:
+    """The rows of (mask, shift) pairs as rows of masks moved to the least
+    shift of a nonzero one, and that shift (0 when every mask is 0).
+
+    The masks are entries in u = t**n of a map whose images in K are built
+    from them, entry (i, j) at u**e going to t**(n*e + i), so the images
+    span n times the entries' span in u, plus n - 1, bits: past MAX_SPAN
+    that raises ResourceLimit before any mask is moved (for n = 1 the pairs
+    are elements of K).  The rows are read as given, with no flat copy."""
+    lo = min((s for row in rows for m, s in row if m), default=0)
+    # one past the highest exponent in u
+    hi = max((s + m.bit_length() for row in rows for m, s in row if m), default=lo)
+    if n * (hi - lo) - 1 > MAX_SPAN:
+        raise _span_limit(n * lo, n * hi - 1)
+    return [[m << s - lo if m else 0 for m, s in row] for row in rows], lo
+
+
 def mask_lcm(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
@@ -424,13 +447,6 @@ class F2LaurentPoly(Value):
     @classmethod
     def t_power(cls, e: int) -> "F2LaurentPoly":
         return cls._raw(1, e)
-
-    @classmethod
-    def geometric(cls, step: int, count: int) -> "F2LaurentPoly":
-        """1 + t**step + t**(2*step) + ... + t**((count-1)*step), count >= 0:
-        the mask of ``mask_geometric``, which raises ResourceLimit, before
-        allocating, when it would span more than MAX_SPAN bits."""
-        return cls._raw(mask_geometric(step, count), 0)
 
     def support(self) -> tuple[int, ...]:
         """The exponents in ascending order.  A mask with fewer than one set

@@ -18,14 +18,14 @@ tracks a transform: a kernel is read off the form of an augmented matrix
   d*e_j for every column j, each entry is kept as its representative
   modulo d, so no entry of the elimination reaches deg d (Domich, Kannan
   and Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138, Algorithm
-  2.4.8).  ``lamplighter.comm_domain`` reads it, for a flipped class on
-  the flip conjugate of its linear part.
+  2.4.8).  ``lamplighter.comm_domain`` reads it, on the entry masks of a
+  linear part as they are (for a flipped class, of its flip conjugate).
 
 ``is_hnf`` and ``solve_membership`` (y*H = v) read F2LaurentPoly rows.
 Every division is f2poly's: the Euclidean steps are ``mask_divmod``,
 the reductions modulo d ``mask_mod``, and ``row_echelon`` reduces above
 a pivot d by ``F2LaurentPoly.divmod(d)``, whose quotient is the row
-multiplier.
+multiplier; it is the one reader of that method in the program.
 """
 
 from __future__ import annotations

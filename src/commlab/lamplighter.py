@@ -53,11 +53,13 @@ from .f2poly import (
     mask_deinterleave,
     mask_divmod,
     mask_geometric,
+    mask_interleave,
     mask_lcm,
     mask_mod,
     mask_mul,
     mask_reverse,
     mask_spread,
+    masks_aligned,
     masks_divided,
     masks_scaled,
 )
@@ -371,9 +373,11 @@ class CommInftyElt(Value):
         shape are checked.  den is the lcm of the entry denominators other
         than 1, the least common one, so (1+s^k)/(1+s^k) stays 1 and not a
         dense quotient of it.  Each numerator, times den/d where its d is
-        not den, is shifted to the least power of s of any entry: one
-        matrix of poly masks, whose columns interleave into num and whose
-        elimination tests det = 0 (a common power of s changes neither)."""
+        not den, is moved to the least power of s of any entry by
+        ``masks_aligned``, which refuses a linear part whose images would
+        pass the span cap: one matrix of poly masks, whose columns
+        interleave into num and whose elimination tests det = 0 (a common
+        power of s changes neither)."""
         rows = [[ratfun.parse(x) for x in row] for row in entries]
         if level < 1:
             raise ExponentMismatch(f"commensuration level must be >= 1, got {level}")
@@ -390,9 +394,9 @@ class CommInftyElt(Value):
             for _, d, _ in row:
                 if d != 1:
                     den = mask_lcm(den, d)
-        base = min((shift for row in rows for n, _, shift in row if n), default=0)
-        masks = [[(n if d == den else mask_mul(n, mask_divmod(den, d)[0])) << shift - base
-                  if n else 0 for n, d, shift in row] for row in rows]
+        pairs = [[(n if d == den else mask_mul(n, mask_divmod(den, d)[0]), shift) if n else (0, 0)
+                  for n, d, shift in row] for row in rows]
+        masks, base = masks_aligned(pairs, level)
         num = PolyMat.from_masks(level, masks, base)
         if not gauss_jordan(masks, level):
             raise SingularMatrix("commensuration matrix must be invertible")
@@ -402,9 +406,6 @@ class CommInftyElt(Value):
         """The entries of the matrix num / den, as strings in var."""
         masks, shift = self.num.entry_masks()
         return [[ratfun.to_string(mask, self.den, shift, var) for mask in row] for row in masks]
-
-    def den_poly(self) -> F2LaurentPoly:
-        return F2LaurentPoly._raw(self.den, 0)
 
     def raise_to(self, n: int) -> "CommInftyElt":
         """The same map at level n, a multiple of the level: the numerator
@@ -499,9 +500,14 @@ class CommInftyElt(Value):
 
     def apply(self, k: F2LaurentPoly):
         """Image of a K element, num(k) / den(t**level), or None when it is
-        outside the domain: when den(t**level) does not divide num(k)."""
+        outside the domain: when den(t**level) does not divide num(k).  One
+        division of the image's mask, as den(t**level) is a poly mask with
+        nonzero constant term."""
         y = self.num.apply(k)
-        return y if self.den == 1 else y.exact_div(self.den_poly().spread(self.level))
+        if self.den == 1:
+            return y
+        q, r = mask_divmod(y.mask, mask_spread(self.den, self.level))
+        return None if r else F2LaurentPoly._raw(q, y.shift)
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +557,11 @@ class SubmoduleBasis(Value):
 
     def generators_as_k(self) -> list[F2LaurentPoly]:
         """The rows as elements of K: the images of 1, t, ..., t**(m-1)
-        under the map whose matrix has the rows as its columns."""
-        return PolyMat.from_entries(self.level, list(zip(*self.rows))).images()
+        under the map whose matrix has the rows as its columns, each the
+        interleave of its row.  The Hermite form has no entry below s**0,
+        so the rows need no alignment."""
+        return [F2LaurentPoly._raw(mask_interleave([x.mask << x.shift for x in row], self.level), 0)
+                for row in self.rows]
 
     def to_json(self):
         return {
@@ -732,6 +741,12 @@ def comm_domain(c: LampComm):
     Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138,
     Algorithm 2.4.8).  For den = 1, D is K, with no elimination at all.
 
+    num is s**shift times its entry masks, and s**shift is a unit of
+    F2[s, 1/s]: the automorphism (x | y) -> (s**-shift * x | y) of F^(2L)
+    maps den*F^(2L) onto itself, M onto the module of the masks, and fixes
+    every (0 | y), so it leaves D as it is.  So the masks enter ``hnf_mod``
+    as they are, and it reduces them modulo den.
+
     A flipped class applies lin after the flip F, an involution that maps
     K onto K, so lin(F k) lies in K exactly when F(lin(F k)) does: its
     domain is that of the flip conjugate F*lin*F, read off the same way.
@@ -740,12 +755,9 @@ def comm_domain(c: LampComm):
     if c.lin.den == 1:  # num maps K into K, and F(K) = K
         return SubmoduleBasis.full(level), level
     lin = c.lin.flip_conj() if c.flip else c.lin
-    den = lin.den
-    masks, shift = lin.num.entry_masks()
-    # each entry u**shift * m enters as its residue modulo den, by one divmod
-    rows = [[F2LaurentPoly._raw(masks[r][i], shift).divmod(den)[1] if masks[r][i] else 0
-             for r in range(level)] + [int(r == i) for r in range(level)] for i in range(level)]
-    H = hnf.hnf_mod(rows, 2 * level, den)[level:]
+    masks = lin.num.entry_masks()[0]
+    rows = [list(col) + [int(r == i) for r in range(level)] for i, col in enumerate(zip(*masks))]
+    H = hnf.hnf_mod(rows, 2 * level, lin.den)[level:]
     return SubmoduleBasis(level, [[F2LaurentPoly._raw(x, 0) for x in r[level:]] for r in H]), level
 
 

@@ -20,8 +20,9 @@ the masks, and ``gauss_jordan`` is the one elimination over F2[u], so no
 matrix over F2(u) is ever formed.  It peels column singletons before it
 eliminates, so a row-permuted triangular matrix, the shape of the
 lamplighter linear parts and of their flip conjugates, costs one
-back-substitution.  The gcd, scale and exact division of a vector of
-masks that it and the scalar methods use are ``f2poly``'s.
+back-substitution.  The gcd, scale, exact division and alignment to a
+common shift of a vector of masks that it and the scalar methods use are
+``f2poly``'s, and so is the span cap on the images.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .f2poly import (
     mask_reverse,
     mask_spread,
     mask_strands,
+    masks_aligned,
     masks_divided,
     masks_scaled,
 )
@@ -197,27 +199,17 @@ class PolyMat(Value):
 
     @classmethod
     def from_images(cls, n: int, ks) -> "PolyMat":
-        """The map sending t**j to ks[j], an F2LaurentPoly, for j < n."""
-        base = min((k.shift for k in ks if k), default=0)
-        return cls(n, (k.mask << (k.shift - base) if k else 0 for k in ks), base)
-
-    @classmethod
-    def from_entries(cls, n: int, entries) -> "PolyMat":
-        """Build from an n x n array of F2LaurentPoly in u: image j is the
-        sum over i of entry (i, j) at u = t**n, times t**i."""
-        base = min((x.shift for row in entries for x in row if x), default=0)
-        return cls.from_masks(n, [[x.mask << x.shift - base if x else 0 for x in row]
-                                  for row in entries], base)
+        """The map sending t**j to ks[j], an F2LaurentPoly, for j < n; the
+        images are aligned by ``masks_aligned``, which refuses a span past
+        the cap."""
+        (cols,), base = masks_aligned([[(k.mask, k.shift) for k in ks]])
+        return cls(n, cols, base)
 
     @classmethod
     def from_masks(cls, n: int, rows, shift: int) -> "PolyMat":
         """Inverse of entry_masks: entry (i, j) is u**shift times the
         polynomial whose mask is rows[i][j]."""
         return cls(n, (mask_interleave(col, n) for col in zip(*rows)), n * shift)
-
-    def images(self) -> list[F2LaurentPoly]:
-        """The images of 1, t, ..., t**(n-1)."""
-        return [F2LaurentPoly._raw(c, self.shift) for c in self.cols]
 
     def _act(self, masks, base: int, k: int = 1) -> list[int]:
         """The images of t**base times each mask of masks, and of the same

@@ -11,7 +11,9 @@ itself computes in no field F2(t), which is only the text format of an
 entry (``commlab.ratfun``), and ``F2RatFun`` reads and writes that text
 through it.  ``k_to_coords`` and ``coords_to_k`` give the coordinates of
 K at a level through the ``f2poly`` interleave pair, and
-``residue_coords`` is their oracle; ``interleave_by_bits`` and
+``residue_coords`` is their oracle; ``polymat_from_entries`` builds a
+``PolyMat`` from an n x n array of entries in u, one ``coords_to_k`` per
+column; ``interleave_by_bits`` and
 ``deinterleave_by_bits`` are the oracles of that pair, one digit at a
 time.  ``act_per_mask`` maps one mask through a ``PolyMat`` with a call
 of its own, by the route that ``_strands_pay`` picks for it, the oracle of
@@ -60,6 +62,7 @@ from commlab.f2poly import (
     mask_deinterleave,
     mask_divmod,
     mask_gcd,
+    mask_geometric,
     mask_interleave,
     mask_lcm,
     mask_mul,
@@ -107,6 +110,12 @@ def coords_to_k(xs, m: int) -> F2LaurentPoly:
     lo = min((x.shift for x in xs if x), default=0)
     masks = [x.mask << x.shift - lo if x else 0 for x in xs]
     return F2LaurentPoly._raw(mask_interleave(masks, m), m * lo)
+
+
+def polymat_from_entries(n: int, entries) -> PolyMat:
+    """The map whose matrix over F2[u, 1/u], u = t**n, is the n x n array
+    of F2LaurentPoly entries: image j has column j as its coordinates."""
+    return PolyMat.from_images(n, [coords_to_k(col, n) for col in zip(*entries)])
 
 
 def interleave_by_bits(masks, n: int) -> int:
@@ -196,7 +205,7 @@ def vder_canonical_by_trial(v: VDerElt) -> VDerElt:
     m = v.level
     for d in range(1, m + 1):
         if m % d == 0:
-            lowered = v.value.exact_div(F2LaurentPoly.geometric(d, m // d))
+            lowered = v.value.exact_div(F2LaurentPoly._raw(mask_geometric(d, m // d), 0))
             if lowered is not None:
                 return VDerElt(d, lowered)
 
@@ -334,7 +343,7 @@ def comm_domain_by_kernel(c: LampComm):
     masks, shift = c.lin.num.entry_masks()
     stacked = [[F2LaurentPoly._raw(masks[r][i], shift) for r in range(level)]
                for i in range(level)]
-    stacked += [[c.lin.den_poly() if r == i else _ZERO for r in range(level)]
+    stacked += [[F2LaurentPoly._raw(c.lin.den, 0) if r == i else _ZERO for r in range(level)]
                 for i in range(level)]
     basis = SubmoduleBasis.from_generators(level, [y[:level] for y in left_kernel(stacked)])
     return (flip_basis(basis) if c.flip else basis), level
@@ -344,7 +353,7 @@ def from_entries_by_polys(level: int, entries) -> CommInftyElt:
     """``CommInftyElt.from_entries`` by the route that reads each entry into
     a pair of F2LaurentPoly as written: one gcd per entry, the lcm of every
     denominator, the numerators as F2LaurentPoly into
-    ``PolyMat.from_entries``, and the elimination of its ``entry_masks``.
+    ``polymat_from_entries``, and the elimination of its ``entry_masks``.
     The same checks in the same order, with the same errors."""
     def parse(text):
         if not isinstance(text, str):
@@ -373,7 +382,7 @@ def from_entries_by_polys(level: int, entries) -> CommInftyElt:
     for row in rows:
         for _, d, _ in row:
             den = mask_lcm(den, d)
-    num = PolyMat.from_entries(level, [
+    num = polymat_from_entries(level, [
         [F2LaurentPoly._raw(mask_mul(n, mask_divmod(den, d)[0]), shift) for n, d, shift in row]
         for row in rows
     ])

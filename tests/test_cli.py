@@ -552,6 +552,37 @@ def test_an_exponent_past_the_span_cap_is_a_resource_limit(capsys):
     assert time.perf_counter() - start < 1
 
 
+def _span_refusal(lo, hi):
+    return json.dumps({"error": "ResourceLimit", "detail": (
+        f"work limit: a polynomial with exponents {lo} to {hi} spans more than 67108864 bits")})
+
+
+def test_images_past_the_span_cap_are_a_resource_limit(capsys):
+    # each entry parses as one term, but at level 2 the images of this 83-byte
+    # class span 4*10^9 + 1 bits in t: f2poly.masks_aligned refuses them before
+    # any mask is moved, where moving them took about 1.8 GB
+    comm = '{"level":2,"der":"0","A":[["s^1000000000","0"],["0","s^-1000000000"]],"flip":false}'
+    for leaf in ("invert", "domain"):
+        start = time.perf_counter()
+        code = run(["lamp", leaf, "--comm", comm])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, ""), leaf
+        assert captured.out == _span_refusal(-2 * 10**9, 2 * 10**9 + 1) + "\n", leaf
+        assert time.perf_counter() - start < 0.5, leaf
+    # from-partial aligns the generator images, t^(10^9) and t^(-10^9), the same way
+    data = {"level": 2, "H": [["1", "0"], ["0", "1"]],
+            "gen_images": [{"k": "t^1000000000", "n": 0}, {"k": "t^-1000000000", "n": 0}],
+            "t_image": {"k": "0", "n": 2}}
+    start = time.perf_counter()
+    code = run(["lamp", "from-partial", "--data", json.dumps(data)])
+    assert (code, capsys.readouterr().out) == (1, _span_refusal(-10**9, 10**9) + "\n")
+    assert time.perf_counter() - start < 0.5
+    # a level-1 entry that spans 2^26 bits is inside the cap and answers
+    code, out = run_json(
+        capsys, ["lamp", "invert", "--comm", '{"level":1,"der":"0","A":[["1+s^67108864"]],"flip":false}'])
+    assert (code, out) == (0, {"A": [["(1)/(1+s^67108864)"]], "der": "0", "flip": False, "level": 1})
+
+
 def test_a_polynomial_past_the_print_limit_is_a_resource_limit(capsys):
     # tau(t^n) of the derivation 1 at level 1 has n terms; printing one
     # costs about 0.6 us and 110 bytes, so f2poly.MAX_PRINT_TERMS stops

@@ -3,10 +3,10 @@
 ``mask_mod`` and ``mask_gcd`` on both remainder routes, the content fold
 ``mask_content`` and the vector helpers ``masks_scaled`` and
 ``masks_divided``,
-the Laurent ``F2LaurentPoly.divmod``, ``mask_geometric`` and
-``F2LaurentPoly.geometric`` on both routes, ``LampElement.__pow__``, the
-interleave pair and the strands of the Kronecker layout, and the span cap
-of sums and geometric series; and the ring axioms of ``F2LaurentPoly``
+the Laurent ``F2LaurentPoly.divmod``, ``mask_geometric`` on both routes,
+``LampElement.__pow__``, the interleave pair and the strands of the
+Kronecker layout, and the span cap of sums, geometric series and aligned
+masks (``masks_aligned``); and the ring axioms of ``F2LaurentPoly``
 on masks of a few hundred bits, and its support on masks on both sides of
 its sparse-route switch."""
 
@@ -36,6 +36,7 @@ from commlab.f2poly import (
     mask_mul,
     mask_spread,
     mask_strands,
+    masks_aligned,
     masks_divided,
     masks_scaled,
 )
@@ -245,7 +246,7 @@ def test_geometric_is_its_defining_sum(step, data):
     count = data.draw(st.one_of(st.integers(0, top),
                                 st.integers(max(0, cross - 3), min(top, cross + 3))))
     want = F2LaurentPoly(range(0, step * count, step))
-    assert F2LaurentPoly.geometric(step, count) == want
+    assert mask_geometric(step, count) == want.mask
     for closed in (False, True):
         with mock.patch.object(f2poly, "_closed_form_pays", lambda s, c: closed):
             assert mask_geometric(step, count) == want.mask
@@ -354,13 +355,34 @@ def test_sums_and_geometric_series_past_the_span_cap_are_refused():
             for step, count, hi in ((1, 10**20 + 1, 10**20), (2, 2**25 + 2, 2**26 + 2),
                                     (600, 10**18, 600 * (10**18 - 1))):
                 with pytest.raises(ResourceLimit) as err:
-                    F2LaurentPoly.geometric(step, count)
+                    mask_geometric(step, count)
                 assert str(err.value) == (f"work limit: a polynomial with exponents 0 to {hi} "
                                           "spans more than 67108864 bits")
-            assert len(F2LaurentPoly.geometric(2, 2**25 + 1)) == 2**25 + 1
+            assert mask_geometric(2, 2**25 + 1).bit_count() == 2**25 + 1
     # up to the cap they are formed
     assert len(one + F2LaurentPoly.t_power(MAX_SPAN)) == 2
     assert len(F2LaurentPoly([3, 4]) + F2LaurentPoly([3, MAX_SPAN])) == 2
+
+
+def test_aligned_masks_past_the_span_cap_are_refused():
+    # at u = t**n the images span n times the entries' span plus n - 1 bits;
+    # a shift of 10**20 shows that the check comes before any mask is moved
+    for n, rows, lo, hi in (
+            (1, [[(1, 0), (1, MAX_SPAN + 1)]], 0, MAX_SPAN + 1),
+            (1, [[(0b11, -10**20)], [(1, 10**20)]], -10**20, 10**20),
+            (2, [[(1, 0), (0, 0)], [(0, 0), (1, 2**25)]], 0, 2**26 + 1),
+            (2, [[(1 << 2**25 | 1, 0)]], 0, 2**26 + 1),
+            (2, [[(1, 10**9), (0, 5)], [(0, 0), (1, -10**9)]], -2 * 10**9, 2 * 10**9 + 1)):
+        with pytest.raises(ResourceLimit) as err:
+            masks_aligned(rows, n)
+        assert str(err.value) == (f"work limit: a polynomial with exponents {lo} to {hi} "
+                                  "spans more than 67108864 bits")
+    # up to the cap the masks are moved to the least shift of a nonzero one
+    assert masks_aligned([[(1, 0), (0, -9), (1, MAX_SPAN)]]) == ([[1, 0, 1 << MAX_SPAN]], 0)
+    assert masks_aligned([[(0b101, 4), (0, 0)], [(0, 0), (1, 2)]], 12) == (
+        [[0b10100, 0], [0, 1]], 2)
+    assert masks_aligned([[(1, 0), (0, 0)], [(0, 0), (1, 2**25 - 1)]], 2)[1] == 0
+    assert masks_aligned([[(0, 3)], [(0, -1)]], 4) == ([[0], [0]], 0)
 
 
 def test_the_conversion_rule_takes_each_route():

@@ -5,7 +5,7 @@ import pytest
 from commlab import f2poly
 from commlab.errors import ResourceLimit
 from commlab.f2poly import F2LaurentPoly as P
-from commlab.f2poly import mask_divmod, mask_gcd, mask_mul
+from commlab.f2poly import mask_divmod, mask_gcd, mask_geometric, mask_mul
 
 
 def naive_mul(a, b):
@@ -113,8 +113,8 @@ def test_exact_div():
 
 
 def test_geometric():
-    assert P.geometric(2, 3) == P([0, 2, 4])
-    assert P.geometric(1, 1) == P([0])
+    assert mask_geometric(2, 3) == P([0, 2, 4]).mask
+    assert mask_geometric(1, 1) == P([0]).mask
 
 
 def test_mask_helpers():

@@ -19,7 +19,7 @@ from commlab.errors import (
     SingularMatrix,
 )
 from commlab.f2poly import F2LaurentPoly as P
-from commlab.f2poly import mask_divmod, mask_gcd, mask_lcm, mask_mod, mask_mul
+from commlab.f2poly import mask_divmod, mask_gcd, mask_geometric, mask_lcm, mask_mod, mask_mul
 from commlab.lamplighter import (
     CommInftyElt,
     LampComm,
@@ -37,7 +37,6 @@ from commlab.lamplighter import (
     diagonal_embed,
     quotient_dim,
 )
-from commlab.polymat import PolyMat
 from samplers import (
     F2RatFun as R,
     MatF2Rat,
@@ -53,6 +52,7 @@ from samplers import (
     lamp_power_by_inverse,
     least_level_by_scan,
     make_by_least_levels,
+    polymat_from_entries,
     random_comm,
     random_element,
     random_submodule,
@@ -385,7 +385,7 @@ def _lowest_terms_by_entries(num, den):
     gp = P._raw(g, 0)
     masks, shift = num.entry_masks()
     ents = [[P._raw(m, shift).exact_div(gp) for m in row] for row in masks]
-    return PolyMat.from_entries(num.n, ents), mask_divmod(den, g)[0]
+    return polymat_from_entries(num.n, ents), mask_divmod(den, g)[0]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -561,7 +561,7 @@ def _built_or_raised(build, level, rows):
 @given(written_matrices())
 def test_entries_read_as_masks_agree_with_the_polynomial_route(case):
     # the oracle reads each entry into a pair of F2LaurentPoly as written,
-    # then gcd, lcm, PolyMat.from_entries and the elimination of entry_masks
+    # then gcd, lcm, polymat_from_entries and the elimination of entry_masks
     level, rows = case
     got = _built_or_raised(CommInftyElt.from_entries, level, rows)
     assert got == _built_or_raised(from_entries_by_polys, level, rows), case
@@ -659,7 +659,7 @@ def test_vder_canonical_is_gcd_closed():
         for d in range(1, n + 1):
             if n % d:
                 continue
-            mult = P.geometric(d, n // d)
+            mult = P._raw(mask_geometric(d, n // d), 0)
             if v.value.exact_div(mult) is not None:
                 good.append(d)
         for d1 in good:
@@ -1340,42 +1340,21 @@ def test_submodule_json_round_trip():
 # --------------------- one home per formula on K, against the code it replaced
 
 
-def _old_eval_at(m, value, n):
-    """Oracle: tau(t**n) by the closed geometric formula."""
-    q = n // m
-    if q == 0:
-        return P.zero()
-    if q > 0:
-        return P.geometric(m, q) * value
-    return (P.geometric(m, -q) * value).shifted(n)
-
-
-def test_eval_at_and_raise_to_are_group_powers():
-    rng = random.Random(70)
-    for _ in range(40):
-        value = P([e for e in range(-6, 7) if rng.random() < 0.3])
-        for m in range(1, 9):
-            der = VDerElt(m, value)
-            for q in range(-6, 7):
-                assert der.eval_at(q * m) == _old_eval_at(m, value, q * m), (m, q)
-                if q > 0:
-                    assert der.raise_to(q * m) == VDerElt(
-                        q * m, P.geometric(m, q) * value
-                    )
-            if m > 1:
-                with pytest.raises(NotDivisible):
-                    der.eval_at(m + 1)
-                with pytest.raises(NotDivisible):
-                    der.raise_to(m + 1)
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.integers(1, 12), st.sets(st.integers(-20, 20), max_size=8), st.integers(-10**3, 10**3))
 def test_eval_at_is_the_power_of_the_element(m, support, q):
     # n = q*m of either sign and 0; the oracle forms the power through the
     # inverse and the defining sum of the series
     value = P(support)
-    assert VDerElt(m, value).eval_at(q * m) == lamp_power_by_inverse(LampElement(value, m), q).k
+    der = VDerElt(m, value)
+    assert der.eval_at(q * m) == lamp_power_by_inverse(LampElement(value, m), q).k
+    if q > 0:  # raising multiplies by the series G(m, q)
+        assert der.raise_to(q * m) == VDerElt(q * m, P._raw(mask_geometric(m, q), 0) * value)
+    if m > 1:
+        with pytest.raises(NotDivisible):
+            der.eval_at(m + 1)
+        with pytest.raises(NotDivisible):
+            der.raise_to(m + 1)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -1446,9 +1425,9 @@ def _old_apply_lin_to_vder(lin, value):
         if y:
             dreq = mask_lcm(dreq, mask_divmod(lin.den, mask_gcd(lin.den, y.mask))[0])
     j = 1
-    while mask_divmod(P.geometric(1, j).mask, dreq)[1]:
+    while mask_divmod(mask_geometric(1, j), dreq)[1]:
         j += 1
-    mult, dp = P.geometric(1, j), lin.den_poly()
+    mult, dp = P._raw(mask_geometric(1, j), 0), P._raw(lin.den, 0)
     return j, coords_to_k([(mult * y).exact_div(dp) for y in ys], m)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from commlab import polymat
 from commlab.f2poly import F2LaurentPoly, _strands_pay, mask_gcd, mask_mul
 from commlab.polymat import PolyMat, gauss_jordan
-from samplers import F2RatFun, MatF2Rat, act_per_mask
+from samplers import F2RatFun, MatF2Rat, act_per_mask, polymat_from_entries
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -22,7 +22,7 @@ ZERO = F2LaurentPoly.zero()
 def drawn(draw, n=None):
     """(A, entries): n x n (n = 1..6 unless given) entries drawn as 0 to 6
     coefficient matrices of row masks at a shift in [-3, 3], and A built
-    from them by from_entries."""
+    from them by ``polymat_from_entries``."""
     if n is None:
         n = draw(st.integers(1, 6))
     rows = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
@@ -32,7 +32,7 @@ def drawn(draw, n=None):
         [F2LaurentPoly([shift + e for e, c in enumerate(coeffs) if c[i] >> j & 1]) for j in range(n)]
         for i in range(n)
     ]
-    return PolyMat.from_entries(n, entries), entries
+    return polymat_from_entries(n, entries), entries
 
 
 same_size_pairs = st.integers(1, 6).flatmap(lambda n: st.tuples(drawn(n), drawn(n)))
@@ -57,7 +57,7 @@ def _shift_entries(n, d):
 
 
 def _shift_matrix(n, d):
-    return PolyMat.from_entries(n, _shift_entries(n, d))
+    return polymat_from_entries(n, _shift_entries(n, d))
 
 
 def _product(ea, eb):
@@ -117,7 +117,7 @@ def test_product_is_the_entrywise_product(pair, r):
 def test_from_entries_rebuilds_the_matrix(case):
     # the zero matrix too: all-zero entries give the zero map
     a, _ = case
-    assert PolyMat.from_entries(a.n, _entries(a)) == a
+    assert polymat_from_entries(a.n, _entries(a)) == a
     # from_masks inverts entry_masks, and a common power of u moves into the
     # shift whether it sits in the masks or in the shift argument
     masks, shift = a.entry_masks()
@@ -313,7 +313,7 @@ def content_case(draw):
     if n > 1 and draw(st.booleans()):
         i, j = draw(st.integers(0, n - 2)), draw(st.integers(0, n - 1))
         entries[i][j] = F2LaurentPoly.t_power(draw(st.integers(-3, 3)))
-    return PolyMat.from_entries(n, entries), g
+    return polymat_from_entries(n, entries), g
 
 
 @PROPERTY
@@ -330,10 +330,10 @@ def test_content_mask_is_the_gcd_with_every_entry(case):
 
 
 def test_the_zero_map():
-    zero = PolyMat.from_entries(2, [[ZERO] * 2 for _ in range(2)])
+    zero = polymat_from_entries(2, [[ZERO] * 2 for _ in range(2)])
     ident = PolyMat.identity(2)
     raised = zero.raised(2)
-    assert raised == PolyMat.from_entries(4, [[ZERO] * 4 for _ in range(4)])
+    assert raised == polymat_from_entries(4, [[ZERO] * 4 for _ in range(4)])
     assert raised.lowered(2) == zero
     assert zero.flip() == zero
     assert zero * ident == zero and ident * zero == zero
