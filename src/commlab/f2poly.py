@@ -10,10 +10,13 @@ operations at machine speed; the public interface speaks exponent sets.
 The mask helpers at the top operate on ordinary polynomials (mask bit 0
 is the constant term) and are shared with the rational-function and
 normal-form layers.  It owns the arithmetic of a vector of masks too:
-``mask_content``, the one content gcd (a lazy fold that stops once it is
-1), ``masks_scaled``, the one scale, ``masks_divided``, the one exact
-division, and ``masks_aligned``, the one move of (mask, shift) pairs to a
-common shift, which a linear part's entries and a map's images take.
+``mask_content``, the one content gcd, of a mask g and the entries of
+masks in the Kronecker layout below (one remainder per mask modulo g
+spread to that layout, and a lazy fold over its strands that stops once
+the gcd is 1), ``masks_scaled``, the one scale, ``masks_divided``, the
+one exact division, and ``masks_aligned``, the one move of (mask, shift)
+pairs to a common shift, which a linear part's entries and a map's
+images take.
 
 It owns the span cap too: a polynomial whose exponents would span more
 than MAX_SPAN bits, whether parsed, a sum, a geometric series or the
@@ -33,14 +36,18 @@ route is worse than linear in the length.  ``mask_strands`` splits a
 layout into its n strands, each left in place, with one comb of the bits
 at the multiples of n; ``_strands_pay`` is the cost rule by which
 ``PolyMat._act`` maps a mask through them, one carry-less product per
-strand, instead of one shift-xor per set bit.
+strand, instead of one shift-xor per set bit.  Division by g(x**n) acts
+on each strand alone, so ``mask_content`` reduces a whole layout modulo
+``mask_spread(g, n)`` and de-interleaves only the remainder, whose strands
+are shorter than g.
 
-This is the only module that divides.  ``mask_mod`` and ``mask_gcd``
-need only remainders: a quotient of at most _SHORT bits is left unformed,
-each step xoring b into the dividend, and a longer one goes to
-``mask_divmod``, the only long division.  ``mask_divmod`` picks one of two
-routes by cost.  The schoolbook loop spends one xor per quotient bit.  The
-series route uses b(x)**2 = b(x**2) over F2:
+This is the only module that divides.  ``mask_mod``, ``mask_gcd`` (Euclid
+in one loop) and ``mask_content`` need only remainders: a quotient of at
+most _SHORT bits is left unformed, each step xoring b into the dividend in
+place, and a longer one goes to ``mask_divmod``, the only long division.
+``mask_divmod`` picks one of two routes by cost.  The schoolbook loop
+spends one xor per quotient bit.  The series route uses b(x)**2 = b(x**2)
+over F2:
 for b(0) = 1, 1/b = b(x) * b(x**2) * b(x**4) * ... mod x**n, so n
 quotient bits cost about popcount(b) * log2(n) big-int shift-xors (von zur
 Gathen and Gerhard, Modern Computer Algebra, 3rd ed., section 9.1).  With
@@ -274,23 +281,46 @@ def mask_mod(a: int, b: int) -> int:
 
 
 def mask_gcd(a: int, b: int) -> int:
-    """gcd of two poly masks by Euclid's algorithm on ``mask_mod``'s
-    remainders, so no quotient is formed."""
+    """gcd of two poly masks by Euclid's algorithm in one loop: each
+    remainder is taken in place, b xored into the dividend once per
+    quotient bit, with no quotient formed, while the quotient has at most
+    _SHORT bits; a longer one goes to ``mask_divmod``."""
     while b:
-        a, b = b, mask_mod(a, b)
+        db = b.bit_length() - 1
+        k = a.bit_length() - 1 - db
+        if k >= _SHORT:
+            a = mask_divmod(a, b)[1]
+        else:
+            while k >= 0:
+                a ^= b << k
+                k = a.bit_length() - 1 - db
+        a, b = b, a
     return a
 
 
-def mask_content(g: int, masks) -> int:
-    """gcd of the poly mask g and every mask of the iterable masks, read
-    lazily: once the gcd is 1 no mask can change it, so it returns without
-    reading another (at once for g = 1).  A zero mask leaves it as it is."""
-    if g != 1:
-        for m in masks:
-            if m:
-                g = mask_gcd(g, m)
-                if g == 1:
-                    break
+def mask_content(g: int, masks, n: int) -> int:
+    """gcd of the nonzero poly mask g and every entry of the masks of the
+    iterable masks, each read as the Kronecker layout of n entries (n = 1:
+    each mask is one entry).
+
+    Division by g(x**n) acts on each strand of a layout alone, so one
+    remainder of a mask modulo g(x**n) has as strands its entries mod g,
+    each shorter than g, and gcds are taken only on the strands of a
+    nonzero remainder; g(x**n) is spread again whenever g shrinks.  The
+    masks are read lazily: once the gcd is 1 no entry can change it, so it
+    returns without reading another (at once for g = 1)."""
+    if g == 1:
+        return 1
+    spread = mask_spread(g, n)
+    for m in masks:
+        r = mask_mod(m, spread) if m else 0
+        if r:  # a nonzero strand is shorter than g, so g shrinks
+            for s in mask_deinterleave(r, n):
+                if s:
+                    g = mask_gcd(g, s)
+                    if g == 1:
+                        return 1
+            spread = mask_spread(g, n)
     return g
 
 

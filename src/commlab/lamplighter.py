@@ -50,7 +50,6 @@ from .f2poly import (
     F2LaurentPoly,
     mask_content,
     mask_deg,
-    mask_deinterleave,
     mask_divmod,
     mask_geometric,
     mask_interleave,
@@ -318,6 +317,9 @@ class CommInftyElt(Value):
     def __init__(self, level: int, num: PolyMat, den: int = 1):
         """num is the nonzero numerator of an invertible matrix and den
         has nonzero constant term; their common factor is divided out.
+        It is the gcd of den and the entries of num, which
+        ``PolyMat.content_mask`` takes by one remainder of each column
+        modulo den(s), reading no column entry by entry.
 
         This is the reducing constructor, for num / den that may share a
         factor: compose and the lowering of at_level build through it.
@@ -474,10 +476,11 @@ class CommInftyElt(Value):
 
         It is reduced on the entry masks that ``gauss_jordan`` leaves:
         they are multiplied by den, and their gcd g with det N / u**v
-        (an odd mask, so powers of u do not change it) is taken, stopping
-        once it is 1.  For g > 1 the entries and det N / u**v are divided
-        by g.  The quotient is then in lowest terms, so the entries are
-        interleaved once, into a numerator built through _coprime."""
+        (an odd mask, so powers of u do not change it) is taken, one entry
+        per mask (``mask_content`` at n = 1), stopping once it is 1.  For
+        g > 1 the entries and det N / u**v are divided by g.  The quotient
+        is then in lowest terms, so the entries are interleaved once, into
+        a numerator built through _coprime."""
         n = self.level
         masks, shift = self.num.entry_masks()
         rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(masks)]
@@ -486,7 +489,7 @@ class CommInftyElt(Value):
         det >>= v
         den = self.den
         adj = [masks_scaled(row[n:], den) for row in rows]
-        g = mask_content(det, (x for row in adj for x in row))
+        g = mask_content(det, (x for row in adj for x in row), 1)
         if g > 1:
             det = mask_divmod(det, g)[0]
             adj = [masks_divided(row, g) for row in adj]
@@ -646,18 +649,20 @@ def _apply_lin_to_vder(level: int, num: PolyMat, den: int, value: F2LaurentPoly,
 
     With den = 1 the image num(value) is in K, so the answer is (1, that
     image) with no gcd.  Otherwise den requires the factor den / g of R_j,
-    g the gcd of den and the coordinates of the image at the level, and
-    ``mask_content`` stops once g is 1.  compose passes its first factor's
-    numerator at that factor's own level, so a derivation value much denser
-    than it takes ``PolyMat._act``'s strand route, at most one
-    product per column of that level.
+    g the gcd of den and the coordinates of the image at the level: the
+    image's mask is the Kronecker layout of those coordinates, so
+    ``mask_content`` takes one remainder of it modulo den(s), and reads the
+    coordinates of that remainder only, until g is 1.  compose passes its
+    first factor's numerator at that factor's own level, so a derivation
+    value much denser than it takes ``PolyMat._act``'s strand route, at
+    most one product per column of that level.
     """
     y = num.apply(value)
     if den == 1:
         return 1, y
     # y is t**y.shift times y.mask, and a power of t permutes the coordinates up
     # to powers of s, which are prime to the odd den: so read those of y.mask
-    g = mask_content(den, mask_deinterleave(y.mask, level))
+    g = mask_content(den, (y.mask,), level)
     dreq = mask_divmod(den, g)[0]  # den divides R_j * y iff dreq | R_j
     j = 1
     r = mask_mod(1, dreq)

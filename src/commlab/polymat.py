@@ -22,7 +22,9 @@ eliminates, so a row-permuted triangular matrix, the shape of the
 lamplighter linear parts and of their flip conjugates, costs one
 back-substitution.  The gcd, scale, exact division and alignment to a
 common shift of a vector of masks that it and the scalar methods use are
-``f2poly``'s, and so is the span cap on the images.
+``f2poly``'s, and so is the span cap on the images: ``content_mask`` hands
+``f2poly.mask_content`` the columns as layouts, so no column is split
+into its entries to take a gcd.
 """
 
 from __future__ import annotations
@@ -287,21 +289,24 @@ class PolyMat(Value):
         """Exact quotient by the scalar polynomial in u given as an odd mask."""
         return PolyMat(self.n, masks_divided(self.cols, mask_spread(mask, self.n)), self.shift)
 
-    def _column(self, c: int) -> list[int]:
-        """The entries (0, j), ..., (n-1, j) of the column whose image mask
-        is c, as poly masks at u**(shift // n)."""
-        return mask_deinterleave(c << self.shift % self.n, self.n)
-
     def entry_masks(self) -> tuple[list[list[int]], int]:
         """The n x n entries as poly masks, and their common shift in u:
         entry (i, j) is u**shift times the polynomial whose mask is [i][j]."""
-        columns = [self._column(c) for c in self.cols]
-        return [list(row) for row in zip(*columns)], self.shift // self.n
+        n, res = self.n, self.shift % self.n
+        columns = [mask_deinterleave(c << res, n) for c in self.cols]
+        return [list(row) for row in zip(*columns)], self.shift // n
 
     def content_mask(self, g: int) -> int:
-        """gcd of the mask g and all entries, read a column at a time by
-        ``mask_content``, which stops once the gcd is 1."""
-        return mask_content(g, (m for c in self.cols for m in self._column(c)))
+        """gcd of the nonzero mask g and all entries: each column is read
+        as one layout by ``mask_content``, which takes one remainder modulo
+        g(u) per column and stops once the gcd is 1.
+
+        A column's strands are its entries up to a factor u: entry_masks
+        moves it by shift % n first, which multiplies some strands by u.
+        That changes only the power of u in the gcd, and that power is 1
+        either way, as the normal form has some column with bit 0 set,
+        whose strand 0 is an entry with a constant term."""
+        return mask_content(g, self.cols, self.n)
 
     # ------------------------------------------------------------------
     # the level and the orientation

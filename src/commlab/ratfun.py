@@ -3,8 +3,8 @@
 The program computes in no field of rational functions: a lamplighter
 linear part is an F2[s, 1/s]-linear map over one scalar denominator
 (``lamplighter.CommInftyElt``).  An entry of its matrix is written
-``poly`` or ``poly/poly``, each side optionally parenthesized, in the
-term syntax of ``F2LaurentPoly.from_string``.
+``poly`` or ``poly/poly``, each side optionally in one pair of
+parentheses, in the term syntax of ``F2LaurentPoly.from_string``.
 
 Parse and print speak one triple (num, den, shift), the element
 t**shift * num/den with num and den poly masks: ``parse`` returns it in
@@ -26,10 +26,10 @@ def parse(text: str) -> tuple[int, int, int]:
     if text == "0":
         return 0, 1, 0
     top, slash, bottom = text.replace(" ", "").partition("/")
-    num = F2LaurentPoly.from_string(top.strip("()"))
+    num = F2LaurentPoly.from_string(_unwrapped(top))
     if not slash:
         return num.mask, 1, num.shift
-    den = F2LaurentPoly.from_string(bottom.strip("()"))
+    den = F2LaurentPoly.from_string(_unwrapped(bottom))
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
@@ -39,6 +39,12 @@ def parse(text: str) -> tuple[int, int, int]:
         g = mask_gcd(n, d)
         n, d = mask_divmod(n, g)[0], mask_divmod(d, g)[0]
     return n, d, num.shift - den.shift
+
+
+def _unwrapped(side: str) -> str:
+    """The side without one enclosing pair of parentheses, if it has one;
+    any other parenthesis is left for ``from_string`` to refuse."""
+    return side[1:-1] if side[:1] == "(" and side[-1:] == ")" else side
 
 
 def to_string(num: int, den: int, shift: int, var: str) -> str:

@@ -499,6 +499,16 @@ def test_linear_part_errors_print_fixed_lines(capsys):
         assert (code, captured.out, captured.err) == (want_code, want + "\n", ""), argv
 
 
+def test_an_unbalanced_parenthesis_in_an_entry_is_a_parse_error(capsys):
+    # each side of an entry loses one enclosing pair only: "(1+s" was read as 1+s
+    c2 = '{"level":1,"der":"0","A":[["1"]],"flip":false}'
+    code = run(["lamp", "compose", "--c1", '{"level":1,"der":"0","A":[["s/(1+s"]],"flip":false}',
+                "--c2", c2])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, '{"error": "ParseError", "detail": "bad polynomial term: \'(1\'"}\n', "")
+
+
 def test_a_newline_in_a_term_is_a_parse_error(capsys):
     # a term pattern anchored by $ read "1\n" as t: mul printed {"k": "t", "n": 0}
     for argv in [

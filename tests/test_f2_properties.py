@@ -1,8 +1,8 @@
 """Properties of the F2 routines whose cost must not grow with an exponent:
 ``mask_divmod`` and ``F2LaurentPoly.exact_div`` on both division routes,
-``mask_mod`` and ``mask_gcd`` on both remainder routes, the content fold
-``mask_content`` and the vector helpers ``masks_scaled`` and
-``masks_divided``,
+``mask_mod`` and ``mask_gcd`` on both remainder routes, the content gcd
+``mask_content`` on Kronecker layouts and ``PolyMat.content_mask``, the
+vector helpers ``masks_scaled`` and ``masks_divided``,
 the Laurent ``F2LaurentPoly.divmod``, ``mask_geometric`` on both routes,
 ``LampElement.__pow__``, the interleave pair and the strands of the
 Kronecker layout, and the span cap of sums, geometric series and aligned
@@ -42,6 +42,7 @@ from commlab.f2poly import (
 )
 from commlab.errors import ResourceLimit
 from commlab.lamplighter import LampElement
+from commlab.polymat import PolyMat
 from samplers import (
     coords_to_k,
     deinterleave_by_bits,
@@ -203,9 +204,9 @@ def test_vector_helpers_agree_with_a_euclid_fold_and_mask_divmod(g, vec, p, plan
     want = g
     for v in vec:  # oracle: the plain fold, no early exit, zeros included
         want = _euclid_gcd(want, v)
-    assert mask_content(g, vec) == want
-    assert mask_content(g, iter(vec)) == want
-    assert mask_content(1, vec) == 1
+    assert mask_content(g, vec, 1) == want
+    assert mask_content(g, iter(vec), 1) == want
+    assert mask_content(1, vec, 1) == 1
     if planted:
         assert mask_divmod(want, p)[1] == 0
     scaled = masks_scaled(vec, p)
@@ -218,7 +219,8 @@ def test_vector_helpers_agree_with_a_euclid_fold_and_mask_divmod(g, vec, p, plan
 def test_mask_content_stops_reading_once_the_gcd_is_1():
     # over F2: 0b110 = x(x+1), 0b1010 = x(x+1)^2 and 0b111 is irreducible, so
     # from g = x^2(x+1) the gcd is x(x+1) until 0b111 brings it to 1; the zero
-    # is read but takes no gcd step, and nothing after 0b111 is read
+    # and 0b1010, which x(x+1) divides, are read but leave a zero remainder and
+    # take no gcd step, and nothing after 0b111 is read
     read = []
 
     def entries():
@@ -227,12 +229,105 @@ def test_mask_content_stops_reading_once_the_gcd_is_1():
             yield m
 
     with mock.patch("commlab.f2poly.mask_gcd", wraps=mask_gcd) as gcd_:
-        assert mask_content(0b1100, entries()) == 1
+        assert mask_content(0b1100, entries(), 1) == 1
     assert read == [0b110, 0, 0b1010, 0b111]
-    assert gcd_.call_count == 3
+    assert gcd_.call_count == 2
     read.clear()
-    assert mask_content(1, entries()) == 1 and read == []
-    assert mask_content(0b1100, (0b110, 0b1010)) == 0b110
+    assert mask_content(1, entries(), 1) == 1 and read == []
+    assert mask_content(0b1100, (0b110, 0b1010), 1) == 0b110
+
+
+@PROPERTY
+@given(st.one_of(st.just(0), masks(40), masks(3 * _SHORT)),
+       st.one_of(st.just(0), masks(40), masks(3 * _SHORT)),
+       masks(40, min_bits=1), st.sampled_from(("drawn", "planted", "equal")))
+def test_one_loop_gcd_is_euclid_and_divides_both_operands(a, b, g, case):
+    # operands of up to 3 * _SHORT bits against ones of up to 40, so quotients
+    # fall on both sides of _SHORT; zeros, a = b and a planted common factor
+    if case == "planted":
+        a, b = mask_mul(a, g), mask_mul(b, g)
+    elif case == "equal":
+        b = a
+    d = mask_gcd(a, b)
+    assert d == _euclid_gcd(a, b) == mask_gcd(b, a)
+    if not d:
+        assert a == b == 0
+        return
+    assert mask_divmod(a, d)[1] == 0 and mask_divmod(b, d)[1] == 0
+    if case == "planted" and (a or b):
+        assert mask_divmod(d, g)[1] == 0
+    if case == "equal":
+        assert d == a
+
+
+def _content_by_strands(g, layouts, n):
+    """Oracle: the Euclid fold of g over every strand of every layout, read
+    off ``mask_deinterleave``, with no early exit."""
+    for m in layouts:
+        for s in mask_deinterleave(m, n):
+            g = _euclid_gcd(g, s)
+    return g
+
+
+def odd_masks(max_deg):
+    """An odd poly mask of degree 0 to max_deg."""
+    return masks(max_deg + 1, min_bits=1).map(lambda m: m | 1)
+
+
+@st.composite
+def layouts(draw, n, g):
+    """Up to four Kronecker layouts of n entries each: 0, a multiple of
+    g(x**n) (so g divides every entry), or a drawn mask of up to
+    n*(deg g + 2*_SHORT) bits, so that the remainder modulo g(x**n) has a
+    quotient of up to 2*_SHORT bits and takes both routes of ``mask_mod``;
+    half the time every layout is a multiple of f(x**n), f a drawn factor."""
+    width = n * (g.bit_length() + 2 * _SHORT)
+    kind = st.sampled_from(("zero", "divisible", "drawn"))
+    out = []
+    for k in draw(st.lists(kind, max_size=4)):
+        m = draw(masks(width))
+        out.append(0 if k == "zero" else mask_mul(m, mask_spread(g, n)) if k == "divisible" else m)
+    if draw(st.booleans()):
+        f = mask_spread(draw(odd_masks(3)), n)
+        out = [mask_mul(m, f) for m in out]
+    return out
+
+
+@PROPERTY
+@given(st.integers(1, 8), odd_masks(6), st.data())
+def test_content_of_layouts_is_the_gcd_of_their_strands(n, g, data):
+    vec = data.draw(layouts(n, g))
+    want = _content_by_strands(g, vec, n)
+    assert mask_content(g, vec, n) == want
+    assert mask_content(g, iter(vec), n) == want
+    assert mask_content(1, vec, n) == 1
+
+
+@PROPERTY
+@given(st.integers(2, 8), masks(7, min_bits=1), st.integers(-40, 40), st.data())
+def test_content_mask_of_a_shifted_map_is_the_gcd_of_its_entries(n, g, shift, data):
+    # a PolyMat whose shift is not a multiple of n: content_mask reads its
+    # columns as they are, and the oracle reads entry_masks, which first moves
+    # each by shift % n; g may be even, so the power of u in the gcd counts too
+    cols = data.draw(layouts(n, g).filter(any))[:n]
+    a = PolyMat(n, cols + [0] * (n - len(cols)), shift)
+    if a.shift % n == 0:
+        a = a.shifted(1)
+    assert a.content_mask(g) == _content_by_strands(g, [m for row in a.entry_masks()[0] for m in row], 1)
+
+
+def test_content_takes_one_long_remainder_per_layout():
+    # a layout whose remainder modulo g(x**n) has a quotient of _SHORT bits or
+    # more goes to mask_divmod once; its strands are then shorter than g
+    n, g = 3, 0b1011
+    layout = mask_interleave([1 << (_SHORT + 5) | 0b110, 0b101, 1 << (_SHORT + 9)], n)
+    with mock.patch("commlab.f2poly.mask_divmod", wraps=mask_divmod) as divmod_:
+        assert mask_content(g, [layout], n) == _content_by_strands(g, [layout], n) == 1
+    assert divmod_.call_count == 1
+    spread = mask_spread(g, n)
+    with mock.patch("commlab.f2poly.mask_gcd", wraps=mask_gcd) as gcd_:
+        assert mask_content(g, [mask_mul(layout, spread), 0], n) == g
+    assert gcd_.call_count == 0
 
 
 @PROPERTY

@@ -122,6 +122,12 @@ def test_parse_errors_keep_their_order():
         ("1\n/(1+t)", ValueError, "bad polynomial term: '1\\n'"),
         ("1/0", ZeroDivisionError, "zero denominator"),
         ("0/0", ZeroDivisionError, "zero denominator"),
+        # one enclosing pair of parentheses is dropped from a side, and any
+        # other parenthesis is a bad term
+        ("(1+s", ValueError, "bad polynomial term: '(1'"),
+        ("1+s)", ValueError, "bad polynomial term: 's)'"),
+        ("((1+s)", ValueError, "bad polynomial term: '(1'"),
+        ("s/(1+s", ValueError, "bad polynomial term: '(1'"),
     ]:
         with pytest.raises(error) as info:
             ratfun.parse(text)
