@@ -26,7 +26,7 @@ import os
 import sys
 
 from .errors import (CommLabError, ResourceLimit, SingularMatrix, ZeroInput, json_int, json_list,
-                     json_matrix)
+                     json_matrix, json_object)
 
 
 def _load_json(text: str):
@@ -131,7 +131,7 @@ def _lamp_domain(args):
 
 def _lamp_from_partial(args):
     from . import lamplighter as lamp
-    data = _load_json(args.data)
+    data = json_object(_load_json(args.data), "--data")
     level = json_int(data["level"])
     basis = lamp.SubmoduleBasis.from_json({"level": level, "H": data["H"]})
     gen_images = [lamp.LampElement.from_json(x) for x in json_list(data["gen_images"], "gen_images")]
@@ -168,7 +168,7 @@ def _uni_root(args):
 
 def _uni_apply_aut(args):
     from .unipotent import LieAut, comm_from_lie_aut
-    aut_obj = _load_json(args.aut)
+    aut_obj = json_object(_load_json(args.aut), "--aut")
     aut = LieAut(json_int(aut_obj["n"]), _matq_from_json(aut_obj["L"], "L"))
     return comm_from_lie_aut(aut, _unitri_from_arg(args.matrix)).mat.to_strings()
 
@@ -191,6 +191,7 @@ def _bs_domain(args):
 
 def _space_from_json(obj):
     from .solvable import CommSpace, reduced_part
+    obj = json_object(obj, '--spec["space"]')
     return CommSpace(
         json_int(obj["N0"]), json_int(obj["N1"]),
         json_int(obj["dZ"]), json_int(obj["dZ1"]),
@@ -198,12 +199,14 @@ def _space_from_json(obj):
     )
 
 
-def _desc_from_json(space, obj):
+def _desc_from_json(space, obj, name: str):
     from .matrices import parse_rational
     from .solvable import AffineMap, CommDesc
+    obj = json_object(obj, name)
     red = space.red.identity()
     if obj.get("red") is not None:
-        red = AffineMap(parse_rational(obj["red"]["r"]), parse_rational(obj["red"]["q"]))
+        aff = json_object(obj["red"], f'{name}["red"]')
+        red = AffineMap(parse_rational(aff["r"]), parse_rational(aff["q"]))
     h_central = _matq_from_json(obj["h_central"], "h_central", ncols=space.n0)
     p = _matq_from_json(obj["P"], "P", ncols=space.n0)
     # the GL block arrives from outside here; products and inverses of
@@ -231,9 +234,9 @@ def _desc_to_json(d):
 
 
 def _descs(args, *keys):
-    spec = _load_json(args.spec)
+    spec = json_object(_load_json(args.spec), "--spec")
     space = _space_from_json(spec["space"])
-    return [_desc_from_json(space, spec[k]) for k in keys]
+    return [_desc_from_json(space, spec[k], f'--spec["{k}"]') for k in keys]
 
 
 def _desc_mul(args):

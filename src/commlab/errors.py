@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the readers of an
-integer field, a list and a matrix of JSON input.
+integer field, an object, a list and a matrix of JSON input.
 
 Every domain error carries a machine-readable ``code``, its class name,
 that the command-line interface echoes in its JSON error reports.
@@ -17,6 +17,15 @@ def json_int(x) -> int:
         text = repr(x) if isinstance(x, str) else str(x).lower()
         raise TypeError(f"an integer field must be a JSON integer, got {text}")
     return operator.index(x)
+
+
+def json_object(x, name: str) -> dict:
+    """x as the object ``name`` of JSON input: a list or a string would be
+    indexed by position, and fail on the first key with a message that
+    names neither."""
+    if not isinstance(x, dict):
+        raise TypeError(f"{name} must be a JSON object, got {x!r}")
+    return x
 
 
 def json_list(x, name: str) -> list:

@@ -41,10 +41,11 @@ on each strand alone, so ``mask_content`` reduces a whole layout modulo
 ``mask_spread(g, n)`` and de-interleaves only the remainder, whose strands
 are shorter than g.
 
-This is the only module that divides.  ``mask_mod``, ``mask_gcd`` (Euclid
-in one loop) and ``mask_content`` need only remainders: a quotient of at
-most _SHORT bits is left unformed, each step xoring b into the dividend in
-place, and a longer one goes to ``mask_divmod``, the only long division.
+This is the only module that divides.  ``mask_mod`` is the one
+remainder: a quotient of at most _SHORT bits is left unformed, each step
+xoring b into the dividend in place, and a longer one goes to
+``mask_divmod``, the only long division.  ``mask_gcd`` (Euclid in one loop
+over ``mask_mod``) and ``mask_content`` need only its remainders.
 ``mask_divmod`` picks one of two routes by cost.  The schoolbook loop
 spends one xor per quotient bit.  The series route uses b(x)**2 = b(x**2)
 over F2:
@@ -281,20 +282,10 @@ def mask_mod(a: int, b: int) -> int:
 
 
 def mask_gcd(a: int, b: int) -> int:
-    """gcd of two poly masks by Euclid's algorithm in one loop: each
-    remainder is taken in place, b xored into the dividend once per
-    quotient bit, with no quotient formed, while the quotient has at most
-    _SHORT bits; a longer one goes to ``mask_divmod``."""
+    """gcd of two poly masks by Euclid's algorithm in one loop over
+    ``mask_mod``, the one remainder."""
     while b:
-        db = b.bit_length() - 1
-        k = a.bit_length() - 1 - db
-        if k >= _SHORT:
-            a = mask_divmod(a, b)[1]
-        else:
-            while k >= 0:
-                a ^= b << k
-                k = a.bit_length() - 1 - db
-        a, b = b, a
+        a, b = b, mask_mod(a, b)
     return a
 
 

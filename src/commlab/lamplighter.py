@@ -45,12 +45,14 @@ from .errors import (
     SingularMatrix,
     json_int,
     json_matrix,
+    json_object,
 )
 from .f2poly import (
     F2LaurentPoly,
     mask_content,
     mask_deg,
     mask_divmod,
+    mask_gcd,
     mask_geometric,
     mask_interleave,
     mask_lcm,
@@ -182,6 +184,7 @@ class LampElement(Value):
 
     @classmethod
     def from_json(cls, obj) -> "LampElement":
+        obj = json_object(obj, "a lamplighter element")
         return cls(F2LaurentPoly.from_string(obj["k"]), json_int(obj["n"]))
 
 
@@ -354,7 +357,9 @@ class CommInftyElt(Value):
           numerator is then prime to p, and its entry of num is that
           numerator times a factor of den / (its denominator), which p
           does not divide.
-        * inverse: it divides out the gcd of det N and the entries itself.
+        * inverse: it divides out g, the gcd of d = det N / u**v and
+          den * adj(N), itself, as g = gcd(d, den * c) for c the gcd of d
+          and the entries of adj(N): gcd(d, den * x) = gcd(d, den * gcd(d, x)).
         """
         self = object.__new__(cls)
         self.level = level
@@ -474,25 +479,26 @@ class CommInftyElt(Value):
         """The inverse map, den * adj(N) * u**-shift / det N for num =
         u**shift * N, with the factor u**v of det N moved into the shift.
 
-        It is reduced on the entry masks that ``gauss_jordan`` leaves:
-        they are multiplied by den, and their gcd g with det N / u**v
-        (an odd mask, so powers of u do not change it) is taken, one entry
-        per mask (``mask_content`` at n = 1), stopping once it is 1.  For
-        g > 1 the entries and det N / u**v are divided by g.  The quotient
-        is then in lowest terms, so the entries are interleaved once, into
-        a numerator built through _coprime."""
+        It is reduced on the entry masks that ``gauss_jordan`` leaves,
+        before they are scaled: with d = det N / u**v (an odd mask, so
+        powers of u do not change a gcd with it) and c the gcd of d and the
+        entries (``mask_content`` at n = 1, which stops once it is 1), the
+        gcd of d and den * adj(N) is g = gcd(d, den * c), as
+        gcd(d, den * x) = gcd(d, den * gcd(d, x)).  So the inverse is
+        adj(N) / c times den * c / g over d / g, one exact division and one
+        scale per entry, and in lowest terms: its entries are interleaved
+        once, into a numerator built through _coprime."""
         n = self.level
         masks, shift = self.num.entry_masks()
         rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(masks)]
         det = gauss_jordan(rows, n)
         v = (det & -det).bit_length() - 1
         det >>= v
-        den = self.den
-        adj = [masks_scaled(row[n:], den) for row in rows]
-        g = mask_content(det, (x for row in adj for x in row), 1)
-        if g > 1:
-            det = mask_divmod(det, g)[0]
-            adj = [masks_divided(row, g) for row in adj]
+        c = mask_content(det, (x for row in rows for x in row[n:]), 1)
+        dc = mask_mul(self.den, c)
+        g = mask_gcd(det, dc)
+        f, det = mask_divmod(dc, g)[0], mask_divmod(det, g)[0]
+        adj = [masks_scaled(masks_divided(row[n:], c), f) for row in rows]
         return CommInftyElt._coprime(n, PolyMat.from_masks(n, adj, -shift - v), det)
 
     def flip_conj(self) -> "CommInftyElt":
@@ -574,6 +580,7 @@ class SubmoduleBasis(Value):
 
     @classmethod
     def from_json(cls, obj) -> "SubmoduleBasis":
+        obj = json_object(obj, "a submodule basis")
         rows = [
             [F2LaurentPoly.from_string(x) for x in r] for r in json_matrix(obj["H"], "H")
         ]
@@ -627,6 +634,7 @@ class LampComm(Value):
 
     @classmethod
     def from_json(cls, obj) -> "LampComm":
+        obj = json_object(obj, "a class")
         level = json_int(obj["level"])
         der = VDerElt(level, F2LaurentPoly.from_string(obj["der"]))
         lin = CommInftyElt.from_entries(level, json_matrix(obj["A"], "A"))

@@ -139,11 +139,10 @@ def _bareiss(rows: list, n: int) -> int:
     is (Gauss-Jordan), and B ends up as adj(N) * B.
 
     At pivot k each other row x becomes (piv*x + a*top) / prev, a its
-    column-k entry.  A row with a = 0 is only rescaled by piv/prev, so
-    (q, r) = divmod(piv, prev) is taken once per pivot: such a row is
-    left as it is when piv = prev, multiplied by q when prev divides piv,
-    and divided entry by entry otherwise.  Products with a zero factor
-    are skipped, and so is the division when prev = 1.
+    column-k entry.  A row with a = 0 is left as it is when piv = prev,
+    which the update would give, and every other row takes the update.
+    Products with a zero factor are skipped, and so is the division when
+    prev = 1.
     """
     prev = 1
     for k in range(n):
@@ -154,12 +153,9 @@ def _bareiss(rows: list, n: int) -> int:
         rows[k], rows[p] = rows[p], rows[k]
         top = rows[k]
         piv = top[k]
-        q, r = mask_divmod(piv, prev)
         for row in rows[k + 1:] if len(top) == n else rows[:k] + rows[k + 1:]:
             a = row[k]
-            if not (a or r):
-                if q != 1:
-                    row[k + 1:] = [mask_mul(q, x) for x in row[k + 1:]]
+            if not a and piv == prev:
                 continue
             for j in range(k + 1, len(row)):
                 x = mask_mul(piv, row[j]) if row[j] else 0

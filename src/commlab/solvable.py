@@ -40,6 +40,7 @@ from .errors import (
     UnknownInstantiation,
     ZeroInput,
     json_int,
+    json_object,
 )
 from .frozen import Frozen, Value
 from .matrices import MatQ, format_rational, parse_rational
@@ -130,6 +131,7 @@ class BSElement(Frozen):
 
     @classmethod
     def from_json(cls, obj) -> "BSElement":
+        obj = json_object(obj, "a BS element")
         return cls(json_int(obj["n"]), json_int(obj["a"]), parse_rational(obj["b"]))
 
 

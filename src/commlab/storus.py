@@ -17,12 +17,15 @@ import math
 from fractions import Fraction
 
 from .errors import (
+    DimensionMismatch,
     ExceedsFactorBound,
     FiniteOrder,
     InvalidTorusSpec,
     NotPrime,
     ReducibleCharPoly,
     ZeroInput,
+    json_list,
+    json_object,
 )
 from .frozen import Frozen
 
@@ -199,7 +202,8 @@ class TorusSpec(Frozen):
 
     @classmethod
     def from_json(cls, obj) -> "TorusSpec":
-        return cls(tuple(TorusFactor(f["kind"], f.get("d")) for f in obj))
+        factors = (json_object(f, "a torus factor") for f in json_list(obj, "a torus"))
+        return cls(tuple(TorusFactor(f["kind"], f.get("d")) for f in factors))
 
 
 class RankReport(Frozen):
@@ -263,8 +267,12 @@ def torus_from_matrix2(mat) -> TorusSpec:
     det = 1 gives the norm-one torus of the squarefree part of
     trace**2 - 4.  For det = -1 the closure's identity component is the
     norm-one torus of the square of the matrix, whose discriminant has
-    squarefree part equal to that of trace**2 + 4.
+    squarefree part equal to that of trace**2 + 4.  Any other shape than
+    2 x 2 raises DimensionMismatch.
     """
+    if len(mat) != 2 or any(len(row) != 2 for row in mat):
+        raise DimensionMismatch(
+            f"a torus needs a 2 x 2 matrix, got rows of lengths {[len(row) for row in mat]}")
     (a, b), (c, d) = mat
     det = a * d - b * c
     tr = a + d

@@ -5,7 +5,9 @@ seed gives a fixed sample; ``tests/test_samplers.py`` pins that output.
 ``FieldMat`` is a matrix over an exact field with one scalar object per
 entry and the field elimination.  On it ``MatF2Rat`` (over F2(t), with ``F2RatFun`` as its scalar field) and
 ``f2_rank`` are the oracles that the fraction-free elimination of
-``commlab.polymat`` is compared against, and ``MatQFraction`` (one
+``commlab.polymat`` is compared against, ``bareiss_rescaled_rows`` replays
+that elimination over the field to find the rows it meets with a zero
+pivot-column entry at a pivot unlike the one before, and ``MatQFraction`` (one
 ``Fraction`` per entry) is the oracle of ``commlab.matrices.MatQ``; the program
 itself computes in no field F2(t), which is only the text format of an
 entry (``commlab.ratfun``), and ``F2RatFun`` reads and writes that text
@@ -40,7 +42,11 @@ any such matrix class: the oracle of the integer series of
 ``commlab.unipotent``.
 ``from_entries_by_polys`` reads a linear part through one pair of
 ``F2LaurentPoly`` per entry, the oracle of
-``commlab.lamplighter.CommInftyElt.from_entries``.
+``commlab.lamplighter.CommInftyElt.from_entries``.  ``adjugate_masks``
+gives the determinant and adjugate of a linear part's numerator by
+``gauss_jordan``, and ``inverse_by_scaling`` reduces den * adj(N) / det N
+after scaling every entry by den, the oracle of
+``commlab.lamplighter.CommInftyElt.inverse``.
 ``ci_lamp_class`` draws the row-permuted triangular classes of the
 lamplighter digest of ``tests/test_outputs.py``, and ``sparse_poly`` the
 sparse polynomials of that digest; ``dense_der_class`` draws the classes
@@ -59,6 +65,7 @@ from commlab import ratfun
 from commlab.f2poly import (
     F2LaurentPoly,
     _strands_pay,
+    mask_content,
     mask_deinterleave,
     mask_divmod,
     mask_gcd,
@@ -67,6 +74,8 @@ from commlab.f2poly import (
     mask_lcm,
     mask_mul,
     mask_strands,
+    masks_divided,
+    masks_scaled,
 )
 from commlab.errors import (
     DegenerateAction,
@@ -389,6 +398,32 @@ def from_entries_by_polys(level: int, entries) -> CommInftyElt:
     if not gauss_jordan(num.entry_masks()[0], level):
         raise SingularMatrix("commensuration matrix must be invertible")
     return CommInftyElt._coprime(level, num, den)
+
+
+def adjugate_masks(lin: CommInftyElt) -> tuple[int, list[list[int]], int]:
+    """(d, adj, e) for lin = u**shift * N / den: d = det N / u**v, with u**v
+    the power of u in det N, the entry masks of adj(N), by
+    ``gauss_jordan`` on [N | I], and e = -shift - v, so that the inverse
+    is u**e * den * adj(N) / d."""
+    n = lin.level
+    masks, shift = lin.num.entry_masks()
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(masks)]
+    det = gauss_jordan(rows, n)
+    v = (det & -det).bit_length() - 1
+    return det >> v, [row[n:] for row in rows], -shift - v
+
+
+def inverse_by_scaling(lin: CommInftyElt) -> CommInftyElt:
+    """``CommInftyElt.inverse`` by the reduction that scales first: every
+    entry of adj(N) is multiplied by den, the gcd g of d and all of them
+    is taken, and the scaled entries and d are divided by g."""
+    det, adj, e = adjugate_masks(lin)
+    adj = [masks_scaled(row, lin.den) for row in adj]
+    g = mask_content(det, (x for row in adj for x in row), 1)
+    if g > 1:
+        det = mask_divmod(det, g)[0]
+        adj = [masks_divided(row, g) for row in adj]
+    return CommInftyElt._coprime(lin.level, PolyMat.from_masks(lin.level, adj, e), det)
 
 
 class F2RatFun:
@@ -733,6 +768,36 @@ class FieldMat:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_strings()!r})"
+
+
+def bareiss_rescaled_rows(rows, n: int) -> list[bool]:
+    """The rows that ``polymat._bareiss(rows, n)`` meets with a zero entry
+    in the pivot column at a pivot piv other than the previous pivot prev,
+    in order, each as whether prev divides piv.
+
+    Replayed by elimination over the field F2(u): after each pivot the
+    rows of ``_bareiss`` are that pivot times the rows of the Gauss-Jordan
+    form over F2(u) with pivots scaled to 1 (Bareiss 1968), so they have
+    the same zeros and take the same pivots, and piv / prev is the entry
+    of the field form at the next pivot.  With no columns after the first
+    n only the rows below a pivot are met, as in ``_bareiss``."""
+    mat = [[F2RatFun(m) for m in row] for row in rows]
+    out = []
+    for k in range(n):
+        live = [i for i in range(k, n) if mat[i][k]]
+        if not live:
+            break
+        p = max(live, key=lambda i: sum(not x for x in mat[i][k:n]))
+        mat[k], mat[p] = mat[p], mat[k]
+        ratio = mat[k][k]
+        top = mat[k] = [x / ratio for x in mat[k]]
+        for i in range(k + 1, n) if len(top) == n else (i for i in range(n) if i != k):
+            a = mat[i][k]
+            if a:
+                mat[i] = [x - a * y for x, y in zip(mat[i], top)]
+            elif ratio != F2RatFun.one():
+                out.append(ratio.den == 1 and ratio.shift >= 0)
+    return out
 
 
 class MatF2Rat(FieldMat):

@@ -11,13 +11,14 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import commlab
-from commlab.cli import _build_parser, run
+from commlab.cli import _DEMOS, _build_parser, run
 
 
 def run_json(capsys, argv):
@@ -322,6 +323,47 @@ def test_a_missing_json_key_is_named(capsys, argv, key):
     # str() of a KeyError is the repr of the key alone
     code, out = run_json(capsys, argv)
     assert code == 2 and out == {"error": "ParseError", "detail": f"missing key {key}"}
+
+
+_DESC = {"h_central": [], "P": [["1"]], "h_10": [[]], "h_1z": []}
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["lamp", "apply", "--comm", '{"level": 1, "der": "0", "A": [["1"]], "flip": false}',
+      "--elem", "[]"],
+     "a lamplighter element must be a JSON object, got []"),
+    (["lamp", "mul", "--g", '"x"', "--h", '{"k": "1", "n": 0}'],
+     "a lamplighter element must be a JSON object, got 'x'"),
+    (["lamp", "invert", "--comm", "[]"], "a class must be a JSON object, got []"),
+    (["lamp", "quotient-dim", "--submodule", '"H"', "--m", "2"],
+     "a submodule basis must be a JSON object, got 'H'"),
+    (["lamp", "from-partial", "--data", "[1]"], "--data must be a JSON object, got [1]"),
+    (["bs", "mul", "--g", "[]", "--h", '{"n": 2, "a": 0, "b": "1"}'],
+     "a BS element must be a JSON object, got []"),
+    (["unipotent", "apply-aut", "--aut", "3", "--matrix", '[["1"]]'],
+     "--aut must be a JSON object, got 3"),
+    (["comm-desc", "mul", "--spec", "[]"], "--spec must be a JSON object, got []"),
+    (["comm-desc", "inv", "--spec", json.dumps({"space": [], "a": _DESC})],
+     '--spec["space"] must be a JSON object, got []'),
+    (["comm-desc", "inv", "--spec", json.dumps({"space": _SPACE, "a": "x"})],
+     '--spec["a"] must be a JSON object, got \'x\''),
+    (["comm-desc", "inv", "--spec", json.dumps({"space": _SPACE, "a": {**_DESC, "red": [1]}})],
+     '--spec["a"]["red"] must be a JSON object, got [1]'),
+])
+def test_a_json_input_of_the_wrong_shape_is_named(capsys, argv, detail):
+    # indexed by position, a list or a string used to fail on its first key
+    # with a message that named neither the input nor the shape
+    code, out = run_json(capsys, argv)
+    assert code == 2 and out == {"error": "ParseError", "detail": detail}
+
+
+@pytest.mark.parametrize("matrix, lengths", [
+    ("1,2;3", "[2, 1]"), ("1,2,3;3,4,5;1,1,1", "[3, 3, 3]"),
+])
+def test_torus_rank_refuses_a_matrix_that_is_not_2_by_2(capsys, matrix, lengths):
+    code, out = run_json(capsys, ["torus-rank", "--matrix", matrix])
+    assert code == 1 and out == {"error": "DimensionMismatch", "detail":
+                                 f"a torus needs a 2 x 2 matrix, got rows of lengths {lengths}"}
 
 
 @pytest.mark.parametrize("prime", [318665857834031151167461, 2**89 - 1])
@@ -836,14 +878,19 @@ _BS_CALLS = st.one_of(
 
 def _prints_one_json_line(argv):
     """Runs argv in process: one JSON line on stdout, nothing on stderr,
-    exit 0, or 1 or 2 with an error object, within 2 s."""
+    exit 0, or 1 or 2 with an error object, within 2 s.  A demo that runs
+    prints its PASS lines instead, and exits 0."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     assert time.perf_counter() - start < 2, argv
     lines = out.getvalue().splitlines()
-    assert len(lines) == 1 and err.getvalue() == "", argv
+    assert err.getvalue() == "", argv
+    if argv[0] == "demo" and lines[0].startswith("PASS"):
+        assert code == 0 and all(line.startswith("PASS  ") for line in lines), argv
+        return
+    assert len(lines) == 1, argv
     result = json.loads(lines[0])
     assert code in (0, 1, 2), argv
     assert code == 0 or "error" in result, argv
@@ -884,6 +931,157 @@ _LAMP_CALLS = st.one_of(
 @example(["lamp", "apply", "--comm", _LAMP_CLASSES[0],
           "--elem", '{"k":"0","n":100000000000000000000}'])
 def test_fuzzed_lamp_mul_and_apply_print_one_json_line(argv):
+    _prints_one_json_line(argv)
+
+
+# the flags of every leaf of the parser, each with a strategy for its value
+# on the command line (None leaves an optional flag out): well-formed values
+# most of the time, so the calls reach the computation, and values of the
+# wrong shape or type, so they reach every refusal
+_JSON_JUNK = st.sampled_from(["[]", "{}", '"x"', "1", "null", "[[]]", "{not json"])
+_SMALL_RATIONALS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-2/3", "3", "0.5"])
+
+
+def _json(values):
+    """The JSON text of a drawn value, two times in three, or JSON of some
+    other shape."""
+    return st.one_of(values.map(json.dumps), values.map(json.dumps), _JSON_JUNK)
+
+
+def _square(entries, n=None):
+    """n x n matrices (n = 1..3 unless given) of the drawn entries."""
+    sizes = st.just(n) if n is not None else st.integers(1, 3)
+    return sizes.flatmap(lambda k: st.lists(
+        st.lists(entries, min_size=k, max_size=k), min_size=k, max_size=k))
+
+
+def _unitriangular(diagonal, sizes=st.integers(1, 4)):
+    """Upper triangular n x n matrices (n drawn from sizes) with the given
+    diagonal."""
+    return sizes.flatmap(lambda n: st.lists(_SMALL_RATIONALS, min_size=n * n, max_size=n * n).map(
+        lambda xs: [[diagonal if i == j else xs[n * i + j] if j > i else "0" for j in range(n)]
+                    for i in range(n)]))
+
+
+def _lie_auts(n):
+    """{"n": n, "L": L}: L scales E(i, j) by d_i / d_j, an automorphism, or
+    is any matrix of its size."""
+    dim = n * (n - 1) // 2
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    scaled = st.lists(st.sampled_from([1, 2, 3, -1, 5]), min_size=n, max_size=n).map(lambda d: [
+        [str(Fraction(d[i], d[j])) if a == b else "0" for b in range(dim)]
+        for a, (i, j) in enumerate(pairs)])
+    return st.fixed_dictionaries({"n": st.one_of(st.just(n), _SHORT_INTS),
+                                  "L": st.one_of(scaled, _square(_SMALL_RATIONALS, dim))})
+
+
+@st.composite
+def _desc_specs(draw, keys):
+    """--spec of comm-desc: a space and, under each key, a description
+    with blocks of the shapes the space asks for, now and then not."""
+    dims = {"N0": draw(st.integers(0, 2)), "N1": draw(st.integers(0, 1)),
+            "dZ": draw(st.integers(0, 1)), "dZ1": draw(st.integers(0, 1))}
+    red = draw(st.sampled_from(["trivial", "bs", "x"]))
+    shapes = {"h_central": ("dZ", "N0"), "P": ("N0", "N0"), "h_10": ("N0", "N1"),
+              "h_1z": ("dZ1", "N1")}
+    spec = {"space": {**dims, "red": red}}
+    for key in keys:
+        off = draw(st.sampled_from([0] * 9 + [1]))  # one column too many
+        desc = {name: [[draw(_SMALL_RATIONALS) for _ in range(dims[c] + off)]
+                       for _ in range(dims[r])] for name, (r, c) in shapes.items()}
+        if red != "trivial":
+            desc["red"] = {"r": draw(st.sampled_from(["2", "1/3", "1"])),
+                           "q": draw(_SMALL_RATIONALS)}
+        spec[key] = desc
+    return spec
+
+
+_LAMP_COMMS = st.one_of(
+    st.sampled_from(_LAMP_CLASSES),
+    st.integers(1, 2).flatmap(lambda n: st.lists(
+        st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)).map(
+        lambda rows: json.dumps({"level": len(rows), "der": "0", "A": rows, "flip": False})),
+)
+_BASES_H = [{"level": 1, "H": [["1"]]}, {"level": 1, "H": [["1+s"]]},
+            {"level": 2, "H": [["1", "0"], ["0", "1"]]},
+            {"level": 2, "H": [["1+s", "1"], ["0", "1"]]},
+            {"level": 2, "H": [["1+s^2", "s"], ["0", "1+s"]]}]
+_LAMP_ELEM_OBJECTS = st.fixed_dictionaries({"k": st.sampled_from(["0", "1", "t", "1+t^3", "t^-2"]),
+                                            "n": st.integers(-3, 3)})
+_F2_TEXT = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=n)).map(
+    lambda rows: ";".join(",".join(map(str, row)) for row in rows))
+_INT_TEXT = st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=3), min_size=1,
+                     max_size=3).map(lambda rows: ";".join(",".join(map(str, row)) for row in rows))
+LEAF_FLAGS = {
+    ("torus-rank",): {
+        "--disc": st.one_of(st.none(), st.integers(-50, 50).map(str), _JUNK),
+        "--kind": st.one_of(st.none(), st.sampled_from(["normone", "restscalars", "gm", "x"])),
+        "--matrix": st.one_of(st.none(), st.sampled_from(["2,1;1,1", "1,1;1,2"]), _INT_TEXT, _JUNK),
+        "--primes": st.one_of(st.none(), _JUNK, st.lists(
+            st.sampled_from(["2", "3", "5", "11", "4", "0", "-3"]), max_size=3).map(",".join)),
+    },
+    ("lamp", "mul"): {"--g": _LAMP_ELEMS, "--h": _LAMP_ELEMS},
+    ("lamp", "apply"): {"--comm": _LAMP_COMMS, "--elem": _LAMP_ELEMS},
+    ("lamp", "compose"): {"--c1": _LAMP_COMMS, "--c2": _LAMP_COMMS},
+    ("lamp", "invert"): {"--comm": _LAMP_COMMS},
+    ("lamp", "domain"): {"--comm": _LAMP_COMMS},
+    ("lamp", "from-partial"): {"--data": _json(st.sampled_from(_BASES_H).flatmap(
+        lambda b: st.fixed_dictionaries({
+            "level": st.one_of(st.just(b["level"]), st.integers(0, 3)), "H": st.just(b["H"]),
+            "gen_images": st.lists(_LAMP_ELEM_OBJECTS, min_size=b["level"], max_size=b["level"]),
+            "t_image": _LAMP_ELEM_OBJECTS})))},
+    ("lamp", "embed-gl"): {"--n": st.one_of(st.integers(-1, 4).map(str), _JUNK),
+                           "--matrix": _F2_TEXT},
+    ("lamp", "quotient-dim"): {"--submodule": _json(st.sampled_from(_BASES_H)),
+                               "--m": st.one_of(st.integers(-2, 12).map(str), _JUNK)},
+    ("unipotent", "log"): {"--matrix": _json(st.one_of(_unitriangular("1"), _square(_RATIONALS)))},
+    ("unipotent", "exp"): {"--matrix": _json(st.one_of(_unitriangular("0"), _square(_RATIONALS)))},
+    ("unipotent", "root"): {"--p": st.one_of(st.integers(-1, 7).map(str), _JUNK),
+                            "--matrix": _json(_unitriangular("1"))},
+    # sizes 2 and 3 for both flags, so that half the pairs agree
+    ("unipotent", "apply-aut"): {"--aut": _json(st.integers(2, 3).flatmap(_lie_auts)),
+                                 "--matrix": _json(_unitriangular("1", st.integers(2, 3)))},
+    ("bs", "mul"): {"--g": _BS_ELEMS, "--h": _BS_ELEMS},
+    ("bs", "conj"): {"--r": _RATIONALS, "--q": _RATIONALS, "--elem": _BS_ELEMS},
+    ("bs", "domain"): {"--n": st.one_of(_BASES.map(str), _JUNK), "--r": _RATIONALS,
+                       "--q": _RATIONALS},
+    ("comm-desc", "mul"): {"--spec": _json(_desc_specs(("a", "b")))},
+    ("comm-desc", "inv"): {"--spec": _json(_desc_specs(("a",)))},
+    ("solve-inner",): {
+        "--ts": _json(st.integers(1, 2).flatmap(lambda n: st.lists(
+            _square(_SMALL_RATIONALS, n), min_size=1, max_size=2))),
+        "--vs": _json(st.integers(1, 2).flatmap(lambda n: st.lists(
+            st.lists(_SMALL_RATIONALS, min_size=n, max_size=n), min_size=1, max_size=2))),
+    },
+    ("demo",): {"name": st.one_of(st.sampled_from(sorted(_DEMOS)), _JUNK),
+                "--seed": st.one_of(st.none(), _SHORT_INTS.map(str), _LONG_INTS.map(str), _JUNK)},
+}
+
+
+@st.composite
+def _leaf_calls(draw):
+    path = draw(st.sampled_from(sorted(LEAF_FLAGS)))
+    argv = list(path)
+    for flag, values in LEAF_FLAGS[path].items():
+        value = draw(values)
+        if value is not None:
+            argv.append(f"{flag}={value}" if flag.startswith("--") else value)
+    return argv
+
+
+def test_every_flag_of_every_leaf_has_a_fuzz_strategy():
+    leaves = dict(_leaves(_build_parser()))
+    assert sorted(LEAF_FLAGS) == sorted(leaves)
+    for path, leaf in leaves.items():
+        flags = {a.option_strings[0] if a.option_strings else a.dest
+                 for a in leaf._actions if not isinstance(a, argparse._HelpAction)}
+        assert sorted(LEAF_FLAGS[path]) == sorted(flags), path
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_leaf_calls())
+def test_fuzzed_calls_of_every_leaf_print_one_json_line(argv):
     _prints_one_json_line(argv)
 
 
@@ -1136,6 +1334,16 @@ def test_composing_dense_high_degree_classes_is_fast():
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert len(proc.stdout) == size
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def test_inverting_over_a_dense_denominator_is_pinned(capsys):
+    # den = lcm(1+s^10000, 1+s^10001) is dense, so den * adj(N) is too: the
+    # inverse divides adj(N) by its content before it scales by den; the
+    # digest is of the output of the reduction that scaled first
+    comm = '{"level":2,"der":"0","A":[["1/(1+s^10000)","0"],["0","1/(1+s^10001)"]],"flip":false}'
+    assert run(["lamp", "invert", "--comm", comm]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "d55266ffc90066ea22aba5789099c705d1d98a897a97f28c35a4275c56119686")
 
 
 def _readme_commands():

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import time
+from functools import reduce
 from unittest import mock
 
 import pytest
@@ -37,9 +38,11 @@ from commlab.lamplighter import (
     diagonal_embed,
     quotient_dim,
 )
+from commlab.polymat import gauss_jordan
 from samplers import (
     F2RatFun as R,
     MatF2Rat,
+    adjugate_masks,
     ci_lamp_class,
     comm_domain_by_kernel,
     compose_by_raising,
@@ -48,6 +51,7 @@ from samplers import (
     f2_rank,
     flip_basis,
     from_entries_by_polys,
+    inverse_by_scaling,
     k_to_coords,
     lamp_power_by_inverse,
     least_level_by_scan,
@@ -490,6 +494,59 @@ def test_linear_parts_agree_with_field_elimination(entries):
     assert matrix(inv) == oracle.inv()
     assert inv == CommInftyElt.from_entries(n, oracle.inv().to_strings())
     assert inv.inverse() == c
+
+
+# row factors of the drawn linear parts below: 1, s, 1+s, (1+s)^2, 1+s+s^2
+# and 1+s+s^3, so rows share factors with each other and with den
+_ROW_FACTORS = (1, 1, 0b10, 0b11, 0b101, 0b111, 0b1011)
+
+
+def _linear_part_with_shared_factors(rng):
+    """A linear part at level 1-4 whose matrix is a row-permuted triangular
+    one, now and then with one entry on the other side where it stays
+    invertible, with every entry of a row times one factor and every entry
+    times f, all over q: so the adjugate of its numerator has content
+    f**(level-1) at least, and a row whose factor has q**2 in it leaves q
+    in both den and det N."""
+    level = rng.randrange(1, 5)
+    f = rng.choice(_ROW_FACTORS)
+    q = rng.choice((1, 0b11, 0b111))
+    rows = []
+    for i in range(level):
+        r = mask_mul(f, rng.choice(_ROW_FACTORS + (mask_mul(q, q),)))
+        row = [r if j == i else mask_mul(r, rng.choice((0, 0, 1, 0b11, 0b110))) if j < i else 0
+               for j in range(level)]
+        rows.append(row)
+    if level > 1 and rng.random() < 0.5:
+        i, j = sorted(rng.sample(range(level), 2))
+        rows[i][j] = rng.choice((1, 0b11, 0b10))
+        if not gauss_jordan([list(row) for row in rows], level):
+            rows[i][j] = 0
+    rng.shuffle(rows)
+    shift = rng.randrange(-1, 2)
+    entries = [[ratfun.to_string(m, q, shift, "s") if m else "0" for m in row] for row in rows]
+    return CommInftyElt.from_entries(level, entries)
+
+
+def test_inverse_reduces_before_it_scales_as_the_scaling_oracle_does():
+    # inverse divides adj(N) by c = gcd(d, its entries) and scales by
+    # den * c / g, g = gcd(d, den * c); the oracle scales every entry by den
+    # first and divides the gcd of d and all of them out.  Of the 200 linear
+    # parts and their 200 flip conjugates, 156 have c > 1 and 120 a den that
+    # shares a factor with d = det N / u**v
+    rng = random.Random(43)
+    with_content = sharing_den = 0
+    for _ in range(200):
+        lin = _linear_part_with_shared_factors(rng)
+        for x in (lin, lin.flip_conj()):
+            d, adj, _ = adjugate_masks(x)
+            c = mask_gcd(d, reduce(mask_gcd, (e for row in adj for e in row), 0))
+            with_content += c > 1
+            sharing_den += mask_gcd(d, x.den) > 1
+            inv = x.inverse()
+            assert inv == inverse_by_scaling(x)
+            assert inv.inverse() == x
+    assert (with_content, sharing_den) == (156, 120)
 
 
 def test_comm_infty_singular_rejected():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from commlab import storus
 from commlab.errors import (
+    DimensionMismatch,
     ExceedsFactorBound,
     FiniteOrder,
     InvalidTorusSpec,
@@ -204,6 +205,17 @@ def test_torus_from_matrix2_det_minus_one():
         torus_from_matrix2([[0, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("mat, lengths", [
+    ([[1, 2], [3]], "[2, 1]"),
+    ([[1, 2, 3], [3, 4, 5], [1, 1, 1]], "[3, 3, 3]"),
+    ([[1, 2, 3], [4, 5, 6]], "[3, 3]"),
+    ([[2, 1]], "[2]"),
+])
+def test_torus_from_matrix2_refuses_any_shape_but_2_by_2(mat, lengths):
+    with pytest.raises(DimensionMismatch, match=rf"2 x 2 matrix, got rows of lengths \{lengths}"):
+        torus_from_matrix2(mat)
+
+
 def test_squarefree_part():
     assert squarefree_part(12) == 3
     assert squarefree_part(-18) == -2
@@ -233,3 +245,7 @@ def test_invalid_specs():
 def test_spec_json_round_trip():
     spec = TorusSpec.norm_one(5) * TorusSpec.gm() * TorusSpec.rest_scalars(-7)
     assert TorusSpec.from_json(spec.to_json()) == spec
+    with pytest.raises(TypeError, match="a torus factor must be a JSON object, got 'Gm'"):
+        TorusSpec.from_json(["Gm"])
+    with pytest.raises(TypeError, match="a torus must be a list, got {'kind': 'Gm'}"):
+        TorusSpec.from_json({"kind": "Gm"})
