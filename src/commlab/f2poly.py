@@ -346,8 +346,7 @@ def masks_aligned(rows, n: int = 1) -> tuple[list[list[int]], int]:
 
 
 def mask_lcm(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
+    """The lcm of a and b, not both 0."""
     return mask_mul(b, mask_divmod(a, mask_gcd(a, b))[0])
 
 

@@ -14,12 +14,11 @@ product is one integer product over den1 * den2, a sum one rescale to the
 lcm of the denominators, a scalar product scales num and den, and each
 result takes one gcd back to lowest terms.  ``det``, ``inv`` and the
 inner-derivation solver of ``commlab.solvable`` read the one
-elimination; the solver resumes it block by block, each new row entering
-at the scale of the pivots found so far, and tests the commutation of
-its maps with ``MatQ._commute``, which compares the two products of a
-pair as dot products with rows packed into one int each (a Kronecker
-substitution).
-A ``Fraction`` is formed only where an entry is read:
+elimination, each call a fresh one from rows of the input, so every
+entry stays a minor of it.  The solver tests the commutation of its
+maps with ``MatQ._commute``, which compares the two products of a pair
+as dot products with rows packed into one int each (a Kronecker
+substitution).  A ``Fraction`` is formed only where an entry is read:
 ``entry``, ``rows`` and ``to_strings``.  Degenerate shapes (0xn, nx0,
 0x0) are legal for every operation, so zero-dimensional blocks can flow
 through group-law formulas unchanged.
@@ -90,10 +89,13 @@ def too_many_digits(big: int, what: str) -> ResourceLimit:
 
 
 def _rational(x) -> Fraction:
+    """A Fraction or int as it is, and a string read by parse_rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, str):
+        return parse_rational(x)
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
 
@@ -248,43 +250,24 @@ class MatQ(Value):
         return True
 
     @staticmethod
-    def _gauss_jordan(aug: list, width: int, pivots=(), prev: int = 1):
+    def _gauss_jordan(aug: list, width: int):
         """Fraction-free Gauss-Jordan elimination over Z (Bareiss 1968), in place.
 
-        aug holds integer rows.  Pivots are sought in the first ``width``
-        columns; later columns are carried along.  Returns (pivot columns,
-        d, sign).  Every entry formed is a minor of the input, so each
-        division by the previous pivot is exact.  At the end every pivot
-        equals the last one, d (1 when there is none), and the k-th row
-        has its pivot in column pivots[k], so the reduced row echelon form
-        is aug / d.  sign is that of the row permutation: a square matrix
-        of full rank has determinant sign * d.
-
-        Given the (pivots, d) of an earlier call whose pivot rows are the
-        first len(pivots) rows of aug, the elimination resumes: each later
-        row a is a new input row, and enters as d * a - sum_k a[p_k] R_k
-        over the pivot rows R_k, the minors that the steps so far would
-        have made of it, with no division; the remaining columns then take
-        the usual steps.  sign is then that of this call's swaps.
+        aug holds integer rows, which it swaps and replaces but never
+        changes, so a copy of the list keeps the input rows.  Pivots are
+        sought in the first ``width`` columns; later columns are carried
+        along.  Returns (pivot columns, d, sign).  Every entry formed is a
+        minor of the input, so each division by the previous pivot is
+        exact.  At the end every pivot equals the last one, d (1 when there
+        is none), and the k-th row has its pivot in column pivots[k], so
+        the reduced row echelon form is aug / d.  sign is that of the row
+        permutation: a square matrix of full rank has determinant sign * d.
         """
-        pivots = list(pivots)
-        sign, nr = 1, len(aug)
-        if pivots:
-            tops = aug[:len(pivots)]
-            for i in range(len(pivots), nr):
-                a = aug[i]
-                row = [prev * x for x in a]
-                for p, top in zip(pivots, tops):
-                    f = a[p]
-                    if f:
-                        row = [x - f * y for x, y in zip(row, top)]
-                aug[i] = row
+        pivots, prev, sign, nr = [], 1, 1, len(aug)
         for c in range(width):
             r = len(pivots)
             if r == nr:
                 break
-            if c in pivots:
-                continue
             p = next((i for i in range(r, nr) if aug[i][c]), None)
             if p is None:
                 continue

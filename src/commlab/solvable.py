@@ -210,15 +210,15 @@ def solve_inner_derivation(ts, vs) -> MatQ:
     |numerator entry| (``MatQ._commute``): each digit of a difference of
     products is at most 2 dim M^2 < X / 2 in absolute value, so the test
     is exact.  Each block [T_i - 1 | v_i], T - 1 being T's numerator with
-    den taken off the diagonal, is put over one denominator.  The blocks
-    enter one elimination (``MatQ._gauss_jordan``) in turn only while its
-    rank is below dim: a later block joins the pivot rows already formed,
-    with no restart.  Once the rank is dim, x = num / d is fixed, and each
-    remaining block [A | b] is checked by one integer product,
-    A num = d b, as is each row an elimination left past its pivots,
-    zero but for its last entry.  The identity is checked only when this
-    finds a rank below dim or a row that x does not solve.  This keeps
-    the order above:
+    den taken off the diagonal, is put over one denominator.  While the
+    rank is below dim, each block joins the rows before it and all of them
+    are eliminated afresh (``MatQ._gauss_jordan``), so every entry stays a
+    minor of the input.  Once the rank is dim, x = num / d is fixed, and
+    each remaining block [A | b] is checked by one integer product,
+    A num = d b, as is each row the last elimination left past its
+    pivots, zero but for its last entry.  The identity is checked only
+    when this finds a rank below dim or a row that x does not solve.
+    This keeps the order above:
 
     * If the T_i commute and x solves every block, then
       (T_j - 1) v_i - (T_i - 1) v_j = (T_j T_i - T_i T_j) x = 0, so the
@@ -252,9 +252,10 @@ def solve_inner_derivation(ts, vs) -> MatQ:
             )
     if not MatQ._commute([t.num for t in ts], dim):
         raise IncompatibleCocycle("the matrices do not commute")
-    # rows still to check against x: blocks after the rank is dim, and the
-    # rows an elimination leaves past its pivots, zero but for their last entry
-    aug, pivots, d, rest = [], [], 1, []
+    # rows still to check against x: the rows the last elimination leaves
+    # past its pivots, zero but for their last entry, and blocks after the
+    # rank is dim
+    rows, aug, pivots, d, rest = [], [], [], 1, []
     for t, v in zip(ts, vs):
         den = math.lcm(t.den, v.den)
         fd, fv = den // t.den, den // v.den
@@ -265,11 +266,15 @@ def solve_inner_derivation(ts, vs) -> MatQ:
             row.append(fv * y)
             block.append(row)
         if len(pivots) < dim:
-            aug += block
-            pivots, d, _ = MatQ._gauss_jordan(aug, dim, pivots, d)
-            block = aug[len(pivots):]
+            # a fresh elimination of every row so far: no entry outgrows the
+            # minors of the input
+            rows += block
+            aug = rows[:]
+            pivots, d, _ = MatQ._gauss_jordan(aug, dim)
+            rest = aug[len(pivots):]
             del aug[len(pivots):]
-        rest += block
+        else:
+            rest += block
     if len(pivots) == dim:
         xs = [0] * dim + [-d]  # (num, -d) for x = num / d
         for row, p in zip(aug, pivots):

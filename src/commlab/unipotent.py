@@ -23,7 +23,6 @@ bisection sums one integer exp series per image.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import reduce
 from itertools import chain
 from operator import add, mul
@@ -292,13 +291,10 @@ class LieAut(Value):
     def diagonal(cls, n: int, scales) -> "LieAut":
         """Map scaling each basis element E(i, j) by the given factor."""
         dim = n * (n - 1) // 2
-        scales = [Fraction(s) for s in scales]
+        scales = list(scales)
         if len(scales) != dim:
             raise ValueError("one scale per basis element")
-        rows = [
-            [scales[i] if i == j else Fraction(0) for j in range(dim)]
-            for i in range(dim)
-        ]
+        rows = [[scales[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
         return cls(n, rows)
 
     def apply(self, x: NilMat) -> NilMat:

@@ -541,6 +541,24 @@ def test_linear_part_errors_print_fixed_lines(capsys):
         assert (code, captured.out, captured.err) == (want_code, want + "\n", ""), argv
 
 
+def test_rare_refusals_print_fixed_lines_fast(capsys):
+    # a basis with an entry below its diagonal (is_hnf), and a BS order
+    # found by a giant step past ORDER_CAP (4000036 modulo 4000037)
+    for argv, want_code, want in [
+        (["lamp", "quotient-dim", "--submodule", '{"level":2,"H":[["1","0"],["1","1"]]}',
+          "--m", "2"], 2,
+         '{"error": "ParseError", "detail": "basis is not in Hermite normal form"}'),
+        (["bs", "domain", "--n", "2", "--r", "1", "--q", "1/4000037"], 1,
+         '{"error": "ResourceLimit", "detail": "work limit: the conjugation domain needs the '
+         'order of 2 modulo 4000037, which exceeds 4000000"}'),
+    ]:
+        start = time.perf_counter()
+        code = run(argv)
+        assert time.perf_counter() - start < 0.5, argv
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (want_code, want + "\n", ""), argv
+
+
 def test_an_unbalanced_parenthesis_in_an_entry_is_a_parse_error(capsys):
     # each side of an entry loses one enclosing pair only: "(1+s" was read as 1+s
     c2 = '{"level":1,"der":"0","A":[["1"]],"flip":false}'
@@ -827,23 +845,13 @@ _ENTRIES = st.one_of(
 )
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(st.integers(1, 2).flatmap(lambda n: st.lists(
-    st.lists(_ENTRIES, min_size=n, max_size=n), min_size=1, max_size=n)))
-def test_fuzzed_entries_print_one_json_line(rows):
-    # each class goes to every lamp leaf that reads one class: invert,
-    # domain, and compose with itself
-    comm = json.dumps({"level": len(rows[0]), "der": "0", "A": rows, "flip": False})
-    for argv in (["lamp", "invert", "--comm", comm], ["lamp", "domain", "--comm", comm],
-                 ["lamp", "compose", "--c1", comm, "--c2", comm]):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = run(argv)
-        lines = out.getvalue().splitlines()
-        assert len(lines) == 1, argv
-        result = json.loads(lines[0])
-        assert code in (0, 1, 2), argv
-        assert code == 0 or "error" in result, argv
+# a class of drawn entries at every lamp leaf that reads one class: invert,
+# domain, and compose with itself
+_ENTRY_CALLS = st.integers(1, 2).flatmap(lambda n: st.lists(
+    st.lists(_ENTRIES, min_size=n, max_size=n), min_size=1, max_size=n)).map(
+    lambda rows: json.dumps({"level": len(rows[0]), "der": "0", "A": rows, "flip": False})).map(
+    lambda c: [["lamp", "invert", "--comm", c], ["lamp", "domain", "--comm", c],
+               ["lamp", "compose", "--c1", c, "--c2", c]])
 
 
 # BS fields: short ints, ints of up to 15 digits, decimals with large
@@ -896,14 +904,6 @@ def _prints_one_json_line(argv):
     assert code == 0 or "error" in result, argv
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(_BS_CALLS)
-@example(["bs", "domain", "--n", "3", "--r", "0.0001e-4299", "--q", "0"])
-@example(["bs", "mul", "--g", '{"n":2,"a":100000000,"b":"0"}', "--h", '{"n":2,"a":0,"b":"1"}'])
-def test_fuzzed_bs_calls_print_one_json_line(argv):
-    _prints_one_json_line(argv)
-
-
 # lamp elements with terms t^+-N and Z-parts n up to 10^25 in size, so that a
 # sum, product or geometric series may pass the span cap
 _HUGE = st.one_of(st.integers(-30, 30), st.integers(-10**8, 10**8), st.integers(-10**25, 10**25))
@@ -921,17 +921,6 @@ _LAMP_CALLS = st.one_of(
     st.tuples(st.sampled_from(_LAMP_CLASSES), _LAMP_ELEMS).map(
         lambda ce: ["lamp", "apply", "--comm", ce[0], "--elem", ce[1]]),
 )
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(_LAMP_CALLS)
-@example(["lamp", "mul", "--g", '{"k":"1","n":100000000000000000000}', "--h", '{"k":"t","n":1}'])
-@example(["lamp", "mul", "--g", '{"k":"t^100000000000000000000","n":0}',
-          "--h", '{"k":"t^-100000000000000000000","n":0}'])
-@example(["lamp", "apply", "--comm", _LAMP_CLASSES[0],
-          "--elem", '{"k":"0","n":100000000000000000000}'])
-def test_fuzzed_lamp_mul_and_apply_print_one_json_line(argv):
-    _prints_one_json_line(argv)
 
 
 # the flags of every leaf of the parser, each with a strategy for its value
@@ -1079,10 +1068,34 @@ def test_every_flag_of_every_leaf_has_a_fuzz_strategy():
         assert sorted(LEAF_FLAGS[path]) == sorted(flags), path
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(_leaf_calls())
-def test_fuzzed_calls_of_every_leaf_print_one_json_line(argv):
-    _prints_one_json_line(argv)
+# the contract fuzz by family: a strategy for lists of calls, its draw count
+# and its explicit calls
+_FUZZ_FAMILIES = [
+    (_leaf_calls().map(lambda argv: [argv]), 300, []),
+    (_ENTRY_CALLS, 300, []),
+    (_BS_CALLS.map(lambda argv: [argv]), 300, [
+        ["bs", "domain", "--n", "3", "--r", "0.0001e-4299", "--q", "0"],
+        ["bs", "mul", "--g", '{"n":2,"a":100000000,"b":"0"}', "--h", '{"n":2,"a":0,"b":"1"}']]),
+    (_LAMP_CALLS.map(lambda argv: [argv]), 150, [
+        ["lamp", "mul", "--g", '{"k":"1","n":100000000000000000000}', "--h", '{"k":"t","n":1}'],
+        ["lamp", "mul", "--g", '{"k":"t^100000000000000000000","n":0}',
+         "--h", '{"k":"t^-100000000000000000000","n":0}'],
+        ["lamp", "apply", "--comm", _LAMP_CLASSES[0],
+         "--elem", '{"k":"0","n":100000000000000000000}']]),
+]
+
+
+def test_fuzzed_calls_of_every_leaf_print_one_json_line():
+    for calls, count, examples in _FUZZ_FAMILIES:
+        @settings(derandomize=True, database=None, deadline=None, max_examples=count)
+        @given(calls)
+        def check(argvs):
+            for argv in argvs:
+                _prints_one_json_line(argv)
+
+        for argv in examples:
+            check = example([argv])(check)
+        check()
 
 
 @pytest.mark.parametrize("n", [10**8, -10**8])

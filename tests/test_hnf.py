@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -79,6 +80,11 @@ def test_singular_rejected():
         hnf_with_transform([[ONE, ONE], [ONE, ONE]])
     with pytest.raises(ValueError):
         hnf_f2poly([[ONE, ONE]])
+    # one row for two columns: the echelon form runs out of rows first
+    start = time.perf_counter()
+    with pytest.raises(SingularMatrix, match="do not span a finite-index submodule"):
+        SubmoduleBasis.from_generators(2, [[ONE, S]])
+    assert time.perf_counter() - start < 0.5
 
 
 def test_zero_by_zero():

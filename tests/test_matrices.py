@@ -6,6 +6,8 @@ import pytest
 
 from commlab.errors import ResourceLimit, SingularMatrix
 from commlab.matrices import EXACT_DIGIT_BITS, MatQ, format_rational
+from commlab.solvable import solve_inner_derivation
+from commlab.unipotent import LieAut, NilMat, UniTriMat
 from samplers import F2RatFun, MatF2Rat
 
 
@@ -99,3 +101,22 @@ def test_a_huge_int_is_refused_without_counting_its_digits():
         format_rational(Fraction(1 << (EXACT_DIGIT_BITS - 1)))
     with pytest.raises(ResourceLimit, match="needs an integer of at least 315653 digits"):
         format_rational(Fraction(1 << EXACT_DIGIT_BITS))
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: MatQ([[x]]),
+    lambda x: MatQ.identity(1) * x,
+    lambda x: UniTriMat([["1", x], ["0", "1"]]),
+    lambda x: NilMat([["0", x], ["0", "0"]]),
+    lambda x: LieAut(2, [[x]]),
+    lambda x: LieAut.diagonal(2, [x]),
+    lambda x: solve_inner_derivation([[[x]]], [[["1"]]]),
+], ids=["MatQ", "scalar", "UniTriMat", "NilMat", "LieAut", "LieAut.diagonal", "solve-inner"])
+def test_a_string_entry_is_read_by_parse_rational(build):
+    # a decimal literal reads as parse_rational reads it, its exponent cap
+    # included; ints and Fractions pass as they are
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="has an exponent above 4299"):
+        build("1e200000")
+    assert time.perf_counter() - start < 0.5
+    assert build("2.5e1") == build(25) == build(Fraction(25))

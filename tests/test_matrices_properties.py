@@ -270,8 +270,10 @@ def test_gauss_jordan_is_d_times_the_reduced_form(data):
     r, c = data.draw(SIDES), data.draw(SIDES)
     num = data.draw(integer_rows(r, c))
     width = data.draw(st.integers(0, c))
-    aug = [list(row) for row in num]
+    given = [list(row) for row in num]
+    aug = given[:]
     pivots, d, sign = MatQ._gauss_jordan(aug, width)
+    assert given == [list(row) for row in num]  # rows replaced, none changed
     rows, pivots_ = MatQFraction(num, ncols=c)._rref(aug=c - width)
     assert pivots == pivots_
     assert aug == [[d * x for x in row] for row in rows]
@@ -280,27 +282,6 @@ def test_gauss_jordan_is_d_times_the_reduced_form(data):
     # the rank of the transpose
     full = len(MatQ._gauss_jordan([list(row) for row in num], c)[0])
     assert len(MatQ._gauss_jordan([list(col) for col in zip(*num)], r)[0]) == full
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(data=st.data())
-def test_gauss_jordan_resumes_where_it_stopped(data):
-    # the first k rows eliminated, the zero rows left behind dropped, the
-    # others appended and the elimination resumed: the same pivot columns and
-    # reduced form as one elimination of all rows, the pivots found in another
-    # order (no columns carried, so the dropped rows are zero)
-    r, c = data.draw(SIDES), data.draw(SIDES)
-    num = data.draw(integer_rows(r, c))
-    k = data.draw(st.integers(0, r))
-    aug = [list(row) for row in num[:k]]
-    pivots, d, _ = MatQ._gauss_jordan(aug, c)
-    aug = aug[:len(pivots)] + [list(row) for row in num[k:]]
-    pivots, d, _ = MatQ._gauss_jordan(aug, c, pivots, d)
-    rows, pivots_ = MatQFraction(num, ncols=c)._rref()
-    assert sorted(pivots) == pivots_
-    assert [row for _, row in sorted(zip(pivots, aug))] == [[d * x for x in row]
-                                                            for row in rows[:len(pivots)]]
-    assert not any(map(any, aug[len(pivots):]))
 
 
 def commute_by_products(nums, n):

@@ -331,18 +331,19 @@ def inner_systems(draw):
     only by chance), with a shared eigenvalue 1, or with both a shared
     eigenvalue 1 and a changed v entry; or "staggered", with dim 2 to 5
     and 2 or 3 matrices, each T_i with the eigenvalue 1 at a place of its
-    own, so the first block is singular and the stack has full rank; or
-    "wide", with eigenvalues and x of 60- to 64-bit numerators and
+    own, so the first block is singular and the stack has full rank, as
+    it is or with a changed v entry; or "wide", with eigenvalues and x of 60- to 64-bit numerators and
     denominators."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     kind = draw(st.sampled_from(
-        ["planted", "changed", "swapped", "fixed", "fixed changed", "staggered", "wide"]))
+        ["planted", "changed", "swapped", "fixed", "fixed changed", "staggered",
+         "staggered changed", "wide"]))
     dim, count = rng.randrange(1, 6), rng.randrange(1, 4)
-    if kind == "staggered":
+    if kind.startswith("staggered"):
         dim = max(dim, 2)
         count = max(2, min(count, dim))
     ts, vs, _ = _planted_system(rng, dim, count, fixed=kind.startswith("fixed"),
-                                staggered=kind == "staggered", wide=kind == "wide")
+                                staggered=kind.startswith("staggered"), wide=kind == "wide")
     if kind.endswith("changed"):
         k = rng.randrange(count)
         rows = [list(r) for r in vs[k].rows]
@@ -363,13 +364,22 @@ def outcome(solve, ts, vs):
         return type(exc), str(exc)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=210)
-@given(inner_systems())
-def test_solve_inner_agrees_with_the_definition(system):
+def test_solve_inner_agrees_with_the_definition():
     """The same solution, or the same error with the same message, as the
-    checks in the order of their definition over one Fraction per entry."""
-    ts, vs = system
-    assert outcome(solve_inner_derivation, ts, vs) == outcome(solve_inner_by_definition, ts, vs)
+    checks in the order of their definition over one Fraction per entry;
+    at least 20 draws have a singular first block, so the solver
+    eliminates again with the next block."""
+    short = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=210)
+    @given(inner_systems())
+    def check(system):
+        ts, vs = system
+        assert outcome(solve_inner_derivation, ts, vs) == outcome(solve_inner_by_definition, ts, vs)
+        short.append(len(ts) > 1 and (ts[0] - MatQ.identity(ts[0].nrows)).det() == 0)
+
+    check()
+    assert sum(short) >= 20, sum(short)
 
 
 # ------------------------------------------- iterated semidirect product
