@@ -8,12 +8,11 @@ Each workload's ops come from perfbench's own ``setup`` and run in one
 cli_corpus runs the in-process ``cli.run`` calls of its corpus.  The
 imports, the set-up and the passes run under ``sys.settrace``, which
 records every line of ``commlab`` that runs; ``verify`` then checks the
-outputs, untraced.  A statement is one of
-``ast``, less docstrings and ``global``/``nonlocal``; it ran if a line
-of it ran, not counting the statements nested in it.  Output: for each
-file, each function with a statement that never ran, then the line
-spans of those statements.  It reads src/ of this checkout and writes
-nothing.
+outputs, untraced.  A statement is one of ``ast`` that compiles to code,
+docstrings left out; it ran if a line of it ran, not counting the
+statements nested in it.  Output: the count of statements that never
+ran, then for each file each function with one, and the line spans of
+those statements.  It reads src/ of this checkout and writes nothing.
 """
 
 import ast
@@ -69,10 +68,8 @@ def statements(tree):
 
     def walk(body, scope):
         for stmt in body:
-            if isinstance(stmt, (ast.Global, ast.Nonlocal)) or (
-                    isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
-                    and isinstance(stmt.value.value, str)):  # docstrings compile to no code
-                continue
+            if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
+                continue  # a docstring
             blocks = [getattr(stmt, field, []) for field in ("body", "orelse", "finalbody")]
             blocks += [part.body for field in ("handlers", "cases") for part in getattr(stmt, field, [])]
             first = min([stmt.lineno] + [d.lineno for d in getattr(stmt, "decorator_list", [])])
