@@ -270,10 +270,10 @@ def test_gauss_jordan_is_d_times_the_reduced_form(data):
     r, c = data.draw(SIDES), data.draw(SIDES)
     num = data.draw(integer_rows(r, c))
     width = data.draw(st.integers(0, c))
-    given = [list(row) for row in num]
-    aug = given[:]
+    inputs = [list(row) for row in num]
+    aug = inputs[:]
     pivots, d, sign = MatQ._gauss_jordan(aug, width)
-    assert given == [list(row) for row in num]  # rows replaced, none changed
+    assert inputs == [list(row) for row in num]  # rows replaced, none changed
     rows, pivots_ = MatQFraction(num, ncols=c)._rref(aug=c - width)
     assert pivots == pivots_
     assert aug == [[d * x for x in row] for row in rows]

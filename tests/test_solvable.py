@@ -332,18 +332,19 @@ def inner_systems(draw):
     eigenvalue 1 and a changed v entry; or "staggered", with dim 2 to 5
     and 2 or 3 matrices, each T_i with the eigenvalue 1 at a place of its
     own, so the first block is singular and the stack has full rank, as
-    it is or with a changed v entry; or "wide", with eigenvalues and x of 60- to 64-bit numerators and
-    denominators."""
+    it is or with a changed v entry; or "wide", with eigenvalues and x of
+    60- to 64-bit numerators and denominators."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     kind = draw(st.sampled_from(
         ["planted", "changed", "swapped", "fixed", "fixed changed", "staggered",
          "staggered changed", "wide"]))
     dim, count = rng.randrange(1, 6), rng.randrange(1, 4)
-    if kind.startswith("staggered"):
+    staggered = kind.startswith("staggered")
+    if staggered:
         dim = max(dim, 2)
         count = max(2, min(count, dim))
     ts, vs, _ = _planted_system(rng, dim, count, fixed=kind.startswith("fixed"),
-                                staggered=kind.startswith("staggered"), wide=kind == "wide")
+                                staggered=staggered, wide=kind == "wide")
     if kind.endswith("changed"):
         k = rng.randrange(count)
         rows = [list(r) for r in vs[k].rows]
