@@ -1068,34 +1068,41 @@ def test_every_flag_of_every_leaf_has_a_fuzz_strategy():
         assert sorted(LEAF_FLAGS[path]) == sorted(flags), path
 
 
-# the contract fuzz by family: a strategy for lists of calls, its draw count
-# and its explicit calls
-_FUZZ_FAMILIES = [
-    (_leaf_calls().map(lambda argv: [argv]), 300, []),
-    (_ENTRY_CALLS, 300, []),
-    (_BS_CALLS.map(lambda argv: [argv]), 300, [
+def _fuzz_contract(calls, count, examples=()):
+    """The contract fuzz: count draws of lists of calls, and the explicit
+    calls, each print one JSON line."""
+    @settings(derandomize=True, database=None, deadline=None, max_examples=count)
+    @given(calls)
+    def check(argvs):
+        for argv in argvs:
+            _prints_one_json_line(argv)
+
+    for argv in examples:
+        check = example([argv])(check)
+    check()
+
+
+def test_fuzzed_calls_of_every_leaf_print_one_json_line():
+    _fuzz_contract(_leaf_calls().map(lambda argv: [argv]), 300)
+
+
+def test_fuzzed_entries_print_one_json_line():
+    _fuzz_contract(_ENTRY_CALLS, 300)
+
+
+def test_fuzzed_bs_calls_print_one_json_line():
+    _fuzz_contract(_BS_CALLS.map(lambda argv: [argv]), 300, [
         ["bs", "domain", "--n", "3", "--r", "0.0001e-4299", "--q", "0"],
-        ["bs", "mul", "--g", '{"n":2,"a":100000000,"b":"0"}', "--h", '{"n":2,"a":0,"b":"1"}']]),
-    (_LAMP_CALLS.map(lambda argv: [argv]), 150, [
+        ["bs", "mul", "--g", '{"n":2,"a":100000000,"b":"0"}', "--h", '{"n":2,"a":0,"b":"1"}']])
+
+
+def test_fuzzed_lamp_mul_and_apply_print_one_json_line():
+    _fuzz_contract(_LAMP_CALLS.map(lambda argv: [argv]), 150, [
         ["lamp", "mul", "--g", '{"k":"1","n":100000000000000000000}', "--h", '{"k":"t","n":1}'],
         ["lamp", "mul", "--g", '{"k":"t^100000000000000000000","n":0}',
          "--h", '{"k":"t^-100000000000000000000","n":0}'],
         ["lamp", "apply", "--comm", _LAMP_CLASSES[0],
-         "--elem", '{"k":"0","n":100000000000000000000}']]),
-]
-
-
-def test_fuzzed_calls_of_every_leaf_print_one_json_line():
-    for calls, count, examples in _FUZZ_FAMILIES:
-        @settings(derandomize=True, database=None, deadline=None, max_examples=count)
-        @given(calls)
-        def check(argvs):
-            for argv in argvs:
-                _prints_one_json_line(argv)
-
-        for argv in examples:
-            check = example([argv])(check)
-        check()
+         "--elem", '{"k":"0","n":100000000000000000000}']])
 
 
 @pytest.mark.parametrize("n", [10**8, -10**8])
