@@ -43,7 +43,7 @@ from .errors import (
     json_object,
 )
 from .frozen import Frozen, Value
-from .matrices import MatQ, format_rational, parse_rational
+from .matrices import MatQ, _rational, format_rational, parse_rational
 
 # Bound on the multiplicative order K that bs_comm_domain searches for.
 ORDER_CAP = 4 * 10**6
@@ -63,7 +63,7 @@ class AffineMap(Frozen):
     __slots__ = ("r", "q")
 
     def __init__(self, r, q):
-        super().__init__(Fraction(r), Fraction(q))
+        super().__init__(_rational(r), _rational(q))
         if self.r == 0:
             raise ZeroInput("scale must be nonzero")
 
@@ -72,7 +72,7 @@ class AffineMap(Frozen):
         return cls(Fraction(1), Fraction(0))
 
     def __call__(self, x) -> Fraction:
-        return self.r * Fraction(x) + self.q
+        return self.r * _rational(x) + self.q
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other."""
@@ -114,7 +114,7 @@ class BSElement(Frozen):
     __slots__ = ("n", "a", "b")
 
     def __init__(self, n: int, a: int, b):
-        super().__init__(n, a, Fraction(b))
+        super().__init__(n, a, _rational(b))
         _check_base(self.n)
         if not _is_n_integral(self.b, self.n):
             raise OutOfDomain(f"translation {self.b} is not a {self.n}-integer")

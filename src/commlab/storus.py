@@ -123,7 +123,9 @@ def squarefree_part(n: int) -> int:
 def is_square_qp(x, p: int) -> bool:
     """Whether x in Q* is a square in the p-adic field Q_p, p checked
     by prime_set."""
-    x = Fraction(x)
+    from .matrices import _rational  # here only: the torus layer runs without matrices
+
+    x = _rational(x)
     if x == 0:
         raise ZeroInput("0 has no meaningful p-adic square class here")
     prime_set((p,))

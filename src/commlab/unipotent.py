@@ -11,13 +11,15 @@ of the S-integer points on the congruence subgroup of least depth D,
 which ``congruence_domain`` reads off the images of the root elements.
 
 log, exp, roots, inverses and powers each sum one series on integers
-(``_series``): each power of x is formed on its band above the diagonal
-and cut to lowest terms by one gcd, and the sum by one more; the root,
-inverse and power coefficients are binomial ones (``_binomial``).  A
-map's images of the basis elements E(i, j) are read as integer matrices
-over its one denominator (``_root_images``); the bracket check multiplies
-their nonzero entries, and each step of the congruence depth's
-bisection sums one integer exp series per image.
+(``_series``), which reads only the entries above the diagonal of g's
+or x's numerator: each power is formed on its band above the diagonal
+and cut to lowest terms by one gcd, the terms are summed once over the
+lcm of their denominators, and the sum is cut by one more gcd; the
+root, inverse and power coefficients are binomial ones (``_binomial``).
+A map's images of the basis elements E(i, j) are read as integer
+matrices over its one denominator (``_root_images``); the bracket check
+multiplies their nonzero entries, and each step of the congruence
+depth's bisection sums one integer exp series per image.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .errors import (
 )
 from .frozen import Value
 from .matrices import MatQ
-from .storus import TRIAL_BOUND, is_prime, prime_factors, prime_set
 
 # Size bound for unitriangular matrices (factorial denominators grow with it).
 DIMENSION_CAP = 12
@@ -50,6 +51,16 @@ _EXP_COEFFS = tuple((k, 1, math.factorial(k)) for k in range(DIMENSION_CAP))
 
 def _too_large(n: int) -> ResourceLimit:
     return ResourceLimit(f"dimension capped at {DIMENSION_CAP}, got {n} x {n}")
+
+
+def _unchecked(cls, mat: MatQ):
+    """An instance of cls, UniTriMat or NilMat, on a MatQ of size at most
+    DIMENSION_CAP that has cls's shape by construction, taken without the
+    constructor's scan."""
+    self = object.__new__(cls)
+    self.n = mat.nrows
+    self.mat = mat
+    return self
 
 
 class UniTriMat(Value):
@@ -72,15 +83,9 @@ class UniTriMat(Value):
         self.n = n
         self.mat = mat
 
-    @classmethod
-    def _raw(cls, mat: MatQ) -> "UniTriMat":
-        """A MatQ that is unitriangular by construction, of size at most
-        DIMENSION_CAP, taken without a scan: products, exp and the
-        binomial series of unitriangular matrices of that size."""
-        self = object.__new__(cls)
-        self.n = mat.nrows
-        self.mat = mat
-        return self
+    # a MatQ that is unitriangular by construction: products, exp and the
+    # binomial series of unitriangular matrices
+    _raw = classmethod(_unchecked)
 
     @classmethod
     def identity(cls, n: int) -> "UniTriMat":
@@ -118,25 +123,31 @@ class NilMat(Value):
         self.n = n
         self.mat = mat
 
+    # a MatQ that is strictly upper triangular by construction: the log
+    # series of a unitriangular matrix
+    _raw = classmethod(_unchecked)
+
 
 def _series(num, den: int, coeffs):
     """The sum of (c / d) * (num / den)**k over the (k, c, d) in coeffs,
     d > 0, with k < n, for a strictly upper triangular n x n integer
     matrix num (a tuple of int tuples) and den > 0, as (integer matrix,
-    denominator).
+    denominator).  Only the entries above num's diagonal are read, so the
+    numerator of a unitriangular g, over its denominator, gives the
+    series in g - I.
 
     (num / den)**k vanishes below its k-th superdiagonal, so each power is
     formed and kept on that band only, as the previous power times num,
     and cut to lowest terms by one gcd; the first zero power ends the sum.
-    The terms are added over the running lcm of their denominators, and
-    the answer is not cut to lowest terms.
+    The terms are then summed once over the lcm of their denominators,
+    and the answer is not cut to lowest terms.
     """
     n = len(num)
     cols = list(zip(*num))
     # row i of the k-th power holds its columns i + k, ..., n - 1
     power = [row[i + 1:] for i, row in enumerate(num)]
     pden = den
-    acc = [[0] * n for _ in range(n)]
+    terms = []
     lcm = 1
     for k, c, d in coeffs:
         if k >= n:
@@ -158,10 +169,10 @@ def _series(num, den: int, coeffs):
                 power = [[x // g for x in row] for row in power]
                 pden //= g
         tden = d * pden if k else d
-        if lcm % tden:
-            f = tden // math.gcd(lcm, tden)
-            lcm *= f
-            acc = [list(map(f.__mul__, row)) for row in acc]
+        terms.append((k, c, tden, power))
+        lcm = math.lcm(lcm, tden)
+    acc = [[0] * n for _ in range(n)]
+    for k, c, tden, power in terms:
         c *= lcm // tden
         if k:
             for i, src in enumerate(power[:n - k]):
@@ -173,15 +184,9 @@ def _series(num, den: int, coeffs):
     return tuple(map(tuple, acc)), lcm
 
 
-def _strict(g: UniTriMat):
-    """The numerator of g - I over g's denominator, in lowest terms like
-    g: g's numerator with its diagonal set to 0."""
-    return tuple((0,) * (i + 1) + row[i + 1:] for i, row in enumerate(g.mat.num))
-
-
 def unitri_log(g: UniTriMat) -> NilMat:
     """Exact logarithm: the alternating finite series in (g - I)."""
-    return NilMat(MatQ._lowest(*_series(_strict(g), g.mat.den, _LOG_COEFFS), g.n))
+    return NilMat._raw(MatQ._lowest(*_series(g.mat.num, g.mat.den, _LOG_COEFFS), g.n))
 
 
 def unitri_exp(x: NilMat) -> UniTriMat:
@@ -209,7 +214,7 @@ def _power(g: UniTriMat, a: int, b: int) -> UniTriMat:
     """g**(a / b), b > 0: the binomial series sum of C(a / b, k) (g - I)**k,
     finite since (g - I)**n = 0, summed by one ``_series`` on g's integer
     numerator."""
-    return UniTriMat._raw(MatQ._lowest(*_series(_strict(g), g.mat.den, _binomial(a, b, g.n)), g.n))
+    return UniTriMat._raw(MatQ._lowest(*_series(g.mat.num, g.mat.den, _binomial(a, b, g.n)), g.n))
 
 
 def pth_root(g: UniTriMat, p: int) -> UniTriMat:
@@ -226,6 +231,8 @@ def is_s_integral(g, primes) -> bool:
     """Whether every entry denominator factors inside the prime set: in
     lowest terms the common denominator is their lcm, so it is the one
     to factor.  A set with a member that is not prime is NotPrime."""
+    from .storus import prime_set
+
     d = (g.mat if isinstance(g, (UniTriMat, NilMat)) else g).den
     for p in prime_set(primes):
         while d % p == 0:
@@ -370,15 +377,6 @@ def comm_from_lie_aut(aut: LieAut, g: UniTriMat) -> UniTriMat:
 # congruence depth of the induced commensuration
 
 
-def _factored(n: int, known=()) -> dict:
-    """The factorization of n by prime_factors; ExceedsFactorBound if it
-    leaves a cofactor."""
-    factors, rest = prime_factors(n, known)
-    if rest > 1:
-        raise ExceedsFactorBound(f"cannot factor {rest}: no prime factor up to {TRIAL_BOUND}")
-    return factors
-
-
 def _exp_is_p_integral(num, scale: int, den: int, p: int) -> bool:
     """Whether exp(scale * num / den) is p-integral, for a strictly upper
     triangular integer matrix num: one integer series, then one gcd to
@@ -401,14 +399,20 @@ def congruence_domain(aut: LieAut, primes) -> int:
     p-integral for every i < j, found by bisection.  e_p is at most
     v_p(den) + [p < n], den the map's denominator: then p**e N_ij / den
     has valuation at least [p < n], which outweighs v_p(k!) < k.  So
-    only primes that divide den or are below n can occur.
+    only primes that divide den or are below n can occur.  den is
+    factored by prime_factors, and a cofactor it leaves is
+    ExceedsFactorBound.
     """
+    from .storus import TRIAL_BOUND, is_prime, prime_factors, prime_set
+
     primes = prime_set(primes)
     if not lie_aut_check(aut):
         raise NotAnAutomorphism("the linear map does not preserve brackets")
     n, den = aut.n, aut.mat.den
     images = _root_images(aut)
-    tops = _factored(den, primes)
+    tops, rest = prime_factors(den, primes)
+    if rest > 1:
+        raise ExceedsFactorBound(f"cannot factor {rest}: no prime factor up to {TRIAL_BOUND}")
     for p in filter(is_prime, range(2, n)):
         tops[p] = tops.get(p, 0) + 1
     depth = 1

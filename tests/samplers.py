@@ -39,7 +39,8 @@ route (left kernel, HNF of the kernel rows, ``flip_basis`` of that
 basis) that ``commlab.lamplighter.comm_domain`` is compared against.
 ``log_series`` and ``exp_series`` sum the unitriangular log and exp on
 any such matrix class: the oracle of the integer series of
-``commlab.unipotent``.
+``commlab.unipotent``; ``series_by_fractions`` sums any coefficient list
+on one, the oracle of that series itself (``commlab.unipotent._series``).
 ``from_entries_by_polys`` reads a linear part through one pair of
 ``F2LaurentPoly`` per entry, the oracle of
 ``commlab.lamplighter.CommInftyElt.from_entries``.  ``adjugate_masks``
@@ -863,6 +864,19 @@ def exp_series(x):
         power = power * x
         fact *= k
         acc = acc + power * Fraction(1, fact)
+    return acc
+
+
+def series_by_fractions(x, coeffs):
+    """The sum of (c / d) * x**k over the (k, c, d) in coeffs, for a square
+    ``FieldMat`` x, each power formed as the product of k copies of x."""
+    n = x.nrows
+    acc = type(x).zeros(n, n)
+    for k, c, d in coeffs:
+        power = type(x).identity(n)
+        for _ in range(k):
+            power = power * x
+        acc = acc + power * Fraction(c, d)
     return acc
 
 

@@ -1200,8 +1200,10 @@ def test_each_call_imports_only_its_own_layer():
         (["lamp", "compose", "--c1", comm, "--c2", comm], _Q_LAYERS | {"fractions", "random"}),
         (["bs", "conj", "--r", "2", "--q", "1/3", "--elem", '{"n":2,"a":2,"b":"3"}'],
          _LAMP_LAYERS | {"random"}),
-        (["unipotent", "root", "--p", "3", "--matrix", "[[1,1],[0,1]]"], _LAMP_LAYERS | {"random"}),
-        (["torus-rank", "--matrix", "2,1;1,1", "--primes", "3,11"], _LAMP_LAYERS | {"random"}),
+        (["unipotent", "root", "--p", "3", "--matrix", "[[1,1],[0,1]]"],
+         _LAMP_LAYERS | {"commlab.storus", "random"}),
+        (["torus-rank", "--matrix", "2,1;1,1", "--primes", "3,11"],
+         _LAMP_LAYERS | {"commlab.matrices", "random"}),
         (["comm-desc", "inv", "--spec", json.dumps({"space": space, "a": desc})],
          _LAMP_LAYERS | {"random"}),
         (["solve-inner", "--ts", '[[["2"]]]', "--vs", '[["1"]]'], _LAMP_LAYERS | {"random"}),

@@ -6,7 +6,8 @@ import pytest
 
 from commlab.errors import ResourceLimit, SingularMatrix
 from commlab.matrices import EXACT_DIGIT_BITS, MatQ, format_rational
-from commlab.solvable import solve_inner_derivation
+from commlab.solvable import AffineMap, BSElement, solve_inner_derivation
+from commlab.storus import is_square_qp
 from commlab.unipotent import LieAut, NilMat, UniTriMat
 from samplers import F2RatFun, MatF2Rat
 
@@ -111,12 +112,20 @@ def test_a_huge_int_is_refused_without_counting_its_digits():
     lambda x: LieAut(2, [[x]]),
     lambda x: LieAut.diagonal(2, [x]),
     lambda x: solve_inner_derivation([[[x]]], [[["1"]]]),
-], ids=["MatQ", "scalar", "UniTriMat", "NilMat", "LieAut", "LieAut.diagonal", "solve-inner"])
+    lambda x: AffineMap(x, "0"),
+    lambda x: AffineMap("1", x),
+    lambda x: AffineMap(2, 1)(x),
+    lambda x: BSElement(2, 0, x),
+    lambda x: is_square_qp(x, 3),
+], ids=["MatQ", "scalar", "UniTriMat", "NilMat", "LieAut", "LieAut.diagonal", "solve-inner",
+        "AffineMap.r", "AffineMap.q", "AffineMap.call", "BSElement.b", "is_square_qp"])
 def test_a_string_entry_is_read_by_parse_rational(build):
     # a decimal literal reads as parse_rational reads it, its exponent cap
-    # included; ints and Fractions pass as they are
+    # included; ints and Fractions pass as they are, and a float is refused
     start = time.perf_counter()
     with pytest.raises(ResourceLimit, match="has an exponent above 4299"):
         build("1e200000")
     assert time.perf_counter() - start < 0.5
     assert build("2.5e1") == build(25) == build(Fraction(25))
+    with pytest.raises(TypeError):
+        build(25.0)

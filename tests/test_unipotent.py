@@ -6,7 +6,7 @@ from functools import reduce
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commlab.errors import (
@@ -32,8 +32,9 @@ from commlab.unipotent import (
     unitri_exp,
     unitri_log,
 )
+from commlab.unipotent import _EXP_COEFFS, _LOG_COEFFS, _binomial, _series
 from commlab.storus import is_prime
-from samplers import MatQFraction, exp_series, log_series
+from samplers import MatQFraction, exp_series, log_series, series_by_fractions
 
 
 def elementary(n, i, j, c=1):
@@ -122,6 +123,63 @@ def test_log_and_exp_match_the_fraction_series(rows):
     assert unitri_log(unitri_exp(x)) == x
 
 
+# dens for _series: 2, 3, 6, 12, 120 and 11! share factors with the term
+# denominators k, k! and those of C(a / b, k); 2**61 - 1 and 10**30 + 57 are
+# prime to 11!
+_SERIES_DENS = (1, 2, 3, 6, 12, 120, math.factorial(11), 2**61 - 1, 10**30 + 57)
+
+
+@st.composite
+def series_inputs(draw):
+    """(num, den, coeffs) for ``_series``: an n x n integer matrix, n from
+    0 to 12, whose entries on and below the diagonal are junk that must
+    not be read, a den from _SERIES_DENS, and the log, exp or binomial
+    coefficients C(a / b, k), k < n."""
+    n = draw(st.integers(0, DIMENSION_CAP))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bits = draw(st.sampled_from([4, 64]))
+    num = tuple(tuple(rng.randrange(-2**bits, 2**bits) for _ in range(n)) for _ in range(n))
+    kind = draw(st.sampled_from(["log", "exp", "binomial"]))
+    if kind == "binomial":
+        coeffs = tuple(_binomial(draw(st.integers(-6, 6)), draw(st.integers(1, 7)), n))
+    else:
+        coeffs = _LOG_COEFFS if kind == "log" else _EXP_COEFFS
+    return num, draw(st.sampled_from(_SERIES_DENS)), coeffs
+
+
+def _strict_part(num, den):
+    return MatQFraction([[F(x, den) if j > i else F(0) for j, x in enumerate(row)]
+                         for i, row in enumerate(num)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(series_inputs())
+# x**2 = 0, so the series ends after its linear term; diagonal entries of 7
+@example((((7, 1, 0, 0, 0), (0, 7, 0, 0, 0), (0, 0, 7, 1, 0), (0, 0, 0, 7, 0), (0, 0, 0, 0, 7)),
+          6, _EXP_COEFFS))
+@example((((5, 3, -2), (-1, 5, 4), (9, 8, 5)), 6, tuple(_binomial(1, 3, 3))))
+def test_series_matches_the_fraction_sum(args):
+    """The band series, summed once over the lcm of its term denominators,
+    against the sum of (c / d) * (x / den)**k over one Fraction per entry,
+    x the part of num above the diagonal.  The answer is not in lowest
+    terms, so it is compared as a Fraction matrix."""
+    num, den, coeffs = args
+    out, lcm = _series(num, den, coeffs)
+    assert lcm > 0
+    got = MatQFraction([[F(v, lcm) for v in row] for row in out])
+    assert got == series_by_fractions(_strict_part(num, den), coeffs)
+
+
+def test_series_ends_at_the_first_zero_power():
+    """x = E(0, 1) + E(2, 3) at n = 5 has x**2 = 0: the sum stops there,
+    so its denominator is lcm(1, den), with no k! of a later term."""
+    x = [[0] * 5 for _ in range(5)]
+    x[0][1] = x[2][3] = 1
+    out, lcm = _series(tuple(map(tuple, x)), 6, _EXP_COEFFS)
+    assert lcm == 6
+    assert out == tuple(tuple(6 * (i == j) + x[i][j] for j in range(5)) for i in range(5))
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(strict_rows(), st.sampled_from([1, 2, 3, 5, 7]))
 def test_pth_root_is_a_root(rows, p):
@@ -168,8 +226,9 @@ def test_root_and_inverse_match_the_fraction_series(rows, p):
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(strict_rows(), st.integers(0, 2**32))
 def test_unchecked_results_pass_the_checking_constructor(rows, seed):
-    """Products, exp, inverses and roots skip the unitriangular scan; each
-    result is what UniTriMat(mat), which scans, builds from its matrix."""
+    """Products, exp, inverses and roots skip the unitriangular scan, and
+    log the strictly upper triangular one; each result is what UniTriMat
+    or NilMat, which scan, builds from its matrix."""
     n = len(rows)
     g = unitri_from(rows)
     h = rand_unitri(random.Random(seed), n, denoms=(1, 2, 3, 5))
@@ -177,6 +236,10 @@ def test_unchecked_results_pass_the_checking_constructor(rows, seed):
         checked = UniTriMat(out.mat)
         assert type(out) is UniTriMat and out.n == checked.n == n
         assert out == checked and out.mat.rows == checked.mat.rows
+    log = unitri_log(g)
+    checked = NilMat(log.mat)
+    assert type(log) is NilMat and log.n == checked.n == n
+    assert log == checked and log.mat.rows == checked.mat.rows
 
 
 def test_exp_of_a_log_with_large_denominators_is_fast():
