@@ -26,7 +26,8 @@ Subpackage map:
   equality, hash and dataclass-style repr come from its ``__slots__``
   (a ``_`` slot is a cache, not a field), and ``Frozen``, the immutable
   values of ``storus`` and ``solvable``;
-* ``cli`` -- the ``comm-lab`` command-line interface.
+* ``cli`` -- the ``comm-lab`` command-line interface, and ``demos``,
+  the worked computations its ``demo`` subcommand reproduces.
 """
 
 __version__ = "0.1.0"

@@ -1,15 +1,19 @@
 """Command-line entry point.
 
-Each leaf subcommand is defined once, in ``_build_parser``, together
-with the handler that runs it.  The parser is built eagerly, in full,
-and imports no compute layer, so ``--help`` and argparse's rejections
-load none; each handler, and each demo, imports the layer it runs in
-its own body, so a call loads the code of its own family only (a
-``lamp`` call never loads ``matrices``, a ``bs`` call never
-``f2poly``).  Handlers read JSON (inline or a file path; JSON numbers
-are read as decimals, so ``0.1`` is 1/10) and return their result;
-``run`` is the one place that prints a result or an error and picks the
-exit code: 0 on success, 1 on domain errors (reported as
+Each leaf subcommand is defined once, in ``_build_parser`` or in its
+family's row of ``_FAMILIES``, together with the handler that runs it.
+A call builds every top-level command, so the top level's help, choices
+and errors never change, but the leaves of the ``lamp``, ``unipotent``,
+``bs`` or ``comm-desc`` family only when the call's first token without
+a leading dash names that family.  The parser imports no compute layer,
+so ``--help`` and argparse's rejections load none; each handler imports
+the layer it runs in its own body, and only the ``demo`` leaf imports
+``demos``, so a call loads the code of its own family only (a ``lamp``
+call never loads ``matrices``, a ``bs`` call never ``f2poly``).
+Handlers read JSON (inline or a file path; JSON numbers are read as
+decimals, so ``0.1`` is 1/10) and return their result; ``run`` is the
+one place that prints a result or an error and picks the exit code: 0 on
+success, 1 on domain errors (reported as
 ``{"error": code, "detail": text}``; running out of memory is the code
 ``ResourceLimit``), 2 on malformed input, a command line that argparse
 rejects included.  ``--pretty`` indents the same JSON.  The ``demo``
@@ -20,7 +24,6 @@ prints one PASS/FAIL line per check and returns its own exit code.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -107,6 +110,10 @@ def _torus_rank(args):
     out = storus.s_rank(spec, primes).to_json()
     out["torus"] = spec.to_json()
     return out
+
+
+def _lamp_mul(args):
+    return (_lamp_elem(args.g) * _lamp_elem(args.h)).to_json()
 
 
 def _lamp_apply(args):
@@ -260,124 +267,15 @@ def _solve_inner(args):
 
 
 # ---------------------------------------------------------------------------
-# demos reproducing the worked computations
+# demos reproducing the worked computations, in ``demos``; their names here
+# are the choices of the ``demo`` leaf
 
-
-def _check(name: str, ok: bool, detail: str = "") -> bool:
-    tag = "PASS" if ok else "FAIL"
-    line = f"{tag}  {name}"
-    if detail:
-        line += f"  ({detail})"
-    print(line)
-    return ok
-
-
-def _demo_torus_example(_seed: int) -> bool:
-    from . import storus
-    spec = storus.torus_from_matrix2([[2, 1], [1, 1]])
-    ok = _check("closure of [[2,1],[1,1]] is the norm-one torus of disc 5",
-                spec == storus.TorusSpec.norm_one(5))
-    expected = {(): 1, (3,): 1, (11,): 2, (3, 11): 2}
-    for primes, want in expected.items():
-        n = storus.s_rank(spec, primes).N
-        label = "{" + ",".join(map(str, primes)) + "}"
-        ok &= _check(f"free rank of the S-integer points for S = {label}",
-                     n == want, f"N = {n}")
-    return ok
-
-
-def _demo_lamplighter_gl_embed(_seed: int) -> bool:
-    from . import lamplighter as lamp
-    mats = []
-    for bits in itertools.product([0, 1], repeat=4):
-        a, b, c, d = bits
-        if a * d ^ b * c:
-            mats.append([[a, b], [c, d]])
-    ok = _check("GL_2(F2) has 6 elements", len(mats) == 6)
-    embeds = [lamp.diagonal_embed(2, m) for m in mats]
-    ok &= _check("the embedding is injective", len(set(embeds)) == 6)
-    good = 0
-    for i, m1 in enumerate(mats):
-        for j, m2 in enumerate(mats):
-            prod = [[(m1[0][0] * m2[0][k] + m1[0][1] * m2[1][k]) % 2 for k in range(2)],
-                    [(m1[1][0] * m2[0][k] + m1[1][1] * m2[1][k]) % 2 for k in range(2)]]
-            if lamp.comm_compose(embeds[i], embeds[j]) == lamp.diagonal_embed(2, prod):
-                good += 1
-    ok &= _check("all 36 products agree with the matrix products", good == 36)
-    sw = lamp.diagonal_embed(2, [[0, 1], [1, 0]])
-    img = lamp.comm_apply(sw, lamp.LampElement.lamp(4))
-    ok &= _check("the swap exchanges lamps 4 and 5", img == lamp.LampElement.lamp(5))
-    return ok
-
-
-def _demo_bs_bogopolski(seed: int) -> bool:
-    import random
-    from fractions import Fraction
-    from . import solvable
-    from .solvable import AffineMap, BSElement
-    report = solvable.reduced_comm_structure(1, 0, "bs")
-    ok = _check("commensurator shape for the solvable Baumslag-Solitar groups",
-                "Q |x Q*" in report.iso, report.iso)
-    k, d = solvable.bs_comm_domain(AffineMap(1, Fraction(1, 3)), 2)
-    ok &= _check("congruence parameters for conjugation by x -> x + 1/3",
-                 (k, d) == (2, 3), f"K = {k}, D = {d}")
-    rng = random.Random(seed)
-    fails = 0
-    for _ in range(200):
-        c = AffineMap(
-            Fraction(rng.choice([1, 2, 3, -1, 5]), rng.choice([1, 2, 3])),
-            Fraction(rng.randrange(-4, 5), rng.choice([1, 2, 3, 6])),
-        )
-        kk, dd = solvable.bs_comm_domain(c, 2)
-        g = BSElement(2, kk * rng.randrange(-3, 4),
-                      dd * Fraction(rng.randrange(-8, 9), 2 ** rng.randrange(0, 4)))
-        h = BSElement(2, kk * rng.randrange(-3, 4),
-                      dd * Fraction(rng.randrange(-8, 9), 2 ** rng.randrange(0, 4)))
-        lhs = solvable.bs_comm_apply(c, solvable.bs_mul(g, h))
-        rhs = solvable.bs_mul(solvable.bs_comm_apply(c, g), solvable.bs_comm_apply(c, h))
-        if lhs != rhs:
-            fails += 1
-    ok &= _check("conjugation is a homomorphism on 200 sampled domains", fails == 0)
-    return ok
-
-
-def _demo_radicability(seed: int) -> bool:
-    import random
-    from fractions import Fraction
-    from . import unipotent
-    from .unipotent import UniTriMat
-    rng = random.Random(seed)
-    fails = 0
-    for _ in range(200):
-        rows = [[Fraction(1) if i == j else Fraction(0) for j in range(4)] for i in range(4)]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                rows[i][j] = Fraction(rng.randrange(-8, 9), 2 ** rng.randrange(0, 4))
-        g = UniTriMat(rows)
-        r = unipotent.pth_root(g, 2)
-        if not unipotent.is_s_integral(r, {2}) or r * r != g:
-            fails += 1
-    ok = _check("square roots of 200 samples stay 2-integral and roundtrip", fails == 0)
-    witness = UniTriMat([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    r3 = unipotent.pth_root(witness, 3)
-    ok &= _check(
-        "the cube root of the (1,2)-elementary matrix leaves Z[1/2]",
-        not unipotent.is_s_integral(r3, {2}),
-        f"entry (1,2) = {r3.mat.entry(0, 1)}",
-    )
-    return ok
-
-
-_DEMOS = {
-    "torus-example": _demo_torus_example,
-    "lamplighter-gl-embed": _demo_lamplighter_gl_embed,
-    "bs-bogopolski": _demo_bs_bogopolski,
-    "radicability": _demo_radicability,
-}
+_DEMOS = ("bs-bogopolski", "lamplighter-gl-embed", "radicability", "torus-example")
 
 
 def _demo(args) -> int:
-    return 0 if _DEMOS[args.name](args.seed) else 1
+    from .demos import DEMOS
+    return 0 if DEMOS[args.name](args.seed) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +294,54 @@ class _Parser(argparse.ArgumentParser):
 _INT_FLAGS = ("--n", "--m", "--p")
 
 
-def _leaf(subs, name: str, handler, *flags: str, **kwargs) -> argparse.ArgumentParser:
-    """Add subcommand ``name`` run by ``handler``; each flag is a required
-    option, an integer for the flags in ``_INT_FLAGS``."""
+def _leaf(subs, name: str, handler, *flags, **kwargs) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` run by ``handler``; each flag, a name or a
+    (name, help) pair, is a required option, an integer for the flags in
+    ``_INT_FLAGS``."""
     p = subs.add_parser(name, **kwargs)
     for flag in flags:
-        p.add_argument(flag, type=int if flag in _INT_FLAGS else None, required=True)
+        flag, text = (flag, None) if isinstance(flag, str) else flag
+        p.add_argument(flag, type=int if flag in _INT_FLAGS else None, required=True, help=text)
     p.set_defaults(handler=handler)
     return p
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# the families of leaves: (family, help, dest, leaves), each leaf the
+# arguments of _leaf after its subparsers
+_FAMILIES = (
+    ("lamp", "lamplighter commensurations", "lamp_cmd", (
+        ("mul", _lamp_mul, "--g", "--h"),
+        ("apply", _lamp_apply, "--comm", "--elem"),
+        ("compose", _lamp_compose, "--c1", "--c2"),
+        ("invert", _lamp_invert, "--comm"),
+        ("domain", _lamp_domain, "--comm"),
+        ("from-partial", _lamp_from_partial, "--data"),
+        ("embed-gl", _lamp_embed_gl, "--n", ("--matrix", 'F2 matrix "1,0;0,1"')),
+        ("quotient-dim", _lamp_quotient_dim, "--submodule", "--m"),
+    )),
+    ("unipotent", "unitriangular groups over Q", "uni_cmd", (
+        ("log", _uni_log, "--matrix"),
+        ("exp", _uni_exp, "--matrix"),
+        ("root", _uni_root, "--p", "--matrix"),
+        ("apply-aut", _uni_apply_aut, "--aut", "--matrix"),
+    )),
+    ("bs", "solvable Baumslag-Solitar groups", "bs_cmd", (
+        ("mul", _bs_mul, "--g", "--h"),
+        ("conj", _bs_conj, "--r", "--q", "--elem"),
+        ("domain", _bs_domain, "--n", "--r", "--q"),
+    )),
+    ("comm-desc", "iterated semidirect-product law", "desc_cmd", (
+        ("mul", _desc_mul, "--spec"),
+        ("inv", _desc_inv, "--spec"),
+    )),
+)
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every top-level command, with the leaves of the
+    family that ``command`` names only, or of every family for None.
+    The top level's help, choices and errors are the same either way,
+    and a family's leaves parse only the arguments past its name."""
     parser = _Parser(
         prog="comm-lab",
         description="exact computations with commensurators of solvable "
@@ -422,43 +357,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", help='2x2 integer matrix "a,b;c,d"')
     p.add_argument("--primes", default="", help="comma-separated primes")
 
-    p = subs.add_parser("lamp", help="lamplighter commensurations")
-    lsubs = p.add_subparsers(dest="lamp_cmd", required=True)
-    _leaf(lsubs, "mul", lambda a: (_lamp_elem(a.g) * _lamp_elem(a.h)).to_json(),
-          "--g", "--h")
-    _leaf(lsubs, "apply", _lamp_apply, "--comm", "--elem")
-    _leaf(lsubs, "compose", _lamp_compose, "--c1", "--c2")
-    _leaf(lsubs, "invert", _lamp_invert, "--comm")
-    _leaf(lsubs, "domain", _lamp_domain, "--comm")
-    _leaf(lsubs, "from-partial", _lamp_from_partial, "--data")
-    _leaf(lsubs, "embed-gl", _lamp_embed_gl,
-          "--n").add_argument("--matrix", required=True, help='F2 matrix "1,0;0,1"')
-    _leaf(lsubs, "quotient-dim", _lamp_quotient_dim, "--submodule", "--m")
-
-    p = subs.add_parser("unipotent", help="unitriangular groups over Q")
-    usubs = p.add_subparsers(dest="uni_cmd", required=True)
-    _leaf(usubs, "log", _uni_log, "--matrix")
-    _leaf(usubs, "exp", _uni_exp, "--matrix")
-    _leaf(usubs, "root", _uni_root, "--p", "--matrix")
-    _leaf(usubs, "apply-aut", _uni_apply_aut, "--aut", "--matrix")
-
-    p = subs.add_parser("bs", help="solvable Baumslag-Solitar groups")
-    bsubs = p.add_subparsers(dest="bs_cmd", required=True)
-    _leaf(bsubs, "mul", _bs_mul, "--g", "--h")
-    _leaf(bsubs, "conj", _bs_conj, "--r", "--q", "--elem")
-    _leaf(bsubs, "domain", _bs_domain, "--n", "--r", "--q")
-
-    p = subs.add_parser("comm-desc", help="iterated semidirect-product law")
-    dsubs = p.add_subparsers(dest="desc_cmd", required=True)
-    _leaf(dsubs, "mul", _desc_mul, "--spec")
-    _leaf(dsubs, "inv", _desc_inv, "--spec")
+    for family, text, dest, leaves in _FAMILIES:
+        p = subs.add_parser(family, help=text)
+        if command in (None, family):
+            fsubs = p.add_subparsers(dest=dest, required=True)
+            for leaf in leaves:
+                _leaf(fsubs, *leaf)
 
     p = _leaf(subs, "solve-inner", _solve_inner, help="inner-derivation linear solver")
     p.add_argument("--ts", required=True, help="JSON list of square matrices")
     p.add_argument("--vs", required=True, help="JSON list of vectors")
 
     p = _leaf(subs, "demo", _demo, help="reproduce the worked computations")
-    p.add_argument("name", choices=sorted(_DEMOS))
+    p.add_argument("name", choices=_DEMOS)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -468,7 +379,9 @@ def run(argv) -> int:
     """Parse ``argv``, run its handler, print its result or error as one
     JSON line and return the exit code.  ``demo`` prints its own PASS/FAIL
     lines and returns its exit code, an int where others return JSON."""
-    parser = _build_parser()
+    # the first token without a leading dash names the command, as the top
+    # level's one option, --pretty, takes no value
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except argparse.ArgumentError as exc:

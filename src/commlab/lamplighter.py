@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 
-from . import hnf, ratfun
+from . import ratfun
 from .errors import (
     DimensionMismatch,
     ExponentMismatch,
@@ -538,6 +538,8 @@ class SubmoduleBasis(Value):
                 f"level {level} needs a {level} x {level} basis, "
                 f"got {len(rows)} rows of lengths {widths}"
             )
+        from . import hnf  # here only: a call without a submodule never compiles it
+
         if not hnf.is_hnf(rows):
             raise ValueError("basis is not in Hermite normal form")
         self.level = level
@@ -553,6 +555,8 @@ class SubmoduleBasis(Value):
         """The span of the generator rows, which must have full rank."""
         if not gens:
             raise SingularMatrix("no generators")
+        from . import hnf
+
         H, pivots = hnf.row_echelon(gens)
         if len(pivots) < level:
             raise SingularMatrix("generators do not span a finite-index submodule")
@@ -767,6 +771,8 @@ def comm_domain(c: LampComm):
     level = c.level
     if c.lin.den == 1:  # num maps K into K, and F(K) = K
         return SubmoduleBasis.full(level), level
+    from . import hnf
+
     lin = c.lin.flip_conj() if c.flip else c.lin
     masks = lin.num.entry_masks()[0]
     rows = [list(col) + [int(r == i) for r in range(level)] for i, col in enumerate(zip(*masks))]

@@ -14,7 +14,6 @@ square in the local field.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import (
     DimensionMismatch,
@@ -299,7 +298,9 @@ def is_square_qp_bruteforce(x, p: int) -> bool:
     even and its unit part is among the squares modulo p**2 (2**6 for
     p = 2), which by Hensel's lemma decides a p-adic unit.
     """
-    x = Fraction(x)
+    from .matrices import _rational  # here only, as in is_square_qp
+
+    x = _rational(x)
     if x == 0:
         raise ZeroInput("0 is excluded")
     if not is_prime(p):

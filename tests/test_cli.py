@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import commlab
 from commlab.cli import _DEMOS, _build_parser, run
+from commlab.demos import DEMOS
 
 
 def run_json(capsys, argv):
@@ -1197,13 +1198,14 @@ def test_each_call_imports_only_its_own_layer():
     space = {"N0": 1, "N1": 0, "dZ": 0, "dZ1": 0}
     desc = {"h_central": [], "P": [["2"]], "h_10": [[]], "h_1z": []}
     calls = [
-        (["lamp", "compose", "--c1", comm, "--c2", comm], _Q_LAYERS | {"fractions", "random"}),
+        (["lamp", "compose", "--c1", comm, "--c2", comm],
+         _Q_LAYERS | {"commlab.hnf", "fractions", "random"}),
         (["bs", "conj", "--r", "2", "--q", "1/3", "--elem", '{"n":2,"a":2,"b":"3"}'],
          _LAMP_LAYERS | {"random"}),
         (["unipotent", "root", "--p", "3", "--matrix", "[[1,1],[0,1]]"],
          _LAMP_LAYERS | {"commlab.storus", "random"}),
         (["torus-rank", "--matrix", "2,1;1,1", "--primes", "3,11"],
-         _LAMP_LAYERS | {"commlab.matrices", "random"}),
+         _LAMP_LAYERS | {"commlab.matrices", "fractions", "random"}),
         (["comm-desc", "inv", "--spec", json.dumps({"space": space, "a": desc})],
          _LAMP_LAYERS | {"random"}),
         (["solve-inner", "--ts", '[[["2"]]]', "--vs", '[["1"]]'], _LAMP_LAYERS | {"random"}),
@@ -1219,7 +1221,10 @@ def test_each_call_imports_only_its_own_layer():
         out = json.loads(proc.stdout)
         assert out["code"] == 0, argv
         assert "commlab.cli" in out["loaded"]
-        assert not (absent | {"dataclasses"}) & set(out["loaded"]), (argv, out["loaded"])
+        assert not (absent | {"commlab.demos", "dataclasses"}) & set(out["loaded"]), (
+            argv, out["loaded"])
+    # the demo leaf's choices are the demos that the demos module runs
+    assert sorted(_DEMOS) == sorted(DEMOS)
 
 
 def test_demo_commands(capsys):
@@ -1252,6 +1257,34 @@ def _leaves(parser, path=()):
     for action in subs:
         for name, sub in action.choices.items():
             yield from _leaves(sub, path + (name,))
+
+
+def _parsed(parser, argv):
+    """The Namespace's fields, or the text of the ArgumentError."""
+    try:
+        return vars(parser.parse_args(argv))
+    except argparse.ArgumentError as exc:
+        return str(exc)
+
+
+def test_the_parser_of_one_family_parses_as_the_full_one():
+    # a call builds the leaves of the family its first token without a
+    # leading dash names, and no other family's
+    assert sorted(dict(_leaves(_build_parser("bs")))) == [
+        ("bs", "conj"), ("bs", "domain"), ("bs", "mul"), ("comm-desc",), ("demo",), ("lamp",),
+        ("solve-inner",), ("torus-rank",), ("unipotent",)]
+    full = _build_parser()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(_leaf_calls())
+    def check(argv):
+        command = next((a for a in argv if not a.startswith("-")), None)
+        assert _parsed(_build_parser(command), argv) == _parsed(full, argv), argv
+
+    for argv in ([], ["--pretty"], ["nope"], ["lamp"], ["lamp", "nope"],
+                 ["--pretty", "bs", "domain", "--n", "abc", "--r", "1", "--q", "1"]):
+        check = example(argv)(check)
+    check()
 
 
 def test_every_leaf_subcommand_has_a_handler():

@@ -7,7 +7,7 @@ import pytest
 from commlab.errors import ResourceLimit, SingularMatrix
 from commlab.matrices import EXACT_DIGIT_BITS, MatQ, format_rational
 from commlab.solvable import AffineMap, BSElement, solve_inner_derivation
-from commlab.storus import is_square_qp
+from commlab.storus import is_square_qp, is_square_qp_bruteforce
 from commlab.unipotent import LieAut, NilMat, UniTriMat
 from samplers import F2RatFun, MatF2Rat
 
@@ -117,8 +117,10 @@ def test_a_huge_int_is_refused_without_counting_its_digits():
     lambda x: AffineMap(2, 1)(x),
     lambda x: BSElement(2, 0, x),
     lambda x: is_square_qp(x, 3),
+    lambda x: is_square_qp_bruteforce(x, 3),
 ], ids=["MatQ", "scalar", "UniTriMat", "NilMat", "LieAut", "LieAut.diagonal", "solve-inner",
-        "AffineMap.r", "AffineMap.q", "AffineMap.call", "BSElement.b", "is_square_qp"])
+        "AffineMap.r", "AffineMap.q", "AffineMap.call", "BSElement.b", "is_square_qp",
+        "is_square_qp_bruteforce"])
 def test_a_string_entry_is_read_by_parse_rational(build):
     # a decimal literal reads as parse_rational reads it, its exponent cap
     # included; ints and Fractions pass as they are, and a float is refused

@@ -772,6 +772,39 @@ def test_congruence_domain_is_the_least_depth(n, seed, primes):
     assert_least_depth(aut, primes, depth, rng)
 
 
+def heisenberg_aut(rng, denoms=(1, 2, 3)):
+    """A random bracket-preserving map for n = 3, in the basis E(0, 1),
+    E(0, 2), E(1, 2): an invertible A = [[a, b], [c, d]] on the span of
+    E(0, 1) and E(1, 2), plus a central part x E(0, 2) and y E(0, 2) on
+    their images, and E(0, 2) -> det A E(0, 2).  A conjugation is the
+    identity modulo E(0, 2), so for A != I the map is not inner, and the
+    image a E(0, 1) + c E(1, 2) + x E(0, 2) squares to a c E(0, 2), so
+    the factorials of exp enter where no inner or diagonal map has them."""
+    while True:
+        a, b, c, d, x, y = (F(rng.randrange(-3, 4), rng.choice(denoms)) for _ in range(6))
+        if a * d - b * c and (a, b, c, d) != (1, 0, 0, 1):
+            return LieAut(3, [[a, 0, b], [x, a * d - b * c, y], [c, 0, d]])
+
+
+def test_congruence_domain_of_a_map_that_is_not_inner():
+    # E(0, 1) -> E(0, 1) + E(1, 2), fixing E(0, 2) and E(1, 2): exp(t N)
+    # holds t**2 / 2 at (0, 2), so the prime 2 < n enters with no
+    # denominator in the map
+    aut = LieAut(3, [[1, 0, 0], [0, 1, 0], [1, 0, 1]])
+    assert lie_aut_check(aut)
+    assert congruence_domain(aut, set()) == 2
+    assert congruence_domain(aut, {2}) == 1
+    assert_least_depth(aut, set(), 2, random.Random(2))
+    rng = random.Random(48)
+    for _ in range(12):
+        aut = heisenberg_aut(rng)
+        assert lie_aut_check(aut)
+        for primes in (set(), {2}, {3}):
+            depth = congruence_domain(aut, primes)
+            assert oracle_congruence_domain(aut, primes) % depth == 0
+            assert_least_depth(aut, primes, depth, rng, points=3)
+
+
 def test_congruence_domain_rejects_non_automorphism():
     with pytest.raises(NotAnAutomorphism):
         congruence_domain(LieAut.diagonal(3, [2, 2, 2]), set())
